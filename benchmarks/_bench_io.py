@@ -1,11 +1,11 @@
-"""Shared writer for the repo-root ``BENCH_*.json`` perf snapshots.
+"""Shared writer for the ``BENCH_*.json`` perf snapshots of the micro benches.
 
-Five microbenchmarks (kernel, eviction index, router, session, sweep)
-persist a JSON snapshot at the repo root for cross-PR trajectory
-tracking.  They historically each rolled their own ``json.dumps`` call
-with slightly different conventions (trailing newline or not, sorted
-keys or not, no provenance).  This module gives them one writer so the
-files stay machine-comparable across PRs:
+The micro benchmarks (kernel, router, session, steering, sweep, gateway)
+each persist a JSON snapshot of what they measured.  Snapshots land under
+the git-ignored ``benchmarks/out/`` (:data:`OUT_DIR`), so running tier-1
+leaves the work tree clean; CI uploads them as artifacts.  The tracked
+performance trajectory is ``BENCHMARK.json`` + ``bench_e2e/``, not these
+files.  One writer keeps them machine-comparable:
 
 * ``schema_version`` — bumped when the envelope layout changes, so a
   trajectory scraper can refuse to diff incompatible snapshots.
@@ -33,7 +33,8 @@ from typing import Any
 #: Version of the snapshot envelope (top-level metadata layout).
 SCHEMA_VERSION = 2
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+#: Where snapshots are written (git-ignored).
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 
 def host_fingerprint() -> dict[str, Any]:
@@ -75,6 +76,7 @@ def write_bench(path: Path, benchmark: str, payload: dict[str, Any]) -> dict[str
     }
     doc.update(payload)
     doc = _sanitize(doc)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )

@@ -22,7 +22,6 @@ import pytest
 # dedicated CI benchmark lane (`pytest -m slow`).
 _FAST_MODULES = {
     "test_micro_core.py",
-    "test_micro_eviction_index.py",
     "test_micro_gateway.py",
     "test_micro_kernel.py",
     "test_micro_router.py",

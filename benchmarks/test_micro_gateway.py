@@ -9,8 +9,8 @@ cache transactions — from NumPy model compute.
 
 Metrics: sustained requests per second over the whole replay, and the
 p95 time-to-first-token across served requests.  Results are written to
-``BENCH_gateway.json`` at the repo root for cross-PR trajectory
-tracking.  This file is deliberately fast (seconds) and stays in the
+``benchmarks/out/BENCH_gateway.json`` (git-ignored; CI uploads it).
+This file is deliberately fast (seconds) and stays in the
 default test lane; the throughput floor is skipped on single-core
 runners where the asyncio loop and pytest share one CPU.
 """
@@ -20,11 +20,10 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import OUT_DIR, write_bench
 from repro.core.cache import MarconiCache
 from repro.metrics import percentile
 from repro.models.presets import hybrid_7b
@@ -42,7 +41,7 @@ REPEATS = 3  # best-of to shave scheduler noise
 # tight enough to catch a hot-path regression that serializes the pool.
 FLOOR_REQUESTS_PER_S = 300.0
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_gateway.json"
+BENCH_PATH = OUT_DIR / "BENCH_gateway.json"
 
 
 def _trace():
@@ -114,7 +113,7 @@ class TestGatewayMicrobench:
         )
 
     def test_emit_bench_json(self, measurements):
-        """Persist the perf snapshot for cross-PR trajectory tracking."""
+        """Persist the perf snapshot."""
         payload = {
             "capacity_bytes": CAPACITY_BYTES,
             "trace": {"kind": "lmsys", "n_sessions": N_SESSIONS, "seed": 31},

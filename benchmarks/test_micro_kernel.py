@@ -12,8 +12,9 @@ It also demonstrates what the kernel newly enables: on a bursty trace,
 (time-weighted mean busy executors well above the single-slot ceiling of
 1.0) and burns the backlog down faster than the serial configuration.
 
-Results are written to ``BENCH_kernel.json`` at the repo root for
-cross-PR trajectory tracking.  This file is deliberately fast (seconds)
+Results are written to
+``benchmarks/out/BENCH_kernel.json`` (git-ignored; CI uploads it).
+This file is deliberately fast (seconds)
 and stays in the default test lane.
 """
 
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import OUT_DIR, write_bench
 from repro.core.cache import MarconiCache
 from repro.engine.kernel import KernelConfig, SimulationKernel
 from repro.models.memory import node_state_bytes
@@ -37,7 +38,7 @@ from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_kernel.json"
+BENCH_PATH = OUT_DIR / "BENCH_kernel.json"
 
 N_SESSIONS = 120
 REPEATS = 3  # best-of to shave scheduler noise
@@ -200,7 +201,7 @@ class TestKernelMicrobench:
         assert batched.ttft_percentile(95) < serial.ttft_percentile(95)
 
     def test_emit_bench_json(self, measurements, burst_results):
-        """Persist the perf snapshot for cross-PR trajectory tracking."""
+        """Persist the perf snapshot."""
         serial, batched = burst_results
         kernel = measurements["kernel_wall"]
         legacy = measurements["legacy_wall"]

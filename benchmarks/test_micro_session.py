@@ -8,18 +8,17 @@ through the deprecated ``lookup``/``admit`` shims — and measures the
 per-request cost of the transactional surface.
 
 Acceptance bar: session overhead < 5% per request.  Results are written to
-``BENCH_session.json`` at the repo root for cross-PR trajectory tracking.
+``benchmarks/out/BENCH_session.json`` (git-ignored; CI uploads it).
 This file is deliberately fast (seconds) and stays in the default test lane.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import OUT_DIR, write_bench
 from repro.core.cache import MarconiCache
 from repro.models.presets import hybrid_7b
 from repro.workloads.lmsys import generate_lmsys_trace
@@ -29,7 +28,7 @@ CAPACITY_BYTES = int(2e9)
 N_SESSIONS = 100
 REPEATS = 3  # best-of to shave scheduler noise
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_session.json"
+BENCH_PATH = OUT_DIR / "BENCH_session.json"
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +112,7 @@ class TestSessionMicrobench:
         )
 
     def test_emit_bench_json(self, measurements):
-        """Persist the perf snapshot for cross-PR trajectory tracking."""
+        """Persist the perf snapshot."""
         n = measurements["n_requests"]
         payload = {
             "capacity_bytes": CAPACITY_BYTES,

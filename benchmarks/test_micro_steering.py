@@ -12,24 +12,23 @@ split arm overlaps (transfer is the bottleneck — recompute the tail while
 the head ships), at high bandwidth it degenerates to the PR-4 full-load
 decision byte-identically.
 
-Results are written to ``BENCH_steering.json`` at the repo root for
-cross-PR trajectory tracking.  Deliberately fast (a handful of tiny
+Results are written to
+``benchmarks/out/BENCH_steering.json`` (git-ignored; CI uploads it).
+Deliberately fast (a handful of tiny
 two-replica sims); stays in the default test lane.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 
-from _bench_io import write_bench
+from _bench_io import OUT_DIR, write_bench
 from repro.experiments.steering_sweep import (
     ARMS,
     DEFAULT_BANDWIDTHS,
     steering_bandwidth_sweep,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_steering.json"
+BENCH_PATH = OUT_DIR / "BENCH_steering.json"
 
 #: Absolute slack on the TTFT floor comparison (float noise only — the
 #: planner never *chooses* a strictly worse split, so no real tolerance

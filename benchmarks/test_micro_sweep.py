@@ -15,8 +15,9 @@ Two claims of the streaming + parallel experiment subsystem, kept honest:
   pytest parent) so earlier tests' high-water marks cannot mask the
   comparison.
 
-Results are written to ``BENCH_sweep.json`` at the repo root for
-cross-PR trajectory tracking.  This file stays in the default fast lane.
+Results are written to
+``benchmarks/out/BENCH_sweep.json`` (git-ignored; CI uploads it).
+This file stays in the default fast lane.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from pathlib import Path
 
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import OUT_DIR, write_bench
 from repro.experiments.parallel import run_specs
 from repro.experiments.runner import clear_result_cache, clear_trace_cache
 from repro.experiments.sweeps import sweep_specs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_sweep.json"
+BENCH_PATH = OUT_DIR / "BENCH_sweep.json"
 
 SWEEP_POLICIES = ("sglang+", "marconi")
 N_WORKERS = 4
@@ -187,7 +188,7 @@ class TestSweepMicrobench:
         )
 
     def test_emit_bench_json(self, sweep_measurements, memory_measurements):
-        """Persist the perf snapshot for cross-PR trajectory tracking."""
+        """Persist the perf snapshot."""
         serial_wall = sweep_measurements["serial_wall"]
         parallel_wall = sweep_measurements["parallel_wall"]
         streamed = memory_measurements["streamed"]

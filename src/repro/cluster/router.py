@@ -213,8 +213,10 @@ class PrefixAffinityRouter(Router):
 
     ``probe`` selects how per-replica hits are measured: ``"directory"``
     reads the incrementally maintained
-    :class:`~repro.cluster.directory.PrefixDirectory` in one O(query-depth)
-    walk; ``"deep"`` is the legacy O(replicas x tree) per-request probe of
+    :class:`~repro.cluster.directory.PrefixDirectory` in one walk of
+    O(query depth) nodes (each node paying a pass over the replicas that
+    hold it, so the cost is sub-linear — not flat — in fleet size: 4-4.7x
+    for 8x the replicas); ``"deep"`` is the legacy O(replicas x tree) per-request probe of
     every replica tree; ``"auto"`` (default) picks per fleet size — deep
     probing below ``auto_threshold`` replicas (where per-arrival directory
     maintenance costs more than a handful of tree walks — the small-fleet

@@ -442,9 +442,10 @@ class ShardedPrefixDirectory:
             )
         )
 
-    def _ingest_resync(self, replica: int, tree: Any) -> None:
-        """Snapshot ``tree`` *now* and gossip it as one resync update."""
-        self.resyncs += 1
+    @staticmethod
+    def _resync_update(replica: int, tree: Any) -> DirectoryUpdate:
+        """One resync update carrying ``tree``'s every (path, checkpointed)
+        as of *now* (empty for a tree-less cache)."""
         snapshot: list[tuple[np.ndarray, bool]] = []
         root = getattr(tree, "root", None)
         if root is not None:
@@ -458,7 +459,12 @@ class ShardedPrefixDirectory:
                     (child, np.concatenate([path, child.edge_tokens]))
                     for child in node.children.values()
                 )
-        self._ingest(DirectoryUpdate(_RESYNC, replica, snapshot=snapshot))
+        return DirectoryUpdate(_RESYNC, replica, snapshot=snapshot)
+
+    def _ingest_resync(self, replica: int, tree: Any) -> None:
+        """Snapshot ``tree`` *now* and gossip it as one resync update."""
+        self.resyncs += 1
+        self._ingest(self._resync_update(replica, tree))
 
     def _ingest(self, update: DirectoryUpdate) -> None:
         self.events += 1
@@ -525,18 +531,7 @@ class ShardedPrefixDirectory:
             if replica not in self._tracked:
                 continue
             tree = getattr(self._caches.get(replica), "tree", None)
-            snapshot: list[tuple[np.ndarray, bool]] = []
-            root = getattr(tree, "root", None)
-            if root is not None:
-                stack = [(child, child.edge_tokens) for child in root.children.values()]
-                while stack:
-                    node, path = stack.pop()
-                    snapshot.append((path, bool(node.has_ssm_state)))
-                    stack.extend(
-                        (child, np.concatenate([path, child.edge_tokens]))
-                        for child in node.children.values()
-                    )
-            update = DirectoryUpdate(_RESYNC, replica, snapshot=snapshot)
+            update = self._resync_update(replica, tree)
             if self._synchronous:
                 self._apply(shard, update)
                 shard.applied += 1

@@ -11,11 +11,9 @@ snapshot, adopting the hit-rate-maximizing value.
 The paper parallelizes the grid search across CPU cores to hide its
 latency; the replay here is synchronous (the adopted alpha is identical,
 only wall-clock differs), which keeps the tuner deterministic and
-dependency-free.  Each replay replica inherits the main cache's eviction
-mode (see :meth:`repro.core.cache.MarconiCache.make_replay_cache`), so the
-grid search runs against the incrementally maintained eviction index —
-seeded once per alpha from the cloned snapshot — rather than paying the
-legacy full-tree rescans per replayed eviction.
+dependency-free.  Each replay replica (see
+:meth:`repro.core.cache.MarconiCache.make_replay_cache`) seeds its eviction
+index once per alpha from the cloned snapshot.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ Pinning protects the states of in-flight requests between begin and close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -89,18 +88,6 @@ class MarconiSession(RequestSession):
         self.rolled_back: bool = False
 
 
-@dataclass
-class MarconiCacheConfig:
-    """Tunables for :class:`MarconiCache` beyond model and capacity."""
-
-    eviction: str = "flop_aware"
-    alpha: Optional[float] = None  # None => bootstrap auto-tuning
-    tuner: AlphaTunerConfig = field(default_factory=AlphaTunerConfig)
-    store_states: bool = False
-    use_eviction_index: bool = True
-    batch_evictions: int = 1
-
-
 class MarconiCache(PrefixCache):
     """Prefix cache for hybrid (and pure) LLMs with Marconi's policies.
 
@@ -125,18 +112,11 @@ class MarconiCache(PrefixCache):
     store_states:
         When True, checkpoint nodes carry caller-provided model-state
         payloads (used by the executable-model serving layer).
-    use_eviction_index:
-        When True (the default), eviction candidates come from an
-        incrementally maintained :class:`~repro.core.eviction_index
-        .EvictionIndex`; when False, every eviction falls back to the seed
-        behaviour of a full-tree rescan (kept as the reference
-        implementation and for the microbenchmark's baseline).  Both modes
-        make identical eviction decisions.
-    batch_evictions:
-        FLOP-aware batch size K: victims freed per rank-normalization pass
-        within one eviction episode.  ``1`` (the default) renormalizes
-        before every victim — the paper's exact semantics; larger values
-        amortize the O(c·log c) normalization under sustained pressure.
+
+    Eviction candidates come from an incrementally maintained
+    :class:`~repro.core.eviction_index.EvictionIndex` observing the tree;
+    the FLOP-aware policy renormalizes over all of them before every victim
+    (the paper's exact semantics).
     """
 
     def __init__(
@@ -149,13 +129,9 @@ class MarconiCache(PrefixCache):
         tuner_config: Optional[AlphaTunerConfig] = None,
         store_states: bool = False,
         efficiency_mode: str = "prefix_per_freed",
-        use_eviction_index: bool = True,
-        batch_evictions: int = 1,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
-        if batch_evictions < 1:
-            raise ValueError(f"batch_evictions must be >= 1, got {batch_evictions}")
         self.model = model
         self._capacity = int(capacity_bytes)
         self._eviction_name = eviction
@@ -163,8 +139,6 @@ class MarconiCache(PrefixCache):
         self.store_states = store_states
         self.efficiency_mode = efficiency_mode
         self._tuner_config = tuner_config or AlphaTunerConfig()
-        self._use_index = use_eviction_index
-        self._batch_evictions = batch_evictions
 
         # Per-model byte constants, bound once: the eviction index refreshes
         # candidates on every tree mutation, and each refresh needs both.
@@ -172,8 +146,7 @@ class MarconiCache(PrefixCache):
         self._recurrent_bytes = model_recurrent_bytes(model)
         self._flops_table = prefill_flops_table(model)
 
-        self._index: Optional[EvictionIndex] = None
-        self._scan_node_visits = 0
+        self._index: Optional[EvictionIndex] = None  # until the first tree, below
         self._used = 0
         self._stats = CacheStats()
         self.tuner: Optional[AlphaTuner] = None
@@ -184,13 +157,9 @@ class MarconiCache(PrefixCache):
         if self._eviction_name == "flop_aware" and self._fixed_alpha is None:
             # Auto-tuning mode: behave as LRU (alpha = 0) until tuned.
             self.tuner = AlphaTuner(self._tuner_config)
-            policy = FlopAwareEviction(alpha=0.0)
-        else:
-            self.tuner = None
-            policy = make_eviction_policy(self._eviction_name, self._fixed_alpha)
-        if isinstance(policy, FlopAwareEviction):
-            policy.batch_size = self._batch_evictions
-        return policy
+            return FlopAwareEviction(alpha=0.0)
+        self.tuner = None
+        return make_eviction_policy(self._eviction_name, self._fixed_alpha)
 
     # ------------------------------------------------------------------
     # Tree attachment (keeps the eviction index observing the live tree)
@@ -210,33 +179,23 @@ class MarconiCache(PrefixCache):
         if self._index is not None:
             self._tree.remove_observer(self._index)
         self._tree = tree
-        if self._use_index:
-            self._index = EvictionIndex(
-                tree, self._freeable_bytes, self._candidate_efficiency
-            )
-            self.policy.bind_index(self._index)
-        else:
-            self._index = None
+        self._index = EvictionIndex(
+            tree, self._freeable_bytes, self._candidate_efficiency
+        )
+        self.policy.bind_index(self._index)
         # External observers (router directories) follow the live tree and
         # resync themselves via their on_tree_attached hook.
         self._reattach_tree_observers(tree)
 
     @property
-    def eviction_index(self) -> Optional[EvictionIndex]:
-        """The maintained candidate index (None in legacy full-scan mode)."""
+    def eviction_index(self) -> EvictionIndex:
+        """The maintained candidate index of the live tree."""
         return self._index
 
     @property
     def eviction_node_visits(self) -> int:
-        """Nodes (re-)evaluated for eviction candidacy so far.
-
-        In index mode this counts incremental candidacy evaluations; in
-        legacy mode it counts nodes walked by the per-eviction full scans.
-        The microbenchmark compares the two under identical workloads.
-        """
-        if self._index is not None:
-            return self._index.node_visits
-        return self._scan_node_visits
+        """Nodes (re-)evaluated for eviction candidacy so far."""
+        return self._index.node_visits
 
     # ------------------------------------------------------------------
     # PrefixCache surface
@@ -264,7 +223,6 @@ class MarconiCache(PrefixCache):
         self.detach_open_sessions()  # outstanding sessions must not touch the new tree
         self._used = 0
         self._stats = CacheStats()
-        self._scan_node_visits = 0
         self.policy = self._build_policy()
         self.tree = RadixTree()  # after the policy so the index binds to it
 
@@ -598,13 +556,12 @@ class MarconiCache(PrefixCache):
             mode=self.efficiency_mode,
         )
 
-    def _collect_candidates(self, count_visits: bool = False) -> list[EvictionCandidate]:
-        """Full-tree candidate rebuild (the legacy path and the reference
-        implementation the index's property tests compare against)."""
+    def _collect_candidates(self) -> list[EvictionCandidate]:
+        """From-scratch candidate rebuild: the reference the index's
+        property tests compare against (nothing on the serving path calls
+        it)."""
         candidates = []
         for node in self.tree.iter_nodes():
-            if count_visits:
-                self._scan_node_visits += 1
             if node.is_pinned or node.n_children > 1:
                 continue
             freeable = self._freeable_bytes(node)
@@ -621,63 +578,23 @@ class MarconiCache(PrefixCache):
             )
         return candidates
 
-    def _select_victim(self) -> Optional[EvictionCandidate]:
-        """Next victim under the configured selection mode; None when the
-        evictable set is empty."""
-        if self._index is not None:
-            if len(self._index) == 0:
-                return None
-            return self.policy.select_from_index(self._index)
-        candidates = self._collect_candidates(count_visits=True)
-        if not candidates:
-            return None
-        return self.policy.select_victim(candidates)
-
     def _ensure_free(self, needed_bytes: int) -> bool:
         """Evict until ``needed_bytes`` fit; False if that proves impossible.
 
-        The loop body is the inlined equivalent of ``_select_victim`` +
-        ``_apply_eviction`` (kept as standalone methods for tests and
-        external callers) with per-iteration attribute lookups hoisted —
-        this is the hottest loop in the simulator under cache pressure.
-        Subclasses that override ``_apply_eviction`` (e.g. tiered
-        demotion) still get their hook: the inline body only runs when
-        the method is the base-class one.
+        Every victim goes through :meth:`_apply_eviction`, the hook tiered
+        demotion overrides.
         """
         capacity = self._capacity
         if needed_bytes > capacity:
             return False
-        if capacity - self._used >= needed_bytes:
-            return True
         policy = self.policy
-        policy.begin_eviction_pass()
         index = self._index
-        tree = self._tree
-        stats = self._stats
         tuner = self.tuner
-        inline_apply = type(self)._apply_eviction is MarconiCache._apply_eviction
         while capacity - self._used < needed_bytes:
-            if index is not None:
-                if not index.candidates():
-                    return False
-                victim = policy.select_from_index(index)
-            else:
-                candidates = self._collect_candidates(count_visits=True)
-                if not candidates:
-                    return False
-                victim = policy.select_victim(candidates)
-            if inline_apply:
-                node = victim.node
-                freed = victim.freeable_bytes
-                if not node.children:
-                    tree.remove_leaf(node)
-                else:
-                    tree.clear_checkpoint(node)
-                    tree.merge_into_child(node)
-                self._used -= freed
-                stats.record_eviction(freed)
-            else:
-                self._apply_eviction(victim)
+            if not index.candidates():
+                return False
+            victim = policy.select_from_index(index)
+            self._apply_eviction(victim)
             policy.notify_eviction(victim)
             if tuner is not None:
                 tuner.note_eviction()
@@ -711,10 +628,8 @@ class MarconiCache(PrefixCache):
     def make_replay_cache(self, alpha: float, snapshot: RadixTree) -> "MarconiCache":
         """A throwaway cache seeded from ``snapshot`` with a fixed alpha.
 
-        The replica inherits the eviction-index mode (and FLOP-aware batch
-        size), so the tuner's grid-search replay pays incremental — not
-        full-rescan — eviction costs per alpha; assigning the cloned tree
-        re-seeds the replica's index in one scan.
+        Assigning the cloned tree re-seeds the replica's eviction index
+        in one scan.
         """
         replica = MarconiCache(
             self.model,
@@ -723,8 +638,6 @@ class MarconiCache(PrefixCache):
             alpha=alpha,
             store_states=False,
             efficiency_mode=self.efficiency_mode,
-            use_eviction_index=self._use_index,
-            batch_evictions=self._batch_evictions,
         )
         replica.tree = snapshot.clone()
         replica._used = sum(

@@ -22,7 +22,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.node import RadixNode
 
@@ -55,15 +55,13 @@ class EvictionCandidate:
 class EvictionPolicy(abc.ABC):
     """Chooses which candidate to evict next.
 
-    Two selection surfaces exist:
-
-    * :meth:`select_victim` — score an explicit candidate list (the seed
-      API; still used by tests and the legacy full-scan mode).
-    * :meth:`select_from_index` — select against a maintained
-      :class:`~repro.core.eviction_index.EvictionIndex`.  The base
-      implementation scores the index's cached candidate snapshot;
-      heap-backed subclasses keep a lazy min-heap synced to the index and
-      select in amortized O(log n) without touching the candidate set.
+    :meth:`select_victim` defines the policy: the victim among an explicit
+    candidate list.  The cache calls :meth:`select_from_index`, which by
+    default applies that definition to the maintained
+    :class:`~repro.core.eviction_index.EvictionIndex`'s candidate snapshot;
+    heap-backed subclasses answer the same question from a lazy min-heap
+    synced to the index, in amortized O(log n) without touching the
+    candidate set.
     """
 
     name: str = "abstract"
@@ -76,7 +74,7 @@ class EvictionPolicy(abc.ABC):
         """Attach to ``index``; subscribes heap selectors to its change feed.
 
         Policies that never overrode :meth:`on_candidate_changed` leave the
-        feed unset so the index skips the callback on the refresh hot path.
+        feed unset so the index skips the callback on its flush hot path.
         """
         if type(self).on_candidate_changed is EvictionPolicy.on_candidate_changed:
             index.on_candidate_changed = None
@@ -85,9 +83,6 @@ class EvictionPolicy(abc.ABC):
 
     def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
         """Called by the bound index when a candidate is added or rebuilt."""
-
-    def begin_eviction_pass(self) -> None:
-        """Called at the start of one eviction episode (one ``_ensure_free``)."""
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
         """Pick the next victim using the maintained candidate index."""
@@ -123,6 +118,11 @@ class _LazyHeapPolicy(EvictionPolicy):
     def _heap_key(self, candidate: EvictionCandidate) -> tuple:
         """Current selection key; must be non-decreasing over a candidate's
         life (candidates are rebuilt — not mutated — on any other change)."""
+
+    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
+        if not candidates:
+            raise ValueError("no eviction candidates")
+        return min(candidates, key=self._heap_key)
 
     def bind_index(self, index: "EvictionIndex") -> None:
         super().bind_index(index)
@@ -162,107 +162,79 @@ class LRUEviction(_LazyHeapPolicy):
     def _heap_key(self, candidate: EvictionCandidate) -> tuple:
         return candidate.sort_key
 
-    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return min(candidates, key=lambda c: c.sort_key)
-
 
 class FlopAwareEviction(EvictionPolicy):
     """Marconi's utility score: ``S(n) = recency(n) + alpha * flop_efficiency(n)``.
 
-    Both terms are min-max normalized over the current candidate set to
-    (0, 1), matching the paper's "normalized ... by comparing all nodes'
-    last-accessed timestamps and FLOP saved/byte in the radix tree".
-    ``alpha = 0`` degenerates to LRU; a large ``alpha`` ranks purely by
-    compute saved per byte.  ``alpha`` is mutable so the bootstrap tuner can
-    adopt the grid-search winner in place.
+    Both terms are rank-normalized over the current candidate set into
+    (0, 1] (see :func:`_rank_normalize`), the reading of the paper's
+    "normalized ... by comparing all nodes' last-accessed timestamps and
+    FLOP saved/byte in the radix tree".  ``alpha = 0`` degenerates to LRU;
+    a large ``alpha`` ranks purely by compute saved per byte.  ``alpha`` is
+    mutable so the bootstrap tuner can adopt the grid-search winner in
+    place.
 
     Normalization is relative to the *whole* candidate set, so this policy
-    cannot be heap-backed without changing semantics.  Instead,
-    :meth:`select_from_index` scores the index's maintained candidate
-    snapshot and caches the resulting eviction order until the index's dirty
-    epoch advances.  ``batch_size`` (K) additionally amortizes the
-    normalization: within one eviction pass, up to K victims are taken from
-    a single scored order, each re-validated against the index before use.
-    ``batch_size = 1`` (the default) renormalizes before every victim and is
-    decision-identical to the seed full-rescan implementation.
+    cannot be heap-backed without changing semantics: every victim is one
+    :meth:`select_victim` pass over the index's candidate snapshot (the
+    inherited :meth:`select_from_index`).
     """
 
     name = "flop_aware"
 
-    def __init__(
-        self,
-        alpha: float = 1.0,
-        normalization: str = "rank",
-        batch_size: int = 1,
-    ) -> None:
+    def __init__(self, alpha: float = 1.0) -> None:
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if normalization not in ("rank", "minmax"):
-            raise ValueError(f"normalization must be 'rank' or 'minmax', got {normalization!r}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.alpha = alpha
-        self.normalization = normalization
-        self.batch_size = batch_size
-        self._order: deque[EvictionCandidate] = deque()
-        self._order_epoch: Optional[int] = None
-        self._order_budget = 0
-
-    def _normalized(self, values: list[float]) -> list[float]:
-        if self.normalization == "rank":
-            return _rank_normalize(values)
-        return [_min_max_normalize(v, values) for v in values]
 
     def scores(self, candidates: list[EvictionCandidate]) -> list[float]:
-        """Utility score of every candidate against the candidate set."""
-        recency = self._normalized([c.last_access for c in candidates])
-        efficiency = self._normalized([c.flop_efficiency for c in candidates])
+        """Utility score of every candidate against the candidate set.
+
+        The readable reference for the loop inlined in :meth:`select_victim`.
+        """
+        recency = _rank_normalize([c.last_access for c in candidates])
+        efficiency = _rank_normalize([c.flop_efficiency for c in candidates])
         return [r + self.alpha * e for r, e in zip(recency, efficiency)]
 
     def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
+        """``argmin`` of ``(scores(candidates), sort_key)``, in one flat pass."""
         if not candidates:
             raise ValueError("no eviction candidates")
         n = len(candidates)
         if n == 1:
             return candidates[0]
         alpha = self.alpha
-        if self.normalization == "rank":
-            # Inlined tie-averaged rank scoring: candidate sets under real
-            # pressure are tiny (median ~3), so per-call overhead dominates
-            # — one flat pass per term, scores accumulated in place, same
-            # float expressions as :func:`_rank_normalize` term by term.
-            la = [c.last_access for c in candidates]
-            scores = [0.0] * n
-            order = sorted(range(n), key=la.__getitem__)
-            i = 0
-            while i < n:
-                j = i
-                vi = la[order[i]]
-                while j + 1 < n and la[order[j + 1]] == vi:
-                    j += 1
-                r = ((i + j) / 2.0 + 1.0) / n
-                for k in range(i, j + 1):
-                    scores[order[k]] = r
-                i = j + 1
-            fe = [c.flop_efficiency for c in candidates]
-            order = sorted(range(n), key=fe.__getitem__)
-            i = 0
-            while i < n:
-                j = i
-                vi = fe[order[i]]
-                while j + 1 < n and fe[order[j + 1]] == vi:
-                    j += 1
-                ae = alpha * (((i + j) / 2.0 + 1.0) / n)
-                for k in range(i, j + 1):
-                    ki = order[k]
-                    scores[ki] = scores[ki] + ae
-                i = j + 1
-        else:
-            recency = self._normalized([c.last_access for c in candidates])
-            efficiency = self._normalized([c.flop_efficiency for c in candidates])
-            scores = [r + alpha * e for r, e in zip(recency, efficiency)]
+        # Inlined tie-averaged rank scoring: this runs once per victim over
+        # the whole candidate set (~1.8k candidates on bench_e2e's
+        # cache_contended, where it is most of the wall time), so it is one
+        # flat pass per term with scores accumulated in place — the same
+        # float expressions as :func:`_rank_normalize`, term by term.
+        la = [c.last_access for c in candidates]
+        scores = [0.0] * n
+        order = sorted(range(n), key=la.__getitem__)
+        i = 0
+        while i < n:
+            j = i
+            vi = la[order[i]]
+            while j + 1 < n and la[order[j + 1]] == vi:
+                j += 1
+            r = ((i + j) / 2.0 + 1.0) / n
+            for k in range(i, j + 1):
+                scores[order[k]] = r
+            i = j + 1
+        fe = [c.flop_efficiency for c in candidates]
+        order = sorted(range(n), key=fe.__getitem__)
+        i = 0
+        while i < n:
+            j = i
+            vi = fe[order[i]]
+            while j + 1 < n and fe[order[j + 1]] == vi:
+                j += 1
+            ae = alpha * (((i + j) / 2.0 + 1.0) / n)
+            for k in range(i, j + 1):
+                ki = order[k]
+                scores[ki] = scores[ki] + ae
+            i = j + 1
         # Fused min over (score, sort_key); sort_key ties are impossible
         # (node ids are unique), so the order is total.
         best = candidates[0]
@@ -281,61 +253,6 @@ class FlopAwareEviction(EvictionPolicy):
                     best_score = score
                     best_key = candidate.sort_key
         return best
-
-    def begin_eviction_pass(self) -> None:
-        # Never carry a scored order across pressure episodes: requests may
-        # have touched/admitted entries in between.
-        self._order.clear()
-        self._order_epoch = None
-
-    def _rebuild_order(self, index: "EvictionIndex") -> None:
-        candidates = index.candidates()
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        scores = self.scores(candidates)
-        ranked = sorted(
-            range(len(candidates)),
-            key=lambda i: (scores[i], candidates[i].sort_key),
-        )
-        self._order = deque(candidates[i] for i in ranked)
-        self._order_epoch = index.epoch
-        self._order_budget = self.batch_size
-
-    def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
-        """Pick the next victim, renormalizing once per ``batch_size`` victims.
-
-        With ``batch_size = 1`` the order is rebuilt whenever the index's
-        epoch has advanced — i.e. before every victim under eviction
-        pressure — reproducing the seed semantics exactly.  With a larger
-        batch, up to K victims are drained from one scored pass; entries
-        invalidated by intervening structure changes are skipped via the
-        index identity check, so a stale order can delay but never corrupt
-        a decision.
-        """
-        if self.batch_size == 1:
-            # Renormalize-per-victim degenerates to one min() over the live
-            # candidate snapshot: the first element of the stable sort
-            # _rebuild_order would have produced (sort_key makes the order
-            # total, so min and sort agree), without building the order.
-            return self.select_victim(index.candidates())
-        while True:
-            if (
-                self._order_epoch is None
-                or self._order_budget <= 0
-                or not self._order
-            ):
-                self._rebuild_order(index)
-            while self._order:
-                candidate = self._order.popleft()
-                if index.get(candidate.node.node_id) is candidate:
-                    self._order_budget -= 1
-                    return candidate
-            # Scored order fully drained by stale entries; renormalize.
-
-    def reset(self) -> None:
-        self._order.clear()
-        self._order_epoch = None
-        self._order_budget = 0
 
 
 class GDSFEviction(_LazyHeapPolicy):
@@ -370,11 +287,6 @@ class GDSFEviction(_LazyHeapPolicy):
         frequency = max(1, candidate.node.hit_count)
         return (frequency * candidate.flop_efficiency,) + candidate.sort_key
 
-    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return min(candidates, key=self._heap_key)
-
     def notify_eviction(self, victim: EvictionCandidate) -> None:
         self._clock = self._priority(victim)
 
@@ -396,11 +308,6 @@ class LFUEviction(_LazyHeapPolicy):
 
     def _heap_key(self, candidate: EvictionCandidate) -> tuple:
         return (candidate.node.hit_count,) + candidate.sort_key
-
-    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return min(candidates, key=lambda c: (c.node.hit_count, c.sort_key))
 
 
 class LRUKEviction(_LazyHeapPolicy):
@@ -436,11 +343,6 @@ class LRUKEviction(_LazyHeapPolicy):
         # Access times only move forward, so the key never decreases.
         return (self._kth_access(candidate),) + candidate.sort_key
 
-    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return min(candidates, key=lambda c: (self._kth_access(c), c.sort_key))
-
     def notify_eviction(self, victim: EvictionCandidate) -> None:
         self._history.pop(victim.node.node_id, None)
 
@@ -474,11 +376,6 @@ class GDSEviction(_LazyHeapPolicy):
     def _heap_key(self, candidate: EvictionCandidate) -> tuple:
         return (1.0 / max(1, candidate.freeable_bytes),) + candidate.sort_key
 
-    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return min(candidates, key=self._heap_key)
-
     def notify_eviction(self, victim: EvictionCandidate) -> None:
         self._clock = self._priority(victim)
 
@@ -503,19 +400,6 @@ class RandomEviction(EvictionPolicy):
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
-
-
-def _min_max_normalize(value: float, values: list[float]) -> float:
-    """Min-max normalize ``value`` against ``values``; 1.0 when degenerate.
-
-    A degenerate set (all equal) makes the term uninformative; returning a
-    constant leaves the ranking to the other term and the tie-break.
-    """
-    low = min(values)
-    high = max(values)
-    if high <= low:
-        return 1.0
-    return (value - low) / (high - low)
 
 
 def _rank_normalize(values: list[float]) -> list[float]:

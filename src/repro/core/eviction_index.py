@@ -11,24 +11,21 @@ freeable bytes — as the tree changes.
 Maintenance is *lazy*: every observer callback only marks the touched node
 dirty (an O(1) dict write), and dirty nodes are re-evaluated in one batch
 the next time anything reads the index (``candidates()``, ``get``,
-``len``, ``epoch``, ``node_visits``).  Readers therefore always see the
+``len``, ``node_visits``).  Readers therefore always see the
 eagerly-maintained state, while write-heavy churn between selections —
 pin/unpin round-trips of a request path, multiple touches of the same hot
 node, transient structure during a split — collapses to at most one
 re-evaluation per node per read.  A node whose evaluation key (freeable
 bytes, recency, shape) round-trips back unchanged between two reads keeps
-its candidate object and bumps nothing.
+its candidate object and leaves the cached snapshot list standing.
 
 Cached per-candidate values (``freeable_bytes``, ``flop_efficiency``, the
 precomputed ``sort_key``) are invalidated by *rebuilding the candidate
-object*, so policies can use object identity as a staleness check.  A
-monotonically increasing ``epoch`` stamps every change to the candidate
-set; the FLOP-aware policy reuses its rank-normalized eviction order for as
-long as the epoch stands still.
+object*, so policies can use object identity as a staleness check.
 
 ``node_visits`` counts candidacy evaluations — the index-side analogue of
-the seed's per-eviction full-tree node visits — so the microbenchmark can
-assert the amortized win.
+the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
+``core.eviction_index.node_visits``.
 """
 
 from __future__ import annotations
@@ -77,7 +74,6 @@ class EvictionIndex(TreeObserver):
         # (re-evaluated once each) before the index answers anything.
         self._dirty: dict[int, RadixNode] = {}
         self._snapshot: Optional[list[EvictionCandidate]] = None
-        self._epoch = 0
         self._node_visits = 0
         self.on_candidate_changed: Optional[Callable[[EvictionCandidate], None]] = None
         tree.add_observer(self)
@@ -86,13 +82,6 @@ class EvictionIndex(TreeObserver):
     # ------------------------------------------------------------------
     # Queries (each settles pending dirty marks first)
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Change stamp of the candidate set (post-flush)."""
-        if self._dirty:
-            self._flush()
-        return self._epoch
-
     @property
     def node_visits(self) -> int:
         """Total candidacy evaluations performed (post-flush)."""
@@ -112,7 +101,7 @@ class EvictionIndex(TreeObserver):
         return self._entries.get(node_id)
 
     def candidates(self) -> list[EvictionCandidate]:
-        """Snapshot list of all current candidates (cached per epoch)."""
+        """Snapshot list of all current candidates (cached until one changes)."""
         if self._dirty:
             self._flush()
         snapshot = self._snapshot
@@ -127,17 +116,14 @@ class EvictionIndex(TreeObserver):
         """Re-seed the candidate set with one full tree scan."""
         self._entries.clear()
         self._eval_keys.clear()
-        self._dirty.clear()
-        self._bump()
-        for node in self._tree.iter_nodes():
-            self.refresh(node)
+        self._snapshot = None
+        self._dirty = {node.node_id: node for node in self._tree.iter_nodes()}
+        self._flush()
 
     def _flush(self) -> None:
-        """Re-evaluate every dirty node once, in mark order.
+        """Re-evaluate every dirty node's candidacy once, in mark order.
 
-        The loop body is :meth:`refresh` inlined with the per-call lookups
-        hoisted — this runs a handful of times per eviction, which makes it
-        the hottest code in the eviction pipeline.
+        Runs a handful of times per eviction, hence the hoisted lookups.
         """
         dirty = self._dirty
         self._dirty = {}
@@ -150,17 +136,17 @@ class EvictionIndex(TreeObserver):
             visits += 1
             node_id = node.node_id
             children = node.children
+            # Inlined node.is_eviction_shaped; a detached node (parent None)
+            # is dropped by the same guard.
             if node.parent is None or node.pin_count > 0 or len(children) > 1:
                 if entries.pop(node_id, None) is not None:
                     del eval_keys[node_id]
-                    self._epoch += 1
                     self._snapshot = None
                 continue
             freeable = freeable_fn(node)
             if freeable <= 0:
                 if entries.pop(node_id, None) is not None:
                     del eval_keys[node_id]
-                    self._epoch += 1
                     self._snapshot = None
                 continue
             last_access = node.last_access
@@ -172,7 +158,7 @@ class EvictionIndex(TreeObserver):
                 node.parent.seq_len,
             )
             if eval_keys.get(node_id) == eval_key:
-                continue
+                continue  # nothing the candidate caches has changed
             candidate = EvictionCandidate(
                 node=node,
                 freeable_bytes=freeable,
@@ -182,59 +168,10 @@ class EvictionIndex(TreeObserver):
             )
             entries[node_id] = candidate
             eval_keys[node_id] = eval_key
-            self._epoch += 1
             self._snapshot = None
             if self.on_candidate_changed is not None:
                 self.on_candidate_changed(candidate)
         self._node_visits += visits
-
-    def refresh(self, node: RadixNode) -> None:
-        """Re-evaluate one node's candidacy and cached values (eager)."""
-        self._node_visits += 1
-        node_id = node.node_id
-        # Inlined node.is_eviction_shaped; a detached node (parent None)
-        # is dropped by the same guard.
-        children = node.children
-        if node.parent is None or node.pin_count > 0 or len(children) > 1:
-            self._drop(node_id)
-            return
-        freeable = self._freeable_fn(node)
-        if freeable <= 0:
-            self._drop(node_id)
-            return
-        eval_key = (
-            freeable,
-            node.last_access,
-            not children,  # is_leaf
-            node.seq_len,
-            node.parent.seq_len,
-        )
-        if self._eval_keys.get(node_id) == eval_key:
-            return  # nothing the candidate caches has changed
-        candidate = EvictionCandidate(
-            node=node,
-            freeable_bytes=freeable,
-            flop_efficiency=self._efficiency_fn(node, freeable),
-            last_access=node.last_access,
-            is_leaf=not children,
-        )
-        self._entries[node_id] = candidate
-        self._eval_keys[node_id] = eval_key
-        self._bump()
-        if self.on_candidate_changed is not None:
-            self.on_candidate_changed(candidate)
-
-    def _drop(self, node_id: int) -> None:
-        if self._entries.pop(node_id, None) is not None:
-            del self._eval_keys[node_id]
-            self._bump()
-
-    def _bump(self) -> None:
-        self._epoch += 1
-        self._snapshot = None
-
-    def _mark(self, node: RadixNode) -> None:
-        self._dirty[node.node_id] = node
 
     # ------------------------------------------------------------------
     # TreeObserver callbacks — O(1) dirty marks, settled at the next read

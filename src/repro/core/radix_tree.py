@@ -240,7 +240,15 @@ class RadixTree:
         then skips straight to it — the root walk would deterministically
         descend to the same node, so the outcome is identical.
         """
-        tokens, qbytes = _query_parts(tokens)
+        # An interned handle is serialized only if the walk meets an edge to
+        # compare: resumed from ``start``, a commit usually hangs its new
+        # leaf straight off that node and never needs the bytes.
+        handle = tokens if isinstance(tokens, TokenSeq) else None
+        if handle is not None:
+            tokens, qbytes = handle.arr, None
+        else:
+            tokens, qbytes = _query_parts(tokens)
+        has_bytes = handle is not None or qbytes is not None
         if start is not None and start.parent is not None:
             node = start
             pos = start.seq_len
@@ -251,10 +259,10 @@ class RadixTree:
         split_node: Optional[RadixNode] = None
         new_leaf: Optional[RadixNode] = None
         new_edge_tokens = 0
-        # Interned queries (qbytes cached => canonical write-protected array)
-        # can donate a zero-copy view as the new leaf's edge; a plain mutable
-        # array from an external caller is copied so the tree owns its edges.
-        tail = (lambda p: tokens[p:]) if qbytes is not None else (lambda p: tokens[p:].copy())
+        # Interned queries (canonical write-protected array) can donate a
+        # zero-copy view as the new leaf's edge; a plain mutable array from
+        # an external caller is copied so the tree owns its edges.
+        tail = (lambda p: tokens[p:]) if has_bytes else (lambda p: tokens[p:].copy())
         while pos < n:
             child = node.children.get(int(tokens[pos]))
             if child is None:
@@ -268,8 +276,10 @@ class RadixTree:
                 break
             edge = child.edge_tokens
             end = pos + len(edge)
-            if qbytes is not None and end <= n:
+            if has_bytes and end <= n:
                 # Same memcmp fast path as match(): descend on full coverage.
+                if qbytes is None:
+                    qbytes = handle.tobytes()
                 edge_bytes = child._edge_bytes
                 if edge_bytes is None and edge.dtype == _INT32:
                     edge_bytes = child._edge_bytes = edge.tobytes()

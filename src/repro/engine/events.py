@@ -10,14 +10,9 @@ The queue is tuple-backed: one heap entry is a plain
 allocates no per-event object and popping one costs a single ``heappop``.
 ``serial`` is a per-queue strictly increasing counter appended purely as a
 comparison firewall — it guarantees tuple comparison never reaches the
-payload (the ``order=True`` dataclass footgun this layout replaced), while
-leaving the public ``(time, kind, seq)`` total order untouched for every
-queue whose seq numbers are unique (which per-queue counters guarantee).
-
-The previous object-per-event implementation is preserved as
-:class:`LegacyEventQueue` and selected by ``REPRO_LEGACY_QUEUE=1`` (checked
-at queue construction), so the golden-trace suite can assert the two
-produce byte-identical transcripts.
+payload, while leaving the public ``(time, kind, seq)`` total order
+untouched for every queue whose seq numbers are unique (which per-queue
+counters guarantee).
 """
 
 from __future__ import annotations
@@ -25,17 +20,10 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-#: Environment switch: ``REPRO_LEGACY_QUEUE=1`` makes ``EventQueue()``
-#: construct the frozen object-per-event implementation instead of the
-#: tuple-backed one.  Read per construction, so one process can run both.
-LEGACY_QUEUE_ENV = "REPRO_LEGACY_QUEUE"
-
-#: Heap-entry layout of the tuple-backed queue (and of the entry views the
-#: legacy queue synthesizes): indices into one entry tuple.
+#: Heap-entry layout: indices into one entry tuple.
 ENTRY_TIME = 0
 ENTRY_KIND = 1
 ENTRY_SEQ = 2
@@ -67,50 +55,16 @@ class EventKind(enum.IntEnum):
     DIRECTORY_SYNC = 5
 
 
-@dataclass(eq=False)
+@dataclass
 class Event:
-    """One scheduled simulator event; ordered by the explicit key
-    ``(time, kind, seq)``.
-
-    Comparison is hand-written rather than ``dataclass(order=True)`` so the
-    payload can never participate in ordering — with generated ordering a
-    future field reshuffle (or a forgotten ``compare=False``) would silently
-    compare payloads and crash the heap on the first genuine key tie.
-    """
+    """One scheduled simulator event, as :meth:`EventQueue.pop` and
+    :meth:`EventQueue.peek` return it (the queue itself heaps plain tuples,
+    so events are never compared with each other)."""
 
     time: float
     kind: int
     seq: int
     payload: Any
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """The total-order key; payloads are never compared."""
-        return (self.time, self.kind, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
-
-    def __lt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() >= other.sort_key()
 
 
 class EventQueue:
@@ -135,11 +89,6 @@ class EventQueue:
     """
 
     __slots__ = ("_heap", "_seq", "_serial")
-
-    def __new__(cls, seq: Optional[Iterator[int]] = None) -> "EventQueue":
-        if cls is EventQueue and os.environ.get(LEGACY_QUEUE_ENV) == "1":
-            return super().__new__(LegacyEventQueue)
-        return super().__new__(cls)
 
     def __init__(self, seq: Optional[Iterator[int]] = None) -> None:
         self._heap: list[tuple[float, int, int, int, Any]] = []
@@ -191,45 +140,3 @@ class EventQueue:
     def peek_entry(self) -> tuple[float, int, int, int, Any]:
         """The raw head entry, without removing it (queue must be non-empty)."""
         return self._heap[0]
-
-
-class LegacyEventQueue(EventQueue):
-    """The frozen object-per-event queue (one :class:`Event` per heap slot).
-
-    Kept as the byte-identity reference for the tuple-backed queue: the
-    golden-trace suite replays every engine with ``REPRO_LEGACY_QUEUE=1``
-    and asserts the transcripts match.  Ordering is the same explicit
-    ``(time, kind, seq)`` key, with push order breaking exact key ties
-    (tracked per entry, mirroring the tuple queue's ``serial`` firewall).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, seq: Optional[Iterator[int]] = None) -> None:
-        # Heap of (Event, serial) pairs; Event comparison never reaches the
-        # payload, and serial settles exact key ties by push order.
-        self._heap: list[tuple[Event, int]] = []  # type: ignore[assignment]
-        self._seq = itertools.count() if seq is None else seq
-        self._serial = itertools.count()
-
-    def push(
-        self, time: float, kind: EventKind, payload: Any, seq: Optional[int] = None
-    ) -> None:
-        event = Event(
-            time, int(kind), next(self._seq) if seq is None else seq, payload
-        )
-        heapq.heappush(self._heap, (event, next(self._serial)))
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[0]
-
-    def peek(self) -> Event:
-        return self._heap[0][0]
-
-    def pop_entry(self) -> tuple[float, int, int, int, Any]:
-        event, serial = heapq.heappop(self._heap)
-        return (event.time, event.kind, event.seq, serial, event.payload)
-
-    def peek_entry(self) -> tuple[float, int, int, int, Any]:
-        event, serial = self._heap[0]
-        return (event.time, event.kind, event.seq, serial, event.payload)

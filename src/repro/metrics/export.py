@@ -109,38 +109,42 @@ def cluster_summary_to_json(result, path: str | Path) -> None:
     _write_json(cluster_summary_dict(result), path)
 
 
-#: Steering decision counters promoted into :func:`steering_split_summary`
-#: (absent counters export as 0 so downstream tooling sees a stable shape).
-_SPLIT_COUNTERS = (
+#: Counters promoted into :func:`steering_split_summary` (absent counters
+#: export as 0 so downstream tooling sees a stable shape).  The kernel
+#: bumps the transfer/overlap ones on its steering telemetry; the router
+#: makes the compute/load/split decision and counts it in its own stats.
+_KERNEL_SPLIT_COUNTERS = (
     "transfers_planned",
     "transfers_split",
     "transfers_completed",
     "transfers_dropped",
-    "chose_recompute",
-    "chose_load",
-    "chose_split",
     "splits_overlapped",
     "splits_hidden",
     "splits_ignored",
 )
+_ROUTER_DECISION_COUNTERS = ("chose_recompute", "chose_load", "chose_split")
 
 
 def steering_split_summary(result) -> dict:
     """Compact split-point steering view of one cluster run.
 
     Duck-typed on :class:`~repro.cluster.simulator.ClusterResult`:
-    promotes the compute/load/split decision counters, the overlap
-    savings, and the transfer-link ledger into one flat dict — the shape
-    the steering benchmarks embed in ``BENCH_steering.json``.
+    promotes the router's compute/load/split decision counters
+    (``router_stats``), the kernel's transfer and overlap counters, the
+    overlap savings, and the transfer-link ledger (``steering``) into one
+    flat dict — the shape the steering benchmarks embed in
+    ``BENCH_steering.json``.
     """
+    router_stats = result.router_stats
+    out: dict = {key: router_stats.get(key, 0) for key in _ROUTER_DECISION_COUNTERS}
     steering = result.steering
-    out: dict = {key: 0 for key in _SPLIT_COUNTERS}
     if steering is None:
+        out.update({key: 0 for key in _KERNEL_SPLIT_COUNTERS})
         out["overlap_seconds_saved"] = 0.0
         out["link_wait_seconds"] = 0.0
         out["total_transfer_bytes"] = 0
         return out
-    for key in _SPLIT_COUNTERS:
+    for key in _KERNEL_SPLIT_COUNTERS:
         out[key] = steering.counters.get(key, 0)
     out["overlap_seconds_saved"] = steering.overlap_seconds_saved
     out["link_wait_seconds"] = steering.link_wait_seconds

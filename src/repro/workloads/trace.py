@@ -83,15 +83,18 @@ class TraceSession:
         if prev is not None:
             # Extend the previous round: full_input(k) is exactly
             # full_sequence(k-1) ++ new_input(k) by construction.
-            input_arr = np.concatenate([prev[1].arr, this_round.new_input_tokens])
+            parts = [prev[1].arr]
         else:
-            parts: list[np.ndarray] = []
+            parts = []
             for r in self.rounds[:round_index]:
                 parts.append(r.new_input_tokens)
                 parts.append(r.output_tokens)
-            parts.append(this_round.new_input_tokens)
-            input_arr = np.concatenate(parts)
-        full_arr = np.concatenate([input_arr, this_round.output_tokens])
+        parts.append(this_round.new_input_tokens)
+        parts.append(this_round.output_tokens)
+        full_arr = np.concatenate(parts)
+        # The input is a view of the full sequence's head: one buffer per
+        # round, not two.
+        input_arr = full_arr[: len(full_arr) - len(this_round.output_tokens)]
         entry = (TokenSeq(input_arr, copy=False), TokenSeq(full_arr, copy=False))
         self._interned[round_index] = entry
         return entry

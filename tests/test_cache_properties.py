@@ -169,31 +169,30 @@ class TestCacheInvariants:
         eviction=st.sampled_from(["flop_aware", "lru", "gdsf", "gds", "lfu", "lru_k"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_index_and_legacy_modes_decide_identically(
+    def test_every_victim_is_the_policy_choice_over_a_rescan(
         self, requests, capacity_kb, eviction
     ):
-        """Index-backed and full-rescan eviction must pick the same victims:
-        identical hits and byte-identical stats over any workload."""
-        model = tiny_test_model()
-        indexed = MarconiCache(
-            model, capacity_bytes=capacity_kb * 1024, eviction=eviction, alpha=1.0
-        )
-        legacy = MarconiCache(
-            model,
+        """Index-backed selection must pick, victim by victim inside every
+        eviction episode, what the policy picks from a from-scratch
+        ``_collect_candidates()`` scan of the tree at that moment."""
+
+        class CheckedCache(MarconiCache):
+            def _apply_eviction(self, victim):
+                reference = self.policy.select_victim(self._collect_candidates())
+                assert victim.node is reference.node
+                super()._apply_eviction(victim)
+
+        cache = CheckedCache(
+            tiny_test_model(),
             capacity_bytes=capacity_kb * 1024,
             eviction=eviction,
             alpha=1.0,
-            use_eviction_index=False,
         )
         for i, (inp, out) in enumerate(requests):
-            arr_in = np.asarray(inp, dtype=np.int32)
-            arr_full = np.asarray(inp + out, dtype=np.int32)
-            ra = indexed.lookup(arr_in, float(i))
-            rb = legacy.lookup(arr_in, float(i))
-            assert ra.hit_tokens == rb.hit_tokens
-            indexed.admit(arr_full, float(i) + 0.5, handle=ra.handle)
-            legacy.admit(arr_full, float(i) + 0.5, handle=rb.handle)
-            assert indexed.stats.snapshot() == legacy.stats.snapshot()
+            r = cache.lookup(np.asarray(inp, dtype=np.int32), float(i))
+            cache.admit(
+                np.asarray(inp + out, dtype=np.int32), float(i) + 0.5, handle=r.handle
+            )
 
     @given(requests=request_stream())
     @settings(max_examples=30, deadline=None)

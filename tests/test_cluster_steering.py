@@ -606,10 +606,7 @@ class TestSplitSteering:
         ldec = legacy.decide(query, 7, caches, [10, 0], 2.0)
         assert ldec.transfer is None or not isinstance(ldec.transfer, SplitSpec)
 
-    def test_split_overlap_end_to_end(self, hybrid):
-        """A split run must execute the overlap: the request starts its
-        tail recompute while the head ships, and telemetry records the
-        TTFT seconds the overlap hid."""
+    def _run_split_probe(self, hybrid):
         from repro.experiments.steering_sweep import split_probe_trace
 
         trace = split_probe_trace()
@@ -625,6 +622,28 @@ class TestSplitSteering:
             scenario=[ScenarioEvent(10.0, "drain", replica=0)],
             latency=LatencyModel(transfer_bandwidth_bytes_per_s=1e9),
         )
+        return trace, caches, router, result
+
+    def test_split_summary_reads_router_decisions(self, hybrid):
+        """Regression: the summary exported ``chose_*`` as 0 (it read them
+        from the kernel's telemetry; the router counts them).  The router
+        decides and the kernel may still drop a stale or infeasible plan,
+        never the reverse."""
+        from repro.metrics.export import steering_split_summary
+
+        _, _, _, result = self._run_split_probe(hybrid)
+        summary = steering_split_summary(result)
+        assert summary["chose_split"] >= summary["transfers_split"] >= 1
+        assert (
+            summary["chose_load"] + summary["chose_split"]
+            >= summary["transfers_planned"]
+        )
+
+    def test_split_overlap_end_to_end(self, hybrid):
+        """A split run must execute the overlap: the request starts its
+        tail recompute while the head ships, and telemetry records the
+        TTFT seconds the overlap hid."""
+        trace, caches, router, result = self._run_split_probe(hybrid)
         assert result.steering_counter("transfers_split") >= 1
         assert result.steering_counter("splits_overlapped") >= 1
         assert result.overlap_seconds_saved > 0

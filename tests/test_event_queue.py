@@ -1,13 +1,13 @@
-"""Ordering contract of the tuple-backed event queue (and its legacy twin).
+"""Ordering contract of the tuple-backed event queue.
 
 The seed's ``Event`` was a ``dataclass(order=True)`` whose generated
 comparison would fall through to the *payload* whenever two events tied on
 ``(time, kind, seq)`` — a latent crash (unorderable payloads) or, worse, a
-silent ordering dependence on payload internals.  The rewritten queue
-compares an explicit key tuple and appends a per-queue serial as a
-comparison firewall; these tests pin that contract, the external-``seq``
-iterator compatibility path, and pop-order equivalence between the
-tuple-backed queue and the frozen ``LegacyEventQueue``.
+silent ordering dependence on payload internals.  The queue heaps plain
+tuples with a per-queue serial as a comparison firewall; these tests pin
+that contract, the external-``seq`` iterator compatibility path, and that
+the entry and object pop surfaces agree.  (Pop order under heavy ties is
+pinned by ``test_kernel_properties.py::TestEventQueueOrdering``.)
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import pytest
 
 from repro.engine.events import (
     ENTRY_KIND,
     ENTRY_PAYLOAD,
     ENTRY_SEQ,
     ENTRY_TIME,
-    Event,
     EventKind,
     EventQueue,
-    LegacyEventQueue,
 )
 
 
@@ -39,19 +36,10 @@ class _Unorderable:
 
 
 class TestPayloadsNeverOrdered:
-    def test_event_comparison_uses_key_only(self):
-        a = Event(1.0, int(EventKind.REQUEST_ARRIVAL), 7, _Unorderable())
-        b = Event(1.0, int(EventKind.REQUEST_ARRIVAL), 7, _Unorderable())
-        c = Event(1.0, int(EventKind.REQUEST_ARRIVAL), 8, _Unorderable())
-        assert a == b  # identical keys, different payloads
-        assert not a < b and not a > b
-        assert a < c and c > a and a <= b and a >= b
-
-    @pytest.mark.parametrize("queue_cls", [EventQueue, LegacyEventQueue])
-    def test_exact_key_ties_cannot_reach_payloads(self, queue_cls):
+    def test_exact_key_ties_cannot_reach_payloads(self):
         """Two pushes with identical explicit (time, kind, seq) keys: the
         serial firewall must settle the tie before any payload comparison."""
-        queue = queue_cls()
+        queue = EventQueue()
         first, second = _Unorderable(), _Unorderable()
         queue.push(2.0, EventKind.PREFILL_DONE, first, seq=-1)
         queue.push(2.0, EventKind.PREFILL_DONE, second, seq=-1)
@@ -61,10 +49,9 @@ class TestPayloadsNeverOrdered:
 
 
 class TestExternalSeqIterator:
-    @pytest.mark.parametrize("queue_cls", [EventQueue, LegacyEventQueue])
-    def test_shared_counter_numbers_across_queues(self, queue_cls):
+    def test_shared_counter_numbers_across_queues(self):
         shared = itertools.count()
-        q1, q2 = queue_cls(seq=shared), queue_cls(seq=shared)
+        q1, q2 = EventQueue(seq=shared), EventQueue(seq=shared)
         q1.push(0.0, EventKind.REQUEST_ARRIVAL, "a")
         q2.push(0.0, EventKind.REQUEST_ARRIVAL, "b")
         q1.push(0.0, EventKind.REQUEST_ARRIVAL, "c")
@@ -73,9 +60,8 @@ class TestExternalSeqIterator:
         assert q2.pop().seq == 1
         assert q1.pop().seq == 2
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, LegacyEventQueue])
-    def test_explicit_seq_overrides_counter(self, queue_cls):
-        queue = queue_cls()
+    def test_explicit_seq_overrides_counter(self):
+        queue = EventQueue()
         queue.push(0.0, EventKind.REQUEST_ARRIVAL, "auto-0")
         queue.push(0.0, EventKind.REQUEST_ARRIVAL, "reserved", seq=-5)
         queue.push(0.0, EventKind.REQUEST_ARRIVAL, "auto-1")
@@ -98,33 +84,9 @@ def _random_schedule(seed: int, n: int):
     ]
 
 
-class TestLegacyQueueEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_pop_order_identical(self, seed):
-        """Same pushes -> byte-identical pop transcripts on both queues,
-        including heavy (time, kind) ties from the coarse time grid."""
-        schedule = _random_schedule(seed, 300)
-        tuple_queue, legacy_queue = EventQueue(), LegacyEventQueue()
-        for time, kind, payload in schedule:
-            tuple_queue.push(time, kind, payload)
-            legacy_queue.push(time, kind, payload)
-        transcript = []
-        while tuple_queue:
-            a = tuple_queue.pop()
-            b = legacy_queue.pop()
-            assert (a.time, a.kind, a.seq, a.payload) == (
-                b.time,
-                b.kind,
-                b.seq,
-                b.payload,
-            )
-            transcript.append(a.payload)
-        assert not legacy_queue
-        assert len(transcript) == len(schedule)
-
-    @pytest.mark.parametrize("queue_cls", [EventQueue, LegacyEventQueue])
-    def test_entry_surface_matches_object_surface(self, queue_cls):
-        queue = queue_cls()
+class TestEntrySurface:
+    def test_entry_surface_matches_object_surface(self):
+        queue = EventQueue()
         for time, kind, payload in _random_schedule(7, 50):
             queue.push(time, kind, payload)
         while queue:
@@ -138,9 +100,3 @@ class TestLegacyQueueEquivalence:
             ) == (event.time, event.kind, event.seq, event.payload)
             popped = queue.pop_entry()
             assert popped[:3] == head[:3] and popped[ENTRY_PAYLOAD] is head[ENTRY_PAYLOAD]
-
-    def test_env_switch_roundtrip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEGACY_QUEUE", "1")
-        assert isinstance(EventQueue(), LegacyEventQueue)
-        monkeypatch.delenv("REPRO_LEGACY_QUEUE")
-        assert type(EventQueue()) is EventQueue

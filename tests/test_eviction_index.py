@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
-from repro.core.eviction import FlopAwareEviction, LRUEviction
 from repro.core.eviction_index import EvictionIndex
 from repro.core.radix_tree import RadixTree, TreeObserver
-from repro.models.memory import model_recurrent_bytes, node_state_bytes
 from repro.models.presets import tiny_test_model
 
 
@@ -156,24 +154,18 @@ class TestEvictionIndexMaintenance:
         (cand,) = index.candidates()
         assert cand.freeable_bytes == 10 * 4
 
-    def test_epoch_advances_only_on_real_changes(self):
+    def test_candidates_snapshot_stands_until_a_candidate_changes(self):
         tree = RadixTree()
         index = self.make_index(tree)
-        out = tree.insert(arr(1, 2, 3), now=0.0)
-        epoch = index.epoch
-        # Re-refreshing an unchanged node is a no-op for the epoch.
-        index.refresh(out.end_node)
-        assert index.epoch == epoch
-        tree.touch(out.end_node, 1.0)
-        assert index.epoch > epoch
-
-    def test_candidates_snapshot_cached_per_epoch(self):
-        tree = RadixTree()
-        index = self.make_index(tree)
-        tree.insert(arr(1, 2), now=0.0)
+        out = tree.insert(arr(1, 2), now=0.0)
         first = index.candidates()
         assert index.candidates() is first
-        tree.insert(arr(3, 4), now=1.0)
+        # A pin/unpin round trip re-evaluates the node to an unchanged key:
+        # the candidate object and the cached snapshot both stand.
+        tree.pin_path(out.end_node)
+        tree.unpin_path(out.end_node)
+        assert index.candidates() is first
+        tree.touch(out.end_node, 1.0)
         assert index.candidates() is not first
 
     def test_node_visits_counts_evaluations(self):
@@ -188,7 +180,7 @@ class TestHeapSelectorIdentity:
     """Heap-backed selection must equal the seed's min() over candidates."""
 
     @pytest.mark.parametrize("eviction", ["lru", "gdsf", "gds", "lfu", "lru_k"])
-    def test_select_from_index_matches_select_victim(self, eviction, tokens):
+    def test_heap_selection_matches_list_scan(self, eviction, tokens):
         model = tiny_test_model()
         cache = MarconiCache(
             model, capacity_bytes=int(1e9), eviction=eviction, alpha=1.0
@@ -219,50 +211,6 @@ class TestHeapSelectorIdentity:
             cache.policy.select_from_index(cache.eviction_index)
 
 
-class TestBatchEviction:
-    def test_batch_mode_preserves_invariants_under_pressure(self, tokens):
-        model = tiny_test_model()
-        per_seq = node_state_bytes(model, 450, True)
-        for k in (1, 3, 16):
-            cache = MarconiCache(
-                model, capacity_bytes=3 * per_seq, alpha=1.0, batch_evictions=k
-            )
-            for i in range(8):
-                seq = tokens(400, seed=4000 + i)
-                r = cache.lookup(seq, float(i))
-                cache.admit(
-                    np.concatenate([seq, tokens(50, seed=5000 + i)]),
-                    float(i) + 0.5,
-                    handle=r.handle,
-                )
-            assert cache.stats.evictions > 0
-            assert cache.used_bytes <= cache.capacity_bytes
-            assert cache.used_bytes == cache.recompute_used_bytes()
-            cache.tree.check_integrity()
-
-    def test_batch_size_one_is_seed_identical(self, tokens):
-        model = tiny_test_model()
-        per_seq = node_state_bytes(model, 450, True)
-        a = MarconiCache(model, capacity_bytes=3 * per_seq, alpha=1.0)
-        b = MarconiCache(
-            model, capacity_bytes=3 * per_seq, alpha=1.0, use_eviction_index=False
-        )
-        for i in range(10):
-            seq = tokens(400, seed=6000 + i)
-            ra = a.lookup(seq, float(i))
-            rb = b.lookup(seq, float(i))
-            full = np.concatenate([seq, tokens(50, seed=7000 + i)])
-            a.admit(full, float(i) + 0.5, handle=ra.handle)
-            b.admit(full, float(i) + 0.5, handle=rb.handle)
-        assert a.stats.snapshot() == b.stats.snapshot()
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            FlopAwareEviction(alpha=1.0, batch_size=0)
-        with pytest.raises(ValueError):
-            MarconiCache(tiny_test_model(), capacity_bytes=1024, batch_evictions=0)
-
-
 class TestTreeReattachment:
     def test_assigning_a_tree_reseeds_the_index(self, tokens):
         model = tiny_test_model()
@@ -287,27 +235,5 @@ class TestTreeReattachment:
         cache = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
         cache.lookup(arr(1, 2, 3), 0.0)
         cache.reset()
-        assert cache.eviction_index is not None
         assert cache.eviction_index.candidates() == []
         assert cache.used_bytes == 0
-
-
-class TestLegacyModeStillWorks:
-    def test_legacy_mode_has_no_index_and_counts_scans(self, tokens):
-        model = tiny_test_model()
-        per_seq = node_state_bytes(model, 450, True)
-        cache = MarconiCache(
-            model, capacity_bytes=3 * per_seq, alpha=1.0, use_eviction_index=False
-        )
-        for i in range(6):
-            seq = tokens(400, seed=8000 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(
-                np.concatenate([seq, tokens(50, seed=9000 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
-        assert cache.eviction_index is None
-        assert cache.stats.evictions > 0
-        assert cache.eviction_node_visits > 0
-        assert cache.used_bytes == cache.recompute_used_bytes()

@@ -163,41 +163,6 @@ class TestGoldenMatrix:
             )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-class TestLegacyQueueIdentity:
-    """The tuple-backed event queue is transcript-identical to the legacy
-    object-per-event queue it replaced.
-
-    ``REPRO_LEGACY_QUEUE=1`` (checked at queue construction) swaps every
-    :class:`~repro.engine.events.EventQueue` for the frozen
-    ``LegacyEventQueue``; replaying a golden cell under it must reproduce
-    the *same committed numbers* as the optimized path, across all three
-    engines — any divergence means the queue rewrite changed event order.
-    """
-
-    def test_switch_selects_legacy_queue(self, engine, monkeypatch):
-        from repro.engine.events import EventQueue, LegacyEventQueue
-
-        monkeypatch.setenv("REPRO_LEGACY_QUEUE", "1")
-        assert type(EventQueue()) is LegacyEventQueue
-        monkeypatch.delenv("REPRO_LEGACY_QUEUE")
-        assert type(EventQueue()) is EventQueue
-
-    def test_legacy_queue_matches_committed_numbers(
-        self, engine, expected, monkeypatch
-    ):
-        if REGEN:
-            pytest.skip("regeneration run; comparisons are stale by design")
-        monkeypatch.setenv("REPRO_LEGACY_QUEUE", "1")
-        for policy in ("marconi", "vanilla"):
-            actual = _run_matrix_cell("golden_chat", engine, policy)
-            _assert_matches(
-                actual,
-                expected["golden_chat"]["engines"][engine][policy],
-                f"legacy-queue.golden_chat.{engine}.{policy}",
-            )
-
-
 def test_regenerate_golden_expectations():
     """Rewrites the expected-summary fixture when REPRO_REGEN_GOLDEN=1."""
     if not REGEN:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.radix_tree import RadixTree, common_prefix_length
+from repro.core.tokens import TokenSeq
 
 
 def arr(*values):
@@ -96,6 +97,19 @@ class TestInsert:
         match = tree.match(arr(1, 2, 3, 4))
         assert match.deepest_node.has_ssm_state
         assert match.deepest_node.seq_len == 4
+
+    def test_interned_insert_serializes_only_to_compare_an_edge(self):
+        tree = RadixTree()
+        first = TokenSeq(arr(1, 2, 3))
+        end = tree.insert(first, now=1.0).end_node
+        extended = TokenSeq(arr(1, 2, 3, 4, 5))
+        assert tree.insert(extended, now=2.0, start=end).new_edge_tokens == 2
+        assert first._bytes is None and extended._bytes is None  # new leaves only
+        walked = TokenSeq(arr(1, 2, 3, 4, 5, 6))
+        outcome = tree.insert(walked, now=3.0)  # from the root: two edges to cross
+        assert walked._bytes == walked.arr.tobytes()
+        assert outcome.new_edge_tokens == 1 and outcome.split_node is None
+        tree.check_integrity()
 
 
 class TestMatch:

@@ -130,6 +130,13 @@ class TestTraceSchema:
         nxt = session.full_input(1)
         np.testing.assert_array_equal(nxt[: len(prev)], prev)
 
+    def test_round_keeps_one_token_buffer(self):
+        # Out of order too: round 1 first, without round 0 materialized.
+        session = self._session()
+        for k in (1, 0):
+            assert np.shares_memory(session.full_input(k), session.full_sequence(k))
+        np.testing.assert_array_equal(session.full_input(1), [1, 2, 3, 4, 5, 6])
+
     def test_lengths(self):
         session = self._session()
         assert session.input_lengths() == [3, 6]
