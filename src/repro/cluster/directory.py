@@ -131,39 +131,65 @@ class DirectoryLookup:
     ckpt_depths: dict[int, list[int]] = field(default_factory=dict)
 
 
-class _ReplicaView(TreeObserver):
-    """The directory's per-replica observer bridge."""
+# Path-op kinds (ints, not an enum: applied in the gossip hot loop).
+_MARK = 0
+_CLEAR_BEYOND = 1
+_TRUNCATE = 2
+_CKPT_SET = 3
+_CKPT_CLEAR = 4
 
-    def __init__(self, directory: "PrefixDirectory", replica: int) -> None:
+
+def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bool]]:
+    """``(root path, checkpointed?)`` of every node of a replica tree,
+    parents before children (nothing for a tree-less cache)."""
+    root = getattr(tree, "root", None)
+    if root is None:
+        return
+    stack: list[tuple[RadixNode, np.ndarray]] = [
+        (child, child.edge_tokens) for child in root.children.values()
+    ]
+    while stack:
+        node, path = stack.pop()
+        yield path, bool(node.has_ssm_state)
+        stack.extend(
+            (child, np.concatenate([path, child.edge_tokens]))
+            for child in node.children.values()
+        )
+
+
+class _ReplicaView(TreeObserver):
+    """The per-replica observer bridge of either directory: each replica
+    tree event becomes one ``(kind, replica, path, depth)`` op handed to
+    ``directory._ingest_path_op`` (tree replacement: ``_ingest_resync``)."""
+
+    def __init__(self, directory: Any, replica: int) -> None:
         self.directory = directory
         self.replica = replica
 
     # -- structure events ------------------------------------------------
     def on_node_added(self, node: RadixNode) -> None:
         tokens = node.path_tokens()
-        self.directory._note_event()
-        self.directory._mark(self.replica, tokens, len(tokens))
+        self.directory._ingest_path_op(_MARK, self.replica, tokens, len(tokens))
 
     def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
         # The detached node keeps its edge tokens, so the full removed
         # path is still reconstructible.
         tokens = np.concatenate([parent.path_tokens(), node.edge_tokens])
-        self.directory._note_event()
-        self.directory._clear_beyond(self.replica, tokens, parent.seq_len)
+        self.directory._ingest_path_op(
+            _CLEAR_BEYOND, self.replica, tokens, parent.seq_len
+        )
 
     def on_leaf_truncated(self, node: RadixNode) -> None:
         # The dropped tail tokens are gone from the replica tree, but the
         # directory still holds them: clear-descend below the new end.
-        self.directory._note_event()
-        self.directory._truncate(self.replica, node.path_tokens())
+        tokens = node.path_tokens()
+        self.directory._ingest_path_op(_TRUNCATE, self.replica, tokens, len(tokens))
 
     def on_checkpoint_changed(self, node: RadixNode) -> None:
-        tokens = node.path_tokens()
-        self.directory._note_event()
-        if node.has_ssm_state:
-            self.directory._set_ckpt(self.replica, tokens, node.seq_len)
-        else:
-            self.directory._clear_ckpt(self.replica, tokens, node.seq_len)
+        kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
+        self.directory._ingest_path_op(
+            kind, self.replica, node.path_tokens(), node.seq_len
+        )
 
     # Splits and merges redistribute tokens between replica-tree nodes
     # without changing the replica's cached token set or checkpoint
@@ -179,7 +205,7 @@ class _ReplicaView(TreeObserver):
 
     # -- tree replacement (reset / reload / failover) --------------------
     def on_tree_attached(self, tree: Any) -> None:
-        self.directory._resync(self.replica, tree)
+        self.directory._ingest_resync(self.replica, tree)
 
 
 class PrefixDirectory:
@@ -223,7 +249,7 @@ class PrefixDirectory:
         self._tracked.add(replica)
         tree = getattr(cache, "tree", None)
         if tree is not None:
-            self._resync(replica, tree)
+            self._ingest_resync(replica, tree)
         return True
 
     def tracked(self, replica: int) -> bool:
@@ -334,8 +360,28 @@ class PrefixDirectory:
     # ------------------------------------------------------------------
     # Maintenance primitives
     # ------------------------------------------------------------------
-    def _note_event(self) -> None:
+    def _ingest_path_op(
+        self, kind: int, replica: int, tokens: np.ndarray, depth: int
+    ) -> None:
+        """One replica tree event (the bridge's entry point): apply inline."""
         self.stats.events += 1
+        self._apply_path_op(kind, replica, tokens, depth)
+
+    def _apply_path_op(
+        self, kind: int, replica: int, tokens: np.ndarray, depth: int
+    ) -> None:
+        """Apply one path op to the index (``depth`` is the mark extent,
+        the clear keep-depth, or the checkpoint depth)."""
+        if kind == _MARK:
+            self._mark(replica, tokens, depth)
+        elif kind == _CLEAR_BEYOND:
+            self._clear_beyond(replica, tokens, depth)
+        elif kind == _TRUNCATE:
+            self._truncate(replica, tokens)
+        elif kind == _CKPT_SET:
+            self._set_ckpt(replica, tokens, depth)
+        else:  # _CKPT_CLEAR
+            self._clear_ckpt(replica, tokens, depth)
 
     def _split(self, child: _DirNode, at: int) -> _DirNode:
         """Split ``child``'s edge after ``at`` tokens, redistributing
@@ -532,23 +578,12 @@ class PrefixDirectory:
         for node in doomed:
             self._prune(node)
 
-    def _resync(self, replica: int, tree: Any) -> None:
+    def _ingest_resync(self, replica: int, tree: Any) -> None:
         """Rebuild ``replica``'s annotations from a full tree scan (used at
         attach time and whenever the cache swaps in a new tree)."""
         self._clear_replica(replica)
         self.stats.resyncs += 1
-        root = getattr(tree, "root", None)
-        if root is None:
-            return
-        stack: list[tuple[RadixNode, np.ndarray]] = [
-            (child, child.edge_tokens) for child in root.children.values()
-        ]
-        while stack:
-            node, path = stack.pop()
+        for path, has_ckpt in _iter_tree_paths(tree):
             self._mark(replica, path, len(path))
-            if node.has_ssm_state:
-                self._set_ckpt(replica, path, node.seq_len)
-            stack.extend(
-                (child, np.concatenate([path, child.edge_tokens]))
-                for child in node.children.values()
-            )
+            if has_ckpt:
+                self._set_ckpt(replica, path, len(path))

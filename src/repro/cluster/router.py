@@ -40,6 +40,10 @@ from repro.engine.steering import (
 
 _U64_MASK = (1 << 64) - 1
 
+#: Fleet size at which ``probe="auto"`` switches from deep-probing every
+#: replica tree to the directory (see :class:`PrefixAffinityRouter`).
+_AUTO_PROBE_THRESHOLD = 8
+
 
 def probe_hit_tokens(cache: Any, tokens: np.ndarray) -> int:
     """Read-only estimate of the hit a cache would serve for ``tokens``.
@@ -218,12 +222,13 @@ class PrefixAffinityRouter(Router):
     hold it, so the cost is sub-linear — not flat — in fleet size: 4-4.7x
     for 8x the replicas); ``"deep"`` is the legacy O(replicas x tree) per-request probe of
     every replica tree; ``"auto"`` (default) picks per fleet size — deep
-    probing below ``auto_threshold`` replicas (where per-arrival directory
-    maintenance costs more than a handful of tree walks — the small-fleet
-    regression ``BENCH_router.json`` exposed at 4 replicas), the directory
-    at or above it.  All modes are decision-identical (property-tested);
-    replicas the directory cannot track (tree-less caches, caches with
-    their own ``probe`` method) transparently fall back to the deep probe.
+    probing below :data:`_AUTO_PROBE_THRESHOLD` replicas (where per-arrival
+    directory maintenance costs more than a handful of tree walks — the
+    small-fleet regression ``BENCH_router.json`` exposed at 4 replicas),
+    the directory at or above it.  All modes are decision-identical
+    (property-tested); replicas the directory cannot track (tree-less
+    caches, caches with their own ``probe`` method) transparently fall back
+    to the deep probe.
 
     The directory backend is pluggable: pass ``directory=`` to share one
     externally owned instance (e.g. a
@@ -240,7 +245,6 @@ class PrefixAffinityRouter(Router):
         self,
         max_imbalance: int = 4,
         probe: str = "auto",
-        auto_threshold: int = 8,
         directory: Optional[Any] = None,
         directory_factory: Optional[Any] = None,
     ) -> None:
@@ -250,15 +254,12 @@ class PrefixAffinityRouter(Router):
             raise ValueError(
                 f"probe must be 'auto', 'directory' or 'deep', got {probe!r}"
             )
-        if auto_threshold < 1:
-            raise ValueError(f"auto_threshold must be >= 1, got {auto_threshold}")
         if directory is not None and directory_factory is not None:
             raise ValueError("pass either directory or directory_factory, not both")
         if probe == "deep" and (directory is not None or directory_factory is not None):
             raise ValueError("a directory backend is incompatible with probe='deep'")
         self.max_imbalance = max_imbalance
         self.probe_mode = probe
-        self.auto_threshold = auto_threshold
         self._fallback = LeastLoadedRouter()
         self._shared_directory = directory
         self._directory_factory = directory_factory
@@ -295,7 +296,7 @@ class PrefixAffinityRouter(Router):
             return self.probe_mode
         if self._shared_directory is not None or self._directory_factory is not None:
             return "directory"
-        return "directory" if n_replicas >= self.auto_threshold else "deep"
+        return "directory" if n_replicas >= _AUTO_PROBE_THRESHOLD else "deep"
 
     def prepare(self, model, caches, latency) -> None:
         # Run-start hook: rebuild the directory even for an unchanged
@@ -439,8 +440,7 @@ class DirectoryRouter(PrefixAffinityRouter):
     (PR-4) decisions byte-identically.
 
     ``transfer_min_tokens`` suppresses transfers for spans too short to
-    matter; ``migrate=True`` moves (rather than copies) second-tier
-    entries off the source.
+    matter.
     """
 
     name = "directory"
@@ -450,7 +450,6 @@ class DirectoryRouter(PrefixAffinityRouter):
         max_imbalance: int = 4,
         transfer: bool = True,
         transfer_min_tokens: int = 64,
-        migrate: bool = False,
         split: bool = True,
         directory: Optional[Any] = None,
         directory_factory: Optional[Any] = None,
@@ -467,7 +466,6 @@ class DirectoryRouter(PrefixAffinityRouter):
             )
         self.transfer_enabled = transfer
         self.transfer_min_tokens = transfer_min_tokens
-        self.migrate = migrate
         self.split_enabled = split
         self._model: Any = None
         self._latency: Any = None
@@ -528,7 +526,6 @@ class DirectoryRouter(PrefixAffinityRouter):
                 target=target,
                 tokens=tokens[:depth].copy(),
                 nbytes=int(plan.nbytes),
-                migrate=self.migrate,
             )
         self._bump("chose_split")
         return SplitSpec(
@@ -536,7 +533,6 @@ class DirectoryRouter(PrefixAffinityRouter):
             target=target,
             tokens=tokens[: plan.depth].copy(),
             nbytes=int(plan.nbytes),
-            migrate=self.migrate,
             split_depth=plan.depth,
             total_len=len(tokens),
             tail_flops=plan.tail_flops,

@@ -8,11 +8,12 @@ where directory state is necessarily partitioned and replicated with a
 delay.  :class:`ShardedPrefixDirectory` is the production-shaped variant:
 
 * **Sharding by prefix region.**  The token space is partitioned into
-  regions keyed by the crc32 chain over the first ``region_tokens``
-  tokens — the same per-prefix hash chain :class:`~repro.core.tokens.
-  TokenSeq` interning already maintains, so kernel-driven lookups hash in
-  O(1).  Regions map to shards through a consistent-hash ring (virtual
-  nodes), so shard loss remaps only the dead shard's regions.
+  regions keyed by the crc32 of the first ``region_tokens`` tokens' bytes
+  (:meth:`~repro.core.tokens.TokenSeq.prefix_hash` for interned handles,
+  which reads the bytes the handle already caches): O(``region_tokens``)
+  per lookup, whatever the request length.  Regions map to shards through
+  a consistent-hash ring (virtual nodes), so shard loss remaps only the
+  dead shard's regions.
 
 * **Exact single-shard lookups.**  Every shard stores the regions it owns
   at full depth and *every other* region truncated to ``region_tokens``.
@@ -54,21 +55,26 @@ from typing import Any, Optional
 import numpy as np
 from zlib import crc32
 
-from repro.core.node import RadixNode
-from repro.core.radix_tree import TreeObserver
 from repro.core.tokens import TokenSeq, canonical_token_array
-from repro.cluster.directory import DirectoryLookup, PrefixDirectory
+from repro.cluster.directory import (
+    _CKPT_CLEAR,
+    _CLEAR_BEYOND,
+    _TRUNCATE,
+    DirectoryLookup,
+    PrefixDirectory,
+    _ReplicaView,
+    _iter_tree_paths,
+)
 
-# Update-op kinds (ints, not an enum: applied in the gossip hot loop).
-_MARK = 0
-_CLEAR_BEYOND = 1
-_TRUNCATE = 2
-_CKPT_SET = 3
-_CKPT_CLEAR = 4
+# Replica-wide update kinds, after the path-op kinds of
+# :mod:`repro.cluster.directory` (ints: applied in the gossip hot loop).
 _INVALIDATE = 5
 _RESYNC = 6
 
 _EMPTY_KEY = crc32(b"")
+
+#: Points each shard contributes to the consistent-hash ring.
+_RING_POINTS_PER_SHARD = 16
 
 
 class DirectoryUpdate:
@@ -105,18 +111,18 @@ class DirectoryUpdate:
 class _HashRing:
     """Consistent-hash ring mapping region keys to live shard indices.
 
-    Each shard contributes ``vnodes`` points; removal (shard loss) deletes
-    only that shard's points, so surviving assignments are untouched —
-    the property that keeps recovery traffic proportional to the lost
-    shard's share of the key space.
+    Each shard contributes :data:`_RING_POINTS_PER_SHARD` points; removal
+    (shard loss) deletes only that shard's points, so surviving
+    assignments are untouched — the property that keeps recovery traffic
+    proportional to the lost shard's share of the key space.
     """
 
     __slots__ = ("_points", "_owners")
 
-    def __init__(self, shards: int, vnodes: int) -> None:
+    def __init__(self, shards: int) -> None:
         pairs: list[tuple[int, int]] = []
         for shard in range(shards):
-            for v in range(vnodes):
+            for v in range(_RING_POINTS_PER_SHARD):
                 pairs.append((crc32(b"shard:%d#%d" % (shard, v)), shard))
         pairs.sort()
         self._points = [point for point, _ in pairs]
@@ -204,46 +210,6 @@ class _Shard:
         self.peak_pending = 0
 
 
-class _ShardedView(TreeObserver):
-    """Per-replica observer bridge: tree events become gossip updates."""
-
-    def __init__(self, directory: "ShardedPrefixDirectory", replica: int) -> None:
-        self.directory = directory
-        self.replica = replica
-
-    def on_node_added(self, node: RadixNode) -> None:
-        tokens = node.path_tokens()
-        self.directory._ingest_path_op(_MARK, self.replica, tokens, len(tokens))
-
-    def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
-        tokens = np.concatenate([parent.path_tokens(), node.edge_tokens])
-        self.directory._ingest_path_op(
-            _CLEAR_BEYOND, self.replica, tokens, parent.seq_len
-        )
-
-    def on_leaf_truncated(self, node: RadixNode) -> None:
-        tokens = node.path_tokens()
-        self.directory._ingest_path_op(_TRUNCATE, self.replica, tokens, len(tokens))
-
-    def on_checkpoint_changed(self, node: RadixNode) -> None:
-        tokens = node.path_tokens()
-        kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
-        self.directory._ingest_path_op(kind, self.replica, tokens, node.seq_len)
-
-    # Splits/merges/pins/touches don't change cached content (see the
-    # oracle's bridge for the argument); nothing to gossip.
-    def on_edge_split(self, middle: RadixNode, child: RadixNode) -> None: ...
-
-    def on_merged(self, node: RadixNode, child: RadixNode) -> None: ...
-
-    def on_pin_changed(self, node: RadixNode) -> None: ...
-
-    def on_touched(self, node: RadixNode) -> None: ...
-
-    def on_tree_attached(self, tree: Any) -> None:
-        self.directory._ingest_resync(self.replica, tree)
-
-
 class ShardedPrefixDirectory:
     """Drop-in :class:`PrefixDirectory` replacement with sharding and
     bounded staleness (see the module docstring for the model).
@@ -262,7 +228,6 @@ class ShardedPrefixDirectory:
         propagation_delay: float = 0.0,
         gossip_budget: Optional[int] = None,
         gossip_interval: Optional[float] = None,
-        vnodes: int = 16,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -289,8 +254,8 @@ class ShardedPrefixDirectory:
             )
         self.gossip_interval = gossip_interval
         self.shards = [_Shard(i) for i in range(n_shards)]
-        self._ring = _HashRing(n_shards, vnodes)
-        self._views: dict[int, _ShardedView] = {}
+        self._ring = _HashRing(n_shards)
+        self._views: dict[int, _ReplicaView] = {}
         self._caches: dict[int, Any] = {}
         self._tracked: set[int] = set()
         self._transport: Optional[Any] = None
@@ -351,7 +316,7 @@ class ShardedPrefixDirectory:
             if self._caches.get(replica) is cache:
                 return replica in self._tracked
             self.detach(replica)  # same slot, different cache: rebind
-        view = _ShardedView(self, replica)
+        view = _ReplicaView(self, replica)
         self._views[replica] = view
         self._caches[replica] = cache
         attach = getattr(cache, "add_tree_observer", None)
@@ -424,10 +389,10 @@ class ShardedPrefixDirectory:
         if owner is None:
             return DirectoryLookup()
         shard = self.shards[owner]
-        if shard.pending:
-            self._lookup_ages.append(max(0.0, self._now() - shard.pending[0][1]))
-        else:
-            self._lookup_ages.append(0.0)
+        if not self._synchronous:
+            # Synchronous gossip applies inline, so every age would be 0.0.
+            age = self._now() - shard.pending[0][1] if shard.pending else 0.0
+            self._lookup_ages.append(max(0.0, age))
         return shard.directory.lookup(tokens, limit)
 
     # ------------------------------------------------------------------
@@ -446,20 +411,7 @@ class ShardedPrefixDirectory:
     def _resync_update(replica: int, tree: Any) -> DirectoryUpdate:
         """One resync update carrying ``tree``'s every (path, checkpointed)
         as of *now* (empty for a tree-less cache)."""
-        snapshot: list[tuple[np.ndarray, bool]] = []
-        root = getattr(tree, "root", None)
-        if root is not None:
-            stack: list[tuple[RadixNode, np.ndarray]] = [
-                (child, child.edge_tokens) for child in root.children.values()
-            ]
-            while stack:
-                node, path = stack.pop()
-                snapshot.append((path, bool(node.has_ssm_state)))
-                stack.extend(
-                    (child, np.concatenate([path, child.edge_tokens]))
-                    for child in node.children.values()
-                )
-        return DirectoryUpdate(_RESYNC, replica, snapshot=snapshot)
+        return DirectoryUpdate(_RESYNC, replica, snapshot=list(_iter_tree_paths(tree)))
 
     def _ingest_resync(self, replica: int, tree: Any) -> None:
         """Snapshot ``tree`` *now* and gossip it as one resync update."""
@@ -559,57 +511,40 @@ class ShardedPrefixDirectory:
     # ------------------------------------------------------------------
     # Op application (owner-full / foreign-truncated)
     # ------------------------------------------------------------------
+    def _stores_full(self, shard: _Shard, depth: int, rkey: int) -> bool:
+        """Does ``shard`` store a ``depth``-token path of region ``rkey``
+        whole (rather than truncated to ``region_tokens``)?"""
+        return depth <= self.region_tokens or self._ring.lookup(rkey) == shard.index
+
     def _apply(self, shard: _Shard, update: DirectoryUpdate) -> None:
         d = shard.directory
         r = update.replica
         kind = update.kind
-        if kind == _MARK:
-            upto = update.depth
-            if self._ring.lookup(update.rkey) != shard.index:
-                upto = min(upto, self.region_tokens)
-            if upto > 0:
-                d._mark(r, update.tokens, upto)
-        elif kind == _CLEAR_BEYOND:
-            # The walk self-limits to what the shard stores, so foreign
-            # shards clear exactly their truncated copy.
-            d._clear_beyond(r, update.tokens, update.depth)
-        elif kind == _TRUNCATE:
-            d._truncate(r, update.tokens)
-        elif kind == _CKPT_SET:
-            if (
-                update.depth <= self.region_tokens
-                or self._ring.lookup(update.rkey) == shard.index
-            ):
-                d._set_ckpt(r, update.tokens, update.depth)
-            else:
-                # Foreign shards never store checkpoints past the region
-                # boundary — only the coverage the mark implies.
-                d._mark(r, update.tokens, self.region_tokens)
-        elif kind == _CKPT_CLEAR:
-            if (
-                update.depth <= self.region_tokens
-                or self._ring.lookup(update.rkey) == shard.index
-            ):
-                d._clear_ckpt(r, update.tokens, update.depth)
-        elif kind == _INVALIDATE:
-            d._clear_replica(r)
-            d.stats.invalidations += 1
-        else:  # _RESYNC
+        if kind == _INVALIDATE:
+            d.invalidate(r)
+        elif kind == _RESYNC:
             d._clear_replica(r)
             d.stats.resyncs += 1
-            region_tokens = self.region_tokens
             for path, has_ckpt in update.snapshot:
                 depth = len(path)
-                full = (
-                    depth <= region_tokens
-                    or self._ring.lookup(self._region_key(path)) == shard.index
-                )
-                if full:
+                if self._stores_full(shard, depth, self._region_key(path)):
                     d._mark(r, path, depth)
                     if has_ckpt:
                         d._set_ckpt(r, path, depth)
                 else:
-                    d._mark(r, path, region_tokens)
+                    d._mark(r, path, self.region_tokens)
+        elif kind in (_CLEAR_BEYOND, _TRUNCATE) or self._stores_full(
+            shard, update.depth, update.rkey
+        ):
+            # The clears need no filter: their walks self-limit to what
+            # the shard stores, so a foreign shard clears exactly its
+            # truncated copy.
+            d._apply_path_op(kind, r, update.tokens, update.depth)
+        elif kind != _CKPT_CLEAR:
+            # A foreign region past its boundary: shards store coverage up
+            # to the boundary and never a deeper checkpoint, so a mark or a
+            # checkpoint-set leaves only the truncated mark.
+            d._mark(r, update.tokens, self.region_tokens)
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -182,7 +182,6 @@ class ClusterSimulator:
         router: Router,
         latency: Optional[LatencyModel] = None,
         max_running: int = 1,
-        seed: int = 0,
         record_timeseries: bool = True,
         scenario: Optional[Sequence[ScenarioEvent]] = None,
     ) -> None:
@@ -194,7 +193,7 @@ class ClusterSimulator:
         self.latency = latency or LatencyModel()
         self.scenario = list(scenario) if scenario else []
         self.config = KernelConfig(
-            max_running=max_running, seed=seed, record_timeseries=record_timeseries
+            max_running=max_running, record_timeseries=record_timeseries
         )
 
     def run(self, trace: Trace | TraceStream) -> ClusterResult:
@@ -217,15 +216,13 @@ class ClusterSimulator:
             routed_counts=run.routed_counts,
             busy_seconds=run.busy_seconds,
             steering=run.steering,
-            router_stats=getattr(self.router, "decision_stats", {}) or {},
-            directory_stats=getattr(self.router, "directory_stats", None),
+            router_stats=self.router.decision_stats,
+            directory_stats=self.router.directory_stats,
             scenario=[event.to_dict() for event in self.scenario],
         )
         # Run-end teardown: detach the router's tree observers so the
         # caches stop paying directory maintenance outside cluster runs.
-        release = getattr(self.router, "release", None)
-        if release is not None:
-            release()
+        self.router.release()
         return result
 
 

@@ -394,30 +394,6 @@ class PrefixCache(abc.ABC):
         """Release per-request state pinned at begin time.  Default no-op:
         baselines pin nothing between the two phases."""
 
-    def _begin_many_sessions(
-        self, token_seqs: Sequence[np.ndarray], now: float
-    ) -> list[RequestSession]:
-        """Batch-begin hook behind :meth:`begin_many` (the simulation
-        kernel's scheduler-step entry point).
-
-        The default opens the sessions sequentially through :meth:`begin`
-        with all-or-nothing semantics: if any begin fails, the sessions
-        already opened are aborted before the error propagates, so a bad
-        request cannot leak its batchmates' pins.  Caches that can serve a
-        whole scheduler step in one pass (shared tree traversals, batched
-        pin bookkeeping) may override this hook, but must preserve both
-        the per-sequence ordering and the all-or-nothing contract.
-        """
-        sessions: list[RequestSession] = []
-        try:
-            for tokens in token_seqs:
-                sessions.append(self.begin(tokens, now))
-        except BaseException:
-            for session in sessions:
-                session.abort()
-            raise
-        return sessions
-
     def _attach_session(
         self, session: RequestSession, position: int, payload: Any
     ) -> None:
@@ -448,10 +424,17 @@ class PrefixCache(abc.ABC):
         engine starts every request admitted in one step through a single
         call.  The batch is all-or-nothing: if any begin fails, the
         sessions already opened are aborted before the error propagates,
-        so a bad request cannot leak its batchmates' pins.  Dispatches to
-        the overridable :meth:`_begin_many_sessions` hook.
+        so a bad request cannot leak its batchmates' pins.
         """
-        return self._begin_many_sessions(token_seqs, now)
+        sessions: list[RequestSession] = []
+        try:
+            for tokens in token_seqs:
+                sessions.append(self.begin(tokens, now))
+        except BaseException:
+            for session in sessions:
+                session.abort()
+            raise
+        return sessions
 
     @property
     def open_sessions(self) -> int:

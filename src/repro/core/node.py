@@ -144,7 +144,11 @@ class RadixNode:
         return data
 
     def path_tokens(self) -> np.ndarray:
-        """Full root→node token sequence (rebuilt; for tests and debugging)."""
+        """Full root→node token sequence, rebuilt on every call in O(depth).
+
+        On the cluster directories' update hot path: their observer bridge
+        calls it once per tree event to name the path the event touched.
+        """
         parts: list[np.ndarray] = []
         node: Optional[RadixNode] = self
         while node is not None and not node.is_root:

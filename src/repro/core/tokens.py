@@ -11,9 +11,9 @@ handle that pays those costs once:
 * :meth:`tobytes` — the array's raw bytes, computed lazily and cached (the
   radix tree's full-edge fast path compares byte slices against cached
   per-node edge bytes instead of running elementwise numpy comparisons);
-* :meth:`__hash__` / :meth:`prefix_hash` — a cached content hash and
-  incrementally built per-prefix hashes (crc32 chain), so prefix-keyed
-  lookups never rehash the whole sequence.
+* :meth:`__hash__` / :meth:`prefix_hash` — a cached content hash, and the
+  crc32 of any prefix's bytes (O(prefix length), over the cached bytes), so
+  prefix-keyed lookups never re-serialize the sequence.
 
 A ``TokenSeq`` quacks like its array (``len``, indexing, slicing,
 iteration, ``np.asarray``), so it can flow through code written against
@@ -55,11 +55,11 @@ class TokenSeq:
 
     Construction canonicalizes eagerly (and defensively copies arrays the
     caller could still mutate, unless ``copy=False`` promises ownership);
-    everything else — bytes, hash, prefix hashes — is computed on first use
-    and cached for the handle's lifetime.
+    bytes and hash are computed on first use and cached for the handle's
+    lifetime.
     """
 
-    __slots__ = ("arr", "_len", "_bytes", "_hash", "_prefix_hashes")
+    __slots__ = ("arr", "_len", "_bytes", "_hash")
 
     def __init__(self, tokens: Any, *, copy: bool = True) -> None:
         arr = canonical_token_array(tokens)
@@ -74,7 +74,6 @@ class TokenSeq:
         self._len = arr.shape[0]
         self._bytes: Optional[bytes] = None
         self._hash: Optional[int] = None
-        self._prefix_hashes: Optional[list[int]] = None
 
     @classmethod
     def of(cls, tokens: Any) -> "TokenSeq":
@@ -131,23 +130,12 @@ class TokenSeq:
         return len(arr) == len(self.arr) and bool(np.array_equal(self.arr, arr))
 
     def prefix_hash(self, length: int) -> int:
-        """Content hash of ``tokens[:length]`` in O(1) after the first call.
+        """Content hash of ``tokens[:length]``: crc32 of its cached bytes.
 
-        The full chain of per-prefix hashes is built incrementally (one
-        crc32 update per token) on first use, so probing every prefix of a
-        request costs O(n) total instead of O(n²) rehashing.
+        O(``length``) per call, in C, and 0 for the empty prefix.
         """
         if not 0 <= length <= len(self.arr):
             raise ValueError(
                 f"prefix length must be in [0, {len(self.arr)}], got {length}"
             )
-        chain = self._prefix_hashes
-        if chain is None:
-            chain = [0] * (len(self.arr) + 1)
-            data = self.tobytes()
-            acc = 0
-            for i in range(len(self.arr)):
-                acc = crc32(data[i * _INT32_ITEMSIZE : (i + 1) * _INT32_ITEMSIZE], acc)
-                chain[i + 1] = acc
-            self._prefix_hashes = chain
-        return chain[length]
+        return crc32(self.tobytes()[: length * _INT32_ITEMSIZE])

@@ -87,7 +87,6 @@ class IterationSimulator:
         latency: Optional[LatencyModel] = None,
         config: Optional[IterationConfig] = None,
         policy_name: str = "unnamed",
-        seed: int = 0,
         record_timeseries: bool = True,
     ) -> None:
         self.model = model
@@ -96,7 +95,7 @@ class IterationSimulator:
         self.config = config or IterationConfig()
         self.policy_name = policy_name
         self.kernel_config = KernelConfig(
-            max_running=1, seed=seed, record_timeseries=record_timeseries
+            max_running=1, record_timeseries=record_timeseries
         )
 
     def run(self, trace: Trace | TraceStream) -> IterationResult:

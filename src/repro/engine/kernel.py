@@ -31,13 +31,12 @@ place that loop lives.  The kernel owns the pieces every engine shares:
   :class:`~repro.engine.steering.SteeringTelemetry`.
 
 Determinism protocol: a run's transcript is a pure function of
-``(trace, model, latency, caches, router, KernelConfig)``.  Every run
-builds a fresh event queue (whose tie-break counter starts at zero), a
-fresh clock, and a fresh ``numpy`` generator seeded from
-``KernelConfig.seed``; any randomized scheduler or router must draw from
-``kernel.rng`` and nowhere else.  Replaying the same inputs therefore
-yields byte-identical :class:`~repro.engine.results.RequestRecord`
-streams regardless of what else ran in the process.
+``(trace, model, latency, caches, router, KernelConfig)`` because nothing
+in a run is random: every run builds a fresh event queue (whose tie-break
+counter starts at zero) and a fresh clock, and no scheduler, router or
+cache draws random numbers.  Replaying the same inputs therefore yields
+byte-identical :class:`~repro.engine.results.RequestRecord` streams
+regardless of what else ran in the process.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.core.interfaces import CacheProtocol, RequestSession
 from repro.engine.events import EventKind, EventQueue
@@ -73,12 +70,11 @@ from repro.workloads.trace import Trace, TraceSession, TraceStream
 #: or draining): large enough that every load-aware policy avoids them.
 DEAD_LOAD = 1 << 30
 
-#: First sequence number of streamed session arrivals.  Reserved (negative)
-#: seqs make lazily pulled round-0 arrivals sort — at equal (time, kind) —
-#: before every event pushed during the run, in stream order: exactly the
-#: tie-break order the bulk path's up-front pushes produce, so a streamed
-#: replay is byte-identical to the materialized one.
-_STREAM_SEQ_START = -(1 << 62)
+#: First sequence number of session (round-0) arrivals, which are pulled
+#: from the trace one at a time.  Reserved (negative) seqs make them sort —
+#: at equal (time, kind) — before every event pushed during the run, in
+#: trace order: the tie-break order pushing them all up front would give.
+_SESSION_SEQ_START = -(1 << 62)
 
 
 class VirtualClock:
@@ -109,12 +105,10 @@ class KernelConfig:
     ``max_running`` is the per-replica executor concurrency: how many
     prefills one replica serves at once (continuous batching at prefill
     granularity — a freed slot immediately starts the next queued
-    request).  ``seed`` feeds the per-run ``kernel.rng`` generator (the
-    only sanctioned randomness source inside a run).
+    request).
     """
 
     max_running: int = 1
-    seed: int = 0
     record_timeseries: bool = True
 
     def __post_init__(self) -> None:
@@ -605,20 +599,19 @@ class SimulationKernel:
     def run(self, trace: Union[Trace, TraceStream]) -> KernelRun:
         """Replay the full trace; per-run state is rebuilt from scratch.
 
-        A materialized :class:`Trace` is pushed into the event queue up
-        front (any session order).  A :class:`TraceStream` is *pulled*:
-        exactly one not-yet-arrived session is held at a time, and
-        ``_sessions_by_id`` drops sessions as their last round completes,
-        so memory scales with the number of concurrently active sessions
-        rather than the trace length.  The two admission paths produce
-        byte-identical transcripts (see :data:`_STREAM_SEQ_START`).
+        Sessions are *pulled* from ``trace.iter_sessions()`` (arrival
+        order; a :class:`Trace` sorts its list, a :class:`TraceStream`
+        generates lazily): exactly one not-yet-arrived session is held at
+        a time, and ``_sessions_by_id`` drops sessions as their last round
+        completes, so the kernel's own memory scales with the number of
+        concurrently active sessions rather than the trace length (see
+        :data:`_SESSION_SEQ_START` for the tie-break order).
         """
         self.caches = list(self._initial_caches)
         self.policy_names = list(self._initial_policy_names)
         n = len(self.caches)
         self.clock = VirtualClock()
         self.events = EventQueue()
-        self.rng = np.random.default_rng(self.config.seed)
         self.results = [
             EngineResult(
                 policy=self.policy_names[i], max_running=self.config.max_running
@@ -645,9 +638,10 @@ class SimulationKernel:
         self.schedulers = [self._scheduler_factory(self, i) for i in range(n)]
         self.routed_counts = [0] * n
         self.busy_seconds = [0.0] * n
-        self._streaming = isinstance(trace, TraceStream)
+        # Sessions with rounds still outstanding (see _push_next_session).
         self._sessions_by_id: dict[int, TraceSession] = {}
-        self._stream_sessions: Optional[Iterator[TraceSession]] = None
+        self._sessions: Iterator[TraceSession] = trace.iter_sessions()
+        self._session_seq = itertools.count(_SESSION_SEQ_START)
         self._n_events = 0
         # Hot-loop telemetry state: last sampled (depth, running) per replica,
         # so change-point detection is two int compares per event.
@@ -657,9 +651,7 @@ class SimulationKernel:
         for _ in range(n):
             self.steering.add_replica()
         if self.router is not None:
-            prepare = getattr(self.router, "prepare", None)
-            if prepare is not None:
-                prepare(self.model, self.caches, self.latency)
+            self.router.prepare(self.model, self.caches, self.latency)
             # A sharded directory propagates through the event queue: hand
             # it this run's transport (replacing any prior run's, whose
             # queue is gone) so gossip flushes ride the virtual clock.
@@ -670,18 +662,7 @@ class SimulationKernel:
         for control in self.scenario:
             self.events.push(control.time, EventKind.CONTROL, control)
 
-        if self._streaming:
-            self._stream_sessions = trace.iter_sessions()
-            self._stream_seq = itertools.count(_STREAM_SEQ_START)
-            self._push_next_session()
-        else:
-            self._sessions_by_id = {s.session_id: s for s in trace.sessions}
-            for session in trace.sessions:
-                self.events.push(
-                    session.arrival_time,
-                    EventKind.REQUEST_ARRIVAL,
-                    EngineRequest.from_session(session, 0, session.arrival_time),
-                )
+        self._push_next_session()
 
         # The event loop is the simulator's hot path: dispatch is inlined
         # and bound to locals (one run processes 3+ events per request),
@@ -694,7 +675,6 @@ class SimulationKernel:
         clock = self.clock
         schedulers = self.schedulers
         track_active = self._track_active
-        streaming = self._streaming
         arrival_kind = int(EventKind.REQUEST_ARRIVAL)
         prefill_kind = int(EventKind.PREFILL_DONE)
         complete_kind = int(EventKind.REQUEST_COMPLETE)
@@ -710,9 +690,9 @@ class SimulationKernel:
                 schedulers[replica].on_step_done(payload, now)
                 self._sample(replica, now)
             elif kind == arrival_kind:
-                if streaming and payload.round_index == 0:
-                    # A streamed session just arrived: pull the next one
-                    # (its arrival is >= this one, so time stays monotone).
+                if payload.round_index == 0:
+                    # A session just arrived: pull the next one (its
+                    # arrival is >= this one, so time stays monotone).
                     self._push_next_session()
                 self._admit(payload, now)
             elif kind == complete_kind:  # background decode finished
@@ -756,13 +736,13 @@ class SimulationKernel:
         )
 
     def _push_next_session(self) -> None:
-        """Pull the next streamed session and schedule its first arrival.
+        """Pull the next session and schedule its first arrival.
 
-        Round-0 arrivals carry reserved stream seqs (see
-        :data:`_STREAM_SEQ_START`); only streamed sessions with rounds
-        still outstanding live in ``_sessions_by_id``.
+        Round-0 arrivals carry reserved seqs (see
+        :data:`_SESSION_SEQ_START`); only sessions with rounds still
+        outstanding live in ``_sessions_by_id``.
         """
-        session = next(self._stream_sessions, None)
+        session = next(self._sessions, None)
         if session is None:
             return
         self._sessions_by_id[session.session_id] = session
@@ -770,31 +750,21 @@ class SimulationKernel:
             session.arrival_time,
             EventKind.REQUEST_ARRIVAL,
             EngineRequest.from_session(session, 0, session.arrival_time),
-            seq=next(self._stream_seq),
+            seq=next(self._session_seq),
         )
 
     def _admit(self, request: EngineRequest, now: float) -> None:
         replica = 0
         transfer: Optional[TransferSpec] = None
         if self.router is not None:
-            decide = getattr(self.router, "decide", None)
-            if decide is not None:
-                decision: RouteDecision = decide(
-                    request.input_tokens,
-                    request.session_id,
-                    self.caches,
-                    self.loads(),
-                    now,
-                )
-                replica, transfer = decision.replica, decision.transfer
-            else:
-                replica = self.router.route(
-                    request.input_tokens,
-                    request.session_id,
-                    self.caches,
-                    self.loads(),
-                    now,
-                )
+            decision: RouteDecision = self.router.decide(
+                request.input_tokens,
+                request.session_id,
+                self.caches,
+                self.loads(),
+                now,
+            )
+            replica, transfer = decision.replica, decision.transfer
             if not 0 <= replica < len(self.caches):
                 raise ValueError(
                     f"router {self.router.name!r} returned invalid replica {replica}"
@@ -969,53 +939,32 @@ class SimulationKernel:
         return overlapped
 
     def _finish_transfer(self, pending: _PendingTransfer, now: float) -> None:
+        """Land a transfer's bytes on its target (``TRANSFER_DONE``).
+
+        A parked request (``not pending.split``) waits on this event: it
+        is enqueued once the bytes land, or routed afresh when the target
+        stopped taking requests meanwhile.  A split request was never
+        parked — it is already queued (or being served) on the target — so
+        a *draining* target, which still finishes its queue, must receive
+        the head bytes; only a dead one drops the copy.
+        """
         spec = pending.spec
         target = spec.target
-        if pending.split:
-            # The request was never parked: it is already queued (or being
-            # served) on the target, so this event only lands the head
-            # bytes.  A *draining* target still finishes its queue and
-            # must receive them; only a dead target drops the copy.
-            if not self.alive[target]:
-                self.steering.bump("transfers_dropped")
-                return
-            accepted = self.caches[target].receive_state_transfer(
-                spec.tokens, spec.nbytes, now
-            )
-            if accepted:
-                self.steering.record_transfer(
-                    spec.source, target, spec.nbytes, now - pending.started
-                )
-                if spec.migrate and self.alive[spec.source]:
-                    secondary = getattr(self.caches[spec.source], "secondary", None)
-                    if (
-                        secondary is not None
-                        and secondary.remove(spec.tokens) is not None
-                    ):
-                        self.steering.bump("migrations")
-            else:
-                self.steering.bump("transfers_rejected")
-            return
-        if not self._routable(target):
-            # The target died or drained while the bytes were in flight:
-            # drop the copy and route the parked request afresh.
+        parked = not pending.split
+        can_land = self._routable(target) if parked else self.alive[target]
+        if not can_land:
             self.steering.bump("transfers_dropped")
-            self._admit(pending.request, now)
+            if parked:
+                self._admit(pending.request, now)
             return
-        accepted = self.caches[target].receive_state_transfer(
-            spec.tokens, spec.nbytes, now
-        )
-        if accepted:
+        if self.caches[target].receive_state_transfer(spec.tokens, spec.nbytes, now):
             self.steering.record_transfer(
                 spec.source, target, spec.nbytes, now - pending.started
             )
-            if spec.migrate and self.alive[spec.source]:
-                secondary = getattr(self.caches[spec.source], "secondary", None)
-                if secondary is not None and secondary.remove(spec.tokens) is not None:
-                    self.steering.bump("migrations")
         else:
             self.steering.bump("transfers_rejected")
-        self._enqueue(pending.request, target, now)
+        if parked:
+            self._enqueue(pending.request, target, now)
 
     def _apply_scenario(self, control: ScenarioEvent, now: float) -> None:
         if control.action == "join":
@@ -1076,9 +1025,7 @@ class SimulationKernel:
         if hasattr(cache, "reset"):
             cache.reset()
         if self.router is not None:
-            on_left = getattr(self.router, "on_replica_left", None)
-            if on_left is not None:
-                on_left(replica)
+            self.router.on_replica_left(replica)
         # Orphans keep their original arrival times, so the TTFT of a
         # re-routed request includes everything the failure cost it.
         for request in sorted(orphans, key=lambda r: r.arrival_time):
@@ -1117,9 +1064,7 @@ class SimulationKernel:
         self.steering.add_replica()
         self.steering.bump("joins")
         if self.router is not None:
-            on_joined = getattr(self.router, "on_replica_joined", None)
-            if on_joined is not None:
-                on_joined(index, cache)
+            self.router.on_replica_joined(index, cache)
         self._sample(index, now)
 
     # ------------------------------------------------------------------
@@ -1165,9 +1110,9 @@ class SimulationKernel:
                 EventKind.REQUEST_ARRIVAL,
                 EngineRequest.from_session(trace_session, next_round, arrival),
             )
-        elif self._streaming:
-            # The session's last round is done: release its tokens so a
-            # streamed run holds only concurrently active sessions.
+        else:
+            # The session's last round is done: release its tokens so the
+            # kernel holds only concurrently active sessions.
             del self._sessions_by_id[request.session_id]
 
     def drain_arrivals_upto(self, now: float) -> None:
@@ -1186,7 +1131,7 @@ class SimulationKernel:
                 break
             payload = events.pop_entry()[4]
             self._n_events += 1
-            if self._streaming and payload.round_index == 0:
+            if payload.round_index == 0:
                 # The freshly pulled session may itself arrive <= now; the
                 # loop keeps draining until the head moves past ``now``.
                 self._push_next_session()

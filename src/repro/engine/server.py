@@ -46,7 +46,6 @@ class ServingSimulator:
         latency: Optional[LatencyModel] = None,
         policy_name: str = "unnamed",
         n_executors: int = 1,
-        seed: int = 0,
         record_timeseries: bool = True,
     ) -> None:
         if n_executors < 1:
@@ -57,7 +56,7 @@ class ServingSimulator:
         self.policy_name = policy_name
         self.n_executors = n_executors
         self.config = KernelConfig(
-            max_running=n_executors, seed=seed, record_timeseries=record_timeseries
+            max_running=n_executors, record_timeseries=record_timeseries
         )
 
     def run(self, trace: Trace | TraceStream) -> EngineResult:

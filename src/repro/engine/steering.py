@@ -81,16 +81,13 @@ class TransferSpec:
     checkpoint plus the prefix's KVs, ``nbytes`` total) is copied from
     ``source``'s cache into ``target``'s second-tier store; the request
     that triggered the plan is parked until the transfer event completes.
-    ``migrate=True`` additionally removes the span from the source's
-    second-tier store once the copy lands (primary-tree state is always
-    replicated, never torn out of the source tree).
+    State is always replicated, never torn out of the source.
     """
 
     source: int
     target: int
     tokens: np.ndarray
     nbytes: int
-    migrate: bool = False
 
     def __post_init__(self) -> None:
         if self.source == self.target:
@@ -316,78 +313,6 @@ class ScenarioEvent:
                 self.cache_factory, "__name__", repr(self.cache_factory)
             )
         return out
-
-
-def elastic_scenario_for_spikes(
-    spike_times: Sequence[float],
-    spike_duration_s: float,
-    cache_factory: Callable[[], Any],
-    *,
-    lead_s: float = 5.0,
-    name_prefix: str = "surge",
-) -> list[ScenarioEvent]:
-    """Join events tracking a flash-crowd arrival envelope.
-
-    For each spike the cluster scales out ``lead_s`` seconds before the
-    crowd lands: a fresh replica built by ``cache_factory`` joins and
-    immediately becomes routable.  Pair with
-    :func:`drain_events_for_joins` (which needs the initial fleet size to
-    compute joined-replica indices) to return the fleet to baseline
-    ``linger_s`` seconds after each spike passes.
-
-    Use with :class:`repro.workloads.arrivals.FlashCrowdProcess`: feed the
-    same ``spike_times``/``spike_duration_s`` to both so the topology
-    schedule and the arrival envelope stay aligned.
-    """
-    negative = [t for t in spike_times if t < 0]
-    if negative:
-        raise ValueError(f"spike times must be non-negative, got {negative}")
-    if spike_duration_s <= 0:
-        raise ValueError("spike_duration_s must be positive")
-    if lead_s < 0:
-        raise ValueError("lead_s must be non-negative")
-    return [
-        ScenarioEvent(
-            time=max(0.0, start - lead_s),
-            action="join",
-            cache_factory=cache_factory,
-            name=f"{name_prefix}{index}",
-        )
-        for index, start in enumerate(sorted(spike_times))
-    ]
-
-
-def drain_events_for_joins(
-    scenario: Sequence[ScenarioEvent],
-    base_replicas: int,
-    spike_duration_s: float,
-    *,
-    linger_s: float = 30.0,
-) -> list[ScenarioEvent]:
-    """Drain events for every ``join`` of ``scenario``, in join order.
-
-    Joined replicas receive indices ``base_replicas, base_replicas + 1,
-    ...`` in event-time order; each is drained ``spike_duration_s +
-    linger_s`` after its join fired, returning the fleet to its baseline
-    once the surge passes.  Combine with
-    :func:`elastic_scenario_for_spikes` and sort the concatenation by
-    time before handing it to the kernel.
-    """
-    if base_replicas <= 0:
-        raise ValueError(f"base_replicas must be positive, got {base_replicas}")
-    joins = sorted(
-        (event for event in scenario if event.action == "join"),
-        key=lambda event: event.time,
-    )
-    return [
-        ScenarioEvent(
-            time=join.time + spike_duration_s + linger_s,
-            action="drain",
-            replica=base_replicas + index,
-            name=join.name,
-        )
-        for index, join in enumerate(joins)
-    ]
 
 
 @dataclass

@@ -157,6 +157,13 @@ class Trace:
     def total_input_tokens(self) -> int:
         return int(self.input_lengths().sum())
 
+    def iter_sessions(self) -> Iterator[TraceSession]:
+        """Sessions in arrival order (stable: ties keep their list order).
+
+        The order the engine admits them in, whatever order the list is in.
+        """
+        return iter(sorted(self.sessions, key=lambda s: s.arrival_time))
+
     def iter_requests_nominal(
         self,
     ) -> Iterator[tuple[float, int, int, np.ndarray, np.ndarray]]:
@@ -295,9 +302,9 @@ class TraceStream:
     each time, so the stream can be consumed any number of times and each
     pass is deterministic (generators must derive all randomness from
     their own seed material, never from shared mutable state).  The
-    engine's streaming admission path pulls one session at a time, so a
-    million-session trace replays with memory proportional to the number
-    of *concurrently active* sessions, not the trace length.
+    engine pulls one session at a time, so a million-session trace replays
+    with memory proportional to the number of *concurrently active*
+    sessions, not the trace length.
 
     Contract: sessions must arrive with non-decreasing ``arrival_time``
     (:meth:`iter_sessions` enforces this) — the engine merges the stream
@@ -372,16 +379,11 @@ class TraceStream:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceStream":
-        """View an in-memory trace as a stream (sessions sorted by arrival)."""
-        ordered = sorted(trace.sessions, key=lambda s: (s.arrival_time, s.session_id))
-
-        def factory() -> Iterator[TraceSession]:
-            return iter(ordered)
-
+        """View an in-memory trace as a stream (same order the engine uses)."""
         return cls(
             name=trace.name,
             seed=trace.seed,
-            factory=factory,
+            factory=trace.iter_sessions,
             n_sessions=trace.n_sessions,
             metadata=dict(trace.metadata),
         )

@@ -17,16 +17,20 @@ from repro.cluster import (
     DirectoryRouter,
     PrefixAffinityRouter,
     RoundRobinRouter,
+    RouteDecision,
+    Router,
     ScenarioEvent,
+    SplitSpec,
     TransferSpec,
     simulate_cluster,
 )
 from repro.core.cache import MarconiCache
 from repro.engine.latency import LatencyModel
 from repro.metrics.export import cluster_summary_from_json, cluster_summary_to_json
-from repro.models.memory import node_state_bytes
+from repro.models.memory import node_state_bytes, transfer_state_bytes
 from repro.tiering import TieredMarconiCache
 from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 
 def toks(n, seed):
@@ -534,6 +538,68 @@ class TestTransfers:
             ],
         )
         assert _served_rounds(result) == _expected_rounds(trace)
+        _assert_no_leaks(caches)
+
+    @pytest.mark.parametrize("action", ["fail", "drain"])
+    @pytest.mark.parametrize("split", [False, True], ids=["parked", "split"])
+    def test_landing_on_a_target_that_stopped_routing(self, hybrid, split, action):
+        """The landing body's four corners: a transfer to replica 1 is in
+        flight (t=1s..2s) when replica 1 fails or drains (t=1.5s).  A parked
+        request is dropped and re-admitted either way; a split request was
+        never parked, so a draining target still gets its head bytes and
+        only a dead one drops them."""
+        caches = [_tiered(hybrid) for _ in range(3)]
+        head = self._warm(caches[0], 1800, 45)
+        query = np.concatenate([head, toks(30, 47)])
+        nbytes = transfer_state_bytes(hybrid, len(head))
+        common = dict(source=0, target=1, tokens=head, nbytes=nbytes)
+        if split:
+            spec = SplitSpec(**common, split_depth=len(head), total_len=len(query))
+        else:
+            spec = TransferSpec(**common)
+
+        class SteerOnce(Router):
+            """Plans ``spec`` for the first arrival, replica 2 afterwards."""
+
+            name = "steer_once"
+            planned = False
+
+            def route(self, tokens, session_id, caches, loads, now):
+                return 2
+
+            def decide(self, tokens, session_id, caches, loads, now):
+                if self.planned:
+                    return RouteDecision(2)
+                self.planned = True
+                return RouteDecision(1, spec)
+
+        trace = Trace(
+            name="landing",
+            seed=0,
+            sessions=[TraceSession(0, 1.0, [TraceRound(query, toks(8, 48))], [0.0])],
+        )
+        result = simulate_cluster(
+            hybrid,
+            caches,
+            SteerOnce(),
+            trace,
+            latency=LatencyModel(
+                transfer_bandwidth_bytes_per_s=float(nbytes), transfer_latency_s=0.0
+            ),
+            scenario=[ScenarioEvent(1.5, action, replica=1)],
+        )
+        landed = split and action == "drain"
+        assert result.steering_counter("transfers_planned") == 1
+        assert result.steering_counter("transfers_dropped") == (0 if landed else 1)
+        assert result.steering_counter("transfers_completed") == (1 if landed else 0)
+        assert result.steering.transfer_bytes_in[1] == (nbytes if landed else 0)
+        # Served exactly once; a parked request only ever runs where the
+        # re-admission put it.
+        assert _served_rounds(result) == {(0, 0)}
+        assert result.n_requests == 1
+        if not split:
+            assert result.replica_results[2].n_requests == 1
+            assert result.routed_counts == [0, 0, 1]
         _assert_no_leaks(caches)
 
     def test_transfer_free_run_matches_prefix_affinity(self, hybrid):

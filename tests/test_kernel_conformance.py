@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _legacy_engines import (
     legacy_simulate_cluster,
@@ -158,6 +160,29 @@ class TestServingConformance:
         cache = _marconi()
         simulate_trace(MODEL, cache, _bursty_trace(), n_executors=2)
         assert cache.open_sessions == 0
+
+    @given(
+        order=st.permutations(range(8)),
+        arrivals=st.lists(st.sampled_from([0.0, 0.5, 2.5]), min_size=8, max_size=8),
+        n_executors=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_unsorted_tied_arrivals_match_legacy(self, order, arrivals, n_executors):
+        """The kernel pulls sessions in a stable sort by arrival time; the
+        legacy loop pushes the list as given.  Shuffled lists with forced
+        duplicate arrival times must still agree record for record (the
+        goldens only hold sorted, tie-free arrivals)."""
+        sessions = _bursty_trace().sessions
+        for session, arrival in zip(sessions, arrivals):
+            session.arrival_time = arrival
+        trace = Trace(name="shuffled", seed=0, sessions=[sessions[i] for i in order])
+        kernel_result = simulate_trace(
+            MODEL, _marconi(), trace, n_executors=n_executors
+        )
+        legacy_result = legacy_simulate_trace(
+            MODEL, _marconi(), trace, n_executors=n_executors
+        )
+        _assert_engine_results_identical(kernel_result, legacy_result)
 
 
 class TestIterationConformance:

@@ -135,7 +135,7 @@ class TestHashRing:
     def test_remove_keeps_surviving_assignments(self):
         """Consistent hashing's point: killing one shard remaps only that
         shard's keys — every key owned by a survivor keeps its owner."""
-        ring = _HashRing(shards=8, vnodes=16)
+        ring = _HashRing(shards=8)
         keys = [int(k) for k in np.random.default_rng(0).integers(0, 2**32, 500)]
         before = {key: ring.lookup(key) for key in keys}
         ring.remove(3)
@@ -146,7 +146,7 @@ class TestHashRing:
                 assert ring.lookup(key) != 3
 
     def test_empty_ring_maps_nothing(self):
-        ring = _HashRing(shards=1, vnodes=4)
+        ring = _HashRing(shards=1)
         ring.remove(0)
         assert ring.lookup(12345) is None
 
@@ -520,6 +520,22 @@ class TestBoundedStaleness:
         for entry in snap["per_shard"]:
             assert {"shard", "alive", "applied_updates", "pending_updates"} <= set(entry)
 
+    def test_synchronous_lookups_record_no_ages(self):
+        """Synchronous gossip applies inline, so every lookup's age is 0.0:
+        the directory must not keep one float per lookup for its lifetime,
+        and the exported age percentiles keep their all-zero shape."""
+        sharded = ShardedPrefixDirectory(n_shards=2)
+        cache = fresh_cache()
+        sharded.attach(0, cache)
+        full = serve(cache, tiny(10, 1), 0.0)
+        for _ in range(10_000):
+            sharded.lookup(full, limit=len(full))
+        assert sharded._lookup_ages == []
+        snap = sharded.staleness()
+        assert snap["lookups"] == 10_000
+        for key in ("lookup_age_p50", "lookup_age_p95", "lookup_age_max"):
+            assert snap[key] == 0.0 and isinstance(snap[key], float)
+
 
 class TestShardFaults:
     def test_fail_shard_recovers_exactly(self):
@@ -691,7 +707,7 @@ class TestAutoProbeCrossover:
         """The small-fleet regression fix: auto mode deep-probes below the
         threshold (directory maintenance costs more than a few tree walks)
         and switches to the directory at the crossover, never before."""
-        router = PrefixAffinityRouter()  # probe="auto", auto_threshold=8
+        router = PrefixAffinityRouter()  # probe="auto": crossover at 8
         for n in range(1, 8):
             assert router._mode(n) == "deep", f"fleet of {n} must deep-probe"
         for n in (8, 9, 64, 512):
@@ -708,12 +724,12 @@ class TestAutoProbeCrossover:
         assert router.directory_stats is None
 
     def test_auto_large_fleet_builds_directory(self):
-        router = PrefixAffinityRouter(auto_threshold=4)
-        caches = [fresh_cache() for _ in range(4)]
+        router = PrefixAffinityRouter()
+        caches = [fresh_cache() for _ in range(8)]
         full = serve(caches[2], toks(100, 13), 0.0)
         query = np.concatenate([full, toks(5, 113)])
         router.prepare(HYBRID, caches, None)
-        assert router.route(query, 0, caches, [0] * 4, 1.0) == 2
+        assert router.route(query, 0, caches, [0] * 8, 1.0) == 2
         assert router.directory is not None
         router.release()
 
@@ -738,7 +754,7 @@ class TestAutoProbeCrossover:
         caches = [fresh_cache() for _ in range(6)]
         for i in (1, 4):
             serve(caches[i], tiny(30 + i, i), float(i))
-        auto = PrefixAffinityRouter(auto_threshold=8)  # 6 replicas: deep
+        auto = PrefixAffinityRouter()  # 6 replicas: deep
         forced = PrefixAffinityRouter(probe="directory")
         for qi in range(8):
             query = tiny(10 + qi * 5, qi % 3)

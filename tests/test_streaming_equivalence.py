@@ -1,14 +1,14 @@
 """Property suite: a streamed trace replays identically to a materialized one.
 
-The streaming admission path (``TraceStream`` pulled lazily into the
-kernel's event queue) and the bulk path (``Trace`` pushed up front) must
-produce *byte-identical* transcripts: the same ``RequestRecord`` stream,
-the same cache stats, the same telemetry timeseries — for every engine,
-and with cluster fail/drain/join scenarios firing mid-stream.  Hypothesis
-drives randomized workload parameters through the real generators (the
-same code paths experiments use), so any divergence between the two
-admission paths — event tie-breaks, session lifetime bookkeeping, arrival
-ordering — shows up as a concrete failing seed.
+The kernel pulls sessions one at a time from ``iter_sessions()``; a lazily
+generated ``TraceStream`` and a materialized ``Trace`` (sorted on the way
+in) must produce *byte-identical* transcripts: the same ``RequestRecord``
+stream, the same cache stats, the same telemetry timeseries — for every
+engine, and with cluster fail/drain/join scenarios firing mid-stream.
+Hypothesis drives randomized workload parameters through the real
+generators (the same code paths experiments use), so any divergence
+between the two inputs — event tie-breaks, session lifetime bookkeeping,
+arrival ordering — shows up as a concrete failing seed.
 """
 
 from __future__ import annotations
@@ -245,16 +245,16 @@ class TestStreamContract:
         arrivals = [s.arrival_time for s in stream.iter_sessions()]
         assert arrivals == sorted(arrivals)
 
-    def test_streamed_kernel_releases_finished_sessions(self):
-        """Bounded memory: the kernel's session registry drains to zero."""
+    @pytest.mark.parametrize("build", [generate_trace_stream, generate_trace])
+    def test_kernel_releases_finished_sessions(self, build):
+        """Bounded memory: the kernel's session registry drains to zero,
+        for a stream and for a materialized trace alike."""
         from repro.engine.kernel import SimulationKernel
 
-        params = WorkloadParams(n_sessions=10, seed=3)
-        stream = generate_trace_stream("lmsys", params)
         kernel = SimulationKernel(
             MODEL, [make_cache("marconi", MODEL, 500_000_000)], LATENCY
         )
-        kernel.run(stream)
+        kernel.run(build("lmsys", WorkloadParams(n_sessions=10, seed=3)))
         assert kernel._sessions_by_id == {}
 
     def test_jsonl_stream_roundtrip_matches_trace(self, tmp_path):

@@ -12,12 +12,15 @@ or the interned handle.
 
 from __future__ import annotations
 
+from zlib import crc32
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.router import probe_hit_tokens
+from repro.cluster.sharded_directory import ShardedPrefixDirectory
 from repro.core.cache import MarconiCache
 from repro.core.tokens import TokenSeq, canonical_token_array
 from repro.models.memory import node_state_bytes
@@ -83,17 +86,27 @@ class TestCanonicalizationAgreement:
 
     @given(values=token_lists)
     @settings(max_examples=200, deadline=None)
-    def test_bytes_and_prefix_hashes_match_numpy(self, values):
+    def test_bytes_and_prefix_hash_match_numpy(self, values):
         seq = TokenSeq(values)
         canon = np.asarray(values, dtype=np.int32)
         assert seq.tobytes() == canon.tobytes()
-        # Every prefix hash equals the hash a fresh interning of that
-        # prefix computes — the O(n) chain is consistent with first
-        # principles.
+        # Every prefix hash is the crc32 of that prefix's canonical bytes,
+        # which is also what a fresh interning of the prefix computes.
         for length in range(len(values) + 1):
-            assert seq.prefix_hash(length) == TokenSeq(values[:length]).prefix_hash(
-                length
-            )
+            expected = crc32(canon[:length].tobytes())
+            assert seq.prefix_hash(length) == expected
+            assert TokenSeq(values[:length]).prefix_hash(length) == expected
+
+    @given(values=token_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_region_key_agrees_across_input_types(self, values):
+        """The sharded directory keys a request's region the same whether
+        it arrives as an interned handle, an ndarray or a list."""
+        directory = ShardedPrefixDirectory(region_tokens=4)
+        canon = np.asarray(values, dtype=np.int32)
+        expected = crc32(canon[:4].tobytes())
+        for tokens in (TokenSeq(values), canon, list(values)):
+            assert directory._region_key(tokens) == expected
 
     @given(arr=token_arrays())
     @settings(max_examples=100, deadline=None)
