@@ -21,6 +21,7 @@ import pytest
 # `pytest -x -q` lane; everything else here is marked `slow` and runs in the
 # dedicated CI benchmark lane (`pytest -m slow`).
 _FAST_MODULES = {
+    "test_compare.py",
     "test_micro_core.py",
     "test_micro_gateway.py",
     "test_micro_kernel.py",

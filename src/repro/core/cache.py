@@ -591,7 +591,7 @@ class MarconiCache(PrefixCache):
         index = self._index
         tuner = self.tuner
         while capacity - self._used < needed_bytes:
-            if not index.candidates():
+            if len(index) == 0:
                 return False
             victim = policy.select_from_index(index)
             self._apply_eviction(victim)

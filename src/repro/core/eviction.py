@@ -24,6 +24,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.node import RadixNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -46,6 +48,8 @@ class EvictionCandidate:
     last_access: float
     is_leaf: bool
     sort_key: tuple[float, int] = field(init=False, repr=False, compare=False)
+    # Column of the eviction index's rank state, while it maintains one.
+    slot: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Deterministic tie-break: older first, then smaller node id.
@@ -61,7 +65,8 @@ class EvictionPolicy(abc.ABC):
     :class:`~repro.core.eviction_index.EvictionIndex`'s candidate snapshot;
     heap-backed subclasses answer the same question from a lazy min-heap
     synced to the index, in amortized O(log n) without touching the
-    candidate set.
+    candidate set, and the rank-scoring :class:`FlopAwareEviction` from the
+    rank columns the index maintains for it.
     """
 
     name: str = "abstract"
@@ -74,8 +79,10 @@ class EvictionPolicy(abc.ABC):
         """Attach to ``index``; subscribes heap selectors to its change feed.
 
         Policies that never overrode :meth:`on_candidate_changed` leave the
-        feed unset so the index skips the callback on its flush hot path.
+        feed unset so the index skips the callback on its flush hot path,
+        and rank columns a previously bound policy read are let go.
         """
+        index.drop_ranks()
         if type(self).on_candidate_changed is EvictionPolicy.on_candidate_changed:
             index.on_candidate_changed = None
         else:
@@ -163,6 +170,16 @@ class LRUEviction(_LazyHeapPolicy):
         return candidate.sort_key
 
 
+#: Candidate count from which :class:`FlopAwareEviction` has the index
+#: maintain rank columns.  Below it NumPy's per-call overhead (a selection
+#: is ~10 array calls, each added or removed candidate ~10 more) outweighs
+#: the two sorts it saves: replaying lmsys against caches of 8..200 states,
+#: from-scratch selection won by 30-40 us per victim up to 37 candidates
+#: and by 12-18 us at 48-68, maintained ranks by 14 us at 103 and 129 us
+#: at 217 (bench_e2e's contended caches hold a median 416 and 218).
+_MAINTAIN_RANKS_FROM = 64
+
+
 class FlopAwareEviction(EvictionPolicy):
     """Marconi's utility score: ``S(n) = recency(n) + alpha * flop_efficiency(n)``.
 
@@ -174,10 +191,15 @@ class FlopAwareEviction(EvictionPolicy):
     mutable so the bootstrap tuner can adopt the grid-search winner in
     place.
 
-    Normalization is relative to the *whole* candidate set, so this policy
-    cannot be heap-backed without changing semantics: every victim is one
-    :meth:`select_victim` pass over the index's candidate snapshot (the
-    inherited :meth:`select_from_index`).
+    Normalization is relative to the *whole* candidate set, so no heap can
+    order the candidates — but between two selections only a few of them
+    change.  :meth:`select_from_index` therefore reads the tie-group bounds
+    the index maintains per scored column
+    (:meth:`~repro.core.eviction_index.EvictionIndex.normalized_ranks`),
+    which equal :func:`_rank_normalize` of the live values bit for bit.
+    :meth:`scores` / :meth:`select_victim` are the from-scratch definition
+    over an explicit list, and what a candidate set too small to repay the
+    upkeep (see ``_MAINTAIN_RANKS_FROM``) is scored with.
     """
 
     name = "flop_aware"
@@ -188,71 +210,32 @@ class FlopAwareEviction(EvictionPolicy):
         self.alpha = alpha
 
     def scores(self, candidates: list[EvictionCandidate]) -> list[float]:
-        """Utility score of every candidate against the candidate set.
-
-        The readable reference for the loop inlined in :meth:`select_victim`.
-        """
+        """Utility score of every candidate against the candidate set."""
         recency = _rank_normalize([c.last_access for c in candidates])
         efficiency = _rank_normalize([c.flop_efficiency for c in candidates])
         return [r + self.alpha * e for r, e in zip(recency, efficiency)]
 
     def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
-        """``argmin`` of ``(scores(candidates), sort_key)``, in one flat pass."""
+        """``argmin`` of ``(scores(candidates), sort_key)``."""
         if not candidates:
             raise ValueError("no eviction candidates")
-        n = len(candidates)
-        if n == 1:
-            return candidates[0]
-        alpha = self.alpha
-        # Inlined tie-averaged rank scoring: this runs once per victim over
-        # the whole candidate set (~1.8k candidates on bench_e2e's
-        # cache_contended, where it is most of the wall time), so it is one
-        # flat pass per term with scores accumulated in place — the same
-        # float expressions as :func:`_rank_normalize`, term by term.
-        la = [c.last_access for c in candidates]
-        scores = [0.0] * n
-        order = sorted(range(n), key=la.__getitem__)
-        i = 0
-        while i < n:
-            j = i
-            vi = la[order[i]]
-            while j + 1 < n and la[order[j + 1]] == vi:
-                j += 1
-            r = ((i + j) / 2.0 + 1.0) / n
-            for k in range(i, j + 1):
-                scores[order[k]] = r
-            i = j + 1
-        fe = [c.flop_efficiency for c in candidates]
-        order = sorted(range(n), key=fe.__getitem__)
-        i = 0
-        while i < n:
-            j = i
-            vi = fe[order[i]]
-            while j + 1 < n and fe[order[j + 1]] == vi:
-                j += 1
-            ae = alpha * (((i + j) / 2.0 + 1.0) / n)
-            for k in range(i, j + 1):
-                ki = order[k]
-                scores[ki] = scores[ki] + ae
-            i = j + 1
-        # Fused min over (score, sort_key); sort_key ties are impossible
-        # (node ids are unique), so the order is total.
-        best = candidates[0]
-        best_score = scores[0]
-        best_key = best.sort_key
-        for idx in range(1, n):
-            score = scores[idx]
-            if score < best_score:
-                best = candidates[idx]
-                best_score = score
-                best_key = best.sort_key
-            elif score == best_score:
-                candidate = candidates[idx]
-                if candidate.sort_key < best_key:
-                    best = candidate
-                    best_score = score
-                    best_key = candidate.sort_key
-        return best
+        scores = self.scores(candidates)
+        lowest = min(scores)
+        tied = [c for c, score in zip(candidates, scores) if score == lowest]
+        return min(tied, key=lambda c: c.sort_key)
+
+    def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
+        """The same ``argmin``, from the index's maintained ranks once the
+        candidate set is large enough to repay keeping them."""
+        if len(index) < _MAINTAIN_RANKS_FROM:
+            index.drop_ranks()
+            return self.select_victim(index.candidates())
+        candidates, (recency, efficiency) = index.normalized_ranks()
+        scores = recency + self.alpha * efficiency
+        lowest = np.flatnonzero(scores == scores.min())
+        if len(lowest) == 1:
+            return candidates[lowest[0]]
+        return min((candidates[slot] for slot in lowest), key=lambda c: c.sort_key)
 
 
 class GDSFEviction(_LazyHeapPolicy):
@@ -419,12 +402,13 @@ def _rank_normalize(values: list[float]) -> list[float]:
     i = 0
     while i < n:
         j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+        value = values[order[i]]
+        while j + 1 < n and values[order[j + 1]] == value:
             j += 1
         # 1-based average rank for the tie group [i, j].
-        avg = (i + j) / 2.0 + 1.0
+        rank = ((i + j) / 2.0 + 1.0) / n
         for k in range(i, j + 1):
-            ranks[order[k]] = avg / n
+            ranks[order[k]] = rank
         i = j + 1
     return ranks
 

@@ -23,6 +23,13 @@ Cached per-candidate values (``freeable_bytes``, ``flop_efficiency``, the
 precomputed ``sort_key``) are invalidated by *rebuilding the candidate
 object*, so policies can use object identity as a staleness check.
 
+A rank-scoring policy (:class:`~repro.core.eviction.FlopAwareEviction`)
+additionally reads :meth:`EvictionIndex.normalized_ranks`: per scored
+column, every live candidate's tie-group bounds are kept as maintained
+state (:class:`_RankColumns`) from the first such read on, so a selection
+is a handful of array expressions instead of two sorts.  An index nobody
+asks for ranks allocates and maintains nothing.
+
 ``node_visits`` counts candidacy evaluations — the index-side analogue of
 the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
 ``core.eviction_index.node_visits``.
@@ -30,7 +37,9 @@ the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.core.eviction import EvictionCandidate
 from repro.core.node import RadixNode
@@ -38,6 +47,112 @@ from repro.core.radix_tree import RadixTree, TreeObserver
 
 FreeableFn = Callable[[RadixNode], int]
 EfficiencyFn = Callable[[RadixNode, int], float]
+
+
+class _RankColumns:
+    """Tie-group bounds of every live candidate on the two scored columns.
+
+    Row 0 is ``last_access``, row 1 ``flop_efficiency``; a candidate's
+    ``slot`` is its column in ``v`` (the values), ``lo`` and ``hi``, and its
+    position in ``candidates``.  Over the live slots ``[0, n)`` of a row::
+
+        lo[k] == #{j : v[j] <  v[k]}        hi[k] == #{j : v[j] <= v[k]}
+
+    so ``k``'s tie group fills the sorted positions ``lo[k] .. hi[k] - 1``,
+    the ``i`` and ``j`` of :func:`~repro.core.eviction._rank_normalize`.
+    The counts are whole numbers held as float64, which is what ``(i + j) /
+    2.0`` makes of them anyway: :meth:`normalized` evaluates the same IEEE
+    expressions and is bit-identical to the from-scratch definition.
+    """
+
+    __slots__ = ("candidates", "v", "lo", "hi")
+
+    def __init__(self, candidates: Iterable[EvictionCandidate]) -> None:
+        """Seed from scratch: one sort and two binary searches per column."""
+        self.candidates = live = list(candidates)
+        n = len(live)
+        self.v = self.lo = self.hi = np.empty((2, 0))  # replaced on first growth
+        self._reserve(n)
+        for slot, candidate in enumerate(live):
+            candidate.slot = slot
+        self.v[0, :n] = [c.last_access for c in live]
+        self.v[1, :n] = [c.flop_efficiency for c in live]
+        for row in (0, 1):
+            values = self.v[row, :n]
+            ordered = np.sort(values)
+            self.lo[row, :n] = ordered.searchsorted(values, "left")
+            self.hi[row, :n] = ordered.searchsorted(values, "right")
+
+    def normalized(self) -> np.ndarray:
+        """``_rank_normalize`` of both columns, shape ``(2, n)``, slot order."""
+        n = len(self.candidates)
+        return ((self.lo[:, :n] + self.hi[:, :n] - 1.0) / 2.0 + 1.0) / n
+
+    def put(
+        self, candidate: EvictionCandidate, old: Optional[EvictionCandidate]
+    ) -> None:
+        """Add ``candidate``, or let it take over the slot of ``old``.
+
+        A rebuilt candidate re-counts only the column whose value changed.
+        """
+        live = self.candidates
+        values = (candidate.last_access, candidate.flop_efficiency)
+        if old is None:
+            slot = candidate.slot = len(live)
+            self._reserve(slot + 1)
+            live.append(candidate)
+            for row in (0, 1):
+                self._count_in(row, slot, values[row])
+            return
+        slot = candidate.slot = old.slot
+        live[slot] = candidate
+        old_values = (old.last_access, old.flop_efficiency)
+        for row in (0, 1):
+            if values[row] != old_values[row]:
+                self._count_out(row, old_values[row])
+                self._count_in(row, slot, values[row])
+
+    def remove(self, old: EvictionCandidate) -> None:
+        """Drop ``old``; the last slot moves into the hole it leaves."""
+        live = self.candidates
+        last = live.pop()
+        if last is not old:
+            slot = last.slot = old.slot
+            live[slot] = last
+            for column in (self.v, self.lo, self.hi):
+                column[:, slot] = column[:, len(live)]
+        self._count_out(0, old.last_access)
+        self._count_out(1, old.flop_efficiency)
+
+    def _count_in(self, row: int, slot: int, x: float) -> None:
+        """Write ``x`` to the live ``slot`` of ``row`` and count it in."""
+        n = len(self.candidates)
+        values = self.v[row, :n]
+        values[slot] = x
+        above = values > x
+        at_or_above = values >= x  # includes ``slot`` itself
+        lo = self.lo[row, :n]
+        hi = self.hi[row, :n]
+        lo += above
+        hi += at_or_above
+        lo[slot] = n - np.count_nonzero(at_or_above)
+        hi[slot] = n - np.count_nonzero(above)
+
+    def _count_out(self, row: int, x: float) -> None:
+        """Take one occurrence of ``x`` out of the counts of ``row``."""
+        n = len(self.candidates)
+        values = self.v[row, :n]
+        self.lo[row, :n] -= values > x
+        self.hi[row, :n] -= values >= x
+
+    def _reserve(self, n: int) -> None:
+        capacity = self.v.shape[1]
+        if n <= capacity:
+            return
+        for name in ("v", "lo", "hi"):
+            grown = np.empty((2, 2 * n))
+            grown[:, :capacity] = getattr(self, name)
+            setattr(self, name, grown)
 
 
 class EvictionIndex(TreeObserver):
@@ -74,6 +189,9 @@ class EvictionIndex(TreeObserver):
         # (re-evaluated once each) before the index answers anything.
         self._dirty: dict[int, RadixNode] = {}
         self._snapshot: Optional[list[EvictionCandidate]] = None
+        # Maintained from the first normalized_ranks() read on; None until
+        # then, and again whenever re-seeding is cheaper than catching up.
+        self._ranks: Optional[_RankColumns] = None
         self._node_visits = 0
         self.on_candidate_changed: Optional[Callable[[EvictionCandidate], None]] = None
         tree.add_observer(self)
@@ -109,14 +227,33 @@ class EvictionIndex(TreeObserver):
             snapshot = self._snapshot = list(self._entries.values())
         return snapshot
 
+    def normalized_ranks(self) -> tuple[list[EvictionCandidate], np.ndarray]:
+        """The candidates in slot order and their rank-normalized columns.
+
+        Row 0 of the ``(2, n)`` array is ``_rank_normalize`` of the
+        candidates' ``last_access``, row 1 of their ``flop_efficiency``,
+        exactly.  The list is live state: read it, do not keep or edit it.
+        """
+        if self._dirty:
+            self._flush()
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = _RankColumns(self._entries.values())
+        return ranks.candidates, ranks.normalized()
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def drop_ranks(self) -> None:
+        """Stop maintaining rank columns until someone reads them again."""
+        self._ranks = None
+
     def rebuild(self) -> None:
         """Re-seed the candidate set with one full tree scan."""
         self._entries.clear()
         self._eval_keys.clear()
         self._snapshot = None
+        self._ranks = None  # re-seeded by the next normalized_ranks() read
         self._dirty = {node.node_id: node for node in self._tree.iter_nodes()}
         self._flush()
 
@@ -131,6 +268,11 @@ class EvictionIndex(TreeObserver):
         eval_keys = self._eval_keys
         freeable_fn = self._freeable_fn
         efficiency_fn = self._efficiency_fn
+        ranks = self._ranks
+        if ranks is not None and len(dirty) > len(entries):
+            # Catching up costs O(n) per changed candidate; past n of them
+            # the next read re-seeds in O(n log n) instead.
+            ranks = self._ranks = None
         visits = 0
         for node in dirty.values():
             visits += 1
@@ -139,15 +281,16 @@ class EvictionIndex(TreeObserver):
             # Inlined node.is_eviction_shaped; a detached node (parent None)
             # is dropped by the same guard.
             if node.parent is None or node.pin_count > 0 or len(children) > 1:
-                if entries.pop(node_id, None) is not None:
-                    del eval_keys[node_id]
-                    self._snapshot = None
-                continue
-            freeable = freeable_fn(node)
+                freeable = 0
+            else:
+                freeable = freeable_fn(node)
             if freeable <= 0:
-                if entries.pop(node_id, None) is not None:
+                old = entries.pop(node_id, None)
+                if old is not None:
                     del eval_keys[node_id]
                     self._snapshot = None
+                    if ranks is not None:
+                        ranks.remove(old)
                 continue
             last_access = node.last_access
             eval_key = (
@@ -166,6 +309,8 @@ class EvictionIndex(TreeObserver):
                 last_access=last_access,
                 is_leaf=not children,
             )
+            if ranks is not None:
+                ranks.put(candidate, entries.get(node_id))
             entries[node_id] = candidate
             eval_keys[node_id] = eval_key
             self._snapshot = None

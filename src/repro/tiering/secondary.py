@@ -15,6 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.core.eviction import _rank_normalize
 from repro.core.interfaces import as_token_array
 
 
@@ -220,8 +221,8 @@ class SecondaryStore:
     def _scores(self, entries: list[SecondaryEntry]) -> list[float]:
         if self.policy == "lru" or len(entries) == 1:
             return [e.last_access for e in entries]
-        recency = _ranks([e.last_access for e in entries])
-        efficiency = _ranks([e.flop_efficiency for e in entries])
+        recency = _rank_normalize([e.last_access for e in entries])
+        efficiency = _rank_normalize([e.flop_efficiency for e in entries])
         return [r + self.alpha * e for r, e in zip(recency, efficiency)]
 
     def _evict_until(self, budget: int, protect: bytes | None = None) -> None:
@@ -238,21 +239,3 @@ class SecondaryStore:
             self.stats.evictions += 1
             self.stats.evicted_bytes += victim.nbytes
 
-
-def _ranks(values: list[float]) -> list[float]:
-    """Tie-aware average-rank normalization into (0, 1] (mirrors the primary tier)."""
-    n = len(values)
-    if n == 1:
-        return [1.0]
-    order = sorted(range(n), key=values.__getitem__)
-    out = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            out[order[k]] = avg / n
-        i = j + 1
-    return out

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import MarconiCache
 from repro.core.eviction import (
@@ -79,27 +78,6 @@ class TestFlopAware:
         policy = FlopAwareEviction(alpha=1.0)
         for score in policy.scores(cands):
             assert 0.0 < score <= 2.0
-
-    @given(
-        values=st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 0.5, 7.0])
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_inlined_scoring_matches_reference_under_ties(self, values, alpha):
-        """select_victim's hand-inlined rank loop == argmin((scores, sort_key)),
-        with few distinct values so both terms tie heavily."""
-        cands = [candidate(t, e) for t, e in values]
-        policy = FlopAwareEviction(alpha=alpha)
-        expected = min(
-            zip(policy.scores(cands), cands), key=lambda sc: (sc[0], sc[1].sort_key)
-        )[1]
-        assert policy.select_victim(cands) is expected
 
 
 class TestRankNormalize:

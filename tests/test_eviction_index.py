@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import eviction
 from repro.core.cache import MarconiCache
+from repro.core.eviction import FlopAwareEviction, _rank_normalize
 from repro.core.eviction_index import EvictionIndex
+from repro.core.persistence import load_cache, save_cache
 from repro.core.radix_tree import RadixTree, TreeObserver
 from repro.models.presets import tiny_test_model
 
@@ -237,3 +241,253 @@ class TestTreeReattachment:
         cache.reset()
         assert cache.eviction_index.candidates() == []
         assert cache.used_bytes == 0
+
+
+def check_ranks(index, policy):
+    """Maintained state == the from-scratch definition, exactly."""
+    ranked, ranks = index.normalized_ranks()
+    assert [c.slot for c in ranked] == list(range(len(ranked)))
+    assert sorted(map(id, ranked)) == sorted(map(id, index.candidates()))
+    assert ranks[0].tolist() == _rank_normalize([c.last_access for c in ranked])
+    assert ranks[1].tolist() == _rank_normalize([c.flop_efficiency for c in ranked])
+    if ranked:
+        chosen = policy.select_from_index(index)
+        assert chosen is policy.select_victim(index.candidates())
+    else:
+        with pytest.raises(ValueError):
+            policy.select_from_index(index)
+
+
+class RankedLeaves:
+    """A flat tree of leaves whose candidacy and scored values a test sets.
+
+    ``freeable[i] > 0`` makes leaf ``i`` a candidate; ``touch`` / ``price``
+    change one scored value each and mark the leaf for re-evaluation the
+    way the tree's own callbacks do.
+    """
+
+    def __init__(self, n_leaves):
+        self.tree = RadixTree()
+        self.leaves = [
+            self.tree.insert(arr(i + 1, 0), now=0.0).end_node for i in range(n_leaves)
+        ]
+        self.freeable = {leaf.node_id: 0 for leaf in self.leaves}
+        self.efficiency = {leaf.node_id: 0.0 for leaf in self.leaves}
+        self.index = EvictionIndex(
+            self.tree,
+            lambda node: self.freeable[node.node_id],
+            lambda node, freeable: self.efficiency[node.node_id],
+        )
+        self.index.normalized_ranks()  # maintained from here on
+
+    def touch(self, i, when):
+        self.tree.touch(self.leaves[i], when)
+
+    def price(self, i, efficiency):
+        """A new efficiency (and, to be re-evaluated, a new byte count)."""
+        node_id = self.leaves[i].node_id
+        self.efficiency[node_id] = efficiency
+        self.freeable[node_id] = self.freeable[node_id] % 1000 + 1
+        self.index.on_checkpoint_changed(self.leaves[i])
+
+    def drop(self, i):
+        self.freeable[self.leaves[i].node_id] = 0
+        self.index.on_checkpoint_changed(self.leaves[i])
+
+    def check(self, policy=FlopAwareEviction(alpha=1.0)):
+        check_ranks(self.index, policy)
+
+
+@pytest.fixture
+def ranks_from_one_candidate():
+    """Have ``select_from_index`` read maintained ranks at any size, so the
+    small candidate sets below reach the code large ones run."""
+    default = eviction._MAINTAIN_RANKS_FROM
+    eviction._MAINTAIN_RANKS_FROM = 1
+    yield
+    eviction._MAINTAIN_RANKS_FROM = default
+
+
+@pytest.mark.usefixtures("ranks_from_one_candidate")
+class TestMaintainedRanks:
+    """The rank columns the index keeps for ``FlopAwareEviction``."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["touch", "price", "both", "drop", "rebuild"]),
+                st.integers(0, 7),
+                st.sampled_from([0.0, 1.0, 2.0]),
+                st.sampled_from([0.0, 0.5, 7.0]),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_maintained_ranks_equal_the_definition_under_ties(self, ops, alpha):
+        """Random add / one-column / both-column / remove / rebuild()
+        sequences, few distinct values so both columns tie heavily, read
+        after single changes and after batches."""
+        world = RankedLeaves(8)
+        policy = FlopAwareEviction(alpha=alpha)
+        for op, i, when, efficiency, read in ops:
+            if op == "rebuild":
+                world.index.rebuild()
+            elif op == "drop":
+                world.drop(i)
+            else:  # adds the leaf when it was not a candidate
+                if op in ("touch", "both"):
+                    world.touch(i, when)
+                if op in ("price", "both"):
+                    world.price(i, efficiency)
+                elif world.freeable[world.leaves[i].node_id] == 0:
+                    world.price(i, world.efficiency[world.leaves[i].node_id])
+            if read:
+                world.check(policy)
+        world.check(policy)
+
+    def test_single_changes_update_in_place(self):
+        """No re-seed behind the property's back: one changed candidate
+        keeps the column object, so the incremental path is what ran."""
+        world = RankedLeaves(4)
+        for i in range(4):
+            world.price(i, float(i % 2))
+            world.check()
+        columns = world.index._ranks
+        world.touch(1, 5.0)
+        world.check()
+        world.price(2, 9.0)
+        world.check()
+        world.drop(0)
+        world.check()
+        assert world.index._ranks is columns
+
+    def test_slot_is_reused_after_swap_with_last(self):
+        world = RankedLeaves(4)
+        for i in range(3):
+            world.touch(i, float(i))
+            world.price(i, float(3 - i))
+            world.check()
+        first, _, last = world.index.normalized_ranks()[0]
+        world.drop(0)  # the last slot's candidate moves into slot 0
+        world.check()
+        ranked = world.index.normalized_ranks()[0]
+        assert ranked[0] is last and last.slot == 0 and first not in ranked
+        world.price(3, 1.0)  # and a newcomer takes the freed last slot
+        world.check()
+        assert world.index.normalized_ranks()[0][2].node is world.leaves[3]
+
+    def test_growth_past_the_initial_capacity(self):
+        world = RankedLeaves(150)
+        for i in range(150):
+            world.touch(i, float(i % 7))
+            world.price(i, float(i % 5))
+            if i % 10 == 0 or i in (63, 64, 65, 128, 129):
+                world.check()
+        world.check()
+        assert len(world.index.normalized_ranks()[0]) == 150
+
+    def test_empty_and_single_candidate(self):
+        world = RankedLeaves(1)
+        world.check()  # n = 0: selection raises
+        world.price(0, 3.0)
+        ranked, ranks = world.index.normalized_ranks()
+        assert ranks.tolist() == [[1.0], [1.0]]
+        assert FlopAwareEviction().select_from_index(world.index) is ranked[0]
+        world.drop(0)
+        world.check()
+
+    def test_alpha_mutated_between_two_selections(self):
+        world = RankedLeaves(3)
+        for i, (when, efficiency) in enumerate([(1.0, 9.0), (2.0, 1.0), (3.0, 5.0)]):
+            world.touch(i, when)
+            world.price(i, efficiency)
+        policy = FlopAwareEviction(alpha=0.0)
+        assert policy.select_from_index(world.index).node is world.leaves[0]  # LRU
+        policy.alpha = 100.0  # the tuner adopting a winner, in place
+        assert policy.select_from_index(world.index).node is world.leaves[1]
+        world.check(policy)
+
+    def contended_cache(self, tokens, **kwargs):
+        cache = MarconiCache(tiny_test_model(), capacity_bytes=40_000, **kwargs)
+        for i in range(12):
+            seq = tokens(40, seed=i)
+            r = cache.lookup(seq, float(i))
+            cache.admit(
+                np.concatenate([seq, tokens(8, seed=50 + i)]),
+                float(i) + 0.5,
+                handle=r.handle,
+            )
+        assert cache.stats.evictions > 0
+        return cache
+
+    def test_tree_reassignment_reseeds(self, tokens, tmp_path):
+        """reset, persistence reload and the tuner's replay snapshot hand
+        the cache a new tree: the new index seeds its own columns."""
+        cache = self.contended_cache(tokens, alpha=1.0)
+        check_ranks(cache.eviction_index, cache.policy)
+
+        save_cache(cache, tmp_path / "warm.npz")
+        reloaded = load_cache(
+            tiny_test_model(), 30_000, tmp_path / "warm.npz", alpha=1.0
+        )
+        assert reloaded.stats.evictions > 0  # shrunk to fit on load
+        check_ranks(reloaded.eviction_index, reloaded.policy)
+
+        replica = cache.make_replay_cache(2.0, cache.snapshot_for_replay())
+        assert replica.eviction_index._ranks is None
+        check_ranks(replica.eviction_index, replica.policy)
+
+        cache.reset()
+        assert cache.eviction_index._ranks is None
+        assert cache.eviction_index.normalized_ranks()[0] == []
+
+    def test_only_rank_scoring_under_eviction_pays_for_columns(self, tokens):
+        """Pay for use: an LRU cache under eviction has no columns, nor has
+        a flop-aware cache that never had to choose a victim; binding
+        another policy lets maintained columns go."""
+        assert self.contended_cache(tokens, eviction="lru").eviction_index._ranks is None
+        roomy = MarconiCache(tiny_test_model(), capacity_bytes=int(1e9), alpha=1.0)
+        roomy.lookup(arr(1, 2, 3), 0.0)
+        assert roomy.eviction_index._ranks is None
+        contended = self.contended_cache(tokens, alpha=1.0)
+        assert contended.eviction_index._ranks is not None
+        FlopAwareEviction().bind_index(contended.eviction_index)
+        assert contended.eviction_index._ranks is None
+
+
+class TestRankUpkeepThreshold:
+    """At the shipped ``_MAINTAIN_RANKS_FROM``: small candidate sets are
+    scored from scratch, large ones from maintained ranks, and no victim
+    depends on which."""
+
+    def test_every_victim_matches_a_rescan_on_both_sides(self, tokens):
+        sizes = []
+
+        class CheckedCache(MarconiCache):
+            def _apply_eviction(self, victim):
+                sizes.append(len(self.eviction_index))
+                reference = self.policy.select_victim(self._collect_candidates())
+                assert victim.node is reference.node
+                maintained = self.eviction_index._ranks is not None
+                assert maintained == (sizes[-1] >= eviction._MAINTAIN_RANKS_FROM)
+                super()._apply_eviction(victim)
+
+        model = tiny_test_model()
+        cache = CheckedCache(model, capacity_bytes=2_000_000, alpha=1.0)
+        for i in range(260):
+            # Few distinct lengths and a shared stem: efficiencies tie.
+            seq = np.concatenate([tokens(6, seed=i % 9), tokens(10 + i % 3, seed=1000 + i)])
+            r = cache.lookup(seq, float(i // 4))  # and so do access times
+            cache.admit(
+                np.concatenate([seq, tokens(4, seed=2000 + i)]),
+                float(i // 4),
+                handle=r.handle,
+            )
+            if i == 200:  # shrink: the candidate set falls back below the line
+                cache._capacity = 500_000
+        below = sum(n < eviction._MAINTAIN_RANKS_FROM for n in sizes)
+        assert below > 20 and len(sizes) - below > 20
+        assert cache.used_bytes == cache.recompute_used_bytes()
