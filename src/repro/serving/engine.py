@@ -81,6 +81,25 @@ class ServedRequest:
 ServeSteps = Generator[int, None, ServedRequest]
 
 
+def checked_request(
+    input_tokens: np.ndarray, n_output: int, forced_outputs: Optional[np.ndarray]
+) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """What every ``serve_steps`` does first: coerce and validate the request;
+    ``forced_outputs``, when given, overrides ``n_output``."""
+    input_tokens = as_token_array(input_tokens)
+    if len(input_tokens) == 0:
+        raise ValueError(
+            "cannot serve an empty request: input_tokens must contain "
+            "at least one token"
+        )
+    if forced_outputs is not None:
+        forced_outputs = as_token_array(forced_outputs)
+        n_output = len(forced_outputs)
+    if n_output < 0:
+        raise ValueError(f"n_output must be >= 0, got {n_output}")
+    return input_tokens, n_output, forced_outputs
+
+
 class ExactReuseServer:
     """A minimal single-worker server: one hybrid model + one Marconi cache.
 
@@ -154,17 +173,11 @@ class ExactReuseServer:
         steps, so trace replays keep every committed sequence aligned
         with the trace's next-round inputs.
         """
-        input_tokens = as_token_array(input_tokens)
-        if len(input_tokens) == 0:
-            raise ValueError(
-                "cannot serve an empty request: input_tokens must contain "
-                "at least one token"
-            )
-        if forced_outputs is not None:
-            forced_outputs = as_token_array(forced_outputs)
-            n_output = len(forced_outputs)
-        if n_output < 0:
-            raise ValueError(f"n_output must be >= 0, got {n_output}")
+        input_tokens, n_output, forced = checked_request(
+            input_tokens, n_output, forced_outputs
+        )
+        if forced is not None:
+            forced = forced.tolist()  # Python ints, converted once
         rng = (
             np.random.default_rng(params.seed)
             if params.temperature > 0.0
@@ -202,8 +215,8 @@ class ExactReuseServer:
             current = result.state
             output: list[int] = []
             for step in range(n_output):
-                if forced_outputs is not None:
-                    token = int(forced_outputs[step])
+                if forced is not None:
+                    token = forced[step]
                 elif rng is not None:
                     token = sample_token(logits, rng, params.temperature)
                 else:
@@ -211,14 +224,10 @@ class ExactReuseServer:
                 output.append(token)
                 yield token
                 logits, current = self.model.decode_step(token, current)
+            output_tokens = np.asarray(output, dtype=np.int32)
+            full = input_tokens  # n_output == 0: exactly the input is committed
             if output:
-                output_tokens = np.asarray(output, dtype=np.int32)
                 full = np.concatenate([input_tokens, output_tokens])
-            else:
-                # n_output == 0: nothing decoded, no decode loop ran; the
-                # committed sequence is exactly the input.
-                output_tokens = np.empty(0, dtype=np.int32)
-                full = input_tokens
             session.commit(full, self.clock(), state_payload=current.clone())
         return ServedRequest(
             output_tokens=output_tokens,

@@ -2,11 +2,11 @@
 
 Everything else in the repo replays traces offline through the simulation
 kernel; this module is the bridge from "simulator" to "system".  The
-gateway multiplexes many in-flight requests over a bounded pool of worker
-tasks, each driving :meth:`ExactReuseServer.serve_steps` — the same
-begin → prefill → decode → commit flow as the offline server, so the
-paper's correctness statement (exact prefix reuse never changes the
-output) carries over to live concurrent serving unchanged.
+gateway keeps a bounded batch of requests in flight and one step-loop
+task advances them all through :meth:`ExactReuseServer.serve_steps` —
+the same begin → prefill → decode → commit flow as the offline server,
+so the paper's correctness statement (exact prefix reuse never changes
+the output) carries over to live concurrent serving unchanged.
 
 Layers, outermost first:
 
@@ -14,18 +14,24 @@ Layers, outermost first:
   request or sheds it immediately with a typed
   :class:`AdmissionRejected` (gateway-wide queue bound, per-tier queue
   bound, closed gateway).  Nothing blocks unboundedly at the front door.
-* **SLO tiers** — each request names a :class:`SLOTier`.  Workers always
-  pick runnable work from the lowest-priority-value tier first
+* **SLO tiers** — each request names a :class:`SLOTier`.  A free slot
+  takes runnable work from the lowest-priority-value tier first
   (latency-sensitive before batch), and a tier's ``max_concurrency``
-  caps how many of its requests may occupy workers at once, so batch
-  load cannot starve interactive traffic.
+  caps how many slots its requests may hold at once, so batch load
+  cannot starve interactive traffic.
 * **Response cache** — a request-level cache above the prefix cache
   (:mod:`repro.serving.response_cache`): deterministic repeats are
   answered from memory without queueing at all.
-* **Transactional serving** — each admitted request drives the serve
-  generator token by token, yielding to the event loop between decode
-  steps.  Cancelling a submitted request (or closing the gateway without
-  draining) closes the generator, which aborts the open
+* **Transactional serving** — iteration-level batching
+  (:mod:`repro.engine.iteration`) on the live path.  ``n_workers`` slots
+  hold the requests in flight; one *sweep* advances each slot's serve
+  generator ``decode_yield_every`` steps, in slot order, then yields to
+  the event loop once: one loop trip per sweep, not per token.  Slot
+  order is fixed and yields are counted, never timed, so the order of
+  every ``begin``/``commit`` — and with it every hit and eviction —
+  follows from the order of submissions, not from how fast the host is.
+  Cancelling a submitted request (or closing the gateway without
+  draining) closes its generator at the next sweep, which aborts the open
   :class:`~repro.core.interfaces.RequestSession` — zero leaked pins, by
   construction.
 """
@@ -33,15 +39,16 @@ Layers, outermost first:
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.core.interfaces import Clock, as_token_array
-from repro.serving.engine import GREEDY, DecodeParams, ServedRequest
+from repro.serving.engine import GREEDY, DecodeParams, ServedRequest, ServeSteps
 from repro.serving.response_cache import ResponseCache
 
 
@@ -87,7 +94,7 @@ class SLOTier:
 
     ``priority`` orders dequeueing (lower value = served first);
     ``max_concurrency`` caps this tier's simultaneously-running requests
-    (0 = bounded only by the worker pool); ``max_queue_depth`` bounds this
+    (0 = bounded only by ``n_workers``); ``max_queue_depth`` bounds this
     tier's queue (0 = bounded only by the gateway-wide queue).
     """
 
@@ -113,11 +120,11 @@ class GatewayConfig:
     """Tunables for one :class:`Gateway`."""
 
     tiers: tuple[SLOTier, ...] = DEFAULT_TIERS
-    n_workers: int = 4
+    n_workers: int = 4  # requests in flight (slots of the step loop)
     max_queue_depth: int = 256
     response_cache_entries: int = 1024  # 0 disables the response cache
     response_cache_bytes: int = 32 << 20
-    decode_yield_every: int = 1  # yield to the loop every k decode steps
+    decode_yield_every: int = 1  # steps per request per sweep
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -198,20 +205,17 @@ class GatewayResult:
         return self.served.prefilled_tokens
 
 
-@dataclass(eq=False)  # identity semantics: items live in sets
+@dataclass(eq=False)  # identity semantics: a cancel removes *this* item
 class _QueueItem:
-    tokens: np.ndarray
-    n_output: int
-    params: DecodeParams
+    serve: Callable[[], ServeSteps]  # the server's serve_steps, bound to the request
     tier: SLOTier
-    forced_outputs: Optional[np.ndarray]
     submit_time: float
     future: "asyncio.Future[GatewayResult]" = field(repr=False)
     cancelled: bool = False
-
-
-class _ItemCancelled(Exception):
-    """Internal: the submitter cancelled while the request was running."""
+    # The step loop fills these in once the request holds a slot.
+    steps: Optional[ServeSteps] = field(default=None, repr=False)
+    start_time: float = 0.0
+    first_token_time: Optional[float] = None
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +236,7 @@ class Gateway:
         async with Gateway(server) as gw:
             result = await gw.submit(tokens, n_output=8)
 
-    ``__aexit__`` drains in-flight work and shuts the pool down; after a
+    ``__aexit__`` drains in-flight work and stops the step loop; after a
     clean drain the underlying cache reports zero open sessions and zero
     pinned nodes.
     """
@@ -265,28 +269,22 @@ class Gateway:
         }
         self._queued_total = 0
         self._running: dict[str, int] = {t.name: 0 for t in self.config.tiers}
-        self._running_items: set[_QueueItem] = set()
-        self._workers: list[asyncio.Task] = []
+        self._slots: list[Optional[_QueueItem]] = [None] * self.config.n_workers
+        self._loop_task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._started = False
         self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "Gateway":
-        """Spawn the worker pool (idempotent)."""
-        if self._started:
-            return self
-        self._wake = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._workers = [
-            asyncio.create_task(self._worker_loop(), name=f"gateway-worker-{i}")
-            for i in range(self.config.n_workers)
-        ]
-        self._started = True
+        """Spawn the step loop (idempotent)."""
+        if self._loop_task is None:
+            self._wake = asyncio.Event()
+            self._idle = asyncio.Event()
+            self._idle.set()
+            self._loop_task = asyncio.create_task(self._step_loop(), name="step-loop")
         return self
 
     async def __aenter__(self) -> "Gateway":
@@ -302,16 +300,15 @@ class Gateway:
             await self._idle.wait()
 
     async def close(self, drain: bool = True) -> None:
-        """Stop accepting requests, then wind the pool down.
+        """Stop accepting requests, then wind the step loop down.
 
         ``drain=True`` serves everything already admitted before
         returning.  ``drain=False`` sheds the queue (each waiter gets a
         typed ``AdmissionRejected(reason="shutdown")``) and cancels
-        running requests at their next decode step, aborting their
-        sessions.
+        running requests at the next sweep, aborting their sessions.
         """
         self._closed = True
-        if not self._started:
+        if self._loop_task is None:
             return
         if drain:
             await self.drain()
@@ -320,7 +317,6 @@ class Gateway:
                 while queue:
                     item = queue.popleft()
                     self._queued_total -= 1
-                    item.cancelled = True
                     self.stats.aborted += 1  # admitted, never served
                     if not item.future.done():
                         item.future.set_exception(
@@ -330,15 +326,12 @@ class Gateway:
                                 "gateway shut down before the request was served",
                             )
                         )
-            for item in list(self._running_items):
+            for item in filter(None, self._slots):
                 item.cancelled = True
             self._maybe_idle()
-            self._wake.set()
             await self.drain()
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
+        self._loop_task.cancel()
+        await asyncio.gather(self._loop_task, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -378,17 +371,16 @@ class Gateway:
         dropped; if mid-decode the serve generator is closed, aborting the
         session with zero leaked pins.
         """
-        if not self._started:
-            await self.start()
+        await self.start()
+        tier_obj = self._tiers.get(tier)
+        if tier_obj is None:  # a caller's bug, not a submission: not counted
+            raise ValueError(
+                f"unknown tier {tier!r}; configured tiers: {sorted(self._tiers)}"
+            )
         self.stats.submitted += 1
         if self._closed:
             self.stats.shed += 1
             raise GatewayClosed()
-        tier_obj = self._tiers.get(tier)
-        if tier_obj is None:
-            raise ValueError(
-                f"unknown tier {tier!r}; configured tiers: {sorted(self._tiers)}"
-            )
         tokens = as_token_array(input_tokens)
         submit_time = self.clock()
 
@@ -424,11 +416,14 @@ class Gateway:
             raise AdmissionRejected("tier_queue_full", tier)
 
         item = _QueueItem(
-            tokens=tokens,
-            n_output=n_output,
-            params=params,
+            serve=functools.partial(
+                self.server.serve_steps,
+                tokens,
+                n_output,
+                params=params,
+                forced_outputs=forced_outputs,
+            ),
             tier=tier_obj,
-            forced_outputs=forced_outputs,
             submit_time=submit_time,
             future=asyncio.get_running_loop().create_future(),
         )
@@ -440,32 +435,35 @@ class Gateway:
         try:
             result = await item.future
         except asyncio.CancelledError:
-            item.cancelled = True
-            self._wake.set()
+            item.cancelled = True  # in a slot: the step loop aborts it
+            if item in queue:  # still queued: give its admission slot back now
+                queue.remove(item)
+                self._queued_total -= 1
+                self.stats.aborted += 1
+                self._maybe_idle()
             raise
         if result.from_response_cache is False and key is not None:
             # Populate the response cache from the cold serve.  Done on
-            # the submit side so the worker stays policy-free.
+            # the submit side so the step loop stays policy-free.
             self.response_cache.put(key, result.served)
         return result
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # The step loop
     # ------------------------------------------------------------------
     def _next_item(self) -> Optional[_QueueItem]:
-        """Pop the highest-priority runnable request, honouring per-tier
-        concurrency caps.  Silently drops items cancelled while queued."""
+        """Move the highest-priority runnable request from its queue to the
+        running set, honouring per-tier concurrency caps.  (No queued item
+        is cancelled: ``submit`` and ``close`` remove what they cancel.)"""
         for tier in self._tier_order:
             if tier.max_concurrency and self._running[tier.name] >= tier.max_concurrency:
                 continue
             queue = self._queues[tier.name]
-            while queue:
+            if queue:
                 item = queue.popleft()
                 self._queued_total -= 1
-                if item.cancelled:
-                    self.stats.aborted += 1
-                    self._maybe_idle()
-                    continue
+                self._running[tier.name] += 1
+                item.start_time = self.clock()
                 return item
         return None
 
@@ -473,88 +471,85 @@ class Gateway:
         if self._queued_total == 0 and self.running == 0:
             self._idle.set()
 
-    async def _worker_loop(self) -> None:
-        while True:
-            item = self._next_item()
-            if item is None:
-                self._maybe_idle()
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await self._run_item(item)
-
-    async def _run_item(self, item: _QueueItem) -> None:
-        tier_name = item.tier.name
-        self._running[tier_name] += 1
-        self._running_items.add(item)
-        start = self.clock()
+    async def _step_loop(self) -> None:
+        """Sweep the slots forever: each advances ``decode_yield_every``
+        steps, in slot order, then the event loop gets one turn."""
+        slots = self._slots
+        every = self.config.decode_yield_every
         try:
-            served, first_token_time = await self._drive(item)
-        except _ItemCancelled:
-            self.stats.aborted += 1
-            if not item.future.done():
-                item.future.cancel()
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self.stats.failed += 1
-            if not item.future.done():
-                item.future.set_exception(exc)
-        else:
+            while True:
+                for i, item in enumerate(slots):
+                    left = every
+                    while left:
+                        if item is None:
+                            if not self._queued_total:
+                                break
+                            item = slots[i] = self._next_item()
+                            if item is None:
+                                break
+                            left = every  # a successor starts a full share
+                        if item.cancelled:
+                            self._finish(item)
+                        else:
+                            try:
+                                if item.steps is None:
+                                    item.steps = item.serve()
+                                next(item.steps)  # blocking prefill/decode work
+                            except StopIteration as stop:
+                                self._finish(item, served=stop.value)
+                            except Exception as exc:  # fails this request only
+                                self._finish(item, error=exc)
+                            else:
+                                if item.first_token_time is None:
+                                    item.first_token_time = self.clock()
+                                left -= 1
+                                continue
+                        item = slots[i] = None
+                if any(slots):
+                    # One loop trip per sweep: submitters and their cancels run.
+                    await asyncio.sleep(0)
+                else:
+                    self._wake.clear()
+                    await self._wake.wait()
+        finally:
+            # The task was cancelled (or died): abort whatever is in flight.
+            for item in filter(None, slots):
+                self._finish(item)
+            slots[:] = [None] * len(slots)
+
+    def _finish(
+        self,
+        item: _QueueItem,
+        served: Optional[ServedRequest] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Resolve a request leaving its slot: served, failed, or (neither) aborted."""
+        if item.steps is not None:
+            # A no-op after a return or a raise.  On the abort path it raises
+            # GeneratorExit at the suspended yield, which unwinds the `with
+            # cache.begin` block: the session aborts, every pin is released.
+            item.steps.close()
+        self._running[item.tier.name] -= 1
+        if served is not None:
             self.stats.completed += 1
             end = self.clock()
+            # n_output == 0, no token ever surfaced: first result at completion.
+            first = end if item.first_token_time is None else item.first_token_time
             result = GatewayResult(
                 served=served,
-                tier=tier_name,
+                tier=item.tier.name,
                 from_response_cache=False,
-                queue_seconds=start - item.submit_time,
-                ttft_seconds=first_token_time - item.submit_time,
+                queue_seconds=item.start_time - item.submit_time,
+                ttft_seconds=first - item.submit_time,
                 total_seconds=end - item.submit_time,
             )
             if not item.future.done():
                 item.future.set_result(result)
-        finally:
-            self._running[tier_name] -= 1
-            self._running_items.discard(item)
-            self._wake.set()
-            self._maybe_idle()
-
-    async def _drive(self, item: _QueueItem) -> tuple[ServedRequest, float]:
-        """Run one request's serve generator, yielding between decode steps."""
-        steps = self.server.serve_steps(
-            item.tokens,
-            item.n_output,
-            params=item.params,
-            forced_outputs=item.forced_outputs,
-        )
-        first_token_time: Optional[float] = None
-        n_steps = 0
-        try:
-            while True:
-                if item.cancelled:
-                    raise _ItemCancelled()
-                try:
-                    next(steps)  # blocking prefill/decode work
-                except StopIteration as stop:
-                    served = stop.value
-                    break
-                if first_token_time is None:
-                    first_token_time = self.clock()
-                n_steps += 1
-                if n_steps % self.config.decode_yield_every == 0:
-                    # Hand the loop back so other requests progress and
-                    # cancellations land between decode steps.
-                    await asyncio.sleep(0)
-                    if item.cancelled:
-                        raise _ItemCancelled()
-        except BaseException:
-            # Abort path: closing the generator raises GeneratorExit at
-            # its suspended yield, which unwinds the `with cache.begin`
-            # block — the session aborts and every pin is released.
-            steps.close()
-            raise
-        if first_token_time is None:
-            # n_output == 0: no token ever surfaced; first-result time is
-            # completion time.
-            first_token_time = self.clock()
-        return served, first_token_time
+        elif error is not None:
+            self.stats.failed += 1
+            if not item.future.done():
+                item.future.set_exception(error)
+        else:
+            self.stats.aborted += 1
+            item.future.cancel()
+        self._maybe_idle()

@@ -27,8 +27,14 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.core.interfaces import Clock, as_token_array, monotonic_counter
-from repro.serving.engine import GREEDY, DecodeParams, ServedRequest, ServeSteps
+from repro.core.interfaces import Clock, monotonic_counter
+from repro.serving.engine import (
+    GREEDY,
+    DecodeParams,
+    ServedRequest,
+    ServeSteps,
+    checked_request,
+)
 from repro.serving.gateway import AdmissionRejected, Gateway
 from repro.workloads.trace import Trace, TraceSession, TraceStream
 
@@ -56,33 +62,23 @@ class CacheOnlyServer:
         params: DecodeParams = GREEDY,
         forced_outputs: Optional[np.ndarray] = None,
     ) -> ServeSteps:
-        input_tokens = as_token_array(input_tokens)
-        if len(input_tokens) == 0:
-            raise ValueError(
-                "cannot serve an empty request: input_tokens must contain "
-                "at least one token"
-            )
-        if forced_outputs is not None:
-            forced_outputs = as_token_array(forced_outputs)
-            n_output = len(forced_outputs)
-        if n_output < 0:
-            raise ValueError(f"n_output must be >= 0, got {n_output}")
+        input_tokens, n_output, forced = checked_request(
+            input_tokens, n_output, forced_outputs
+        )
         with self.cache.begin(input_tokens, self.clock()) as session:
             hit = session.hit_tokens
-            output: list[int] = []
-            for step in range(n_output):
-                # Without a model there is nothing to sample: a cache-only
-                # serve echoes the forced tokens (or zeros, which keeps the
-                # byte accounting of synthetic benchmark requests honest).
-                token = int(forced_outputs[step]) if forced_outputs is not None else 0
-                output.append(token)
-                yield token
+            # Without a model there is nothing to sample: a cache-only serve
+            # echoes the forced tokens (or zeros, which keeps the byte
+            # accounting of synthetic benchmark requests honest).  The first
+            # goes out before the one-time conversion of the rest: TTFT.
+            if n_output:
+                yield int(forced[0]) if forced is not None else 0
+            output = forced.tolist() if forced is not None else [0] * n_output
+            yield from output[1:]
+            output_tokens = np.asarray(output, dtype=np.int32)
+            full = input_tokens  # n_output == 0: exactly the input is committed
             if output:
-                output_tokens = np.asarray(output, dtype=np.int32)
                 full = np.concatenate([input_tokens, output_tokens])
-            else:
-                output_tokens = np.empty(0, dtype=np.int32)
-                full = input_tokens
             session.commit(full, self.clock())
         return ServedRequest(
             output_tokens=output_tokens,

@@ -43,6 +43,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def accounted(stats) -> bool:
+    """Every submission was admitted, shed, or answered from the response
+    cache — the front door counts each call exactly once."""
+    return stats["submitted"] == (
+        stats["admitted"] + stats["shed"] + stats["response_cache_hits"]
+    )
+
+
 class SignalingServer(ExactReuseServer):
     """ExactReuseServer that raises a flag after each request's first token
     (lets tests deterministically cancel mid-decode)."""
@@ -98,6 +106,250 @@ class TrackingServer(CacheOnlyServer):
                 inner.close()
 
         return wrapped()
+
+
+SWEEP = "|"
+
+
+class RecordingServer(CacheOnlyServer):
+    """CacheOnlyServer that logs every resumption as ``(request, step)``
+    (``request`` is the input's first token; a request's last entry is the
+    resumption that commits and returns).  ``fail_at`` makes one resumption
+    raise instead."""
+
+    def __init__(self, *args, fail_at=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log: list = []
+        self.fail_at = fail_at
+
+    def serve_steps(self, input_tokens, n_output, **kwargs):
+        request = int(np.asarray(input_tokens)[0])
+        inner = super().serve_steps(input_tokens, n_output, **kwargs)
+
+        def wrapped():
+            step = 0
+            try:
+                while True:
+                    self.log.append((request, step))
+                    if (request, step) == self.fail_at:
+                        raise RuntimeError(f"backend failed on {request}")
+                    step += 1
+                    try:
+                        token = next(inner)
+                    except StopIteration as stop:
+                        return stop.value
+                    yield token
+            finally:
+                inner.close()
+
+        return wrapped()
+
+    async def mark_sweeps(self):
+        """Log a marker once per event-loop trip.  Started before the
+        gateway, it runs ahead of the step loop in every trip, so what the
+        log holds between two markers is one sweep."""
+        while True:
+            self.log.append(SWEEP)
+            await asyncio.sleep(0)
+
+    def sweeps(self) -> list[list[tuple[int, int]]]:
+        out, current = [], []
+        for entry in self.log + [SWEEP]:
+            if entry != SWEEP:
+                current.append(entry)
+            elif current:
+                out.append(current)
+                current = []
+        return out
+
+    def steps_of(self, request: int) -> list[int]:
+        return [e[1] for e in self.log if e != SWEEP and e[0] == request]
+
+
+def numbered(i: int, tokens, n: int = 10) -> np.ndarray:
+    """A request whose first token is its number ``i``."""
+    return np.concatenate([[i], tokens(n, seed=300 + i)]).astype(np.int32)
+
+
+class TestStepLoop:
+    """The gateway serves from one task: per event-loop trip, one sweep over
+    ``n_workers`` slots, ``decode_yield_every`` steps per slot, slot order."""
+
+    def test_sweep_is_slot_order_round_robin(self, tiny, tokens):
+        """Three slots, five requests: each sweep advances the slots in
+        order, and the successor of a request that ends takes its first step
+        inside the same sweep (where a worker task would have)."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        n_outputs = [1, 3, 2, 2, 1]
+
+        async def scenario():
+            marker = asyncio.create_task(server.mark_sweeps())
+            async with Gateway(server, GatewayConfig(n_workers=3)) as gw:
+                results = await asyncio.gather(
+                    *[gw.submit(numbered(i, tokens), n) for i, n in enumerate(n_outputs)]
+                )
+            marker.cancel()
+            return results
+
+        results = run(scenario())
+        assert server.sweeps() == [
+            [(0, 0), (1, 0), (2, 0)],  # slots 0, 1, 2 take requests 0, 1, 2
+            [(0, 1), (3, 0), (1, 1), (2, 1)],  # 0 ends: slot 0 starts 3 at once
+            [(3, 1), (1, 2), (2, 2), (4, 0)],  # 2 ends: slot 2 starts 4
+            [(3, 2), (1, 3), (4, 1)],  # the last three end; nothing is queued
+        ]
+        assert [len(r.output_tokens) for r in results] == n_outputs
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
+
+    def test_decode_yield_every_sets_the_steps_per_sweep(self, tiny, tokens):
+        """k=3: every request advances three tokens per sweep — a successor
+        too — and outputs are byte-identical to k=1's."""
+        n_outputs = [7, 4, 5]
+        forced = [tokens(n, seed=400 + i) for i, n in enumerate(n_outputs)]
+
+        def serve_all(every):
+            cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+            server = RecordingServer(cache)
+            config = GatewayConfig(n_workers=2, decode_yield_every=every)
+
+            async def scenario():
+                marker = asyncio.create_task(server.mark_sweeps())
+                async with Gateway(server, config) as gw:
+                    results = await asyncio.gather(
+                        *[
+                            gw.submit(numbered(i, tokens), 0, forced_outputs=f)
+                            for i, f in enumerate(forced)
+                        ]
+                    )
+                marker.cancel()
+                return results
+
+            results = run(scenario())
+            assert cache.open_sessions == 0 and no_pins(cache)
+            return server, results
+
+        server, by_three = serve_all(3)
+        assert server.sweeps() == [
+            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
+            # Request 1 yields its 4th token and ends; request 2 gets a full
+            # share of three in the same sweep.
+            [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2)],
+            [(0, 6), (0, 7), (2, 3), (2, 4), (2, 5)],
+        ]
+        _, by_one = serve_all(1)
+        for a, b, f in zip(by_three, by_one, forced):
+            assert a.output_tokens.tobytes() == b.output_tokens.tobytes() == f.tobytes()
+            assert a.full_sequence.tobytes() == b.full_sequence.tobytes()
+            assert a.hit_tokens == b.hit_tokens
+
+    def test_cancel_lands_at_the_next_sweep_edge(self, tiny, tokens):
+        """With k=3 a cancelled request stops on a multiple of three steps,
+        at most one sweep after the cancel, and leaves no pin behind."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        config = GatewayConfig(n_workers=2, decode_yield_every=3)
+
+        async def scenario():
+            async with Gateway(server, config) as gw:
+                doomed = asyncio.create_task(gw.submit(numbered(0, tokens), 60))
+                other = asyncio.create_task(gw.submit(numbered(1, tokens), 12))
+                while len(server.steps_of(0)) < 6:
+                    await asyncio.sleep(0)
+                at_cancel = len(server.steps_of(0))
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                survivor = await other
+                await gw.drain()
+                return at_cancel, survivor, gw.stats.snapshot()
+
+        at_cancel, survivor, stats = run(scenario())
+        taken = len(server.steps_of(0))
+        assert taken % 3 == 0 and at_cancel <= taken <= at_cancel + 3
+        assert len(survivor.output_tokens) == 12
+        assert stats["aborted"] == 1 and stats["completed"] == 1
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
+
+    def test_cancelling_the_loop_task_closes_in_flight_generators(self, tiny, tokens):
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+
+        async def scenario():
+            gw = Gateway(server, GatewayConfig(n_workers=2))
+            await gw.start()
+            tasks = [
+                asyncio.create_task(gw.submit(numbered(i, tokens), 50)) for i in range(3)
+            ]
+            while len(server.log) < 6:
+                await asyncio.sleep(0)
+            assert cache.open_sessions == 2 and gw.queued == 1
+            gw._loop_task.cancel()
+            tasks[2].cancel()  # nothing is left to serve the queued one
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            return outcomes, gw.running, gw.queued, gw.stats.snapshot()
+
+        outcomes, running, queued, stats = run(scenario())
+        assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+        assert running == 0 and queued == 0
+        assert stats["aborted"] == 3 and stats["completed"] == 0
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
+
+    def test_a_failing_request_fails_alone(self, tiny, tokens):
+        """The backend raises on one request: its submitter gets the error,
+        its session is aborted, and the other slots run to completion."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache, fail_at=(1, 2))
+
+        async def scenario():
+            async with Gateway(server, GatewayConfig(n_workers=3)) as gw:
+                outcomes = await asyncio.gather(
+                    *[gw.submit(numbered(i, tokens), 5) for i in range(4)],
+                    return_exceptions=True,
+                )
+                return outcomes, gw.stats.snapshot()
+
+        outcomes, stats = run(scenario())
+        assert isinstance(outcomes[1], RuntimeError)
+        assert "backend failed on 1" in str(outcomes[1])
+        for i in (0, 2, 3):
+            assert len(outcomes[i].output_tokens) == 5
+        assert stats["failed"] == 1 and stats["completed"] == 3
+        assert stats["aborted"] == 0 and accounted(stats)
+        assert server.steps_of(1) == [0, 1, 2]
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
+
+    def test_zero_output_requests_never_surface_a_token(self, tiny, tokens):
+        """n_output=0 is begin-and-commit in one resumption: the slot moves
+        on inside the same sweep, the input is committed (a follow-up hits
+        all of it), and first-result time is completion time."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        queries = [numbered(i, tokens, n=20) for i in range(3)]
+
+        async def scenario():
+            marker = asyncio.create_task(server.mark_sweeps())
+            async with Gateway(server, GatewayConfig(n_workers=1)) as gw:
+                results = await asyncio.gather(*[gw.submit(q, 0) for q in queries])
+                follow = await gw.submit(np.concatenate([queries[1], tokens(5, seed=9)]), 1)
+            marker.cancel()
+            return results, follow
+
+        results, follow = run(scenario())
+        assert server.sweeps()[0] == [(0, 0), (1, 0), (2, 0)]  # one slot, one sweep
+        for query, result in zip(queries, results):
+            assert result.output_tokens.shape == (0,)
+            np.testing.assert_array_equal(result.full_sequence, query)
+            assert 0.0 <= result.queue_seconds <= result.ttft_seconds
+            assert result.ttft_seconds <= result.total_seconds
+        assert follow.hit_tokens == len(queries[1])
+        assert 0.0 <= follow.ttft_seconds <= follow.total_seconds
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
 
 
 class TestConcurrentCorrectness:
@@ -219,6 +471,43 @@ class TestCancellation:
         assert server.cache.open_sessions == 0
         assert no_pins(server.cache)
 
+    def test_cancelled_queued_requests_free_their_admission_slots(
+        self, tiny, tokens
+    ):
+        """A request cancelled while queued leaves the queue at once: dead
+        entries must not fill ``max_queue_depth`` and shed live traffic."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = CacheOnlyServer(cache)
+        config = GatewayConfig(n_workers=1, max_queue_depth=2)
+
+        async def scenario():
+            async with Gateway(server, config) as gw:
+                long_task = asyncio.create_task(gw.submit(tokens(20, seed=14), 5000))
+                while gw.running == 0:  # until it holds the only slot
+                    await asyncio.sleep(0)
+                doomed = [
+                    asyncio.create_task(gw.submit(tokens(20, seed=15 + i), 4))
+                    for i in range(2)
+                ]
+                await asyncio.sleep(0)  # both enqueue: the queue is full
+                assert gw.queued == 2
+                for task in doomed:
+                    task.cancel()
+                outcomes = await asyncio.gather(*doomed, return_exceptions=True)
+                assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+                assert gw.queued == 0
+                assert gw.tier_depths()["interactive"]["queued"] == 0
+                fresh = await gw.submit(tokens(20, seed=17), 4)  # not shed
+                await long_task
+                return fresh, gw.stats.snapshot()
+
+        fresh, stats = run(scenario())
+        assert len(fresh.output_tokens) == 4
+        assert stats["aborted"] == 2 and stats["completed"] == 2
+        assert stats["shed"] == 0 and accounted(stats)
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
+
     def test_close_without_drain_sheds_queue_and_aborts_running(
         self, tiny, tokens
     ):
@@ -253,6 +542,7 @@ class TestCancellation:
             assert isinstance(outcome, AdmissionRejected)
             assert outcome.reason == "shutdown"
         assert stats["aborted"] == 4
+        assert accounted(stats)
         assert server.cache.open_sessions == 0
         assert no_pins(server.cache)
 
@@ -284,6 +574,7 @@ class TestAdmissionControl:
         for rejection in shed:
             assert rejection.reason == "queue_full"
         assert stats["shed"] == 7 and stats["completed"] == 3
+        assert accounted(stats)
         assert cache.open_sessions == 0
         assert no_pins(cache)
 
@@ -333,8 +624,12 @@ class TestAdmissionControl:
             ) as gw:
                 with pytest.raises(ValueError, match="unknown tier"):
                     await gw.submit(tokens(8, seed=1), 2, tier="platinum")
+                await gw.submit(tokens(8, seed=1), 2)
+                return gw.stats.snapshot()
 
-        run(scenario())
+        stats = run(scenario())
+        # The bad call was a caller's bug, not a submission.
+        assert stats["submitted"] == 1 and accounted(stats)
 
 
 class TestSLOTiers:

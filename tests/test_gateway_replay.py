@@ -24,12 +24,15 @@ import pytest
 
 from repro.core.cache import MarconiCache
 from repro.engine.server import ServingSimulator
+from repro.models.presets import hybrid_7b
 from repro.serving import (
     CacheOnlyServer,
     Gateway,
     GatewayConfig,
     TraceReplayer,
 )
+from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 
@@ -219,6 +222,34 @@ class TestReplayBackpressure:
         assert cache.open_sessions == 0
         assert no_pins(cache)
         assert report.gateway_stats["shed"] == report.shed
+
+    def test_replay_accounting_closes(self):
+        """An lmsys replay against a contended 7B-hybrid cache (evictions
+        run, four requests in flight): every trace round is served —
+        nothing shed, aborted, or lost — and the gateway's counters agree
+        with the replay report."""
+        trace = generate_lmsys_trace(
+            WorkloadParams(n_sessions=60, session_rate=2.0, mean_think_s=3.0, seed=31)
+        )
+        cache = MarconiCache(hybrid_7b(), int(2e9), eviction="flop_aware", alpha=1.0)
+        gateway = Gateway(
+            CacheOnlyServer(cache), GatewayConfig(n_workers=4, max_queue_depth=10_000)
+        )
+
+        async def scenario():
+            report = await TraceReplayer(gateway, speed=None).run(trace)
+            await gateway.close()
+            return report
+
+        report = asyncio.run(scenario())
+        assert cache.stats.evictions > 0
+        assert report.served == trace.n_requests
+        assert report.shed == 0 and report.abandoned_rounds == 0
+        stats = report.gateway_stats
+        assert stats["completed"] == report.served
+        assert stats["failed"] == 0 and stats["aborted"] == 0
+        assert cache.open_sessions == 0
+        assert no_pins(cache)
 
     def test_report_to_dict_round_trips_counts(self, tiny):
         trace = build_trace(n_sessions=4, seed=11)
