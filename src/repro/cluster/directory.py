@@ -36,33 +36,34 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.core.radix_tree import TreeObserver, common_prefix_length
 from repro.core.node import RadixNode
+from repro.core.radix_tree import TreeObserver, common_prefix_length
+from repro.core.tokens import TokenSeq, canonical_token_array
 
 
 class _DirNode:
     """One edge of the union index plus its per-replica annotations.
 
-    ``cover[r]`` is how many leading tokens of ``edge`` replica ``r``
-    holds (present only when > 0; implies ``r`` fully covers the parent's
-    edge).  ``ckpt`` is the set of replicas checkpointing exactly at this
-    node's end depth — checkpoint marks force an edge split, so a
-    checkpoint depth always lands on a node boundary.
+    The edge is stored once, as the raw int32 bytes ``data`` (what the
+    walks memcmp against, see :func:`_edge_shared`); ``edge`` is a
+    zero-copy read-only array view of the same buffer.  ``cover[r]`` is
+    how many leading tokens of ``edge`` replica ``r`` holds (present only
+    when > 0; implies ``r`` fully covers the parent's edge).  ``ckpt`` is
+    the set of replicas checkpointing exactly at this node's end depth —
+    checkpoint marks force an edge split, so a checkpoint depth always
+    lands on a node boundary.
     """
 
-    __slots__ = ("edge", "parent", "children", "end", "cover", "ckpt")
+    __slots__ = ("data", "edge", "parent", "children", "end", "cover", "ckpt")
 
-    def __init__(self, edge: np.ndarray, parent: Optional["_DirNode"]) -> None:
-        self.edge = edge
+    def __init__(self, data: bytes, parent: Optional["_DirNode"]) -> None:
+        self.data = data
+        self.edge = np.frombuffer(data, dtype=np.int32)
         self.parent = parent
         self.children: dict[int, _DirNode] = {}
-        self.end: int = (parent.end if parent is not None else 0) + len(edge)
+        self.end: int = (parent.end if parent is not None else 0) + len(self.edge)
         self.cover: dict[int, int] = {}
         self.ckpt: set[int] = set()
-
-    @property
-    def start(self) -> int:
-        return self.end - len(self.edge)
 
     @property
     def is_empty(self) -> bool:
@@ -139,56 +140,112 @@ _CKPT_SET = 3
 _CKPT_CLEAR = 4
 
 
-def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bool]]:
-    """``(root path, checkpointed?)`` of every node of a replica tree,
-    parents before children (nothing for a tree-less cache)."""
+def _edge_shared(
+    child: _DirNode, tokens: np.ndarray, data: bytes, pos: int, upto: int
+) -> int:
+    """How many leading tokens of ``child``'s edge equal ``tokens[pos:upto]``
+    (``pos`` is the depth of ``child``'s parent; ``data`` is ``tokens``'
+    bytes).  Full coverage, by far the common step of a walk, is one memcmp
+    against the stored edge bytes; only the step that diverges or ends
+    mid-edge compares elementwise (``RadixTree.match``'s idiom)."""
+    if data.startswith(child.data, 4 * pos, 4 * upto):
+        return child.end - pos
+    return common_prefix_length(child.edge, tokens[pos:upto])
+
+
+def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bytes, bool]]:
+    """``(root path, its bytes, checkpointed?)`` of every node of a replica
+    tree, parents before children (nothing for a tree-less cache)."""
     root = getattr(tree, "root", None)
     if root is None:
         return
-    stack: list[tuple[RadixNode, np.ndarray]] = [
-        (child, child.edge_tokens) for child in root.children.values()
-    ]
+    stack: list[tuple[RadixNode, bytes]] = [(root, b"")]
     while stack:
-        node, path = stack.pop()
-        yield path, bool(node.has_ssm_state)
+        node, data = stack.pop()
+        if node is not root:
+            yield np.frombuffer(data, dtype=np.int32), data, bool(node.has_ssm_state)
         stack.extend(
-            (child, np.concatenate([path, child.edge_tokens]))
+            (child, data + canonical_token_array(child.edge_tokens).tobytes())
             for child in node.children.values()
         )
 
 
 class _ReplicaView(TreeObserver):
     """The per-replica observer bridge of either directory: each replica
-    tree event becomes one ``(kind, replica, path, depth)`` op handed to
-    ``directory._ingest_path_op`` (tree replacement: ``_ingest_resync``)."""
+    tree event becomes one ``(kind, replica, path, path bytes, depth)`` op
+    handed to ``directory._ingest_path_op`` (tree replacement:
+    ``_ingest_resync``).  ``depth`` is where the op starts changing the
+    index: the parent's depth for a mark (which runs to the path's end),
+    the keep-depth of a clear or truncate, the exact depth of a checkpoint.
+    """
 
     def __init__(self, directory: Any, replica: int) -> None:
         self.directory = directory
         self.replica = replica
 
+    def _root_path(
+        self, node: RadixNode, parent: Optional[RadixNode] = None
+    ) -> tuple[np.ndarray, bytes]:
+        """``node``'s root path as ``(int32 array, its bytes)``, serialized
+        once per burst of events on it (a commit emits a mark and a
+        checkpoint for the same leaf).  A node's path is fixed by its
+        identity and ``seq_len``: splits and merges move tokens between
+        nodes without changing any path, and a truncation changes
+        ``seq_len``.  ``parent`` names where a detached ``node`` hung.
+        The pair is read-only because a queued ``DirectoryUpdate`` outlives
+        the event.
+
+        The directory holds the one remembered path for all its views
+        (``_last_path``: node id, ``seq_len``, path, bytes) — bursts of
+        different replicas do not interleave, and a path per view pins
+        ~30 KB per replica — keyed by the process-unique ``node_id``, not
+        the node, so an evicted node's buffers are not kept alive."""
+        directory = self.directory
+        last = directory._last_path
+        if last is not None and last[0] == node.node_id and last[1] == node.seq_len:
+            return last[2], last[3]
+        # One copy: the edges, canonical (a memcmp against anything but
+        # contiguous int32 would silently miss), joined straight into bytes.
+        edges = [] if parent is None else [node.edge_tokens]
+        cursor = node if parent is None else parent
+        while cursor.parent is not None:
+            edges.append(cursor.edge_tokens)
+            cursor = cursor.parent
+        data = b"".join(
+            [np.ascontiguousarray(edge, dtype=np.int32) for edge in reversed(edges)]
+        )
+        tokens = np.frombuffer(data, dtype=np.int32)
+        directory._last_path = (node.node_id, node.seq_len, tokens, data)
+        return tokens, data
+
     # -- structure events ------------------------------------------------
     def on_node_added(self, node: RadixNode) -> None:
-        tokens = node.path_tokens()
-        self.directory._ingest_path_op(_MARK, self.replica, tokens, len(tokens))
+        tokens, data = self._root_path(node)
+        self.directory._ingest_path_op(
+            _MARK, self.replica, tokens, data, node.parent_seq_len
+        )
 
     def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
         # The detached node keeps its edge tokens, so the full removed
         # path is still reconstructible.
-        tokens = np.concatenate([parent.path_tokens(), node.edge_tokens])
+        tokens, data = self._root_path(node, parent)
         self.directory._ingest_path_op(
-            _CLEAR_BEYOND, self.replica, tokens, parent.seq_len
+            _CLEAR_BEYOND, self.replica, tokens, data, parent.seq_len
         )
 
     def on_leaf_truncated(self, node: RadixNode) -> None:
         # The dropped tail tokens are gone from the replica tree, but the
         # directory still holds them: clear-descend below the new end.
-        tokens = node.path_tokens()
-        self.directory._ingest_path_op(_TRUNCATE, self.replica, tokens, len(tokens))
+        tokens, data = self._root_path(node)
+        self.directory._ingest_path_op(
+            _TRUNCATE, self.replica, tokens, data, len(tokens)
+        )
 
     def on_checkpoint_changed(self, node: RadixNode) -> None:
         kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
+        tokens, data = self._root_path(node)
         self.directory._ingest_path_op(
-            kind, self.replica, node.path_tokens(), node.seq_len
+            kind, self.replica, tokens, data, node.seq_len
         )
 
     # Splits and merges redistribute tokens between replica-tree nodes
@@ -212,11 +269,12 @@ class PrefixDirectory:
     """Incrementally maintained prefix -> replica-set index for routing."""
 
     def __init__(self) -> None:
-        self.root = _DirNode(np.empty(0, dtype=np.int32), parent=None)
+        self.root = _DirNode(b"", parent=None)
         self.stats = DirectoryStats()
         self._views: dict[int, _ReplicaView] = {}
         self._caches: dict[int, Any] = {}
         self._tracked: set[int] = set()
+        self._last_path: Optional[tuple] = None  # see _ReplicaView._root_path
 
     # ------------------------------------------------------------------
     # Replica lifecycle
@@ -293,12 +351,20 @@ class PrefixDirectory:
         """
         self.stats.lookups += 1
         out = DirectoryLookup()
+        # Canonicalize once: the walk memcmps the query's bytes against edge
+        # bytes, and an int64 array or a list compared raw would silently
+        # miss.  An interned handle has both halves cached.
+        if isinstance(tokens, TokenSeq):
+            tokens, data = tokens.arr, tokens.tobytes()
+        else:
+            tokens = canonical_token_array(tokens)
+            data = tokens.tobytes()
+        n = len(tokens)
         if limit is None:
-            limit = len(tokens)
+            limit = n
         kv_matched = out.kv_matched
         node = self.root
         pos = 0
-        n = len(tokens)
         # Coverage is prefix-closed (cover on a node implies full cover of
         # every ancestor — see check_integrity), so a single downward pass
         # suffices: deeper cover entries simply overwrite shallower ones.
@@ -306,12 +372,12 @@ class PrefixDirectory:
             child = node.children.get(int(tokens[pos]))
             if child is None:
                 break
-            shared = common_prefix_length(child.edge, tokens[pos:])
+            shared = _edge_shared(child, tokens, data, pos, n)
             for r, c in child.cover.items():
                 kv_matched[r] = pos + (c if c < shared else shared)
-            if shared < len(child.edge):
-                break
             pos += shared
+            if pos < child.end:
+                break
             if child.ckpt and pos <= limit:
                 for r in child.ckpt:
                     out.ckpt_depth[r] = pos
@@ -361,27 +427,29 @@ class PrefixDirectory:
     # Maintenance primitives
     # ------------------------------------------------------------------
     def _ingest_path_op(
-        self, kind: int, replica: int, tokens: np.ndarray, depth: int
+        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
     ) -> None:
         """One replica tree event (the bridge's entry point): apply inline."""
         self.stats.events += 1
-        self._apply_path_op(kind, replica, tokens, depth)
+        self._apply_path_op(kind, replica, tokens, data, depth)
 
     def _apply_path_op(
-        self, kind: int, replica: int, tokens: np.ndarray, depth: int
+        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
     ) -> None:
-        """Apply one path op to the index (``depth`` is the mark extent,
-        the clear keep-depth, or the checkpoint depth)."""
+        """Apply one path op to the index (``data`` is ``tokens``' bytes;
+        ``depth`` as the bridge defines it: a mark runs from the root to the
+        path's end whatever depth it starts changing at, so a shard that
+        lost an earlier mark still ends up prefix-closed)."""
         if kind == _MARK:
-            self._mark(replica, tokens, depth)
+            self._mark(replica, tokens, data, len(tokens))
         elif kind == _CLEAR_BEYOND:
-            self._clear_beyond(replica, tokens, depth)
+            self._clear_beyond(replica, tokens, data, depth)
         elif kind == _TRUNCATE:
-            self._truncate(replica, tokens)
+            self._truncate(replica, tokens, data)
         elif kind == _CKPT_SET:
-            self._set_ckpt(replica, tokens, depth)
+            self._mark(replica, tokens, data, depth, ckpt=True)
         else:  # _CKPT_CLEAR
-            self._clear_ckpt(replica, tokens, depth)
+            self._clear_ckpt(replica, tokens, data, depth)
 
     def _split(self, child: _DirNode, at: int) -> _DirNode:
         """Split ``child``'s edge after ``at`` tokens, redistributing
@@ -389,9 +457,10 @@ class PrefixDirectory:
         depth is unchanged)."""
         parent = child.parent
         assert parent is not None and 0 < at < len(child.edge)
-        middle = _DirNode(child.edge[:at].copy(), parent)
+        middle = _DirNode(child.data[: 4 * at], parent)
         parent.children[int(middle.edge[0])] = middle
-        child.edge = child.edge[at:].copy()
+        child.data = child.data[4 * at :]
+        child.edge = np.frombuffer(child.data, dtype=np.int32)
         child.parent = middle
         middle.children[int(child.edge[0])] = child
         new_cover: dict[int, int] = {}
@@ -426,62 +495,82 @@ class PrefixDirectory:
             self.stats.n_nodes -= 1
             node = parent
 
-    def _mark(self, replica: int, tokens: np.ndarray, upto: int) -> None:
-        """Record that ``replica`` holds KVs for ``tokens[:upto]``."""
+    def _hang(self, parent: _DirNode, data: bytes, replica: int) -> _DirNode:
+        """New leaf under ``parent`` with edge bytes ``data``, fully covered
+        by ``replica``."""
+        leaf = _DirNode(data, parent)
+        parent.children[int(leaf.edge[0])] = leaf
+        leaf.cover[replica] = len(leaf.edge)
+        self.stats.n_nodes += 1
+        return leaf
+
+    def _mark(
+        self,
+        replica: int,
+        tokens: np.ndarray,
+        data: bytes,
+        upto: int,
+        ckpt: bool = False,
+    ) -> None:
+        """Record that ``replica`` holds KVs for ``tokens[:upto]`` and, with
+        ``ckpt``, a recurrent checkpoint at exactly ``upto`` — one descent
+        either way; the checkpoint forces a node boundary at its depth."""
         self.stats.marks += 1
         node = self.root
         pos = 0
         while pos < upto:
-            rem = tokens[pos:upto]
-            child = node.children.get(int(rem[0]))
+            child = node.children.get(int(tokens[pos]))
             if child is None:
-                leaf = _DirNode(np.asarray(rem, dtype=np.int32).copy(), node)
-                node.children[int(leaf.edge[0])] = leaf
-                leaf.cover[replica] = len(leaf.edge)
-                self.stats.n_nodes += 1
-                return
-            shared = common_prefix_length(child.edge, rem)
-            if shared < len(child.edge):
-                if shared < len(rem):
-                    # Divergence mid-edge: split, then hang the new tail.
-                    middle = self._split(child, shared)
-                    middle.cover[replica] = len(middle.edge)
-                    leaf = _DirNode(np.asarray(rem[shared:], dtype=np.int32).copy(), middle)
-                    middle.children[int(leaf.edge[0])] = leaf
-                    leaf.cover[replica] = len(leaf.edge)
-                    self.stats.n_nodes += 1
-                else:
-                    # Marked range ends mid-edge: partial coverage, no split.
-                    child.cover[replica] = max(child.cover.get(replica, 0), shared)
-                return
-            child.cover[replica] = len(child.edge)
-            node = child
+                node = self._hang(node, data[4 * pos : 4 * upto], replica)
+                break
+            shared = _edge_shared(child, tokens, data, pos, upto)
             pos += shared
+            if pos == child.end:
+                child.cover[replica] = shared
+                node = child
+            elif pos < upto:
+                # Divergence mid-edge: split, then hang the new tail.
+                node = self._split(child, shared)
+                node.cover[replica] = shared
+                node = self._hang(node, data[4 * pos : 4 * upto], replica)
+                break
+            elif ckpt:
+                # The checkpointed path ends mid-edge: split at its depth.
+                node = self._split(child, shared)
+                node.cover[replica] = shared
+            else:
+                # Marked range ends mid-edge: partial coverage, no split.
+                child.cover[replica] = max(child.cover.get(replica, 0), shared)
+        if ckpt and node is not self.root:
+            node.ckpt.add(replica)
 
-    def _walk(self, tokens: np.ndarray) -> list[tuple[_DirNode, int, int]]:
-        """Directory path along ``tokens``: ``(node, start_pos, shared)``."""
+    def _walk(
+        self, tokens: np.ndarray, data: bytes, upto: int
+    ) -> list[tuple[_DirNode, int, int]]:
+        """Directory path along ``tokens[:upto]``: ``(node, start_pos, shared)``."""
         path: list[tuple[_DirNode, int, int]] = []
         node = self.root
         pos = 0
-        n = len(tokens)
-        while pos < n:
+        while pos < upto:
             child = node.children.get(int(tokens[pos]))
             if child is None:
                 break
-            shared = common_prefix_length(child.edge, tokens[pos:])
+            shared = _edge_shared(child, tokens, data, pos, upto)
             path.append((child, pos, shared))
-            if shared < len(child.edge):
+            pos += shared
+            if pos < child.end:
                 break
             node = child
-            pos += shared
         return path
 
-    def _clear_beyond(self, replica: int, tokens: np.ndarray, keep: int) -> None:
+    def _clear_beyond(
+        self, replica: int, tokens: np.ndarray, data: bytes, keep: int
+    ) -> None:
         """Clear ``replica``'s coverage and checkpoints past depth ``keep``
         along the known token path."""
         self.stats.clears += 1
         deepest: Optional[_DirNode] = None
-        for node, start, shared in self._walk(tokens):
+        for node, start, shared in self._walk(tokens, data, len(tokens)):
             end_here = start + shared
             if end_here <= keep:
                 continue
@@ -498,14 +587,14 @@ class PrefixDirectory:
             deepest = node
         self._prune(deepest)
 
-    def _truncate(self, replica: int, tokens: np.ndarray) -> None:
+    def _truncate(self, replica: int, tokens: np.ndarray, data: bytes) -> None:
         """Clear ``replica`` below depth ``len(tokens)`` when the dropped
         tail tokens are no longer known (leaf truncation): the directory
         still holds them, and the replica's chain below the cut is unique
         (a truncation always lands strictly inside one former edge)."""
         self.stats.clears += 1
         keep = len(tokens)
-        path = self._walk(tokens)
+        path = self._walk(tokens, data, keep)
         if not path:
             return
         node, start, shared = path[-1]
@@ -541,31 +630,17 @@ class PrefixDirectory:
                     self._prune(child)
         self._prune(anchor)
 
-    def _set_ckpt(self, replica: int, tokens: np.ndarray, depth: int) -> None:
-        """Mark a recurrent checkpoint of ``replica`` at exactly ``depth``."""
-        self._mark(replica, tokens, depth)
-        node = self.root
-        pos = 0
-        while pos < depth:
-            child = node.children.get(int(tokens[pos]))
-            assert child is not None, "checkpoint path must exist after marking"
-            shared = common_prefix_length(child.edge, tokens[pos:depth])
-            if shared < len(child.edge):
-                child = self._split(child, shared)
-            node = child
-            pos += shared
-        if node is not self.root:
-            node.ckpt.add(replica)
-
-    def _clear_ckpt(self, replica: int, tokens: np.ndarray, depth: int) -> None:
+    def _clear_ckpt(
+        self, replica: int, tokens: np.ndarray, data: bytes, depth: int
+    ) -> None:
         """Drop ``replica``'s checkpoint mark at exactly ``depth``."""
-        target: Optional[_DirNode] = None
-        for node, start, shared in self._walk(tokens[:depth]):
-            if start + shared == depth and shared == len(node.edge):
-                target = node
-        if target is not None:
-            target.ckpt.discard(replica)
-            self._prune(target)
+        path = self._walk(tokens, data, depth)
+        if not path:
+            return
+        node, start, shared = path[-1]
+        if start + shared == depth == node.end:
+            node.ckpt.discard(replica)
+            self._prune(node)
 
     def _clear_replica(self, replica: int) -> None:
         """Remove every annotation of ``replica`` from the whole index."""
@@ -583,7 +658,5 @@ class PrefixDirectory:
         attach time and whenever the cache swaps in a new tree)."""
         self._clear_replica(replica)
         self.stats.resyncs += 1
-        for path, has_ckpt in _iter_tree_paths(tree):
-            self._mark(replica, path, len(path))
-            if has_ckpt:
-                self._set_ckpt(replica, path, len(path))
+        for path, data, has_ckpt in _iter_tree_paths(tree):
+            self._mark(replica, path, data, len(path), ckpt=has_ckpt)

@@ -361,11 +361,12 @@ class PrefixAffinityRouter(Router):
         caches: Sequence[Any],
         lookup: Optional[DirectoryLookup] = None,
     ) -> list[int]:
-        """Per-replica hit estimates, decision-identical across modes."""
+        """Per-replica hit estimates, decision-identical across modes.
+        A caller that passes ``lookup`` has bound the fleet to read it."""
         if self._mode(len(caches)) == "deep":
             return [probe_hit_tokens(cache, tokens) for cache in caches]
-        self._bind(caches)
         if lookup is None:
+            self._bind(caches)
             lookup = self._lookup(tokens)
         cap = max(len(tokens) - 1, 0)
         ckpt_depth = lookup.ckpt_depth

@@ -24,7 +24,10 @@ delay.  :class:`ShardedPrefixDirectory` is the production-shaped variant:
   replicas present on all shards.  With ``propagation_delay=0`` the
   sharded directory is therefore *lookup- and decision-identical* to the
   oracle for any shard count — the invariant the differential suite in
-  ``tests/test_sharded_directory.py`` pins.
+  ``tests/test_sharded_directory.py`` pins.  Every update reaches every
+  live shard, but each carries the depth it starts changing the index at,
+  so a non-owner drops one that starts past what it stores before touching
+  a token (:meth:`ShardedPrefixDirectory._apply`).
 
 * **Bounded staleness.**  With ``propagation_delay > 0`` replica tree
   events are enqueued per shard and applied only once the simulation
@@ -58,8 +61,8 @@ from zlib import crc32
 from repro.core.tokens import TokenSeq, canonical_token_array
 from repro.cluster.directory import (
     _CKPT_CLEAR,
-    _CLEAR_BEYOND,
-    _TRUNCATE,
+    _CKPT_SET,
+    _MARK,
     DirectoryLookup,
     PrefixDirectory,
     _ReplicaView,
@@ -80,22 +83,25 @@ _RING_POINTS_PER_SHARD = 16
 class DirectoryUpdate:
     """One replica tree event, serialized for gossip.
 
-    ``tokens`` is the full root path the event names (``None`` for
-    replica-wide ops); ``depth`` is the op's depth argument (mark extent,
-    clear keep-depth, checkpoint depth); ``rkey`` is the event's region
-    key (hash of the first ``region_tokens`` path tokens), computed once
-    at ingest; ``snapshot`` carries a resync's ``(path, has_ckpt)`` node
-    list, captured at event time so delayed application replays the state
-    the event saw, not the state at apply time.
+    ``tokens`` is the full root path the event names and ``data`` its raw
+    bytes (``None`` for replica-wide ops; both read-only, because a queued
+    update outlives the event); ``depth`` is where the op starts changing
+    the index (a mark's parent depth, a clear's keep-depth, a checkpoint's
+    exact depth); ``rkey`` is the event's region key (hash of the first
+    ``region_tokens`` path tokens), computed once at ingest; ``snapshot``
+    carries a resync's ``(path, path bytes, has_ckpt)`` node list,
+    captured at event time so delayed application replays the state the
+    event saw, not the state at apply time.
     """
 
-    __slots__ = ("kind", "replica", "tokens", "depth", "rkey", "snapshot")
+    __slots__ = ("kind", "replica", "tokens", "data", "depth", "rkey", "snapshot")
 
     def __init__(
         self,
         kind: int,
         replica: int,
         tokens: Optional[np.ndarray] = None,
+        data: Optional[bytes] = None,
         depth: int = 0,
         rkey: int = 0,
         snapshot: Optional[list] = None,
@@ -103,6 +109,7 @@ class DirectoryUpdate:
         self.kind = kind
         self.replica = replica
         self.tokens = tokens
+        self.data = data
         self.depth = depth
         self.rkey = rkey
         self.snapshot = snapshot
@@ -258,6 +265,7 @@ class ShardedPrefixDirectory:
         self._views: dict[int, _ReplicaView] = {}
         self._caches: dict[int, Any] = {}
         self._tracked: set[int] = set()
+        self._last_path: Optional[tuple] = None  # see _ReplicaView._root_path
         self._transport: Optional[Any] = None
         self._time = 0.0
         # Aggregate counters (per-shard structural stats live on the
@@ -385,6 +393,9 @@ class ShardedPrefixDirectory:
     def lookup(self, tokens: Any, limit: Optional[int] = None) -> DirectoryLookup:
         """Single-shard walk on the region owner (exact at zero delay)."""
         self.lookups += 1
+        if not isinstance(tokens, TokenSeq):
+            # Once, for the region key and the owner's byte-compared walk.
+            tokens = canonical_token_array(tokens)
         owner = self._ring.lookup(self._region_key(tokens))
         if owner is None:
             return DirectoryLookup()
@@ -399,18 +410,15 @@ class ShardedPrefixDirectory:
     # Ingest / gossip
     # ------------------------------------------------------------------
     def _ingest_path_op(
-        self, kind: int, replica: int, tokens: np.ndarray, depth: int
+        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
     ) -> None:
-        self._ingest(
-            DirectoryUpdate(
-                kind, replica, tokens, depth, rkey=self._region_key(tokens)
-            )
-        )
+        rkey = crc32(data[: 4 * self.region_tokens])
+        self._ingest(DirectoryUpdate(kind, replica, tokens, data, depth, rkey))
 
     @staticmethod
     def _resync_update(replica: int, tree: Any) -> DirectoryUpdate:
-        """One resync update carrying ``tree``'s every (path, checkpointed)
-        as of *now* (empty for a tree-less cache)."""
+        """One resync update carrying ``tree``'s every (path, path bytes,
+        checkpointed) as of *now* (empty for a tree-less cache)."""
         return DirectoryUpdate(_RESYNC, replica, snapshot=list(_iter_tree_paths(tree)))
 
     def _ingest_resync(self, replica: int, tree: Any) -> None:
@@ -421,9 +429,10 @@ class ShardedPrefixDirectory:
     def _ingest(self, update: DirectoryUpdate) -> None:
         self.events += 1
         if self._synchronous:
+            owner = self._ring.lookup(update.rkey)
             for shard in self.shards:
                 if shard.alive:
-                    self._apply(shard, update)
+                    self._apply(shard, update, owner)
                     shard.applied += 1
             return
         now = self._now()
@@ -468,7 +477,7 @@ class ShardedPrefixDirectory:
                 if budget is not None and applied >= budget:
                     break
                 _, _, update = shard.pending.popleft()
-                self._apply(shard, update)
+                self._apply(shard, update, self._ring.lookup(update.rkey))
                 applied += 1
             shard.applied += applied
         if shard.pending:
@@ -485,7 +494,7 @@ class ShardedPrefixDirectory:
             tree = getattr(self._caches.get(replica), "tree", None)
             update = self._resync_update(replica, tree)
             if self._synchronous:
-                self._apply(shard, update)
+                self._apply(shard, update, None)  # a resync resolves per path
                 shard.applied += 1
             else:
                 self._enqueue(shard, update, now, ready)
@@ -503,7 +512,7 @@ class ShardedPrefixDirectory:
                 continue
             while shard.pending and shard.pending[0][0] <= now:
                 _, _, update = shard.pending.popleft()
-                self._apply(shard, update)
+                self._apply(shard, update, self._ring.lookup(update.rkey))
                 shard.applied += 1
                 total += 1
         return total
@@ -511,40 +520,50 @@ class ShardedPrefixDirectory:
     # ------------------------------------------------------------------
     # Op application (owner-full / foreign-truncated)
     # ------------------------------------------------------------------
-    def _stores_full(self, shard: _Shard, depth: int, rkey: int) -> bool:
-        """Does ``shard`` store a ``depth``-token path of region ``rkey``
-        whole (rather than truncated to ``region_tokens``)?"""
-        return depth <= self.region_tokens or self._ring.lookup(rkey) == shard.index
+    def _apply(
+        self, shard: _Shard, update: DirectoryUpdate, owner: Optional[int]
+    ) -> None:
+        """Apply ``update`` on ``shard``; ``owner`` is the ring's owner of
+        the update's region as of now (read once per update when every
+        shard applies it together, per shard when each flushes on its own).
 
-    def _apply(self, shard: _Shard, update: DirectoryUpdate) -> None:
+        A shard stores its own regions whole and every other region's
+        first ``region_tokens`` tokens.  So on a non-owner an op that starts
+        changing the index at or past that depth (past it, for a
+        checkpoint, which sits *at* its depth) changes nothing the shard
+        stores — the tokens before it are already covered, or a resync that
+        re-announces them is queued — and returns before touching a token.
+        """
         d = shard.directory
         r = update.replica
         kind = update.kind
+        region = self.region_tokens
         if kind == _INVALIDATE:
             d.invalidate(r)
         elif kind == _RESYNC:
             d._clear_replica(r)
             d.stats.resyncs += 1
-            for path, has_ckpt in update.snapshot:
+            for path, data, has_ckpt in update.snapshot:
                 depth = len(path)
-                if self._stores_full(shard, depth, self._region_key(path)):
-                    d._mark(r, path, depth)
-                    if has_ckpt:
-                        d._set_ckpt(r, path, depth)
+                if (
+                    depth <= region
+                    or self._ring.lookup(crc32(data[: 4 * region])) == shard.index
+                ):
+                    d._mark(r, path, data, depth, ckpt=has_ckpt)
                 else:
-                    d._mark(r, path, self.region_tokens)
-        elif kind in (_CLEAR_BEYOND, _TRUNCATE) or self._stores_full(
-            shard, update.depth, update.rkey
-        ):
-            # The clears need no filter: their walks self-limit to what
-            # the shard stores, so a foreign shard clears exactly its
-            # truncated copy.
-            d._apply_path_op(kind, r, update.tokens, update.depth)
-        elif kind != _CKPT_CLEAR:
-            # A foreign region past its boundary: shards store coverage up
-            # to the boundary and never a deeper checkpoint, so a mark or a
-            # checkpoint-set leaves only the truncated mark.
-            d._mark(r, update.tokens, self.region_tokens)
+                    d._mark(r, path, data, region)
+        else:
+            tokens, data, depth = update.tokens, update.data, update.depth
+            if owner != shard.index:
+                at_depth = kind == _CKPT_SET or kind == _CKPT_CLEAR
+                if depth > region or (depth == region and not at_depth):
+                    return
+                if kind == _MARK and len(tokens) > region:
+                    d._mark(r, tokens, data, region)
+                    return
+            # The owner; or an op shallow enough to apply whole anywhere (a
+            # clear's walk self-limits to the shard's truncated copy).
+            d._apply_path_op(kind, r, tokens, data, depth)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -637,22 +656,24 @@ class ShardedPrefixDirectory:
         }
 
     def check_integrity(self) -> None:
-        """Per-shard structural invariants plus the sharding contract:
-        foreign-region checkpoints never exceed the region depth."""
+        """Per-shard structural invariants plus the sharding contract the
+        non-owner skip in :meth:`_apply` relies on: a shard stores nothing
+        — cover or checkpoint — past ``region_tokens`` outside the regions
+        the ring assigns to it."""
+        cut = 4 * self.region_tokens
         for shard in self.shards:
             if not shard.alive:
                 assert not shard.pending, "dead shard with queued gossip"
                 continue
             shard.directory.check_integrity()
-            for node in shard.directory.iter_nodes():
-                if node.ckpt and node.end > self.region_tokens:
-                    path = node.parent
-                    tokens: list[np.ndarray] = [node.edge]
-                    while path is not None and path.parent is not None:
-                        tokens.append(path.edge)
-                        path = path.parent
-                    full = np.concatenate(tokens[::-1])
-                    owner = self._ring.lookup(self._region_key(full))
-                    assert owner == shard.index, (
-                        "deep checkpoint stored on a non-owner shard"
+            # Depth-first with the region-defining head of each path.
+            stack = [(node, b"") for node in shard.directory.root.children.values()]
+            while stack:
+                node, head = stack.pop()
+                if len(head) < cut:
+                    head += node.data[: cut - len(head)]
+                if node.end > self.region_tokens:
+                    assert self._ring.lookup(crc32(head)) == shard.index, (
+                        "deep entry stored on a non-owner shard"
                     )
+                stack.extend((child, head) for child in node.children.values())

@@ -146,8 +146,11 @@ class RadixNode:
     def path_tokens(self) -> np.ndarray:
         """Full root→node token sequence, rebuilt on every call in O(depth).
 
-        On the cluster directories' update hot path: their observer bridge
-        calls it once per tree event to name the path the event touched.
+        Not on a per-event hot path: the cluster directories' observer
+        bridge joins the same parent chain straight into bytes, once per
+        burst of events on a node (``_ReplicaView._root_path``), instead of
+        calling this per tree event.  Callers are the tiered cache's
+        demotions, the offline Belady analysis and tests.
         """
         parts: list[np.ndarray] = []
         node: Optional[RadixNode] = self

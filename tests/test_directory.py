@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import PrefixAffinityRouter, PrefixDirectory, probe_hit_tokens
 from repro.core.cache import MarconiCache
+from repro.core.tokens import TokenSeq
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b, transformer_7b
 from repro.tiering import TieredMarconiCache
@@ -255,6 +256,108 @@ class TestDirectoryMultiReplica:
         serve(caches[0], seq, 0.0)
         serve(caches[1], seq, 0.0)
         assert_parity(directory, caches, [np.concatenate([seq, toks(30, 91)])])
+
+
+class TestByteEdges:
+    """Directory edges are stored as bytes and walked by memcmp: the
+    representation must own its buffers and survive every split."""
+
+    def _two_replica_split(self):
+        """Replica 0 holds one 12-token leaf; replica 1's divergence at
+        depth 8 splits the union edge.  Returns the caller-side arrays too."""
+        caches = [MarconiCache(TRANSFORMER, int(1e12), alpha=0.0) for _ in range(2)]
+        directory = PrefixDirectory()
+        for i, cache in enumerate(caches):
+            directory.attach(i, cache)
+        base = np.arange(100, 112, dtype=np.int32)
+        diverged = np.concatenate([base[:8], [50, 51, 52]]).astype(np.int32)
+        caches[0].tree.insert(base, 0.0)
+        caches[1].tree.insert(diverged, 1.0)
+        return directory, caches, base, diverged
+
+    def test_split_halves_concatenate_to_the_original_edge(self):
+        directory, _, base, diverged = self._two_replica_split()
+        directory.check_integrity()
+        (head,) = directory.root.children.values()
+        assert head.data == base[:8].tobytes()
+        tails = {child.data for child in head.children.values()}
+        assert tails == {base[8:].tobytes(), diverged[8:].tobytes()}
+        for tail in tails:
+            assert head.data + tail in (base.tobytes(), diverged.tobytes())
+
+    def test_edge_views_read_the_stored_bytes_and_alias_no_caller_array(self):
+        directory, caches, base, diverged = self._two_replica_split()
+        replica_edges = [n.edge_tokens for c in caches for n in c.tree.iter_nodes()]
+        for node in directory.iter_nodes():
+            assert isinstance(node.data, bytes)
+            assert node.edge.dtype == np.int32 and not node.edge.flags.writeable
+            assert node.edge.tobytes() == node.data
+            assert node.end == node.parent.end + len(node.edge)
+            for outside in [base, diverged, *replica_edges]:
+                assert not np.shares_memory(node.edge, outside)
+        # Mutating what the caller passed in cannot reach the index.
+        want = directory.lookup(np.arange(100, 112, dtype=np.int32))
+        base[:] = 0
+        diverged[:] = 0
+        assert directory.lookup(np.arange(100, 112, dtype=np.int32)) == want
+
+    @pytest.mark.parametrize("attach_first", [True, False], ids=["events", "resync"])
+    def test_replica_edges_that_are_not_contiguous_int32_are_canonicalized(
+        self, attach_first
+    ):
+        """A tree fed directly can hold int64 or strided edges; the bridge
+        (and the resync walk) must index their int32 bytes."""
+        cache = MarconiCache(TRANSFORMER, int(1e12), alpha=0.0)
+        directory = PrefixDirectory()
+        if attach_first:
+            directory.attach(0, cache)
+        wide = np.arange(500, 520, dtype=np.int64)
+        strided = np.arange(900, 940, dtype=np.int32)[::2]
+        assert not strided.flags.c_contiguous
+        cache.tree.insert(wide, 0.0)
+        cache.tree.insert(strided, 1.0)
+        cache.tree.insert(np.concatenate([wide[:12], [7, 8]]), 2.0)  # splits the int64 edge
+        assert {n.edge_tokens.dtype for n in cache.tree.iter_nodes()} == {
+            np.dtype(np.int64),
+            np.dtype(np.int32),
+        }
+        if not attach_first:
+            directory.attach(0, cache)
+        directory.check_integrity()
+        for path in (wide, strided, np.concatenate([wide[:12], [7, 8]])):
+            query = np.asarray(path, dtype=np.int32)
+            assert directory.lookup(query).kv_matched == {0: len(query)}
+        assert all(node.edge.dtype == np.int32 for node in directory.iter_nodes())
+
+    @pytest.mark.parametrize("model", [HYBRID, TRANSFORMER], ids=["hybrid", "kv"])
+    def test_lookup_is_the_same_for_every_spelling_of_a_query(self, model):
+        """memcmp on a buffer that is not int32 would be a silent miss:
+        handles, int32 arrays, int64 arrays, strided views and lists are
+        canonicalized once and must walk identically."""
+        cache = MarconiCache(model, int(1e12), alpha=0.0)
+        directory = PrefixDirectory()
+        directory.attach(0, cache)
+        seq = toks(300, 40)
+        full = serve(cache, seq, 0.0)
+        serve(cache, np.concatenate([seq[:120], toks(40, 41)]), 1.0)
+        queries = [
+            np.concatenate([full, toks(7, 42)]),  # runs past a leaf
+            full[:200],  # ends mid-edge
+            np.concatenate([seq[:137], toks(20, 43)]),  # diverges mid-edge
+            full[:120],  # ends on a node boundary
+        ]
+        for query in queries:
+            want = directory.lookup(query, limit=len(query) - 1)
+            assert want.kv_matched, "the query must actually match something"
+            strided = np.repeat(query, 2)[::2]
+            assert not strided.flags.c_contiguous
+            for spelling in (
+                TokenSeq(query),
+                query.astype(np.int64),
+                strided,
+                query.tolist(),
+            ):
+                assert directory.lookup(spelling, limit=len(query) - 1) == want
 
 
 @st.composite

@@ -69,6 +69,7 @@ def assert_lookup_identical(sharded, oracle, queries):
                 f"ckpt divergence for {len(query)}-token query at limit {limit}: "
                 f"sharded {got.ckpt_depth} != oracle {want.ckpt_depth}"
             )
+            assert got.ckpt_depths == want.ckpt_depths
 
 
 def fresh_cache(model=HYBRID, capacity=int(1e12), alpha=0.0):
@@ -229,20 +230,35 @@ class TestZeroDelayConformance:
         assert sharded.replicas == oracle.replicas == (0, 2, 3)
 
     def test_interned_tokens_lookup_identical(self):
-        """TokenSeq queries take the O(1) prefix-hash fast path; the
-        answers must match the array slow path and the oracle."""
+        """TokenSeq queries take the prefix-hash fast path and hand the
+        walk their cached bytes; int64 arrays, strided views and lists are
+        canonicalized once (memcmp on a non-int32 buffer would be a silent
+        miss).  All must pick the same shard and walk like the oracle."""
         cache = fresh_cache()
         sharded = ShardedPrefixDirectory(n_shards=4, region_tokens=8)
         oracle = PrefixDirectory()
         sharded.attach(0, cache)
         oracle.attach(0, cache)
         full = serve(cache, toks(100, 50), 0.0)
-        query = np.concatenate([full, toks(5, 51)])
-        interned = TokenSeq(query)
-        assert sharded._region_key(interned) == sharded._region_key(query)
-        a = sharded.lookup(interned, limit=len(query) - 1)
-        b = oracle.lookup(query, limit=len(query) - 1)
-        assert a.ckpt_depth == b.ckpt_depth and a.kv_matched == b.kv_matched
+        for query in (
+            np.concatenate([full, toks(5, 51)]),  # runs past the leaf
+            full[:60],  # ends mid-edge, past the region
+            full[:8],  # exactly the region
+            full[:5],  # inside the region: answered by any shard
+            np.concatenate([full[:40], toks(9, 52)]),  # diverges mid-edge
+        ):
+            want = oracle.lookup(query, limit=len(query) - 1)
+            assert want.kv_matched
+            strided = np.repeat(query, 2)[::2]
+            for spelling in (
+                TokenSeq(query),
+                query,
+                query.astype(np.int64),
+                strided,
+                query.tolist(),
+            ):
+                assert sharded._region_key(spelling) == sharded._region_key(query)
+                assert sharded.lookup(spelling, limit=len(query) - 1) == want
 
     def test_close_detaches_everything(self):
         cache = fresh_cache()
@@ -253,6 +269,101 @@ class TestZeroDelayConformance:
         # Observer removed: further cache activity must not be indexed.
         full = serve(cache, tiny(12, 3), 0.0)
         assert not sharded.lookup(full, limit=len(full)).ckpt_depth
+
+
+class TestRegionBoundary:
+    """A non-owner shard drops an op that starts changing the index at or
+    past ``region_tokens`` (past it, for a checkpoint) before touching a
+    token.  Every kind of depth an op carries — a replica node boundary (a
+    mark's start), a clear's or truncation's keep-depth, a checkpoint's
+    depth — is driven onto ``region_tokens - 1``, ``region_tokens`` and
+    ``region_tokens + 1``, with the oracle and ``check_integrity`` consulted
+    after every single tree event."""
+
+    @staticmethod
+    def _events(tree, a, b, boundary):
+        """Tree events of one replica around a node boundary at ``boundary``;
+        yields after each one that reaches the directory."""
+        leaf_a = tree.insert(a, 0.0).end_node  # mark from depth 0
+        yield
+        grown = tree.insert(b, 1.0)  # split at `boundary`, mark from it
+        middle, leaf_b = grown.split_node, grown.end_node
+        assert middle.seq_len == boundary == leaf_b.parent_seq_len
+        yield
+        tree.set_checkpoint(middle)  # checkpoint at `boundary`
+        yield
+        tree.set_checkpoint(leaf_a)  # ... and a deep one
+        yield
+        tree.truncate_leaf(leaf_b, 1)  # keep-depth `boundary + 1`
+        yield
+        tree.clear_checkpoint(middle)
+        yield
+        tree.remove_leaf(leaf_b)  # clear with keep-depth `boundary`
+        yield
+        tree.clear_checkpoint(leaf_a)
+        yield
+        tree.merge_into_child(middle)  # no directory event
+        tree.truncate_leaf(leaf_a, boundary)  # keep-depth `boundary`
+        yield
+        tree.remove_leaf(leaf_a)  # keep-depth 0: every shard clears
+        yield
+
+    @classmethod
+    def _drive(cls, caches, boundary, first, check):
+        """Both replicas step through :meth:`_events` in turn on the same
+        two paths (``first`` keeps scenarios in distinct regions)."""
+        rng = np.random.default_rng(1000 * first + boundary)
+        stem = np.concatenate([[first], rng.integers(100, 30000, boundary - 1)])
+        # Two tokens past the boundary: the shallowest scenario's leaves
+        # end at ``region_tokens + 1``, one past what a non-owner stores.
+        a = np.concatenate([stem, [40_001], rng.integers(100, 30000, 1)]).astype(np.int32)
+        b = np.concatenate([stem, [40_002], rng.integers(100, 30000, 1)]).astype(np.int32)
+        queries = [a, b, a[:boundary], a[: boundary + 1], np.concatenate([b, [7, 8]])]
+        if boundary > 1:
+            queries.append(a[: boundary - 1])
+        replicas = [cls._events(cache.tree, a, b, boundary) for cache in caches]
+        # Replica 1 trails replica 0 by two events, so each op meets the
+        # other replica's entries in a different state.
+        order = replicas[:1] * 2 + [r for _ in range(8) for r in replicas[::-1]] + replicas[1:] * 2
+        for replica in order:
+            next(replica)
+            check(queries)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 8])
+    @pytest.mark.parametrize("region_tokens", [1, 4, 32])
+    def test_every_op_depth_on_the_boundary(self, n_shards, region_tokens):
+        caches = [fresh_cache() for _ in range(2)]
+        sharded = ShardedPrefixDirectory(n_shards=n_shards, region_tokens=region_tokens)
+        oracle = PrefixDirectory()
+        for i, cache in enumerate(caches):
+            sharded.attach(i, cache)
+            oracle.attach(i, cache)
+        seen = []
+
+        def check(queries):
+            seen.extend(queries)
+            sharded.check_integrity()
+            oracle.check_integrity()
+            assert_lookup_identical(sharded, oracle, queries)
+            # What fits in the region is held by every shard, owner or not.
+            for query in queries:
+                if len(query) <= region_tokens:
+                    want = oracle.lookup(query)
+                    for shard in sharded.shards:
+                        assert not shard.alive or shard.directory.lookup(query) == want
+
+        boundaries = [b for b in (region_tokens - 1, region_tokens, region_tokens + 1) if b]
+        for first, boundary in enumerate(boundaries, start=1):
+            self._drive(caches, boundary, first, check)
+        # Leave content behind for the shard loss to re-home, then repeat.
+        keep = [serve(caches[i], toks(region_tokens + 3 + i, 70 + i), 9.0) for i in (0, 1)]
+        check(keep)
+        if n_shards > 1:
+            sharded.fail_shard(sharded.shard_for(keep[0]))
+            check(keep + seen)
+            for first, boundary in enumerate(boundaries, start=11):
+                self._drive(caches, boundary, first, check)
+            check(keep)
 
 
 @st.composite
@@ -520,6 +631,30 @@ class TestBoundedStaleness:
         for entry in snap["per_shard"]:
             assert {"shard", "alive", "applied_updates", "pending_updates"} <= set(entry)
 
+    def test_queued_updates_share_one_write_protected_path(self):
+        """A commit's mark and checkpoint name the same leaf: the bridge
+        serializes its root path once, and both queued updates carry that
+        one array and its bytes — read-only, because they outlive the event
+        (the leaf's edge may since have been split or truncated)."""
+        sharded = ShardedPrefixDirectory(
+            n_shards=1, region_tokens=4, propagation_delay=1.0, gossip_interval=0.5
+        )
+        cache = fresh_cache()
+        sharded.attach(0, cache)
+        sharded.pump(upto=5.0)
+        full = serve(cache, toks(20, 3), 5.0)
+        # begin() marked the 20-token input; commit() hung the output under it.
+        _, mark, ckpt = [update for _, _, update in sharded.shards[0].pending]
+        assert (mark.kind, mark.depth) == (0, 20) and (ckpt.kind, ckpt.depth) == (3, len(full))
+        assert ckpt.tokens is mark.tokens and ckpt.data is mark.data
+        assert isinstance(mark.data, bytes) and mark.data == full.tobytes()
+        assert mark.tokens.dtype == np.int32 and not mark.tokens.flags.writeable
+        with pytest.raises(ValueError):
+            mark.tokens[0] = 1
+        assert not np.shares_memory(mark.tokens, full)
+        for node in cache.tree.iter_nodes():
+            assert not np.shares_memory(mark.tokens, node.edge_tokens)
+
     def test_synchronous_lookups_record_no_ages(self):
         """Synchronous gossip applies inline, so every lookup's age is 0.0:
         the directory must not keep one float per lookup for its lifetime,
@@ -646,6 +781,50 @@ class TestShardFaults:
         lookup = sharded.lookup(full, limit=len(full))
         assert not lookup.ckpt_depth and not lookup.kv_matched
         sharded.check_integrity()
+
+    def test_checkpoint_after_a_lost_mark_still_lands_on_full_coverage(self):
+        """The mark of a new leaf is lost in a dropped batch; the leaf's
+        checkpoint is applied next, ahead of the recovery resync (a budget
+        of one update per flush keeps the two apart).  Applying it marks
+        and checkpoints in one descent, so the owner never holds a
+        checkpoint over missing coverage, a non-owner (which drops the deep
+        checkpoint untouched) holds nothing stale, and the resync converges
+        every shard to the oracle."""
+        sharded = ShardedPrefixDirectory(
+            n_shards=2,
+            region_tokens=4,
+            propagation_delay=1.0,
+            gossip_budget=1,
+            gossip_interval=0.5,
+        )
+        transport = ManualGossipTransport()
+        sharded.connect_transport(transport)
+        oracle = PrefixDirectory()
+        cache = fresh_cache()
+        sharded.attach(0, cache)
+        oracle.attach(0, cache)
+        transport.run_until(5.0)  # the attach-time resyncs are history
+        path = toks(10, 77)
+        leaf = cache.tree.insert(path, 5.0).end_node  # mark: due at 6.0
+        transport.run_until(5.5)
+        cache.tree.set_checkpoint(leaf)  # checkpoint: due at 6.5
+        sharded.drop_gossip()
+        transport.run_until(6.0)  # the mark's batch is lost on every shard
+        assert sharded.staleness()["updates_dropped"] == 2
+        assert not sharded.lookup(path).kv_matched
+        transport.run_until(7.0)  # the checkpoint applies; the resync is next
+        assert sharded.staleness()["updates_pending"] == 2
+        assert [s.pending[0][2].snapshot is not None for s in sharded.shards] == [True] * 2
+        sharded.check_integrity()
+        assert sharded.lookup(path) == oracle.lookup(path)
+        owner = sharded.shard_for(path)
+        assert sharded.shards[1 - owner].directory.stats.n_nodes == 0
+        transport.run_until(10.0)
+        assert sharded.staleness()["updates_pending"] == 0
+        sharded.check_integrity()
+        assert_lookup_identical(sharded, oracle, [path, path[:4], path[:3], toks(6, 78)])
+        for shard in sharded.shards:  # the region's head is on both again
+            assert shard.directory.lookup(path[:4]) == oracle.lookup(path[:4])
 
 
 class TestSharedBackendRouting:
