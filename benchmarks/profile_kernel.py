@@ -1,8 +1,15 @@
 """Profiling harness for the simulation kernel's hot paths.
 
-Replays the exact ``BENCH_kernel.json`` trace (lmsys, 120 sessions,
-seed 37, ``max_running=1``) through :class:`SimulationKernel` under two
-complementary profilers, entirely from the standard library:
+Replays a trace through :class:`SimulationKernel` (``max_running=1``) under
+two complementary profilers, entirely from the standard library.
+``--workload lmsys`` (the default) is the exact ``BENCH_kernel.json`` trace
+(120 sessions, seed 37, a 24-state cache: eviction-heavy, short inputs);
+``--workload swebench`` is ``bench_e2e``'s ``cache_reuse`` shape (long
+multi-round histories against a cache that never evicts: deep matches, long
+inserts and token materialization).  Every run replays a freshly generated
+trace, as ``bench_e2e`` does per repetition, so what a session pays on first
+use (building its token buffer) is inside the profile rather than in a
+warm-up; generation itself is outside the sampled and timed window.
 
 * **cProfile** — exact call counts and per-function cumulative times,
   printed as a top-N table and optionally dumped to a ``.prof`` file for
@@ -15,14 +22,15 @@ complementary profilers, entirely from the standard library:
   by browser text search, hover for exact sample counts).  Sampling
   adds negligible bias, so widths reflect real wall time.
 
-Usage (CI runs exactly this)::
+Usage (CI runs exactly these)::
 
     PYTHONPATH=src python benchmarks/profile_kernel.py \
         --repeats 30 --svg flamegraph.svg --cprofile kernel.prof
+    PYTHONPATH=src python benchmarks/profile_kernel.py \
+        --workload swebench --repeats 10 --svg flamegraph-swebench.svg
 
-The run also prints the measured events/s so a human can eyeball the
-number against the committed ``FLOOR_EVENTS_PER_SECOND`` in
-``benchmarks/test_micro_kernel.py``.
+The run also prints the measured events/s (of the lmsys trace:
+``kernel_events_per_second`` in ``benchmarks/out/BENCH_kernel.json``).
 """
 
 from __future__ import annotations
@@ -45,35 +53,46 @@ from repro.core.cache import MarconiCache  # noqa: E402
 from repro.engine.kernel import KernelConfig, SimulationKernel  # noqa: E402
 from repro.models.memory import node_state_bytes  # noqa: E402
 from repro.models.presets import hybrid_7b  # noqa: E402
-from repro.workloads.lmsys import generate_lmsys_trace  # noqa: E402
+from repro.workloads.registry import generate_trace  # noqa: E402
+from repro.workloads.trace import Trace  # noqa: E402
 
-N_SESSIONS = 120
 MODEL = hybrid_7b()
 
+#: workload -> (trace recipe, cache capacity in 2000-token states).
+WORKLOADS = {
+    "lmsys": (dict(n_sessions=120, session_rate=3.0, mean_think_s=2.0, seed=37), 24),
+    "swebench": (dict(n_sessions=150, session_rate=0.2, seed=37), 1 << 20),
+}
 
-def _fresh_kernel() -> SimulationKernel:
-    cache = MarconiCache(MODEL, 24 * node_state_bytes(MODEL, 2000, True), alpha=1.0)
-    return SimulationKernel(
+
+def _fresh_run(workload: str) -> tuple[SimulationKernel, Trace]:
+    """A new kernel over a new cache, and a newly generated trace (nothing
+    about it interned yet)."""
+    recipe, states = WORKLOADS[workload]
+    cache = MarconiCache(MODEL, states * node_state_bytes(MODEL, 2000, True), alpha=1.0)
+    kernel = SimulationKernel(
         MODEL, [cache], config=KernelConfig(max_running=1), policy_names=["kernel"]
     )
+    return kernel, generate_trace(workload, **recipe)
 
 
 # ----------------------------------------------------------------------
 # Stack sampler -> folded stacks
 # ----------------------------------------------------------------------
 class StackSampler(threading.Thread):
-    """Samples one thread's Python stack on a fixed tick."""
+    """Samples one thread's Python stack on a fixed tick while ``active``."""
 
     def __init__(self, target_thread_id: int, interval_s: float = 0.001) -> None:
         super().__init__(daemon=True)
         self._target = target_thread_id
         self._interval = interval_s
         self._halt = threading.Event()
+        self.active = False
         self.samples: Counter[tuple[str, ...]] = Counter()
 
     def run(self) -> None:
         while not self._halt.is_set():
-            frame = sys._current_frames().get(self._target)
+            frame = sys._current_frames().get(self._target) if self.active else None
             if frame is not None:
                 stack = []
                 while frame is not None:
@@ -180,8 +199,14 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=30,
-        help="kernel runs inside the sampled window (default 30; one run "
-        "is ~35 ms, so 30 gives ~1000 flamegraph samples)",
+        help="kernel runs inside the sampled window (default 30; one lmsys "
+        "run is ~35 ms, so 30 gives ~1000 flamegraph samples)",
+    )
+    parser.add_argument(
+        "--workload",
+        choices=sorted(WORKLOADS),
+        default="lmsys",
+        help="trace to replay (default lmsys, the BENCH_kernel.json trace)",
     )
     parser.add_argument(
         "--svg",
@@ -203,25 +228,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trace = generate_lmsys_trace(
-        n_sessions=N_SESSIONS, session_rate=3.0, mean_think_s=2.0, seed=37
-    )
-    # Warmup: imports, numpy init, trace interning.
-    run = _fresh_kernel().run(trace)
+    # Warmup: imports, numpy init, lazily built tables.
+    kernel, trace = _fresh_run(args.workload)
+    run = kernel.run(trace)
 
     # --- timed + sampled window ---------------------------------------
     sampler = StackSampler(threading.get_ident())
     sampler.start()
     walls = []
     for _ in range(args.repeats):
-        kernel = _fresh_kernel()
+        kernel, trace = _fresh_run(args.workload)
+        sampler.active = True
         t0 = time.perf_counter()
         kernel.run(trace)
         walls.append(time.perf_counter() - t0)
+        sampler.active = False
     sampler.stop()
     best = min(walls)
     print(
-        f"{run.n_events} events: best {1e3 * best:.2f} ms over "
+        f"{args.workload}: {run.n_events} events: best {1e3 * best:.2f} ms over "
         f"{args.repeats} runs -> {run.n_events / best:,.0f} events/s"
     )
 
@@ -230,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"flamegraph: {args.svg} ({n_samples} stack samples)")
 
     # --- cProfile pass (separate window: tracing skews walls) ---------
-    kernel = _fresh_kernel()
+    kernel, trace = _fresh_run(args.workload)
     profiler = cProfile.Profile()
     profiler.enable()
     kernel.run(trace)

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.node import RadixNode
 from repro.core.radix_tree import TreeObserver, common_prefix_length
-from repro.core.tokens import TokenSeq, canonical_token_array
+from repro.core.tokens import token_bytes
 
 
 class _DirNode:
@@ -164,10 +164,7 @@ def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bytes, bool]]:
         node, data = stack.pop()
         if node is not root:
             yield np.frombuffer(data, dtype=np.int32), data, bool(node.has_ssm_state)
-        stack.extend(
-            (child, data + canonical_token_array(child.edge_tokens).tobytes())
-            for child in node.children.values()
-        )
+        stack.extend((child, data + child.data) for child in node.children.values())
 
 
 class _ReplicaView(TreeObserver):
@@ -204,16 +201,13 @@ class _ReplicaView(TreeObserver):
         last = directory._last_path
         if last is not None and last[0] == node.node_id and last[1] == node.seq_len:
             return last[2], last[3]
-        # One copy: the edges, canonical (a memcmp against anything but
-        # contiguous int32 would silently miss), joined straight into bytes.
-        edges = [] if parent is None else [node.edge_tokens]
+        # One copy: the parent chain's edge bytes, joined.
+        edges = [] if parent is None else [node.data]
         cursor = node if parent is None else parent
         while cursor.parent is not None:
-            edges.append(cursor.edge_tokens)
+            edges.append(cursor.data)
             cursor = cursor.parent
-        data = b"".join(
-            [np.ascontiguousarray(edge, dtype=np.int32) for edge in reversed(edges)]
-        )
+        data = b"".join(reversed(edges))
         tokens = np.frombuffer(data, dtype=np.int32)
         directory._last_path = (node.node_id, node.seq_len, tokens, data)
         return tokens, data
@@ -353,12 +347,8 @@ class PrefixDirectory:
         out = DirectoryLookup()
         # Canonicalize once: the walk memcmps the query's bytes against edge
         # bytes, and an int64 array or a list compared raw would silently
-        # miss.  An interned handle has both halves cached.
-        if isinstance(tokens, TokenSeq):
-            tokens, data = tokens.arr, tokens.tobytes()
-        else:
-            tokens = canonical_token_array(tokens)
-            data = tokens.tobytes()
+        # miss.  A handle lends its backing bytes, which may run past ``n``.
+        tokens, data = token_bytes(tokens)
         n = len(tokens)
         if limit is None:
             limit = n

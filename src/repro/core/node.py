@@ -4,6 +4,12 @@ Following the paper's Fig. 4, we associate states with *nodes*: a node owns
 the KVs of the tokens on its incoming edge (``edge_tokens``) and, when it is
 a checkpoint, one full-model recurrent (SSM + conv) state representing *all*
 tokens from the root through the end of its edge.
+
+A node owns its edge outright: ``data`` is the edge's immutable int32 bytes
+(what :meth:`RadixTree.match` / ``insert`` memcmp a query against, in place)
+and ``edge_tokens`` a read-only array view of the same buffer.  The pair is
+only ever replaced together (:meth:`RadixNode.replace_edge`), never mutated,
+and never aliases a request's or a session's buffer.
 """
 
 from __future__ import annotations
@@ -15,14 +21,18 @@ import numpy as np
 
 _node_ids = itertools.count(1)
 
+#: The root's edge: every tree shares one empty view.
+_EMPTY_EDGE = np.frombuffer(b"", dtype=np.int32)
+
 
 class RadixNode:
     """A node in the prefix radix tree.
 
     Attributes
     ----------
-    edge_tokens:
-        Tokens on the edge from ``parent`` to this node (empty for the root).
+    data, edge_tokens:
+        Tokens on the edge from ``parent`` to this node (empty for the root),
+        as raw int32 bytes and as a read-only array view of them.
         The node owns the KVs of exactly these tokens; absorption on eviction
         concatenates a removed parent's edge into its child's, so KV byte
         accounting follows ``len(edge_tokens)`` at all times.
@@ -45,6 +55,7 @@ class RadixNode:
 
     __slots__ = (
         "node_id",
+        "data",
         "edge_tokens",
         "parent",
         "children",
@@ -55,30 +66,34 @@ class RadixNode:
         "hit_count",
         "pin_count",
         "state_payload",
-        "_edge_bytes",
     )
 
     def __init__(
         self,
-        edge_tokens: np.ndarray,
+        data: bytes,
         parent: Optional["RadixNode"],
         now: float,
     ) -> None:
         self.node_id: int = next(_node_ids)
-        self.edge_tokens: np.ndarray = edge_tokens
+        self.data: bytes = data
+        self.edge_tokens: np.ndarray = (
+            np.frombuffer(data, dtype=np.int32) if data else _EMPTY_EDGE
+        )
         self.parent: Optional[RadixNode] = parent
         self.children: dict[int, RadixNode] = {}
         parent_len = parent.seq_len if parent is not None else 0
-        self.seq_len: int = parent_len + len(edge_tokens)
+        self.seq_len: int = parent_len + len(self.edge_tokens)
         self.has_ssm_state: bool = False
         self.last_access: float = now
         self.created_at: float = now
         self.hit_count: int = 0
         self.pin_count: int = 0
         self.state_payload: Any = None
-        # Lazy raw-bytes view of ``edge_tokens`` for the match/insert byte
-        # fast path; the tree resets it whenever it reassigns the edge.
-        self._edge_bytes: Optional[bytes] = None
+
+    def replace_edge(self, data: bytes) -> None:
+        """Swap in new edge bytes and their view (split, merge, truncate)."""
+        self.data = data
+        self.edge_tokens = np.frombuffer(data, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -130,18 +145,6 @@ class RadixNode:
     def child_for(self, token: int) -> Optional["RadixNode"]:
         """Child whose edge starts with ``token``, if any."""
         return self.children.get(int(token))
-
-    def edge_bytes(self) -> bytes:
-        """Raw int32 bytes of ``edge_tokens``, computed once per edge value.
-
-        Full-edge matches in :meth:`RadixTree.match`/``insert`` compare one
-        cached bytes object against a slice of the query's bytes — a single
-        C memcmp — instead of an elementwise numpy comparison per edge.
-        """
-        data = self._edge_bytes
-        if data is None:
-            data = self._edge_bytes = self.edge_tokens.tobytes()
-        return data
 
     def path_tokens(self) -> np.ndarray:
         """Full root→node token sequence, rebuilt on every call in O(depth).

@@ -43,11 +43,7 @@ def save_cache(cache: MarconiCache, path: str | Path) -> None:
     for position, node in enumerate(nodes):
         index_of[id(node)] = position
 
-    edge_tokens = (
-        np.concatenate([node.edge_tokens for node in nodes])
-        if nodes
-        else np.empty(0, dtype=np.int32)
-    )
+    edge_tokens = np.frombuffer(b"".join(node.data for node in nodes), dtype=np.int32)
     meta = {
         "format_version": _FORMAT_VERSION,
         "model_name": cache.model.name,
@@ -60,7 +56,7 @@ def save_cache(cache: MarconiCache, path: str | Path) -> None:
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         parent=np.asarray([index_of[id(n.parent)] for n in nodes], dtype=np.int64),
         edge_lengths=np.asarray([n.kv_tokens for n in nodes], dtype=np.int64),
-        edge_tokens=edge_tokens.astype(np.int32),
+        edge_tokens=edge_tokens,
         has_ssm_state=np.asarray([n.has_ssm_state for n in nodes], dtype=np.bool_),
         last_access=np.asarray([n.last_access for n in nodes], dtype=np.float64),
         created_at=np.asarray([n.created_at for n in nodes], dtype=np.float64),
@@ -78,7 +74,7 @@ def load_tree(path: str | Path) -> tuple[RadixTree, dict]:
             )
         parent = data["parent"]
         edge_lengths = data["edge_lengths"]
-        edge_tokens = data["edge_tokens"]
+        edge_bytes = data["edge_tokens"].astype(np.int32, copy=False).tobytes()
         has_ssm = data["has_ssm_state"]
         last_access = data["last_access"]
         created_at = data["created_at"]
@@ -86,14 +82,14 @@ def load_tree(path: str | Path) -> tuple[RadixTree, dict]:
 
     tree = RadixTree()
     nodes: list[RadixNode] = []
-    offsets = np.concatenate([[0], np.cumsum(edge_lengths)])
+    offsets = (4 * np.concatenate([[0], np.cumsum(edge_lengths)])).tolist()
     for i in range(len(edge_lengths)):
         parent_index = int(parent[i])
         if parent_index >= i:
             raise ValueError("corrupt snapshot: parent after child in pre-order")
         parent_node = tree.root if parent_index == -1 else nodes[parent_index]
         node = RadixNode(
-            edge_tokens[offsets[i] : offsets[i + 1]].copy(),
+            edge_bytes[offsets[i] : offsets[i + 1]],
             parent=parent_node,
             now=float(created_at[i]),
         )

@@ -18,24 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.core.node import RadixNode
-from repro.core.tokens import TokenSeq
-
-_INT32 = np.dtype(np.int32)
-
-
-def _query_parts(tokens) -> tuple:
-    """``(array, bytes-or-None)`` view of a query sequence.
-
-    Interned :class:`TokenSeq` handles supply their cached bytes; canonical
-    int32 arrays are serialized once per call.  Anything else (lists, other
-    dtypes) gets no bytes view and walks the tree via elementwise
-    comparison, exactly as before the fast path existed.
-    """
-    if isinstance(tokens, TokenSeq):
-        return tokens.arr, tokens.tobytes()
-    if isinstance(tokens, np.ndarray) and tokens.ndim == 1 and tokens.dtype == _INT32:
-        return tokens, tokens.tobytes()
-    return tokens, None
+from repro.core.tokens import token_bytes
 
 
 class TreeObserver:
@@ -163,7 +146,7 @@ class RadixTree:
     """A radix tree keyed by int32 token sequences."""
 
     def __init__(self) -> None:
-        self.root = RadixNode(np.empty(0, dtype=np.int32), parent=None, now=0.0)
+        self.root = RadixNode(b"", parent=None, now=0.0)
         self._observers: list[TreeObserver] = []
 
     # ------------------------------------------------------------------
@@ -186,44 +169,31 @@ class RadixTree:
     def match(self, tokens: np.ndarray) -> MatchResult:
         """Walk ``tokens`` down the tree; never mutates.
 
-        Full-edge coverage — by far the common case on a walk — is tested
-        with one memcmp of the query's bytes against the node's cached edge
-        bytes; only a divergence (or a query ending mid-edge) falls back to
-        the elementwise :func:`common_prefix_length`.
+        Full-edge coverage — by far the common case on a walk — is one
+        memcmp of the node's edge bytes against the query's bytes where
+        they lie (no slice); only the step that diverges (or ends the query
+        mid-edge) compares elementwise with :func:`common_prefix_length`.
         """
-        tokens, qbytes = _query_parts(tokens)
+        arr, data = token_bytes(tokens)
+        n = len(arr)
         node = self.root
-        matched = 0
-        n = len(tokens)
+        pos = 0
         path: list[RadixNode] = []
-        while matched < n:
-            child = node.children.get(int(tokens[matched]))
+        while pos < n:
+            child = node.children.get(int(arr[pos]))
             if child is None:
                 break
-            edge = child.edge_tokens
-            edge_len = len(edge)
-            end = matched + edge_len
-            if qbytes is not None and end <= n:
-                edge_bytes = child._edge_bytes
-                if edge_bytes is None and edge.dtype == _INT32:
-                    edge_bytes = child._edge_bytes = edge.tobytes()
-                if (
-                    edge_bytes is not None
-                    and qbytes[matched * 4 : end * 4] == edge_bytes
-                ):
-                    matched = end
-                    node = child
-                    path.append(child)
-                    continue
-            shared = common_prefix_length(edge, tokens[matched:])
-            matched += shared
-            if shared < edge_len:
-                # Diverged (or query exhausted) mid-edge: KVs up to `matched`
-                # are reusable but no node boundary was reached.
-                break
-            node = child
-            path.append(child)
-        return MatchResult(matched_len=matched, path=path)
+            end = child.seq_len
+            if end <= n and data.startswith(child.data, 4 * pos, 4 * end):
+                pos = end
+                node = child
+                path.append(child)
+                continue
+            # Diverged (or query exhausted) mid-edge: KVs up to the shared
+            # point are reusable but no node boundary was reached.
+            pos += common_prefix_length(child.edge_tokens, arr[pos:])
+            break
+        return MatchResult(matched_len=pos, path=path)
 
     def insert(
         self,
@@ -239,72 +209,43 @@ class RadixTree:
         still-pinned end node whose sequence ``tokens`` extends).  The walk
         then skips straight to it — the root walk would deterministically
         descend to the same node, so the outcome is identical.
+
+        The tree owns its edges: a new leaf copies exactly its suffix out of
+        the query's bytes, so no edge ever aliases a caller's array, a
+        request's handle or a session's buffer, whatever ``tokens`` was.
         """
-        # An interned handle is serialized only if the walk meets an edge to
-        # compare: resumed from ``start``, a commit usually hangs its new
-        # leaf straight off that node and never needs the bytes.
-        handle = tokens if isinstance(tokens, TokenSeq) else None
-        if handle is not None:
-            tokens, qbytes = handle.arr, None
-        else:
-            tokens, qbytes = _query_parts(tokens)
-        has_bytes = handle is not None or qbytes is not None
+        arr, data = token_bytes(tokens)
+        n = len(arr)
         if start is not None and start.parent is not None:
             node = start
             pos = start.seq_len
         else:
             node = self.root
             pos = 0
-        n = len(tokens)
         split_node: Optional[RadixNode] = None
         new_leaf: Optional[RadixNode] = None
         new_edge_tokens = 0
-        # Interned queries (canonical write-protected array) can donate a
-        # zero-copy view as the new leaf's edge; a plain mutable array from
-        # an external caller is copied so the tree owns its edges.
-        tail = (lambda p: tokens[p:]) if has_bytes else (lambda p: tokens[p:].copy())
         while pos < n:
-            child = node.children.get(int(tokens[pos]))
+            child = node.children.get(int(arr[pos]))
             if child is None:
-                new_leaf = RadixNode(tail(pos), parent=node, now=now)
-                node.children[new_leaf.first_token] = new_leaf
-                new_edge_tokens += len(new_leaf.edge_tokens)
-                node = new_leaf
-                pos = n
-                for obs in self._observers:
-                    obs.on_node_added(new_leaf)
                 break
-            edge = child.edge_tokens
-            end = pos + len(edge)
-            if has_bytes and end <= n:
-                # Same memcmp fast path as match(): descend on full coverage.
-                if qbytes is None:
-                    qbytes = handle.tobytes()
-                edge_bytes = child._edge_bytes
-                if edge_bytes is None and edge.dtype == _INT32:
-                    edge_bytes = child._edge_bytes = edge.tobytes()
-                if edge_bytes is not None and qbytes[pos * 4 : end * 4] == edge_bytes:
-                    node = child
-                    pos = end
-                    continue
-            shared = common_prefix_length(edge, tokens[pos:])
-            if shared == len(edge):
+            end = child.seq_len
+            if end <= n and data.startswith(child.data, 4 * pos, 4 * end):
                 node = child
-                pos += shared
+                pos = end
                 continue
             # Partial match within `child`'s edge: split it at `shared`.
-            split_node = self._split_edge(child, shared, now)
-            node = split_node
+            shared = common_prefix_length(child.edge_tokens, arr[pos:])
+            node = split_node = self._split_edge(child, shared, now)
             pos += shared
-            if pos < len(tokens):
-                new_leaf = RadixNode(tail(pos), parent=node, now=now)
-                node.children[new_leaf.first_token] = new_leaf
-                new_edge_tokens += len(new_leaf.edge_tokens)
-                node = new_leaf
-                pos = len(tokens)
-                for obs in self._observers:
-                    obs.on_node_added(new_leaf)
             break
+        if pos < n:
+            new_leaf = RadixNode(data[4 * pos : 4 * n], parent=node, now=now)
+            node.children[new_leaf.first_token] = new_leaf
+            new_edge_tokens = n - pos
+            node = new_leaf
+            for obs in self._observers:
+                obs.on_node_added(new_leaf)
         return InsertOutcome(
             end_node=node,
             new_leaf=new_leaf,
@@ -326,15 +267,13 @@ class RadixTree:
             )
         parent = child.parent
         assert parent is not None, "cannot split the root's (empty) edge"
-        # Views, not copies: edge arrays are never mutated in place (every
-        # edit assigns a fresh array), so both halves can alias the buffer.
-        middle = RadixNode(child.edge_tokens[:at], parent=parent, now=now)
+        data = child.data
+        middle = RadixNode(data[: 4 * at], parent=parent, now=now)
         # A pinned descendant pins every node on its path; the new middle
         # node sits on child's path so it inherits child's pin count.
         middle.pin_count = child.pin_count
         parent.children[middle.first_token] = middle
-        child.edge_tokens = child.edge_tokens[at:]
-        child._edge_bytes = None
+        child.replace_edge(data[4 * at :])
         child.parent = middle
         middle.children[child.first_token] = child
         for obs in self._observers:
@@ -376,8 +315,7 @@ class RadixTree:
         parent = node.parent
         assert parent is not None
         first = node.first_token
-        child.edge_tokens = np.concatenate([node.edge_tokens, child.edge_tokens])
-        child._edge_bytes = None
+        child.replace_edge(node.data + child.data)
         child.parent = parent
         parent.children[first] = child
         node.parent = None
@@ -403,8 +341,7 @@ class RadixTree:
             raise ValueError(
                 f"keep_tokens must be in (0, {len(node.edge_tokens)}), got {keep_tokens}"
             )
-        node.edge_tokens = node.edge_tokens[:keep_tokens]
-        node._edge_bytes = None
+        node.replace_edge(node.data[: 4 * keep_tokens])
         node.seq_len = node.parent_seq_len + keep_tokens
         for obs in self._observers:
             obs.on_leaf_truncated(node)
@@ -504,7 +441,7 @@ class RadixTree:
 
         def _copy_children(src: RadixNode, dst: RadixNode) -> None:
             for first, child in src.children.items():
-                mirrored = RadixNode(child.edge_tokens, parent=dst, now=child.created_at)
+                mirrored = RadixNode(child.data, parent=dst, now=child.created_at)
                 mirrored.has_ssm_state = child.has_ssm_state
                 mirrored.last_access = child.last_access
                 mirrored.hit_count = child.hit_count
@@ -524,6 +461,8 @@ class RadixTree:
                 assert node.parent is not None
                 assert node.seq_len == node.parent.seq_len + len(node.edge_tokens)
                 assert node.parent.children.get(node.first_token) is node
+            assert not node.edge_tokens.flags.writeable
+            assert node.edge_tokens.tobytes() == node.data, "edge view out of step"
             first_tokens = [int(c.edge_tokens[0]) for c in node.children.values()]
             assert len(first_tokens) == len(set(first_tokens)), "duplicate child first-token"
             for key, child in node.children.items():

@@ -1,19 +1,26 @@
-"""Interned token sequences: canonicalize once, hash once, probe many times.
+"""Interned token sequences: one buffer per handle, read where it lies.
 
 Every layer of the simulator keys work off token sequences: the radix tree
 matches and inserts them, ``probe_hit_tokens`` sizes hits, the cluster
-directory walks them per routing decision.  The seed code re-canonicalized
-(``np.asarray(..., dtype=np.int32)``) and re-serialized the same request's
-tokens at each of those layers.  :class:`TokenSeq` is the one-per-request
-handle that pays those costs once:
+directory walks them per routing decision.  :class:`TokenSeq` is the
+one-per-request handle that canonicalizes a sequence once and gives every
+token exactly one home:
 
-* ``arr`` — the canonical 1-D ``int32`` array every consumer agrees on;
-* :meth:`tobytes` — the array's raw bytes, computed lazily and cached (the
-  radix tree's full-edge fast path compares byte slices against cached
-  per-node edge bytes instead of running elementwise numpy comparisons);
+* ``data`` — the immutable little-endian int32 bytes backing the handle.
+  The one copy taken at construction is both the defensive snapshot and
+  the serialization every byte-comparing walk reads;
+* ``arr`` — the canonical 1-D ``int32`` array every consumer agrees on: a
+  read-only ``np.frombuffer`` view of ``data``, never a second buffer;
+* :meth:`prefix` — a handle on the first ``n`` tokens that shares the same
+  ``data`` (a multi-round session is one buffer and one prefix handle per
+  request), so ``data`` can run past the handle's end: walkers bound every
+  compare by ``len(handle)``, never by ``len(data)``
+  (``data.startswith(edge_bytes, 4 * pos, 4 * end)`` after ``end <= n``);
+* :meth:`tobytes` — exactly the sequence's bytes (``data`` itself for a
+  root handle, sliced on first use and cached for a prefix handle), for
+  consumers that key on them;
 * :meth:`__hash__` / :meth:`prefix_hash` — a cached content hash, and the
-  crc32 of any prefix's bytes (O(prefix length), over the cached bytes), so
-  prefix-keyed lookups never re-serialize the sequence.
+  crc32 of any prefix's bytes (O(prefix length), read from ``data``).
 
 A ``TokenSeq`` quacks like its array (``len``, indexing, slicing,
 iteration, ``np.asarray``), so it can flow through code written against
@@ -23,7 +30,7 @@ plain arrays; :func:`as_token_array` (re-exported by
 Equality and hashing follow *canonicalized content*: two ``TokenSeq``
 handles (or a handle and any token sequence) are equal exactly when their
 canonical int32 arrays are element-wise equal — the property the hypothesis
-suite pins across dtypes, slices, and empty sequences.
+suite pins across dtypes, slices, prefix handles and empty sequences.
 """
 
 from __future__ import annotations
@@ -50,29 +57,34 @@ def canonical_token_array(tokens: Any) -> np.ndarray:
     return arr
 
 
-class TokenSeq:
-    """An immutable, interned token sequence with cached bytes and hashes.
+def token_bytes(tokens: Any) -> tuple[np.ndarray, bytes]:
+    """``(canonical array, backing bytes)`` of a query, for a byte-comparing
+    walk: a handle lends both, anything else is canonicalized and serialized
+    once.  The bytes of a prefix handle run past the array, so the walk
+    bounds every compare by ``len(array)``."""
+    if isinstance(tokens, TokenSeq):
+        return tokens.arr, tokens.data
+    arr = canonical_token_array(tokens)
+    return arr, arr.tobytes()
 
-    Construction canonicalizes eagerly (and defensively copies arrays the
-    caller could still mutate, unless ``copy=False`` promises ownership);
-    bytes and hash are computed on first use and cached for the handle's
-    lifetime.
+
+class TokenSeq:
+    """An immutable, interned token sequence: bytes, a view, cached hashes.
+
+    Construction canonicalizes eagerly and copies once, into ``data``;
+    ``arr`` views those bytes, so nothing the caller still holds can reach
+    the handle.  The exact bytes of a prefix handle and the content hash
+    are computed on first use and cached for the handle's lifetime.
     """
 
-    __slots__ = ("arr", "_len", "_bytes", "_hash")
+    __slots__ = ("arr", "data", "_len", "_bytes", "_hash")
 
-    def __init__(self, tokens: Any, *, copy: bool = True) -> None:
-        arr = canonical_token_array(tokens)
-        if copy and arr is tokens:
-            # The caller handed us the canonical array itself; snapshot it
-            # so later caller-side mutation cannot desync the caches.
-            arr = arr.copy()
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        self.arr = arr
-        self._len = arr.shape[0]
-        self._bytes: Optional[bytes] = None
+    def __init__(self, tokens: Any) -> None:
+        data = canonical_token_array(tokens).tobytes()
+        self.data = data
+        self.arr = np.frombuffer(data, dtype=np.int32)
+        self._len = len(self.arr)
+        self._bytes: Optional[bytes] = data
         self._hash: Optional[int] = None
 
     @classmethod
@@ -81,6 +93,24 @@ class TokenSeq:
         if isinstance(tokens, TokenSeq):
             return tokens
         return cls(tokens)
+
+    def prefix(self, length: int) -> "TokenSeq":
+        """Handle on ``tokens[:length]`` that shares this handle's ``data``
+        (``arr`` is a view, no bytes are copied); the whole sequence is the
+        handle itself."""
+        if length == self._len:
+            return self
+        if not 0 <= length < self._len:
+            raise ValueError(
+                f"prefix length must be in [0, {self._len}], got {length}"
+            )
+        view = TokenSeq.__new__(TokenSeq)
+        view.data = self.data
+        view.arr = self.arr[:length]
+        view._len = length
+        view._bytes = None
+        view._hash = None
+        return view
 
     # ------------------------------------------------------------------
     # Array interface (so handles flow through array-typed code)
@@ -106,10 +136,10 @@ class TokenSeq:
     # Cached serializations
     # ------------------------------------------------------------------
     def tobytes(self) -> bytes:
-        """Raw little-endian int32 bytes of the sequence (cached)."""
+        """Raw little-endian int32 bytes of exactly this sequence (cached)."""
         data = self._bytes
         if data is None:
-            data = self._bytes = self.arr.tobytes()
+            data = self._bytes = self.data[: self._len * _INT32_ITEMSIZE]
         return data
 
     def __hash__(self) -> int:
@@ -130,12 +160,12 @@ class TokenSeq:
         return len(arr) == len(self.arr) and bool(np.array_equal(self.arr, arr))
 
     def prefix_hash(self, length: int) -> int:
-        """Content hash of ``tokens[:length]``: crc32 of its cached bytes.
+        """Content hash of ``tokens[:length]``: crc32 of its bytes in ``data``.
 
         O(``length``) per call, in C, and 0 for the empty prefix.
         """
-        if not 0 <= length <= len(self.arr):
+        if not 0 <= length <= self._len:
             raise ValueError(
-                f"prefix length must be in [0, {len(self.arr)}], got {length}"
+                f"prefix length must be in [0, {self._len}], got {length}"
             )
-        return crc32(self.tobytes()[: length * _INT32_ITEMSIZE])
+        return crc32(self.data[: length * _INT32_ITEMSIZE])

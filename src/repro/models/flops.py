@@ -69,28 +69,41 @@ def flop_breakdown(config: ModelConfig, seq_len: int) -> dict[LayerType, float]:
 
 
 #: Exact-value memo for :func:`model_prefill_flops`.  The eviction scorer and
-#: latency model call it thousands of times per simulated second with a
-#: handful of distinct ``(config, seq_len)`` pairs, so we cache the *computed*
-#: float (never a refactored closed form — float association differences would
-#: shift golden-trace numbers).  Keyed by ``id(config)`` with a strong config
-#: reference as an identity check, so a recycled id can never alias a stale
-#: entry and lookups skip hashing the 11-field frozen dataclass.
-_PREFILL_MEMO: dict[int, tuple[ModelConfig, dict[int, float]]] = {}
+#: latency model call it thousands of times per simulated second, so we cache
+#: the *computed* float (never a refactored closed form — float association
+#: differences would shift golden-trace numbers).  Keyed by ``id(config)``
+#: with a strong config reference as an identity check, so a recycled id can
+#: never alias a stale entry and lookups skip hashing the 11-field frozen
+#: dataclass.  An entry is ``(config, seq_len -> flops, terms)``; ``terms`` is
+#: the config's ``(layer count, layer formula)`` pairs in ``LayerType`` order,
+#: so a miss (every length of a long-context trace is new) evaluates exactly
+#: :func:`flop_breakdown`'s products in its order without building its dicts.
+_PREFILL_MEMO: dict[int, tuple[ModelConfig, dict[int, float], list]] = {}
 _PREFILL_MEMO_MAX_CONFIGS = 64
 
 
-def model_prefill_flops(config: ModelConfig, seq_len: int) -> float:
-    """Total FLOPs for the whole model to prefill ``seq_len`` tokens from scratch."""
+def _memo_entry(config: ModelConfig) -> tuple[ModelConfig, dict[int, float], list]:
+    """``config``'s memo entry, created (or re-created over a stale id) on
+    first sight."""
     entry = _PREFILL_MEMO.get(id(config))
     if entry is None or entry[0] is not config:
         if len(_PREFILL_MEMO) >= _PREFILL_MEMO_MAX_CONFIGS:
             _PREFILL_MEMO.clear()
-        entry = (config, {})
-        _PREFILL_MEMO[id(config)] = entry
-    per_len = entry[1]
+        counts = config.layer_counts()
+        terms = [(counts[layer], _LAYER_FLOPS[layer]) for layer in LayerType]
+        entry = _PREFILL_MEMO[id(config)] = (config, {}, terms)
+    return entry
+
+
+def model_prefill_flops(config: ModelConfig, seq_len: int) -> float:
+    """Total FLOPs for the whole model to prefill ``seq_len`` tokens from
+    scratch: ``sum(flop_breakdown(config, seq_len).values())``, memoized."""
+    _, per_len, terms = _memo_entry(config)
     value = per_len.get(seq_len)
     if value is None:
-        value = sum(flop_breakdown(config, seq_len).values())
+        if seq_len < 0:
+            raise ValueError(f"seq_len must be non-negative, got {seq_len}")
+        value = sum([count * flops(seq_len, config) for count, flops in terms])
         per_len[seq_len] = value
     return value
 
@@ -103,13 +116,7 @@ def prefill_flops_table(config: ModelConfig) -> dict[int, float]:
     per lookup.  The dict is the memo itself: entries added by either path
     are shared.
     """
-    entry = _PREFILL_MEMO.get(id(config))
-    if entry is None or entry[0] is not config:
-        if len(_PREFILL_MEMO) >= _PREFILL_MEMO_MAX_CONFIGS:
-            _PREFILL_MEMO.clear()
-        entry = (config, {})
-        _PREFILL_MEMO[id(config)] = entry
-    return entry[1]
+    return _memo_entry(config)[1]
 
 
 def model_suffix_prefill_flops(

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate
 from repro.core.interfaces import as_token_array
+from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
 from repro.models.flops import model_prefill_flops
 from repro.models.memory import (
@@ -160,7 +161,9 @@ class TieredMarconiCache(MarconiCache):
     # Promotion (begin hook)
     # ------------------------------------------------------------------
     def _begin_session(self, tokens: np.ndarray, now: float):
-        tokens = as_token_array(tokens)
+        # One handle for the promotion probe and the begin proper: a plain
+        # array would be serialized once by each.
+        tokens = TokenSeq.of(tokens)
         if len(tokens) == 0:
             raise ValueError("cannot look up an empty token sequence")
         promoted: Optional[SecondaryEntry] = None

@@ -57,12 +57,10 @@ class TraceSession:
             raise ValueError("think time before the first round must be 0")
         if any(t < 0 for t in self.think_times):
             raise ValueError("think times must be non-negative")
-        # Per-round materialization cache: round_index -> (input, full)
-        # interned handles.  Replays walk rounds in order, so round k+1
-        # extends round k's full sequence instead of re-concatenating the
-        # whole history; repeated replays of the same trace (benchmark
-        # repeats, A/B sweeps) reuse the handles and their cached hashes.
-        self._interned: dict[int, tuple[TokenSeq, TokenSeq]] = {}
+        # The session's one token buffer (every round, in order) and each
+        # round's (input end, full end) offsets into it, built on first use.
+        self._history: Optional[TokenSeq] = None
+        self._round_ends: list[tuple[int, int]] = []
 
     @property
     def n_rounds(self) -> int:
@@ -71,33 +69,24 @@ class TraceSession:
     def interned_round(self, round_index: int) -> tuple[TokenSeq, TokenSeq]:
         """``(full_input, full_sequence)`` of a round as interned handles.
 
-        The handles carry the cached bytes/hashes every downstream layer
-        (radix match/insert, router probes) reuses; materialization itself
-        is incremental from the previous round's full sequence.
+        Round ``k``'s input is the whole history through round ``k - 1`` plus
+        its new segment, so every round is a prefix of the session's last
+        full sequence: the session concatenates its rounds once, and both
+        handles are :meth:`TokenSeq.prefix` views of that one buffer (no
+        bytes of their own), whatever order rounds are asked for in.
         """
-        cached = self._interned.get(round_index)
-        if cached is not None:
-            return cached
-        this_round = self.rounds[round_index]
-        prev = self._interned.get(round_index - 1)
-        if prev is not None:
-            # Extend the previous round: full_input(k) is exactly
-            # full_sequence(k-1) ++ new_input(k) by construction.
-            parts = [prev[1].arr]
-        else:
-            parts = []
-            for r in self.rounds[:round_index]:
-                parts.append(r.new_input_tokens)
-                parts.append(r.output_tokens)
-        parts.append(this_round.new_input_tokens)
-        parts.append(this_round.output_tokens)
-        full_arr = np.concatenate(parts)
-        # The input is a view of the full sequence's head: one buffer per
-        # round, not two.
-        input_arr = full_arr[: len(full_arr) - len(this_round.output_tokens)]
-        entry = (TokenSeq(input_arr, copy=False), TokenSeq(full_arr, copy=False))
-        self._interned[round_index] = entry
-        return entry
+        history = self._history
+        if history is None:
+            parts: list[np.ndarray] = []
+            end = 0
+            for r in self.rounds:
+                parts += (r.new_input_tokens, r.output_tokens)
+                input_end = end + len(r.new_input_tokens)
+                end = input_end + len(r.output_tokens)
+                self._round_ends.append((input_end, end))
+            history = self._history = TokenSeq(np.concatenate(parts))
+        input_end, full_end = self._round_ends[round_index]
+        return history.prefix(input_end), history.prefix(full_end)
 
     def full_input(self, round_index: int) -> np.ndarray:
         """Complete input of round ``round_index`` (accumulated context + new)."""

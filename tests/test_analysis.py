@@ -39,8 +39,8 @@ def _session(session_id, arrival, rounds, think=1.0):
 
 
 def _candidate(node_tokens, last_access=0.0, efficiency=1.0, freeable=100):
-    root = RadixNode(np.empty(0, dtype=np.int32), parent=None, now=0.0)
-    node = RadixNode(np.asarray(node_tokens, dtype=np.int32), parent=root, now=last_access)
+    root = RadixNode(b"", parent=None, now=0.0)
+    node = RadixNode(np.asarray(node_tokens, dtype=np.int32).tobytes(), parent=root, now=last_access)
     node.last_access = last_access
     return EvictionCandidate(
         node=node,

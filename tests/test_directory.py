@@ -305,8 +305,10 @@ class TestByteEdges:
     def test_replica_edges_that_are_not_contiguous_int32_are_canonicalized(
         self, attach_first
     ):
-        """A tree fed directly can hold int64 or strided edges; the bridge
-        (and the resync walk) must index their int32 bytes."""
+        """A tree fed int64 or strided arrays directly used to keep them as
+        edges, and the bridge (and the resync walk) had to canonicalize per
+        edge.  The tree now owns int32 bytes whatever it is fed, so both
+        join ``node.data`` as is: the directory must index exactly that."""
         cache = MarconiCache(TRANSFORMER, int(1e12), alpha=0.0)
         directory = PrefixDirectory()
         if attach_first:
@@ -317,10 +319,12 @@ class TestByteEdges:
         cache.tree.insert(wide, 0.0)
         cache.tree.insert(strided, 1.0)
         cache.tree.insert(np.concatenate([wide[:12], [7, 8]]), 2.0)  # splits the int64 edge
-        assert {n.edge_tokens.dtype for n in cache.tree.iter_nodes()} == {
-            np.dtype(np.int64),
-            np.dtype(np.int32),
-        }
+        for node in cache.tree.iter_nodes():
+            assert node.edge_tokens.dtype == np.int32
+            assert node.edge_tokens.flags.c_contiguous
+            assert node.edge_tokens.tobytes() == node.data
+            assert not np.shares_memory(node.edge_tokens, strided)
+        cache.tree.check_integrity()
         if not attach_first:
             directory.attach(0, cache)
         directory.check_integrity()
@@ -328,6 +332,9 @@ class TestByteEdges:
             query = np.asarray(path, dtype=np.int32)
             assert directory.lookup(query).kv_matched == {0: len(query)}
         assert all(node.edge.dtype == np.int32 for node in directory.iter_nodes())
+        assert {n.data for n in directory.iter_nodes()} == {
+            n.data for n in cache.tree.iter_nodes()
+        }
 
     @pytest.mark.parametrize("model", [HYBRID, TRANSFORMER], ids=["hybrid", "kv"])
     def test_lookup_is_the_same_for_every_spelling_of_a_query(self, model):

@@ -22,7 +22,7 @@ from repro.models.memory import model_recurrent_bytes, node_state_bytes
 
 
 def candidate(node_id_time: float, efficiency: float, freeable: int = 100) -> EvictionCandidate:
-    node = RadixNode(np.asarray([1], dtype=np.int32), parent=None, now=node_id_time)
+    node = RadixNode(np.asarray([1], dtype=np.int32).tobytes(), parent=None, now=node_id_time)
     node.last_access = node_id_time
     return EvictionCandidate(
         node=node,

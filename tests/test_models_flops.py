@@ -1,6 +1,8 @@
 """Tests for the Table 1 FLOP formulas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.config import LayerType
 from repro.models.flops import (
@@ -13,6 +15,7 @@ from repro.models.flops import (
     model_suffix_prefill_flops,
     ssm_prefill_flops,
 )
+from repro.models.presets import PRESETS
 
 
 class TestClosedForms:
@@ -43,6 +46,20 @@ class TestModelAggregates:
     def test_breakdown_rejects_negative(self, hybrid):
         with pytest.raises(ValueError):
             flop_breakdown(hybrid, -1)
+        with pytest.raises(ValueError):
+            model_prefill_flops(hybrid, -1)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @given(seq_len=st.integers(0, 2_000_000))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_miss_is_bit_equal_to_the_breakdown(self, preset, seq_len):
+        """The memo's miss path evaluates the per-config (count, formula)
+        pairs directly; it must produce the very float the public
+        definition sums to (golden transcripts carry these values)."""
+        config = PRESETS[preset]()  # a fresh config: every length is a miss
+        want = sum(flop_breakdown(config, seq_len).values())
+        assert model_prefill_flops(config, seq_len) == want
+        assert model_prefill_flops(config, seq_len) == want  # and the hit
 
     def test_attention_share_grows_with_length(self, hybrid):
         """Fig. 14: the quadratic term makes attention dominate at long L."""

@@ -99,16 +99,41 @@ class TestInsert:
         assert match.deepest_node.seq_len == 4
 
     def test_interned_insert_serializes_only_to_compare_an_edge(self):
+        """What is left of "serialize only to compare": nothing is serialized
+        at all.  Rounds of a session are prefix handles of one buffer; a
+        commit resumed from the begin-time end node copies only its new
+        suffix into the tree, and a walk from the root compares every edge
+        against the session's bytes where they lie."""
         tree = RadixTree()
-        first = TokenSeq(arr(1, 2, 3))
+        session = TokenSeq(arr(1, 2, 3, 4, 5, 6, 7))
+        first = session.prefix(3)
         end = tree.insert(first, now=1.0).end_node
-        extended = TokenSeq(arr(1, 2, 3, 4, 5))
-        assert tree.insert(extended, now=2.0, start=end).new_edge_tokens == 2
-        assert first._bytes is None and extended._bytes is None  # new leaves only
-        walked = TokenSeq(arr(1, 2, 3, 4, 5, 6))
+        extended = session.prefix(5)
+        outcome = tree.insert(extended, now=2.0, start=end)
+        assert outcome.new_edge_tokens == 2
+        assert outcome.new_leaf.data == arr(4, 5).tobytes()  # the suffix only
+        walked = session.prefix(6)
         outcome = tree.insert(walked, now=3.0)  # from the root: two edges to cross
-        assert walked._bytes == walked.arr.tobytes()
         assert outcome.new_edge_tokens == 1 and outcome.split_node is None
+        assert outcome.new_leaf.data == arr(6).tobytes()
+        # No handle was sliced to its own bytes, and no edge views the buffer.
+        assert first._bytes is None and extended._bytes is None
+        assert walked._bytes is None
+        for node in tree.iter_nodes():
+            assert not np.shares_memory(node.edge_tokens, session.arr)
+        tree.check_integrity()
+
+    def test_match_and_insert_stop_at_a_prefix_handles_length(self):
+        """A prefix handle's bytes run past its end; an edge that continues
+        into that tail must not be matched through."""
+        tree = RadixTree()
+        session = TokenSeq(arr(1, 2, 3, 4, 5, 6))
+        tree.insert(session, now=1.0)
+        match = tree.match(session.prefix(4))
+        assert match.matched_len == 4 and match.path == []
+        outcome = tree.insert(session.prefix(4), now=2.0)
+        assert outcome.split_node is outcome.end_node and outcome.new_leaf is None
+        assert [n.seq_len for n in tree.match(session).path] == [4, 6]
         tree.check_integrity()
 
 
@@ -264,3 +289,92 @@ class TestPathTokens:
         tree.insert(arr(5, 6, 7), now=1.0)
         end = tree.insert(arr(5, 6, 7, 8, 9), now=2.0).end_node
         np.testing.assert_array_equal(end.path_tokens(), arr(5, 6, 7, 8, 9))
+
+
+# ----------------------------------------------------------------------
+# The tree owns its edges
+# ----------------------------------------------------------------------
+def _spellings():
+    base = np.array([1, 2, 3, 4, 5], dtype=np.int32)
+    strided = np.repeat(base, 2)[::2]
+    assert not strided.flags.c_contiguous
+    return {
+        "int32": base,
+        "int64": base.astype(np.int64),
+        "strided": strided,
+        "list": base.tolist(),
+        "handle": TokenSeq(base),
+        "prefix-handle": TokenSeq(np.array([1, 2, 3, 4, 5, 6, 7], np.int32)).prefix(5),
+    }
+
+
+@pytest.mark.parametrize("spelling", sorted(_spellings()))
+def test_insert_never_aliases_the_callers_buffer(spelling):
+    """Whatever a caller inserts, the edge is the tree's own bytes: mutating
+    the caller's array afterwards (a plain int32 array used to be donated as
+    a view and then compared both stale and fresh) changes no answer."""
+    tokens = _spellings()[spelling]
+    tree = RadixTree()
+    leaf = tree.insert(tokens, 0.0).end_node
+    tree.match(np.array([1, 2, 3, 4, 5], np.int32))  # old code cached bytes here
+    if isinstance(tokens, TokenSeq):
+        # A handle's bytes are immutable.  An edge that is the handle's whole
+        # buffer may be that very object (CPython answers ``b[0:len(b)]``
+        # with ``b``); a longer buffer is never pinned by a view of it.
+        assert leaf.data is tokens.data or not np.shares_memory(
+            leaf.edge_tokens, tokens.arr
+        )
+        assert len(leaf.data) == 4 * 5
+    else:
+        if isinstance(tokens, np.ndarray):
+            assert not np.shares_memory(leaf.edge_tokens, tokens)
+        tokens[2] = 99
+    assert leaf.data == np.array([1, 2, 3, 4, 5], np.int32).tobytes()
+    assert leaf.edge_tokens.dtype == np.int32 and not leaf.edge_tokens.flags.writeable
+    assert tree.match([1, 2, 3, 4, 5]).matched_len == 5
+    assert tree.match([1, 2, 3, 4]).matched_len == 4
+    assert tree.match([1, 2, 99, 4, 5]).matched_len == 2
+    tree.check_integrity()
+
+
+def test_split_halves_concatenate_to_the_original_edge():
+    tree = RadixTree()
+    base = np.arange(100, 112, dtype=np.int32)
+    child = tree.insert(base, 0.0).end_node
+    original = child.data
+    diverged = np.concatenate([base[:8], [50, 51, 52]]).astype(np.int32)
+    outcome = tree.insert(diverged, 1.0)
+    middle = outcome.split_node
+    assert middle.data + child.data == original == base.tobytes()
+    assert middle.data == base[:8].tobytes() and child.data == base[8:].tobytes()
+    assert outcome.new_leaf.data == diverged[8:].tobytes()
+    for node in tree.iter_nodes():
+        assert isinstance(node.data, bytes)
+        assert node.edge_tokens.tobytes() == node.data
+        for outside in (base, diverged):
+            assert not np.shares_memory(node.edge_tokens, outside)
+    base[:] = 0
+    diverged[:] = 0
+    assert tree.match(np.arange(100, 112, dtype=np.int32)).matched_len == 12
+    tree.check_integrity()
+
+
+def test_merge_and_truncate_replace_bytes_and_view_together():
+    tree = RadixTree()
+    base = np.arange(100, 112, dtype=np.int32)
+    child = tree.insert(base, 0.0).end_node
+    middle = tree.insert(base[:8], 1.0).end_node  # proper prefix: splits at its end
+    assert middle.data + child.data == base.tobytes()
+    assert tree.merge_into_child(middle) is child
+    assert child.data == base.tobytes() and child.kv_tokens == 12
+    assert child.edge_tokens.tobytes() == child.data
+    tree.truncate_leaf(child, 5)
+    assert child.data == base[:5].tobytes() and child.seq_len == 5
+    assert child.edge_tokens.tobytes() == child.data
+    assert tree.match(base).matched_len == 5
+    tree.check_integrity()
+    # A clone shares the immutable bytes and nothing mutable.
+    copy = tree.clone()
+    (mirrored,) = copy.iter_nodes()
+    assert mirrored.data is child.data and mirrored is not child
+    copy.check_integrity()

@@ -113,8 +113,7 @@ class TestCanonicalizationAgreement:
     def test_of_is_idempotent_and_interning_stable(self, arr):
         seq = TokenSeq.of(arr)
         assert TokenSeq.of(seq) is seq
-        # Slicing the interned array yields views the tree may alias;
-        # the parent array must be write-protected.
+        # Prefix handles view the interned array: it must be write-protected.
         assert not seq.arr.flags.writeable
 
     def test_empty_sequence(self):
@@ -128,9 +127,70 @@ class TestCanonicalizationAgreement:
 
     def test_defensive_copy_insulates_caches(self):
         arr = np.arange(8, dtype=np.int32)
-        seq = TokenSeq(arr)  # copy=True default: snapshot
+        seq = TokenSeq(arr)  # the one copy (into ``data``) is the snapshot
         arr[0] = 999
         assert seq.arr[0] == 0
+        assert not np.shares_memory(seq.arr, arr)
+        assert seq.tobytes() is seq.data == np.arange(8, dtype=np.int32).tobytes()
+
+
+class TestPrefixHandles:
+    """``seq.prefix(k)`` is observationally ``TokenSeq(content[:k])`` while
+    owning no bytes: one buffer serves every round of a session."""
+
+    @given(values=token_lists, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_is_indistinguishable_from_interning_the_slice(self, values, data):
+        seq = TokenSeq(values)
+        k = data.draw(st.integers(0, len(values)))
+        view = seq.prefix(k)
+        fresh = TokenSeq(values[:k])
+        assert len(view) == k
+        assert view == fresh and fresh == view
+        assert hash(view) == hash(fresh)
+        assert view.tobytes() == fresh.tobytes()
+        assert view == values[:k]
+        assert np.array_equal(np.asarray(view), fresh.arr)
+        for j in range(k + 1):
+            assert view.prefix_hash(j) == fresh.prefix_hash(j)
+        with pytest.raises(ValueError):
+            view.prefix_hash(k + 1)  # bounded by the handle, not its bytes
+        if k < len(values):
+            assert view != seq
+
+    @given(values=token_lists, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prefixes_share_the_roots_bytes(self, values, data):
+        seq = TokenSeq(values)
+        assert seq.prefix(len(seq)) is seq
+        k = data.draw(st.integers(0, len(values)))
+        j = data.draw(st.integers(0, k))
+        nested = seq.prefix(k).prefix(j)
+        assert nested.data is seq.data
+        assert nested == TokenSeq(values[:j])
+        assert not nested.arr.flags.writeable
+        if j:
+            assert np.shares_memory(nested.arr, seq.arr)
+        for bad in (-1, k + 1):
+            with pytest.raises(ValueError):
+                seq.prefix(k).prefix(bad)
+
+    def test_arr_is_a_read_only_view_of_the_bytes(self):
+        seq = TokenSeq([1, 2, 3, 4])
+        for handle in (seq, seq.prefix(2)):
+            with pytest.raises(ValueError):
+                handle.arr[0] = 9
+            with pytest.raises(ValueError):
+                handle.arr.setflags(write=True)
+
+    def test_a_handle_outlives_its_callers_array(self):
+        arr = np.arange(8, dtype=np.int32)
+        head = TokenSeq(arr).prefix(5)
+        arr[:] = -1
+        del arr
+        assert head == [0, 1, 2, 3, 4]
+        assert head.tobytes() == np.arange(5, dtype=np.int32).tobytes()
+        assert head.prefix_hash(5) == crc32(np.arange(5, dtype=np.int32).tobytes())
 
 
 class TestProbeHitTokensUnchanged:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.tokens import TokenSeq
 from repro.workloads.arrivals import PoissonProcess, exponential_think_times
 from repro.workloads.distributions import (
     GeometricCount,
@@ -136,6 +137,66 @@ class TestTraceSchema:
         for k in (1, 0):
             assert np.shares_memory(session.full_input(k), session.full_sequence(k))
         np.testing.assert_array_equal(session.full_input(1), [1, 2, 3, 4, 5, 6])
+
+    def _long_session(self, n_rounds, seed=3):
+        rng = np.random.default_rng(seed)
+        rounds = [
+            TraceRound(
+                rng.integers(0, 1000, int(rng.integers(1, 400))).astype(np.int32),
+                rng.integers(0, 1000, int(rng.integers(1, 60))).astype(np.int32),
+            )
+            for _ in range(n_rounds)
+        ]
+        return TraceSession(7, 0.0, rounds, [0.0] + [1.0] * (n_rounds - 1))
+
+    def test_interned_rounds_in_any_order_equal_the_concatenation(self):
+        session = self._long_session(12)
+        order = np.random.default_rng(5).permutation(12).tolist()
+        for k in order + order:  # asked twice: same values again
+            parts = []
+            for r in session.rounds[:k]:
+                parts += [r.new_input_tokens, r.output_tokens]
+            want_input = np.concatenate(parts + [session.rounds[k].new_input_tokens])
+            want_full = np.concatenate([want_input, session.rounds[k].output_tokens])
+            full_input, full_sequence = session.interned_round(k)
+            assert isinstance(full_input, TokenSeq) and isinstance(full_sequence, TokenSeq)
+            assert full_input == TokenSeq(want_input)
+            assert full_sequence == TokenSeq(want_full)
+            assert full_input.tobytes() == want_input.tobytes()
+            np.testing.assert_array_equal(session.full_input(k), want_input)
+            np.testing.assert_array_equal(session.full_sequence(k), want_full)
+            assert len(full_input) == session.input_lengths()[k]
+
+    def test_every_round_of_a_session_shares_one_buffer(self):
+        session = self._long_session(12)
+        handles = [h for k in range(12) for h in session.interned_round(k)]
+        assert len({id(h.data) for h in handles}) == 1
+        assert handles[-1].tobytes() is handles[-1].data  # the last round is the buffer
+        for handle in handles:
+            assert not handle.arr.flags.writeable
+            assert np.shares_memory(handle.arr, handles[-1].arr)
+        # The session's own round arrays are not the buffer: a caller that
+        # edits them after materialization cannot reach a handle.
+        session.rounds[0].new_input_tokens[:] = -1
+        assert session.interned_round(0)[0] == handles[0]
+
+    def test_materializing_every_round_allocates_about_one_session(self):
+        """One concatenate plus one serialization per session, not one of each
+        per round (a 40-round session used to allocate ≈20x its own bytes)."""
+        import tracemalloc
+
+        session = self._long_session(40)
+        session_bytes = 4 * sum(
+            len(r.new_input_tokens) + len(r.output_tokens) for r in session.rounds
+        )
+        tracemalloc.start()
+        try:
+            kept = [session.interned_round(k) for k in range(40)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 40
+        assert peak <= 3 * session_bytes, (peak, session_bytes)
 
     def test_lengths(self):
         session = self._session()
