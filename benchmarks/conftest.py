@@ -25,7 +25,6 @@ _FAST_MODULES = {
     "test_micro_core.py",
     "test_micro_kernel.py",
     "test_micro_router.py",
-    "test_micro_session.py",
     "test_micro_steering.py",
     "test_micro_sweep.py",
 }

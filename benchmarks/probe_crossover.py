@@ -1,25 +1,28 @@
 """Deep probe vs directory, whole run: ``python -m benchmarks.probe_crossover``.
 
-``PrefixAffinityRouter(probe="auto")`` deep-probes every replica tree below
+``PrefixAffinityRouter`` deep-probes every replica tree below
 ``router._AUTO_PROBE_THRESHOLD`` replicas and reads the prefix directory at
-or above it.  The two arms are decision-identical, so which is faster is a
-wall-clock question, and the per-route microbenchmark that set the constant
-does not answer it: the directory is paid for per replica tree *event*
-(maintenance), the deep probe per routed *request* per replica.  This tool
-measures the whole run, with the protocol of PR 15's hand-made table:
+or above it (or whenever it is handed a backend).  The two arms are
+decision-identical, so which is faster is a wall-clock question, and a
+per-route microbenchmark does not answer it: the directory is paid for per
+replica tree *event* (maintenance), the deep probe per routed *request* per
+replica.  This tool measures the whole run:
 
-* ``ClusterSimulator`` + ``PrefixAffinityRouter(probe=...)``, timeseries off;
+* ``ClusterSimulator`` + ``PrefixAffinityRouter``, timeseries off; the
+  directory arm is ``directory_factory=PrefixDirectory``, the deep arm runs
+  with the module constant patched above the fleet size;
 * ``hybrid_7b``, ``MarconiCache`` replicas of 16 x 4 000-token states;
 * ``lmsys`` and ``swebench`` traces, ``session_rate=4``, seed 5 (the larger
   session count from 8 replicas up, so bigger fleets still see evictions);
 * wall seconds of ``ClusterSimulator.run`` only, median of ``--runs``
   (default 5) runs per arm, the arms alternating which goes first.
 
-It prints a Markdown table (``docs/architecture.md`` "Why the deep probe
-stays" is a paste of it) and the measured crossover per workload: the
-smallest fleet from which the directory is no slower at every larger size
-measured.  Runs are sub-second, so read a ratio to about +-20 %.  It decides
-nothing: the constant and both probes are the next ``[simplicity]`` issue's.
+It prints a Markdown table (``docs/architecture.md`` "The probe rule" is a
+paste of it) and the measured crossover per workload: the smallest fleet
+from which the directory is no slower at every larger size measured.  Runs
+are sub-second, so read a ratio to about +-20 %.  The constant is read from
+this table: ``_AUTO_PROBE_THRESHOLD`` is the smallest fleet at which the
+ratio is <= 1.0 on both workloads.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
+from unittest import mock
 
 if __package__ in (None, ""):  # run as a script from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.cluster import ClusterSimulator, PrefixAffinityRouter
+from repro.cluster import ClusterSimulator, PrefixAffinityRouter, PrefixDirectory
+from repro.cluster import router as router_module
 from repro.core.cache import MarconiCache
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
@@ -49,16 +54,22 @@ STATES, STATE_TOKENS = 16, 4000
 ARMS = ("directory", "deep")
 
 
-def _run(model, trace, replicas: int, probe: str) -> tuple[float, float]:
+def _run(model, trace, replicas: int, arm: str) -> tuple[float, float]:
     """``(wall seconds, token hit rate)`` of one run on fresh caches."""
     capacity = STATES * node_state_bytes(model, STATE_TOKENS, True)
     caches = [MarconiCache(model, capacity, alpha=1.0) for _ in range(replicas)]
-    simulator = ClusterSimulator(
-        model, caches, PrefixAffinityRouter(probe=probe), record_timeseries=False
-    )
-    start = time.perf_counter()
-    result = simulator.run(trace)
-    return time.perf_counter() - start, result.token_hit_rate
+    factory = PrefixDirectory if arm == "directory" else None
+    router = PrefixAffinityRouter(directory_factory=factory)
+    simulator = ClusterSimulator(model, caches, router, record_timeseries=False)
+    # The constant sits above the fleet, so only the arm handed a backend
+    # reads a directory: both arms are named from outside the router.
+    with mock.patch.object(router_module, "_AUTO_PROBE_THRESHOLD", replicas + 1):
+        start = time.perf_counter()
+        result = simulator.run(trace)
+        wall = time.perf_counter() - start
+    if (result.directory_stats is not None) != (arm == "directory"):
+        raise AssertionError(f"{replicas} replicas: the {arm} arm ran the other probe")
+    return wall, result.token_hit_rate
 
 
 def measure(fleets: Sequence[int], runs: int) -> list[dict]:

@@ -65,9 +65,9 @@ def test_micro_cache_lookup_admit(benchmark):
         ctx = context[:512]
         for _ in range(8):
             clock += 1.0
-            r = cache.lookup(ctx, clock)
+            s = cache.begin(ctx, clock)
             full = np.concatenate([ctx, rng.integers(0, 32000, 128, dtype=np.int32)])
-            cache.admit(full, clock + 0.5, handle=r.handle)
+            s.commit(full, clock + 0.5)
             ctx = np.concatenate([full, rng.integers(0, 32000, 64, dtype=np.int32)])
         return cache
 

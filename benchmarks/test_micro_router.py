@@ -5,7 +5,7 @@ probe walks every replica's radix tree per arrival (O(replicas x depth)),
 while a directory lookup is one walk of the shared union index (O(query
 depth)).  This bench warms fleets of 4/16/64 replicas with disjoint
 conversation sets, routes the same query mix through
-``PrefixAffinityRouter`` in both probe modes, verifies the decisions are
+``PrefixAffinityRouter`` under both probes, verifies the decisions are
 identical, and requires directory routing to be at least 5x cheaper per
 decision at 16 replicas.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ from _bench_io import OUT_DIR, write_bench
 from repro.cluster import (
     ManualGossipTransport,
     PrefixAffinityRouter,
+    PrefixDirectory,
     ShardedPrefixDirectory,
 )
+from repro.cluster import router as router_module
 from repro.core.cache import MarconiCache
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
@@ -139,7 +142,7 @@ def _route_all(router, caches, queries, loads):
 
 def _time_router(make_router, caches, queries, loads):
     """Best-of-REPEATS wall time for routing the full query mix; the
-    router (and its directory, in directory mode) is built untimed."""
+    router (and its directory, when it reads one) is built untimed."""
     walls, decisions = [], None
     for _ in range(REPEATS):
         router = make_router()
@@ -155,14 +158,21 @@ def measurements():
     out = {}
     for n_replicas in FLEET_SIZES:
         caches, queries, loads = _build_fleet(n_replicas)
-        deep_wall, deep_decisions = _time_router(
-            lambda: PrefixAffinityRouter(probe="deep"), caches, queries, loads
-        )
+        # The arms are named from outside the router: the deep one by
+        # holding the probe rule's constant above the fleet, the directory
+        # one by handing it a backend.
+        with mock.patch.object(router_module, "_AUTO_PROBE_THRESHOLD", n_replicas + 1):
+            deep_wall, deep_decisions = _time_router(
+                PrefixAffinityRouter, caches, queries, loads
+            )
         dir_wall, dir_decisions = _time_router(
-            lambda: PrefixAffinityRouter(probe="directory"), caches, queries, loads
+            lambda: PrefixAffinityRouter(directory_factory=PrefixDirectory),
+            caches,
+            queries,
+            loads,
         )
         assert deep_decisions == dir_decisions, (
-            f"probe modes disagreed at {n_replicas} replicas"
+            f"the two probes disagreed at {n_replicas} replicas"
         )
         out[n_replicas] = {
             "n_replicas": n_replicas,
@@ -331,7 +341,7 @@ class TestRouterMicrobench:
         caches, queries, loads = _build_fleet(
             256, conversations=BIG_FLEET_CONVERSATIONS, query_cap=64
         )
-        oracle = PrefixAffinityRouter(probe="directory")
+        oracle = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         sharded = PrefixAffinityRouter(directory_factory=_sharded_backend)
         for router in (oracle, sharded):
             router.prepare(MODEL, caches, None)

@@ -22,6 +22,7 @@ from repro import MarconiCache, hybrid_7b, simulate_cluster
 from repro.cluster import (
     HierarchicalRouter,
     PrefixAffinityRouter,
+    PrefixDirectory,
     ShardedPrefixDirectory,
 )
 from repro.metrics import ascii_table
@@ -50,7 +51,10 @@ def main() -> None:
     per_cache = 6 * node_state_bytes(model, 2000, True)
 
     configs = [
-        ("flat affinity, oracle directory", PrefixAffinityRouter()),
+        (
+            "flat affinity, oracle directory",
+            PrefixAffinityRouter(directory_factory=PrefixDirectory),
+        ),
         (
             "flat affinity, sharded (sync)",
             PrefixAffinityRouter(directory_factory=sharded),

@@ -10,7 +10,6 @@
   static-alpha oracle.
 """
 
-from repro.baselines.base import CacheProtocol
 from repro.baselines.block_store import Block, BlockStore
 from repro.baselines.oracle import (
     OracleResult,
@@ -23,6 +22,7 @@ from repro.baselines.registry import POLICY_NAMES, make_cache
 from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
+from repro.core.interfaces import CacheProtocol
 
 __all__ = [
     "CacheProtocol",

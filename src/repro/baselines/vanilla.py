@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class VanillaCache(PrefixCache):
 
     def _commit_session(
         self,
-        session: Optional[RequestSession],
+        session: RequestSession,
         tokens: np.ndarray,
         now: float,
         state_payload: Any = None,

@@ -11,7 +11,7 @@ section 3.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class VLLMPlusCache(PrefixCache):
     def probe(self, tokens: np.ndarray) -> int:
         """Read-only hit estimate for ``tokens`` (used by cluster routers).
 
-        Mirrors :meth:`lookup`'s block-chain walk without touching recency
+        Mirrors :meth:`begin`'s block-chain walk without touching recency
         or reuse counters.
         """
         tokens = as_token_array(tokens)
@@ -110,7 +110,7 @@ class VLLMPlusCache(PrefixCache):
 
     def _commit_session(
         self,
-        session: Optional[RequestSession],
+        session: RequestSession,
         tokens: np.ndarray,
         now: float,
         state_payload: Any = None,

@@ -1,6 +1,6 @@
 """Router-side global prefix directory over a cluster's replica caches.
 
-The legacy prefix-affinity router deep-probes every replica's full radix
+The deep probe (``router.probe_hit_tokens``) walks every replica's full radix
 tree on every arrival — an O(replicas x tree-depth) walk per request that
 also couples the router to each cache's internals.  The directory replaces
 those probes with one shared radix index over the *union* of all replicas'

@@ -7,14 +7,16 @@ locality-only (session affinity), and the combined prefix-affinity policy
 that chases cached prefixes but spills to less-loaded replicas when the
 preferred one is overloaded.
 
-Prefix-aware policies answer "who holds my prefix?" from the shared
-:class:`~repro.cluster.directory.PrefixDirectory` — one O(query-depth)
-walk per request, maintained incrementally from each replica's tree
-events — instead of deep-probing every replica tree (the legacy
-behaviour, kept behind ``probe="deep"`` and property-tested
-decision-identical).  :class:`DirectoryRouter` additionally *steers*
-state: when the load-balanced choice lacks a prefix another replica
-holds, it applies a per-request compute-or-load rule and plans a
+Prefix-aware policies answer "who holds my prefix?" in one of two
+decision-identical ways, chosen by one rule (see
+:class:`PrefixAffinityRouter`): small fleets deep-probe every replica tree
+(:func:`probe_hit_tokens`), fleets of :data:`_AUTO_PROBE_THRESHOLD`
+replicas or more — and any router handed a directory backend — read the
+shared :class:`~repro.cluster.directory.PrefixDirectory`, one
+O(query-depth) walk per request over an index maintained incrementally
+from each replica's tree events.  :class:`DirectoryRouter` additionally
+*steers* state: when the load-balanced choice lacks a prefix another
+replica holds, it applies a per-request compute-or-load rule and plans a
 cross-replica transfer that the simulation kernel charges as an
 asynchronous bandwidth/latency event.
 """
@@ -40,9 +42,12 @@ from repro.engine.steering import (
 
 _U64_MASK = (1 << 64) - 1
 
-#: Fleet size at which ``probe="auto"`` switches from deep-probing every
-#: replica tree to the directory (see :class:`PrefixAffinityRouter`).
-_AUTO_PROBE_THRESHOLD = 8
+#: Fleet size from which :class:`PrefixAffinityRouter` reads the directory
+#: instead of deep-probing every replica tree: the smallest fleet at which
+#: ``python -m benchmarks.probe_crossover`` measures directory / deep whole-run
+#: wall <= 1.0 on both of its workloads (``docs/architecture.md`` "The probe
+#: rule" has the table).
+_AUTO_PROBE_THRESHOLD = 64
 
 
 def probe_hit_tokens(cache: Any, tokens: np.ndarray) -> int:
@@ -215,20 +220,18 @@ class PrefixAffinityRouter(Router):
     rounds).  Requests with no cached prefix anywhere go least-loaded with
     a rotating tie-break, spreading cold sessions across the cluster.
 
-    ``probe`` selects how per-replica hits are measured: ``"directory"``
-    reads the incrementally maintained
-    :class:`~repro.cluster.directory.PrefixDirectory` in one walk of
-    O(query depth) nodes (each node paying a pass over the replicas that
-    hold it, so the cost is sub-linear — not flat — in fleet size: 4-4.7x
-    for 8x the replicas); ``"deep"`` is the legacy O(replicas x tree) per-request probe of
-    every replica tree; ``"auto"`` (default) picks per fleet size — deep
-    probing below :data:`_AUTO_PROBE_THRESHOLD` replicas (where per-arrival
-    directory maintenance costs more than a handful of tree walks — the
-    small-fleet regression ``BENCH_router.json`` exposed at 4 replicas),
-    the directory at or above it.  All modes are decision-identical
-    (property-tested); replicas the directory cannot track (tree-less
-    caches, caches with their own ``probe`` method) transparently fall back
-    to the deep probe.
+    Per-replica hits are measured one of two ways, never by a caller's
+    choice.  The router reads the incrementally maintained
+    :class:`~repro.cluster.directory.PrefixDirectory` — one walk of O(query
+    depth) nodes, each node paying a pass over the replicas that hold it,
+    so the cost is sub-linear (not flat) in fleet size: 4-4.7x for 8x the
+    replicas — when it was handed a backend or the fleet has at least
+    :data:`_AUTO_PROBE_THRESHOLD` replicas; below that it deep-probes every
+    replica tree (:func:`probe_hit_tokens`, O(replicas x tree) per
+    request), because per-arrival directory maintenance costs more than a
+    few dozen tree walks.  Both are decision-identical (property-tested);
+    replicas the directory cannot track (tree-less caches, caches with
+    their own ``probe`` method) transparently fall back to the deep probe.
 
     The directory backend is pluggable: pass ``directory=`` to share one
     externally owned instance (e.g. a
@@ -236,7 +239,7 @@ class PrefixAffinityRouter(Router):
     across several routers in a contention experiment — the router
     attaches replicas but never closes a shared backend — or
     ``directory_factory=`` to have the router build and own a fresh
-    backend per fleet.  Either forces directory mode under ``"auto"``.
+    backend per fleet.  Either makes the router read it at any fleet size.
     """
 
     name = "prefix_affinity"
@@ -244,22 +247,14 @@ class PrefixAffinityRouter(Router):
     def __init__(
         self,
         max_imbalance: int = 4,
-        probe: str = "auto",
         directory: Optional[Any] = None,
         directory_factory: Optional[Any] = None,
     ) -> None:
         if max_imbalance < 0:
             raise ValueError(f"max_imbalance must be non-negative, got {max_imbalance}")
-        if probe not in ("auto", "directory", "deep"):
-            raise ValueError(
-                f"probe must be 'auto', 'directory' or 'deep', got {probe!r}"
-            )
         if directory is not None and directory_factory is not None:
             raise ValueError("pass either directory or directory_factory, not both")
-        if probe == "deep" and (directory is not None or directory_factory is not None):
-            raise ValueError("a directory backend is incompatible with probe='deep'")
         self.max_imbalance = max_imbalance
-        self.probe_mode = probe
         self._fallback = LeastLoadedRouter()
         self._shared_directory = directory
         self._directory_factory = directory_factory
@@ -290,20 +285,20 @@ class PrefixAffinityRouter(Router):
     def _bump(self, key: str) -> None:
         self._stats[key] = self._stats.get(key, 0) + 1
 
-    def _mode(self, n_replicas: int) -> str:
-        """The effective probe mode for a fleet of ``n_replicas``."""
-        if self.probe_mode != "auto":
-            return self.probe_mode
-        if self._shared_directory is not None or self._directory_factory is not None:
-            return "directory"
-        return "directory" if n_replicas >= _AUTO_PROBE_THRESHOLD else "deep"
+    def _reads_directory(self, n_replicas: int) -> bool:
+        """The probe rule: a backend was given, or the fleet is large."""
+        return (
+            self._shared_directory is not None
+            or self._directory_factory is not None
+            or n_replicas >= _AUTO_PROBE_THRESHOLD
+        )
 
     def prepare(self, model, caches, latency) -> None:
         # Run-start hook: rebuild the directory even for an unchanged
         # fleet (a prior run's scenario may have detached failed replicas
         # that this run revives) and start decision counters fresh.
         self._stats = {}
-        if self._mode(len(caches)) == "directory":
+        if self._reads_directory(len(caches)):
             self._bind(caches, force=True)
 
     def _bind(self, caches: Sequence[Any], force: bool = False) -> None:
@@ -361,9 +356,9 @@ class PrefixAffinityRouter(Router):
         caches: Sequence[Any],
         lookup: Optional[DirectoryLookup] = None,
     ) -> list[int]:
-        """Per-replica hit estimates, decision-identical across modes.
+        """Per-replica hit estimates, decision-identical either way.
         A caller that passes ``lookup`` has bound the fleet to read it."""
-        if self._mode(len(caches)) == "deep":
+        if not self._reads_directory(len(caches)):
             return [probe_hit_tokens(cache, tokens) for cache in caches]
         if lookup is None:
             self._bind(caches)
@@ -383,7 +378,7 @@ class PrefixAffinityRouter(Router):
         return hits
 
     def _select(self, hits: Sequence[int], loads: Sequence[int]) -> int:
-        """The affinity-vs-spill rule, shared by both probe modes."""
+        """The affinity-vs-spill rule, shared by both probes."""
         best = int(max(range(len(hits)), key=lambda i: (hits[i], -loads[i], -i)))
         floor = min(loads)
         if hits[best] == 0 or loads[best] - floor > self.max_imbalance:
@@ -420,7 +415,9 @@ class DirectoryRouter(PrefixAffinityRouter):
     """Directory-driven steering: prefix affinity plus state transfers.
 
     Routing follows the same affinity/spill rule as
-    :class:`PrefixAffinityRouter` (always in directory mode).  On top of
+    :class:`PrefixAffinityRouter`, always read from the directory (steering
+    needs its checkpoint depths; with no backend given the router builds
+    its own :class:`PrefixDirectory`).  On top of
     it, when the chosen replica's local hit is shallower than the best
     hit elsewhere in the cluster, the router applies a per-request
     **compute-or-load rule**: fetch the hot prefix's self-contained state
@@ -455,9 +452,10 @@ class DirectoryRouter(PrefixAffinityRouter):
         directory: Optional[Any] = None,
         directory_factory: Optional[Any] = None,
     ) -> None:
+        if directory is None and directory_factory is None:
+            directory_factory = PrefixDirectory
         super().__init__(
             max_imbalance=max_imbalance,
-            probe="directory",
             directory=directory,
             directory_factory=directory_factory,
         )

@@ -68,7 +68,7 @@ class MarconiSession(RequestSession):
     """
 
     __slots__ = (
-        "input_len",
+        "input_seq",
         "end_node",
         "pinned_node",
         "branch_node",
@@ -77,9 +77,9 @@ class MarconiSession(RequestSession):
         "rolled_back",
     )
 
-    def __init__(self, cache: "MarconiCache", input_len: int) -> None:
+    def __init__(self, cache: "MarconiCache", input_seq: TokenSeq) -> None:
         super().__init__(cache)
-        self.input_len = input_len
+        self.input_seq = input_seq  # what commit's full sequence must extend
         self.end_node: Optional[RadixNode] = None
         self.pinned_node: Optional[RadixNode] = None
         self.branch_node: Optional[RadixNode] = None
@@ -276,7 +276,7 @@ class MarconiCache(PrefixCache):
         end = outcome.end_node
         tree.refresh_access(end, now)
         tree.pin_path(end)
-        session = MarconiSession(self, input_len=n)
+        session = MarconiSession(self, seq)
         session.end_node = end
         session.pinned_node = end
         session.new_leaf = outcome.new_leaf
@@ -365,43 +365,48 @@ class MarconiCache(PrefixCache):
     # ------------------------------------------------------------------
     def _commit_session(
         self,
-        session: Optional[MarconiSession],
+        session: MarconiSession,
         tokens: np.ndarray,
         now: float,
         state_payload: Any = None,
     ) -> AdmitResult:
         seq = TokenSeq.of(tokens)
         tokens = seq.arr
-        if len(tokens) == 0:
-            raise ValueError("cannot admit an empty token sequence")
-        if session is not None:
-            if session.rolled_back:
-                # The input path was never cached; skip the output too.
-                self._finish_request(now, session.input_len, tokens)
-                return AdmitResult(rejected=True)
-            input_len = session.input_len
-        else:
-            input_len = len(tokens)
+        # Insertion resumes from the begin-time end node, so the sequence
+        # must extend the begin input.  Two prefix handles of one buffer (a
+        # trace session's rounds) settle that by length alone; otherwise one
+        # memcmp (a root handle's whole-buffer slice is the buffer itself).
+        begun = session.input_seq
+        input_len = len(begun)
+        if len(tokens) < input_len or not (
+            seq.data is begun.data
+            or seq.data.startswith(begun.data[: 4 * input_len])
+        ):
+            raise ValueError(
+                f"commit must extend the {input_len}-token input the session "
+                f"began with, got a {len(tokens)}-token sequence that does not"
+            )
+        if session.rolled_back:
+            # The input path was never cached; skip the output too.
+            self._finish_request(now, input_len, tokens)
+            return AdmitResult(rejected=True)
 
         stats = self._stats
         tree = self._tree
         has_recurrent = self.model.has_recurrent_layers
         evicted_before = stats.evicted_bytes
-        # The begin-time end node (if any) is pinned, so it is still attached
-        # and its path is a prefix of the full sequence (truncation during a
-        # partial begin only shortens it): resume insertion from there.
-        begin_end = session.end_node if session is not None else None
-        outcome = tree.insert(seq, now, start=begin_end)
+        # The begin-time end node is pinned, so it is still attached, and its
+        # path is a prefix of the full sequence (checked above; truncation
+        # during a partial begin only shortens it): resume insertion there.
+        outcome = tree.insert(seq, now, start=session.end_node)
         end = outcome.end_node
         # Protect the not-yet-charged extension (and the nodes the upcoming
         # eviction pass must not merge into it) before freeing space.  The
-        # begin-time pin, if any, covers the shared ancestor segment, so the
-        # walk stops there and the final ``unpin_path(end)`` below releases
-        # both pins in one pass — identical counts, never exposed in between.
-        begin_pin = session.pinned_node if session is not None else None
-        tree.pin_path(end, stop=begin_pin)
-        if session is not None:
-            session.pinned_node = None
+        # begin-time pin covers the shared ancestor segment, so the walk
+        # stops there and the final ``unpin_path(end)`` below releases both
+        # pins in one pass — identical counts, never exposed in between.
+        tree.pin_path(end, stop=session.pinned_node)
+        session.pinned_node = None
         want_leaf_checkpoint = has_recurrent and not end.has_ssm_state
         kv_cost = outcome.new_edge_tokens * self._kv_per_token
         leaf_cost = self._recurrent_bytes if want_leaf_checkpoint else 0
@@ -507,18 +512,6 @@ class MarconiCache(PrefixCache):
             raise ValueError(f"no pending branch checkpoint at position {position}")
         if self.store_states:
             node.state_payload = payload
-
-    def attach_branch_state(self, handle: Any, position: int, payload: Any) -> None:
-        """Deprecated: use :meth:`RequestSession.attach_branch_state`.
-
-        Only meaningful with ``store_states=True``; the engine calls this
-        after checkpointing the state at ``position`` during prefill.
-        """
-        if not isinstance(handle, RequestSession):
-            raise TypeError("handle must come from lookup()")
-        if handle.cache is not self:
-            raise TypeError("handle came from a different cache instance")
-        handle.attach_branch_state(position, payload)
 
     # ------------------------------------------------------------------
     # Eviction

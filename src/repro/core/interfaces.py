@@ -16,10 +16,9 @@ The cache surface is transactional: every request opens a
    request that never finishes cannot leak pinned state.
 
 Sessions are context managers: ``with cache.begin(tokens, now) as s: ...``
-aborts automatically unless the body committed.  The legacy two-phase
-methods :meth:`PrefixCache.lookup` / :meth:`PrefixCache.admit` remain as
-thin deprecated shims implemented on top of sessions (the ``handle`` they
-thread *is* the session).
+aborts automatically unless the body committed.  ``begin`` and
+``commit | abort`` are the cache's only doors: nothing is admitted
+outside a session.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class LookupResult:
         Of ``reused_bytes``, the portion fetched from a second-tier store
         (zero for single-tier caches); priced at the latency model's
         slower secondary bandwidth.
-    handle:
-        The request's :class:`RequestSession` when the lookup came through
-        the legacy :meth:`PrefixCache.lookup` shim (pass it back to
-        :meth:`PrefixCache.admit`); ``None`` on the session API, where the
-        session itself is the handle.
     checkpoint_positions:
         Prefix lengths (in tokens) at which the policy asks the engine to
         materialize recurrent states during this prefill (Marconi's
@@ -94,7 +88,6 @@ class LookupResult:
     input_tokens: int
     reused_bytes: int = 0
     reused_secondary_bytes: int = 0
-    handle: Any = None
     checkpoint_positions: list[int] = field(default_factory=list)
     state_payload: Any = None
 
@@ -149,16 +142,13 @@ class RequestSession:
     Leak safety: sessions are context managers (``__exit__`` aborts if the
     body did not commit) and garbage collection of a still-open session
     aborts it as a last resort, so dropped sessions cannot pin cache state
-    forever.  The GC net is disarmed on sessions handed out through the
-    legacy :meth:`PrefixCache.lookup` shim, which must preserve the old
-    drop-the-handle behaviour bit for bit.
+    forever.
     """
 
     __slots__ = (
         "_cache",
         "result",
         "_state",
-        "_gc_abort",
         "admit_result",
         "__weakref__",  # caches track live sessions in a WeakSet
     )
@@ -167,16 +157,11 @@ class RequestSession:
         self._cache = cache
         self.result = result
         self._state = SessionState.OPEN
-        self._gc_abort = True
         self.admit_result: Optional[AdmitResult] = None
 
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def cache(self) -> "PrefixCache":
-        return self._cache
-
     @property
     def state(self) -> SessionState:
         return self._state
@@ -295,7 +280,7 @@ class RequestSession:
 
     def __del__(self) -> None:
         try:
-            if self._state is SessionState.OPEN and self._gc_abort:
+            if self._state is SessionState.OPEN:
                 self._cache._on_session_gc(self)
         except Exception:  # pragma: no cover - interpreter-teardown guard
             pass
@@ -312,9 +297,8 @@ class PrefixCache(abc.ABC):
 
     Concrete caches implement the session hooks (``_begin_session``,
     ``_commit_session`` and, when they pin state between the phases,
-    ``_abort_session``); the public surface — :meth:`begin`,
-    :meth:`begin_many`, and the deprecated :meth:`lookup`/:meth:`admit`
-    shims — is shared and final.
+    ``_abort_session``); the public surface — :meth:`begin` and
+    :meth:`begin_many` — is shared and final.
     """
 
     # Class-level defaults so subclasses need no cooperative __init__.
@@ -382,13 +366,12 @@ class PrefixCache(abc.ABC):
     @abc.abstractmethod
     def _commit_session(
         self,
-        session: Optional[RequestSession],
+        session: RequestSession,
         tokens: np.ndarray,
         now: float,
         state_payload: Any = None,
     ) -> AdmitResult:
-        """Admit a finished sequence.  ``session`` is ``None`` for a
-        detached admission (the legacy ``admit`` without a handle)."""
+        """Admit the finished sequence of the request ``session`` opened."""
 
     def _abort_session(self, session: RequestSession) -> None:
         """Release per-request state pinned at begin time.  Default no-op:
@@ -503,53 +486,6 @@ class PrefixCache(abc.ABC):
         self._open_sessions = 0
 
     # ------------------------------------------------------------------
-    # Deprecated two-phase shims (implemented on top of sessions)
-    # ------------------------------------------------------------------
-    def lookup(self, tokens: np.ndarray, now: float) -> LookupResult:
-        """Deprecated: use :meth:`begin`.
-
-        Thin shim over the session API: opens a session and returns its
-        :class:`LookupResult` with ``handle`` set to the session.  The GC
-        abort net is disarmed so dropping the result without admitting
-        behaves exactly as the legacy API did (state stays pinned until
-        ``reset()``); new code should use sessions and get leak safety.
-        """
-        session = self.begin(tokens, now)
-        session._gc_abort = False
-        result = session.result
-        result.handle = session
-        return result
-
-    def admit(
-        self,
-        tokens: np.ndarray,
-        now: float,
-        handle: Any = None,
-        state_payload: Any = None,
-    ) -> AdmitResult:
-        """Deprecated: use :meth:`RequestSession.commit`.
-
-        Thin shim over the session API: commits the session carried by
-        ``handle``, or performs a detached admission when ``handle`` is
-        ``None``.  One intentional departure from the legacy contract:
-        admitting a handle whose cache was ``reset()`` in between raises
-        (the session is detached) instead of silently re-admitting into
-        the rebuilt cache against a stale handle.
-        """
-        if handle is None:
-            self._mutating = True
-            try:
-                return self._commit_session(None, tokens, now, state_payload)
-            finally:
-                self._mutating = False
-                self._drain_deferred_aborts()
-        if not isinstance(handle, RequestSession):
-            raise TypeError(f"handle must come from lookup(), got {type(handle)!r}")
-        if handle.cache is not self:
-            raise TypeError("handle came from a different cache instance")
-        return handle.commit(tokens, now, state_payload=state_payload)
-
-    # ------------------------------------------------------------------
     # Capacity / accounting surface
     # ------------------------------------------------------------------
     @property
@@ -595,9 +531,8 @@ class PrefixCache(abc.ABC):
 class CacheProtocol(Protocol):
     """Structural type the serving engines require of any cache.
 
-    The one runtime-checkable source of truth (re-exported by
-    :mod:`repro.baselines.base` for backwards compatibility): the session
-    API plus the deprecated two-phase shims and capacity accounting.
+    The one runtime-checkable source of truth: the session API plus
+    capacity accounting.
     """
 
     def begin(self, tokens: np.ndarray, now: float) -> RequestSession: ...
@@ -605,16 +540,6 @@ class CacheProtocol(Protocol):
     def begin_many(
         self, token_seqs: Sequence[np.ndarray], now: float
     ) -> list[RequestSession]: ...
-
-    def lookup(self, tokens: np.ndarray, now: float) -> LookupResult: ...
-
-    def admit(
-        self,
-        tokens: np.ndarray,
-        now: float,
-        handle: Any = None,
-        state_payload: Any = None,
-    ) -> AdmitResult: ...
 
     @property
     def open_sessions(self) -> int: ...

@@ -27,6 +27,15 @@ from repro.core.radix_tree import RadixTree
 from repro.models.config import ModelConfig
 
 _FORMAT_VERSION = 1
+_META_KEYS = ("format_version", "model_name", "capacity_bytes", "used_bytes", "n_nodes")
+_NODE_COLUMNS = (
+    "parent",
+    "edge_lengths",
+    "has_ssm_state",
+    "last_access",
+    "created_at",
+    "hit_count",
+)
 
 
 def save_cache(cache: MarconiCache, path: str | Path) -> None:
@@ -64,35 +73,81 @@ def save_cache(cache: MarconiCache, path: str | Path) -> None:
     )
 
 
+def _read_snapshot(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a snapshot and validate everything :func:`load_tree` indexes by.
+
+    A snapshot is a file from outside the process: whatever is wrong with it
+    is reported here, once, as ``ValueError("corrupt snapshot: ...")`` rather
+    than surfacing later as a ``KeyError`` / ``IndexError`` or as a
+    well-formed tree that is not the one that was saved.
+    """
+
+    def corrupt(why: str) -> ValueError:
+        return ValueError(f"corrupt snapshot: {why}")
+
+    with np.load(Path(path)) as data:
+        names = ("meta", "edge_tokens", *_NODE_COLUMNS)
+        missing = [name for name in names if name not in data.files]
+        if missing:
+            raise corrupt(f"missing arrays {missing}")
+        arrays = {name: data[name] for name in names}
+    try:
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise corrupt("meta is not JSON") from exc
+    if not isinstance(meta, dict) or not all(key in meta for key in _META_KEYS):
+        raise corrupt(f"meta must be an object with the keys {_META_KEYS}")
+    if meta["format_version"] != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported cache snapshot version {meta['format_version']!r}"
+        )
+    n = meta["n_nodes"]
+    short = [name for name in _NODE_COLUMNS if arrays[name].shape != (n,)]
+    if short:
+        raise corrupt(f"columns {short} do not hold one value per node ({n})")
+    parent, lengths, tokens = (
+        arrays[name] for name in ("parent", "edge_lengths", "edge_tokens")
+    )
+    if any(a.dtype.kind not in "iu" for a in (parent, lengths, tokens)):
+        raise corrupt("parent, edge_lengths and edge_tokens must hold integers")
+    if not np.all((parent >= -1) & (parent < np.arange(n))):
+        raise corrupt("a parent is neither -1 (the root) nor an earlier node")
+    if not np.all(lengths > 0):
+        raise corrupt("non-positive edge length")
+    if tokens.ndim != 1 or int(lengths.sum()) != len(tokens):
+        raise corrupt(
+            f"edge lengths sum to {int(lengths.sum())}, {tokens.shape} tokens stored"
+        )
+    return meta, arrays
+
+
 def load_tree(path: str | Path) -> tuple[RadixTree, dict]:
     """Deserialize a tree saved by :func:`save_cache`; returns (tree, meta)."""
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported cache snapshot version {meta.get('format_version')!r}"
-            )
-        parent = data["parent"]
-        edge_lengths = data["edge_lengths"]
-        edge_bytes = data["edge_tokens"].astype(np.int32, copy=False).tobytes()
-        has_ssm = data["has_ssm_state"]
-        last_access = data["last_access"]
-        created_at = data["created_at"]
-        hit_count = data["hit_count"]
+    meta, arrays = _read_snapshot(path)
+    parent = arrays["parent"]
+    edge_lengths = arrays["edge_lengths"]
+    edge_bytes = arrays["edge_tokens"].astype(np.int32, copy=False).tobytes()
+    has_ssm = arrays["has_ssm_state"]
+    last_access = arrays["last_access"]
+    created_at = arrays["created_at"]
+    hit_count = arrays["hit_count"]
 
     tree = RadixTree()
     nodes: list[RadixNode] = []
     offsets = (4 * np.concatenate([[0], np.cumsum(edge_lengths)])).tolist()
     for i in range(len(edge_lengths)):
         parent_index = int(parent[i])
-        if parent_index >= i:
-            raise ValueError("corrupt snapshot: parent after child in pre-order")
         parent_node = tree.root if parent_index == -1 else nodes[parent_index]
         node = RadixNode(
             edge_bytes[offsets[i] : offsets[i + 1]],
             parent=parent_node,
             now=float(created_at[i]),
         )
+        if node.first_token in parent_node.children:
+            raise ValueError(
+                f"corrupt snapshot: two children of node {parent_index} start "
+                f"with token {node.first_token}"
+            )
         node.has_ssm_state = bool(has_ssm[i])
         node.last_access = float(last_access[i])
         node.hit_count = int(hit_count[i])

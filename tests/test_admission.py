@@ -85,33 +85,32 @@ class TestAdmissionTaxonomy:
         hits = []
         for i in range(3):
             inp = np.concatenate([shared, tokens(100, seed=10 + i)])
-            result = cache.lookup(inp, now=float(i))
-            hits.append(result.hit_tokens)
-            cache.admit(np.concatenate([inp, tokens(50, seed=20 + i)]), float(i) + 0.5,
-                        handle=result.handle)
+            s = cache.begin(inp, now=float(i))
+            hits.append(s.hit_tokens)
+            s.commit(np.concatenate([inp, tokens(50, seed=20 + i)]), float(i) + 0.5)
         assert hits == [0, 0, 400]
 
     def test_branch_checkpoint_position_reported(self, hybrid, tokens):
         cache = self._cache(hybrid)
         shared = tokens(300, seed=2)
         first = np.concatenate([shared, tokens(80, seed=30)])
-        r = cache.lookup(first, 0.0)
-        assert r.checkpoint_positions == []
-        cache.admit(np.concatenate([first, tokens(40, seed=31)]), 0.5, handle=r.handle)
+        s = cache.begin(first, 0.0)
+        assert s.checkpoint_positions == []
+        s.commit(np.concatenate([first, tokens(40, seed=31)]), 0.5)
         second = np.concatenate([shared, tokens(80, seed=32)])
-        r2 = cache.lookup(second, 1.0)
-        assert r2.checkpoint_positions == [300]
+        s2 = cache.begin(second, 1.0)
+        assert s2.checkpoint_positions == [300]
 
     def test_input_output_reuse_is_instant(self, hybrid, tokens):
         """Conversation history: round 2 hits round 1's full sequence."""
         cache = self._cache(hybrid)
         round1 = tokens(200, seed=3)
-        r = cache.lookup(round1, 0.0)
+        s = cache.begin(round1, 0.0)
         full1 = np.concatenate([round1, tokens(60, seed=4)])
-        cache.admit(full1, 0.5, handle=r.handle)
+        s.commit(full1, 0.5)
         round2 = np.concatenate([full1, tokens(30, seed=5)])
-        r2 = cache.lookup(round2, 1.0)
-        assert r2.hit_tokens == len(full1)
+        s2 = cache.begin(round2, 1.0)
+        assert s2.hit_tokens == len(full1)
 
     def test_at_most_two_checkpoints_per_request(self, hybrid, tokens):
         """Judicious admission: <= 2 recurrent states per sequence (branch +
@@ -120,10 +119,9 @@ class TestAdmissionTaxonomy:
         shared = tokens(300, seed=6)
         for i in range(4):
             inp = np.concatenate([shared, tokens(100, seed=40 + i)])
-            r = cache.lookup(inp, float(i))
+            s = cache.begin(inp, float(i))
             before = sum(1 for n in cache.tree.iter_nodes() if n.has_ssm_state)
-            cache.admit(np.concatenate([inp, tokens(50, seed=50 + i)]), float(i) + 0.5,
-                        handle=r.handle)
+            s.commit(np.concatenate([inp, tokens(50, seed=50 + i)]), float(i) + 0.5)
             after = sum(1 for n in cache.tree.iter_nodes() if n.has_ssm_state)
             assert after - before <= 2
 
@@ -132,20 +130,20 @@ class TestAdmissionTaxonomy:
         prefilled to produce first-token logits)."""
         cache = self._cache(hybrid)
         seq = tokens(100, seed=7)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(np.concatenate([seq, tokens(10, seed=8)]), 0.5, handle=r.handle)
-        r2 = cache.lookup(seq, 1.0)  # identical input
-        assert r2.hit_tokens < len(seq)
+        s = cache.begin(seq, 0.0)
+        s.commit(np.concatenate([seq, tokens(10, seed=8)]), 0.5)
+        s2 = cache.begin(seq, 1.0)  # identical input
+        assert s2.hit_tokens < len(seq)
 
     def test_pure_transformer_token_granular_hits(self, transformer, tokens):
         """Without recurrent layers, hits are raw common-prefix length."""
         cache = MarconiCache(transformer, capacity_bytes=int(50e9), alpha=1.0)
         seq = tokens(100, seed=9)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(np.concatenate([seq, tokens(20, seed=10)]), 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(np.concatenate([seq, tokens(20, seed=10)]), 0.5)
         # Diverge after 57 tokens: KVs reusable at token granularity.
         probe = np.concatenate([seq[:57], tokens(43, seed=11)])
-        r2 = cache.lookup(probe, 1.0)
-        assert r2.hit_tokens == 57
+        s2 = cache.begin(probe, 1.0)
+        assert s2.hit_tokens == 57
         # And no recurrent checkpoints exist anywhere.
         assert all(not n.has_ssm_state for n in cache.tree.iter_nodes())

@@ -71,9 +71,8 @@ class TestLifecycle:
     def _drive(self, cache, tokens, n_requests, length=200, start=0):
         for i in range(start, start + n_requests):
             seq = tokens(length, seed=5000 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, tokens(50, seed=6000 + i)]),
-                        float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(50, seed=6000 + i)]), float(i) + 0.5)
 
     def test_starts_in_warmup_with_lru_behaviour(self, hybrid, tokens):
         cache = self._make_cache(hybrid)

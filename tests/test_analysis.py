@@ -106,8 +106,8 @@ class TestClairvoyantReplay:
         oracle = clairvoyant_replay(hybrid, trace, huge)
         lru = MarconiCache(hybrid, huge, eviction="lru")
         for now, _, _, inp, full in trace.iter_requests_nominal():
-            r = lru.lookup(inp, now)
-            lru.admit(full, now, handle=r.handle)
+            s = lru.begin(inp, now)
+            s.commit(full, now)
         assert oracle.evictions == 0
         assert oracle.token_hit_rate == pytest.approx(lru.stats.token_hit_rate)
 
@@ -117,8 +117,8 @@ class TestClairvoyantReplay:
         oracle = clairvoyant_replay(hybrid, trace, capacity)
         lru = MarconiCache(hybrid, capacity, eviction="lru")
         for now, _, _, inp, full in trace.iter_requests_nominal():
-            r = lru.lookup(inp, now)
-            lru.admit(full, now, handle=r.handle)
+            s = lru.begin(inp, now)
+            s.commit(full, now)
         assert oracle.evictions > 0
         assert oracle.token_hit_rate >= lru.stats.token_hit_rate
 
@@ -200,8 +200,8 @@ class TestTaxonomy:
         report = classify_trace(trace)
         cache = MarconiCache(hybrid, int(1e13), eviction="lru")
         for now, _, _, inp, full in trace.iter_requests_nominal():
-            r = cache.lookup(inp, now)
-            cache.admit(full, now, handle=r.handle)
+            s = cache.begin(inp, now)
+            s.commit(full, now)
         assert cache.stats.token_hit_rate <= report.reusable_token_share + 1e-9
 
     def test_summary_table_renders(self):

@@ -10,6 +10,7 @@ from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction, GDSFEviction, LRUEviction
+from repro.core.interfaces import CacheProtocol
 
 
 class TestVanilla:
@@ -17,17 +18,18 @@ class TestVanilla:
         cache = VanillaCache(hybrid)
         for i in range(3):
             seq = tokens(100, seed=i)
-            r = cache.lookup(seq, float(i))
-            assert r.hit_tokens == 0
-            cache.admit(seq, float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            assert s.hit_tokens == 0
+            s.commit(seq, float(i) + 0.5)
         assert cache.stats.token_hit_rate == 0.0
         assert cache.used_bytes == 0
 
     def test_reset(self, hybrid, tokens):
         cache = VanillaCache(hybrid)
-        cache.lookup(tokens(10, seed=1), 0.0)
+        still_open = cache.begin(tokens(10, seed=1), 0.0)
         cache.reset()
         assert cache.stats.lookups == 0
+        assert not still_open.is_open
 
 
 class TestSGLangPlus:
@@ -47,8 +49,7 @@ class TestSGLangPlus:
             seq = np.concatenate([shared, tokens(50, seed=10 + i)])
             full = np.concatenate([seq, tokens(20, seed=20 + i)])
             for cache in (sglang, marconi):
-                r = cache.lookup(seq, float(i))
-                cache.admit(full, float(i) + 0.5, handle=r.handle)
+                cache.begin(seq, float(i)).commit(full, float(i) + 0.5)
         assert sglang.stats.hit_tokens == marconi.stats.hit_tokens
         assert sglang.used_bytes == marconi.used_bytes
         assert sglang.tree.n_nodes == marconi.tree.n_nodes
@@ -92,7 +93,7 @@ class TestRegistry:
     def test_all_names_construct(self, hybrid):
         for name in POLICY_NAMES:
             cache = make_cache(name, hybrid, int(1e9))
-            assert hasattr(cache, "lookup")
+            assert isinstance(cache, CacheProtocol)
 
     def test_types(self, hybrid):
         assert isinstance(make_cache("vanilla", hybrid, 0), VanillaCache)

@@ -86,9 +86,9 @@ class TestCacheInvariants:
         for i, (inp, out) in enumerate(requests):
             arr_in = np.asarray(inp, dtype=np.int32)
             arr_full = np.asarray(inp + out, dtype=np.int32)
-            r = cache.lookup(arr_in, float(i))
-            assert 0 <= r.hit_tokens < len(arr_in)
-            cache.admit(arr_full, float(i) + 0.5, handle=r.handle)
+            s = cache.begin(arr_in, float(i))
+            assert 0 <= s.hit_tokens < len(arr_in)
+            s.commit(arr_full, float(i) + 0.5)
             assert cache.used_bytes == cache.recompute_used_bytes()
             assert cache.used_bytes <= cache.capacity_bytes
             cache.tree.check_integrity()
@@ -103,11 +103,11 @@ class TestCacheInvariants:
         seen_prefixes: set[tuple] = set()
         for i, (inp, out) in enumerate(requests):
             arr_in = np.asarray(inp, dtype=np.int32)
-            r = cache.lookup(arr_in, float(i))
-            if r.hit_tokens > 0:
-                assert tuple(inp[: r.hit_tokens]) in seen_prefixes
+            s = cache.begin(arr_in, float(i))
+            if s.hit_tokens > 0:
+                assert tuple(inp[: s.hit_tokens]) in seen_prefixes
             full = inp + out
-            cache.admit(np.asarray(full, dtype=np.int32), float(i) + 0.5, handle=r.handle)
+            s.commit(np.asarray(full, dtype=np.int32), float(i) + 0.5)
             for k in range(1, len(full) + 1):
                 seen_prefixes.add(tuple(full[:k]))
 
@@ -119,7 +119,7 @@ class TestCacheInvariants:
     @settings(max_examples=60, deadline=None)
     def test_index_matches_full_rescan(self, requests, capacity_kb, eviction):
         """The core invariant of the incremental-eviction refactor: after
-        every lookup/admit (and the evictions they trigger), the maintained
+        every begin/commit (and the evictions they trigger), the maintained
         index's candidate set is exactly what a from-scratch
         ``_collect_candidates()`` rebuild would produce — same nodes, same
         cached freeable bytes, FLOP efficiencies, and recency keys — and
@@ -156,11 +156,9 @@ class TestCacheInvariants:
             assert cache.used_bytes == cache.recompute_used_bytes()
 
         for i, (inp, out) in enumerate(requests):
-            r = cache.lookup(np.asarray(inp, dtype=np.int32), float(i))
+            s = cache.begin(np.asarray(inp, dtype=np.int32), float(i))
             check()
-            cache.admit(
-                np.asarray(inp + out, dtype=np.int32), float(i) + 0.5, handle=r.handle
-            )
+            s.commit(np.asarray(inp + out, dtype=np.int32), float(i) + 0.5)
             check()
 
     @given(
@@ -189,10 +187,8 @@ class TestCacheInvariants:
             alpha=1.0,
         )
         for i, (inp, out) in enumerate(requests):
-            r = cache.lookup(np.asarray(inp, dtype=np.int32), float(i))
-            cache.admit(
-                np.asarray(inp + out, dtype=np.int32), float(i) + 0.5, handle=r.handle
-            )
+            s = cache.begin(np.asarray(inp, dtype=np.int32), float(i))
+            s.commit(np.asarray(inp + out, dtype=np.int32), float(i) + 0.5)
 
     @given(requests=request_stream())
     @settings(max_examples=30, deadline=None)
@@ -202,11 +198,10 @@ class TestCacheInvariants:
         total_input = 0
         total_hit = 0
         for i, (inp, out) in enumerate(requests):
-            r = cache.lookup(np.asarray(inp, dtype=np.int32), float(i))
+            s = cache.begin(np.asarray(inp, dtype=np.int32), float(i))
             total_input += len(inp)
-            total_hit += r.hit_tokens
-            cache.admit(np.asarray(inp + out, dtype=np.int32), float(i) + 0.5,
-                        handle=r.handle)
+            total_hit += s.hit_tokens
+            s.commit(np.asarray(inp + out, dtype=np.int32), float(i) + 0.5)
         assert cache.stats.input_tokens == total_input
         assert cache.stats.hit_tokens == total_hit
         assert cache.stats.lookups == len(requests)

@@ -49,20 +49,20 @@ class TestProbe:
     def test_probe_matches_real_hybrid_hit(self, hybrid):
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         seq = toks(300, 1)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, toks(40, 2)])
-        cache.admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         query = np.concatenate([full, toks(20, 3)])
         probed = probe_hit_tokens(cache, query)
-        real = cache.lookup(query, 1.0)
+        real = cache.begin(query, 1.0)
         assert probed == real.hit_tokens == len(full)
-        cache.admit(np.concatenate([query, toks(5, 4)]), 1.5, handle=real.handle)
+        real.commit(np.concatenate([query, toks(5, 4)]), 1.5)
 
     def test_probe_does_not_mutate(self, hybrid):
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         seq = toks(100, 5)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(np.concatenate([seq, toks(10, 6)]), 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(np.concatenate([seq, toks(10, 6)]), 0.5)
         nodes_before = cache.tree.n_nodes
         used_before = cache.used_bytes
         probe_hit_tokens(cache, np.concatenate([seq, toks(50, 7)]))
@@ -87,8 +87,8 @@ class TestProbe:
 
         cache = VLLMPlusCache(hybrid, int(1e13), block_size=32)
         seq = toks(100, 31)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(np.concatenate([seq, toks(30, 32)]), 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(np.concatenate([seq, toks(30, 32)]), 0.5)
         query = np.concatenate([seq, toks(10, 33)])
         reuse_before = cache.reuse_stats.blocks_kv_reused
         probed = probe_hit_tokens(cache, query)
@@ -128,9 +128,9 @@ class TestRouters:
     def test_prefix_affinity_chases_cached_prefix(self, hybrid):
         caches = [MarconiCache(hybrid, int(1e12), alpha=0.0) for _ in range(2)]
         seq = toks(300, 11)
-        r = caches[1].lookup(seq, 0.0)
+        s = caches[1].begin(seq, 0.0)
         full = np.concatenate([seq, toks(30, 12)])
-        caches[1].admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         router = PrefixAffinityRouter()
         query = np.concatenate([full, toks(10, 13)])
         assert router.route(query, 0, caches, [0, 0], 1.0) == 1
@@ -138,9 +138,9 @@ class TestRouters:
     def test_prefix_affinity_spills_when_overloaded(self, hybrid):
         caches = [MarconiCache(hybrid, int(1e12), alpha=0.0) for _ in range(2)]
         seq = toks(300, 14)
-        r = caches[1].lookup(seq, 0.0)
+        s = caches[1].begin(seq, 0.0)
         full = np.concatenate([seq, toks(30, 15)])
-        caches[1].admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         router = PrefixAffinityRouter(max_imbalance=2)
         query = np.concatenate([full, toks(10, 16)])
         assert router.route(query, 0, caches, [0, 10], 1.0) == 0

@@ -16,6 +16,7 @@ from repro.cluster import (
     ClusterSimulator,
     DirectoryRouter,
     PrefixAffinityRouter,
+    PrefixDirectory,
     RoundRobinRouter,
     RouteDecision,
     Router,
@@ -155,7 +156,7 @@ class TestFailover:
         trace = generate_lmsys_trace(n_sessions=10, seed=39, session_rate=2.0)
         caches = _caches(hybrid, 3)
         # Force directory mode: auto would deep-probe a 3-replica fleet.
-        router = PrefixAffinityRouter(probe="directory")
+        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         first = ClusterSimulator(
             hybrid,
             caches,
@@ -278,7 +279,7 @@ class TestFailover:
         trace = generate_lmsys_trace(n_sessions=10, seed=35, session_rate=2.0)
         caches = _caches(hybrid, 2)
         # Force directory mode: auto would deep-probe a 2-replica fleet.
-        router = PrefixAffinityRouter(probe="directory")
+        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         result = simulate_cluster(
             hybrid,
             caches,

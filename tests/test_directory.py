@@ -432,8 +432,9 @@ class TestDirectoryProperties:
     @settings(max_examples=25, deadline=None)
     @given(op_stream())
     def test_router_decision_parity(self, stream):
-        """PrefixAffinityRouter picks the same replica in directory and
-        deep-probe modes for any cache state and query."""
+        """PrefixAffinityRouter picks the same replica whether it reads a
+        directory or deep-probes (these fleets are below the size at which
+        it would read one unasked) for any cache state and query."""
         n_replicas, ops, queries = stream
         caches = [MarconiCache(HYBRID, int(1e12), alpha=0.0) for _ in range(n_replicas)]
         now = 0.0
@@ -448,8 +449,8 @@ class TestDirectoryProperties:
                     np.concatenate([seq, _tiny_vocab_seq(4, vocab_seed + 7)]),
                     now + 0.5,
                 )
-        deep = PrefixAffinityRouter(probe="deep")
-        fast = PrefixAffinityRouter(probe="directory")
+        deep = PrefixAffinityRouter()
+        fast = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         loads_cycle = [[i % 3 for i in range(n_replicas)], [0] * n_replicas]
         for qi, (n, s) in enumerate(queries):
             query = _tiny_vocab_seq(n, s)
@@ -457,6 +458,7 @@ class TestDirectoryProperties:
             assert deep.route(query, qi, caches, loads, now) == fast.route(
                 query, qi, caches, loads, now
             )
+        assert deep.directory is None and fast.directory is not None
 
 
 class TestRouterSatellites:
@@ -483,9 +485,13 @@ class TestRouterSatellites:
         query = np.concatenate([seq, toks(10, 3)])
         assert probe_hit_tokens(cache, query) == probe_hit_tokens(cache, list(query))
 
-    def test_router_probe_mode_validation(self):
-        with pytest.raises(ValueError):
-            PrefixAffinityRouter(probe="psychic")
+    def test_router_takes_no_probe_selector(self):
+        """The probe is not a constructor option: one rule picks it."""
+        from repro.cluster import HierarchicalRouter
+
+        for router in (PrefixAffinityRouter, HierarchicalRouter):
+            with pytest.raises(TypeError):
+                router(probe="deep")
 
     def test_directory_router_in_registry(self):
         from repro.cluster import DirectoryRouter, make_router
@@ -495,7 +501,7 @@ class TestRouterSatellites:
         assert isinstance(make_router("directory"), DirectoryRouter)
 
     def test_router_reset_clears_directory(self):
-        router = PrefixAffinityRouter(probe="directory")
+        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         caches = [MarconiCache(HYBRID, int(1e12), alpha=0.0) for _ in range(2)]
         serve(caches[0], toks(120, 4), 0.0)
         router.route(toks(120, 4), 0, caches, [0, 0], 1.0)

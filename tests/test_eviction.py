@@ -237,12 +237,8 @@ class TestPolicyContract:
         cache = MarconiCache(hybrid, capacity_bytes=3 * per_seq, eviction=name, alpha=1.0)
         for i in range(6):
             seq = tokens(400, seed=4000 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(
-                np.concatenate([seq, tokens(50, seed=5000 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(50, seed=5000 + i)]), float(i) + 0.5)
         assert cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == cache.recompute_used_bytes()
         assert cache.stats.evictions > 0
@@ -270,9 +266,8 @@ class TestCacheEviction:
         handles = []
         for i in range(n_sequences):
             seq = tokens(length, seed=1000 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, tokens(50, seed=2000 + i)]),
-                        float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(50, seed=2000 + i)]), float(i) + 0.5)
             handles.append(seq)
         return handles
 
@@ -295,7 +290,7 @@ class TestCacheEviction:
         cache = MarconiCache(hybrid, capacity_bytes=4 * per_seq, alpha=0.0)
         seqs = self._fill(cache, tokens, n_sequences=5)
         # The first-admitted sequence should be gone; the last should hit.
-        r_old = cache.lookup(np.concatenate([seqs[0], tokens(5, seed=1)]), 10.0)
+        r_old = cache.begin(np.concatenate([seqs[0], tokens(5, seed=1)]), 10.0)
         assert r_old.hit_tokens == 0
 
     def test_multi_child_nodes_protected(self, hybrid, tokens):
@@ -305,15 +300,14 @@ class TestCacheEviction:
         cache = MarconiCache(hybrid, capacity_bytes=int(2e9), alpha=0.0)
         for i in range(3):
             seq = np.concatenate([shared, tokens(200, seed=600 + i)])
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, tokens(40, seed=700 + i)]),
-                        float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(40, seed=700 + i)]), float(i) + 0.5)
         branch = cache.tree.match(shared).deepest_node
         assert branch is not None and branch.n_children >= 2
         # Force heavy eviction pressure.
         big = tokens(20000, seed=999)
-        r = cache.lookup(big, 100.0)
-        cache.admit(np.concatenate([big, tokens(10, seed=998)]), 100.5, handle=r.handle)
+        s = cache.begin(big, 100.0)
+        s.commit(np.concatenate([big, tokens(10, seed=998)]), 100.5)
         # The branch node may only disappear after ALL children are gone.
         survivors = [n for n in cache.tree.iter_nodes() if n.n_children >= 2]
         for node in survivors:
@@ -323,12 +317,12 @@ class TestCacheEviction:
         """Evicting a single-child node frees exactly the recurrent bytes."""
         cache = MarconiCache(hybrid, capacity_bytes=int(50e9), alpha=0.0)
         seq1 = tokens(200, seed=1)
-        r = cache.lookup(seq1, 0.0)
+        s = cache.begin(seq1, 0.0)
         full1 = np.concatenate([seq1, tokens(50, seed=2)])
-        cache.admit(full1, 0.5, handle=r.handle)
+        s.commit(full1, 0.5)
         seq2 = np.concatenate([full1, tokens(100, seed=3)])
-        r = cache.lookup(seq2, 1.0)
-        cache.admit(np.concatenate([seq2, tokens(50, seed=4)]), 1.5, handle=r.handle)
+        s = cache.begin(seq2, 1.0)
+        s.commit(np.concatenate([seq2, tokens(50, seed=4)]), 1.5)
         interior = cache.tree.match(full1).deepest_node
         assert interior.n_children == 1 and interior.has_ssm_state
         used_before = cache.used_bytes
@@ -345,28 +339,28 @@ class TestCacheEviction:
         """Section 4.3 detail (2): ancestors' timestamps stay stale."""
         cache = MarconiCache(hybrid, capacity_bytes=int(50e9), alpha=0.0)
         seq1 = tokens(200, seed=11)
-        r = cache.lookup(seq1, 0.0)
+        s = cache.begin(seq1, 0.0)
         full1 = np.concatenate([seq1, tokens(50, seed=12)])
-        cache.admit(full1, 0.5, handle=r.handle)
+        s.commit(full1, 0.5)
         seq2 = np.concatenate([full1, tokens(80, seed=13)])
-        r = cache.lookup(seq2, 1.0)
+        s = cache.begin(seq2, 1.0)
         full2 = np.concatenate([seq2, tokens(50, seed=14)])
-        cache.admit(full2, 1.5, handle=r.handle)
+        s.commit(full2, 1.5)
         ancestor = cache.tree.match(full1).deepest_node
         stamp_before = ancestor.last_access
         round3 = np.concatenate([full2, tokens(30, seed=15)])
-        r = cache.lookup(round3, 50.0)
-        assert r.hit_tokens == len(full2)
+        s = cache.begin(round3, 50.0)
+        assert s.hit_tokens == len(full2)
         assert ancestor.last_access == stamp_before
-        cache.admit(np.concatenate([round3, tokens(10, seed=16)]), 50.5, handle=r.handle)
+        s.commit(np.concatenate([round3, tokens(10, seed=16)]), 50.5)
 
     def test_oversized_request_rejected_gracefully(self, hybrid, tokens):
         """A sequence larger than the whole cache is served but not cached."""
         cache = MarconiCache(hybrid, capacity_bytes=int(1e8), alpha=0.0)
         huge = tokens(10_000, seed=21)
-        r = cache.lookup(huge, 0.0)
-        assert r.hit_tokens == 0
-        result = cache.admit(np.concatenate([huge, tokens(10, seed=22)]), 0.5, handle=r.handle)
+        s = cache.begin(huge, 0.0)
+        assert s.hit_tokens == 0
+        result = s.commit(np.concatenate([huge, tokens(10, seed=22)]), 0.5)
         assert result.rejected
         assert cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == cache.recompute_used_bytes()

@@ -196,12 +196,8 @@ class TestHeapSelectorIdentity:
                 seq = np.concatenate([base[:4], tokens(6, seed=200 + i)])
             else:
                 seq = tokens(8, seed=100 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(
-                np.concatenate([seq, tokens(3, seed=300 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(3, seed=300 + i)]), float(i) + 0.5)
             index = cache.eviction_index
             if index.candidates():
                 chosen = cache.policy.select_from_index(index)
@@ -221,12 +217,8 @@ class TestTreeReattachment:
         source = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
         for i in range(4):
             seq = tokens(30, seed=i)
-            r = source.lookup(seq, float(i))
-            source.admit(
-                np.concatenate([seq, tokens(5, seed=50 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
+            s = source.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(5, seed=50 + i)]), float(i) + 0.5)
         target = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
         target.tree = source.tree.clone()
         target._used = target.recompute_used_bytes()
@@ -237,8 +229,9 @@ class TestTreeReattachment:
     def test_reset_clears_index(self):
         model = tiny_test_model()
         cache = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
-        cache.lookup(arr(1, 2, 3), 0.0)
+        in_flight = cache.begin(arr(1, 2, 3), 0.0)
         cache.reset()
+        assert not in_flight.is_open
         assert cache.eviction_index.candidates() == []
         assert cache.used_bytes == 0
 
@@ -414,12 +407,8 @@ class TestMaintainedRanks:
         cache = MarconiCache(tiny_test_model(), capacity_bytes=40_000, **kwargs)
         for i in range(12):
             seq = tokens(40, seed=i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(
-                np.concatenate([seq, tokens(8, seed=50 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(8, seed=50 + i)]), float(i) + 0.5)
         assert cache.stats.evictions > 0
         return cache
 
@@ -450,8 +439,8 @@ class TestMaintainedRanks:
         another policy lets maintained columns go."""
         assert self.contended_cache(tokens, eviction="lru").eviction_index._ranks is None
         roomy = MarconiCache(tiny_test_model(), capacity_bytes=int(1e9), alpha=1.0)
-        roomy.lookup(arr(1, 2, 3), 0.0)
-        assert roomy.eviction_index._ranks is None
+        with roomy.begin(arr(1, 2, 3), 0.0):
+            assert roomy.eviction_index._ranks is None
         contended = self.contended_cache(tokens, alpha=1.0)
         assert contended.eviction_index._ranks is not None
         FlopAwareEviction().bind_index(contended.eviction_index)
@@ -480,12 +469,8 @@ class TestRankUpkeepThreshold:
         for i in range(260):
             # Few distinct lengths and a shared stem: efficiencies tie.
             seq = np.concatenate([tokens(6, seed=i % 9), tokens(10 + i % 3, seed=1000 + i)])
-            r = cache.lookup(seq, float(i // 4))  # and so do access times
-            cache.admit(
-                np.concatenate([seq, tokens(4, seed=2000 + i)]),
-                float(i // 4),
-                handle=r.handle,
-            )
+            s = cache.begin(seq, float(i // 4))  # and so do access times
+            s.commit(np.concatenate([seq, tokens(4, seed=2000 + i)]), float(i // 4))
             if i == 200:  # shrink: the candidate set falls back below the line
                 cache._capacity = 500_000
         below = sum(n < eviction._MAINTAIN_RANKS_FROM for n in sizes)

@@ -27,13 +27,13 @@ def toks(n, seed):
 
 class TestInterleavedInFlight:
     def test_out_of_order_admits(self, hybrid):
-        """lookup A, lookup B, admit B, admit A — pins must balance."""
+        """begin A, begin B, commit B, commit A — pins must balance."""
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         a, b = toks(100, 1), toks(100, 2)
-        ra = cache.lookup(a, 0.0)
-        rb = cache.lookup(b, 0.1)
-        cache.admit(np.concatenate([b, toks(10, 3)]), 1.0, handle=rb.handle)
-        cache.admit(np.concatenate([a, toks(10, 4)]), 1.1, handle=ra.handle)
+        sa = cache.begin(a, 0.0)
+        sb = cache.begin(b, 0.1)
+        sb.commit(np.concatenate([b, toks(10, 3)]), 1.0)
+        sa.commit(np.concatenate([a, toks(10, 4)]), 1.1)
         assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
         assert cache.used_bytes == cache.recompute_used_bytes()
 
@@ -41,11 +41,11 @@ class TestInterleavedInFlight:
         """Two in-flight requests with byte-identical inputs."""
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         seq = toks(200, 5)
-        r1 = cache.lookup(seq, 0.0)
-        r2 = cache.lookup(seq, 0.1)
-        assert r1.hit_tokens == r2.hit_tokens == 0
-        cache.admit(np.concatenate([seq, toks(10, 6)]), 1.0, handle=r1.handle)
-        cache.admit(np.concatenate([seq, toks(12, 7)]), 1.1, handle=r2.handle)
+        s1 = cache.begin(seq, 0.0)
+        s2 = cache.begin(seq, 0.1)
+        assert s1.hit_tokens == s2.hit_tokens == 0
+        s1.commit(np.concatenate([seq, toks(10, 6)]), 1.0)
+        s2.commit(np.concatenate([seq, toks(12, 7)]), 1.1)
         assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
         assert cache.used_bytes == cache.recompute_used_bytes()
         cache.tree.check_integrity()
@@ -54,12 +54,12 @@ class TestInterleavedInFlight:
         """A pile-up of in-flight requests sharing one conversation."""
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         base = toks(100, 8)
-        handles = []
+        sessions = []
         for i in range(8):
             seq = np.concatenate([base, toks(5 + i, 9 + i)])
-            handles.append((seq, cache.lookup(seq, float(i)).handle))
-        for i, (seq, handle) in enumerate(reversed(handles)):
-            cache.admit(np.concatenate([seq, toks(3, 50 + i)]), 10.0 + i, handle=handle)
+            sessions.append((seq, cache.begin(seq, float(i))))
+        for i, (seq, session) in enumerate(reversed(sessions)):
+            session.commit(np.concatenate([seq, toks(3, 50 + i)]), 10.0 + i)
         assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
         cache.tree.check_integrity()
 
@@ -72,18 +72,14 @@ class TestAdversarialStreams:
         base = toks(300, 11)
         variant_a = np.concatenate([base, [7]]).astype(np.int32)
         variant_b = np.concatenate([base, [8]]).astype(np.int32)
-        ra = cache.lookup(variant_a, 0.0)
-        cache.admit(np.concatenate([variant_a, toks(10, 12)]), 0.5, handle=ra.handle)
-        rb = cache.lookup(variant_b, 1.0)
-        assert rb.hit_tokens == 0  # branch checkpoint at 300 created only now
-        cache.admit(np.concatenate([variant_b, toks(10, 13)]), 1.5, handle=rb.handle)
-        rc = cache.lookup(np.concatenate([base, [9]]).astype(np.int32), 2.0)
-        assert rc.hit_tokens == len(base)  # third occurrence benefits
-        cache.admit(
-            np.concatenate([base, [9], toks(5, 14)]).astype(np.int32),
-            2.5,
-            handle=rc.handle,
-        )
+        sa = cache.begin(variant_a, 0.0)
+        sa.commit(np.concatenate([variant_a, toks(10, 12)]), 0.5)
+        sb = cache.begin(variant_b, 1.0)
+        assert sb.hit_tokens == 0  # branch checkpoint at 300 created only now
+        sb.commit(np.concatenate([variant_b, toks(10, 13)]), 1.5)
+        sc = cache.begin(np.concatenate([base, [9]]).astype(np.int32), 2.0)
+        assert sc.hit_tokens == len(base)  # third occurrence benefits
+        sc.commit(np.concatenate([base, [9], toks(5, 14)]).astype(np.int32), 2.5)
 
     def test_all_identical_requests(self, hybrid):
         """The self-consistency pathology: one prompt repeated many times.
@@ -100,16 +96,16 @@ class TestAdversarialStreams:
         prompt = toks(500, 15)
         hits = []
         for i in range(5):
-            r = cache.lookup(prompt, float(i))
-            hits.append(r.hit_tokens)
-            cache.admit(np.concatenate([prompt, toks(20, 100 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(prompt, float(i))
+            hits.append(s.hit_tokens)
+            s.commit(np.concatenate([prompt, toks(20, 100 + i)]), i + 0.5)
         assert all(h == 0 for h in hits)
         # But any *extension* of the prompt hits the conversation-end
         # checkpoints immediately.
         extended = np.concatenate([prompt, toks(20, 100), toks(4, 999)])
-        r = cache.lookup(extended, 10.0)
-        assert r.hit_tokens == len(prompt) + 20
-        cache.admit(np.concatenate([extended, [3]]).astype(np.int32), 10.5, handle=r.handle)
+        s = cache.begin(extended, 10.0)
+        assert s.hit_tokens == len(prompt) + 20
+        s.commit(np.concatenate([extended, [3]]).astype(np.int32), 10.5)
         cache.tree.check_integrity()
 
     def test_single_token_vocabulary(self, hybrid):
@@ -117,14 +113,14 @@ class TestAdversarialStreams:
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         for i in range(1, 12):
             seq = np.ones(i * 7, dtype=np.int32)
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.ones(i * 7 + 3, dtype=np.int32), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.ones(i * 7 + 3, dtype=np.int32), i + 0.5)
         assert cache.used_bytes == cache.recompute_used_bytes()
         cache.tree.check_integrity()
         # Deep nesting: last lookup should hit a prior checkpoint.
-        r = cache.lookup(np.ones(80, dtype=np.int32), 100.0)
-        assert r.hit_tokens > 0
-        cache.admit(np.ones(81, dtype=np.int32), 100.5, handle=r.handle)
+        s = cache.begin(np.ones(80, dtype=np.int32), 100.0)
+        assert s.hit_tokens > 0
+        s.commit(np.ones(81, dtype=np.int32), 100.5)
 
     def test_alternating_long_short(self, hybrid):
         """Length oscillation under contention: eviction must keep making
@@ -134,8 +130,8 @@ class TestAdversarialStreams:
         for i in range(12):
             n = 1800 if i % 2 == 0 else 50
             seq = toks(n, 200 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, toks(10, 300 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, toks(10, 300 + i)]), i + 0.5)
         assert cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == cache.recompute_used_bytes()
 
@@ -149,23 +145,23 @@ class TestCapacityEdges:
         )
         cache = MarconiCache(hybrid, exact, alpha=0.0)
         seq = toks(seq_len, 21)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, toks(out_len, 22)])
-        result = cache.admit(full, 0.5, handle=r.handle)
+        result = s.commit(full, 0.5)
         assert not result.rejected
         assert cache.used_bytes == exact
         # A followup hits the cached conversation end.
-        r2 = cache.lookup(np.concatenate([full, toks(5, 23)]), 1.0)
-        assert r2.hit_tokens == len(full)
-        cache.admit(np.concatenate([full, toks(5, 23), [1]]).astype(np.int32), 1.5, handle=r2.handle)
+        s2 = cache.begin(np.concatenate([full, toks(5, 23)]), 1.0)
+        assert s2.hit_tokens == len(full)
+        s2.commit(np.concatenate([full, toks(5, 23), [1]]).astype(np.int32), 1.5)
 
     def test_one_byte_cache_serves_without_caching(self, hybrid):
         cache = MarconiCache(hybrid, 1, alpha=0.0)
         for i in range(4):
             seq = toks(50, 30 + i)
-            r = cache.lookup(seq, float(i))
-            assert r.hit_tokens == 0
-            cache.admit(np.concatenate([seq, toks(5, 40 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            assert s.hit_tokens == 0
+            s.commit(np.concatenate([seq, toks(5, 40 + i)]), i + 0.5)
         assert cache.used_bytes <= 1
         assert cache.tree.n_nodes == 0
 
@@ -175,9 +171,9 @@ class TestCapacityEdges:
         cache = MarconiCache(hybrid, model_recurrent_bytes(hybrid) - 1, alpha=0.0)
         for i in range(6):
             seq = toks(60, 50 + i)
-            r = cache.lookup(seq, float(i))
-            assert r.hit_tokens == 0
-            cache.admit(np.concatenate([seq, toks(5, 60 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            assert s.hit_tokens == 0
+            s.commit(np.concatenate([seq, toks(5, 60 + i)]), i + 0.5)
             assert cache.used_bytes == cache.recompute_used_bytes()
         assert not any(n.has_ssm_state for n in cache.tree.iter_nodes())
 
@@ -187,8 +183,8 @@ class TestCapacityEdges:
         cache = TieredMarconiCache(hybrid, 2 * per_seq, secondary_bytes=10, alpha=0.0)
         for i in range(6):
             seq = toks(400, 70 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, toks(50, 80 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, toks(50, 80 + i)]), i + 0.5)
         assert cache.secondary.n_entries == 0
         assert cache.stats.extra.get("demotions_rejected", 0) > 0
         assert cache.used_bytes == cache.recompute_used_bytes()
@@ -382,8 +378,8 @@ class TestTunerUnderChurn:
                 seq = np.concatenate([base, toks(30 + i, 93 + i)])  # shared prefix
             else:
                 seq = toks(40, 94 + i)  # fresh short
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, toks(10, 95 + i)]), i + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, toks(10, 95 + i)]), i + 0.5)
         assert cache.used_bytes == cache.recompute_used_bytes()
         assert cache.alpha >= 0.0
         cache.tree.check_integrity()

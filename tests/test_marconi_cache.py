@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
-from repro.core.interfaces import LookupResult
+from repro.core.interfaces import LookupResult, RequestSession
 from repro.models.memory import (
     kv_bytes_per_token,
     model_recurrent_bytes,
@@ -20,45 +20,45 @@ class TestBasics:
     def test_rejects_empty_lookup(self, hybrid):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         with pytest.raises(ValueError):
-            cache.lookup(np.asarray([], dtype=np.int32), 0.0)
+            cache.begin(np.asarray([], dtype=np.int32), 0.0)
 
     def test_rejects_2d_tokens(self, hybrid):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         with pytest.raises(ValueError, match="1-D"):
-            cache.lookup(np.zeros((2, 2), dtype=np.int32), 0.0)
+            cache.begin(np.zeros((2, 2), dtype=np.int32), 0.0)
 
     def test_accepts_python_lists(self, hybrid):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
-        r = cache.lookup([1, 2, 3], 0.0)
-        assert isinstance(r, LookupResult)
-        cache.admit([1, 2, 3, 4], 0.5, handle=r.handle)
+        s = cache.begin([1, 2, 3], 0.0)
+        assert isinstance(s, RequestSession)
+        assert isinstance(s.result, LookupResult)
+        s.commit([1, 2, 3, 4], 0.5)
 
     def test_handle_cannot_be_reused(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         seq = tokens(50, seed=1)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, tokens(10, seed=2)])
-        cache.admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         with pytest.raises(ValueError, match="already admitted"):
-            cache.admit(full, 1.0, handle=r.handle)
-
-    def test_foreign_handle_rejected(self, hybrid, tokens):
-        cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
-        with pytest.raises(TypeError):
-            cache.admit(tokens(10, seed=1), 0.0, handle="not-a-handle")
+            s.commit(full, 1.0)
 
     def test_admit_without_lookup_supported(self, hybrid, tokens):
+        """A sequence nobody asked for first enters through a session of
+        its own: begun and committed with the same tokens."""
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         seq = tokens(100, seed=3)
-        cache.admit(seq, 0.0)
-        r = cache.lookup(np.concatenate([seq, tokens(10, seed=4)]), 1.0)
-        assert r.hit_tokens == len(seq)
+        cache.begin(seq, 0.0).commit(seq, 0.0)
+        s = cache.begin(np.concatenate([seq, tokens(10, seed=4)]), 1.0)
+        assert s.hit_tokens == len(seq)
 
     def test_reset_clears_everything(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
-        r = cache.lookup(tokens(100, seed=5), 0.0)
-        cache.admit(tokens(110, seed=5), 0.5)
+        still_open = cache.begin(tokens(100, seed=5), 0.0)
+        full = tokens(110, seed=5)
+        cache.begin(full, 0.5).commit(full, 0.5)
         cache.reset()
+        assert not still_open.is_open
         assert cache.used_bytes == 0
         assert cache.stats.lookups == 0
         assert cache.tree.n_nodes == 0
@@ -68,15 +68,15 @@ class TestAccounting:
     def test_lookup_charges_input_kvs(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
         seq = tokens(500, seed=6)
-        cache.lookup(seq, 0.0)
-        assert cache.used_bytes == 500 * kv_bytes_per_token(hybrid)
+        with cache.begin(seq, 0.0):  # charged while the request is in flight
+            assert cache.used_bytes == 500 * kv_bytes_per_token(hybrid)
 
     def test_admit_charges_output_and_checkpoint(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
         seq = tokens(500, seed=7)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, tokens(100, seed=8)])
-        result = cache.admit(full, 0.5, handle=r.handle)
+        result = s.commit(full, 0.5)
         expected = 100 * kv_bytes_per_token(hybrid) + model_recurrent_bytes(hybrid)
         assert result.admitted_bytes == expected
         assert cache.used_bytes == cache.recompute_used_bytes()
@@ -86,29 +86,28 @@ class TestAccounting:
         shared = tokens(300, seed=9)
         for i in range(2):
             seq = np.concatenate([shared, tokens(80, seed=20 + i)])
-            r = cache.lookup(seq, float(i))
-            cache.admit(np.concatenate([seq, tokens(30, seed=30 + i)]),
-                        float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(30, seed=30 + i)]), float(i) + 0.5)
         assert cache.used_bytes == cache.recompute_used_bytes()
 
     def test_free_bytes_and_utilization(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         assert cache.free_bytes == cache.capacity_bytes
         assert cache.utilization == 0.0
-        cache.lookup(tokens(100, seed=10), 0.0)
-        assert 0.0 < cache.utilization < 1.0
-        assert cache.free_bytes == cache.capacity_bytes - cache.used_bytes
+        with cache.begin(tokens(100, seed=10), 0.0):
+            assert 0.0 < cache.utilization < 1.0
+            assert cache.free_bytes == cache.capacity_bytes - cache.used_bytes
 
 
 class TestStats:
     def test_token_hit_rate_accumulates(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
         seq = tokens(100, seed=11)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, tokens(100, seed=12)])
-        cache.admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         follow = np.concatenate([full, tokens(100, seed=13)])
-        cache.lookup(follow, 1.0)
+        cache.begin(follow, 1.0).abort()  # the lookup counts, served or not
         # 0 hits of 100, then 200 hits of 300 => 200/400.
         assert cache.stats.token_hit_rate == pytest.approx(200 / 400)
         assert cache.stats.hits == 1
@@ -117,16 +116,16 @@ class TestStats:
     def test_flops_saved_tracked(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
         seq = tokens(100, seed=14)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, tokens(10, seed=15)])
-        cache.admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         assert cache.stats.flops_saved == 0.0
-        cache.lookup(np.concatenate([full, tokens(120, seed=16)]), 1.0)
+        cache.begin(np.concatenate([full, tokens(120, seed=16)]), 1.0).abort()
         assert cache.stats.flops_saved > 0
 
     def test_snapshot_keys(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
-        cache.lookup(tokens(10, seed=17), 0.0)
+        cache.begin(tokens(10, seed=17), 0.0).abort()
         snap = cache.stats.snapshot()
         for key in ("lookups", "token_hit_rate", "evictions", "admitted_bytes"):
             assert key in snap
@@ -139,24 +138,22 @@ class TestPinningUnderPressure:
         per_seq = node_state_bytes(hybrid, 220, True)
         cache = MarconiCache(hybrid, capacity_bytes=4 * per_seq, alpha=0.0)
         base = tokens(200, seed=18)
-        r = cache.lookup(base, 0.0)
+        s = cache.begin(base, 0.0)
         full = np.concatenate([base, tokens(20, seed=19)])
-        cache.admit(full, 0.5, handle=r.handle)
+        s.commit(full, 0.5)
         # Open a request that hits `full`, keep it in flight.
         follow = np.concatenate([full, tokens(50, seed=20)])
-        inflight = cache.lookup(follow, 1.0)
+        inflight = cache.begin(follow, 1.0)
         assert inflight.hit_tokens == len(full)
         # Hammer the cache with other sequences to force evictions.
         for i in range(8):
             other = tokens(220, seed=100 + i)
-            r2 = cache.lookup(other, 2.0 + i)
-            cache.admit(np.concatenate([other, tokens(20, seed=200 + i)]),
-                        2.5 + i, handle=r2.handle)
+            s2 = cache.begin(other, 2.0 + i)
+            s2.commit(np.concatenate([other, tokens(20, seed=200 + i)]), 2.5 + i)
         # The in-flight path must still be intact.
         node = cache.tree.match(follow).deepest_node
         assert node is not None and node.is_pinned
-        cache.admit(np.concatenate([follow, tokens(10, seed=21)]), 20.0,
-                    handle=inflight.handle)
+        inflight.commit(np.concatenate([follow, tokens(10, seed=21)]), 20.0)
         assert cache.used_bytes == cache.recompute_used_bytes()
         cache.tree.check_integrity()
 
@@ -165,14 +162,14 @@ class TestPinningUnderPressure:
         KV prefix (mirroring block caches admitting prefix blocks)."""
         cache = MarconiCache(hybrid, capacity_bytes=int(5e7), alpha=0.0)
         seq = tokens(2000, seed=22)  # 2000 * 64KB >> 50MB
-        r = cache.lookup(seq, 0.0)
-        assert r.hit_tokens == 0
+        s = cache.begin(seq, 0.0)
+        assert s.hit_tokens == 0
         assert 0 < cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == cache.recompute_used_bytes()
         node = next(iter(cache.tree.iter_nodes()))
         assert 0 < node.kv_tokens < 2000
         np.testing.assert_array_equal(node.edge_tokens, seq[: node.kv_tokens])
-        cache.admit(np.concatenate([seq, tokens(10, seed=23)]), 0.5, handle=r.handle)
+        s.commit(np.concatenate([seq, tokens(10, seed=23)]), 0.5)
         assert cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == cache.recompute_used_bytes()
         cache.tree.check_integrity()
@@ -181,11 +178,10 @@ class TestPinningUnderPressure:
         """With capacity below one token's KVs, the path is rolled back."""
         cache = MarconiCache(hybrid, capacity_bytes=1024, alpha=0.0)
         seq = tokens(100, seed=24)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         assert cache.used_bytes == 0
         assert cache.stats.rejected_admissions >= 1
-        result = cache.admit(np.concatenate([seq, tokens(10, seed=25)]), 0.5,
-                             handle=r.handle)
+        result = s.commit(np.concatenate([seq, tokens(10, seed=25)]), 0.5)
         assert result.rejected
         assert cache.tree.n_nodes == 0
         cache.tree.check_integrity()
@@ -195,30 +191,30 @@ class TestStorePayloads:
     def test_leaf_payload_roundtrip(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0, store_states=True)
         seq = tokens(100, seed=24)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         full = np.concatenate([seq, tokens(10, seed=25)])
-        cache.admit(full, 0.5, handle=r.handle, state_payload={"state": 42})
-        r2 = cache.lookup(np.concatenate([full, tokens(5, seed=26)]), 1.0)
-        assert r2.state_payload == {"state": 42}
+        s.commit(full, 0.5, state_payload={"state": 42})
+        s2 = cache.begin(np.concatenate([full, tokens(5, seed=26)]), 1.0)
+        assert s2.state_payload == {"state": 42}
 
     def test_attach_branch_state(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0, store_states=True)
         shared = tokens(300, seed=27)
         first = np.concatenate([shared, tokens(50, seed=28)])
-        r = cache.lookup(first, 0.0)
-        cache.admit(np.concatenate([first, tokens(10, seed=29)]), 0.5, handle=r.handle)
+        s = cache.begin(first, 0.0)
+        s.commit(np.concatenate([first, tokens(10, seed=29)]), 0.5)
         second = np.concatenate([shared, tokens(50, seed=30)])
-        r2 = cache.lookup(second, 1.0)
-        assert r2.checkpoint_positions == [300]
-        cache.attach_branch_state(r2.handle, 300, {"branch": True})
-        cache.admit(np.concatenate([second, tokens(10, seed=31)]), 1.5, handle=r2.handle)
+        s2 = cache.begin(second, 1.0)
+        assert s2.checkpoint_positions == [300]
+        s2.attach_branch_state(300, {"branch": True})
+        s2.commit(np.concatenate([second, tokens(10, seed=31)]), 1.5)
         third = np.concatenate([shared, tokens(50, seed=32)])
-        r3 = cache.lookup(third, 2.0)
-        assert r3.hit_tokens == 300
-        assert r3.state_payload == {"branch": True}
+        s3 = cache.begin(third, 2.0)
+        assert s3.hit_tokens == 300
+        assert s3.state_payload == {"branch": True}
 
     def test_attach_at_wrong_position_raises(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0, store_states=True)
-        r = cache.lookup(tokens(50, seed=33), 0.0)
+        s = cache.begin(tokens(50, seed=33), 0.0)
         with pytest.raises(ValueError, match="branch checkpoint"):
-            cache.attach_branch_state(r.handle, 10, {})
+            s.attach_branch_state(10, {})

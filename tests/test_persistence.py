@@ -1,5 +1,7 @@
 """Tests for cache snapshot/restore (warm restarts)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ def _warm_cache(hybrid, capacity=None, n=8):
     shared = toks(200, 1)
     for i in range(n):
         seq = np.concatenate([shared, toks(100 + 13 * i, 100 + i)])
-        r = cache.lookup(seq, float(i))
-        cache.admit(np.concatenate([seq, toks(40, 200 + i)]), i + 0.5, handle=r.handle)
+        s = cache.begin(seq, float(i))
+        s.commit(np.concatenate([seq, toks(40, 200 + i)]), i + 0.5)
     return cache
 
 
@@ -55,11 +57,11 @@ class TestRoundtrip:
         assert warm.used_bytes == cache.used_bytes
 
         query = np.concatenate([toks(200, 1), toks(113, 100), toks(40, 200), toks(5, 999)])
-        a = cache.lookup(query, 100.0)
-        b = warm.lookup(query, 100.0)
+        a = cache.begin(query, 100.0)
+        b = warm.begin(query, 100.0)
         assert a.hit_tokens == b.hit_tokens > 0
-        cache.admit(np.concatenate([query, [1]]).astype(np.int32), 100.5, handle=a.handle)
-        warm.admit(np.concatenate([query, [1]]).astype(np.int32), 100.5, handle=b.handle)
+        a.commit(np.concatenate([query, [1]]).astype(np.int32), 100.5)
+        b.commit(np.concatenate([query, [1]]).astype(np.int32), 100.5)
 
     def test_warm_restart_preserves_trace_hit_rate(self, hybrid, tmp_path):
         """Splitting a trace across a save/load boundary loses nothing."""
@@ -70,21 +72,21 @@ class TestRoundtrip:
 
         unbroken = MarconiCache(hybrid, capacity, alpha=1.0)
         for now, _, _, inp, full in requests:
-            r = unbroken.lookup(inp, now)
-            unbroken.admit(full, now, handle=r.handle)
+            s = unbroken.begin(inp, now)
+            s.commit(full, now)
 
         first = MarconiCache(hybrid, capacity, alpha=1.0)
         for now, _, _, inp, full in requests[:half]:
-            r = first.lookup(inp, now)
-            first.admit(full, now, handle=r.handle)
+            s = first.begin(inp, now)
+            s.commit(full, now)
         path = tmp_path / "restart.npz"
         save_cache(first, path)
         second = load_cache(hybrid, capacity, path, alpha=1.0)
         hit_tokens = first.stats.hit_tokens
         input_tokens = first.stats.input_tokens
         for now, _, _, inp, full in requests[half:]:
-            r = second.lookup(inp, now)
-            second.admit(full, now, handle=r.handle)
+            s = second.begin(inp, now)
+            s.commit(full, now)
         combined = (hit_tokens + second.stats.hit_tokens) / (
             input_tokens + second.stats.input_tokens
         )
@@ -102,8 +104,8 @@ class TestRoundtrip:
         model = transformer_7b()
         cache = MarconiCache(model, int(1e12), alpha=0.0)
         seq = toks(300, 71)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(np.concatenate([seq, toks(20, 72)]), 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(np.concatenate([seq, toks(20, 72)]), 0.5)
         path = tmp_path / "t.npz"
         save_cache(cache, path)
         warm = load_cache(model, int(1e12), path)
@@ -114,10 +116,10 @@ class TestGuards:
     def test_refuses_inflight_requests(self, hybrid, tmp_path):
         cache = MarconiCache(hybrid, int(1e12), alpha=0.0)
         seq = toks(100, 81)
-        r = cache.lookup(seq, 0.0)
+        s = cache.begin(seq, 0.0)
         with pytest.raises(ValueError, match="in-flight"):
             save_cache(cache, tmp_path / "x.npz")
-        cache.admit(np.concatenate([seq, [1]]).astype(np.int32), 0.5, handle=r.handle)
+        s.commit(np.concatenate([seq, [1]]).astype(np.int32), 0.5)
         save_cache(cache, tmp_path / "x.npz")  # fine once closed
 
     def test_model_mismatch_rejected(self, hybrid, tmp_path):
@@ -136,3 +138,88 @@ class TestGuards:
         assert warm.used_bytes <= small
         assert warm.used_bytes == warm.recompute_used_bytes()
         warm.tree.check_integrity()
+
+
+def _as_meta(obj) -> np.ndarray:
+    return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
+
+
+def _edit_meta(edit):
+    def apply(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(meta)
+        arrays["meta"] = _as_meta(meta)
+
+    return apply
+
+
+def _set(name, make):
+    def apply(arrays):
+        arrays[name] = make(arrays[name])
+
+    return apply
+
+
+def _parent_of_last(value):
+    def make(parent):
+        parent = parent.copy()
+        parent[-1] = value
+        return parent
+
+    return make
+
+
+def _first_edge_longer(lengths):
+    lengths = lengths.copy()
+    lengths[0] += 7
+    return lengths
+
+
+def _twin_siblings(arrays):
+    """Re-hang the last node under the root with another root child's edge."""
+    roots = np.flatnonzero(arrays["parent"] == -1)
+    arrays["parent"] = _parent_of_last(-1)(arrays["parent"])
+    lengths = arrays["edge_lengths"]
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    twin = arrays["edge_tokens"][offsets[roots[0]] : offsets[roots[0] + 1]]
+    arrays["edge_tokens"] = np.concatenate(
+        [arrays["edge_tokens"][: offsets[-2]], twin]
+    )
+    arrays["edge_lengths"] = np.concatenate([lengths[:-1], [len(twin)]])
+
+
+CORRUPTIONS = {
+    # The first two load "successfully" without the check: a different tree
+    # that passes check_integrity, and a silently truncated edge.
+    "parent-minus-two": _set("parent", _parent_of_last(-2)),
+    "edge-lengths-overrun-tokens": _set("edge_lengths", _first_edge_longer),
+    "missing-column": lambda arrays: arrays.pop("hit_count"),
+    "short-column": _set("last_access", lambda column: column[:-1]),
+    "parent-minus-five": _set("parent", _parent_of_last(-5)),
+    "parent-after-child": _set("parent", _parent_of_last(10**6)),
+    "zero-length-edge": _set("edge_lengths", lambda lengths: lengths * 0),
+    "float-parent": _set("parent", lambda parent: parent.astype(np.float64)),
+    "meta-not-json": _set("meta", lambda meta: np.full(8, 0xFF, dtype=np.uint8)),
+    "meta-not-an-object": _set("meta", lambda meta: _as_meta([1, 2, 3])),
+    "meta-without-model-name": _edit_meta(lambda meta: meta.pop("model_name")),
+    "meta-wrong-node-count": _edit_meta(lambda meta: meta.update(n_nodes=3)),
+    "twin-siblings": _twin_siblings,
+}
+
+
+class TestCorruptSnapshots:
+    """A snapshot is outside input: whatever is wrong with it is one typed
+    error up front, never a bare KeyError / IndexError, never another tree."""
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_snapshot_is_a_typed_error(self, case, hybrid, tmp_path):
+        good = tmp_path / "good.npz"
+        save_cache(_warm_cache(hybrid, n=4), good)
+        with np.load(good) as data:
+            arrays = {name: data[name] for name in data.files}
+        CORRUPTIONS[case](arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez_compressed(bad, **arrays)
+        with pytest.raises(ValueError, match="corrupt snapshot"):
+            load_cache(hybrid, int(1e12), bad)
+        load_cache(hybrid, int(1e12), good)  # the unedited file still loads

@@ -1,9 +1,9 @@
-"""Session-API semantics: lifecycle, legacy-shim identity, and leak safety.
+"""Session-API semantics: lifecycle, the sessions-only surface, leak safety.
 
 Covers the transactional request-session surface:
 
-* the legacy ``lookup``/``admit`` shims are byte-identical to driving
-  ``begin``/``commit`` directly (property-tested over random traces),
+* ``begin`` / ``commit | abort`` are the only doors of every cache, and a
+  commit must extend the input its session began with,
 * the lifecycle state machine (double-commit, commit-after-abort,
   abort-after-commit, detach-on-reset) behaves as documented,
 * aborts — including abort storms under eviction pressure and interleaved
@@ -11,16 +11,20 @@ Covers the transactional request-session surface:
   and intact accounting (``used_bytes == recompute_used_bytes()``).
 """
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.registry import POLICY_NAMES, make_cache
+from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache, MarconiSession
-from repro.core.interfaces import CacheProtocol, RequestSession, SessionState
+from repro.core.interfaces import CacheProtocol, LookupResult, SessionState
+from repro.core.tokens import TokenSeq
 from repro.models.presets import tiny_test_model
 from repro.tiering.tiered_cache import TieredMarconiCache
 
@@ -55,6 +59,8 @@ def _make_cache(kind: str, capacity: int):
     model = tiny_test_model()
     if kind == "marconi":
         return MarconiCache(model, capacity, alpha=1.0)
+    if kind == "sglang+":
+        return SGLangPlusCache(model, capacity)
     if kind == "tiered":
         return TieredMarconiCache(model, capacity, capacity * 4, alpha=1.0)
     if kind == "vllm+":
@@ -65,68 +71,6 @@ def _make_cache(kind: str, capacity: int):
 
 
 CACHE_KINDS = ("marconi", "tiered", "vllm+", "vanilla")
-
-
-class TestLegacyShimIdentity:
-    """lookup/admit must be indistinguishable from begin/commit."""
-
-    @pytest.mark.parametrize("kind", CACHE_KINDS)
-    @given(requests=request_stream(), capacity_kb=st.integers(1, 500))
-    @settings(max_examples=25, deadline=None)
-    def test_replay_stats_byte_identical(self, kind, requests, capacity_kb):
-        legacy = _make_cache(kind, capacity_kb * 1024)
-        modern = _make_cache(kind, capacity_kb * 1024)
-        for i, (inp, out) in enumerate(requests):
-            arr_in, arr_full = _arr(inp), _arr(inp + out)
-            r = legacy.lookup(arr_in, float(i))
-            legacy.admit(arr_full, float(i) + 0.5, handle=r.handle)
-            with modern.begin(arr_in, float(i)) as session:
-                assert session.hit_tokens == r.hit_tokens
-                assert session.reused_bytes == r.reused_bytes
-                assert session.checkpoint_positions == r.checkpoint_positions
-                session.commit(arr_full, float(i) + 0.5)
-        assert legacy.stats.snapshot() == modern.stats.snapshot()
-        assert legacy.used_bytes == modern.used_bytes
-        assert legacy.open_sessions == 0 and modern.open_sessions == 0
-
-    @given(requests=request_stream(), capacity_kb=st.integers(1, 500))
-    @settings(max_examples=25, deadline=None)
-    def test_replay_tree_identical(self, requests, capacity_kb):
-        """Beyond stats: the radix trees end structurally identical."""
-        legacy = _make_cache("marconi", capacity_kb * 1024)
-        modern = _make_cache("marconi", capacity_kb * 1024)
-        for i, (inp, out) in enumerate(requests):
-            arr_in, arr_full = _arr(inp), _arr(inp + out)
-            r = legacy.lookup(arr_in, float(i))
-            legacy.admit(arr_full, float(i) + 0.5, handle=r.handle)
-            session = modern.begin(arr_in, float(i))
-            session.commit(arr_full, float(i) + 0.5)
-
-        def shape(tree):
-            return sorted(
-                (tuple(n.path_tokens().tolist()), n.has_ssm_state)
-                for n in tree.iter_nodes()
-            )
-
-        assert shape(legacy.tree) == shape(modern.tree)
-
-    def test_lookup_handle_is_the_session(self):
-        cache = _make_cache("marconi", 1 << 20)
-        r = cache.lookup(_arr([1, 2, 3]), 0.0)
-        assert isinstance(r.handle, RequestSession)
-        assert r.handle.is_open
-        cache.admit(_arr([1, 2, 3, 4]), 0.5, handle=r.handle)
-        assert r.handle.is_committed
-
-    def test_dropped_lookup_handle_preserves_legacy_pin(self):
-        """The deprecated shim must keep the legacy drop-the-handle
-        behaviour: the path stays charged and pinned (no GC abort)."""
-        cache = _make_cache("marconi", 1 << 24)
-        cache.lookup(_arr(list(range(20))), 0.0)
-        gc.collect()
-        assert cache.used_bytes > 0
-        assert any(n.is_pinned for n in cache.tree.iter_nodes())
-        assert cache.open_sessions == 1  # the faithful leak, now observable
 
 
 class TestLifecycle:
@@ -202,16 +146,6 @@ class TestLifecycle:
         assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
         assert cache.used_bytes == cache.recompute_used_bytes()
 
-    def test_admit_rejects_foreign_cache_handle(self):
-        """A handle must be admitted into the cache that issued it."""
-        issuer = _make_cache("marconi", 1 << 20)
-        other = _make_cache("marconi", 1 << 20)
-        r = issuer.lookup(_arr([1, 2, 3]), 0.0)
-        with pytest.raises(TypeError, match="different cache"):
-            other.admit(_arr([1, 2, 3, 4]), 0.5, handle=r.handle)
-        assert r.handle.is_open  # the mix-up must not close the session
-        issuer.admit(_arr([1, 2, 3, 4]), 1.0, handle=r.handle)
-
     def test_reset_detaches_open_sessions(self):
         cache = _make_cache("marconi", 1 << 24)
         session = cache.begin(_arr([1, 2, 3]), 0.0)
@@ -246,11 +180,80 @@ class TestLifecycle:
         cache = _make_cache(kind, 1 << 20)
         assert isinstance(cache, CacheProtocol)
 
+    def test_cache_surface_is_sessions_only(self):
+        """No cache keeps a second door: the two-phase ``lookup`` / ``admit``
+        pair and the handle it threaded are gone, and a dropped ``begin``
+        always aborts (the GC net cannot be disarmed)."""
+        model = tiny_test_model()
+        caches = [make_cache(name, model, 1 << 20) for name in POLICY_NAMES]
+        caches.append(_make_cache("tiered", 1 << 20))
+        assert "handle" not in {f.name for f in dataclasses.fields(LookupResult)}
+        for cache in caches:
+            assert isinstance(cache, CacheProtocol)
+            assert not hasattr(cache, "lookup") and not hasattr(cache, "admit")
+            cache.begin(_arr(list(range(16))), 0.0)  # dropped immediately
+            gc.collect()
+            assert cache.open_sessions == 0
+            assert cache.used_bytes == 0
+            tree = getattr(cache, "tree", None)
+            if tree is not None:
+                assert tree.n_nodes == 0
+
     def test_marconi_session_type(self):
         cache = _make_cache("marconi", 1 << 20)
         session = cache.begin(_arr([1, 2]), 0.0)
         assert isinstance(session, MarconiSession)
         session.abort()
+
+
+FOREIGN_FULLS = {
+    # against the begin input 1..40
+    "shorter": lambda a: a[:25],
+    "diverging": lambda a: np.concatenate([a[:10], [777], a[11:], [5, 6, 7]]),
+    "unrelated": lambda a: _arr([9, 9, 9] * 20),
+}
+
+
+class TestCommitPrecondition:
+    """Commit resumes insertion from the begin-time end node, so a full
+    sequence that does not extend the begin input would checkpoint a state
+    under a path that was never served."""
+
+    @pytest.mark.parametrize("kind", ("marconi", "sglang+", "tiered"))
+    @pytest.mark.parametrize("shape", FOREIGN_FULLS)
+    def test_commit_must_extend_the_begin_input(self, shape, kind):
+        cache = _make_cache(kind, 1 << 24)
+        neighbour = _arr([100, 101, 102])
+        cache.begin(neighbour, 0.0).commit(_arr([100, 101, 102, 103]), 0.5)
+        used = cache.used_bytes
+        a = np.arange(1, 41, dtype=np.int32)
+        foreign = _arr(FOREIGN_FULLS[shape](a))
+        session = cache.begin(a, 1.0)
+        with pytest.raises(ValueError, match="must extend"):
+            session.commit(foreign, 1.5)
+        assert session.is_open and cache.open_sessions == 1
+        session.abort()
+        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
+        assert cache.used_bytes == used == cache.recompute_used_bytes()
+        cache.tree.check_integrity()
+        # Nothing was checkpointed under the path the foreign sequence would
+        # have been grafted onto: what it claimed to extend still misses.
+        grafted = np.concatenate([a, foreign[len(a):], [1]]).astype(np.int32)
+        with cache.begin(grafted, 2.0) as probe:
+            assert probe.hit_tokens == 0
+
+    def test_prefix_handles_of_one_buffer_commit_without_a_compare(self):
+        """The kernel's rounds are two prefixes of one session buffer: the
+        precondition holds by identity and length, and a shorter prefix of
+        the same buffer is still refused."""
+        cache = _make_cache("marconi", 1 << 24)
+        history = TokenSeq(np.arange(1, 61, dtype=np.int32))
+        session = cache.begin(history.prefix(40), 0.0)
+        with pytest.raises(ValueError, match="must extend"):
+            session.commit(history.prefix(30), 1.0)
+        session.commit(history.prefix(50), 1.0)
+        with cache.begin(history, 2.0) as follow:
+            assert follow.hit_tokens == 50
 
 
 class TestAbortRollback:

@@ -26,7 +26,9 @@ from repro.cluster import (
     PrefixDirectory,
     ShardedPrefixDirectory,
     make_router,
+    probe_hit_tokens,
 )
+from repro.cluster import router as router_module
 from repro.cluster.sharded_directory import _HashRing
 from repro.core.cache import MarconiCache
 from repro.core.tokens import TokenSeq
@@ -487,8 +489,8 @@ class TestShardedProperties:
                 session.commit(
                     np.concatenate([seq, tiny(4, vocab_seed + 7)]), now + 0.5
                 )
-        deep = PrefixAffinityRouter(probe="deep")
-        oracle_backed = PrefixAffinityRouter(probe="directory")
+        deep = PrefixAffinityRouter()  # fleets this small deep-probe
+        oracle_backed = PrefixAffinityRouter(directory_factory=PrefixDirectory)
         sharded_backed = PrefixAffinityRouter(
             directory_factory=lambda: ShardedPrefixDirectory(
                 n_shards=n_shards, region_tokens=region_tokens
@@ -501,6 +503,7 @@ class TestShardedProperties:
             want = deep.route(query, qi, caches, loads, now)
             assert oracle_backed.route(query, qi, caches, loads, now) == want
             assert sharded_backed.route(query, qi, caches, loads, now) == want
+        assert deep.directory is None
         for router in (deep, oracle_backed, sharded_backed):
             router.release()
 
@@ -882,45 +885,56 @@ class TestSharedBackendRouting:
 
 
 class TestAutoProbeCrossover:
+    """The one probe rule: deep below ``_AUTO_PROBE_THRESHOLD`` replicas,
+    the directory at and above it and whenever a backend was handed in."""
+
+    THRESHOLD = 64  # what `python -m benchmarks.probe_crossover` measured
+
+    def _routed(self, router, n_replicas, seed):
+        caches = [fresh_cache() for _ in range(n_replicas)]
+        full = serve(caches[2], toks(100, seed), 0.0)
+        query = np.concatenate([full, toks(5, 100 + seed)])
+        router.prepare(HYBRID, caches, None)
+        assert router.route(query, 0, caches, [0] * n_replicas, 1.0) == 2
+        return router
+
     def test_mode_pins_crossover_at_threshold(self):
-        """The small-fleet regression fix: auto mode deep-probes below the
-        threshold (directory maintenance costs more than a few tree walks)
-        and switches to the directory at the crossover, never before."""
-        router = PrefixAffinityRouter()  # probe="auto": crossover at 8
-        for n in range(1, 8):
-            assert router._mode(n) == "deep", f"fleet of {n} must deep-probe"
-        for n in (8, 9, 64, 512):
-            assert router._mode(n) == "directory"
+        """Deep-probing below the threshold (directory maintenance costs
+        more than a few dozen tree walks) and the directory from the
+        crossover on, never before."""
+        assert router_module._AUTO_PROBE_THRESHOLD == self.THRESHOLD
+        router = PrefixAffinityRouter()
+        for n in range(1, self.THRESHOLD):
+            assert not router._reads_directory(n), f"fleet of {n} must deep-probe"
+        for n in (self.THRESHOLD, self.THRESHOLD + 1, 128, 512):
+            assert router._reads_directory(n)
 
     def test_auto_small_fleet_builds_no_directory(self):
-        router = PrefixAffinityRouter()
-        caches = [fresh_cache() for _ in range(4)]
-        full = serve(caches[2], toks(100, 12), 0.0)
-        query = np.concatenate([full, toks(5, 112)])
-        router.prepare(HYBRID, caches, None)
-        assert router.route(query, 0, caches, [0] * 4, 1.0) == 2
+        router = self._routed(PrefixAffinityRouter(), self.THRESHOLD - 1, 12)
         assert router.directory is None
         assert router.directory_stats is None
 
     def test_auto_large_fleet_builds_directory(self):
-        router = PrefixAffinityRouter()
-        caches = [fresh_cache() for _ in range(8)]
-        full = serve(caches[2], toks(100, 13), 0.0)
-        query = np.concatenate([full, toks(5, 113)])
-        router.prepare(HYBRID, caches, None)
-        assert router.route(query, 0, caches, [0] * 8, 1.0) == 2
+        router = self._routed(PrefixAffinityRouter(), self.THRESHOLD, 13)
         assert router.directory is not None
         router.release()
 
     def test_backend_forces_directory_mode_under_auto(self):
-        router = PrefixAffinityRouter(
-            directory_factory=lambda: ShardedPrefixDirectory(n_shards=2)
-        )
-        assert router._mode(2) == "directory"
+        """A backend handed in is read at any fleet size, and a
+        DirectoryRouter builds its own when handed none."""
+        for router in (
+            PrefixAffinityRouter(
+                directory_factory=lambda: ShardedPrefixDirectory(n_shards=2)
+            ),
+            PrefixAffinityRouter(directory=ShardedPrefixDirectory(n_shards=2)),
+            DirectoryRouter(),
+        ):
+            assert self._routed(router, 3, 14).directory is not None
+            router.release()
 
     def test_backend_rejected_with_deep_probe(self):
-        with pytest.raises(ValueError):
-            PrefixAffinityRouter(probe="deep", directory=ShardedPrefixDirectory())
+        """There is no deep-probe option left to clash with a backend; two
+        backends at once are still refused."""
         with pytest.raises(ValueError):
             PrefixAffinityRouter(
                 directory=ShardedPrefixDirectory(),
@@ -928,20 +942,26 @@ class TestAutoProbeCrossover:
             )
 
     def test_auto_decisions_identical_across_crossover(self):
-        """One fleet straddling the threshold: auto (deep) and forced
-        directory modes agree, so the crossover is invisible to routing."""
-        caches = [fresh_cache() for _ in range(6)]
-        for i in (1, 4):
-            serve(caches[i], tiny(30 + i, i), float(i))
-        auto = PrefixAffinityRouter()  # 6 replicas: deep
-        forced = PrefixAffinityRouter(probe="directory")
-        for qi in range(8):
-            query = tiny(10 + qi * 5, qi % 3)
-            loads = [qi % 2] * 6
-            assert auto.route(query, qi, caches, loads, 10.0) == forced.route(
-                query, qi, caches, loads, 10.0
-            )
-        forced.release()
+        """Fleets on either side of the threshold: the router left to the
+        rule and one handed a directory agree with the deep probe's own
+        hits, so the crossover is invisible to routing."""
+        for n in (self.THRESHOLD - 1, self.THRESHOLD):
+            caches = [fresh_cache() for _ in range(n)]
+            for i in (1, 4, n - 1):
+                serve(caches[i], tiny(30 + i % 7, i % 5), float(i))
+            auto = PrefixAffinityRouter()
+            backed = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+            reference = PrefixAffinityRouter()
+            for qi in range(8):
+                query = tiny(10 + qi * 5, qi % 3)
+                loads = [qi % 2] * n
+                hits = [probe_hit_tokens(cache, query) for cache in caches]
+                want = reference._select(hits, loads)
+                assert auto.route(query, qi, caches, loads, 10.0) == want
+                assert backed.route(query, qi, caches, loads, 10.0) == want
+            assert (auto.directory is not None) == (n >= self.THRESHOLD)
+            auto.release()
+            backed.release()
 
 
 class TestHierarchicalRouting:
@@ -949,8 +969,8 @@ class TestHierarchicalRouting:
         return serve(caches[replica], toks(200, seed), 0.0, out_seed=seed + 100)
 
     def test_small_fleet_degrades_to_flat(self):
-        flat = PrefixAffinityRouter(probe="deep")
-        hier = HierarchicalRouter(rack_size=8, probe="deep")
+        flat = PrefixAffinityRouter()
+        hier = HierarchicalRouter(rack_size=8)
         caches = [fresh_cache() for _ in range(4)]
         full = self._warm(caches, 2, 20)
         query = np.concatenate([full, toks(5, 21)])
@@ -960,7 +980,7 @@ class TestHierarchicalRouting:
             )
 
     def test_affinity_goes_to_owning_rack(self):
-        hier = HierarchicalRouter(rack_size=2, probe="deep")
+        hier = HierarchicalRouter(rack_size=2)
         caches = [fresh_cache() for _ in range(6)]
         full = self._warm(caches, 4, 22)  # rack 2 owns the prefix
         query = np.concatenate([full, toks(5, 23)])
@@ -968,7 +988,7 @@ class TestHierarchicalRouting:
         assert hier.decision_stats.get("rack_affinity", 0) == 1
 
     def test_overload_spills_rack_local(self):
-        hier = HierarchicalRouter(rack_size=2, rack_max_imbalance=1, probe="deep")
+        hier = HierarchicalRouter(rack_size=2, rack_max_imbalance=1)
         caches = [fresh_cache() for _ in range(6)]
         full = self._warm(caches, 4, 24)
         query = np.concatenate([full, toks(5, 25)])
@@ -979,7 +999,7 @@ class TestHierarchicalRouting:
         assert hier.decision_stats.get("rack_spilled", 0) == 1
 
     def test_cold_requests_fall_back_globally(self):
-        hier = HierarchicalRouter(rack_size=2, probe="deep")
+        hier = HierarchicalRouter(rack_size=2)
         caches = [fresh_cache() for _ in range(6)]
         loads = [5, 5, 5, 5, 0, 5]
         assert hier.route(toks(40, 26), 0, caches, loads, 1.0) == 4
@@ -994,7 +1014,7 @@ class TestHierarchicalRouting:
             HierarchicalRouter(rack_max_imbalance=-1)
 
     def test_reset_clears_rack_rotation(self):
-        hier = HierarchicalRouter(rack_size=2, rack_max_imbalance=0, probe="deep")
+        hier = HierarchicalRouter(rack_size=2, rack_max_imbalance=0)
         caches = [fresh_cache() for _ in range(4)]
         full = self._warm(caches, 0, 27)
         query = np.concatenate([full, toks(5, 28)])

@@ -5,9 +5,9 @@ an unbounded cache with plain Python sets — no radix tree:
 
 * the tree's node set is derived from pairwise longest-common-prefix
   arithmetic over all inserted sequences;
-* a lookup checkpoints a branch point exactly when its insert creates a
+* a begin checkpoints a branch point exactly when its insert creates a
   *new* intermediate node (speculative insertion);
-* an admit checkpoints the end of the full sequence;
+* a commit checkpoints the end of the full sequence;
 * a hybrid hit is the deepest checkpointed proper prefix of the query.
 
 Running random interleaved request streams through both implementations
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import RequestSession
 from repro.models.presets import tiny_test_model
 from repro.tiering import TieredMarconiCache
 
@@ -60,7 +61,7 @@ class ReferenceModel:
         self.paths.append(x)
         return split
 
-    def lookup(self, x: tuple) -> int:
+    def begin(self, x: tuple) -> int:
         hit = max(
             (
                 len(c)
@@ -74,7 +75,7 @@ class ReferenceModel:
             self.checkpoints.add(split)
         return hit
 
-    def admit(self, full: tuple) -> None:
+    def commit(self, full: tuple) -> None:
         self._insert(full)
         self.checkpoints.add(full)
 
@@ -90,28 +91,28 @@ class MarconiSpecMachine(RuleBasedStateMachine):
         self.ref = ReferenceModel()
         self.clock = 0.0
         self.history: list[tuple] = []
-        self.pending: list[tuple] = []  # (input_tuple, handle)
+        self.pending: list[tuple] = []  # (input_tuple, open session)
 
     def _now(self) -> float:
         self.clock += 1.0
         return self.clock
 
-    def _check_hit(self, inp: tuple) -> object:
-        expected = self.ref.lookup(inp)
-        result = self.cache.lookup(np.asarray(inp, dtype=np.int32), self._now())
-        assert result.hit_tokens == expected, (
-            f"hit mismatch for {inp}: cache={result.hit_tokens} spec={expected}"
+    def _check_hit(self, inp: tuple) -> RequestSession:
+        expected = self.ref.begin(inp)
+        session = self.cache.begin(np.asarray(inp, dtype=np.int32), self._now())
+        assert session.hit_tokens == expected, (
+            f"hit mismatch for {inp}: cache={session.hit_tokens} spec={expected}"
         )
-        return result.handle
+        return session
 
     @rule(inp=TOKENS, out=TOKENS)
     def fresh_request(self, inp, out):
-        """A full lookup+admit cycle on a fresh random input."""
+        """A full begin+commit cycle on a fresh random input."""
         inp, out = tuple(inp), tuple(out)
-        handle = self._check_hit(inp)
+        session = self._check_hit(inp)
         full = inp + out
-        self.cache.admit(np.asarray(full, dtype=np.int32), self._now(), handle=handle)
-        self.ref.admit(full)
+        session.commit(np.asarray(full, dtype=np.int32), self._now())
+        self.ref.commit(full)
         self.history.append(full)
 
     @rule(data=st.data())
@@ -123,28 +124,27 @@ class MarconiSpecMachine(RuleBasedStateMachine):
         cut = data.draw(st.integers(1, len(base)))
         inp = base[:cut] + tuple(data.draw(TOKENS))
         out = tuple(data.draw(TOKENS))
-        handle = self._check_hit(inp)
+        session = self._check_hit(inp)
         full = inp + out
-        self.cache.admit(np.asarray(full, dtype=np.int32), self._now(), handle=handle)
-        self.ref.admit(full)
+        session.commit(np.asarray(full, dtype=np.int32), self._now())
+        self.ref.commit(full)
         self.history.append(full)
 
     @rule(inp=TOKENS)
-    def lookup_only(self, inp):
+    def begin_only(self, inp):
         """Open a request and leave it in flight (pins its path)."""
         inp = tuple(inp)
-        handle = self._check_hit(inp)
-        self.pending.append((inp, handle))
+        self.pending.append((inp, self._check_hit(inp)))
 
     @precondition(lambda self: self.pending)
     @rule(data=st.data(), out=TOKENS)
     def finish_pending(self, data, out):
         """Close a random in-flight request (possibly out of order)."""
         index = data.draw(st.integers(0, len(self.pending) - 1))
-        inp, handle = self.pending.pop(index)
+        inp, session = self.pending.pop(index)
         full = inp + tuple(out)
-        self.cache.admit(np.asarray(full, dtype=np.int32), self._now(), handle=handle)
-        self.ref.admit(full)
+        session.commit(np.asarray(full, dtype=np.int32), self._now())
+        self.ref.commit(full)
         self.history.append(full)
 
     @invariant()
@@ -181,16 +181,13 @@ class ContendedInvariantMachine(RuleBasedStateMachine):
         return self.clock
 
     def _roundtrip(self, inp: tuple, out: tuple) -> None:
-        result = self.cache.lookup(np.asarray(inp, dtype=np.int32), self._now())
-        assert 0 <= result.hit_tokens <= len(inp) - 1
-        if result.hit_tokens:
-            assert tuple(inp[: result.hit_tokens]) in {
-                h[: result.hit_tokens] for h in self.history if len(h) >= result.hit_tokens
-            }
+        session = self.cache.begin(np.asarray(inp, dtype=np.int32), self._now())
+        hit = session.hit_tokens
+        assert 0 <= hit <= len(inp) - 1
+        if hit:
+            assert tuple(inp[:hit]) in {h[:hit] for h in self.history if len(h) >= hit}
         full = inp + out
-        self.cache.admit(
-            np.asarray(full, dtype=np.int32), self._now(), handle=result.handle
-        )
+        session.commit(np.asarray(full, dtype=np.int32), self._now())
         self.history.append(full)
 
     @rule(inp=st.lists(st.integers(0, 2), min_size=1, max_size=40), out=TOKENS)

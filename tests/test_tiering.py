@@ -93,11 +93,11 @@ class TestSecondaryStore:
 
 
 def _run_session(cache, seq, extra_out, now):
-    """One request: lookup the input, admit input + output."""
-    r = cache.lookup(seq, now)
+    """One request: begin with the input, commit input + output."""
+    s = cache.begin(seq, now)
     full = np.concatenate([seq, extra_out])
-    cache.admit(full, now + 0.5, handle=r.handle)
-    return r, full
+    s.commit(full, now + 0.5)
+    return s, full
 
 
 class TestTieredCache:
@@ -129,12 +129,12 @@ class TestTieredCache:
         assert full_first in cache.secondary
         # Revisiting the conversation must hit via promotion.
         followup = np.concatenate([full_first, toks(60, 5)])
-        r = cache.lookup(followup, 50.0)
-        assert r.hit_tokens == len(full_first)
-        assert r.reused_secondary_bytes > 0
+        s = cache.begin(followup, 50.0)
+        assert s.hit_tokens == len(full_first)
+        assert s.reused_secondary_bytes > 0
         assert cache.stats.extra.get("promotions", 0) == 1
         assert full_first not in cache.secondary  # moved back up
-        cache.admit(np.concatenate([followup, toks(10, 6)]), 50.5, handle=r.handle)
+        s.commit(np.concatenate([followup, toks(10, 6)]), 50.5)
 
     def test_second_hit_is_primary(self, hybrid):
         cache = self._make(hybrid)
@@ -143,15 +143,14 @@ class TestTieredCache:
         for i in range(5):
             _run_session(cache, toks(400, 500 + i), toks(50, 600 + i), 1.0 + i)
         followup = np.concatenate([full_first, toks(60, 7)])
-        r1 = cache.lookup(followup, 50.0)
-        cache.admit(np.concatenate([followup, toks(10, 8)]), 50.5, handle=r1.handle)
-        r2 = cache.lookup(np.concatenate([followup, toks(10, 8), toks(5, 9)]), 51.0)
-        assert r2.hit_tokens > 0
-        assert r2.reused_secondary_bytes == 0  # now served from the tree
-        cache.admit(
+        s1 = cache.begin(followup, 50.0)
+        s1.commit(np.concatenate([followup, toks(10, 8)]), 50.5)
+        s2 = cache.begin(np.concatenate([followup, toks(10, 8), toks(5, 9)]), 51.0)
+        assert s2.hit_tokens > 0
+        assert s2.reused_secondary_bytes == 0  # now served from the tree
+        s2.commit(
             np.concatenate([followup, toks(10, 8), toks(5, 9), toks(5, 10)]),
             51.5,
-            handle=r2.handle,
         )
 
     def test_zero_secondary_matches_single_tier(self, hybrid):
@@ -160,10 +159,10 @@ class TestTieredCache:
         single = MarconiCache(hybrid, 5 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 5 * per_seq, 0, alpha=1.0)
         for now, _, _, inp, full in trace.iter_requests_nominal():
-            rs = single.lookup(inp, now)
-            single.admit(full, now, handle=rs.handle)
-            rt = tiered.lookup(inp, now)
-            tiered.admit(full, now, handle=rt.handle)
+            rs = single.begin(inp, now)
+            rs.commit(full, now)
+            rt = tiered.begin(inp, now)
+            rt.commit(full, now)
         assert tiered.stats.token_hit_rate == pytest.approx(single.stats.token_hit_rate)
         assert tiered.secondary.n_entries == 0
 
@@ -173,10 +172,10 @@ class TestTieredCache:
         single = MarconiCache(hybrid, 4 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 4 * per_seq, int(200e9), alpha=1.0)
         for now, _, _, inp, full in trace.iter_requests_nominal():
-            rs = single.lookup(inp, now)
-            single.admit(full, now, handle=rs.handle)
-            rt = tiered.lookup(inp, now)
-            tiered.admit(full, now, handle=rt.handle)
+            rs = single.begin(inp, now)
+            rs.commit(full, now)
+            rt = tiered.begin(inp, now)
+            rt.commit(full, now)
         assert tiered.stats.token_hit_rate >= single.stats.token_hit_rate
         assert tiered.stats.extra.get("secondary_hits", 0) > 0
 
@@ -197,13 +196,13 @@ class TestTieredCache:
         seq = toks(4000, 21)
         nbytes = kv_bytes(hybrid, len(seq)) + rec
         cache.secondary.insert(seq, nbytes, now=0.0)
-        r = cache.lookup(np.concatenate([seq, toks(10, 22)]), 1.0)
-        assert r.hit_tokens == 0
-        assert r.reused_secondary_bytes == 0
+        s = cache.begin(np.concatenate([seq, toks(10, 22)]), 1.0)
+        assert s.hit_tokens == 0
+        assert s.reused_secondary_bytes == 0
         assert cache.stats.extra.get("promotions_failed", 0) == 1
         assert cache.used_bytes == cache.recompute_used_bytes()
         cache.tree.check_integrity()
-        cache.admit(np.concatenate([seq, toks(10, 22), toks(5, 23)]), 1.5, handle=r.handle)
+        s.commit(np.concatenate([seq, toks(10, 22), toks(5, 23)]), 1.5)
 
     def test_failed_promotion_undoes_edge_split(self, hybrid):
         """A failed promotion whose tree insert split an edge must merge
@@ -217,12 +216,11 @@ class TestTieredCache:
         nodes_before = cache.tree.n_nodes
         # The secondary holds a checkpoint at a prefix *inside* that edge.
         cache.secondary.insert(seq, kv_bytes(hybrid, len(seq)) + rec, now=0.0)
-        r = cache.lookup(np.concatenate([seq, toks(10, 63)]), 1.0)
-        assert r.hit_tokens == 0
+        s = cache.begin(np.concatenate([seq, toks(10, 63)]), 1.0)
+        assert s.hit_tokens == 0
         assert cache.stats.extra.get("promotions_failed", 0) == 1
         cache.tree.check_integrity()
-        cache.admit(np.concatenate([seq, toks(10, 63), [1]]).astype(np.int32),
-                    1.5, handle=r.handle)
+        s.commit(np.concatenate([seq, toks(10, 63), [1]]).astype(np.int32), 1.5)
         cache.tree.check_integrity()
 
     def test_reset_clears_both_tiers(self, hybrid):

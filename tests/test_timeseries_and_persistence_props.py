@@ -107,10 +107,8 @@ class TestPersistenceProperties:
         clock = 0.0
         for inp, out in requests:
             clock += 1.0
-            r = cache.lookup(np.asarray(inp, dtype=np.int32), clock)
-            cache.admit(
-                np.asarray(inp + out, dtype=np.int32), clock + 0.5, handle=r.handle
-            )
+            s = cache.begin(np.asarray(inp, dtype=np.int32), clock)
+            s.commit(np.asarray(inp + out, dtype=np.int32), clock + 0.5)
         path = tmp_path_factory.mktemp("props") / "cache.npz"
         save_cache(cache, path)
         warm = load_cache(model, int(1e12), path, alpha=1.0)

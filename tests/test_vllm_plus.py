@@ -25,23 +25,23 @@ class TestBlockBytes:
 class TestLookupAdmit:
     def _roundtrip(self, cache, tokens, n, seed):
         seq = tokens(n, seed=seed)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(seq, 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(seq, 0.5)
         return seq
 
     def test_block_granular_hit(self, hybrid, tokens):
         cache = VLLMPlusCache(hybrid, int(100e9), block_size=32)
         seq = self._roundtrip(cache, tokens, 100, seed=1)
         probe = np.concatenate([seq, tokens(50, seed=2)])
-        r = cache.lookup(probe, 1.0)
-        assert r.hit_tokens == 96  # 3 full blocks of the 100-token prefix
+        s = cache.begin(probe, 1.0)
+        assert s.hit_tokens == 96  # 3 full blocks of the 100-token prefix
 
     def test_hit_capped_below_input_length(self, hybrid, tokens):
         """Even an exact block-aligned match must leave >= 1 token to prefill."""
         cache = VLLMPlusCache(hybrid, int(100e9), block_size=32)
         seq = self._roundtrip(cache, tokens, 128, seed=3)
-        r = cache.lookup(seq, 1.0)  # identical, block-aligned input
-        assert r.hit_tokens == 96  # 4th block would cover the whole input
+        s = cache.begin(seq, 1.0)  # identical, block-aligned input
+        assert s.hit_tokens == 96  # 4th block would cover the whole input
 
     def test_partial_trailing_block_not_cached(self, hybrid, tokens):
         cache = VLLMPlusCache(hybrid, int(100e9), block_size=32)
@@ -56,8 +56,8 @@ class TestLookupAdmit:
         a = np.concatenate([shared, tokens(32, seed=6)])
         b = np.concatenate([shared, tokens(32, seed=7)])
         for seq in (a, b):
-            r = cache.lookup(seq, 0.0)
-            cache.admit(seq, 0.5, handle=r.handle)
+            s = cache.begin(seq, 0.0)
+            s.commit(seq, 0.5)
         # 2 shared + 1 unique each = 4 blocks, not 6.
         assert cache.store.n_blocks == 4
 
@@ -68,16 +68,16 @@ class TestLookupAdmit:
         a = tokens(64, seed=8)
         b = np.concatenate([tokens(32, seed=9), a[32:64]])  # same 2nd block tokens
         for seq in (a, b):
-            r = cache.lookup(seq, 0.0)
-            cache.admit(seq, 0.5, handle=r.handle)
+            s = cache.begin(seq, 0.0)
+            s.commit(seq, 0.5)
         assert cache.store.n_blocks == 4
 
     def test_accounting_invariant(self, hybrid, tokens):
         cache = VLLMPlusCache(hybrid, int(2e9), block_size=32)
         for i in range(10):
             seq = tokens(200 + 30 * i, seed=100 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(seq, float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(seq, float(i) + 0.5)
         assert cache.used_bytes == cache.recompute_used_bytes()
         assert cache.used_bytes <= cache.capacity_bytes
         cache.store.check_integrity()
@@ -85,10 +85,10 @@ class TestLookupAdmit:
     def test_handle_reuse_rejected(self, hybrid, tokens):
         cache = VLLMPlusCache(hybrid, int(1e9))
         seq = tokens(64, seed=10)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(seq, 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(seq, 0.5)
         with pytest.raises(ValueError):
-            cache.admit(seq, 1.0, handle=r.handle)
+            s.commit(seq, 1.0)
 
 
 class TestEviction:
@@ -97,15 +97,15 @@ class TestEviction:
         old = tokens(32, seed=11)
         fresh = tokens(32, seed=12)
         for t, seq in [(0.0, old), (1.0, fresh)]:
-            r = cache.lookup(seq, t)
-            cache.admit(seq, t + 0.1, handle=r.handle)
+            s = cache.begin(seq, t)
+            s.commit(seq, t + 0.1)
         # Force eviction of one block by admitting two more.
         extra = tokens(64, seed=13)
-        r = cache.lookup(extra, 2.0)
-        cache.admit(extra, 2.1, handle=r.handle)
+        s = cache.begin(extra, 2.0)
+        s.commit(extra, 2.1)
         # The oldest block (old) should be gone; fresh should survive.
-        assert cache.lookup(np.concatenate([fresh, tokens(8, seed=14)]), 3.0).hit_tokens == 32
-        assert cache.lookup(np.concatenate([old, tokens(8, seed=15)]), 4.0).hit_tokens == 0
+        assert cache.begin(np.concatenate([fresh, tokens(8, seed=14)]), 3.0).hit_tokens == 32
+        assert cache.begin(np.concatenate([old, tokens(8, seed=15)]), 4.0).hit_tokens == 0
 
     def test_prefix_property_preserved_under_eviction(self, hybrid, tokens):
         """Eviction only removes leaves, so any matched chain stays rooted."""
@@ -113,8 +113,8 @@ class TestEviction:
         rng = np.random.default_rng(0)
         for i in range(15):
             seq = tokens(int(rng.integers(32, 320)), seed=300 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(seq, float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(seq, float(i) + 0.5)
         cache.store.check_integrity()
         for block in cache.store.iter_blocks():
             assert cache.store.has_block(block.parent_id)
@@ -123,8 +123,8 @@ class TestEviction:
         cache = VLLMPlusCache(hybrid, 4 * block_entry_bytes(hybrid, 32), block_size=32)
         for i in range(8):
             seq = tokens(128, seed=400 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(seq, float(i) + 0.5, handle=r.handle)
+            s = cache.begin(seq, float(i))
+            s.commit(seq, float(i) + 0.5)
         assert cache.stats.evictions > 0
         assert cache.used_bytes <= cache.capacity_bytes
 
@@ -135,11 +135,11 @@ class TestReuseStats:
         recurrent state — the Fig. 3a asymmetry."""
         cache = VLLMPlusCache(hybrid, int(100e9), block_size=32)
         seq = tokens(320, seed=16)  # 10 blocks
-        r = cache.lookup(seq, 0.0)
-        cache.admit(seq, 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(seq, 0.5)
         probe = np.concatenate([seq, tokens(32, seed=17)])
-        r = cache.lookup(probe, 1.0)
-        assert r.hit_tokens == 320
+        s = cache.begin(probe, 1.0)
+        assert s.hit_tokens == 320
         stats = cache.reuse_stats
         assert stats.blocks_kv_reused == 10
         assert stats.blocks_ssm_reused == 1
@@ -148,8 +148,8 @@ class TestReuseStats:
     def test_reuse_flags_are_sticky(self, hybrid, tokens):
         cache = VLLMPlusCache(hybrid, int(100e9), block_size=32)
         seq = tokens(64, seed=18)
-        r = cache.lookup(seq, 0.0)
-        cache.admit(seq, 0.5, handle=r.handle)
+        s = cache.begin(seq, 0.0)
+        s.commit(seq, 0.5)
         for t in (1.0, 2.0, 3.0):
-            cache.lookup(np.concatenate([seq, tokens(16, seed=19)]), t)
+            cache.begin(np.concatenate([seq, tokens(16, seed=19)]), t).abort()
         assert cache.reuse_stats.blocks_kv_reused == 2  # counted once each
