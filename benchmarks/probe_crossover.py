@@ -8,8 +8,7 @@ per-route microbenchmark does not answer it: the directory is paid for per
 replica tree *event* (maintenance), the deep probe per routed *request* per
 replica.  This tool measures the whole run:
 
-* ``ClusterSimulator`` + ``PrefixAffinityRouter``, timeseries off; the
-  directory arm is ``directory_factory=PrefixDirectory``, the deep arm runs
+* ``ClusterSimulator`` + ``PrefixAffinityRouter``; the directory arm is ``directory_factory=PrefixDirectory``, the deep arm runs
   with the module constant patched above the fleet size;
 * ``hybrid_7b``, ``MarconiCache`` replicas of 16 x 4 000-token states;
 * ``lmsys`` and ``swebench`` traces, ``session_rate=4``, seed 5 (the larger
@@ -60,7 +59,7 @@ def _run(model, trace, replicas: int, arm: str) -> tuple[float, float]:
     caches = [MarconiCache(model, capacity, alpha=1.0) for _ in range(replicas)]
     factory = PrefixDirectory if arm == "directory" else None
     router = PrefixAffinityRouter(directory_factory=factory)
-    simulator = ClusterSimulator(model, caches, router, record_timeseries=False)
+    simulator = ClusterSimulator(model, caches, router)
     # The constant sits above the fleet, so only the arm handed a backend
     # reads a directory: both arms are named from outside the router.
     with mock.patch.object(router_module, "_AUTO_PROBE_THRESHOLD", replicas + 1):

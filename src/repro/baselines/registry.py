@@ -33,9 +33,17 @@ def make_cache(
     """Build a cache by policy name.
 
     ``marconi`` uses the online bootstrap alpha tuner; ``marconi-fixed``
-    pins ``alpha`` (defaults to 1.0); ``gdsf`` is the ablation comparator
-    from section 4.2's discussion of size-aware eviction.
+    pins ``alpha`` (defaults to 1.0) and is the only policy that takes one
+    — passing ``alpha`` to any other raises ``ValueError`` rather than
+    building (and letting callers memoize) an identical cache per value;
+    ``gdsf`` is the ablation comparator from section 4.2's discussion of
+    size-aware eviction.
     """
+    if alpha is not None and policy != "marconi-fixed":
+        raise ValueError(
+            f"policy {policy!r} takes no alpha (got {alpha}); "
+            f"only 'marconi-fixed' pins one"
+        )
     if policy == "vanilla":
         return VanillaCache(model)
     if policy == "vllm+":

@@ -10,7 +10,7 @@ the router decides so).
 
 This simulator is an N-replica configuration of
 :class:`repro.engine.kernel.SimulationKernel` with one
-:class:`~repro.engine.kernel.ContinuousBatchingScheduler` per replica;
+:class:`~repro.engine.schedulers.ContinuousBatchingScheduler` per replica;
 the event loop, routing dispatch, transfer execution, and telemetry live
 in the kernel.
 
@@ -182,7 +182,6 @@ class ClusterSimulator:
         router: Router,
         latency: Optional[LatencyModel] = None,
         max_running: int = 1,
-        record_timeseries: bool = True,
         scenario: Optional[Sequence[ScenarioEvent]] = None,
     ) -> None:
         if not caches:
@@ -192,9 +191,7 @@ class ClusterSimulator:
         self.router = router
         self.latency = latency or LatencyModel()
         self.scenario = list(scenario) if scenario else []
-        self.config = KernelConfig(
-            max_running=max_running, record_timeseries=record_timeseries
-        )
+        self.config = KernelConfig(max_running=max_running)
 
     def run(self, trace: Trace | TraceStream) -> ClusterResult:
         """Simulate the full trace across all replicas under the router."""

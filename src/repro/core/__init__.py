@@ -22,10 +22,6 @@ from repro.core.eviction import (
     EvictionCandidate,
     EvictionPolicy,
     FlopAwareEviction,
-    GDSEviction,
-    GDSFEviction,
-    LFUEviction,
-    LRUEviction,
     LRUKEviction,
     RandomEviction,
     make_eviction_policy,
@@ -52,11 +48,7 @@ __all__ = [
     "speculative_insert",
     "EvictionCandidate",
     "EvictionPolicy",
-    "LRUEviction",
     "FlopAwareEviction",
-    "GDSEviction",
-    "GDSFEviction",
-    "LFUEviction",
     "LRUKEviction",
     "RandomEviction",
     "make_eviction_policy",

@@ -8,10 +8,9 @@ candidates that would free zero bytes are filtered out before scoring to
 guarantee the eviction loop makes progress.
 
 Beyond the paper's LRU baseline and FLOP-aware contribution, this module
-carries the classic web-cache family section 4.2 positions Marconi against:
-GDSF (Cherkasova 1998) and plain greedy-dual-size ("GDS", whose 1/size cost
-signal is exactly the proxy the paper argues fails for fixed-size SSM
-states), plus LFU, LRU-K, and a seeded random floor for ablations.
+carries the classic web-cache family section 4.2 positions Marconi against
+(GDSF, plain greedy-dual-size and LFU: rows of :data:`HEAP_KEYS`), plus
+LRU-K and a seeded random floor for ablations.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -36,10 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class EvictionCandidate:
     """One evictable node with everything the scoring policies need.
 
-    ``sort_key`` is precomputed at construction: the ``min()`` scans and the
-    heap selectors compare it on every step, and candidates are rebuilt by
-    the eviction index whenever their inputs change, so the key can never go
-    stale.
+    ``sort_key`` is precomputed: the ``min()`` scans and the heap selectors
+    compare it on every step, and the eviction index rebuilds a candidate
+    whenever its inputs change, so the key can never go stale.
     """
 
     node: RadixNode
@@ -63,10 +61,9 @@ class EvictionPolicy(abc.ABC):
     candidate list.  The cache calls :meth:`select_from_index`, which by
     default applies that definition to the maintained
     :class:`~repro.core.eviction_index.EvictionIndex`'s candidate snapshot;
-    heap-backed subclasses answer the same question from a lazy min-heap
-    synced to the index, in amortized O(log n) without touching the
-    candidate set, and the rank-scoring :class:`FlopAwareEviction` from the
-    rank columns the index maintains for it.
+    :class:`HeapEviction` answers the same question from a lazy min-heap in
+    amortized O(log n), :class:`FlopAwareEviction` from the rank columns
+    the index maintains for it.
     """
 
     name: str = "abstract"
@@ -76,27 +73,17 @@ class EvictionPolicy(abc.ABC):
         """Pick the next victim from a non-empty candidate list."""
 
     def bind_index(self, index: "EvictionIndex") -> None:
-        """Attach to ``index``; subscribes heap selectors to its change feed.
-
-        Policies that never overrode :meth:`on_candidate_changed` leave the
-        feed unset so the index skips the callback on its flush hot path,
-        and rank columns a previously bound policy read are let go.
-        """
+        """Attach to ``index``, letting go of the rank columns and the change
+        feed a previously bound policy read (an unset feed costs no call)."""
         index.drop_ranks()
-        if type(self).on_candidate_changed is EvictionPolicy.on_candidate_changed:
-            index.on_candidate_changed = None
-        else:
-            index.on_candidate_changed = self.on_candidate_changed
-
-    def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
-        """Called by the bound index when a candidate is added or rebuilt."""
+        index.on_candidate_changed = None
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
         """Pick the next victim using the maintained candidate index."""
         return self.select_victim(index.candidates())
 
     def notify_eviction(self, victim: EvictionCandidate) -> None:
-        """Hook called after a victim is actually evicted (GDSF's clock)."""
+        """Hook called after a victim is actually evicted (LRU-K's history)."""
 
     def notify_access(self, node: RadixNode, now: float) -> None:
         """Hook called on every cache hit (LRU-K's access history)."""
@@ -105,26 +92,51 @@ class EvictionPolicy(abc.ABC):
         """Clear any internal state."""
 
 
-class _LazyHeapPolicy(EvictionPolicy):
-    """Heap-backed selection with stale-entry skipping.
+_Key = Callable[[EvictionCandidate], tuple]
 
+#: The policies that are nothing but an order: name -> key function, whose
+#: minimum :class:`HeapEviction` evicts (recency breaks every tie).  ``gdsf``
+#: and ``gds`` carry **no aging term**: the textbook inflating clock (the last
+#: victim's priority) ages priorities fixed at hit time, but every candidate
+#: is re-ranked at selection time here, where it is one offset shared by all.
+#: An aging term that orders something changes the ``gdsf`` figures and is
+#: left to the roadmap item on the comparators.
+HEAP_KEYS: dict[str, _Key] = {
+    # Plain least-recently-used — the SGLang+ baseline (policy V1).
+    "lru": lambda c: c.sort_key,
+    # Greedy-Dual-Size-Frequency (Cherkasova 1998), hits * saved_flops / size:
+    # the classic size-aware scheme whose size signal the paper argues fails
+    # for SSM states (saved_flops / size is exactly FLOP efficiency).
+    "gdsf": lambda c: (max(1, c.node.hit_count) * c.flop_efficiency,) + c.sort_key,
+    # Plain greedy-dual-size with unit cost, 1 / size: the textbook policy
+    # section 4.2 targets.  An entry's byte size is its only value signal, and
+    # for fixed-size recurrent checkpoints that says nothing of compute saved.
+    "gds": lambda c: (1.0 / max(1, c.freeable_bytes),) + c.sort_key,
+    # Fewest hits first.  Frequency has the same blind spot as recency: a
+    # never-hit checkpoint of a 30K-token prefix ties with a 16-token leaf.
+    "lfu": lambda c: (c.node.hit_count,) + c.sort_key,
+}
+
+
+class HeapEviction(EvictionPolicy):
+    """Evict the minimum of a per-candidate key, from a lazy min-heap.
+
+    One class serves every row of :data:`HEAP_KEYS`; a subclass with state
+    of its own (:class:`LRUKEviction`) hands in its key function instead.
     The heap holds ``(key, seq, candidate)`` entries pushed whenever the
     bound index adds or rebuilds a candidate.  An entry is stale when the
     index no longer holds that exact candidate object (the index rebuilds
     candidates on any relevant change, so object identity doubles as a
     version check) or when its key has drifted (LRU-K history, LFU/GDSF hit
-    counts — all of which only ever *increase* a key, so re-pushing at the
-    corrected key preserves min-heap correctness).
+    counts: a key may only ever *increase* over a candidate's life, so
+    re-pushing at the corrected key preserves min-heap correctness).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, name: str, key: Optional[_Key] = None) -> None:
+        self.name = name
+        self._heap_key = HEAP_KEYS[name] if key is None else key
         self._heap: list[tuple[tuple, int, EvictionCandidate]] = []
         self._seq = itertools.count()
-
-    @abc.abstractmethod
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        """Current selection key; must be non-decreasing over a candidate's
-        life (candidates are rebuilt — not mutated — on any other change)."""
 
     def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
         if not candidates:
@@ -133,11 +145,13 @@ class _LazyHeapPolicy(EvictionPolicy):
 
     def bind_index(self, index: "EvictionIndex") -> None:
         super().bind_index(index)
+        index.on_candidate_changed = self.on_candidate_changed
         self._heap = []
         for candidate in index.candidates():
             self.on_candidate_changed(candidate)
 
     def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
+        """Called by the bound index when a candidate is added or rebuilt."""
         heapq.heappush(
             self._heap, (self._heap_key(candidate), next(self._seq), candidate)
         )
@@ -161,13 +175,39 @@ class _LazyHeapPolicy(EvictionPolicy):
         self._heap = []
 
 
-class LRUEviction(_LazyHeapPolicy):
-    """Plain least-recently-used eviction — the SGLang+ baseline (policy V1)."""
+class LRUKEviction(HeapEviction):
+    """LRU-K (O'Neil 1993): evict the oldest K-th most recent access.
 
-    name = "lru"
+    Tracks the last ``k`` access times per node via :meth:`notify_access`.
+    Nodes with fewer than ``k`` recorded accesses use ``-inf`` as their
+    K-th-access time (classic backward K-distance), so cold one-touch
+    entries are evicted before entries with an established reuse history —
+    the scan-resistance property LRU lacks.
+    """
 
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        return candidate.sort_key
+    def __init__(self, k: int = 2) -> None:
+        super().__init__("lru_k", self._kth_access_key)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = k
+        self._history: dict[int, deque[float]] = {}
+
+    def notify_access(self, node: RadixNode, now: float) -> None:
+        history = self._history.setdefault(node.node_id, deque(maxlen=self.k))
+        history.append(now)
+
+    def _kth_access_key(self, candidate: EvictionCandidate) -> tuple:
+        # Access times only move forward, so the key never decreases.
+        history = self._history.get(candidate.node.node_id)
+        full = history is not None and len(history) >= self.k
+        return (history[0] if full else float("-inf"),) + candidate.sort_key
+
+    def notify_eviction(self, victim: EvictionCandidate) -> None:
+        self._history.pop(victim.node.node_id, None)
+
+    def reset(self) -> None:
+        super().reset()
+        self._history.clear()
 
 
 #: Candidate count from which :class:`FlopAwareEviction` has the index
@@ -187,19 +227,18 @@ class FlopAwareEviction(EvictionPolicy):
     (0, 1] (see :func:`_rank_normalize`), the reading of the paper's
     "normalized ... by comparing all nodes' last-accessed timestamps and
     FLOP saved/byte in the radix tree".  ``alpha = 0`` degenerates to LRU;
-    a large ``alpha`` ranks purely by compute saved per byte.  ``alpha`` is
-    mutable so the bootstrap tuner can adopt the grid-search winner in
-    place.
+    a large ``alpha`` ranks purely by compute saved per byte; it is mutable
+    so the bootstrap tuner can adopt the grid-search winner in place.
 
     Normalization is relative to the *whole* candidate set, so no heap can
     order the candidates — but between two selections only a few of them
-    change.  :meth:`select_from_index` therefore reads the tie-group bounds
-    the index maintains per scored column
+    change, so :meth:`select_from_index` reads the tie-group bounds the
+    index maintains per scored column
     (:meth:`~repro.core.eviction_index.EvictionIndex.normalized_ranks`),
     which equal :func:`_rank_normalize` of the live values bit for bit.
-    :meth:`scores` / :meth:`select_victim` are the from-scratch definition
-    over an explicit list, and what a candidate set too small to repay the
-    upkeep (see ``_MAINTAIN_RANKS_FROM``) is scored with.
+    :meth:`scores` / :meth:`select_victim` are the from-scratch definition,
+    and what a candidate set too small to repay the upkeep (see
+    ``_MAINTAIN_RANKS_FROM``) is scored with.
     """
 
     name = "flop_aware"
@@ -225,8 +264,7 @@ class FlopAwareEviction(EvictionPolicy):
         return min(tied, key=lambda c: c.sort_key)
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
-        """The same ``argmin``, from the index's maintained ranks once the
-        candidate set is large enough to repay keeping them."""
+        """The same ``argmin``, from maintained ranks once they repay upkeep."""
         if len(index) < _MAINTAIN_RANKS_FROM:
             index.drop_ranks()
             return self.select_victim(index.candidates())
@@ -236,135 +274,6 @@ class FlopAwareEviction(EvictionPolicy):
         if len(lowest) == 1:
             return candidates[lowest[0]]
         return min((candidates[slot] for slot in lowest), key=lambda c: c.sort_key)
-
-
-class GDSFEviction(_LazyHeapPolicy):
-    """Greedy-Dual-Size-Frequency (Cherkasova 1998), adapted to cache entries.
-
-    ``H(n) = clock + hit_count * saved_flops / size``.  The paper discusses
-    GDSF as the classic size-aware scheme whose size signal fails for SSM
-    states; we include it as an ablation comparator.  Since ``saved_flops /
-    size`` is exactly FLOP efficiency, the adaptation uses it as the cost
-    term, with the standard inflating clock providing aging.
-
-    Ordering omits the clock everywhere: priorities are recomputed against
-    the live clock at selection time, so within one selection the clock is a
-    constant offset shared by every candidate and cannot change the
-    mathematical ordering — but adding a large clock to small cost terms
-    *can* absorb their difference in float64 and flatten real distinctions
-    into tie-breaks.  Ranking by the clock-free key keeps the list scan and
-    the heap selector decision-identical at any clock magnitude.
-    """
-
-    name = "gdsf"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._clock = 0.0
-
-    def _priority(self, candidate: EvictionCandidate) -> float:
-        frequency = max(1, candidate.node.hit_count)
-        return self._clock + frequency * candidate.flop_efficiency
-
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        frequency = max(1, candidate.node.hit_count)
-        return (frequency * candidate.flop_efficiency,) + candidate.sort_key
-
-    def notify_eviction(self, victim: EvictionCandidate) -> None:
-        self._clock = self._priority(victim)
-
-    def reset(self) -> None:
-        super().reset()
-        self._clock = 0.0
-
-
-class LFUEviction(_LazyHeapPolicy):
-    """Least-frequently-used: evict the candidate with the fewest hits.
-
-    Frequency alone has the same blind spot as recency for hybrid states —
-    a never-hit checkpoint of a 30K-token prefix ties with a never-hit
-    16-token leaf — so this serves as an ablation comparator, with recency
-    breaking frequency ties.
-    """
-
-    name = "lfu"
-
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        return (candidate.node.hit_count,) + candidate.sort_key
-
-
-class LRUKEviction(_LazyHeapPolicy):
-    """LRU-K (O'Neil 1993): evict the oldest K-th most recent access.
-
-    Tracks the last ``k`` access times per node via :meth:`notify_access`.
-    Nodes with fewer than ``k`` recorded accesses use ``-inf`` as their
-    K-th-access time (classic backward K-distance), so cold one-touch
-    entries are evicted before entries with an established reuse history —
-    the scan-resistance property LRU lacks.
-    """
-
-    name = "lru_k"
-
-    def __init__(self, k: int = 2) -> None:
-        super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._history: dict[int, deque[float]] = {}
-
-    def notify_access(self, node: RadixNode, now: float) -> None:
-        history = self._history.setdefault(node.node_id, deque(maxlen=self.k))
-        history.append(now)
-
-    def _kth_access(self, candidate: EvictionCandidate) -> float:
-        history = self._history.get(candidate.node.node_id)
-        if history is not None and len(history) >= self.k:
-            return history[0]
-        return float("-inf")
-
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        # Access times only move forward, so the key never decreases.
-        return (self._kth_access(candidate),) + candidate.sort_key
-
-    def notify_eviction(self, victim: EvictionCandidate) -> None:
-        self._history.pop(victim.node.node_id, None)
-
-    def reset(self) -> None:
-        super().reset()
-        self._history.clear()
-
-
-class GDSEviction(_LazyHeapPolicy):
-    """Plain greedy-dual-size with unit cost: ``H(n) = clock + 1 / size``.
-
-    The textbook policy the paper's section 4.2 critique targets directly:
-    its only value signal is the entry's byte size, which for a hybrid
-    model's fixed-size recurrent checkpoints is unrelated to the compute a
-    hit saves.  Included so ablations can quantify how badly the size proxy
-    misprices long-prefix checkpoints.
-
-    As with GDSF, the clock is a shared offset at selection time; both the
-    list scan and the heap rank by the clock-free key.
-    """
-
-    name = "gds"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._clock = 0.0
-
-    def _priority(self, candidate: EvictionCandidate) -> float:
-        return self._clock + 1.0 / max(1, candidate.freeable_bytes)
-
-    def _heap_key(self, candidate: EvictionCandidate) -> tuple:
-        return (1.0 / max(1, candidate.freeable_bytes),) + candidate.sort_key
-
-    def notify_eviction(self, victim: EvictionCandidate) -> None:
-        self._clock = self._priority(victim)
-
-    def reset(self) -> None:
-        super().reset()
-        self._clock = 0.0
 
 
 class RandomEviction(EvictionPolicy):
@@ -386,17 +295,9 @@ class RandomEviction(EvictionPolicy):
 
 
 def _rank_normalize(values: list[float]) -> list[float]:
-    """Average-rank normalization into (0, 1], tie-aware.
-
-    Rank normalization makes the two utility terms scale-free: a node's
-    recency score no longer depends on how long the serving process has
-    been up, only on how it *compares* to the other candidates — the
-    reading of the paper's "normalized ... by comparing all nodes'
-    last-accessed timestamps and FLOP saved/byte".
-    """
+    """Average-rank normalization into (0, 1], tie-aware: scale-free, so a
+    recency score does not depend on how long the process has been up."""
     n = len(values)
-    if n == 1:
-        return [1.0]
     order = sorted(range(n), key=values.__getitem__)
     ranks = [0.0] * n
     i = 0
@@ -413,27 +314,17 @@ def _rank_normalize(values: list[float]) -> list[float]:
     return ranks
 
 
-_POLICIES = {
-    "lru": lambda alpha: LRUEviction(),
-    "flop_aware": lambda alpha: FlopAwareEviction(alpha if alpha is not None else 1.0),
-    "gdsf": lambda alpha: GDSFEviction(),
-    "gds": lambda alpha: GDSEviction(),
-    "lfu": lambda alpha: LFUEviction(),
-    "lru_k": lambda alpha: LRUKEviction(),
-    "random": lambda alpha: RandomEviction(),
-}
-
-
 def make_eviction_policy(name: str, alpha: float | None = None) -> EvictionPolicy:
-    """Instantiate an eviction policy by name.
-
-    Known names: ``lru``, ``flop_aware`` (uses ``alpha``), ``gdsf``,
-    ``gds``, ``lfu``, ``lru_k``, ``random``.
-    """
-    try:
-        factory = _POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown eviction policy {name!r}; known: {sorted(_POLICIES)}"
-        ) from None
-    return factory(alpha)
+    """Instantiate an eviction policy by name: a row of :data:`HEAP_KEYS`
+    (``lru``, ``gdsf``, ``gds``, ``lfu``), ``flop_aware`` (uses ``alpha``),
+    ``lru_k`` or ``random``."""
+    if name in HEAP_KEYS:
+        return HeapEviction(name)
+    if name == "flop_aware":
+        return FlopAwareEviction() if alpha is None else FlopAwareEviction(alpha)
+    if name == "lru_k":
+        return LRUKEviction()
+    if name == "random":
+        return RandomEviction()
+    known = sorted([*HEAP_KEYS, "flop_aware", "lru_k", "random"])
+    raise KeyError(f"unknown eviction policy {name!r}; known: {known}")

@@ -1,9 +1,10 @@
 """Discrete-event serving simulators with an analytic latency model.
 
 All engines are thin configurations of the unified simulation kernel in
-:mod:`repro.engine.kernel` (event queue, virtual clock, per-replica
-executor slots, FCFS + continuous-batching and token-level schedulers,
-and the transactional cache-session lifecycle):
+:mod:`repro.engine.kernel` (event queue, virtual clock, a dispatch table
+and the closed loop of every trace session) with one scheduler of
+:mod:`repro.engine.schedulers` per replica (FCFS + continuous batching, or
+token-level):
 
 * :class:`~repro.engine.server.ServingSimulator` — one replica, FCFS over
   ``n_executors`` prefill slots with background decode; per-request
@@ -23,17 +24,19 @@ from repro.engine.iteration import (
     simulate_trace_iteration,
 )
 from repro.engine.kernel import (
-    ContinuousBatchingScheduler,
     KernelConfig,
     KernelRun,
-    ReplicaScheduler,
     SimulationKernel,
-    TokenBatchingScheduler,
     VirtualClock,
 )
 from repro.engine.latency import LatencyModel
 from repro.engine.request import EngineRequest
 from repro.engine.results import EngineResult, RequestRecord, step_time_weighted_mean
+from repro.engine.schedulers import (
+    ContinuousBatchingScheduler,
+    ReplicaScheduler,
+    TokenBatchingScheduler,
+)
 from repro.engine.server import ServingSimulator, simulate_trace
 from repro.engine.steering import (
     NoRoutableReplicaError,

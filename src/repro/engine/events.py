@@ -1,9 +1,8 @@
 """Shared discrete-event scaffolding for the serving simulators.
 
-Both the single-node engine (:mod:`repro.engine.server`) and the cluster
-simulator (:mod:`repro.cluster.simulator`) replay traces over the same
-three-event loop; the priority queue's entry layout and its tie-break rules
-live here so the two stay in lockstep.
+Every engine replays traces over the one loop in
+:mod:`repro.engine.kernel`, which dispatches on the six :class:`EventKind`
+values; the priority queue's entry layout and its tie-break rules live here.
 
 The queue is tuple-backed: one heap entry is a plain
 ``(time, kind, seq, serial, payload)`` tuple, so scheduling an event

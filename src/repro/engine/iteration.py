@@ -12,7 +12,7 @@ other requests' inter-token gaps.
 
 This engine is a one-replica configuration of
 :class:`repro.engine.kernel.SimulationKernel` with the token-level
-:class:`~repro.engine.kernel.TokenBatchingScheduler`:
+:class:`~repro.engine.schedulers.TokenBatchingScheduler`:
 
 * time advances in *iterations*; each iteration carries every active
   decode stream (one token each, up to ``max_batch``) plus at most one
@@ -35,13 +35,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.interfaces import CacheProtocol
-from repro.engine.kernel import (
-    KernelConfig,
-    SimulationKernel,
-    TokenBatchingScheduler,
-)
+from repro.engine.kernel import KernelConfig, SimulationKernel
 from repro.engine.latency import LatencyModel
 from repro.engine.results import EngineResult
+from repro.engine.schedulers import TokenBatchingScheduler
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace, TraceStream
 
@@ -87,16 +84,13 @@ class IterationSimulator:
         latency: Optional[LatencyModel] = None,
         config: Optional[IterationConfig] = None,
         policy_name: str = "unnamed",
-        record_timeseries: bool = True,
     ) -> None:
         self.model = model
         self.cache = cache
         self.latency = latency or LatencyModel()
         self.config = config or IterationConfig()
         self.policy_name = policy_name
-        self.kernel_config = KernelConfig(
-            max_running=1, record_timeseries=record_timeseries
-        )
+        self.kernel_config = KernelConfig(max_running=1)
 
     def run(self, trace: Trace | TraceStream) -> IterationResult:
         """Simulate the full trace; returns records plus the TBT gap sample."""

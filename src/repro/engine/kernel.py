@@ -1,20 +1,21 @@
 """The unified discrete-event simulation kernel behind every serving engine.
 
 Marconi's results all flow through trace replays; this module is the one
-place that loop lives.  The kernel owns the pieces every engine shares:
+place that loop lives.  The kernel is a clock, a queue and a dispatch
+table — :meth:`SimulationKernel.run` pops an event, advances the clock and
+calls the handler of its kind — plus what every engine shares:
 
 * the :class:`~repro.engine.events.EventQueue` and a monotone
   :class:`VirtualClock` (time only moves forward, ties break by
   ``(time, kind, per-queue seq)``);
-* per-replica executor state driven by a pluggable
-  :class:`ReplicaScheduler` — :class:`ContinuousBatchingScheduler` for
-  FCFS prefill-granularity batching over ``max_running`` slots (the
-  serving engine and the cluster simulator), and
-  :class:`TokenBatchingScheduler` for Sarathi-style iteration-level
-  chunked prefill (the iteration engine);
-* the transactional cache lifecycle: sessions open via
-  ``begin``/``begin_many`` at service start and commit at decode end,
-  and the closed-loop scheduling of each trace session's next round;
+* one pluggable :class:`~repro.engine.schedulers.ReplicaScheduler` per
+  replica, which decides what runs when.  That class's docstring is the
+  whole contract between the two modules: the kernel asks a scheduler
+  nothing it does not list, and a scheduler touches no kernel member it
+  does not list;
+* the closed loop of each trace session: a scheduler commits a finished
+  request through :meth:`SimulationKernel.finish_request`, which schedules
+  the session's next round after its think time;
 * request routing (single replica, or an explicit
   :class:`~repro.cluster.router.Router` over N replicas) and per-replica
   telemetry: routed counts, busy seconds, and queue-depth /
@@ -24,7 +25,8 @@ place that loop lives.  The kernel owns the pieces every engine shares:
   :class:`~repro.engine.steering.RouteDecision` verdicts whose optional
   :class:`~repro.engine.steering.TransferSpec` the kernel charges as an
   asynchronous bandwidth/latency ``TRANSFER_DONE`` event (the request is
-  parked until the copied state lands in the target's second tier), and
+  parked until the copied state lands in the target's second tier, or runs
+  ahead of it when the scheduler can overlap the two), and
   :class:`~repro.engine.steering.ScenarioEvent` schedules make replicas
   fail (transactional session aborts + orphan re-routing), drain, and
   join mid-run, all accounted into
@@ -41,17 +43,22 @@ regardless of what else ran in the process.
 
 from __future__ import annotations
 
-import abc
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.core.interfaces import CacheProtocol, RequestSession
-from repro.engine.events import EventKind, EventQueue
+from repro.engine.events import (
+    ENTRY_KIND,
+    ENTRY_PAYLOAD,
+    ENTRY_TIME,
+    EventKind,
+    EventQueue,
+)
 from repro.engine.latency import LatencyModel
 from repro.engine.request import EngineRequest
-from repro.engine.results import EngineResult, RequestRecord
+from repro.engine.results import EngineResult
+from repro.engine.schedulers import ContinuousBatchingScheduler, ReplicaScheduler
 from repro.engine.steering import (
     GossipTransport,
     NoRoutableReplicaError,
@@ -63,7 +70,6 @@ from repro.engine.steering import (
     pick_least_loaded,
 )
 from repro.models.config import ModelConfig
-from repro.models.flops import model_prefill_flops, model_suffix_prefill_flops
 from repro.workloads.trace import Trace, TraceSession, TraceStream
 
 #: Load reported for replicas that must not receive new requests (failed
@@ -109,7 +115,6 @@ class KernelConfig:
     """
 
     max_running: int = 1
-    record_timeseries: bool = True
 
     def __post_init__(self) -> None:
         if self.max_running < 1:
@@ -117,398 +122,19 @@ class KernelConfig:
 
 
 @dataclass(slots=True)
-class _InFlight:
-    """A request occupying an executor slot between service start and prefill end."""
-
-    request: EngineRequest
-    replica: int
-    session: RequestSession  # lookup outcome (hit/reused bytes) lives here
-    service_start: float
-    prefill_seconds: float
-
-
-@dataclass(slots=True)
 class _PendingTransfer:
     """One in-flight cross-replica state transfer.
 
     For a plain :class:`TransferSpec` the request is parked until the
-    bytes land (``split=False``).  For a :class:`SplitSpec` executed with
-    overlap (``split=True``) the request is enqueued immediately — the
-    ``TRANSFER_DONE`` event only lands the head bytes, and the scheduler
-    charges the overlapped prefill from ``done`` when service starts.
+    bytes land (``split=False``).  For a :class:`SplitSpec` the target's
+    scheduler agreed to overlap (``split=True``), the request is enqueued
+    immediately and the ``TRANSFER_DONE`` event only lands the head bytes.
     """
 
     request: EngineRequest
     spec: TransferSpec
     started: float
-    done: float = 0.0
     split: bool = False
-
-
-@dataclass(slots=True)
-class _PrefillJob:
-    """Head-of-line prefill progress of the token-level scheduler."""
-
-    request: EngineRequest
-    session: Optional[RequestSession] = None
-    position: int = 0  # tokens already processed (including the hit)
-    started: bool = False
-    service_start: float = 0.0
-    compute_seconds: float = 0.0
-
-    @property
-    def hit_tokens(self) -> int:
-        return self.session.hit_tokens if self.session is not None else 0
-
-    @property
-    def reused_bytes(self) -> int:
-        return self.session.reused_bytes if self.session is not None else 0
-
-    @property
-    def reused_secondary_bytes(self) -> int:
-        return self.session.reused_secondary_bytes if self.session is not None else 0
-
-    @property
-    def remaining(self) -> int:
-        return self.request.input_len - self.position
-
-
-@dataclass(slots=True)
-class _DecodeJob:
-    """One active decode stream of the token-level scheduler."""
-
-    request: EngineRequest
-    session: RequestSession
-    produced: int = 0
-    last_token_time: float = 0.0
-    gaps: list[float] = field(default_factory=list)
-
-    @property
-    def remaining(self) -> int:
-        return self.request.output_len - self.produced
-
-
-@dataclass(slots=True)
-class _IterationEnd:
-    """Payload of one token-level scheduler step (an iteration boundary)."""
-
-    replica: int
-    batch: list[_DecodeJob]
-    job: Optional[_PrefillJob]
-    chunk: int
-
-
-class ReplicaScheduler(abc.ABC):
-    """Per-replica scheduling policy plugged into the kernel.
-
-    The kernel routes arrivals to :meth:`enqueue` and step-completion
-    events (``EventKind.PREFILL_DONE`` payloads the scheduler pushed) to
-    :meth:`on_step_done`; the scheduler decides what runs when, pushes
-    its own future events through ``kernel.push``, and reports
-    ``queue_depth`` / ``n_running`` for routing loads and telemetry.
-    """
-
-    def __init__(self, kernel: "SimulationKernel", replica: int) -> None:
-        self.kernel = kernel
-        self.replica = replica
-
-    @abc.abstractmethod
-    def enqueue(self, request: EngineRequest, now: float) -> None:
-        """Accept a routed arrival (and start work if capacity is free)."""
-
-    @abc.abstractmethod
-    def on_step_done(self, payload: Any, now: float) -> None:
-        """Handle completion of a step this scheduler previously pushed."""
-
-    @property
-    @abc.abstractmethod
-    def queue_depth(self) -> int:
-        """Requests waiting for service (excluding those running)."""
-
-    @property
-    @abc.abstractmethod
-    def n_running(self) -> int:
-        """Occupied executor slots (work units currently executing)."""
-
-
-class ContinuousBatchingScheduler(ReplicaScheduler):
-    """FCFS over ``max_running`` executor slots, batched at prefill granularity.
-
-    All requests admitted in one scheduler step begin their cache sessions
-    as one batch (each still pays its own FLOP-derived prefill duration);
-    the moment a prefill finishes its slot is rescheduled, so the executor
-    never idles while the queue is non-empty — continuous batching at the
-    granularity of whole prefills.  Decode runs in the background and only
-    gates the session's next round.
-    """
-
-    def __init__(
-        self, kernel: "SimulationKernel", replica: int, max_running: int
-    ) -> None:
-        super().__init__(kernel, replica)
-        self.max_running = max_running
-        self.queue: deque[EngineRequest] = deque()
-        self.free_slots = max_running
-        # Hot-path bindings (schedulers are per-run, like the event queue).
-        self._push = kernel.events.push
-        self._records = kernel.results[replica].records
-        self._track_active = kernel._track_active
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
-
-    @property
-    def n_running(self) -> int:
-        return self.max_running - self.free_slots
-
-    def enqueue(self, request: EngineRequest, now: float) -> None:
-        self.queue.append(request)
-        self._start_next(now)
-
-    def _start_next(self, now: float) -> None:
-        kernel = self.kernel
-        n_start = min(self.free_slots, len(self.queue))
-        if n_start <= 0:
-            return
-        batch = [self.queue.popleft() for _ in range(n_start)]
-        sessions = kernel.caches[self.replica].begin_many(
-            [request.input_tokens for request in batch], now
-        )
-        self.free_slots -= n_start
-        prefill_times = kernel.latency.prefill_seconds_batch(
-            kernel.model,
-            [
-                (
-                    request.input_len,
-                    session.hit_tokens,
-                    session.reused_bytes,
-                    session.reused_secondary_bytes,
-                )
-                for request, session in zip(batch, sessions)
-            ],
-        )
-        for request, session, prefill_seconds in zip(batch, sessions, prefill_times):
-            if kernel._pending_splits:
-                pending = kernel._pending_splits.pop(id(request), None)
-                if pending is not None:
-                    prefill_seconds = kernel._split_prefill_seconds(
-                        pending, session, now, prefill_seconds
-                    )
-            if self._track_active:  # scenario runs: failover needs the registry
-                # [replica, request, session, prefill_done]
-                kernel._active_sessions[id(session)] = [
-                    self.replica,
-                    request,
-                    session,
-                    False,
-                ]
-            self._push(
-                now + prefill_seconds,
-                EventKind.PREFILL_DONE,
-                _InFlight(
-                    request=request,
-                    replica=self.replica,
-                    session=session,
-                    service_start=now,
-                    prefill_seconds=prefill_seconds,
-                ),
-            )
-
-    def on_step_done(self, flight: _InFlight, now: float) -> None:
-        if self._track_active and not flight.session.is_open:
-            # The replica failed mid-prefill: the session was aborted and
-            # the request re-routed; this completion is a ghost.
-            return
-        kernel = self.kernel
-        request = flight.request
-        self._records.append(
-            RequestRecord(
-                session_id=request.session_id,
-                round_index=request.round_index,
-                arrival_time=request.arrival_time,
-                service_start=flight.service_start,
-                prefill_seconds=flight.prefill_seconds,
-                ttft=now - request.arrival_time,
-                input_len=request.input_len,
-                hit_tokens=flight.session.hit_tokens,
-                output_len=request.output_len,
-                reused_bytes=flight.session.reused_bytes,
-                flops_saved=model_prefill_flops(
-                    kernel.model, flight.session.hit_tokens
-                ),
-            )
-        )
-        kernel.busy_seconds[self.replica] += flight.prefill_seconds
-        self.free_slots += 1
-        if self._track_active:
-            entry = kernel._active_sessions.get(id(flight.session))
-            if entry is not None:
-                entry[3] = True  # record emitted; the request is decoding now
-        self._push(
-            now + kernel.latency.decode_seconds(request.output_len),
-            EventKind.REQUEST_COMPLETE,
-            flight,
-        )
-        self._start_next(now)
-
-
-class TokenBatchingScheduler(ReplicaScheduler):
-    """Iteration-level batching with chunked prefill (Orca / Sarathi).
-
-    Time advances one iteration at a time: every iteration carries each
-    active decode stream (one token, up to ``max_batch``) plus at most one
-    chunk of up to ``token_budget`` tokens from the head-of-line prefill.
-    TTFT is the completion of a request's final chunk; each further decode
-    token records its inter-token gap into ``tbt_gaps``.  Single-replica
-    only (one GPU serving prefills and decodes together).
-    """
-
-    def __init__(
-        self,
-        kernel: "SimulationKernel",
-        replica: int,
-        token_budget: int,
-        max_batch: int,
-        iteration_overhead_s: float,
-    ) -> None:
-        super().__init__(kernel, replica)
-        self.token_budget = token_budget
-        self.max_batch = max_batch
-        self.iteration_overhead_s = iteration_overhead_s
-        self.prefill_queue: list[_PrefillJob] = []
-        self.decodes: list[_DecodeJob] = []
-        self.active = False
-        self.n_iterations = 0
-        self.tbt_gaps: list[float] = []
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.prefill_queue)
-
-    @property
-    def n_running(self) -> int:
-        return 1 if self.active else 0
-
-    def enqueue(self, request: EngineRequest, now: float) -> None:
-        self.prefill_queue.append(_PrefillJob(request=request))
-        if not self.active:
-            self._start_iteration(now)
-
-    # ------------------------------------------------------------------
-    # Iteration costing
-    # ------------------------------------------------------------------
-    def _chunk_seconds(self, job: _PrefillJob, chunk: int) -> float:
-        """Compute time of one prefill chunk (suffix-aware at its position)."""
-        latency = self.kernel.latency
-        flops = model_suffix_prefill_flops(
-            self.kernel.model, job.position + chunk, job.position
-        )
-        seconds = flops / latency.effective_flops_per_s
-        if job.position == job.hit_tokens and job.reused_bytes:
-            primary = job.reused_bytes - job.reused_secondary_bytes
-            seconds += primary / latency.fetch_bandwidth_bytes_per_s
-            seconds += (
-                job.reused_secondary_bytes
-                / latency.secondary_fetch_bandwidth_bytes_per_s
-            )
-        return seconds
-
-    def _start_iteration(self, now: float) -> None:
-        batch = self.decodes[: self.max_batch]
-        chunk = 0
-        job: Optional[_PrefillJob] = None
-        if self.prefill_queue:
-            job = self.prefill_queue[0]
-            if not job.started:
-                session = self.kernel.caches[self.replica].begin(
-                    job.request.input_tokens, now
-                )
-                job.started = True
-                job.service_start = now
-                job.session = session
-                job.position = session.hit_tokens
-            chunk = min(self.token_budget, job.remaining)
-
-        duration = self.iteration_overhead_s
-        if chunk and job is not None:
-            chunk_seconds = self._chunk_seconds(job, chunk)
-            job.compute_seconds += chunk_seconds
-            duration += chunk_seconds
-        if batch:
-            duration += self.kernel.latency.decode_seconds_per_token
-        self.active = True
-        self.kernel.push(
-            now + duration,
-            EventKind.PREFILL_DONE,
-            _IterationEnd(replica=self.replica, batch=batch, job=job, chunk=chunk),
-        )
-
-    def on_step_done(self, payload: _IterationEnd, now: float) -> None:
-        kernel = self.kernel
-        self.n_iterations += 1
-
-        # --- decode progress -----------------------------------------
-        finished_decodes = []
-        for stream in payload.batch:
-            if stream.produced > 0:
-                gap = now - stream.last_token_time
-                stream.gaps.append(gap)
-                self.tbt_gaps.append(gap)
-            stream.produced += 1
-            stream.last_token_time = now
-            if stream.remaining == 0:
-                finished_decodes.append(stream)
-        for stream in finished_decodes:
-            self.decodes.remove(stream)
-            kernel.finish_request(stream.request, stream.session, now)
-
-        # --- prefill progress ----------------------------------------
-        job, chunk = payload.job, payload.chunk
-        if chunk and job is not None:
-            job.position += chunk
-            if job.remaining == 0:
-                self.prefill_queue.pop(0)
-                kernel.emit_record(
-                    self.replica,
-                    RequestRecord(
-                        session_id=job.request.session_id,
-                        round_index=job.request.round_index,
-                        arrival_time=job.request.arrival_time,
-                        service_start=job.service_start,
-                        prefill_seconds=job.compute_seconds,
-                        ttft=now - job.request.arrival_time,
-                        input_len=job.request.input_len,
-                        hit_tokens=job.hit_tokens,
-                        output_len=job.request.output_len,
-                        reused_bytes=job.reused_bytes,
-                        flops_saved=model_prefill_flops(
-                            kernel.model, job.hit_tokens
-                        ),
-                    ),
-                )
-                # The first output token is produced with the final
-                # prefill chunk; decoding continues next iteration.
-                self.decodes.append(
-                    _DecodeJob(
-                        request=job.request,
-                        session=job.session,
-                        produced=1,
-                        last_token_time=now,
-                    )
-                )
-                if job.request.output_len == 1:
-                    stream = self.decodes.pop()
-                    kernel.finish_request(stream.request, stream.session, now)
-
-        # Arrivals landing exactly at this iteration boundary (including
-        # zero-think next rounds pushed just above) must join the queue
-        # before the next iteration is scheduled; ``active`` stays set so
-        # their enqueue cannot start a second concurrent iteration.
-        kernel.drain_arrivals_upto(now)
-        self.active = False
-        if self.prefill_queue or self.decodes:
-            self._start_iteration(now)
 
 
 class _KernelGossipTransport(GossipTransport):
@@ -532,6 +158,11 @@ class _KernelGossipTransport(GossipTransport):
 SchedulerFactory = Callable[["SimulationKernel", int], ReplicaScheduler]
 
 
+def _flush_gossip(callback: Callable[[float], None], now: float) -> None:
+    """``DIRECTORY_SYNC``: a sharded-directory gossip flush comes due."""
+    callback(now)
+
+
 @dataclass
 class KernelRun:
     """Everything one kernel run produced, before engine-specific shaping."""
@@ -550,7 +181,8 @@ class SimulationKernel:
 
     The serving engine, the iteration engine, and the cluster simulator
     are thin configurations of this class: 1 replica with ``max_running``
-    slots, 1 replica with a :class:`TokenBatchingScheduler`, and N
+    slots, 1 replica with a
+    :class:`~repro.engine.schedulers.TokenBatchingScheduler`, and N
     replicas behind a router, respectively.
     """
 
@@ -576,7 +208,6 @@ class SimulationKernel:
         self.latency = latency or LatencyModel()
         self.router = router
         self.config = config or KernelConfig()
-        self._record_timeseries = self.config.record_timeseries
         self.scenario = sorted(scenario, key=lambda ev: ev.time) if scenario else []
         self._scheduler_factory = scheduler_factory or (
             lambda kernel, replica: ContinuousBatchingScheduler(
@@ -592,6 +223,18 @@ class SimulationKernel:
         # fleet so repeated run() calls start from the same topology.
         self._initial_caches = tuple(self.caches)
         self._initial_policy_names = tuple(self.policy_names)
+        # The dispatch table: one handler(payload, now) per event kind.
+        handlers = {
+            # Steps and background decodes go back to the scheduler that
+            # pushed them; arrivals are routed; the rest is steering.
+            EventKind.PREFILL_DONE: self._on_step_done,
+            EventKind.REQUEST_COMPLETE: self._on_decode_done,
+            EventKind.REQUEST_ARRIVAL: self._on_arrival,
+            EventKind.TRANSFER_DONE: self._finish_transfer,
+            EventKind.CONTROL: self._apply_scenario,
+            EventKind.DIRECTORY_SYNC: _flush_gossip,
+        }
+        self._handlers = [handlers[kind] for kind in EventKind]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -607,111 +250,18 @@ class SimulationKernel:
         concurrently active sessions rather than the trace length (see
         :data:`_SESSION_SEQ_START` for the tie-break order).
         """
-        self.caches = list(self._initial_caches)
-        self.policy_names = list(self._initial_policy_names)
-        n = len(self.caches)
-        self.clock = VirtualClock()
-        self.events = EventQueue()
-        self.results = [
-            EngineResult(
-                policy=self.policy_names[i], max_running=self.config.max_running
-            )
-            for i in range(n)
-        ]
-        # Steering state (zero-overhead unless a scenario is scheduled: the
-        # in-flight registry and ghost-event checks are only active for
-        # failover runs; set before the factories so schedulers can bind it).
-        self.alive = [True] * n
-        self.draining = [False] * n
-        self._track_active = bool(self.scenario)
-        self._active_sessions: dict[int, list] = {}
-        self._interrupted_requests: set[int] = set()
-        self._override_rotation = 0
-        # Transfer-link pricing: each source's outbound link serializes its
-        # transfers (concurrent copies queue, they don't multiply bandwidth).
-        self._link_free_at: dict[int, float] = {}
-        # Split transfers whose request runs ahead of the landing bytes,
-        # keyed by id(request); popped when service starts (or on failover).
-        self._pending_splits: dict[int, _PendingTransfer] = {}
-        # Results must exist before the factories run: schedulers may bind
-        # their replica's record list for the hot path.
-        self.schedulers = [self._scheduler_factory(self, i) for i in range(n)]
-        self.routed_counts = [0] * n
-        self.busy_seconds = [0.0] * n
-        # Sessions with rounds still outstanding (see _push_next_session).
-        self._sessions_by_id: dict[int, TraceSession] = {}
-        self._sessions: Iterator[TraceSession] = trace.iter_sessions()
-        self._session_seq = itertools.count(_SESSION_SEQ_START)
-        self._n_events = 0
-        # Hot-loop telemetry state: last sampled (depth, running) per replica,
-        # so change-point detection is two int compares per event.
-        self._last_depth = [-1] * n
-        self._last_running = [-1] * n
-        self.steering = SteeringTelemetry()
-        for _ in range(n):
-            self.steering.add_replica()
-        if self.router is not None:
-            self.router.prepare(self.model, self.caches, self.latency)
-            # A sharded directory propagates through the event queue: hand
-            # it this run's transport (replacing any prior run's, whose
-            # queue is gone) so gossip flushes ride the virtual clock.
-            directory = getattr(self.router, "directory", None)
-            connect = getattr(directory, "connect_transport", None)
-            if connect is not None:
-                connect(_KernelGossipTransport(self))
-        for control in self.scenario:
-            self.events.push(control.time, EventKind.CONTROL, control)
-
-        self._push_next_session()
-
-        # The event loop is the simulator's hot path: dispatch is inlined
-        # and bound to locals (one run processes 3+ events per request),
-        # consuming raw (time, kind, seq, serial, payload) heap entries so
-        # no Event object is built per dispatch.  Joins append to
-        # self.schedulers in place, so the local alias stays valid across
-        # topology changes.
+        self._begin_run(trace)
+        # The hot path (3+ events per request): raw (time, kind, seq,
+        # serial, payload) heap entries, so no Event object is built.
+        handlers = self._handlers
         events = self.events
         pop_entry = events.pop_entry
-        clock = self.clock
-        schedulers = self.schedulers
-        track_active = self._track_active
-        arrival_kind = int(EventKind.REQUEST_ARRIVAL)
-        prefill_kind = int(EventKind.PREFILL_DONE)
-        complete_kind = int(EventKind.REQUEST_COMPLETE)
-        transfer_kind = int(EventKind.TRANSFER_DONE)
-        control_kind = int(EventKind.CONTROL)
+        advance = self.clock.advance
         n_events = 0
         while events:
             time, kind, _seq, _serial, payload = pop_entry()
-            now = clock.advance(time)
+            handlers[kind](payload, advance(time))
             n_events += 1
-            if kind == prefill_kind:
-                replica = payload.replica
-                schedulers[replica].on_step_done(payload, now)
-                self._sample(replica, now)
-            elif kind == arrival_kind:
-                if payload.round_index == 0:
-                    # A session just arrived: pull the next one (its
-                    # arrival is >= this one, so time stays monotone).
-                    self._push_next_session()
-                self._admit(payload, now)
-            elif kind == complete_kind:  # background decode finished
-                if not track_active:
-                    self.finish_request(payload.request, payload.session, now)
-                elif payload.session.is_open:
-                    self._active_sessions.pop(id(payload.session), None)
-                    self.finish_request(payload.request, payload.session, now)
-                elif id(payload.request) in self._interrupted_requests:
-                    # Ghost completion of a decode the failure interrupted:
-                    # its record stands; only the closed loop continues.
-                    self._interrupted_requests.discard(id(payload.request))
-                    self._schedule_next_round(payload.request, now)
-            elif kind == transfer_kind:
-                self._finish_transfer(payload, now)
-            elif kind == control_kind:  # scenario topology change
-                self._apply_scenario(payload, now)
-            else:  # DIRECTORY_SYNC: a sharded-directory gossip flush
-                payload(now)
         self._n_events += n_events
 
         if self._link_free_at:
@@ -735,6 +285,62 @@ class SimulationKernel:
             steering=self.steering,
         )
 
+    def _begin_run(self, trace: Union[Trace, TraceStream]) -> None:
+        """Rebuild every piece of per-run state and schedule the first events."""
+        self.caches = list(self._initial_caches)
+        self.policy_names = list(self._initial_policy_names)
+        n = len(self.caches)
+        self.clock = VirtualClock()
+        self.events = EventQueue()
+        self.results = [
+            EngineResult(
+                policy=self.policy_names[i], max_running=self.config.max_running
+            )
+            for i in range(n)
+        ]
+        self.alive = [True] * n
+        self.draining = [False] * n
+        self._override_rotation = 0
+        # Transfer-link pricing: each source's outbound link serializes its
+        # transfers (concurrent copies queue, they don't multiply bandwidth).
+        self._link_free_at: dict[int, float] = {}
+        self.routed_counts = [0] * n
+        self.busy_seconds = [0.0] * n
+        self.steering = SteeringTelemetry()
+        for _ in range(n):
+            self.steering.add_replica()
+        # Everything a scheduler may bind (see ReplicaScheduler) exists by now.
+        self.schedulers = [self._scheduler_factory(self, i) for i in range(n)]
+        if self.scenario:
+            for scheduler in self.schedulers:
+                if not scheduler.can_fail:
+                    raise ValueError(
+                        f"{type(scheduler).__name__} cannot hand back its work "
+                        f"when its replica fails, so it cannot run under a "
+                        f"scenario schedule"
+                    )
+        # Sessions with rounds still outstanding (see _push_next_session).
+        self._sessions_by_id: dict[int, TraceSession] = {}
+        self._sessions: Iterator[TraceSession] = trace.iter_sessions()
+        self._session_seq = itertools.count(_SESSION_SEQ_START)
+        self._n_events = 0
+        # Last sampled (depth, running) per replica, so change-point
+        # detection is two int compares per event.
+        self._last_depth = [-1] * n
+        self._last_running = [-1] * n
+        if self.router is not None:
+            self.router.prepare(self.model, self.caches, self.latency)
+            # A sharded directory propagates through the event queue: hand
+            # it this run's transport (replacing any prior run's, whose
+            # queue is gone) so gossip flushes ride the virtual clock.
+            directory = getattr(self.router, "directory", None)
+            connect = getattr(directory, "connect_transport", None)
+            if connect is not None:
+                connect(_KernelGossipTransport(self))
+        for control in self.scenario:
+            self.events.push(control.time, EventKind.CONTROL, control)
+        self._push_next_session()
+
     def _push_next_session(self) -> None:
         """Pull the next session and schedule its first arrival.
 
@@ -752,6 +358,28 @@ class SimulationKernel:
             EngineRequest.from_session(session, 0, session.arrival_time),
             seq=next(self._session_seq),
         )
+
+    # ------------------------------------------------------------------
+    # Event handlers (see the dispatch table in __init__)
+    # ------------------------------------------------------------------
+    def _on_step_done(self, payload: Any, now: float) -> None:
+        """``PREFILL_DONE``: a step of the scheduler that pushed it ended."""
+        replica = payload.replica
+        self.schedulers[replica].on_step_done(payload, now)
+        self._sample(replica, now)
+
+    def _on_decode_done(self, payload: Any, now: float) -> None:
+        """``REQUEST_COMPLETE``: likewise, but a background decode holds
+        neither a queue place nor a slot, so there is nothing to sample."""
+        self.schedulers[payload.replica].on_step_done(payload, now)
+
+    def _on_arrival(self, request: EngineRequest, now: float) -> None:
+        """``REQUEST_ARRIVAL``: route the request and queue it on a replica."""
+        if request.round_index == 0:
+            # A session just arrived: pull the next one (its arrival is >=
+            # this one, so time stays monotone).
+            self._push_next_session()
+        self._admit(request, now)
 
     def _admit(self, request: EngineRequest, now: float) -> None:
         replica = 0
@@ -777,26 +405,22 @@ class SimulationKernel:
             if self._source_holds_state(transfer):
                 self.steering.bump("transfers_planned")
                 done = self._charge_transfer(transfer, now)
-                split = isinstance(transfer, SplitSpec) and isinstance(
-                    self.schedulers[replica], ContinuousBatchingScheduler
+                # Split-point overlap: the request starts its tail recompute
+                # immediately while the head transfer is in flight; the
+                # scheduler prices the overlap at service start and the
+                # TRANSFER_DONE event just lands bytes.  (On a scheduler
+                # that declines, a SplitSpec degrades to the parked
+                # all-or-nothing path.)
+                split = isinstance(transfer, SplitSpec) and self.schedulers[
+                    replica
+                ].overlap(request, transfer, done)
+                self.events.push(
+                    done,
+                    EventKind.TRANSFER_DONE,
+                    _PendingTransfer(request, transfer, started=now, split=split),
                 )
-                pending = _PendingTransfer(
-                    request=request,
-                    spec=transfer,
-                    started=now,
-                    done=done,
-                    split=split,
-                )
-                self.events.push(done, EventKind.TRANSFER_DONE, pending)
                 if split:
-                    # Split-point overlap: the request starts its tail
-                    # recompute immediately while the head transfer is in
-                    # flight; the scheduler prices the overlap at service
-                    # start and the TRANSFER_DONE event just lands bytes.
-                    # (A SplitSpec landing on a scheduler without overlap
-                    # support degrades to the parked all-or-nothing path.)
                     self.steering.bump("transfers_split")
-                    self._pending_splits[id(request)] = pending
                     self._enqueue(request, replica, now)
                 return
             # The plan came from a stale directory view: the source no
@@ -836,11 +460,8 @@ class SimulationKernel:
     def _fallback_alive(self) -> int:
         """Least-loaded routable replica (the router policy's own
         selection rule; unroutable replicas read as DEAD_LOAD)."""
-        loads = [
-            (s.queue_depth + s.n_running) if self._routable(i) else DEAD_LOAD
-            for i, s in enumerate(self.schedulers)
-        ]
-        if not loads or min(loads) >= DEAD_LOAD:
+        loads = self.loads()
+        if min(loads) >= DEAD_LOAD:
             n_failed = self.alive.count(False)
             n_draining = sum(
                 1 for i, d in enumerate(self.draining) if d and self.alive[i]
@@ -882,62 +503,6 @@ class SimulationKernel:
             and hasattr(self.caches[replica], "receive_state_transfer")
         )
 
-    def _split_prefill_seconds(
-        self,
-        pending: _PendingTransfer,
-        session: Any,
-        now: float,
-        base: float,
-    ) -> float:
-        """Overlapped prefill charge of a split-steered request.
-
-        Called by the scheduler when the request's service starts.  The
-        two halves run concurrently — the head transfer (whatever of it
-        is still in flight, plus the secondary fetch once it lands) and
-        the tail recompute — so completion is priced as::
-
-            overhead + max(transfer_remaining + head_fetch, tail_compute)
-            + split_merge
-
-        ``base`` is what the request would pay serving purely from local
-        state; the cheaper of the two is charged (the plan was made from
-        a pre-queue estimate, so local state may meanwhile have grown past
-        the shipped head, or the overlap may simply not pay off at actual
-        service time).  The session's recorded ``hit_tokens``/
-        ``reused_bytes`` keep reporting local-cache truth — the split's
-        benefit shows up in TTFT and in the overlap telemetry, not as a
-        synthetic cache hit.
-        """
-        spec = pending.spec
-        steering = self.steering
-        if now >= pending.done:
-            # The head landed while the request was still queued: begin()
-            # already promoted the shipped state through the tiering path
-            # and ``base`` priced its secondary fetch — the transfer hid
-            # entirely behind queue wait.
-            steering.bump("splits_hidden")
-            return base
-        if session.hit_tokens >= spec.split_depth:
-            # Local state grew at least as deep as the shipped head while
-            # the request queued: the transfer buys nothing extra.
-            steering.bump("splits_ignored")
-            return base
-        latency = self.latency
-        load_arm = (pending.done - now) + spec.nbytes / (
-            latency.secondary_fetch_bandwidth_bytes_per_s
-        )
-        tail_arm = spec.tail_flops / latency.effective_flops_per_s
-        overlapped = (
-            latency.prefill_overhead_s + max(load_arm, tail_arm)
-            + latency.split_merge_s
-        )
-        if overlapped >= base:
-            steering.bump("splits_ignored")
-            return base
-        steering.bump("splits_overlapped")
-        steering.overlap_seconds_saved += base - overlapped
-        return overlapped
-
     def _finish_transfer(self, pending: _PendingTransfer, now: float) -> None:
         """Land a transfer's bytes on its target (``TRANSFER_DONE``).
 
@@ -967,6 +532,7 @@ class SimulationKernel:
             self._enqueue(pending.request, target, now)
 
     def _apply_scenario(self, control: ScenarioEvent, now: float) -> None:
+        """``CONTROL``: a scenario topology change."""
         if control.action == "join":
             self._join_replica(control, now)
             return
@@ -986,39 +552,16 @@ class SimulationKernel:
             return
         self.alive[replica] = False
         self.steering.bump("failures")
-        scheduler = self.schedulers[replica]
-        orphans: list[EngineRequest] = []
-        # Queued requests never opened sessions; just re-route them.
-        queue = getattr(scheduler, "queue", None)
-        if queue is not None:
-            orphans.extend(queue)
-            queue.clear()
-        # Release the occupied slots: the ghost completions of aborted
-        # flights return early and would otherwise leave the corpse's
-        # running-executor telemetry frozen at its at-failure value.
-        if isinstance(scheduler, ContinuousBatchingScheduler):
-            scheduler.free_slots = scheduler.max_running
-        # In-flight requests (prefilling or decoding) abort their sessions
-        # through the transactional path, releasing every pin they hold.
+        # The scheduler gives back its work, aborting the open sessions
+        # through the transactional path (every pin they hold is released).
         # Mid-prefill requests were never served: they re-route and get
         # their (single) record elsewhere.  Mid-decode requests already
         # emitted their record; re-serving them would double-count the
-        # round, so instead their session simply continues — the next
-        # round is scheduled as if the decode had just finished (the
-        # cache admission of the interrupted round is lost with the
-        # replica).
-        interrupted: list[EngineRequest] = []
-        for key, (owner, request, session, prefill_done) in list(
-            self._active_sessions.items()
-        ):
-            if owner == replica:
-                session.abort()
-                del self._active_sessions[key]
-                self.steering.bump("aborted_sessions")
-                if prefill_done:
-                    interrupted.append(request)
-                else:
-                    orphans.append(request)
+        # round, so instead their session simply continues (the cache
+        # admission of the interrupted round is lost with the replica).
+        queued, prefilling, decoding = self.schedulers[replica].fail()
+        if prefilling or decoding:
+            self.steering.bump("aborted_sessions", len(prefilling) + len(decoding))
         # The replica's memory is gone: wipe its cache (detaching anything
         # the abort pass could not reach) and invalidate the directory.
         cache = self.caches[replica]
@@ -1028,20 +571,11 @@ class SimulationKernel:
             self.router.on_replica_left(replica)
         # Orphans keep their original arrival times, so the TTFT of a
         # re-routed request includes everything the failure cost it.
-        for request in sorted(orphans, key=lambda r: r.arrival_time):
-            # A queued split request loses its in-flight head with the
-            # replica: forget the overlap plan before re-admitting (the
-            # stale TRANSFER_DONE event finds its target dead and drops).
-            self._pending_splits.pop(id(request), None)
+        for request in sorted(queued + prefilling, key=lambda r: r.arrival_time):
             self.steering.bump("reroutes")
             self._admit(request, now)
-        for request in interrupted:
-            self.steering.bump("interrupted_decodes")
-            # The session's next round fires off the ghost REQUEST_COMPLETE
-            # already in the queue — the decode's true completion time —
-            # not off the failure instant, which would let the client
-            # "respond" to an answer it never finished receiving.
-            self._interrupted_requests.add(id(request))
+        if decoding:
+            self.steering.bump("interrupted_decodes", len(decoding))
         self._sample(replica, now)
 
     def _join_replica(self, control: ScenarioEvent, now: float) -> None:
@@ -1053,8 +587,6 @@ class SimulationKernel:
         self.results.append(
             EngineResult(policy=name, max_running=self.config.max_running)
         )
-        # The result must exist before the factory runs (hot-path binding).
-        self.schedulers.append(self._scheduler_factory(self, index))
         self.routed_counts.append(0)
         self.busy_seconds.append(0.0)
         self._last_depth.append(-1)
@@ -1063,17 +595,15 @@ class SimulationKernel:
         self.draining.append(False)
         self.steering.add_replica()
         self.steering.bump("joins")
+        # As in _begin_run: the replica's state exists before its scheduler.
+        self.schedulers.append(self._scheduler_factory(self, index))
         if self.router is not None:
             self.router.on_replica_joined(index, cache)
         self._sample(index, now)
 
     # ------------------------------------------------------------------
-    # Services for schedulers
+    # Services for schedulers and routers
     # ------------------------------------------------------------------
-    def push(self, time: float, kind: EventKind, payload: Any) -> None:
-        """Schedule a future event (schedulers' only way to advance work)."""
-        self.events.push(time, kind, payload)
-
     def loads(self) -> list[int]:
         """Per-replica in-flight request counts (queued + running).
 
@@ -1082,15 +612,12 @@ class SimulationKernel:
         topology; content-blind picks are corrected by the kernel's
         routable-fallback (counted as ``overrides``).
         """
-        if not self._track_active:
+        if not self.scenario:  # nothing can become unroutable
             return [s.queue_depth + s.n_running for s in self.schedulers]
         return [
             (s.queue_depth + s.n_running) if self._routable(i) else DEAD_LOAD
             for i, s in enumerate(self.schedulers)
         ]
-
-    def emit_record(self, replica: int, record: RequestRecord) -> None:
-        self.results[replica].records.append(record)
 
     def finish_request(
         self, request: EngineRequest, session: RequestSession, now: float
@@ -1098,9 +625,11 @@ class SimulationKernel:
         """Commit the finished sequence and schedule the session's next
         round after its think-time gap (closed-loop within sessions)."""
         session.commit(request.full_tokens, now)
-        self._schedule_next_round(request, now)
+        self.schedule_next_round(request, now)
 
-    def _schedule_next_round(self, request: EngineRequest, now: float) -> None:
+    def schedule_next_round(self, request: EngineRequest, now: float) -> None:
+        """The closed loop alone: ``request`` ended at ``now`` (committed by
+        :meth:`finish_request`, or lost with its replica)."""
         trace_session = self._sessions_by_id[request.session_id]
         next_round = request.round_index + 1
         if next_round < trace_session.n_rounds:
@@ -1121,29 +650,23 @@ class SimulationKernel:
         Used by schedulers that make batching decisions at step boundaries
         (the token-level scheduler): arrivals tying with the step-end event
         sort after it (``REQUEST_ARRIVAL`` has the highest kind) but must
-        be visible to the very next scheduling decision.
+        be visible to the very next scheduling decision.  A freshly pulled
+        session may itself arrive <= ``now``; the loop keeps draining until
+        the head moves past it.
         """
         events = self.events
-        arrival_kind = int(EventKind.REQUEST_ARRIVAL)
         while events:
             head = events.peek_entry()
-            if head[1] != arrival_kind or head[0] > now:
+            if head[ENTRY_TIME] > now or head[ENTRY_KIND] != EventKind.REQUEST_ARRIVAL:
                 break
-            payload = events.pop_entry()[4]
             self._n_events += 1
-            if payload.round_index == 0:
-                # The freshly pulled session may itself arrive <= now; the
-                # loop keeps draining until the head moves past ``now``.
-                self._push_next_session()
-            self._admit(payload, now)
+            self._on_arrival(events.pop_entry()[ENTRY_PAYLOAD], now)
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def _sample(self, replica: int, now: float, force: bool = False) -> None:
         """Record queue-depth / running change points for one replica."""
-        if not self._record_timeseries:
-            return
         scheduler = self.schedulers[replica]
         depth = scheduler.queue_depth
         running = scheduler.n_running

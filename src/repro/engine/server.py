@@ -14,7 +14,7 @@ Timeline for each request:
 
 This engine is a one-replica configuration of
 :class:`repro.engine.kernel.SimulationKernel` with
-:class:`~repro.engine.kernel.ContinuousBatchingScheduler` over
+:class:`~repro.engine.schedulers.ContinuousBatchingScheduler` over
 ``n_executors`` slots; the scheduling loop itself lives in the kernel.
 """
 
@@ -46,7 +46,6 @@ class ServingSimulator:
         latency: Optional[LatencyModel] = None,
         policy_name: str = "unnamed",
         n_executors: int = 1,
-        record_timeseries: bool = True,
     ) -> None:
         if n_executors < 1:
             raise ValueError(f"n_executors must be >= 1, got {n_executors}")
@@ -55,9 +54,7 @@ class ServingSimulator:
         self.latency = latency or LatencyModel()
         self.policy_name = policy_name
         self.n_executors = n_executors
-        self.config = KernelConfig(
-            max_running=n_executors, record_timeseries=record_timeseries
-        )
+        self.config = KernelConfig(max_running=n_executors)
 
     def run(self, trace: Trace | TraceStream) -> EngineResult:
         """Simulate the full trace; returns per-request records."""

@@ -258,6 +258,62 @@ def plan_split(
     )
 
 
+def split_prefill_seconds(
+    spec: SplitSpec,
+    done: float,
+    hit_tokens: int,
+    now: float,
+    base: float,
+    latency: Any,
+    telemetry: "SteeringTelemetry",
+) -> float:
+    """Overlapped prefill charge of a split-steered request at service start.
+
+    ``spec``'s head lands on the target at ``done``; the request's session
+    found ``hit_tokens`` locally and would pay ``base`` serving purely from
+    local state.  The two halves run concurrently — the head transfer
+    (whatever of it is still in flight, plus the secondary fetch once it
+    lands) and the tail recompute — so completion is priced with
+    :func:`plan_split`'s interior-arm formula, at actual service time::
+
+        overhead + max(transfer_remaining + head_fetch, tail_compute)
+        + split_merge
+
+    and the cheaper of that and ``base`` is charged (the plan was made from
+    a pre-queue estimate, so local state may meanwhile have grown past the
+    shipped head, or the overlap may simply not pay off any more).  The
+    session's recorded ``hit_tokens``/``reused_bytes`` keep reporting
+    local-cache truth — the split's benefit shows up in TTFT and in the
+    overlap telemetry, not as a synthetic cache hit.
+    """
+    if now >= done:
+        # The head landed while the request was still queued: begin()
+        # already promoted the shipped state through the tiering path and
+        # ``base`` priced its secondary fetch — the transfer hid entirely
+        # behind queue wait.
+        telemetry.bump("splits_hidden")
+        return base
+    if hit_tokens >= spec.split_depth:
+        # Local state grew at least as deep as the shipped head while the
+        # request queued: the transfer buys nothing extra.
+        telemetry.bump("splits_ignored")
+        return base
+    load_arm = (done - now) + spec.nbytes / (
+        latency.secondary_fetch_bandwidth_bytes_per_s
+    )
+    tail_arm = spec.tail_flops / latency.effective_flops_per_s
+    overlapped = (
+        latency.prefill_overhead_s + max(load_arm, tail_arm)
+        + latency.split_merge_s
+    )
+    if overlapped >= base:
+        telemetry.bump("splits_ignored")
+        return base
+    telemetry.bump("splits_overlapped")
+    telemetry.overlap_seconds_saved += base - overlapped
+    return overlapped
+
+
 @dataclass(frozen=True)
 class ScenarioEvent:
     """One entry of a cluster scenario schedule.

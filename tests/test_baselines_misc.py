@@ -9,7 +9,7 @@ from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
-from repro.core.eviction import FlopAwareEviction, GDSFEviction, LRUEviction
+from repro.core.eviction import FlopAwareEviction
 from repro.core.interfaces import CacheProtocol
 
 
@@ -36,7 +36,7 @@ class TestSGLangPlus:
     def test_is_marconi_with_lru(self, hybrid):
         cache = SGLangPlusCache(hybrid, int(1e9))
         assert isinstance(cache, MarconiCache)
-        assert isinstance(cache.policy, LRUEviction)
+        assert cache.policy.name == "lru"
         assert cache.tuner is None
 
     def test_same_admission_as_marconi(self, hybrid, tokens):
@@ -104,7 +104,7 @@ class TestRegistry:
         fixed = make_cache("marconi-fixed", hybrid, int(1e9), alpha=2.0)
         assert isinstance(fixed.policy, FlopAwareEviction) and fixed.alpha == 2.0
         gdsf = make_cache("gdsf", hybrid, int(1e9))
-        assert isinstance(gdsf.policy, GDSFEviction)
+        assert gdsf.policy.name == "gdsf"
 
     def test_block_size_forwarded(self, hybrid):
         cache = make_cache("vllm+", hybrid, int(1e9), block_size=64)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.registry import POLICY_NAMES, make_cache
 from repro.experiments.config import (
     DATASET_CONFIGS,
     SCALES,
@@ -10,7 +11,12 @@ from repro.experiments.config import (
     get_scale,
 )
 from repro.experiments.registry import FIGURES, run_figure
-from repro.experiments.runner import get_trace, run_policies, run_policy_on_trace
+from repro.experiments.runner import (
+    ResultCache,
+    get_trace,
+    run_policies,
+    run_policy_on_trace,
+)
 from repro.experiments.sweeps import standard_sweep
 from repro.experiments.__main__ import main as cli_main
 from repro.models.presets import hybrid_7b
@@ -76,6 +82,20 @@ class TestRunner:
         trace = get_trace(config.workload, config.workload_params(get_scale("smoke")))
         result = run_policy_on_trace(hybrid_7b(), trace, "marconi", int(1e9))
         assert "alpha" in result.cache_stats
+
+    @pytest.mark.parametrize("policy", sorted(set(POLICY_NAMES) - {"marconi-fixed"}))
+    def test_alpha_is_refused_by_policies_that_take_none(self, policy):
+        """An ignored ``alpha`` built identical caches and memoized
+        identical runs under distinct keys; now nothing is built or cached."""
+        memo = ResultCache()
+        config = DATASET_CONFIGS["sharegpt"]
+        trace = get_trace(config.workload, config.workload_params(get_scale("smoke")))
+        with pytest.raises(ValueError, match="takes no alpha"):
+            run_policy_on_trace(
+                hybrid_7b(), trace, policy, int(1e9), alpha=2.0, result_cache=memo
+            )
+        assert len(memo) == 0
+        assert make_cache("marconi-fixed", hybrid_7b(), int(1e9), alpha=2.0).alpha == 2.0
 
 
 class TestSweep:

@@ -364,6 +364,36 @@ class TestAllReplicasDown:
             )
 
 
+class TestSchedulerFailover:
+    """Failover speaks only ``ReplicaScheduler.fail``: a scheduler either
+    hands its work back or is refused before the run's first event."""
+
+    def test_scheduler_that_cannot_fail_over_is_refused_up_front(self, hybrid):
+        """Regression: a token-batching fleet given a ``fail`` scenario was
+        accepted and died mid-run with ``cannot commit a session detached
+        by cache.reset()`` — failover knew only the FCFS scheduler's
+        attribute names and left the dead replica's decodes running."""
+        from repro.cluster import LeastLoadedRouter, ScenarioEvent
+        from repro.engine import SimulationKernel, TokenBatchingScheduler
+
+        caches = [MarconiCache(hybrid, int(1e12), alpha=1.0) for _ in range(2)]
+        kernel = SimulationKernel(
+            hybrid,
+            caches,
+            router=LeastLoadedRouter(),
+            scheduler_factory=lambda kernel, replica: TokenBatchingScheduler(
+                kernel, replica, token_budget=512, max_batch=64,
+                iteration_overhead_s=0.002,
+            ),
+            scenario=[ScenarioEvent(2.0, "fail", replica=0)],
+        )
+        trace = generate_lmsys_trace(n_sessions=20, seed=66, session_rate=2.0)
+        with pytest.raises(ValueError, match="TokenBatchingScheduler cannot hand back"):
+            kernel.run(trace)
+        # Refused before anything ran: no session was ever opened.
+        assert all(cache.stats.snapshot()["lookups"] == 0 for cache in caches)
+
+
 class TestTunerUnderChurn:
     def test_auto_alpha_survives_adversarial_stream(self, hybrid):
         """The bootstrap tuner must complete and adopt some alpha even when

@@ -1,7 +1,8 @@
 """Property tests for the simulation kernel and its event queue.
 
 Four kernel invariants, checked over hypothesis-generated random traces
-and replica counts:
+and replica counts, plus one read off the source — the kernel and the
+schedulers meet only at the surface ``ReplicaScheduler`` writes down:
 
 * event-queue ordering is *total* — equal-timestamp events pop in
   ``(kind, per-queue insertion order)``, independent of payloads and of
@@ -14,6 +15,8 @@ and replica counts:
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 
 import numpy as np
@@ -24,6 +27,8 @@ from hypothesis import strategies as st
 from repro.baselines.vanilla import VanillaCache
 from repro.cluster import RoundRobinRouter, simulate_cluster
 from repro.core.cache import MarconiCache
+from repro.engine import kernel as kernel_module
+from repro.engine import schedulers as schedulers_module
 from repro.engine.events import EventKind, EventQueue
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.kernel import KernelConfig, SimulationKernel, VirtualClock
@@ -168,14 +173,82 @@ class TestKernelConstruction:
         with pytest.raises(ValueError):
             SimulationKernel(MODEL, [VanillaCache(MODEL)], policy_names=["a", "b"])
 
-    @given(trace=traces())
-    @settings(max_examples=10, deadline=None)
-    def test_record_timeseries_off_keeps_records_identical(self, trace):
-        on = simulate_trace(MODEL, VanillaCache(MODEL), trace)
-        engine = ServingSimulator(MODEL, VanillaCache(MODEL), record_timeseries=False)
-        off = engine.run(trace)
-        assert off.records == on.records
-        assert off.queue_depth_series == [] and off.running_series == []
+
+# ----------------------------------------------------------------------
+# The kernel / scheduler boundary, read off the source
+# ----------------------------------------------------------------------
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+CONCRETE_SCHEDULERS = {
+    cls.__name__ for cls in _all_subclasses(schedulers_module.ReplicaScheduler)
+}
+
+
+def _mentions(node: ast.AST, word: str) -> bool:
+    """Does any name or attribute inside ``node`` contain ``word``?"""
+    return any(
+        word in (getattr(sub, "id", "") + getattr(sub, "attr", ""))
+        for sub in ast.walk(node)
+    )
+
+
+def scheduler_reaches_into_kernel(source: str) -> list[str]:
+    """Every ``kernel._x`` / ``<expr>.kernel._x`` attribute access."""
+    return [
+        f"line {node.lineno}: kernel.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) == "kernel"
+    ]
+
+
+def kernel_reaches_into_scheduler(source: str) -> list[str]:
+    """Every ``isinstance(_, <concrete scheduler>)`` and every
+    ``getattr`` / ``hasattr`` whose object names a scheduler."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            if any(_mentions(node.args[1], name) for name in CONCRETE_SCHEDULERS):
+                found.append(f"line {node.lineno}: isinstance on a concrete scheduler")
+        elif node.func.id in ("getattr", "hasattr") and node.args:
+            if _mentions(node.args[0], "scheduler"):
+                found.append(f"line {node.lineno}: {node.func.id} on a scheduler")
+    return found
+
+
+class TestKernelSchedulerBoundary:
+    def test_neither_side_reaches_into_the_other(self):
+        assert scheduler_reaches_into_kernel(inspect.getsource(schedulers_module)) == []
+        assert kernel_reaches_into_scheduler(inspect.getsource(kernel_module)) == []
+
+    def test_the_checks_catch_what_this_boundary_replaced(self):
+        """The reach-arounds the kernel carried before the cut, verbatim."""
+        assert {"ContinuousBatchingScheduler", "TokenBatchingScheduler"} <= (
+            CONCRETE_SCHEDULERS
+        )
+        old_scheduler = (
+            "if kernel._pending_splits:\n"
+            "    self.kernel._active_sessions[id(session)] = entry\n"
+            "self._track_active = kernel._track_active\n"
+            "kernel.busy_seconds[self.replica] += seconds\n"
+        )
+        assert len(scheduler_reaches_into_kernel(old_scheduler)) == 3
+        old_kernel = (
+            "split = isinstance(spec, SplitSpec) and isinstance(\n"
+            "    self.schedulers[replica], ContinuousBatchingScheduler)\n"
+            "if isinstance(scheduler, (TokenBatchingScheduler, int)): pass\n"
+            "queue = getattr(scheduler, 'queue', None)\n"
+            "if hasattr(self.schedulers[replica], 'free_slots'): pass\n"
+            "tree = getattr(self.caches[0], 'tree', None)\n"
+        )
+        assert len(kernel_reaches_into_scheduler(old_kernel)) == 4
 
 
 # ----------------------------------------------------------------------
