@@ -27,11 +27,18 @@ node's end.  Those two annotations reproduce both hit rules the deep
 probe implements: the hybrid all-or-nothing rule (deepest checkpointed
 node on the fully-matched path) and the pure-Transformer rule (raw
 common-prefix length, mid-edge allowed).
+
+The module is cut in three: :class:`PrefixIndex` is that radix index and
+nothing else; :class:`ReplicaFront` is the replica lifecycle and where the
+observer bridge lands, written once; :class:`PrefixDirectory` is the
+synchronous oracle, a front over one index with every event applied inline
+(:class:`~repro.cluster.sharded_directory.ShardedPrefixDirectory`: the same
+front over a ring of indexes and their gossip queues).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -71,45 +78,27 @@ class _DirNode:
 
 
 @dataclass
-class DirectoryStats:
-    """Maintenance and staleness counters of one directory instance.
+class IndexStats:
+    """Structural counters of one :class:`PrefixIndex`."""
 
-    The update-propagation fields (``applied_updates``, ``pending_updates``,
-    ``dropped_updates``) stay zero for the synchronous oracle — every event
-    applies inline — and are populated per shard by
-    :class:`~repro.cluster.sharded_directory.ShardedPrefixDirectory`.
-    """
-
-    events: int = 0
     marks: int = 0
     clears: int = 0
     splits: int = 0
     pruned_nodes: int = 0
+    n_nodes: int = 0
+
+
+@dataclass
+class DirectoryStats:
+    """What one directory's front saw: tree events and resyncs its replicas
+    sent, lookups its routers asked, replicas invalidated or left untracked.
+    Counted the same way by both backends."""
+
+    events: int = 0
     resyncs: int = 0
     lookups: int = 0
-    n_nodes: int = 0
-    untracked_replicas: int = 0
     invalidations: int = 0
-    applied_updates: int = 0
-    pending_updates: int = 0
-    dropped_updates: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "marks": self.marks,
-            "clears": self.clears,
-            "splits": self.splits,
-            "pruned_nodes": self.pruned_nodes,
-            "resyncs": self.resyncs,
-            "lookups": self.lookups,
-            "n_nodes": self.n_nodes,
-            "untracked_replicas": self.untracked_replicas,
-            "invalidations": self.invalidations,
-            "applied_updates": self.applied_updates,
-            "pending_updates": self.pending_updates,
-            "dropped_updates": self.dropped_updates,
-        }
+    untracked_replicas: int = 0
 
 
 @dataclass
@@ -135,7 +124,6 @@ class DirectoryLookup:
 # Path-op kinds (ints, not an enum: applied in the gossip hot loop).
 _MARK = 0
 _CLEAR_BEYOND = 1
-_TRUNCATE = 2
 _CKPT_SET = 3
 _CKPT_CLEAR = 4
 
@@ -167,171 +155,27 @@ def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bytes, bool]]:
         stack.extend((child, data + child.data) for child in node.children.values())
 
 
-class _ReplicaView(TreeObserver):
-    """The per-replica observer bridge of either directory: each replica
-    tree event becomes one ``(kind, replica, path, path bytes, depth)`` op
-    handed to ``directory._ingest_path_op`` (tree replacement:
-    ``_ingest_resync``).  ``depth`` is where the op starts changing the
-    index: the parent's depth for a mark (which runs to the path's end),
-    the keep-depth of a clear or truncate, the exact depth of a checkpoint.
+class PrefixIndex:
+    """The union radix index: which replica covers how much of which prefix.
+
+    Its whole surface — what a directory, or a shard of one, may use:
+
+    * ``root`` / ``iter_nodes()`` — the nodes (``data``, ``edge``, ``end``,
+      ``cover``, ``ckpt``, ``children``; see :class:`_DirNode`), read-only;
+    * ``stats`` — :class:`IndexStats`, structural counters only;
+    * ``lookup(tokens, limit)`` — the per-request walk;
+    * ``apply(kind, replica, tokens, data, depth)`` — one path op;
+    * ``mark(replica, tokens, data, upto, ckpt=False)`` — the op a resync
+      and a shard's truncated copy of a foreign region are made of;
+    * ``clear_replica(replica)`` — drop every annotation of one replica;
+    * ``check_integrity()``.
+
+    It knows no cache, observer, clock or shard.
     """
-
-    def __init__(self, directory: Any, replica: int) -> None:
-        self.directory = directory
-        self.replica = replica
-
-    def _root_path(
-        self, node: RadixNode, parent: Optional[RadixNode] = None
-    ) -> tuple[np.ndarray, bytes]:
-        """``node``'s root path as ``(int32 array, its bytes)``, serialized
-        once per burst of events on it (a commit emits a mark and a
-        checkpoint for the same leaf).  A node's path is fixed by its
-        identity and ``seq_len``: splits and merges move tokens between
-        nodes without changing any path, and a truncation changes
-        ``seq_len``.  ``parent`` names where a detached ``node`` hung.
-        The pair is read-only because a queued ``DirectoryUpdate`` outlives
-        the event.
-
-        The directory holds the one remembered path for all its views
-        (``_last_path``: node id, ``seq_len``, path, bytes) — bursts of
-        different replicas do not interleave, and a path per view pins
-        ~30 KB per replica — keyed by the process-unique ``node_id``, not
-        the node, so an evicted node's buffers are not kept alive."""
-        directory = self.directory
-        last = directory._last_path
-        if last is not None and last[0] == node.node_id and last[1] == node.seq_len:
-            return last[2], last[3]
-        # One copy: the parent chain's edge bytes, joined.
-        edges = [] if parent is None else [node.data]
-        cursor = node if parent is None else parent
-        while cursor.parent is not None:
-            edges.append(cursor.data)
-            cursor = cursor.parent
-        data = b"".join(reversed(edges))
-        tokens = np.frombuffer(data, dtype=np.int32)
-        directory._last_path = (node.node_id, node.seq_len, tokens, data)
-        return tokens, data
-
-    # -- structure events ------------------------------------------------
-    def on_node_added(self, node: RadixNode) -> None:
-        tokens, data = self._root_path(node)
-        self.directory._ingest_path_op(
-            _MARK, self.replica, tokens, data, node.parent_seq_len
-        )
-
-    def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
-        # The detached node keeps its edge tokens, so the full removed
-        # path is still reconstructible.
-        tokens, data = self._root_path(node, parent)
-        self.directory._ingest_path_op(
-            _CLEAR_BEYOND, self.replica, tokens, data, parent.seq_len
-        )
-
-    def on_leaf_truncated(self, node: RadixNode) -> None:
-        # The dropped tail tokens are gone from the replica tree, but the
-        # directory still holds them: clear-descend below the new end.
-        tokens, data = self._root_path(node)
-        self.directory._ingest_path_op(
-            _TRUNCATE, self.replica, tokens, data, len(tokens)
-        )
-
-    def on_checkpoint_changed(self, node: RadixNode) -> None:
-        kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
-        tokens, data = self._root_path(node)
-        self.directory._ingest_path_op(
-            kind, self.replica, tokens, data, node.seq_len
-        )
-
-    # Splits and merges redistribute tokens between replica-tree nodes
-    # without changing the replica's cached token set or checkpoint
-    # depths (merges always clear the checkpoint first), so the
-    # directory's content view is unaffected.
-    def on_edge_split(self, middle: RadixNode, child: RadixNode) -> None: ...
-
-    def on_merged(self, node: RadixNode, child: RadixNode) -> None: ...
-
-    def on_pin_changed(self, node: RadixNode) -> None: ...
-
-    def on_touched(self, node: RadixNode) -> None: ...
-
-    # -- tree replacement (reset / reload / failover) --------------------
-    def on_tree_attached(self, tree: Any) -> None:
-        self.directory._ingest_resync(self.replica, tree)
-
-
-class PrefixDirectory:
-    """Incrementally maintained prefix -> replica-set index for routing."""
 
     def __init__(self) -> None:
         self.root = _DirNode(b"", parent=None)
-        self.stats = DirectoryStats()
-        self._views: dict[int, _ReplicaView] = {}
-        self._caches: dict[int, Any] = {}
-        self._tracked: set[int] = set()
-        self._last_path: Optional[tuple] = None  # see _ReplicaView._root_path
-
-    # ------------------------------------------------------------------
-    # Replica lifecycle
-    # ------------------------------------------------------------------
-    def attach(self, replica: int, cache: Any) -> bool:
-        """Start tracking ``replica``'s cache; returns False when the
-        cache has no observable tree (deep-probe fallback applies).
-
-        Caches exposing their own ``probe`` method (block stores) are
-        left untracked on purpose: the deep probe prefers that method,
-        so the directory must too for decision compatibility.
-        """
-        if replica in self._views:
-            if self._caches.get(replica) is cache:
-                return replica in self._tracked
-            # Same slot, different cache (a shared directory re-bound to a
-            # rebuilt fleet): drop the stale observer before re-attaching.
-            self.detach(replica)
-        view = _ReplicaView(self, replica)
-        self._views[replica] = view
-        self._caches[replica] = cache
-        attach = getattr(cache, "add_tree_observer", None)
-        if (
-            callable(getattr(cache, "probe", None))
-            or attach is None
-            or not attach(view)
-        ):
-            self.stats.untracked_replicas += 1
-            return False
-        self._tracked.add(replica)
-        tree = getattr(cache, "tree", None)
-        if tree is not None:
-            self._ingest_resync(replica, tree)
-        return True
-
-    def tracked(self, replica: int) -> bool:
-        return replica in self._tracked
-
-    @property
-    def replicas(self) -> tuple[int, ...]:
-        return tuple(sorted(self._tracked))
-
-    def invalidate(self, replica: int) -> None:
-        """Drop every directory entry of ``replica`` (failure/removal)."""
-        self._clear_replica(replica)
-        self.stats.invalidations += 1
-
-    def detach(self, replica: int) -> None:
-        """Stop observing ``replica`` and drop its entries."""
-        view = self._views.pop(replica, None)
-        cache = self._caches.pop(replica, None)
-        if view is not None and cache is not None:
-            remove = getattr(cache, "remove_tree_observer", None)
-            if callable(remove):
-                remove(view)
-        if replica in self._tracked:
-            self._tracked.discard(replica)
-            self.invalidate(replica)
-
-    def close(self) -> None:
-        """Detach from every cache (directory becomes inert)."""
-        for replica in list(self._views):
-            self.detach(replica)
+        self.stats = IndexStats()
 
     # ------------------------------------------------------------------
     # Lookup (the per-request O(query depth) walk)
@@ -343,7 +187,6 @@ class PrefixDirectory:
         requires the final input token to be prefilled, so routers pass
         ``len(tokens) - 1``); KV matched lengths are reported raw.
         """
-        self.stats.lookups += 1
         out = DirectoryLookup()
         # Canonicalize once: the walk memcmps the query's bytes against edge
         # bytes, and an int64 array or a list compared raw would silently
@@ -389,10 +232,6 @@ class PrefixDirectory:
             yield node
             stack.extend(node.children.values())
 
-    def staleness(self) -> dict:
-        """Maintenance/staleness snapshot (exported with cluster results)."""
-        return self.stats.to_dict()
-
     def check_integrity(self) -> None:
         """Raise ``AssertionError`` on any structural inconsistency (tests)."""
         for node in self.iter_nodes():
@@ -414,30 +253,21 @@ class PrefixDirectory:
                 )
 
     # ------------------------------------------------------------------
-    # Maintenance primitives
+    # Maintenance
     # ------------------------------------------------------------------
-    def _ingest_path_op(
+    def apply(
         self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
     ) -> None:
-        """One replica tree event (the bridge's entry point): apply inline."""
-        self.stats.events += 1
-        self._apply_path_op(kind, replica, tokens, data, depth)
-
-    def _apply_path_op(
-        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
-    ) -> None:
-        """Apply one path op to the index (``data`` is ``tokens``' bytes;
-        ``depth`` as the bridge defines it: a mark runs from the root to the
-        path's end whatever depth it starts changing at, so a shard that
-        lost an earlier mark still ends up prefix-closed)."""
+        """Apply one path op (``data`` is ``tokens``' bytes; ``depth`` as
+        the bridge defines it: a mark runs from the root to the path's end
+        whatever depth it starts changing at, so a shard that lost an
+        earlier mark still ends up prefix-closed)."""
         if kind == _MARK:
-            self._mark(replica, tokens, data, len(tokens))
+            self.mark(replica, tokens, data, len(tokens))
         elif kind == _CLEAR_BEYOND:
             self._clear_beyond(replica, tokens, data, depth)
-        elif kind == _TRUNCATE:
-            self._truncate(replica, tokens, data)
         elif kind == _CKPT_SET:
-            self._mark(replica, tokens, data, depth, ckpt=True)
+            self.mark(replica, tokens, data, depth, ckpt=True)
         else:  # _CKPT_CLEAR
             self._clear_ckpt(replica, tokens, data, depth)
 
@@ -494,7 +324,7 @@ class PrefixDirectory:
         self.stats.n_nodes += 1
         return leaf
 
-    def _mark(
+    def mark(
         self,
         replica: int,
         tokens: np.ndarray,
@@ -564,61 +394,15 @@ class PrefixDirectory:
             end_here = start + shared
             if end_here <= keep:
                 continue
-            c = node.cover.get(replica, 0)
-            if c > 0:
-                new = max(0, keep - start)
-                if c > new:
-                    if new > 0:
-                        node.cover[replica] = new
-                    else:
-                        del node.cover[replica]
+            new = keep - start
+            if new <= 0:
+                node.cover.pop(replica, None)
+            elif node.cover.get(replica, 0) > new:
+                node.cover[replica] = new
             if node.end > keep:
                 node.ckpt.discard(replica)
             deepest = node
         self._prune(deepest)
-
-    def _truncate(self, replica: int, tokens: np.ndarray, data: bytes) -> None:
-        """Clear ``replica`` below depth ``len(tokens)`` when the dropped
-        tail tokens are no longer known (leaf truncation): the directory
-        still holds them, and the replica's chain below the cut is unique
-        (a truncation always lands strictly inside one former edge)."""
-        self.stats.clears += 1
-        keep = len(tokens)
-        path = self._walk(tokens, data, keep)
-        if not path:
-            return
-        node, start, shared = path[-1]
-        c = node.cover.get(replica, 0)
-        covered_to = start + c
-        anchor = node
-        if covered_to > keep:
-            new = keep - start
-            if new > 0:
-                node.cover[replica] = new
-            else:
-                del node.cover[replica]
-        # Coverage ran through this whole edge (the directory may be more
-        # split than the replica's leaf was, so the cut point can land
-        # mid-edge *or* on a boundary): deeper nodes can carry the
-        # replica's chain and must be cleared either way.
-        if c == len(node.edge):
-            stack = [
-                child
-                for child in node.children.values()
-                if replica in child.cover
-            ]
-            while stack:
-                child = stack.pop()
-                del child.cover[replica]
-                child.ckpt.discard(replica)
-                stack.extend(
-                    grand
-                    for grand in child.children.values()
-                    if replica in grand.cover
-                )
-                if child.is_empty:
-                    self._prune(child)
-        self._prune(anchor)
 
     def _clear_ckpt(
         self, replica: int, tokens: np.ndarray, data: bytes, depth: int
@@ -632,7 +416,7 @@ class PrefixDirectory:
             node.ckpt.discard(replica)
             self._prune(node)
 
-    def _clear_replica(self, replica: int) -> None:
+    def clear_replica(self, replica: int) -> None:
         """Remove every annotation of ``replica`` from the whole index."""
         doomed: list[_DirNode] = []
         for node in self.iter_nodes():
@@ -643,10 +427,217 @@ class PrefixDirectory:
         for node in doomed:
             self._prune(node)
 
+
+class _ReplicaView(TreeObserver):
+    """The per-replica observer bridge: each replica tree event becomes one
+    ``(kind, replica, path, path bytes, depth)`` op handed to its front's
+    ``_ingest_path_op`` (tree replacement: ``_ingest_resync``).  ``depth``
+    is where the op starts changing the index: the parent's depth for a
+    mark (which runs to the path's end), the keep-depth of a clear, the
+    exact depth of a checkpoint.
+    """
+
+    def __init__(self, front: "ReplicaFront", replica: int) -> None:
+        self.front = front
+        self.replica = replica
+
+    def _root_path(
+        self, node: RadixNode, parent: Optional[RadixNode] = None, tail: bytes = b""
+    ) -> tuple[np.ndarray, bytes]:
+        """``node``'s root path (plus ``tail``, the bytes a truncation just
+        cut off its end) as ``(int32 array, its bytes)``, serialized once
+        per burst of events on it (a commit emits a mark and a checkpoint
+        for the same leaf).  A node's path is fixed by its identity and
+        length: splits and merges move tokens between nodes without
+        changing any path, and a truncation changes the length.  ``parent``
+        names where a detached ``node`` hung.  The pair is read-only
+        because a queued ``DirectoryUpdate`` outlives the event.
+
+        The front holds the one remembered path for all its views
+        (``_last_path``: node id, length, path, bytes) — bursts of
+        different replicas do not interleave, and a path per view pins
+        ~30 KB per replica — keyed by the process-unique ``node_id``, not
+        the node, so an evicted node's buffers are not kept alive."""
+        front = self.front
+        length = node.seq_len + len(tail) // 4
+        last = front._last_path
+        if last is not None and last[0] == node.node_id and last[1] == length:
+            return last[2], last[3]
+        # One copy: the parent chain's edge bytes, joined.
+        edges = [tail] if parent is None else [node.data]
+        cursor = node if parent is None else parent
+        while cursor.parent is not None:
+            edges.append(cursor.data)
+            cursor = cursor.parent
+        data = b"".join(reversed(edges))
+        tokens = np.frombuffer(data, dtype=np.int32)
+        front._last_path = (node.node_id, length, tokens, data)
+        return tokens, data
+
+    # -- structure events ------------------------------------------------
+    def on_node_added(self, node: RadixNode) -> None:
+        tokens, data = self._root_path(node)
+        self.front._ingest_path_op(
+            _MARK, self.replica, tokens, data, node.parent_seq_len
+        )
+
+    def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
+        # The detached node keeps its edge tokens, so the full removed
+        # path is still reconstructible.
+        tokens, data = self._root_path(node, parent)
+        self.front._ingest_path_op(
+            _CLEAR_BEYOND, self.replica, tokens, data, parent.seq_len
+        )
+
+    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
+        # The index still holds the leaf's old path: clear along it, past
+        # the leaf's new end.
+        tokens, data = self._root_path(node, tail=dropped)
+        self.front._ingest_path_op(
+            _CLEAR_BEYOND, self.replica, tokens, data, node.seq_len
+        )
+
+    def on_checkpoint_changed(self, node: RadixNode) -> None:
+        kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
+        tokens, data = self._root_path(node)
+        self.front._ingest_path_op(kind, self.replica, tokens, data, node.seq_len)
+
+    # The other callbacks stay the base class's no-ops.  Splits and merges
+    # redistribute tokens between replica-tree nodes without changing the
+    # replica's cached token set or checkpoint depths (merges always clear
+    # the checkpoint first), so the directory's content view is unaffected;
+    # pins and touches never were content.
+
+    # -- tree replacement (reset / reload / failover) --------------------
+    def on_tree_attached(self, tree: Any) -> None:
+        self.front._ingest_resync(self.replica, tree)
+
+
+class ReplicaFront:
+    """What faces the replicas and the router, the same for every backend:
+    which caches are observed (one :class:`_ReplicaView` each), which of
+    them are tracked, and :class:`DirectoryStats`.
+
+    A backend supplies where things land: ``lookup``, ``staleness``,
+    ``check_integrity``, ``invalidate`` and the two hooks a view calls,
+    ``_ingest_path_op`` and ``_ingest_resync``.  The views also share the
+    ``_last_path`` memo (see :meth:`_ReplicaView._root_path`); nothing else
+    of a front is theirs to touch.
+    """
+
+    def __init__(self) -> None:
+        self.stats = DirectoryStats()
+        self._views: dict[int, _ReplicaView] = {}
+        self._caches: dict[int, Any] = {}
+        self._tracked: set[int] = set()
+        self._last_path: Optional[tuple] = None
+
+    def attach(self, replica: int, cache: Any) -> bool:
+        """Start tracking ``replica``'s cache; returns False when the
+        cache has no observable tree (deep-probe fallback applies).
+
+        Caches exposing their own ``probe`` method (block stores) are
+        left untracked on purpose: the deep probe prefers that method,
+        so the directory must too for decision compatibility.
+        """
+        if replica in self._views:
+            if self._caches.get(replica) is cache:
+                return replica in self._tracked
+            # Same slot, different cache (a shared directory re-bound to a
+            # rebuilt fleet): drop the stale observer before re-attaching.
+            self.detach(replica)
+        view = _ReplicaView(self, replica)
+        self._views[replica] = view
+        self._caches[replica] = cache
+        attach = getattr(cache, "add_tree_observer", None)
+        if (
+            callable(getattr(cache, "probe", None))
+            or attach is None
+            or not attach(view)
+        ):
+            self.stats.untracked_replicas += 1
+            return False
+        self._tracked.add(replica)
+        tree = getattr(cache, "tree", None)
+        if tree is not None:
+            self._ingest_resync(replica, tree)
+        return True
+
+    def tracked(self, replica: int) -> bool:
+        return replica in self._tracked
+
+    @property
+    def replicas(self) -> tuple[int, ...]:
+        return tuple(sorted(self._tracked))
+
+    def detach(self, replica: int) -> None:
+        """Stop observing ``replica`` and drop its entries."""
+        view = self._views.pop(replica, None)
+        cache = self._caches.pop(replica, None)
+        if view is not None and cache is not None:
+            remove = getattr(cache, "remove_tree_observer", None)
+            if callable(remove):
+                remove(view)
+        if replica in self._tracked:
+            self._tracked.discard(replica)
+            self.invalidate(replica)
+
+    def close(self) -> None:
+        """Detach from every cache and transport (directory becomes inert)."""
+        for replica in list(self._views):
+            self.detach(replica)
+        self.connect_transport(None)
+
+    def connect_transport(self, transport: Optional[Any]) -> None:
+        """Take the run's flush scheduler.  A backend that applies every
+        event inline has nothing to schedule."""
+
+    def invalidate(self, replica: int) -> None:
+        """Drop every directory entry of ``replica`` (failure/removal)."""
+        raise NotImplementedError
+
+    def _ingest_path_op(
+        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
+    ) -> None:
+        """One replica tree event, from that replica's view."""
+        raise NotImplementedError
+
     def _ingest_resync(self, replica: int, tree: Any) -> None:
-        """Rebuild ``replica``'s annotations from a full tree scan (used at
-        attach time and whenever the cache swaps in a new tree)."""
-        self._clear_replica(replica)
+        """``replica``'s entries are to become what ``tree`` holds now
+        (attach time, and whenever the cache swaps in a new tree)."""
+        raise NotImplementedError
+
+
+class PrefixDirectory(ReplicaFront):
+    """Incrementally maintained prefix -> replica-set index for routing:
+    the synchronous oracle, one :class:`PrefixIndex` updated inline."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.index = PrefixIndex()
+
+    def lookup(self, tokens: Any, limit: Optional[int] = None) -> DirectoryLookup:
+        self.stats.lookups += 1
+        return self.index.lookup(tokens, limit)
+
+    def invalidate(self, replica: int) -> None:
+        self.index.clear_replica(replica)
+        self.stats.invalidations += 1
+
+    def staleness(self) -> dict:
+        return {**asdict(self.stats), **asdict(self.index.stats)}
+
+    def check_integrity(self) -> None:
+        self.index.check_integrity()
+
+    def _ingest_path_op(
+        self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
+    ) -> None:
+        self.stats.events += 1
+        self.index.apply(kind, replica, tokens, data, depth)
+
+    def _ingest_resync(self, replica: int, tree: Any) -> None:
         self.stats.resyncs += 1
+        self.index.clear_replica(replica)
         for path, data, has_ckpt in _iter_tree_paths(tree):
-            self._mark(replica, path, data, len(path), ckpt=has_ckpt)
+            self.index.mark(replica, path, data, len(path), ckpt=has_ckpt)

@@ -136,9 +136,15 @@ class Router(abc.ABC):
         directories).  Routing again later re-attaches lazily."""
 
     @property
+    def directory(self) -> Optional[Any]:
+        """The prefix directory the router reads, if any."""
+        return None
+
+    @property
     def directory_stats(self) -> Optional[dict]:
         """Maintenance counters of the router's prefix directory, if any."""
-        return None
+        directory = self.directory
+        return None if directory is None else directory.staleness()
 
     @property
     def decision_stats(self) -> dict[str, int]:
@@ -270,13 +276,6 @@ class PrefixAffinityRouter(Router):
         if self._directory is not None:
             return self._directory
         return self._shared_directory
-
-    @property
-    def directory_stats(self) -> Optional[dict]:
-        directory = self.directory
-        if directory is None:
-            return None
-        return directory.staleness()
 
     @property
     def decision_stats(self) -> dict[str, int]:

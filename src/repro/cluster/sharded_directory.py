@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -64,8 +65,8 @@ from repro.cluster.directory import (
     _CKPT_SET,
     _MARK,
     DirectoryLookup,
-    PrefixDirectory,
-    _ReplicaView,
+    PrefixIndex,
+    ReplicaFront,
     _iter_tree_paths,
 )
 
@@ -80,6 +81,7 @@ _EMPTY_KEY = crc32(b"")
 _RING_POINTS_PER_SHARD = 16
 
 
+@dataclass(slots=True, eq=False)
 class DirectoryUpdate:
     """One replica tree event, serialized for gossip.
 
@@ -94,25 +96,13 @@ class DirectoryUpdate:
     event saw, not the state at apply time.
     """
 
-    __slots__ = ("kind", "replica", "tokens", "data", "depth", "rkey", "snapshot")
-
-    def __init__(
-        self,
-        kind: int,
-        replica: int,
-        tokens: Optional[np.ndarray] = None,
-        data: Optional[bytes] = None,
-        depth: int = 0,
-        rkey: int = 0,
-        snapshot: Optional[list] = None,
-    ) -> None:
-        self.kind = kind
-        self.replica = replica
-        self.tokens = tokens
-        self.data = data
-        self.depth = depth
-        self.rkey = rkey
-        self.snapshot = snapshot
+    kind: int
+    replica: int
+    tokens: Optional[np.ndarray] = None
+    data: Optional[bytes] = None
+    depth: int = 0
+    rkey: int = 0
+    snapshot: Optional[list] = None
 
 
 class _HashRing:
@@ -183,43 +173,33 @@ class ManualGossipTransport:
         self._now = max(self._now, time)
 
 
+@dataclass(slots=True)
 class _Shard:
-    """One shard: a bare :class:`PrefixDirectory` as the region store plus
-    its gossip queue and staleness counters."""
+    """One shard: a :class:`PrefixIndex` as the region store, its gossip
+    queue, and the counters of what reached it."""
 
-    __slots__ = (
-        "index",
-        "directory",
-        "pending",
-        "alive",
-        "flush_scheduled",
-        "drop_armed",
-        "applied",
-        "flushes",
-        "dropped_batches",
-        "dropped_updates",
-        "peak_pending",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.directory = PrefixDirectory()
-        # FIFO of (ready_time, enqueue_time, update); ready times are
-        # monotone because enqueue times are (the clock never reverses).
-        self.pending: deque[tuple[float, float, DirectoryUpdate]] = deque()
-        self.alive = True
-        self.flush_scheduled = False
-        self.drop_armed = 0
-        self.applied = 0
-        self.flushes = 0
-        self.dropped_batches = 0
-        self.dropped_updates = 0
-        self.peak_pending = 0
+    index: int
+    directory: PrefixIndex = field(default_factory=PrefixIndex)
+    #: FIFO of (ready_time, enqueue_time, update); ready times are
+    #: monotone because enqueue times are (the clock never reverses).
+    pending: deque[tuple[float, float, DirectoryUpdate]] = field(default_factory=deque)
+    alive: bool = True
+    flush_scheduled: bool = False
+    drop_armed: int = 0
+    applied: int = 0
+    flushes: int = 0
+    dropped_batches: int = 0
+    dropped_updates: int = 0
+    peak_pending: int = 0
+    lookups: int = 0
+    resyncs: int = 0
+    invalidations: int = 0
 
 
-class ShardedPrefixDirectory:
-    """Drop-in :class:`PrefixDirectory` replacement with sharding and
-    bounded staleness (see the module docstring for the model).
+class ShardedPrefixDirectory(ReplicaFront):
+    """Drop-in :class:`~repro.cluster.directory.PrefixDirectory` replacement
+    with sharding and bounded staleness (see the module docstring for the
+    model): the same replica front over a ring of per-shard indexes.
 
     ``propagation_delay=0`` with default gossip settings applies updates
     synchronously — the conformance mode the differential suite pins
@@ -236,6 +216,7 @@ class ShardedPrefixDirectory:
         gossip_budget: Optional[int] = None,
         gossip_interval: Optional[float] = None,
     ) -> None:
+        super().__init__()
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if region_tokens < 1:
@@ -262,19 +243,8 @@ class ShardedPrefixDirectory:
         self.gossip_interval = gossip_interval
         self.shards = [_Shard(i) for i in range(n_shards)]
         self._ring = _HashRing(n_shards)
-        self._views: dict[int, _ReplicaView] = {}
-        self._caches: dict[int, Any] = {}
-        self._tracked: set[int] = set()
-        self._last_path: Optional[tuple] = None  # see _ReplicaView._root_path
         self._transport: Optional[Any] = None
         self._time = 0.0
-        # Aggregate counters (per-shard structural stats live on the
-        # shards' own DirectoryStats).
-        self.events = 0
-        self.lookups = 0
-        self.invalidations = 0
-        self.resyncs = 0
-        self.untracked_replicas = 0
         self.shard_losses = 0
         self.updates_enqueued = 0
         self.updates_dropped = 0
@@ -315,64 +285,6 @@ class ShardedPrefixDirectory:
         )
 
     # ------------------------------------------------------------------
-    # Replica lifecycle (the PrefixDirectory protocol)
-    # ------------------------------------------------------------------
-    def attach(self, replica: int, cache: Any) -> bool:
-        """Start tracking ``replica``; False means deep-probe fallback
-        (same contract as the oracle's :meth:`PrefixDirectory.attach`)."""
-        if replica in self._views:
-            if self._caches.get(replica) is cache:
-                return replica in self._tracked
-            self.detach(replica)  # same slot, different cache: rebind
-        view = _ReplicaView(self, replica)
-        self._views[replica] = view
-        self._caches[replica] = cache
-        attach = getattr(cache, "add_tree_observer", None)
-        if (
-            callable(getattr(cache, "probe", None))
-            or attach is None
-            or not attach(view)
-        ):
-            self.untracked_replicas += 1
-            return False
-        self._tracked.add(replica)
-        tree = getattr(cache, "tree", None)
-        if tree is not None:
-            self._ingest_resync(replica, tree)
-        return True
-
-    def tracked(self, replica: int) -> bool:
-        return replica in self._tracked
-
-    @property
-    def replicas(self) -> tuple[int, ...]:
-        return tuple(sorted(self._tracked))
-
-    def invalidate(self, replica: int) -> None:
-        """Drop every entry of ``replica`` (failure/removal) — gossiped
-        like any other update, so stale shards keep answering with the
-        dead replica until the invalidation propagates (the race the
-        kernel's dead-target fallbacks absorb)."""
-        self.invalidations += 1
-        self._ingest(DirectoryUpdate(_INVALIDATE, replica))
-
-    def detach(self, replica: int) -> None:
-        view = self._views.pop(replica, None)
-        cache = self._caches.pop(replica, None)
-        if view is not None and cache is not None:
-            remove = getattr(cache, "remove_tree_observer", None)
-            if callable(remove):
-                remove(view)
-        if replica in self._tracked:
-            self._tracked.discard(replica)
-            self.invalidate(replica)
-
-    def close(self) -> None:
-        for replica in list(self._views):
-            self.detach(replica)
-        self.connect_transport(None)
-
-    # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def _region_key(self, tokens: Any) -> int:
@@ -392,7 +304,7 @@ class ShardedPrefixDirectory:
 
     def lookup(self, tokens: Any, limit: Optional[int] = None) -> DirectoryLookup:
         """Single-shard walk on the region owner (exact at zero delay)."""
-        self.lookups += 1
+        self.stats.lookups += 1
         if not isinstance(tokens, TokenSeq):
             # Once, for the region key and the owner's byte-compared walk.
             tokens = canonical_token_array(tokens)
@@ -404,6 +316,7 @@ class ShardedPrefixDirectory:
             # Synchronous gossip applies inline, so every age would be 0.0.
             age = self._now() - shard.pending[0][1] if shard.pending else 0.0
             self._lookup_ages.append(max(0.0, age))
+        shard.lookups += 1
         return shard.directory.lookup(tokens, limit)
 
     # ------------------------------------------------------------------
@@ -423,11 +336,19 @@ class ShardedPrefixDirectory:
 
     def _ingest_resync(self, replica: int, tree: Any) -> None:
         """Snapshot ``tree`` *now* and gossip it as one resync update."""
-        self.resyncs += 1
+        self.stats.resyncs += 1
         self._ingest(self._resync_update(replica, tree))
 
+    def invalidate(self, replica: int) -> None:
+        """Drop every entry of ``replica`` (failure/removal) — gossiped
+        like any other update, so stale shards keep answering with the
+        dead replica until the invalidation propagates (the race the
+        kernel's dead-target fallbacks absorb)."""
+        self.stats.invalidations += 1
+        self._ingest(DirectoryUpdate(_INVALIDATE, replica))
+
     def _ingest(self, update: DirectoryUpdate) -> None:
-        self.events += 1
+        self.stats.events += 1
         if self._synchronous:
             owner = self._ring.lookup(update.rkey)
             for shard in self.shards:
@@ -438,9 +359,8 @@ class ShardedPrefixDirectory:
         now = self._now()
         ready = now + self.propagation_delay
         for shard in self.shards:
-            if not shard.alive:
-                continue
-            self._enqueue(shard, update, now, ready)
+            if shard.alive:
+                self._enqueue(shard, update, now, ready)
 
     def _enqueue(
         self, shard: _Shard, update: DirectoryUpdate, now: float, ready: float
@@ -450,6 +370,24 @@ class ShardedPrefixDirectory:
         if len(shard.pending) > shard.peak_pending:
             shard.peak_pending = len(shard.pending)
         self._schedule_flush(shard, ready)
+
+    @staticmethod
+    def _take_due(
+        shard: _Shard, now: float, budget: Optional[int] = None
+    ) -> list[DirectoryUpdate]:
+        """Pop ``shard``'s queued updates that are ready by ``now``, oldest
+        first, ``budget`` of them at most."""
+        pending, due = shard.pending, []
+        while pending and pending[0][0] <= now and len(due) != budget:
+            due.append(pending.popleft()[2])
+        return due
+
+    def _apply_due(self, shard: _Shard, now: float, budget: Optional[int] = None) -> int:
+        due = self._take_due(shard, now, budget)
+        for update in due:
+            self._apply(shard, update, self._ring.lookup(update.rkey))
+        shard.applied += len(due)
+        return len(due)
 
     def _flush_shard(self, shard: _Shard, now: float) -> None:
         """Apply one gossip batch (transport callback)."""
@@ -462,24 +400,13 @@ class ShardedPrefixDirectory:
             # have applied now and schedule an anti-entropy resync.
             shard.drop_armed -= 1
             shard.dropped_batches += 1
-            dropped_replicas: set[int] = set()
-            while shard.pending and shard.pending[0][0] <= now:
-                _, _, update = shard.pending.popleft()
-                shard.dropped_updates += 1
-                self.updates_dropped += 1
-                dropped_replicas.add(update.replica)
-            self._recover(shard, dropped_replicas, now)
+            dropped = self._take_due(shard, now)
+            shard.dropped_updates += len(dropped)
+            self.updates_dropped += len(dropped)
+            self._recover(shard, {update.replica for update in dropped}, now)
         else:
             shard.flushes += 1
-            budget = self.gossip_budget
-            applied = 0
-            while shard.pending and shard.pending[0][0] <= now:
-                if budget is not None and applied >= budget:
-                    break
-                _, _, update = shard.pending.popleft()
-                self._apply(shard, update, self._ring.lookup(update.rkey))
-                applied += 1
-            shard.applied += applied
+            self._apply_due(shard, now, self.gossip_budget)
         if shard.pending:
             head = shard.pending[0][0]
             self._schedule_flush(shard, head if head > now else now + self.gossip_interval)
@@ -506,16 +433,7 @@ class ShardedPrefixDirectory:
         if upto is not None:
             self.advance_to(upto)
         now = self._now()
-        total = 0
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            while shard.pending and shard.pending[0][0] <= now:
-                _, _, update = shard.pending.popleft()
-                self._apply(shard, update, self._ring.lookup(update.rkey))
-                shard.applied += 1
-                total += 1
-        return total
+        return sum(self._apply_due(shard, now) for shard in self.shards if shard.alive)
 
     # ------------------------------------------------------------------
     # Op application (owner-full / foreign-truncated)
@@ -539,19 +457,20 @@ class ShardedPrefixDirectory:
         kind = update.kind
         region = self.region_tokens
         if kind == _INVALIDATE:
-            d.invalidate(r)
+            d.clear_replica(r)
+            shard.invalidations += 1
         elif kind == _RESYNC:
-            d._clear_replica(r)
-            d.stats.resyncs += 1
+            d.clear_replica(r)
+            shard.resyncs += 1
             for path, data, has_ckpt in update.snapshot:
                 depth = len(path)
                 if (
                     depth <= region
                     or self._ring.lookup(crc32(data[: 4 * region])) == shard.index
                 ):
-                    d._mark(r, path, data, depth, ckpt=has_ckpt)
+                    d.mark(r, path, data, depth, ckpt=has_ckpt)
                 else:
-                    d._mark(r, path, data, region)
+                    d.mark(r, path, data, region)
         else:
             tokens, data, depth = update.tokens, update.data, update.depth
             if owner != shard.index:
@@ -559,11 +478,11 @@ class ShardedPrefixDirectory:
                 if depth > region or (depth == region and not at_depth):
                     return
                 if kind == _MARK and len(tokens) > region:
-                    d._mark(r, tokens, data, region)
+                    d.mark(r, tokens, data, region)
                     return
             # The owner; or an op shallow enough to apply whole anywhere (a
             # clear's walk self-limits to the shard's truncated copy).
-            d._apply_path_op(kind, r, tokens, data, depth)
+            d.apply(kind, r, tokens, data, depth)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -580,7 +499,7 @@ class ShardedPrefixDirectory:
         shard.alive = False
         shard.pending.clear()
         shard.flush_scheduled = False
-        shard.directory = PrefixDirectory()
+        shard.directory = PrefixIndex()
         self._ring.remove(index)
         self.shard_losses += 1
         now = self._now()
@@ -613,21 +532,23 @@ class ShardedPrefixDirectory:
     def staleness(self) -> dict:
         """Aggregate + per-shard staleness snapshot (exported with cluster
         results; superset of the oracle's counter names that still apply)."""
-        per_shard = []
-        for shard in self.shards:
-            stats = shard.directory.stats
-            stats.applied_updates = shard.applied
-            stats.pending_updates = len(shard.pending)
-            stats.dropped_updates = shard.dropped_updates
-            entry = stats.to_dict()
-            entry.update(
+        per_shard = [
+            dict(
+                asdict(shard.directory.stats),
                 shard=shard.index,
                 alive=shard.alive,
+                lookups=shard.lookups,
+                resyncs=shard.resyncs,
+                invalidations=shard.invalidations,
+                applied_updates=shard.applied,
+                pending_updates=len(shard.pending),
+                dropped_updates=shard.dropped_updates,
                 flushes=shard.flushes,
                 dropped_batches=shard.dropped_batches,
                 peak_pending=shard.peak_pending,
             )
-            per_shard.append(entry)
+            for shard in self.shards
+        ]
         return {
             "backend": "sharded",
             "n_shards": self.n_shards,
@@ -636,11 +557,7 @@ class ShardedPrefixDirectory:
             "propagation_delay": self.propagation_delay,
             "gossip_budget": self.gossip_budget,
             "gossip_interval": self.gossip_interval,
-            "events": self.events,
-            "lookups": self.lookups,
-            "invalidations": self.invalidations,
-            "resyncs": self.resyncs,
-            "untracked_replicas": self.untracked_replicas,
+            **asdict(self.stats),
             "shard_losses": self.shard_losses,
             "updates_enqueued": self.updates_enqueued,
             "updates_applied": sum(shard.applied for shard in self.shards),

@@ -47,7 +47,7 @@ from repro.core.interfaces import (
     RequestSession,
 )
 from repro.core.node import RadixNode
-from repro.core.radix_tree import RadixTree
+from repro.core.radix_tree import MatchResult, RadixTree
 from repro.core.stats import CacheStats
 from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
@@ -237,7 +237,7 @@ class MarconiCache(PrefixCache):
             raise ValueError("cannot look up an empty token sequence")
         tree = self._tree
         has_recurrent = self.model.has_recurrent_layers
-        match = tree.match(seq)
+        match, slower_tier_bytes = self._deepen_match(seq, tree.match(seq), now)
 
         hit_tokens = 0
         reused_bytes = 0
@@ -312,8 +312,16 @@ class MarconiCache(PrefixCache):
             reused_bytes=reused_bytes,
             checkpoint_positions=checkpoint_positions,
             state_payload=payload,
+            reused_secondary_bytes=min(slower_tier_bytes, reused_bytes),
         )
         return session
+
+    def _deepen_match(self, seq: TokenSeq, match: MatchResult, now: float):
+        """The step between begin's match and its hit rule: a cache with a
+        slower tier may bring a deeper prefix of ``seq`` into the tree here.
+        Returns the match the hit rule reads (walked again only if the tree
+        changed) and the bytes fetched from the slower tier (0: none)."""
+        return match, 0
 
     def _charge_partial_leaf(self, outcome) -> int:
         """Truncate the just-inserted leaf to the longest affordable prefix.
@@ -344,18 +352,7 @@ class MarconiCache(PrefixCache):
         session.pinned_node = None
         session.end_node = None
         session.rolled_back = True
-        if outcome.new_leaf is not None and outcome.new_leaf.parent is not None:
-            self.tree.remove_leaf(outcome.new_leaf)
-        split = outcome.split_node
-        if (
-            split is not None
-            and split.parent is not None
-            and split.n_children == 1
-            and not split.has_ssm_state
-            and not split.is_pinned
-        ):
-            # Restore the original un-split edge.
-            self.tree.merge_into_child(split)
+        self.tree.undo_insert(outcome.new_leaf, outcome.split_node)
         session.new_leaf = None
         session.split_node = None
         self._stats.record_admission(0, rejected=True)
@@ -435,8 +432,8 @@ class MarconiCache(PrefixCache):
             admitted = self._charge_partial_leaf(outcome)
             rejected = admitted == 0
             tree.unpin_path(end)
-            if rejected and outcome.new_leaf is not None and outcome.new_leaf.parent is not None:
-                tree.remove_leaf(outcome.new_leaf)
+            if rejected:
+                tree.undo_insert(outcome.new_leaf, None)
         stats.record_admission(admitted, rejected=rejected)
 
         self._finish_request(now, input_len, tokens)
@@ -479,30 +476,10 @@ class MarconiCache(PrefixCache):
             self._used -= self._recurrent_bytes
             session.branch_node = None
 
-        # Remove the new edge's KVs unless another path grew through it.
-        leaf = session.new_leaf
-        if (
-            leaf is not None
-            and leaf.parent is not None
-            and leaf.is_leaf
-            and not leaf.is_pinned
-            and not leaf.has_ssm_state
-        ):
-            self._used -= leaf.kv_tokens * self._kv_per_token
-            self.tree.remove_leaf(leaf)
-            session.new_leaf = None
-
-        # Restore the original un-split edge when the split served only us.
-        split = session.split_node
-        if (
-            split is not None
-            and split.parent is not None
-            and split.n_children == 1
-            and not split.has_ssm_state
-            and not split.is_pinned
-        ):
-            self.tree.merge_into_child(split)
-            session.split_node = None
+        # Remove the new edge's KVs unless another path grew through it, and
+        # restore the original un-split edge when the split served only us.
+        removed = self.tree.undo_insert(session.new_leaf, session.split_node)
+        self._used -= removed * self._kv_per_token
 
     def _attach_session(
         self, session: MarconiSession, position: int, payload: Any

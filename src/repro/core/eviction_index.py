@@ -340,7 +340,7 @@ class EvictionIndex(TreeObserver):
         self._dirty[node.node_id] = node
         self._dirty[child.node_id] = child
 
-    def on_leaf_truncated(self, node: RadixNode) -> None:
+    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
         self._dirty[node.node_id] = node
 
     # The three state-change callbacks below share a shortcut: a node that

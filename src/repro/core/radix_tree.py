@@ -39,7 +39,9 @@ class TreeObserver:
     * ``on_merged(node, child)`` — single-child ``node`` was removed and
       ``child`` absorbed its edge tokens (``child.kv_tokens`` grew;
       ``child.seq_len`` is unchanged).
-    * ``on_leaf_truncated(node)`` — a leaf's edge (and ``seq_len``) shrank.
+    * ``on_leaf_truncated(node, dropped)`` — a leaf's edge (and ``seq_len``)
+      shrank; ``dropped`` is the bytes of the tokens cut off its end, which
+      the tree no longer holds.
     * ``on_checkpoint_changed(node)`` — ``has_ssm_state`` was toggled.
     * ``on_pin_changed(node)`` — ``pin_count`` changed (fired per node on
       every :meth:`RadixTree.pin_path` / :meth:`RadixTree.unpin_path` hop).
@@ -58,7 +60,7 @@ class TreeObserver:
 
     def on_merged(self, node: RadixNode, child: RadixNode) -> None: ...
 
-    def on_leaf_truncated(self, node: RadixNode) -> None: ...
+    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None: ...
 
     def on_checkpoint_changed(self, node: RadixNode) -> None: ...
 
@@ -341,10 +343,41 @@ class RadixTree:
             raise ValueError(
                 f"keep_tokens must be in (0, {len(node.edge_tokens)}), got {keep_tokens}"
             )
-        node.replace_edge(node.data[: 4 * keep_tokens])
+        data = node.data
+        node.replace_edge(data[: 4 * keep_tokens])
         node.seq_len = node.parent_seq_len + keep_tokens
+        dropped = data[4 * keep_tokens :]
         for obs in self._observers:
-            obs.on_leaf_truncated(node)
+            obs.on_leaf_truncated(node, dropped)
+
+    def undo_insert(
+        self, new_leaf: Optional[RadixNode], split_node: Optional[RadixNode]
+    ) -> int:
+        """Revert what one :meth:`insert` added (its outcome's ``new_leaf``
+        and ``split_node``), as far as nothing has built on it since: the
+        leaf goes unless it grew children, is pinned or was checkpointed;
+        the split is merged back unless it kept a second child, is pinned
+        or was checkpointed.  Returns the edge tokens that went with the
+        leaf (0 when it stays)."""
+        removed = 0
+        if (
+            new_leaf is not None
+            and new_leaf.parent is not None
+            and new_leaf.is_leaf
+            and not new_leaf.is_pinned
+            and not new_leaf.has_ssm_state
+        ):
+            removed = new_leaf.kv_tokens
+            self.remove_leaf(new_leaf)
+        if (
+            split_node is not None
+            and split_node.parent is not None
+            and split_node.n_children == 1
+            and not split_node.has_ssm_state
+            and not split_node.is_pinned
+        ):
+            self.merge_into_child(split_node)
+        return removed
 
     # ------------------------------------------------------------------
     # Node state (checkpoint / recency) — routed through the tree so the

@@ -333,10 +333,9 @@ class SimulationKernel:
             # A sharded directory propagates through the event queue: hand
             # it this run's transport (replacing any prior run's, whose
             # queue is gone) so gossip flushes ride the virtual clock.
-            directory = getattr(self.router, "directory", None)
-            connect = getattr(directory, "connect_transport", None)
-            if connect is not None:
-                connect(_KernelGossipTransport(self))
+            directory = self.router.directory
+            if directory is not None:
+                directory.connect_transport(_KernelGossipTransport(self))
         for control in self.scenario:
             self.events.push(control.time, EventKind.CONTROL, control)
         self._push_next_session()
@@ -351,6 +350,11 @@ class SimulationKernel:
         session = next(self._sessions, None)
         if session is None:
             return
+        if session.session_id in self._sessions_by_id:
+            raise ValueError(
+                f"session_id {session.session_id} arrives while a session "
+                f"with that id still has rounds outstanding"
+            )
         self._sessions_by_id[session.session_id] = session
         self.events.push(
             session.arrival_time,

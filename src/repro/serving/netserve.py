@@ -13,7 +13,11 @@ which is what lets a single connection keep many requests in flight.
 This is deliberately a line protocol rather than HTTP: it keeps the
 transport dependency-free (pure ``asyncio`` streams) while exercising the
 same front-door semantics — admission rejections travel to the client as
-typed errors, not dropped connections.
+typed errors, not dropped connections.  So does a line longer than
+:data:`MAX_LINE_BYTES`: where the next request starts is lost with it, so
+the server finishes what the connection already asked for, answers with an
+id-less ``line_too_long`` error and closes; the client fails every request
+still waiting with that error.
 """
 
 from __future__ import annotations
@@ -26,6 +30,29 @@ import numpy as np
 
 from repro.serving.engine import DecodeParams
 from repro.serving.gateway import AdmissionRejected, Gateway, GatewayError
+
+
+#: Longest request or response line either end reads.  asyncio's default of
+#: 64 KiB is about 9 000 tokens; the agent traces' requests run past 100 000,
+#: at up to 8 bytes each as JSON.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
+async def _next_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """``reader.readline()``, except that a line over the stream's limit is
+    read to its end, dropped and reported as ``None`` — closing on bytes
+    still arriving would reset the connection under the error reply."""
+    skipped = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as eof:
+            line = eof.partial
+        except asyncio.LimitOverrunError as over:
+            await reader.readexactly(over.consumed)
+            skipped = True
+            continue
+        return None if skipped else line
 
 
 class GatewayServer:
@@ -42,7 +69,7 @@ class GatewayServer:
         a free one)."""
         await self.gateway.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -69,8 +96,8 @@ class GatewayServer:
         pending: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _next_line(reader)
+                if not line:  # end of stream, or None for an over-long line
                     break
                 task = asyncio.create_task(
                     self._dispatch(line, writer, write_lock)
@@ -79,6 +106,12 @@ class GatewayServer:
                 task.add_done_callback(pending.discard)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+            if line is None:
+                error = {
+                    "type": "line_too_long",
+                    "message": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                }
+                await self._send({"id": None, "error": error}, writer, write_lock)
         finally:
             for task in pending:
                 task.cancel()
@@ -130,6 +163,12 @@ class GatewayServer:
                 "id": request_id,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
+        await self._send(payload, writer, write_lock)
+
+    @staticmethod
+    async def _send(
+        payload: dict, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+    ) -> None:
         data = (json.dumps(payload) + "\n").encode()
         async with write_lock:
             writer.write(data)
@@ -158,11 +197,14 @@ class GatewayClient:
         self._writer = writer
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
+        self._closed: Optional[Exception] = None  # why the read loop ended
         self._reader_task = asyncio.create_task(self._read_loop())
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "GatewayClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
         return cls(reader, writer)
 
     async def __aenter__(self) -> "GatewayClient":
@@ -173,19 +215,24 @@ class GatewayClient:
         return False
 
     async def _read_loop(self) -> None:
+        closed: Exception = ConnectionError("connection closed")
         try:
             while True:
                 line = await self._reader.readline()
                 if not line:
                     break
                 response = json.loads(line)
+                if response.get("id") is None and "error" in response:
+                    # The server gave up on the connection, not on one request.
+                    closed = GatewayClientError(response["error"])
+                    break
                 future = self._pending.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
         except asyncio.CancelledError:
             pass
         finally:
-            closed = ConnectionError("connection closed")
+            self._closed = closed
             for future in self._pending.values():
                 if not future.done():
                     future.set_exception(closed)
@@ -207,6 +254,8 @@ class GatewayClient:
         typed shed reason).  The returned dict's ``output`` is an int32
         array.
         """
+        if self._closed is not None:
+            raise self._closed  # nobody is left to read the reply
         self._next_id += 1
         request_id = self._next_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()

@@ -21,13 +21,14 @@ promoted state usable without the tree context it left behind.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate
 from repro.core.interfaces import as_token_array
+from repro.core.radix_tree import MatchResult
 from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
 from repro.models.flops import model_prefill_flops
@@ -50,8 +51,8 @@ class TieredMarconiCache(MarconiCache):
     secondary_bytes:
         Second-tier budget.  Zero disables the hierarchy (the cache then
         behaves exactly like a single-tier Marconi cache).
-    secondary_policy, secondary_alpha:
-        Eviction configuration of the second tier (see
+    secondary_policy:
+        Eviction policy of the second tier (see
         :class:`~repro.tiering.secondary.SecondaryStore`).
     """
 
@@ -62,12 +63,10 @@ class TieredMarconiCache(MarconiCache):
         secondary_bytes: int,
         *,
         secondary_policy: str = "lru",
-        secondary_alpha: float = 1.0,
         **kwargs,
     ) -> None:
         super().__init__(model, capacity_bytes, **kwargs)
-        self._secondary_config = dict(policy=secondary_policy, alpha=secondary_alpha)
-        self.secondary = SecondaryStore(secondary_bytes, **self._secondary_config)
+        self.secondary = SecondaryStore(secondary_bytes, policy=secondary_policy)
 
     # ------------------------------------------------------------------
     # Tier accounting
@@ -160,31 +159,25 @@ class TieredMarconiCache(MarconiCache):
     # ------------------------------------------------------------------
     # Promotion (begin hook)
     # ------------------------------------------------------------------
-    def _begin_session(self, tokens: np.ndarray, now: float):
-        # One handle for the promotion probe and the begin proper: a plain
-        # array would be serialized once by each.
-        tokens = TokenSeq.of(tokens)
-        if len(tokens) == 0:
-            raise ValueError("cannot look up an empty token sequence")
-        promoted: Optional[SecondaryEntry] = None
-        if self.model.has_recurrent_layers and self.secondary.capacity_bytes > 0:
-            match = self.tree.match(tokens)
-            primary_hit = match.deepest_ssm_node(max_seq_len=len(tokens) - 1)
-            primary_len = primary_hit.seq_len if primary_hit is not None else 0
-            entry = self.secondary.longest_match(tokens, len(tokens) - 1, now)
-            if entry is not None and entry.seq_len > primary_len:
-                if self._promote(entry, now):
-                    promoted = entry
-
-        session = super()._begin_session(tokens, now)
-        if promoted is not None:
-            # The whole reused state came out of the second tier.
-            result = session.result
-            result.reused_secondary_bytes = min(promoted.nbytes, result.reused_bytes)
-            self._stats.extra["secondary_hits"] = (
-                self._stats.extra.get("secondary_hits", 0) + 1
-            )
-        return session
+    def _deepen_match(self, seq: TokenSeq, match: MatchResult, now: float):
+        if not self.model.has_recurrent_layers or self.secondary.capacity_bytes <= 0:
+            return match, 0
+        limit = len(seq) - 1
+        primary_hit = match.deepest_ssm_node(max_seq_len=limit)
+        primary_len = primary_hit.seq_len if primary_hit is not None else 0
+        entry = self.secondary.longest_match(seq, limit, now)
+        if entry is None or entry.seq_len <= primary_len:
+            return match, 0
+        promoted = self._promote(entry, now)
+        # The attempt inserted and evicted whether or not it succeeded.
+        match = self.tree.match(seq)
+        if not promoted:
+            return match, 0
+        self._stats.extra["secondary_hits"] = (
+            self._stats.extra.get("secondary_hits", 0) + 1
+        )
+        # The whole reused state came out of the second tier.
+        return match, entry.nbytes
 
     def _promote(self, entry: SecondaryEntry, now: float) -> bool:
         """Re-admit a demoted checkpoint into the primary tree.
@@ -203,7 +196,7 @@ class TieredMarconiCache(MarconiCache):
         fits = self._ensure_free(kv_cost + checkpoint_cost)
         self.tree.unpin_path(end)
         if not fits:
-            self._undo_insert(outcome)
+            self.tree.undo_insert(outcome.new_leaf, outcome.split_node)
             self._stats.extra["promotions_failed"] = (
                 self._stats.extra.get("promotions_failed", 0) + 1
             )
@@ -218,17 +211,3 @@ class TieredMarconiCache(MarconiCache):
         self.secondary.remove(entry.tokens)
         self._stats.extra["promotions"] = self._stats.extra.get("promotions", 0) + 1
         return True
-
-    def _undo_insert(self, outcome) -> None:
-        """Structurally revert a just-performed tree insert."""
-        if outcome.new_leaf is not None and outcome.new_leaf.parent is not None:
-            self.tree.remove_leaf(outcome.new_leaf)
-        split = outcome.split_node
-        if (
-            split is not None
-            and split.parent is not None
-            and split.n_children == 1
-            and not split.has_ssm_state
-            and not split.is_pinned
-        ):
-            self.tree.merge_into_child(split)

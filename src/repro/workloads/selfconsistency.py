@@ -62,62 +62,11 @@ SELFCONSISTENCY_SHAPE = SelfConsistencyShape()
 def build_selfconsistency_trace(
     shape: SelfConsistencyShape, params: WorkloadParams
 ) -> Trace:
-    """Generate a self-consistency trace (deterministic in the seed)."""
-    rng = np.random.default_rng(params.seed)
-    pool = SharedSegmentPool(
-        base_seed=_pool_seed(shape.name, params.seed),
-        n_templates=shape.n_templates,
-        length=shape.template_length,
-        vocab_size=params.vocab_size,
-        zipf_exponent=shape.template_zipf,
-    )
-    query_arrivals = params.make_arrival_process().arrival_times(
-        rng, params.n_sessions
-    )
-
-    sessions: list[TraceSession] = []
-    session_id = 0
-    total_samples = 0
-    for query_index in range(params.n_sessions):
-        k = shape.samples.sample(rng)
-        total_samples += k
-        prompt = np.concatenate(
-            [
-                pool.sample(rng),
-                fresh_tokens(rng, shape.question.sample(rng), params.vocab_size),
-            ]
-        )
-        base_arrival = float(query_arrivals[query_index])
-        for sample_index in range(k):
-            # The first sample fires at the query's arrival; the rest land
-            # within the dispatch spread (parallel sampling with queueing
-            # jitter, not a think-time loop).
-            offset = 0.0 if sample_index == 0 else float(
-                rng.uniform(0.0, shape.sample_spread_s)
-            )
-            output = fresh_tokens(rng, shape.output.sample(rng), params.vocab_size)
-            sessions.append(
-                TraceSession(
-                    session_id=session_id,
-                    arrival_time=base_arrival + offset,
-                    rounds=[TraceRound(new_input_tokens=prompt, output_tokens=output)],
-                    think_times=[0.0],
-                )
-            )
-            session_id += 1
-
-    return Trace(
-        name=shape.name,
-        seed=params.seed,
-        sessions=sessions,
-        metadata={
-            "n_queries": params.n_sessions,
-            "n_samples": total_samples,
-            "session_rate": params.session_rate,
-            "mean_think_s": params.mean_think_s,
-            "vocab_size": params.vocab_size,
-        },
-    )
+    """Generate a self-consistency trace (deterministic in the seed): the
+    stream, materialized, plus the sample count only a full pass knows."""
+    trace = stream_selfconsistency_trace(shape, params).materialize()
+    trace.metadata["n_samples"] = trace.n_sessions
+    return trace
 
 
 def _selfconsistency_session_generator(
@@ -157,6 +106,9 @@ def _selfconsistency_session_generator(
             ]
         )
         for sample_index in range(k):
+            # The first sample fires at the query's arrival; the rest land
+            # within the dispatch spread (parallel sampling with queueing
+            # jitter, not a think-time loop).
             offset = 0.0 if sample_index == 0 else float(
                 rng.uniform(0.0, shape.sample_spread_s)
             )
@@ -176,13 +128,7 @@ def _selfconsistency_session_generator(
 def stream_selfconsistency_trace(
     shape: SelfConsistencyShape, params: WorkloadParams
 ) -> TraceStream:
-    """Lazily generate a self-consistency trace, sorted by arrival time.
-
-    Token content is identical to :func:`build_selfconsistency_trace` for
-    the same params (one RNG stream, same draw order); only the session
-    *order* differs — the stream yields by arrival time, the materialized
-    builder keeps per-query generation order.
-    """
+    """Lazily generate a self-consistency trace, sorted by arrival time."""
     return TraceStream(
         name=shape.name,
         seed=params.seed,

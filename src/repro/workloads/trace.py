@@ -10,6 +10,7 @@ round ``k``'s response completes (closed-loop per session).
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -235,15 +236,11 @@ class Trace:
     def from_jsonl(cls, path: str | Path) -> "Trace":
         """Load a trace written by :meth:`to_jsonl`."""
         path = Path(path)
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "trace-header":
-                raise ValueError(f"{path} is not a trace file (bad header)")
-            sessions = [_session_from_record(json.loads(line)) for line in fh]
+        header = _read_header(path)
         return cls(
             name=header["name"],
             seed=header["seed"],
-            sessions=sessions,
+            sessions=list(_read_sessions(path)),
             metadata=header.get("metadata", {}),
         )
 
@@ -267,20 +264,80 @@ def _session_to_record(session: TraceSession) -> dict:
     }
 
 
+def _seconds(value: object, what: str) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ValueError(f"{what} must be a finite non-negative number, got {value!r}")
+    return value
+
+
+def _token_array(value: object, what: str) -> np.ndarray:
+    arr = np.asarray(value)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must be a flat list of integer token ids")
+    tokens = arr.astype(np.int32)
+    if not np.array_equal(tokens, arr):
+        raise ValueError(f"{what} holds a token id outside int32")
+    return tokens
+
+
 def _session_from_record(record: dict) -> TraceSession:
+    session_id = record["session_id"]
+    if isinstance(session_id, bool) or not isinstance(session_id, int):
+        raise ValueError(f"session_id must be an integer, got {session_id!r}")
     rounds = [
         TraceRound(
-            new_input_tokens=np.asarray(r["input"], dtype=np.int32),
-            output_tokens=np.asarray(r["output"], dtype=np.int32),
+            new_input_tokens=_token_array(r["input"], "a round's input"),
+            output_tokens=_token_array(r["output"], "a round's output"),
         )
         for r in record["rounds"]
     ]
     return TraceSession(
-        session_id=record["session_id"],
-        arrival_time=record["arrival_time"],
+        session_id=session_id,
+        arrival_time=_seconds(record["arrival_time"], "arrival_time"),
         rounds=rounds,
-        think_times=list(record["think_times"]),
+        think_times=[_seconds(t, "a think time") for t in record["think_times"]],
     )
+
+
+def _read_header(path: Path) -> dict:
+    """The header line of a trace file, checked for what the loaders read."""
+    with path.open() as fh:
+        line = fh.readline()
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("kind") != "trace-header":
+        raise ValueError(f"{path} is not a trace file (bad header)")
+    for key in ("name", "seed"):
+        if key not in header:
+            raise ValueError(f"{path}:1: trace header lacks {key!r}")
+    return header
+
+
+def _read_sessions(path: Path) -> Iterator[TraceSession]:
+    """The sessions of a trace file, one line at a time; whatever is wrong
+    with a line — not JSON, a field missing or of the wrong kind, a session
+    id already used — is a ``ValueError`` naming the file and the line."""
+    seen: set[int] = set()
+    with path.open() as fh:
+        fh.readline()  # header
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                session = _session_from_record(json.loads(line))
+                if session.session_id in seen:
+                    raise ValueError(f"session_id {session.session_id} is used twice")
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: record lacks {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            seen.add(session.session_id)
+            yield session
 
 
 class TraceStream:
@@ -395,20 +452,10 @@ class TraceStream:
     def from_jsonl(cls, path: str | Path) -> "TraceStream":
         """Lazily read a trace JSONL file (one session in memory at a time)."""
         path = Path(path)
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-        if header.get("kind") != "trace-header":
-            raise ValueError(f"{path} is not a trace file (bad header)")
-
-        def factory() -> Iterator[TraceSession]:
-            with path.open() as fh:
-                fh.readline()  # header
-                for line in fh:
-                    yield _session_from_record(json.loads(line))
-
+        header = _read_header(path)
         return cls(
             name=header["name"],
             seed=header["seed"],
-            factory=factory,
+            factory=lambda: _read_sessions(path),
             metadata=header.get("metadata", {}),
         )

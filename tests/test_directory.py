@@ -210,12 +210,12 @@ class TestDirectoryMaintenance:
         for i in range(20):
             serve(cache, toks(450, 60 + i), float(i), out_seed=900 + i)
         directory.check_integrity()
-        assert directory.stats.pruned_nodes > 0
+        assert directory.index.stats.pruned_nodes > 0
         # The directory holds at most what the tree holds (plus boundary
         # splits from checkpoint marks).
-        n_dir = sum(1 for _ in directory.iter_nodes())
+        n_dir = sum(1 for _ in directory.index.iter_nodes())
         assert n_dir <= 3 * cache.tree.n_nodes + 5
-        assert directory.stats.n_nodes == n_dir
+        assert directory.index.stats.n_nodes == n_dir
 
     def test_staleness_snapshot_shape(self):
         directory = PrefixDirectory()
@@ -278,7 +278,7 @@ class TestByteEdges:
     def test_split_halves_concatenate_to_the_original_edge(self):
         directory, _, base, diverged = self._two_replica_split()
         directory.check_integrity()
-        (head,) = directory.root.children.values()
+        (head,) = directory.index.root.children.values()
         assert head.data == base[:8].tobytes()
         tails = {child.data for child in head.children.values()}
         assert tails == {base[8:].tobytes(), diverged[8:].tobytes()}
@@ -288,7 +288,7 @@ class TestByteEdges:
     def test_edge_views_read_the_stored_bytes_and_alias_no_caller_array(self):
         directory, caches, base, diverged = self._two_replica_split()
         replica_edges = [n.edge_tokens for c in caches for n in c.tree.iter_nodes()]
-        for node in directory.iter_nodes():
+        for node in directory.index.iter_nodes():
             assert isinstance(node.data, bytes)
             assert node.edge.dtype == np.int32 and not node.edge.flags.writeable
             assert node.edge.tobytes() == node.data
@@ -331,8 +331,8 @@ class TestByteEdges:
         for path in (wide, strided, np.concatenate([wide[:12], [7, 8]])):
             query = np.asarray(path, dtype=np.int32)
             assert directory.lookup(query).kv_matched == {0: len(query)}
-        assert all(node.edge.dtype == np.int32 for node in directory.iter_nodes())
-        assert {n.data for n in directory.iter_nodes()} == {
+        assert all(node.edge.dtype == np.int32 for node in directory.index.iter_nodes())
+        assert {n.data for n in directory.index.iter_nodes()} == {
             n.data for n in cache.tree.iter_nodes()
         }
 

@@ -169,6 +169,14 @@ class TestSimulator:
         assert [r.ttft for r in a.records] == [r.ttft for r in b.records]
         assert a.token_hit_rate == b.token_hit_rate
 
+    def test_session_id_still_active_is_refused(self, hybrid):
+        """Two sessions under one id used to overwrite each other in the
+        kernel's table and die rounds later as ``KeyError: 0``."""
+        trace = _two_session_trace()
+        trace.sessions[1].session_id = trace.sessions[0].session_id
+        with pytest.raises(ValueError, match="session_id 0 arrives while"):
+            simulate_trace(hybrid, VanillaCache(hybrid), trace)
+
     def test_cache_stats_attached(self, hybrid):
         trace = _two_session_trace()
         result = simulate_trace(hybrid, MarconiCache(hybrid, int(10e9), alpha=1.0), trace)

@@ -33,8 +33,8 @@ class RecordingObserver(TreeObserver):
     def on_merged(self, node, child):
         self.events.append(("merged", node.node_id, child.node_id))
 
-    def on_leaf_truncated(self, node):
-        self.events.append(("truncated", node.node_id))
+    def on_leaf_truncated(self, node, dropped):
+        self.events.append(("truncated", node.node_id, dropped))
 
     def on_checkpoint_changed(self, node):
         self.events.append(("checkpoint", node.node_id, node.has_ssm_state))
@@ -84,6 +84,8 @@ class TestTreeObserver:
             "truncated",
             "removed",
         ]
+        # The cut-off tail is handed over: the tree no longer holds it.
+        assert obs.events[4] == ("truncated", leaf.node_id, arr(4).tobytes())
         assert interior.last_access == 4.0 and interior.hit_count == 1
 
     def test_pin_path_fires_per_node_and_remove_observer_silences(self):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.models.presets import hybrid_7b
 from repro.nn.hybrid import HybridModel
 from repro.serving import (
     AdmissionRejected,
@@ -31,6 +32,7 @@ from repro.serving import (
     ResponseCache,
     SLOTier,
 )
+from repro.serving import netserve
 from repro.serving.engine import ServedRequest
 from repro.metrics import gateway_summary_dict
 
@@ -947,6 +949,57 @@ class TestNetServe:
         error = run(scenario())
         assert error.error["type"] == "ValueError"
         assert "empty request" in error.error["message"]
+
+    def test_agent_sized_request_round_trips(self, tokens):
+        """20 000 tokens is 140 KB as a JSON line: past asyncio's default
+        64 KiB stream limit, well inside the protocol's own."""
+        cache = MarconiCache(hybrid_7b(), int(1e12), alpha=1.0)
+        query = tokens(20_000, seed=97)
+
+        async def scenario():
+            gw = Gateway(CacheOnlyServer(cache))
+            async with GatewayServer(gw) as net:
+                async with await GatewayClient.connect(net.host, net.port) as client:
+                    first = await client.request(query, 3)
+                    longer = np.concatenate([query, first["output"], [7]])
+                    again = await client.request(longer, 3)
+            await gw.close()
+            return first, again
+
+        first, again = run(scenario())
+        assert first["prefilled_tokens"] == len(query) and len(first["output"]) == 3
+        assert again["hit_tokens"] == len(query) + 3
+
+    def test_over_long_line_is_a_typed_error_and_a_clean_close(
+        self, tokens, monkeypatch, caplog
+    ):
+        """The line's id is unreadable, so the reply is id-less and ends the
+        connection — after the request already dispatched on it is served."""
+        monkeypatch.setattr(netserve, "MAX_LINE_BYTES", 4096)
+        cache = MarconiCache(hybrid_7b(), int(1e12), alpha=1.0)
+
+        async def scenario():
+            gw = Gateway(CacheOnlyServer(cache))
+            async with GatewayServer(gw) as net:
+                async with await GatewayClient.connect(net.host, net.port) as client:
+                    outcomes = await asyncio.gather(
+                        client.request(tokens(40, seed=98), 200),
+                        client.request(tokens(5_000, seed=99), 2),
+                        return_exceptions=True,
+                    )
+                    with pytest.raises((GatewayClientError, ConnectionError)):
+                        await client.request(tokens(10, seed=98), 2)
+            await gw.close()
+            return outcomes
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            served, refused = run(scenario())
+        assert len(served["output"]) == 200
+        assert isinstance(refused, GatewayClientError)
+        assert refused.error["type"] == "line_too_long"
+        assert "4096" in refused.error["message"]
+        assert not caplog.records
+        assert cache.open_sessions == 0 and no_pins(cache)
 
     def test_admission_rejection_travels_to_client(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)

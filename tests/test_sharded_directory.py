@@ -116,7 +116,7 @@ class TestShardedValidation:
         assert not sharded.attach(0, Opaque())
         assert not sharded.attach(1, WithProbe())
         assert sharded.attach(2, fresh_cache())
-        assert sharded.untracked_replicas == 2
+        assert sharded.stats.untracked_replicas == 2
         assert sharded.replicas == (2,)
         assert sharded.tracked(2) and not sharded.tracked(0)
 
@@ -843,7 +843,7 @@ class TestSharedBackendRouting:
         loads = [0, 0, 0]
         assert router_a.route(query, 0, caches, loads, 1.0) == 1
         assert router_b.route(query, 1, caches, loads, 1.0) == 1
-        assert backend.lookups >= 2
+        assert backend.stats.lookups >= 2
         router_a.release()
         router_b.release()
         # The shared backend survives both releases, still attached.

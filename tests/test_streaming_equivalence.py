@@ -40,10 +40,6 @@ from repro.workloads.trace import TraceStream
 MODEL = hybrid_7b()
 LATENCY = LatencyModel()
 
-#: Workloads whose materialized builder already emits sessions in arrival
-#: order, so stream and trace agree record-for-record without re-sorting.
-SORTED_WORKLOADS = tuple(n for n in WORKLOAD_NAMES if n != "selfconsistency")
-
 
 @st.composite
 def workload_params(draw, max_sessions: int = 12):
@@ -72,7 +68,7 @@ def _assert_engine_results_equal(a, b):
 class TestGeneratorEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(
-        workload=st.sampled_from(SORTED_WORKLOADS),
+        workload=st.sampled_from(WORKLOAD_NAMES),
         params=workload_params(),
     )
     def test_materialized_stream_is_the_built_trace(self, workload, params):
@@ -80,7 +76,8 @@ class TestGeneratorEquivalence:
         again = generate_trace_stream(workload, params).materialize()
         assert trace.name == again.name
         assert trace.seed == again.seed
-        assert trace.metadata == again.metadata
+        # A built trace may add what only a full pass knows (a sample count).
+        assert again.metadata.items() <= trace.metadata.items()
         assert trace.n_sessions == again.n_sessions
         for ours, theirs in zip(trace.sessions, again.sessions):
             assert ours.session_id == theirs.session_id
@@ -91,25 +88,8 @@ class TestGeneratorEquivalence:
                 assert (ra.output_tokens == rb.output_tokens).all()
 
     @settings(max_examples=10, deadline=None)
-    @given(params=workload_params(max_sessions=6))
-    def test_selfconsistency_stream_is_sorted_same_content(self, params):
-        trace = generate_trace("selfconsistency", params)
-        stream = generate_trace_stream("selfconsistency", params).materialize()
-        assert trace.n_sessions == stream.n_sessions
-        arrivals = [s.arrival_time for s in stream.sessions]
-        assert arrivals == sorted(arrivals)
-        by_id = {s.session_id: s for s in trace.sessions}
-        for session in stream.sessions:
-            original = by_id[session.session_id]
-            assert session.arrival_time == original.arrival_time
-            assert (
-                session.rounds[0].new_input_tokens
-                == original.rounds[0].new_input_tokens
-            ).all()
-
-    @settings(max_examples=10, deadline=None)
     @given(
-        workload=st.sampled_from(SORTED_WORKLOADS),
+        workload=st.sampled_from(WORKLOAD_NAMES),
         params=workload_params(max_sessions=8),
     )
     def test_stream_is_reiterable_and_deterministic(self, workload, params):
@@ -138,16 +118,7 @@ class TestEngineEquivalence:
             MODEL, make_cache(policy, MODEL, capacity), stream, LATENCY,
             policy_name=policy,
         )
-        if workload == "selfconsistency":
-            # The bulk path replays generation order, the stream arrival
-            # order; ties are measure-zero, so only record order differs.
-            key = lambda d: (d["session_id"], d["round_index"])  # noqa: E731
-            assert sorted(_records(bulk), key=key) == sorted(
-                _records(streamed), key=key
-            )
-            assert bulk.cache_stats == streamed.cache_stats
-        else:
-            _assert_engine_results_equal(bulk, streamed)
+        _assert_engine_results_equal(bulk, streamed)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -240,7 +211,8 @@ class TestStreamContract:
             list(stream.iter_sessions())
 
     def test_from_trace_sorts_unsorted_sessions(self):
-        trace = generate_trace("selfconsistency", WorkloadParams(n_sessions=4, seed=1))
+        trace = generate_trace("lmsys", WorkloadParams(n_sessions=4, seed=1))
+        trace.sessions.reverse()
         stream = TraceStream.from_trace(trace)
         arrivals = [s.arrival_time for s in stream.iter_sessions()]
         assert arrivals == sorted(arrivals)

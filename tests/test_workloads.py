@@ -1,5 +1,7 @@
 """Tests for distributions, vocab pools, trace schema, and generators."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.workloads.registry import WORKLOAD_NAMES, generate_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.sharegpt import generate_sharegpt_trace
 from repro.workloads.swebench import generate_swebench_trace
-from repro.workloads.trace import Trace, TraceRound, TraceSession
+from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
 from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
 
 
@@ -229,6 +231,54 @@ class TestTraceSchema:
         path.write_text('{"kind": "other"}\n')
         with pytest.raises(ValueError, match="trace file"):
             Trace.from_jsonl(path)
+
+    GOOD_HEADER = {"kind": "trace-header", "name": "t", "seed": 1, "metadata": {}}
+    GOOD_SESSION = {
+        "session_id": 7,
+        "arrival_time": 0.5,
+        "think_times": [0.0],
+        "rounds": [{"input": [1, 2], "output": [3]}],
+    }
+
+    @pytest.mark.parametrize(
+        "header, second, where, what",
+        [
+            ({}, {"rounds": None}, ":3:", "lacks 'rounds'"),
+            ({"name": None}, {}, ":1:", "lacks 'name'"),
+            ({}, {"rounds": [{"input": [2**40], "output": [3]}]}, ":3:", "outside int32"),
+            ({}, {"rounds": [{"input": [1.5], "output": [3]}]}, ":3:", "integer token ids"),
+            ({}, {"arrival_time": "soon"}, ":3:", "arrival_time"),
+            ({}, {"arrival_time": float("nan")}, ":3:", "arrival_time"),
+            ({}, {"arrival_time": -3.0}, ":3:", "arrival_time"),
+            ({}, {"session_id": 7}, ":3:", "session_id 7 is used twice"),
+        ],
+        ids=["no-rounds", "no-name", "token-2**40", "token-1.5", "arrival-str",
+             "arrival-nan", "arrival-negative", "duplicate-id"],
+    )
+    @pytest.mark.parametrize("loader", ["trace", "stream"])
+    def test_malformed_file_is_a_value_error_naming_the_line(
+        self, tmp_path, loader, header, second, where, what
+    ):
+        """``None`` deletes a key.  The first session line is always good,
+        so the report has to count lines, not sessions."""
+
+        def edited(record, edits):
+            record = {**record, **edits}
+            return {k: v for k, v in record.items() if v is not None}
+
+        path = tmp_path / "bad.jsonl"
+        lines = [
+            edited(self.GOOD_HEADER, header),
+            self.GOOD_SESSION,
+            edited({**self.GOOD_SESSION, "session_id": 8}, second),
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=what) as err:
+            if loader == "trace":
+                Trace.from_jsonl(path)
+            else:
+                TraceStream.from_jsonl(path).materialize()
+        assert f"{path}{where}" in str(err.value)
 
     def test_nominal_request_order_sorted(self):
         trace = generate_sharegpt_trace(WorkloadParams(n_sessions=8, seed=4))
