@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import zlib
+from collections import defaultdict
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -104,7 +105,9 @@ class Router(abc.ABC):
         loads: Sequence[int],
         now: float,
     ) -> int:
-        """Pick a replica.  ``loads`` are per-replica in-flight request counts."""
+        """Pick a replica.  ``loads`` are per-replica in-flight request
+        counts: the kernel's live list, lent for this call — read-only, and
+        not to be kept (it changes under a kept reference)."""
 
     def decide(
         self,
@@ -118,6 +121,7 @@ class Router(abc.ABC):
 
         The base implementation wraps :meth:`route` with no transfer, so
         every load/locality router keeps its exact legacy behaviour.
+        ``loads`` is read-only here as in :meth:`route`.
         """
         return RouteDecision(self.route(tokens, session_id, caches, loads, now))
 
@@ -231,7 +235,8 @@ class PrefixAffinityRouter(Router):
     :class:`~repro.cluster.directory.PrefixDirectory` — one walk of O(query
     depth) nodes, each node paying a pass over the replicas that hold it,
     so the cost is sub-linear (not flat) in fleet size: 4-4.7x for 8x the
-    replicas — when it was handed a backend or the fleet has at least
+    replicas, and selection reads the hit holders and one ``min`` over the
+    loads — when it was handed a backend or the fleet has at least
     :data:`_AUTO_PROBE_THRESHOLD` replicas; below that it deep-probes every
     replica tree (:func:`probe_hit_tokens`, O(replicas x tree) per
     request), because per-arrival directory maintenance costs more than a
@@ -267,7 +272,8 @@ class PrefixAffinityRouter(Router):
         self._directory: Optional[Any] = None
         self._owns_directory = False
         self._cache_ids: Optional[list[int]] = None
-        self._rules: list[str] = []  # per-replica hit rule, cached at bind
+        # The bound replicas by hit rule: "ckpt" / "kv" / "fallback" -> set.
+        self._rules: defaultdict[str, set[int]] = defaultdict(set)
         self._stats: dict[str, int] = {}
 
     # -- directory plumbing --------------------------------------------
@@ -303,7 +309,7 @@ class PrefixAffinityRouter(Router):
     def _bind(self, caches: Sequence[Any], force: bool = False) -> None:
         """(Re-)attach the directory to ``caches``; idempotent per fleet
         unless ``force`` requests a rebuild."""
-        ids = [id(cache) for cache in caches]
+        ids = list(map(id, caches))
         if not force and self._directory is not None and ids == self._cache_ids:
             return
         if self._owns_directory and self._directory is not None:
@@ -319,71 +325,83 @@ class PrefixAffinityRouter(Router):
             self._directory = factory()
             self._owns_directory = True
         self._cache_ids = ids
-        self._rules = []
+        self._rules = defaultdict(set)
         for index, cache in enumerate(caches):
             self._directory.attach(index, cache)
-            self._rules.append(self._rule_for(index, cache))
+            self._rules[self._rule_for(index, cache)].add(index)
 
     def _rule_for(self, index: int, cache: Any) -> str:
         assert self._directory is not None
         if not self._directory.tracked(index):
             return "fallback"
         model = getattr(cache, "model", None)
-        if model is not None and getattr(model, "has_recurrent_layers", False):
-            return "ckpt"
-        return "kv"
+        return "ckpt" if getattr(model, "has_recurrent_layers", False) else "kv"
 
     def on_replica_joined(self, index: int, cache: Any) -> None:
         if self._directory is not None:
             self._directory.attach(index, cache)
             assert self._cache_ids is not None
             self._cache_ids.append(id(cache))
-            self._rules.append(self._rule_for(index, cache))
+            self._rules[self._rule_for(index, cache)].add(index)
 
     def on_replica_left(self, index: int) -> None:
         if self._directory is not None:
             self._directory.detach(index)
 
     # -- hit measurement -----------------------------------------------
-    def _lookup(self, tokens: np.ndarray) -> DirectoryLookup:
-        assert self._directory is not None
-        return self._directory.lookup(tokens, limit=len(tokens) - 1)
-
     def _hits(
         self,
         tokens: np.ndarray,
         caches: Sequence[Any],
         lookup: Optional[DirectoryLookup] = None,
-    ) -> list[int]:
-        """Per-replica hit estimates, decision-identical either way.
-        A caller that passes ``lookup`` has bound the fleet to read it."""
+    ) -> dict[int, int]:
+        """Hit estimate of every replica that has one (``replica -> tokens``,
+        never 0: no hit, no entry), decision-identical either way.  A caller
+        that passes ``lookup`` has bound the fleet to read it.  The
+        directory's answer is restricted to the replicas bound here (a
+        shared or stale backend may name others) and read by each one's
+        rule; replicas it cannot track are deep-probed."""
         if not self._reads_directory(len(caches)):
-            return [probe_hit_tokens(cache, tokens) for cache in caches]
-        if lookup is None:
-            self._bind(caches)
-            lookup = self._lookup(tokens)
-        cap = max(len(tokens) - 1, 0)
-        ckpt_depth = lookup.ckpt_depth
-        kv_matched = lookup.kv_matched
-        hits: list[int] = []
-        for index, rule in enumerate(self._rules):
-            if rule == "ckpt":
-                hits.append(ckpt_depth.get(index, 0))
-            elif rule == "kv":
-                kv = kv_matched.get(index, 0)
-                hits.append(kv if kv < cap else cap)
-            else:
-                hits.append(probe_hit_tokens(caches[index], tokens))
+            probed = range(len(caches))
+            hits: dict[int, int] = {}
+        else:
+            if lookup is None:
+                self._bind(caches)
+                lookup = self._directory.lookup(tokens, limit=len(tokens) - 1)
+            ckpt, kv = self._rules["ckpt"], self._rules["kv"]
+            hits = {r: d for r, d in lookup.ckpt_depth.items() if r in ckpt}
+            cap = len(tokens) - 1
+            if kv and cap > 0:
+                for r, matched in lookup.kv_matched.items():
+                    if r in kv:
+                        hits[r] = matched if matched < cap else cap
+            probed = self._rules["fallback"]
+        for r in probed:
+            hit = probe_hit_tokens(caches[r], tokens)
+            if hit:
+                hits[r] = hit
         return hits
 
-    def _select(self, hits: Sequence[int], loads: Sequence[int]) -> int:
-        """The affinity-vs-spill rule, shared by both probes."""
-        best = int(max(range(len(hits)), key=lambda i: (hits[i], -loads[i], -i)))
-        floor = min(loads)
-        if hits[best] == 0 or loads[best] - floor > self.max_imbalance:
-            self._bump("spilled" if hits[best] > 0 else "cold")
+    def _scope(self, hits: dict[int, int], loads: Sequence[int]) -> tuple:
+        """``(holders, loads, first index, spill bound, spill pick, stat
+        prefix)`` of where :meth:`_select` applies: here, the whole fleet."""
+        return hits, loads, 0, self.max_imbalance, self._fallback._pick, ""
+
+    def _select(self, hits: dict[int, int], loads: Sequence[int]) -> int:
+        """The affinity-vs-spill rule, one body for every prefix router and
+        both probes: the preferred replica is sought among the hit holders
+        (a dense sequence is read as its mapping), the fleet only by ``min``."""
+        if not isinstance(hits, dict):
+            hits = {index: hit for index, hit in enumerate(hits) if hit}
+        if not hits:
+            self._bump("cold")
             return self._fallback._pick(loads)
-        self._bump("affinity")
+        holders, pool, start, bound, pick, prefix = self._scope(hits, loads)
+        best = max(holders, key=lambda i: (holders[i], -loads[i], -i))
+        if loads[best] - min(pool) > bound:
+            self._bump(prefix + "spilled")
+            return start + pick(pool)
+        self._bump(prefix + "affinity")
         return best
 
     def route(self, tokens, session_id, caches, loads, now) -> int:
@@ -402,7 +420,7 @@ class PrefixAffinityRouter(Router):
             self._directory = None
             self._owns_directory = False
             self._cache_ids = None
-            self._rules = []
+            self._rules = defaultdict(set)
 
     def reset(self) -> None:
         self._fallback.reset()
@@ -477,7 +495,7 @@ class DirectoryRouter(PrefixAffinityRouter):
         if not isinstance(tokens, TokenSeq):
             tokens = as_token_array(tokens)
         self._bind(caches)
-        lookup = self._lookup(tokens)
+        lookup = self._directory.lookup(tokens, limit=len(tokens) - 1)
         hits = self._hits(tokens, caches, lookup=lookup)
         replica = self._select(hits, loads)
         transfer = self._plan_transfer(tokens, caches, hits, lookup, replica)
@@ -487,7 +505,7 @@ class DirectoryRouter(PrefixAffinityRouter):
         self,
         tokens: np.ndarray,
         caches: Sequence[Any],
-        hits: Sequence[int],
+        hits: dict[int, int],
         lookup: DirectoryLookup,
         target: int,
     ) -> Optional[TransferSpec]:
@@ -498,7 +516,7 @@ class DirectoryRouter(PrefixAffinityRouter):
             return None  # only checkpointed prefixes travel self-contained
         if not hasattr(caches[target], "receive_state_transfer"):
             return None  # target has no second-tier landing zone
-        local = hits[target]
+        local = hits.get(target, 0)
         source, depth = -1, local
         for replica, ckpt_depth in lookup.ckpt_depth.items():
             if replica != target and ckpt_depth > depth:
@@ -581,37 +599,25 @@ class HierarchicalRouter(PrefixAffinityRouter):
     def rack_of(self, replica: int) -> int:
         return replica // self.rack_size
 
-    def _select(self, hits: Sequence[int], loads: Sequence[int]) -> int:
-        n = len(hits)
+    def _scope(self, hits: dict[int, int], loads: Sequence[int]) -> tuple:
+        """Tier 1: the rack of the deepest hit (ties toward the lightest
+        rack, then the lowest), compared among the racks that hold it."""
         size = self.rack_size
-        if n <= size:
-            return super()._select(hits, loads)
-        n_racks = (n + size - 1) // size
-        members = [range(r * size, min((r + 1) * size, n)) for r in range(n_racks)]
+        if len(loads) <= size:
+            return super()._scope(hits, loads)
+        deepest = max(hits.values())
+        racks = {i // size for i, hit in hits.items() if hit == deepest}
+        start = size * max(
+            racks, key=lambda rack: (-min(loads[rack * size : (rack + 1) * size]), -rack)
+        )
+        holders = {i: hit for i, hit in hits.items() if start <= i < start + size}
+        pool = loads[start : start + size]
+        return holders, pool, start, self.rack_max_imbalance, self._pick_rack_mate, "rack_"
 
-        def rack_key(rack: int) -> tuple[int, int, int]:
-            rows = members[rack]
-            return (
-                max(hits[i] for i in rows),
-                -min(loads[i] for i in rows),
-                -rack,
-            )
-
-        rack = max(range(n_racks), key=rack_key)
-        rows = members[rack]
-        best = max(rows, key=lambda i: (hits[i], -loads[i], -i))
-        if hits[best] == 0:
-            self._bump("cold")
-            return self._fallback._pick(loads)
-        floor = min(loads[i] for i in rows)
-        if loads[best] - floor > self.rack_max_imbalance:
-            # Spill stays rack-local: least-loaded rack-mate, rotating ties.
-            self._bump("rack_spilled")
-            pick = pick_least_loaded([loads[i] for i in rows], self._rack_rotation)
-            self._rack_rotation += 1
-            return rows[pick]
-        self._bump("rack_affinity")
-        return best
+    def _pick_rack_mate(self, rack_loads: Sequence[int]) -> int:
+        """Spill stays rack-local: least-loaded rack-mate, rotating ties."""
+        self._rack_rotation += 1
+        return pick_least_loaded(rack_loads, self._rack_rotation - 1)
 
     def reset(self) -> None:
         super().reset()

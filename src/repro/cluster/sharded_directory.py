@@ -24,10 +24,10 @@ delay.  :class:`ShardedPrefixDirectory` is the production-shaped variant:
   replicas present on all shards.  With ``propagation_delay=0`` the
   sharded directory is therefore *lookup- and decision-identical* to the
   oracle for any shard count — the invariant the differential suite in
-  ``tests/test_sharded_directory.py`` pins.  Every update reaches every
-  live shard, but each carries the depth it starts changing the index at,
-  so a non-owner drops one that starts past what it stores before touching
-  a token (:meth:`ShardedPrefixDirectory._apply`).
+  ``tests/test_sharded_directory.py`` pins.  Each update carries the
+  depth it starts changing the index at: one that starts past what a
+  non-owner stores is applied on the ring owner alone (inline), or dropped
+  untouched by the others (queued): ``ShardedPrefixDirectory._past_region``.
 
 * **Bounded staleness.**  With ``propagation_delay > 0`` replica tree
   events are enqueued per shard and applied only once the simulation
@@ -351,10 +351,12 @@ class ShardedPrefixDirectory(ReplicaFront):
         self.stats.events += 1
         if self._synchronous:
             owner = self._ring.lookup(update.rkey)
+            owner_only = self._past_region(update)  # no one else stores it
             for shard in self.shards:
                 if shard.alive:
-                    self._apply(shard, update, owner)
-                    shard.applied += 1
+                    if shard.index == owner or not owner_only:
+                        self._apply(shard, update, owner)
+                    shard.applied += 1  # offered or not: staleness() is per update
             return
         now = self._now()
         ready = now + self.propagation_delay
@@ -438,6 +440,15 @@ class ShardedPrefixDirectory(ReplicaFront):
     # ------------------------------------------------------------------
     # Op application (owner-full / foreign-truncated)
     # ------------------------------------------------------------------
+    def _past_region(self, update: DirectoryUpdate) -> bool:
+        """The owner-only rule: a path op that starts changing the index at
+        or past ``region_tokens`` (past it, for a checkpoint, which sits
+        *at* its depth) changes nothing a non-owner stores.  Inline ingest
+        asks once per update; a queued update is asked about per shard."""
+        kind = update.kind
+        at_depth = kind == _CKPT_SET or kind == _CKPT_CLEAR
+        return kind < _INVALIDATE and update.depth >= self.region_tokens + at_depth
+
     def _apply(
         self, shard: _Shard, update: DirectoryUpdate, owner: Optional[int]
     ) -> None:
@@ -446,11 +457,9 @@ class ShardedPrefixDirectory(ReplicaFront):
         shard applies it together, per shard when each flushes on its own).
 
         A shard stores its own regions whole and every other region's
-        first ``region_tokens`` tokens.  So on a non-owner an op that starts
-        changing the index at or past that depth (past it, for a
-        checkpoint, which sits *at* its depth) changes nothing the shard
-        stores — the tokens before it are already covered, or a resync that
-        re-announces them is queued — and returns before touching a token.
+        first ``region_tokens`` tokens, so a non-owner drops an op
+        :meth:`_past_region` untouched: the tokens before it are already
+        covered, or a resync that re-announces them is queued.
         """
         d = shard.directory
         r = update.replica
@@ -474,8 +483,7 @@ class ShardedPrefixDirectory(ReplicaFront):
         else:
             tokens, data, depth = update.tokens, update.data, update.depth
             if owner != shard.index:
-                at_depth = kind == _CKPT_SET or kind == _CKPT_CLEAR
-                if depth > region or (depth == region and not at_depth):
+                if self._past_region(update):
                     return
                 if kind == _MARK and len(tokens) > region:
                     d.mark(r, tokens, data, region)

@@ -210,14 +210,13 @@ class LRUKEviction(HeapEviction):
         self._history.clear()
 
 
-#: Candidate count from which :class:`FlopAwareEviction` has the index
-#: maintain rank columns.  Below it NumPy's per-call overhead (a selection
-#: is ~10 array calls, each added or removed candidate ~10 more) outweighs
-#: the two sorts it saves: replaying lmsys against caches of 8..200 states,
-#: from-scratch selection won by 30-40 us per victim up to 37 candidates
-#: and by 12-18 us at 48-68, maintained ranks by 14 us at 103 and 129 us
-#: at 217 (bench_e2e's contended caches hold a median 416 and 218).
-_MAINTAIN_RANKS_FROM = 64
+#: Candidate count from which :class:`FlopAwareEviction` scores from the
+#: index's rank columns.  Below it NumPy's per-call overhead (a selection
+#: is ~20 array calls, whatever the size) outweighs the two Python sorts it
+#: saves: replaying lmsys against caches of 8..200 states, from-scratch
+#: selection won by 8 us per victim at 26 candidates, the columns by 18 us
+#: at 35 and 400 us at 277 (docs/architecture.md "Hot-path inventory").
+_MAINTAIN_RANKS_FROM = 32
 
 
 class FlopAwareEviction(EvictionPolicy):
@@ -232,10 +231,10 @@ class FlopAwareEviction(EvictionPolicy):
 
     Normalization is relative to the *whole* candidate set, so no heap can
     order the candidates — but between two selections only a few of them
-    change, so :meth:`select_from_index` reads the tie-group bounds the
-    index maintains per scored column
-    (:meth:`~repro.core.eviction_index.EvictionIndex.normalized_ranks`),
-    which equal :func:`_rank_normalize` of the live values bit for bit.
+    change, so :meth:`select_from_index` ranks the value rows the index
+    keeps (:meth:`~repro.core.eviction_index.EvictionIndex.normalized_ranks`)
+    in a few array expressions, equal to :func:`_rank_normalize` of the
+    live values bit for bit.
     :meth:`scores` / :meth:`select_victim` are the from-scratch definition,
     and what a candidate set too small to repay the upkeep (see
     ``_MAINTAIN_RANKS_FROM``) is scored with.
@@ -264,7 +263,7 @@ class FlopAwareEviction(EvictionPolicy):
         return min(tied, key=lambda c: c.sort_key)
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
-        """The same ``argmin``, from maintained ranks once they repay upkeep."""
+        """The same ``argmin``, from the index's columns once NumPy repays."""
         if len(index) < _MAINTAIN_RANKS_FROM:
             index.drop_ranks()
             return self.select_victim(index.candidates())

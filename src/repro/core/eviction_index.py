@@ -24,11 +24,11 @@ precomputed ``sort_key``) are invalidated by *rebuilding the candidate
 object*, so policies can use object identity as a staleness check.
 
 A rank-scoring policy (:class:`~repro.core.eviction.FlopAwareEviction`)
-additionally reads :meth:`EvictionIndex.normalized_ranks`: per scored
-column, every live candidate's tie-group bounds are kept as maintained
-state (:class:`_RankColumns`) from the first such read on, so a selection
-is a handful of array expressions instead of two sorts.  An index nobody
-asks for ranks allocates and maintains nothing.
+additionally reads :meth:`EvictionIndex.normalized_ranks`: every live
+candidate's two scored values are kept as two array rows
+(:class:`_RankColumns`) from the first such read on, so a selection is a
+few array expressions, not two Python sorts.  An index nobody asks for
+ranks allocates and maintains nothing.
 
 ``node_visits`` counts candidacy evaluations — the index-side analogue of
 the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
@@ -50,67 +50,62 @@ EfficiencyFn = Callable[[RadixNode, int], float]
 
 
 class _RankColumns:
-    """Tie-group bounds of every live candidate on the two scored columns.
+    """The two scored columns of every live candidate, ranked when read.
 
-    Row 0 is ``last_access``, row 1 ``flop_efficiency``; a candidate's
-    ``slot`` is its column in ``v`` (the values), ``lo`` and ``hi``, and its
-    position in ``candidates``.  Over the live slots ``[0, n)`` of a row::
-
-        lo[k] == #{j : v[j] <  v[k]}        hi[k] == #{j : v[j] <= v[k]}
-
-    so ``k``'s tie group fills the sorted positions ``lo[k] .. hi[k] - 1``,
-    the ``i`` and ``j`` of :func:`~repro.core.eviction._rank_normalize`.
-    The counts are whole numbers held as float64, which is what ``(i + j) /
-    2.0`` makes of them anyway: :meth:`normalized` evaluates the same IEEE
-    expressions and is bit-identical to the from-scratch definition.
+    Row 0 of ``v`` is ``last_access``, row 1 ``flop_efficiency``; a
+    candidate's ``slot`` is its column in ``v`` and its position in
+    ``candidates``, so one entering, changing or leaving is two scalar
+    writes.  :meth:`normalized` evaluates the IEEE expressions of
+    :func:`~repro.core.eviction._rank_normalize` on the same whole
+    numbers, so it is bit-identical to the from-scratch definition.
     """
 
-    __slots__ = ("candidates", "v", "lo", "hi")
+    __slots__ = ("candidates", "v")
 
     def __init__(self, candidates: Iterable[EvictionCandidate]) -> None:
-        """Seed from scratch: one sort and two binary searches per column."""
         self.candidates = live = list(candidates)
         n = len(live)
-        self.v = self.lo = self.hi = np.empty((2, 0))  # replaced on first growth
-        self._reserve(n)
+        self.v = np.empty((2, 2 * n))
         for slot, candidate in enumerate(live):
             candidate.slot = slot
         self.v[0, :n] = [c.last_access for c in live]
         self.v[1, :n] = [c.flop_efficiency for c in live]
-        for row in (0, 1):
-            values = self.v[row, :n]
-            ordered = np.sort(values)
-            self.lo[row, :n] = ordered.searchsorted(values, "left")
-            self.hi[row, :n] = ordered.searchsorted(values, "right")
 
     def normalized(self) -> np.ndarray:
-        """``_rank_normalize`` of both columns, shape ``(2, n)``, slot order."""
+        """``_rank_normalize`` of both columns, shape ``(2, n)``, slot order.
+
+        Per row one sort; a value's tie group fills the sorted positions
+        ``lo .. hi - 1`` (``_rank_normalize``'s ``i`` and ``j``), found by
+        searching the sorted row for itself: keys in order, a walk.
+        """
         n = len(self.candidates)
-        return ((self.lo[:, :n] + self.hi[:, :n] - 1.0) / 2.0 + 1.0) / n
+        out = np.empty((2, n))
+        for row in (0, 1):
+            values = self.v[row, :n]
+            order = values.argsort()
+            ordered = values[order]
+            lo = ordered.searchsorted(ordered, "left")
+            hi = ordered.searchsorted(ordered, "right")
+            out[row, order] = ((lo + hi - 1) / 2.0 + 1.0) / n
+        return out
 
     def put(
         self, candidate: EvictionCandidate, old: Optional[EvictionCandidate]
     ) -> None:
-        """Add ``candidate``, or let it take over the slot of ``old``.
-
-        A rebuilt candidate re-counts only the column whose value changed.
-        """
+        """Add ``candidate``, or let it take over the slot of ``old``."""
         live = self.candidates
-        values = (candidate.last_access, candidate.flop_efficiency)
         if old is None:
             slot = candidate.slot = len(live)
-            self._reserve(slot + 1)
+            if slot == self.v.shape[1]:
+                grown = np.empty((2, 2 * slot + 2))
+                grown[:, :slot] = self.v
+                self.v = grown
             live.append(candidate)
-            for row in (0, 1):
-                self._count_in(row, slot, values[row])
-            return
-        slot = candidate.slot = old.slot
-        live[slot] = candidate
-        old_values = (old.last_access, old.flop_efficiency)
-        for row in (0, 1):
-            if values[row] != old_values[row]:
-                self._count_out(row, old_values[row])
-                self._count_in(row, slot, values[row])
+        else:
+            slot = candidate.slot = old.slot
+            live[slot] = candidate
+        self.v[0, slot] = candidate.last_access
+        self.v[1, slot] = candidate.flop_efficiency
 
     def remove(self, old: EvictionCandidate) -> None:
         """Drop ``old``; the last slot moves into the hole it leaves."""
@@ -119,40 +114,7 @@ class _RankColumns:
         if last is not old:
             slot = last.slot = old.slot
             live[slot] = last
-            for column in (self.v, self.lo, self.hi):
-                column[:, slot] = column[:, len(live)]
-        self._count_out(0, old.last_access)
-        self._count_out(1, old.flop_efficiency)
-
-    def _count_in(self, row: int, slot: int, x: float) -> None:
-        """Write ``x`` to the live ``slot`` of ``row`` and count it in."""
-        n = len(self.candidates)
-        values = self.v[row, :n]
-        values[slot] = x
-        above = values > x
-        at_or_above = values >= x  # includes ``slot`` itself
-        lo = self.lo[row, :n]
-        hi = self.hi[row, :n]
-        lo += above
-        hi += at_or_above
-        lo[slot] = n - np.count_nonzero(at_or_above)
-        hi[slot] = n - np.count_nonzero(above)
-
-    def _count_out(self, row: int, x: float) -> None:
-        """Take one occurrence of ``x`` out of the counts of ``row``."""
-        n = len(self.candidates)
-        values = self.v[row, :n]
-        self.lo[row, :n] -= values > x
-        self.hi[row, :n] -= values >= x
-
-    def _reserve(self, n: int) -> None:
-        capacity = self.v.shape[1]
-        if n <= capacity:
-            return
-        for name in ("v", "lo", "hi"):
-            grown = np.empty((2, 2 * n))
-            grown[:, :capacity] = getattr(self, name)
-            setattr(self, name, grown)
+            self.v[:, slot] = self.v[:, len(live)]
 
 
 class EvictionIndex(TreeObserver):
@@ -189,8 +151,8 @@ class EvictionIndex(TreeObserver):
         # (re-evaluated once each) before the index answers anything.
         self._dirty: dict[int, RadixNode] = {}
         self._snapshot: Optional[list[EvictionCandidate]] = None
-        # Maintained from the first normalized_ranks() read on; None until
-        # then, and again whenever re-seeding is cheaper than catching up.
+        # Kept from the first normalized_ranks() read on; None until then,
+        # and again after drop_ranks() or rebuild().
         self._ranks: Optional[_RankColumns] = None
         self._node_visits = 0
         self.on_candidate_changed: Optional[Callable[[EvictionCandidate], None]] = None
@@ -269,10 +231,6 @@ class EvictionIndex(TreeObserver):
         freeable_fn = self._freeable_fn
         efficiency_fn = self._efficiency_fn
         ranks = self._ranks
-        if ranks is not None and len(dirty) > len(entries):
-            # Catching up costs O(n) per changed candidate; past n of them
-            # the next read re-seeds in O(n log n) instead.
-            ranks = self._ranks = None
         visits = 0
         for node in dirty.values():
             visits += 1

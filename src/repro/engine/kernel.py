@@ -300,6 +300,7 @@ class SimulationKernel:
         ]
         self.alive = [True] * n
         self.draining = [False] * n
+        self._loads = [0] * n  # what loads() hands out
         self._override_rotation = 0
         # Transfer-link pricing: each source's outbound link serializes its
         # transfers (concurrent copies queue, they don't multiply bandwidth).
@@ -549,12 +550,14 @@ class SimulationKernel:
             self._fail_replica(control.replica, now)
         elif self.alive[control.replica] and not self.draining[control.replica]:
             self.draining[control.replica] = True
+            self._loads[control.replica] = DEAD_LOAD
             self.steering.bump("drains")
 
     def _fail_replica(self, replica: int, now: float) -> None:
         if not self.alive[replica]:
             return
         self.alive[replica] = False
+        self._loads[replica] = DEAD_LOAD  # before the orphans below re-route
         self.steering.bump("failures")
         # The scheduler gives back its work, aborting the open sessions
         # through the transactional path (every pin they hold is released).
@@ -597,6 +600,7 @@ class SimulationKernel:
         self._last_running.append(-1)
         self.alive.append(True)
         self.draining.append(False)
+        self._loads.append(0)
         self.steering.add_replica()
         self.steering.bump("joins")
         # As in _begin_run: the replica's state exists before its scheduler.
@@ -614,14 +618,11 @@ class SimulationKernel:
         Failed and draining replicas report :data:`DEAD_LOAD` so every
         load-aware policy steers around them without knowing about
         topology; content-blind picks are corrected by the kernel's
-        routable-fallback (counted as ``overrides``).
+        routable-fallback (counted as ``overrides``).  One live list, kept
+        current where a load changes (:meth:`_sample`, fail, drain, join)
+        rather than rebuilt per request: read it, never write or keep it.
         """
-        if not self.scenario:  # nothing can become unroutable
-            return [s.queue_depth + s.n_running for s in self.schedulers]
-        return [
-            (s.queue_depth + s.n_running) if self._routable(i) else DEAD_LOAD
-            for i, s in enumerate(self.schedulers)
-        ]
+        return self._loads
 
     def finish_request(
         self, request: EngineRequest, session: RequestSession, now: float
@@ -648,7 +649,7 @@ class SimulationKernel:
             # kernel holds only concurrently active sessions.
             del self._sessions_by_id[request.session_id]
 
-    def drain_arrivals_upto(self, now: float) -> None:
+    def drain_arrivals_upto(self, now: float, replica: int) -> None:
         """Admit every queued arrival event with time <= ``now`` immediately.
 
         Used by schedulers that make batching decisions at step boundaries
@@ -656,8 +657,12 @@ class SimulationKernel:
         sort after it (``REQUEST_ARRIVAL`` has the highest kind) but must
         be visible to the very next scheduling decision.  A freshly pulled
         session may itself arrive <= ``now``; the loop keeps draining until
-        the head moves past it.
+        the head moves past it.  ``replica`` is the caller's: no sample has
+        seen what its open step changed, so its load is re-read first.
         """
+        if self._loads[replica] != DEAD_LOAD:
+            scheduler = self.schedulers[replica]
+            self._loads[replica] = scheduler.queue_depth + scheduler.n_running
         events = self.events
         while events:
             head = events.peek_entry()
@@ -670,10 +675,13 @@ class SimulationKernel:
     # Telemetry
     # ------------------------------------------------------------------
     def _sample(self, replica: int, now: float, force: bool = False) -> None:
-        """Record queue-depth / running change points for one replica."""
+        """Record one replica's queue-depth / running change points and
+        its load (their sum; a failed or draining replica stays dead)."""
         scheduler = self.schedulers[replica]
         depth = scheduler.queue_depth
         running = scheduler.n_running
+        if self._loads[replica] != DEAD_LOAD:
+            self._loads[replica] = depth + running
         if force or depth != self._last_depth[replica]:
             self._last_depth[replica] = depth
             self.results[replica].queue_depth_series.append((now, depth))

@@ -15,7 +15,8 @@ request near 0.9 s, matching the scale of the paper's TTFT plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from repro.models.config import ModelConfig
@@ -42,6 +43,10 @@ class LatencyModel:
     split_merge_s: float = 0.0005
 
     def __post_init__(self) -> None:
+        # NaN passes the range tests below, inf most (a subclass's fields may not be numbers).
+        for name in (spec.name for spec in fields(LatencyModel)):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.peak_flops_per_s <= 0 or not 0 < self.mfu <= 1:
             raise ValueError("need peak_flops_per_s > 0 and 0 < mfu <= 1")
         if self.decode_seconds_per_token < 0 or self.prefill_overhead_s < 0:

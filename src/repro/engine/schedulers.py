@@ -64,8 +64,9 @@ class ReplicaScheduler(abc.ABC):
       is closed exactly once through it (or aborted in :meth:`fail`);
     * ``kernel.schedule_next_round(request, now)`` — the closed loop alone,
       for a decode whose replica died under it;
-    * ``kernel.drain_arrivals_upto(now)`` — admit arrivals tying with a
-      step boundary before deciding the next step.
+    * ``kernel.drain_arrivals_upto(now, replica)`` — admit arrivals tying
+      with a step boundary before deciding the next step (``replica`` is
+      the caller's own, whose load the kernel re-reads first).
     """
 
     #: Whether :meth:`fail` is implemented.  A kernel given a scenario
@@ -474,7 +475,7 @@ class TokenBatchingScheduler(ReplicaScheduler):
         # zero-think next rounds pushed just above) must join the queue
         # before the next iteration is scheduled; ``active`` stays set so
         # their enqueue cannot start a second concurrent iteration.
-        kernel.drain_arrivals_upto(now)
+        kernel.drain_arrivals_upto(now, self.replica)
         self.active = False
         if self.prefill_queue or self.decodes:
             self._start_iteration(now)

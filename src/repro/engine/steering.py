@@ -40,7 +40,8 @@ def pick_least_loaded(loads: Sequence[int], rotation: int) -> int:
     :class:`repro.cluster.router.LeastLoadedRouter` (and the routers that
     spill through it) and the kernel's failover fallback, so the two can
     never silently diverge.  ``rotation`` is the caller-held tie-break
-    counter (increment it after each pick).
+    counter (increment it after each pick).  ``loads`` (a list or tuple)
+    is only read: the pick is the ``rotation % ties``-th tied index.
     """
     if not loads:
         raise NoRoutableReplicaError(
@@ -48,8 +49,10 @@ def pick_least_loaded(loads: Sequence[int], rotation: int) -> int:
             "replica has failed, drained, or was never attached"
         )
     floor = min(loads)
-    tied = [index for index, load in enumerate(loads) if load == floor]
-    return tied[rotation % len(tied)]
+    index = loads.index(floor)
+    for _ in range(rotation % loads.count(floor)):
+        index = loads.index(floor, index + 1)
+    return index
 
 
 class GossipTransport:

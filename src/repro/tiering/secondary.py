@@ -3,9 +3,10 @@
 Entries are *flat* — no radix structure — because a demoted prefix is a
 sealed blob: the recurrent checkpoint plus the KVs of every token in the
 prefix.  Lookup asks one question: what is the deepest stored prefix of a
-query that fits under ``max_len``?  With entries indexed by ``(length,
-token-bytes)`` the store answers by probing only the distinct stored
-lengths, each with a single hash lookup.
+query that fits under ``max_len``?  Entries are bucketed by length and
+hold their tokens' bytes once (``key``; ``tokens`` views them); the store
+tests, longest bucket first, whether the query's own bytes start with an
+entry's: a mismatch stops at the first differing byte, nothing is copied.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ import numpy as np
 
 from repro.core.eviction import _rank_normalize
 from repro.core.interfaces import as_token_array
+from repro.core.tokens import token_bytes
 
 
-@dataclass
+@dataclass(eq=False)
 class SecondaryEntry:
-    """One demoted prefix: its tokens, byte footprint, and bookkeeping."""
+    """One demoted prefix: ``tokens`` (a view of ``key``, their bytes) + bookkeeping."""
 
     tokens: np.ndarray
+    key: bytes
     nbytes: int
     last_access: float
     flop_efficiency: float
@@ -81,7 +84,7 @@ class SecondaryStore:
         self.capacity_bytes = int(capacity_bytes)
         self.policy = policy
         self.alpha = alpha
-        self._by_length: dict[int, dict[bytes, SecondaryEntry]] = {}
+        self._by_length: dict[int, list[SecondaryEntry]] = {}
         self._used = 0
         self.stats = _StoreStats()
 
@@ -97,14 +100,21 @@ class SecondaryStore:
         return sum(len(bucket) for bucket in self._by_length.values())
 
     def __contains__(self, tokens: Any) -> bool:
-        arr = as_token_array(tokens)
-        bucket = self._by_length.get(len(arr))
-        return bucket is not None and arr.tobytes() in bucket
+        arr, data = token_bytes(tokens)
+        return self._held(len(arr), data) is not None
+
+    def _held(self, length: int, data: bytes) -> Optional[SecondaryEntry]:
+        """The entry of ``length`` tokens that ``data`` (at least as long;
+        a handle's bytes run past its length) starts with, read in place."""
+        for entry in self._by_length.get(length, ()):
+            if data.startswith(entry.key):
+                return entry
+        return None
 
     def iter_entries(self):
         """Yield every stored entry (no particular order)."""
         for bucket in self._by_length.values():
-            yield from bucket.values()
+            yield from bucket
 
     # ------------------------------------------------------------------
     # Mutation
@@ -128,24 +138,28 @@ class SecondaryStore:
             raise ValueError("cannot store an empty prefix")
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
-        key = arr.tobytes()
-        bucket = self._by_length.setdefault(len(arr), {})
-        existing = bucket.pop(key, None)
+        key = arr.tobytes()  # the entry's one copy of its tokens
+        bucket = self._by_length.setdefault(len(arr), [])
+        existing = self._held(len(arr), key)
         if existing is not None:
+            bucket.remove(existing)
             self._used -= existing.nbytes
         if nbytes > self.capacity_bytes:
             self.stats.rejected += 1
             self._drop_empty_bucket(len(arr))
             return False
-        self._evict_until(self.capacity_bytes - nbytes, protect=key)
-        bucket = self._by_length.setdefault(len(arr), {})
-        bucket[key] = SecondaryEntry(
-            tokens=arr.copy(),
-            nbytes=int(nbytes),
-            last_access=now,
-            flop_efficiency=flop_efficiency,
-            created_at=now,
-            payload=payload,
+        self._evict_until(self.capacity_bytes - nbytes)
+        bucket = self._by_length.setdefault(len(arr), [])
+        bucket.append(
+            SecondaryEntry(
+                tokens=np.frombuffer(key, dtype=np.int32),
+                key=key,
+                nbytes=int(nbytes),
+                last_access=now,
+                flop_efficiency=flop_efficiency,
+                created_at=now,
+                payload=payload,
+            )
         )
         self._used += int(nbytes)
         self.stats.insertions += 1
@@ -176,28 +190,28 @@ class SecondaryStore:
 
     def remove(self, tokens: np.ndarray) -> Optional[SecondaryEntry]:
         """Remove and return the entry for an exact prefix, if present."""
-        arr = as_token_array(tokens)
-        bucket = self._by_length.get(len(arr))
-        if bucket is None:
-            return None
-        entry = bucket.pop(arr.tobytes(), None)
+        arr, data = token_bytes(tokens)
+        entry = self._held(len(arr), data)
         if entry is not None:
-            self._used -= entry.nbytes
-            self._drop_empty_bucket(len(arr))
+            self._discard(entry)
         return entry
+
+    def _discard(self, entry: SecondaryEntry) -> None:
+        self._by_length[entry.seq_len].remove(entry)  # by identity
+        self._used -= entry.nbytes
+        self._drop_empty_bucket(entry.seq_len)
 
     def longest_match(self, tokens: np.ndarray, max_len: int, now: float) -> Optional[SecondaryEntry]:
         """Deepest stored prefix of ``tokens`` with length <= ``max_len``.
 
         A match refreshes the entry's recency.
         """
-        arr = as_token_array(tokens)
+        arr, data = token_bytes(tokens)
         limit = min(max_len, len(arr))
         for length in sorted(self._by_length, reverse=True):
             if length > limit:
                 continue
-            bucket = self._by_length[length]
-            entry = bucket.get(arr[:length].tobytes())
+            entry = self._held(length, data)
             if entry is not None:
                 entry.last_access = now
                 entry.hits += 1
@@ -225,17 +239,15 @@ class SecondaryStore:
         efficiency = _rank_normalize([e.flop_efficiency for e in entries])
         return [r + self.alpha * e for r, e in zip(recency, efficiency)]
 
-    def _evict_until(self, budget: int, protect: bytes | None = None) -> None:
+    def _evict_until(self, budget: int) -> None:
         while self._used > budget:
-            entries = [
-                e for e in self.iter_entries() if protect is None or e.tokens.tobytes() != protect
-            ]
+            entries = list(self.iter_entries())
             if not entries:
                 return
             scores = self._scores(entries)
             victim = min(zip(scores, (e.created_at for e in entries), entries),
                          key=lambda item: (item[0], item[1]))[2]
-            self.remove(victim.tokens)
+            self._discard(victim)
             self.stats.evictions += 1
             self.stats.evicted_bytes += victim.nbytes
 

@@ -9,7 +9,10 @@ time, or when the kernel goes back to probing for the backend.  The second
 pins what the counters promise.  The third drives truncations — the event
 whose own index operation was deleted in favour of a clear along the leaf's
 old path — against the oracle and 1 / 2 / 8-shard directories, checking
-after every event against the replica trees themselves.
+after every event against the replica trees themselves.  The fourth replays
+the same streams on a directory whose inline ingest applies a past-region
+op on its ring owner alone, beside one that offers every op to every shard
+(the loop it replaced), comparing shard by shard after every event.
 """
 
 import ast
@@ -216,9 +219,10 @@ def truncation_streams(draw):
     return vocab, ops, draw(st.integers(2, 5)), draw(st.sampled_from([HYBRID, TRANSFORMER]))
 
 
-def drive(stream, backends):
+def drive(stream, backends, after_event=lambda: None):
     """Replay ``stream`` on two tight replicas observed by every backend,
-    checking all of them after every event; returns the truncation count."""
+    checking all of them (and ``after_event()``) after every event; returns
+    the truncation count."""
     vocab, ops, n_states, model = stream
     capacity = n_states * node_state_bytes(model, 16, True)
     caches = [MarconiCache(model, capacity, alpha=1.0) for _ in range(2)]
@@ -249,6 +253,7 @@ def drive(stream, backends):
                     else:
                         hit = min(got.kv_matched.get(replica, 0), limit)
                     assert hit == probe_hit_tokens(cache, query)
+        after_event()
 
     open_sessions = []
     now = 0.0
@@ -320,12 +325,87 @@ class TestTruncationIsAClear:
         oracle, one_shard = PrefixDirectory(), ShardedPrefixDirectory(n_shards=1)
         ops = random_ops(9, ["begin", "commit", "truncate", "abort"], 80, min_length=4)
         assert drive((4, ops, 3, HYBRID), [oracle, one_shard]) > 0
-
-        def nodes(index):
-            return sorted(
-                (node.end, node.data, sorted(node.cover.items()), sorted(node.ckpt))
-                for node in index.iter_nodes()
-            )
-
         assert nodes(one_shard.shards[0].directory) == nodes(oracle.index)
         assert asdict(one_shard.shards[0].directory.stats) == asdict(oracle.index.stats)
+
+
+def nodes(index):
+    return sorted(
+        (node.end, node.data, sorted(node.cover.items()), sorted(node.ckpt))
+        for node in index.iter_nodes()
+    )
+
+
+# ----------------------------------------------------------------------
+# Inline ingest applies a past-region op on its owner alone
+# ----------------------------------------------------------------------
+class _AppliesOnAll(ShardedPrefixDirectory):
+    """Inline ingest as it was before PR 24: every live shard is offered
+    every update, and a non-owner drops what it does not store."""
+
+    def _ingest(self, update):
+        self.stats.events += 1
+        owner = self._ring.lookup(update.rkey)
+        for shard in self.shards:
+            if shard.alive:
+                self._apply(shard, update, owner)
+                shard.applied += 1
+
+
+class TestOwnerOnlyIngest:
+    def pairs(self, region):
+        return [
+            (
+                ShardedPrefixDirectory(n_shards=n, region_tokens=region),
+                _AppliesOnAll(n_shards=n, region_tokens=region),
+            )
+            for n in (2, 8)
+        ]
+
+    def drive(self, stream, region):
+        pairs = self.pairs(region)
+        applied_by = []
+
+        def same_shard_for_shard():
+            for owner_only, on_all in pairs:
+                for a, b in zip(owner_only.shards, on_all.shards):
+                    assert nodes(a.directory) == nodes(b.directory)
+                    assert a.applied == b.applied
+                assert owner_only.staleness() == on_all.staleness()
+
+        original = ShardedPrefixDirectory._apply
+
+        def counting(self, shard, update, owner):
+            applied_by.append(type(self))
+            return original(self, shard, update, owner)
+
+        ShardedPrefixDirectory._apply = counting
+        try:
+            drive(
+                stream,
+                [PrefixDirectory()] + [d for pair in pairs for d in pair],
+                after_event=same_shard_for_shard,
+            )
+        finally:
+            ShardedPrefixDirectory._apply = original
+        return (
+            applied_by.count(ShardedPrefixDirectory),
+            applied_by.count(_AppliesOnAll),
+        )
+
+    @pytest.mark.parametrize("region", [4, 32])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=truncation_streams())
+    def test_every_shard_equals_the_one_apply_on_all_builds(self, region, stream):
+        self.drive(stream, region)
+
+    def test_the_streams_do_reach_past_the_region(self):
+        """A fixed stream: at ``region_tokens=4`` many ops start past the
+        region and skip the non-owners (attach-time resyncs and shallow ops
+        still go everywhere); at 32 none does (no sequence is that long)
+        and the two directories do the same work."""
+        ops = random_ops(11, ["begin", "begin", "commit", "abort", "truncate"], 60, 8)
+        owner_only, on_all = self.drive((4, ops, 3, HYBRID), region=4)
+        assert owner_only < 0.75 * on_all
+        owner_only, on_all = self.drive((4, ops, 3, HYBRID), region=32)
+        assert owner_only == on_all > 0

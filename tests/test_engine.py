@@ -1,5 +1,7 @@
 """Tests for the latency model and the discrete-event serving simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ class TestLatencyModel:
             LatencyModel(mfu=0)
         with pytest.raises(ValueError):
             LatencyModel(decode_seconds_per_token=-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in dataclasses.fields(LatencyModel)]
+    )
+    def test_non_finite_fields_rejected(self, name, bad):
+        """NaN passes every ``<= 0`` / ``< 0`` range test and inf most of
+        them: a NaN overhead used to replay "successfully" with every ttft
+        nan, an infinite peak priced compute at 0 s."""
+        assert len(dataclasses.fields(LatencyModel)) == 9
+        with pytest.raises(ValueError, match=name):
+            LatencyModel(**{name: bad})
 
     def test_negative_reused_bytes_rejected(self, hybrid):
         """Negative reused_bytes used to be silently clamped to zero,

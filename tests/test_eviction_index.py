@@ -474,7 +474,7 @@ class TestRankUpkeepThreshold:
             s = cache.begin(seq, float(i // 4))  # and so do access times
             s.commit(np.concatenate([seq, tokens(4, seed=2000 + i)]), float(i // 4))
             if i == 200:  # shrink: the candidate set falls back below the line
-                cache._capacity = 500_000
+                cache._capacity = 200_000
         below = sum(n < eviction._MAINTAIN_RANKS_FROM for n in sizes)
         assert below > 20 and len(sizes) - below > 20
         assert cache.used_bytes == cache.recompute_used_bytes()

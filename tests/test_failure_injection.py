@@ -394,6 +394,125 @@ class TestSchedulerFailover:
         assert all(cache.stats.snapshot()["lookups"] == 0 for cache in caches)
 
 
+class _LoadAudit:
+    """A router in front of a router: at every arrival the load list the
+    kernel lends must equal what the parent's ``loads()`` rebuilt per
+    request, and must come back from the inner router as it went in."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kernel = None  # set once the kernel exists
+        self.arrivals = 0
+        self.seen_dead = 0
+
+    def __getattr__(self, name):  # prepare, directory, on_replica_*, ...
+        return getattr(self.inner, name)
+
+    def decide(self, tokens, session_id, caches, loads, now):
+        from repro.engine.kernel import DEAD_LOAD
+
+        kernel = self.kernel
+        recomputed = [
+            (s.queue_depth + s.n_running)
+            if kernel.alive[i] and not kernel.draining[i]
+            else DEAD_LOAD
+            for i, s in enumerate(kernel.schedulers)
+        ]
+        assert loads is kernel.loads()
+        assert loads == recomputed, f"load list drifted at t={now}"
+        self.arrivals += 1
+        self.seen_dead += DEAD_LOAD in loads
+        decision = self.inner.decide(tokens, session_id, caches, loads, now)
+        assert loads == recomputed, "the router wrote to the load list it was lent"
+        return decision
+
+
+class TestKernelLoadList:
+    """``kernel.loads()`` is one list kept current where a load changes;
+    these runs hold it equal to the per-request rebuild it replaced."""
+
+    def audited(self, model, caches, inner, **kwargs):
+        from repro.engine import SimulationKernel
+
+        audit = _LoadAudit(inner)
+        kernel = SimulationKernel(model, caches, router=audit, **kwargs)
+        audit.kernel = kernel
+        return kernel, audit
+
+    @pytest.mark.parametrize(
+        "router", ["round_robin", "least_loaded", "prefix_affinity", "directory", "hierarchical"]
+    )
+    def test_equal_to_the_rebuild_through_fail_drain_and_join(self, hybrid, router):
+        from repro.cluster import ScenarioEvent, make_router
+
+        trace = generate_lmsys_trace(n_sessions=40, seed=71, session_rate=400.0)
+        caches = _fleet(hybrid, 4)
+        kernel, audit = self.audited(
+            hybrid,
+            caches,
+            make_router(router),
+            scenario=[
+                ScenarioEvent(0.05, "fail", replica=1),
+                ScenarioEvent(0.1, "drain", replica=2),
+                ScenarioEvent(
+                    0.2, "join", cache_factory=lambda: _fleet(hybrid, 1)[0]
+                ),
+            ],
+        )
+        run = kernel.run(trace)
+        assert audit.arrivals >= trace.n_requests and audit.seen_dead > 0
+        assert len(kernel.loads()) == 5
+        # The failure re-routed queued orphans from inside _fail_replica,
+        # every one of them through the audit above.
+        assert run.steering.counters["reroutes"] > 0
+        assert sum(len(r.records) for r in run.replica_results) == trace.n_requests
+
+    def test_token_batching_fleet_routes_on_a_mid_step_load(self, hybrid):
+        """Arrivals tying with a step boundary are admitted from inside the
+        open step (``drain_arrivals_upto``): the stepping replica's load
+        must be read as the step has left it, not as last sampled."""
+        from repro.cluster import LeastLoadedRouter
+        from repro.engine import TokenBatchingScheduler
+        from repro.workloads.trace import Trace, TraceRound, TraceSession
+
+        sessions = [
+            TraceSession(
+                session_id=i,
+                arrival_time=0.001 * i,
+                rounds=[TraceRound(toks(40 + i, 100 + 3 * i + k), toks(1, 7)) for k in range(3)],
+                think_times=[0.0, 0.0, 0.0],  # next rounds tie with the boundary
+            )
+            for i in range(6)
+        ]
+        caches = [MarconiCache(hybrid, int(1e12), alpha=1.0) for _ in range(3)]
+        kernel, audit = self.audited(
+            hybrid,
+            caches,
+            LeastLoadedRouter(),
+            scheduler_factory=lambda kernel, replica: TokenBatchingScheduler(
+                kernel, replica, token_budget=64, max_batch=8,
+                iteration_overhead_s=0.002,
+            ),
+        )
+        run = kernel.run(Trace(name="ties", seed=0, sessions=sessions))
+        assert audit.arrivals == 18
+        assert sum(len(r.records) for r in run.replica_results) == 18
+
+    def test_a_router_that_writes_to_the_list_is_caught_at_that_request(self, hybrid):
+        from repro.cluster import LeastLoadedRouter
+
+        class Scribbler(LeastLoadedRouter):
+            def route(self, tokens, session_id, caches, loads, now):
+                choice = super().route(tokens, session_id, caches, loads, now)
+                loads[choice] += 1  # "I know where it is going"
+                return choice
+
+        kernel, _ = self.audited(hybrid, _fleet(hybrid, 2), Scribbler())
+        trace = generate_lmsys_trace(n_sessions=4, seed=72, session_rate=2.0)
+        with pytest.raises(AssertionError, match="wrote to the load list"):
+            kernel.run(trace)
+
+
 class TestTunerUnderChurn:
     def test_auto_alpha_survives_adversarial_stream(self, hybrid):
         """The bootstrap tuner must complete and adopt some alpha even when
