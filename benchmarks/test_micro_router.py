@@ -1,7 +1,7 @@
 """Microbenchmark: the sharded directory's lookup floor, the routing
-decision's floor, and the staleness sweep.
+decision's floor, the directory-update depth floor, and the staleness sweep.
 
-Three things the end-to-end benchmark (``bench_e2e/``, one 64-replica
+Four things the end-to-end benchmark (``bench_e2e/``, one 64-replica
 fleet) does not measure:
 
 * a sub-linear floor — one sharded *lookup* must grow strictly less than
@@ -13,6 +13,11 @@ fleet) does not measure:
   replica, so what is left to grow with the fleet is the router's and the
   kernel's own per-request work (one identity pass over the replica list
   and one ``min`` over the loads, both in C);
+* a depth floor for directory maintenance — one commit's view callbacks
+  (its leaf's mark and checkpoint) on a session 64 rounds deep must cost
+  at most twice the same at 8 rounds: an inline op resumes at the replica
+  node's own directory node instead of joining the root path and walking
+  the index from its root;
 * a staleness x gossip-budget sweep measuring how much lookup hit rate a
   delayed, throttled directory view gives up against the synchronous
   oracle.
@@ -44,6 +49,7 @@ from repro.cluster import (
     ShardedPrefixDirectory,
 )
 from repro.core.cache import MarconiCache
+from repro.core.radix_tree import TreeObserver
 from repro.engine import ScenarioEvent, SimulationKernel
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
@@ -83,6 +89,26 @@ LOOKUP_GROWTH_BOUND_64_TO_512 = 512 / 64
 # not for any of those passes coming back.
 ROUTE_GROWTH_BOUND_64_TO_512 = 4.0
 ROUTE_ROUNDS = 7
+# The directory-update floor: a commit's view callbacks (one mark, one
+# checkpoint) on a session UPDATE_DEPTHS[1] rounds deep against one
+# UPDATE_DEPTHS[0] rounds deep.  A path-carrying op joins the leaf's root
+# path and walks the owner's index from its root, both O(session depth):
+# 5.0-5.3x (~27 / ~140 us) before ops resumed, 1.0x (~6 / ~6 us) after.
+UPDATE_DEPTHS = (8, 64)
+UPDATE_ROUND_TOKENS = 50
+UPDATE_COMMITS = 200
+UPDATE_ROUNDS = 7
+UPDATE_GROWTH_BOUND = 2.0
+# The callbacks a directory's view registers (as bench_e2e/tracing.py wraps them).
+_VIEW_CALLBACKS = (
+    "on_node_added",
+    "on_edge_split",
+    "on_leaf_removed",
+    "on_merged",
+    "on_leaf_truncated",
+    "on_checkpoint_changed",
+    "on_tree_attached",
+)
 
 # Staleness sweep: 8 replicas under a hand-cranked gossip transport.
 # Queries revisit conversations at ages 1..4 time units, so each delay
@@ -266,6 +292,83 @@ def route_measurements():
     return out
 
 
+class _TimedCache:
+    """A cache as a directory sees it: the observer the directory registers
+    is wrapped so the seconds its mark and checkpoint callbacks take while
+    ``timing`` is set add up in ``seconds``."""
+
+    def __init__(self, cache: MarconiCache) -> None:
+        self.cache = cache
+        self.tree = cache.tree
+        self.timing = False
+        self.seconds = 0.0
+
+    def _timed(self, callback):
+        def timed(*args):
+            if not self.timing:
+                return callback(*args)
+            start = time.perf_counter()
+            callback(*args)
+            self.seconds += time.perf_counter() - start
+
+        return timed
+
+    def add_tree_observer(self, view) -> bool:
+        proxy = TreeObserver()
+        for name in _VIEW_CALLBACKS:
+            setattr(proxy, name, getattr(view, name))
+        for name in ("on_node_added", "on_checkpoint_changed"):
+            setattr(proxy, name, self._timed(getattr(view, name)))
+        return self.cache.add_tree_observer(proxy)
+
+
+def _deep_session(depth: int):
+    """One replica whose tree holds one session ``depth`` rounds deep (a
+    chain of checkpointed nodes), observed by a sharded directory; returns
+    the timed cache and the session's next input."""
+    cache = MarconiCache(MODEL, int(1e13), alpha=0.0)
+    timed = _TimedCache(cache)
+    ShardedPrefixDirectory(n_shards=N_SHARDS, region_tokens=REGION_TOKENS).attach(0, timed)
+    rng = np.random.default_rng(77)
+    history = np.empty(0, dtype=np.int32)
+    for turn in range(depth):
+        seq = np.concatenate([history, _toks(rng, UPDATE_ROUND_TOKENS - 10)])
+        with cache.begin(seq, float(turn)) as session:
+            history = np.concatenate([seq, _toks(rng, 10)])
+            session.commit(history, turn + 0.5)
+    return timed, np.concatenate([history, _toks(rng, UPDATE_ROUND_TOKENS)])
+
+
+def _commit_cost(timed: _TimedCache, leaf_path: np.ndarray) -> float:
+    """Seconds per commit spent in the directory's view callbacks: the new
+    leaf's mark and its checkpoint (the undo after each is untimed)."""
+    tree = timed.tree
+    timed.seconds = 0.0
+    for _ in range(UPDATE_COMMITS):
+        timed.timing = True
+        leaf = tree.insert(leaf_path, 0.0).end_node
+        tree.set_checkpoint(leaf)
+        timed.timing = False
+        tree.clear_checkpoint(leaf)
+        tree.remove_leaf(leaf)
+    return timed.seconds / UPDATE_COMMITS
+
+
+@pytest.fixture(scope="module")
+def update_measurements():
+    """Per-commit directory maintenance at each session depth; the depths
+    take turns, as in ``sharded_measurements``."""
+    sessions = {depth: _deep_session(depth) for depth in UPDATE_DEPTHS}
+    walls = {depth: [] for depth in sessions}
+    for _ in range(UPDATE_ROUNDS):
+        for depth, (timed, leaf_path) in sessions.items():
+            walls[depth].append(_commit_cost(timed, leaf_path))
+    return {
+        depth: {"session_rounds": depth, "update_us_per_commit": 1e6 * min(walls[depth])}
+        for depth in sessions
+    }
+
+
 def _staleness_trial(delay: float, budget: int | None):
     """One sweep point: serve conversations while the clock runs, query
     each conversation's continuation shortly after serving it, and count
@@ -385,6 +488,23 @@ class TestRouterMicrobench:
             f"from 64 to 512 replicas"
         )
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
+    )
+    def test_directory_update_cost_flat_in_session_depth(self, update_measurements):
+        """A directory update starts where it changes: a commit on a session
+        8x deeper costs at most 2x in the directory's view callbacks."""
+        shallow, deep = (update_measurements[d]["update_us_per_commit"] for d in UPDATE_DEPTHS)
+        print(
+            f"\ndirectory update per commit: {shallow:.1f} us at {UPDATE_DEPTHS[0]} "
+            f"rounds, {deep:.1f} us at {UPDATE_DEPTHS[1]} ({deep / shallow:.2f}x)"
+        )
+        assert deep <= UPDATE_GROWTH_BOUND * shallow, (
+            f"a commit's directory update grew {deep / shallow:.1f}x from "
+            f"{UPDATE_DEPTHS[0]} to {UPDATE_DEPTHS[1]} session rounds"
+        )
+
     def test_staleness_trades_hit_rate_monotonically(self, staleness_sweep):
         """The sweep's sanity contract: the synchronous point retains the
         full hit rate, and adding delay never gains hits."""
@@ -403,7 +523,7 @@ class TestRouterMicrobench:
                 assert later["lookup_hit_rate"] <= earlier["lookup_hit_rate"] + 1e-9
 
     def test_emit_bench_json(
-        self, sharded_measurements, route_measurements, staleness_sweep
+        self, sharded_measurements, route_measurements, update_measurements, staleness_sweep
     ):
         """Persist the perf snapshot."""
         payload = {
@@ -420,9 +540,13 @@ class TestRouterMicrobench:
             "route_decision": {
                 str(n): stats for n, stats in route_measurements.items()
             },
+            "directory_update": {
+                str(depth): stats for depth, stats in update_measurements.items()
+            },
             "staleness_sweep": staleness_sweep,
             "lookup_growth_bound_64_to_512": LOOKUP_GROWTH_BOUND_64_TO_512,
             "route_growth_bound_64_to_512": ROUTE_GROWTH_BOUND_64_TO_512,
+            "update_growth_bound": UPDATE_GROWTH_BOUND,
         }
         write_bench(BENCH_PATH, "sharded_directory_lookup_floor_and_staleness", payload)
         assert BENCH_PATH.exists()

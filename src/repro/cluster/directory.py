@@ -132,12 +132,12 @@ def _edge_shared(
     child: _DirNode, tokens: np.ndarray, data: bytes, pos: int, upto: int
 ) -> int:
     """How many leading tokens of ``child``'s edge equal ``tokens[pos:upto]``
-    (``pos`` is the depth of ``child``'s parent; ``data`` is ``tokens``'
-    bytes).  Full coverage, by far the common step of a walk, is one memcmp
-    against the stored edge bytes; only the step that diverges or ends
-    mid-edge compares elementwise (``RadixTree.match``'s idiom)."""
+    (``pos`` is where ``tokens`` reach ``child``'s parent; ``data`` is
+    ``tokens``' bytes).  Full coverage, by far the common step of a walk, is
+    one memcmp against the stored edge bytes; only the step that diverges or
+    ends mid-edge compares elementwise (``RadixTree.match``'s idiom)."""
     if data.startswith(child.data, 4 * pos, 4 * upto):
-        return child.end - pos
+        return len(child.edge)
     return common_prefix_length(child.edge, tokens[pos:upto])
 
 
@@ -165,8 +165,10 @@ class PrefixIndex:
     * ``stats`` — :class:`IndexStats`, structural counters only;
     * ``lookup(tokens, limit)`` — the per-request walk;
     * ``apply(kind, replica, tokens, data, depth)`` — one path op;
-    * ``mark(replica, tokens, data, upto, ckpt=False)`` — the op a resync
-      and a shard's truncated copy of a foreign region are made of;
+    * ``resume(kind, replica, held, depth, tail)`` — the same op started at
+      a node it changes instead of at the root (the resume contract);
+    * ``mark(replica, tokens, data, upto, ckpt=False, start=None)`` — the op
+      a resync and a shard's truncated copy of a foreign region are made of;
     * ``clear_replica(replica)`` — drop every annotation of one replica;
     * ``check_integrity()``.
 
@@ -257,19 +259,51 @@ class PrefixIndex:
     # ------------------------------------------------------------------
     def apply(
         self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
-    ) -> None:
+    ) -> Optional[_DirNode]:
         """Apply one path op (``data`` is ``tokens``' bytes; ``depth`` as
         the bridge defines it: a mark runs from the root to the path's end
         whatever depth it starts changing at, so a shard that lost an
-        earlier mark still ends up prefix-closed)."""
+        earlier mark still ends up prefix-closed).  Returns the node holding
+        a mark's end depth (None for a clear)."""
         if kind == _MARK:
-            self.mark(replica, tokens, data, len(tokens))
-        elif kind == _CLEAR_BEYOND:
+            return self.mark(replica, tokens, data, len(tokens))
+        if kind == _CKPT_SET:
+            return self.mark(replica, tokens, data, depth, ckpt=True)
+        if kind == _CLEAR_BEYOND:
             self._clear_beyond(replica, tokens, data, depth)
-        elif kind == _CKPT_SET:
-            self.mark(replica, tokens, data, depth, ckpt=True)
         else:  # _CKPT_CLEAR
             self._clear_ckpt(replica, tokens, data, depth)
+        return None
+
+    def resume(
+        self, kind: int, replica: int, held: _DirNode, depth: int, tail: bytes = b""
+    ) -> _DirNode:
+        """The path op ``apply`` would apply, started at ``held`` instead of
+        the root and given no path: ``held`` is an attached node on the op's
+        path holding its anchor depth (``held.parent.end < anchor <=
+        held.end``: ``depth`` for a mark or a checkpoint op, the path's end
+        for a clear); ``tail`` is a mark's bytes past ``depth``.  The caller
+        guarantees ``replica`` covers the path through ``depth`` and this
+        index applied its every op inline, so the root walk's steps above
+        ``held`` would only re-assign stored cover values: the result is the
+        same node for node, dict order and counters included.  Returns the
+        node holding the op's end depth (a clear's: ``depth``)."""
+        if kind == _CLEAR_BEYOND:
+            return self._clear_up(replica, held, depth)
+        if kind == _CKPT_CLEAR:
+            if held.end == depth:
+                held.ckpt.discard(replica)
+                self._prune(held)
+            return held
+        # A mark: from ``held`` when its edge ends at ``depth``, else from its
+        # parent with the head of its edge (which ``replica`` covers).
+        if held.end == depth:
+            start, data = held, tail
+        else:
+            start = held.parent
+            data = held.data[: 4 * (depth - start.end)] + tail
+        tokens = np.frombuffer(data, dtype=np.int32)
+        return self.mark(replica, tokens, data, len(tokens), kind == _CKPT_SET, start)
 
     def _split(self, child: _DirNode, at: int) -> _DirNode:
         """Split ``child``'s edge after ``at`` tokens, redistributing
@@ -331,12 +365,16 @@ class PrefixIndex:
         data: bytes,
         upto: int,
         ckpt: bool = False,
-    ) -> None:
+        start: Optional[_DirNode] = None,
+    ) -> _DirNode:
         """Record that ``replica`` holds KVs for ``tokens[:upto]`` and, with
         ``ckpt``, a recurrent checkpoint at exactly ``upto`` — one descent
-        either way; the checkpoint forces a node boundary at its depth."""
+        either way; the checkpoint forces a node boundary at its depth.
+        Returns the node holding ``upto``.  ``start`` is a walk-resume point
+        (``RadixTree.insert``'s idiom): a node ``replica`` covers to its end,
+        whose path ``tokens``, ``data`` and ``upto`` continue."""
         self.stats.marks += 1
-        node = self.root
+        node = self.root if start is None else start
         pos = 0
         while pos < upto:
             child = node.children.get(int(tokens[pos]))
@@ -345,7 +383,7 @@ class PrefixIndex:
                 break
             shared = _edge_shared(child, tokens, data, pos, upto)
             pos += shared
-            if pos == child.end:
+            if shared == len(child.edge):
                 child.cover[replica] = shared
                 node = child
             elif pos < upto:
@@ -361,60 +399,67 @@ class PrefixIndex:
             else:
                 # Marked range ends mid-edge: partial coverage, no split.
                 child.cover[replica] = max(child.cover.get(replica, 0), shared)
+                node = child
         if ckpt and node is not self.root:
             node.ckpt.add(replica)
+        return node
 
     def _walk(
         self, tokens: np.ndarray, data: bytes, upto: int
-    ) -> list[tuple[_DirNode, int, int]]:
-        """Directory path along ``tokens[:upto]``: ``(node, start_pos, shared)``."""
-        path: list[tuple[_DirNode, int, int]] = []
+    ) -> Optional[tuple[_DirNode, int]]:
+        """The last directory node along ``tokens[:upto]`` and the depth the
+        tokens reach in it (None: no edge starts with them)."""
+        last = None
         node = self.root
         pos = 0
         while pos < upto:
             child = node.children.get(int(tokens[pos]))
             if child is None:
                 break
-            shared = _edge_shared(child, tokens, data, pos, upto)
-            path.append((child, pos, shared))
-            pos += shared
+            pos += _edge_shared(child, tokens, data, pos, upto)
+            last = (child, pos)
             if pos < child.end:
                 break
             node = child
-        return path
+        return last
 
     def _clear_beyond(
         self, replica: int, tokens: np.ndarray, data: bytes, keep: int
     ) -> None:
         """Clear ``replica``'s coverage and checkpoints past depth ``keep``
-        along the known token path."""
+        along the known token path: up from where the path ends."""
+        last = self._walk(tokens, data, len(tokens))
+        if last is not None and last[1] > keep:
+            self._clear_up(replica, last[0], keep)
+        else:
+            self.stats.clears += 1
+
+    def _clear_up(self, replica: int, node: _DirNode, keep: int) -> _DirNode:
+        """Clear ``replica`` past depth ``keep`` on ``node`` and on each
+        ancestor ending past it (each node on its own: the order does not
+        matter), then prune; returns the node holding ``keep``."""
         self.stats.clears += 1
-        deepest: Optional[_DirNode] = None
-        for node, start, shared in self._walk(tokens, data, len(tokens)):
-            end_here = start + shared
-            if end_here <= keep:
-                continue
-            new = keep - start
+        deepest = last = node
+        while node.end > keep:
+            last = node
+            new = keep - node.parent.end
             if new <= 0:
                 node.cover.pop(replica, None)
             elif node.cover.get(replica, 0) > new:
                 node.cover[replica] = new
-            if node.end > keep:
-                node.ckpt.discard(replica)
-            deepest = node
+            node.ckpt.discard(replica)
+            node = node.parent
         self._prune(deepest)
+        return node if node.end == keep else last
 
     def _clear_ckpt(
         self, replica: int, tokens: np.ndarray, data: bytes, depth: int
     ) -> None:
         """Drop ``replica``'s checkpoint mark at exactly ``depth``."""
-        path = self._walk(tokens, data, depth)
-        if not path:
-            return
-        node, start, shared = path[-1]
-        if start + shared == depth == node.end:
-            node.ckpt.discard(replica)
-            self._prune(node)
+        last = self._walk(tokens, data, depth)
+        if last is not None and last[1] == depth == last[0].end:
+            last[0].ckpt.discard(replica)
+            self._prune(last[0])
 
     def clear_replica(self, replica: int) -> None:
         """Remove every annotation of ``replica`` from the whole index."""
@@ -435,11 +480,41 @@ class _ReplicaView(TreeObserver):
     is where the op starts changing the index: the parent's depth for a
     mark (which runs to the path's end), the keep-depth of a clear, the
     exact depth of a checkpoint.
+
+    An op the front applies inline need not carry its path: ``held`` maps a
+    replica node's id to ``(index, node)``, the directory node holding its
+    end depth in the index applying its ops inline.  A node's own mark or
+    checkpoint records it, a split hands it on to the new middle node, a
+    removal or merge drops it, an index rebuild drops them all.  An op with
+    an attached entry is offered to ``_ingest_resumed`` (no path join, no
+    crc32, no root walk); the front declines one that is not past the region.
     """
 
     def __init__(self, front: "ReplicaFront", replica: int) -> None:
         self.front = front
         self.replica = replica
+        self.held: dict[int, tuple[PrefixIndex, _DirNode]] = {}
+
+    def _send(
+        self, kind: int, depth: int, anchor: int, source: RadixNode, tail: bytes, *path: Any
+    ) -> None:
+        """Hand one op on ``path[0]`` to the front: resumed at ``source``'s
+        entry climbed to the node holding depth ``anchor``, if the front takes
+        it; else with ``_root_path(*path)``.  Records the op's end entry."""
+        front = self.front
+        entry = self.held.get(source.node_id)
+        resumed = None
+        if entry is not None and entry[1].parent is not None:  # not pruned or dropped
+            index, held = entry
+            while held.parent.end >= anchor:  # a later split above it
+                held = held.parent
+            resumed = front._ingest_resumed(kind, self.replica, index, held, depth, tail)
+            entry = None if resumed is None else (index, resumed)
+        if resumed is None:
+            tokens, data = self._root_path(*path)
+            entry = front._ingest_path_op(kind, self.replica, tokens, data, depth)
+        if entry is not None:
+            self.held[path[0].node_id] = entry
 
     def _root_path(
         self, node: RadixNode, parent: Optional[RadixNode] = None, tail: bytes = b""
@@ -476,40 +551,43 @@ class _ReplicaView(TreeObserver):
 
     # -- structure events ------------------------------------------------
     def on_node_added(self, node: RadixNode) -> None:
-        tokens, data = self._root_path(node)
-        self.front._ingest_path_op(
-            _MARK, self.replica, tokens, data, node.parent_seq_len
-        )
+        # Resumes at the parent's entry with the new edge's bytes.
+        depth = node.parent_seq_len
+        self._send(_MARK, depth, depth, node.parent, node.data, node)
 
     def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
         # The detached node keeps its edge tokens, so the full removed
         # path is still reconstructible.
-        tokens, data = self._root_path(node, parent)
-        self.front._ingest_path_op(
-            _CLEAR_BEYOND, self.replica, tokens, data, parent.seq_len
-        )
+        self._send(_CLEAR_BEYOND, parent.seq_len, node.seq_len, node, b"", node, parent)
+        self.held.pop(node.node_id, None)
 
     def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
         # The index still holds the leaf's old path: clear along it, past
-        # the leaf's new end.
-        tokens, data = self._root_path(node, tail=dropped)
-        self.front._ingest_path_op(
-            _CLEAR_BEYOND, self.replica, tokens, data, node.seq_len
-        )
+        # the leaf's new end.  A clear carrying its path leaves the entry
+        # on the old path, where climbing still finds the new end.
+        old_end = node.seq_len + len(dropped) // 4
+        self._send(_CLEAR_BEYOND, node.seq_len, old_end, node, b"", node, None, dropped)
 
     def on_checkpoint_changed(self, node: RadixNode) -> None:
         kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
-        tokens, data = self._root_path(node)
-        self.front._ingest_path_op(kind, self.replica, tokens, data, node.seq_len)
+        self._send(kind, node.seq_len, node.seq_len, node, b"", node)
 
-    # The other callbacks stay the base class's no-ops.  Splits and merges
-    # redistribute tokens between replica-tree nodes without changing the
-    # replica's cached token set or checkpoint depths (merges always clear
-    # the checkpoint first), so the directory's content view is unaffected;
-    # pins and touches never were content.
+    # Splits and merges redistribute tokens between replica-tree nodes
+    # without changing the replica's cached token set or checkpoint depths
+    # (merges always clear the checkpoint first), so the directory's content
+    # is unaffected; only the entries follow the nodes.  Pins and touches
+    # stay the base class's no-ops: they never were content.
+    def on_edge_split(self, middle: RadixNode, child: RadixNode) -> None:
+        entry = self.held.get(child.node_id)
+        if entry is not None:
+            self.held[middle.node_id] = entry
+
+    def on_merged(self, node: RadixNode, child: RadixNode) -> None:
+        self.held.pop(node.node_id, None)
 
     # -- tree replacement (reset / reload / failover) --------------------
     def on_tree_attached(self, tree: Any) -> None:
+        self.held.clear()
         self.front._ingest_resync(self.replica, tree)
 
 
@@ -519,10 +597,11 @@ class ReplicaFront:
     them are tracked, and :class:`DirectoryStats`.
 
     A backend supplies where things land: ``lookup``, ``staleness``,
-    ``check_integrity``, ``invalidate`` and the two hooks a view calls,
-    ``_ingest_path_op`` and ``_ingest_resync``.  The views also share the
-    ``_last_path`` memo (see :meth:`_ReplicaView._root_path`); nothing else
-    of a front is theirs to touch.
+    ``check_integrity``, ``invalidate`` and the three hooks a view calls,
+    ``_ingest_path_op``, ``_ingest_resumed`` and ``_ingest_resync``.  The
+    views also share the ``_last_path`` memo (see
+    :meth:`_ReplicaView._root_path`); nothing else of a front is theirs to
+    touch.  A backend that rebuilds or clears an index calls ``_forget``.
     """
 
     def __init__(self) -> None:
@@ -598,14 +677,31 @@ class ReplicaFront:
 
     def _ingest_path_op(
         self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
-    ) -> None:
-        """One replica tree event, from that replica's view."""
+    ) -> Optional[tuple[PrefixIndex, _DirNode]]:
+        """One replica tree event, from that replica's view.  Returns the
+        index that applied it inline in full and the node holding a mark's
+        end there (None: a clear, or no index applies it inline)."""
+        raise NotImplementedError
+
+    def _ingest_resumed(
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+    ) -> Optional[_DirNode]:
+        """The same event resumed at ``held`` of ``index`` (see
+        :meth:`PrefixIndex.resume`) and counted as its path op would be,
+        when it changes nothing but ``index``; else None, untouched."""
         raise NotImplementedError
 
     def _ingest_resync(self, replica: int, tree: Any) -> None:
         """``replica``'s entries are to become what ``tree`` holds now
         (attach time, and whenever the cache swaps in a new tree)."""
         raise NotImplementedError
+
+    def _forget(self, replica: Optional[int] = None) -> None:
+        """Drop the resume entries of ``replica``'s view (every view's:
+        None) after its index was cleared or rebuilt."""
+        for r, view in self._views.items():
+            if replica is None or r == replica:
+                view.held.clear()
 
 
 class PrefixDirectory(ReplicaFront):
@@ -622,6 +718,7 @@ class PrefixDirectory(ReplicaFront):
 
     def invalidate(self, replica: int) -> None:
         self.index.clear_replica(replica)
+        self._forget(replica)
         self.stats.invalidations += 1
 
     def staleness(self) -> dict:
@@ -632,9 +729,16 @@ class PrefixDirectory(ReplicaFront):
 
     def _ingest_path_op(
         self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
-    ) -> None:
+    ) -> Optional[tuple[PrefixIndex, _DirNode]]:
         self.stats.events += 1
-        self.index.apply(kind, replica, tokens, data, depth)
+        held = self.index.apply(kind, replica, tokens, data, depth)
+        return None if held is None else (self.index, held)
+
+    def _ingest_resumed(
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+    ) -> _DirNode:
+        self.stats.events += 1  # one index holds every depth: always resumes
+        return index.resume(kind, replica, held, depth, tail)
 
     def _ingest_resync(self, replica: int, tree: Any) -> None:
         self.stats.resyncs += 1

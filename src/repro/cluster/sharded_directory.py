@@ -52,8 +52,10 @@ delay.  :class:`ShardedPrefixDirectory` is the production-shaped variant:
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from typing import Any, Optional
 
 import numpy as np
@@ -65,6 +67,7 @@ from repro.cluster.directory import (
     _CKPT_SET,
     _MARK,
     DirectoryLookup,
+    _DirNode,
     PrefixIndex,
     ReplicaFront,
     _iter_tree_paths,
@@ -217,6 +220,16 @@ class ShardedPrefixDirectory(ReplicaFront):
         gossip_interval: Optional[float] = None,
     ) -> None:
         super().__init__()
+        # NaN and inf pass the range tests below (a NaN delay is not zero, so
+        # gossip went asynchronous and never flushed); a fraction fails late.
+        delays = dict(propagation_delay=propagation_delay, gossip_interval=gossip_interval)
+        for name, value in delays.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        counts = dict(n_shards=n_shards, region_tokens=region_tokens, gossip_budget=gossip_budget)
+        for name, value in counts.items():
+            if value is not None and not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if region_tokens < 1:
@@ -324,9 +337,23 @@ class ShardedPrefixDirectory(ReplicaFront):
     # ------------------------------------------------------------------
     def _ingest_path_op(
         self, kind: int, replica: int, tokens: np.ndarray, data: bytes, depth: int
-    ) -> None:
+    ) -> Optional[tuple[PrefixIndex, _DirNode]]:
         rkey = crc32(data[: 4 * self.region_tokens])
-        self._ingest(DirectoryUpdate(kind, replica, tokens, data, depth, rkey))
+        return self._ingest(DirectoryUpdate(kind, replica, tokens, data, depth, rkey))
+
+    def _ingest_resumed(
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+    ) -> Optional[_DirNode]:
+        """A past-region op resumed on its ring owner's index (a view holds
+        entries only while ingest is inline): the owner applies it, and
+        every live shard counts it, as :meth:`_ingest` does."""
+        if not self._past_region(kind, depth):
+            return None
+        self.stats.events += 1
+        for shard in self.shards:
+            if shard.alive:
+                shard.applied += 1
+        return index.resume(kind, replica, held, depth, tail)
 
     @staticmethod
     def _resync_update(replica: int, tree: Any) -> DirectoryUpdate:
@@ -345,24 +372,31 @@ class ShardedPrefixDirectory(ReplicaFront):
         dead replica until the invalidation propagates (the race the
         kernel's dead-target fallbacks absorb)."""
         self.stats.invalidations += 1
+        self._forget(replica)
         self._ingest(DirectoryUpdate(_INVALIDATE, replica))
 
-    def _ingest(self, update: DirectoryUpdate) -> None:
+    def _ingest(self, update: DirectoryUpdate) -> Optional[tuple[PrefixIndex, _DirNode]]:
+        """Apply (inline) or enqueue ``update``; inline, returns the owner's
+        index and the node holding a mark's end there."""
         self.stats.events += 1
         if self._synchronous:
             owner = self._ring.lookup(update.rkey)
-            owner_only = self._past_region(update)  # no one else stores it
+            owner_only = self._past_region(update.kind, update.depth)  # no one else stores it
+            held = None
             for shard in self.shards:
                 if shard.alive:
                     if shard.index == owner or not owner_only:
-                        self._apply(shard, update, owner)
+                        node = self._apply(shard, update, owner)
+                        if node is not None and shard.index == owner:
+                            held = shard.directory, node
                     shard.applied += 1  # offered or not: staleness() is per update
-            return
+            return held
         now = self._now()
         ready = now + self.propagation_delay
         for shard in self.shards:
             if shard.alive:
                 self._enqueue(shard, update, now, ready)
+        return None
 
     def _enqueue(
         self, shard: _Shard, update: DirectoryUpdate, now: float, ready: float
@@ -440,21 +474,22 @@ class ShardedPrefixDirectory(ReplicaFront):
     # ------------------------------------------------------------------
     # Op application (owner-full / foreign-truncated)
     # ------------------------------------------------------------------
-    def _past_region(self, update: DirectoryUpdate) -> bool:
+    def _past_region(self, kind: int, depth: int) -> bool:
         """The owner-only rule: a path op that starts changing the index at
         or past ``region_tokens`` (past it, for a checkpoint, which sits
         *at* its depth) changes nothing a non-owner stores.  Inline ingest
-        asks once per update; a queued update is asked about per shard."""
-        kind = update.kind
+        asks once per update, a view once per op it may resume; a queued
+        update is asked about per shard."""
         at_depth = kind == _CKPT_SET or kind == _CKPT_CLEAR
-        return kind < _INVALIDATE and update.depth >= self.region_tokens + at_depth
+        return kind < _INVALIDATE and depth >= self.region_tokens + at_depth
 
     def _apply(
         self, shard: _Shard, update: DirectoryUpdate, owner: Optional[int]
-    ) -> None:
+    ) -> Optional[_DirNode]:
         """Apply ``update`` on ``shard``; ``owner`` is the ring's owner of
         the update's region as of now (read once per update when every
         shard applies it together, per shard when each flushes on its own).
+        Returns what ``PrefixIndex.apply`` does for a path op applied whole.
 
         A shard stores its own regions whole and every other region's
         first ``region_tokens`` tokens, so a non-owner drops an op
@@ -483,14 +518,14 @@ class ShardedPrefixDirectory(ReplicaFront):
         else:
             tokens, data, depth = update.tokens, update.data, update.depth
             if owner != shard.index:
-                if self._past_region(update):
-                    return
+                if self._past_region(kind, depth):
+                    return None
                 if kind == _MARK and len(tokens) > region:
                     d.mark(r, tokens, data, region)
-                    return
+                    return None
             # The owner; or an op shallow enough to apply whole anywhere (a
             # clear's walk self-limits to the shard's truncated copy).
-            d.apply(kind, r, tokens, data, depth)
+            return d.apply(kind, r, tokens, data, depth)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -509,6 +544,7 @@ class ShardedPrefixDirectory(ReplicaFront):
         shard.flush_scheduled = False
         shard.directory = PrefixIndex()
         self._ring.remove(index)
+        self._forget()
         self.shard_losses += 1
         now = self._now()
         for survivor in self.shards:

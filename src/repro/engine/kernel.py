@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.core.interfaces import CacheProtocol, RequestSession
@@ -117,6 +118,8 @@ class KernelConfig:
     max_running: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_running, Integral):
+            raise ValueError(f"max_running must be an integer, got {self.max_running!r}")
         if self.max_running < 1:
             raise ValueError(f"max_running must be >= 1, got {self.max_running}")
 

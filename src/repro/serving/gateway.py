@@ -42,7 +42,8 @@ import asyncio
 import functools
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -127,6 +128,10 @@ class GatewayConfig:
     decode_yield_every: int = 1  # steps per request per sweep
 
     def __post_init__(self) -> None:
+        for spec in fields(self):  # a fractional count would fail only at first use
+            value = getattr(self, spec.name)
+            if spec.type in ("int", int) and not isinstance(value, Integral):
+                raise ValueError(f"{spec.name} must be an integer, got {value!r}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.max_queue_depth < 1:

@@ -12,11 +12,18 @@ old path — against the oracle and 1 / 2 / 8-shard directories, checking
 after every event against the replica trees themselves.  The fourth replays
 the same streams on a directory whose inline ingest applies a past-region
 op on its ring owner alone, beside one that offers every op to every shard
-(the loop it replaced), comparing shard by shard after every event.
+(the loop it replaced), comparing shard by shard after every event.  The
+fifth replays them on directories whose inline ops resume at the replica
+node's own directory node, beside ones whose every op carries its path,
+comparing every index node for node in dict order after every event, and
+drives each fallback (a dropped deep half, a resync, a lost shard, queued
+gossip) by hand.
 """
 
 import ast
 import inspect
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -26,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import PrefixDirectory, ShardedPrefixDirectory, probe_hit_tokens
 from repro.cluster import directory as directory_module
+from repro.cluster.directory import PrefixIndex, _ReplicaView
 from repro.cluster import sharded_directory as sharded_module
 from repro.core.cache import MarconiCache
 from repro.core.radix_tree import TreeObserver
@@ -409,3 +417,291 @@ class TestOwnerOnlyIngest:
         assert owner_only < 0.75 * on_all
         owner_only, on_all = self.drive((4, ops, 3, HYBRID), region=32)
         assert owner_only == on_all > 0
+
+
+# ----------------------------------------------------------------------
+# Inline ops resume at the replica node's own directory node
+# ----------------------------------------------------------------------
+class _Counted:
+    """Counts the ops a directory applied carrying their path and the ops
+    it resumed; otherwise the class it is mixed into, unchanged."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ops = Counter()
+
+    def _ingest_path_op(self, *op):
+        self.ops["path"] += 1
+        return super()._ingest_path_op(*op)
+
+    def _ingest_resumed(self, *op):
+        held = super()._ingest_resumed(*op)
+        self.ops["resumed"] += held is not None
+        return held
+
+
+class _Oracle(_Counted, PrefixDirectory):
+    pass
+
+
+class _Sharded(_Counted, ShardedPrefixDirectory):
+    pass
+
+
+class _PathOracle(PrefixDirectory):
+    """The oracle as it was before ops resumed: its ingest records no
+    entry, so every op carries its path and walks from the root."""
+
+    def _ingest_path_op(self, *op):
+        super()._ingest_path_op(*op)
+
+
+class _PathSharded(ShardedPrefixDirectory):
+    """The sharded directory as it was before ops resumed."""
+
+    def _ingest_path_op(self, *op):
+        super()._ingest_path_op(*op)
+
+
+def resume_pairs(region, shards=(1, 2, 8), oracle=True, **gossip):
+    """``(resuming, path-carrying)`` pairs: the oracle, and each shard count
+    at ``region`` tokens."""
+    pairs = [(_Oracle(), _PathOracle())] if oracle else []
+    for n in shards:
+        kwargs = dict(n_shards=n, region_tokens=region, **gossip)
+        pairs.append((_Sharded(**kwargs), _PathSharded(**kwargs)))
+    return pairs
+
+
+def in_dict_order(index):
+    """Every node in child-dict order, its cover and checkpoint entries in
+    iteration order: ``lookup`` iterates both, and routing reads that order."""
+    out, stack = [], [index.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.end, node.data, list(node.cover.items()), list(node.ckpt)))
+        stack.extend(node.children.values())
+    return out
+
+
+def indexes(front):
+    if isinstance(front, PrefixDirectory):
+        return [front.index]
+    return [shard.directory for shard in front.shards]
+
+
+def assert_same(pairs):
+    for resuming, path in pairs:
+        resuming.check_integrity()
+        for a, b in zip(indexes(resuming), indexes(path), strict=True):
+            assert in_dict_order(a) == in_dict_order(b)
+            assert asdict(a.stats) == asdict(b.stats)
+        if isinstance(resuming, ShardedPrefixDirectory):
+            assert [s.applied for s in resuming.shards] == [s.applied for s in path.shards]
+        # ``drive`` asks its oracle once per backend it checks.
+        got, want = resuming.staleness(), path.staleness()
+        assert got.pop("lookups") >= want.pop("lookups")
+        assert got == want
+
+
+@contextmanager
+def watching_resumable_ops():
+    """Count the ops that may resume — inline, past the region, with an
+    attached entry, decided here from the view's own state — and every
+    root-path join and walk from the index root made while one applies."""
+    seen = Counter()
+    resumable = [False]
+    originals = {
+        (_ReplicaView, "_send"): _ReplicaView._send,
+        (_ReplicaView, "_root_path"): _ReplicaView._root_path,
+        (PrefixIndex, "_walk"): PrefixIndex._walk,
+        (PrefixIndex, "mark"): PrefixIndex.mark,
+    }
+
+    def send(view, kind, depth, anchor, source, *rest, **kwargs):
+        entry = view.held.get(source.node_id)
+        front = view.front  # the oracle has no region: every op is past it
+        past = not isinstance(front, ShardedPrefixDirectory) or front._past_region(kind, depth)
+        resumable[0] = past and entry is not None and entry[1].parent is not None
+        if isinstance(front, _Counted):
+            seen["past the region"] += past
+        seen["resumable" if resumable[0] else "carried"] += 1
+        try:
+            return originals[_ReplicaView, "_send"](
+                view, kind, depth, anchor, source, *rest, **kwargs
+            )
+        finally:
+            resumable[0] = False
+
+    def flag(key, name, from_root):
+        def flagged(*args, **kwargs):
+            if resumable[0] and from_root(*args, **kwargs):
+                seen[name] += 1
+            return originals[key](*args, **kwargs)
+
+        return flagged
+
+    patched = {
+        (_ReplicaView, "_send"): send,
+        (_ReplicaView, "_root_path"): flag(
+            (_ReplicaView, "_root_path"), "path joins", lambda *a, **k: True
+        ),
+        (PrefixIndex, "_walk"): flag((PrefixIndex, "_walk"), "root walks", lambda *a, **k: True),
+        (PrefixIndex, "mark"): flag(
+            (PrefixIndex, "mark"),
+            "root walks",
+            lambda index, replica, tokens, data, upto, ckpt=False, start=None: start is None,
+        ),
+    }
+    for (owner, name), fn in patched.items():
+        setattr(owner, name, fn)
+    try:
+        yield seen
+    finally:
+        for (owner, name), fn in originals.items():
+            setattr(owner, name, fn)
+
+
+def path_of(n, first):
+    """``n`` distinct tokens starting at ``first`` (no accidental sharing)."""
+    return np.arange(first, first + n, dtype=np.int32)
+
+
+class TestInlineOpsResume:
+    @staticmethod
+    def drive(stream, region):
+        pairs = resume_pairs(region)
+        # The first backend is the oracle ``drive`` checks the trees against.
+        drive(stream, [d for pair in pairs for d in pair], after_event=lambda: assert_same(pairs))
+        return pairs
+
+    @pytest.mark.parametrize("region", [4, 32])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=truncation_streams())
+    def test_every_index_equals_the_one_path_ops_build(self, region, stream):
+        self.drive(stream, region)
+
+    def test_the_streams_resume_without_a_path_join_or_a_root_walk(self):
+        """A fixed stream: most ops past the region resume (the rest are a
+        node's first op, or follow a dropped entry), and none that may
+        touches a root path or walks from the index root.  The oracle has no
+        region.  At ``region_tokens=32`` no sharded op is past the region
+        (no sequence is that long)."""
+        ops = random_ops(11, ["begin", "begin", "commit", "abort", "truncate"], 60, 8)
+        with watching_resumable_ops() as seen:
+            pairs = self.drive((4, ops, 3, HYBRID), region=4)
+        assert seen["path joins"] == seen["root walks"] == 0, seen
+        resumed = [resuming.ops["resumed"] for resuming, _ in pairs]
+        assert seen["resumable"] == sum(resumed)
+        assert sum(resumed) > 0.85 * seen["past the region"], (resumed, seen)
+        oracle = pairs[0][0].ops
+        assert oracle["resumed"] > 0.7 * (oracle["resumed"] + oracle["path"]), oracle
+        pairs = self.drive((4, ops, 3, HYBRID), region=32)
+        assert pairs[0][0].ops["resumed"] > 0
+        assert all(resuming.ops["resumed"] == 0 for resuming, _ in pairs[1:])
+
+    @staticmethod
+    def attach(pairs, caches):
+        for replica, cache in enumerate(caches):
+            for pair in pairs:
+                for directory in pair:
+                    directory.attach(replica, cache)
+
+    @staticmethod
+    def counts(pairs):
+        return [dict(resuming.ops) for resuming, _ in pairs]
+
+    def step(self, pairs, event, want):
+        """Run one tree event; every resuming directory must have applied it
+        the way ``want`` names ("path" or "resumed"), and every pair agree."""
+        before = self.counts(pairs)
+        event()
+        for was, now in zip(before, self.counts(pairs)):
+            assert now.get(want, 0) == was.get(want, 0) + 1, (want, was, now)
+        assert_same(pairs)
+
+    def test_an_entry_whose_deep_half_a_split_dropped_carries_its_path(self):
+        pairs = resume_pairs(4)
+        a, b = caches = [MarconiCache(TRANSFORMER, int(1e12), alpha=0.0) for _ in range(2)]
+        self.attach(pairs, caches)
+        seq = path_of(20, 100)
+        leaf_b = b.tree.insert(seq, 0.0).end_node
+        assert_same(pairs)
+        leaf_a = a.tree.insert(seq[:10], 0.0).end_node  # ends mid-edge of b's node
+        assert_same(pairs)
+        self.step(pairs, lambda: b.tree.truncate_leaf(leaf_b, 12), "resumed")
+        # A checkpoint at 12 splits the edge there; nothing covers past it,
+        # so the split drops the deep half a's entry points at.
+        self.step(pairs, lambda: b.tree.set_checkpoint(leaf_b), "resumed")
+        self.step(pairs, lambda: a.tree.set_checkpoint(leaf_a), "path")
+        # The fallback recorded a live entry again.
+        self.step(pairs, lambda: a.tree.insert(np.append(seq[:10], 7), 1.0), "resumed")
+
+    def test_an_entry_below_a_later_split_climbs_to_the_depth_it_wants(self):
+        pairs = resume_pairs(4)
+        a, b = caches = [MarconiCache(TRANSFORMER, int(1e12), alpha=0.0) for _ in range(2)]
+        self.attach(pairs, caches)
+        seq = path_of(20, 100)
+        a.tree.insert(seq, 0.0)  # a's entry: one directory node, depth 0..20
+        assert_same(pairs)
+        b.tree.insert(np.append(seq[:10], 7), 0.0)  # splits that node at 10
+        assert_same(pairs)
+        # a splits its own node at 5 (the middle inherits the entry, now
+        # below the directory's split) and hangs a leaf there.
+        self.step(pairs, lambda: a.tree.insert(np.append(seq[:5], 7), 1.0), "resumed")
+
+    def first_op_carries_its_path(self, pairs, cache, seq):
+        """After the entries were dropped: a leaf hung under ``seq``'s node
+        carries its path, then recorded an entry its next op resumes at."""
+        child = []
+        self.step(pairs, lambda: child.append(cache.tree.insert(np.append(seq, 7), 1.0)), "path")
+        self.step(pairs, lambda: cache.tree.set_checkpoint(child[0].end_node), "resumed")
+
+    def test_a_resync_drops_every_entry(self):
+        pairs = resume_pairs(4)
+        a, b = caches = [MarconiCache(TRANSFORMER, int(1e12), alpha=0.0) for _ in range(2)]
+        self.attach(pairs, caches)
+        seq = path_of(20, 100)
+        leaf = a.tree.insert(seq, 0.0).end_node
+        b.tree.insert(seq[:12], 0.0)
+        self.step(pairs, lambda: a.tree.set_checkpoint(leaf), "resumed")
+        for pair in pairs:  # a resync that keeps every node (its hook, as a swap calls it)
+            for directory in pair:
+                directory._views[0].on_tree_attached(a.tree)
+        assert_same(pairs)
+        self.first_op_carries_its_path(pairs, a, seq)
+        a.reset()  # a new, empty tree
+        assert_same(pairs)
+        leaf = a.tree.insert(seq, 2.0).end_node
+        assert_same(pairs)
+        self.step(pairs, lambda: a.tree.truncate_leaf(leaf, 9), "resumed")
+
+    def test_a_lost_shard_drops_every_entry(self):
+        pairs = resume_pairs(4, shards=(2, 8), oracle=False)
+        a, b = caches = [MarconiCache(TRANSFORMER, int(1e12), alpha=0.0) for _ in range(2)]
+        self.attach(pairs, caches)
+        seq = path_of(20, 100)
+        leaf = a.tree.insert(seq, 0.0).end_node
+        b.tree.insert(seq[:12], 0.0)
+        self.step(pairs, lambda: a.tree.set_checkpoint(leaf), "resumed")
+        for resuming, path in pairs:
+            owner = resuming.shard_for(seq)
+            resuming.fail_shard(owner)
+            path.fail_shard(owner)
+        assert_same(pairs)
+        self.first_op_carries_its_path(pairs, a, seq)
+
+    def test_queued_gossip_never_uses_an_entry(self):
+        pairs = resume_pairs(4, oracle=False, propagation_delay=1.0, gossip_interval=0.5)
+        capacity = 3 * node_state_bytes(HYBRID, 16, True)
+        caches = [MarconiCache(HYBRID, capacity, alpha=1.0) for _ in range(2)]
+        self.attach(pairs, caches)
+        for step, (_, pick, length, seed) in enumerate(random_ops(13, ["serve"], 40, 8)):
+            serve(caches[pick % 2], tiny(length, seed, 4), float(step))
+            for pair in pairs:
+                for directory in pair:
+                    directory.pump(upto=step + 0.5)
+            assert_same(pairs)
+        for resuming, _ in pairs:
+            assert resuming.ops["path"] > 0 and resuming.ops["resumed"] == 0
+            assert not any(view.held for view in resuming._views.values())

@@ -560,7 +560,7 @@ class TestNoFleetSizedPassPerRequest:
             and calls(node, "_apply")
         ]
         assert len(guarded) == len(calls(ingest, "_apply")) == 1
-        assert "owner_only = self._past_region(update)" in ast.unparse(ingest)
+        assert "owner_only = self._past_region(update.kind, update.depth)" in ast.unparse(ingest)
 
     def test_secondary_store_serializes_only_where_it_stores(self):
         source = ast.parse(inspect.getsource(secondary_module))
