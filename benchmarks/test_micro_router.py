@@ -4,15 +4,16 @@ decision's floor, the directory-update depth floor, and the staleness sweep.
 Four things the end-to-end benchmark (``bench_e2e/``, one 64-replica
 fleet) does not measure:
 
-* a sub-linear floor — one sharded *lookup* must grow strictly less than
-  the 8x fleet growth from 64 to 512 replicas (gated on >= 2 cores;
-  it grows at all because ``PrefixDirectory.lookup`` walks every replica
-  entry of a shared prefix node);
+* a sub-linear floor — one sharded *lookup* must grow less than 3x for
+  the 8x fleet growth from 64 to 512 replicas (gated on >= 2 cores): the
+  walk returns the path it matched and reads no per-replica entry, even
+  of a shared prefix node every replica holds;
 * the same for a whole routing decision — ``kernel.loads()`` +
   ``router.decide()`` on a fleet whose prefixes are each held by one
   replica, so what is left to grow with the fleet is the router's and the
-  kernel's own per-request work (one identity pass over the replica list
-  and one ``min`` over the loads, both in C);
+  kernel's own per-request work (an identity check of the replica list,
+  and a ``min`` over the loads when the preferred replica's load could
+  spill);
 * a depth floor for directory maintenance — one commit's view callbacks
   (its leaf's mark and checkpoint) on a session 64 rounds deep must cost
   at most twice the same at 8 rounds: an inline op resumes at the replica
@@ -74,20 +75,20 @@ BIG_FLEET_QUERY_CAP = 192
 N_SHARDS = 8
 REGION_TOKENS = 32
 # The sub-linear floor: one sharded lookup at 512 replicas must cost
-# strictly less than this multiple — the fleet growth itself — of the
-# 64-replica cost.  The walk is O(query depth) plus a pass over each
-# node's per-replica map, and a shared system prompt is held by every
-# replica, so the cost does grow with the fleet (4.0-4.7x when the floor
-# was set; 5.2-5.7x at PR 21, the 64-replica walk having got faster since);
-# what the data supports is that it grows slower than the fleet does.
-LOOKUP_GROWTH_BOUND_64_TO_512 = 512 / 64
+# strictly less than this multiple of the 64-replica cost.  A shared system
+# prompt is held by every replica, and the walk used to pass over each
+# node's per-replica maps (4.0-5.7x for 8x the replicas, bound 8x); it now
+# keeps only the path it walked and builds no per-replica map, so its cost
+# follows the query's depth: 1.1x measured (5.4 / 5.8 us), parent 5.3x.
+LOOKUP_GROWTH_BOUND_64_TO_512 = 3.0
 # The routing floor: ``kernel.loads()`` + ``router.decide()`` at 512
 # replicas against 64, on a fleet with no shared prompt (a query's holders
-# do not grow with the fleet).  PR 24 measured 2.5-2.6x (its parent, which
-# rebuilt the load list, a dense hit list and a Python-keyed arg-max per
-# request: 6.1x on the same host); the bound leaves room for a busy host,
-# not for any of those passes coming back.
-ROUTE_GROWTH_BOUND_64_TO_512 = 4.0
+# do not grow with the fleet).  Rebuilding the load list, a dense hit list
+# and a Python-keyed arg-max per request read 6.1x; without them, 2.5-2.6x;
+# with the lookup returning its path and ``_bind`` an identity check,
+# 1.2-1.3x (11 / 14 us; 2.7x before it on the same host).  The bound leaves
+# room for a busy host, not for a per-replica pass coming back.
+ROUTE_GROWTH_BOUND_64_TO_512 = 2.0
 ROUTE_ROUNDS = 7
 # The directory-update floor: a commit's view callbacks (one mark, one
 # checkpoint) on a session UPDATE_DEPTHS[1] rounds deep against one
@@ -455,9 +456,9 @@ class TestRouterMicrobench:
         reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
     )
     def test_sharded_lookup_cost_sublinear_64_to_512(self, sharded_measurements):
-        """The fleet-scale floor: 8x more replicas cost strictly less than
-        8x per sharded lookup (depth does not grow; per-node replica maps
-        do)."""
+        """The fleet-scale floor: 8x more replicas cost less than 3x per
+        sharded lookup (depth does not grow, and the walk reads no
+        per-replica map)."""
         per_lookup_64 = sharded_measurements[64]["sharded_us_per_lookup"]
         per_lookup_512 = sharded_measurements[512]["sharded_us_per_lookup"]
         assert per_lookup_512 < LOOKUP_GROWTH_BOUND_64_TO_512 * per_lookup_64, (
@@ -471,10 +472,10 @@ class TestRouterMicrobench:
     )
     def test_route_decision_cost_sublinear_64_to_512(self, route_measurements):
         """A fleet request costs what it touches: with one holder per
-        prefix, 8x more replicas cost at most 4x per ``kernel.loads()`` +
-        ``router.decide()``.  The absolute cost at 64 replicas (the issue's
-        yardstick was <= 25 us; the host the floor was set on reads ~30) is
-        reported, not asserted: hosts differ."""
+        prefix, 8x more replicas cost at most 2x per ``kernel.loads()`` +
+        ``router.decide()``.  The absolute cost at 64 replicas (~11 us on
+        the host the floor was set on) is reported, not asserted: hosts
+        differ."""
         per_route_64 = route_measurements[64]["route_us_per_request"]
         per_route_512 = route_measurements[512]["route_us_per_request"]
         print(

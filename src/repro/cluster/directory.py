@@ -38,7 +38,7 @@ front over a ring of indexes and their gossip queues).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -101,24 +101,115 @@ class DirectoryStats:
     untracked_replicas: int = 0
 
 
-@dataclass
 class DirectoryLookup:
-    """Per-replica answer of one directory walk.
+    """The path one directory walk matched, and the per-replica answers
+    derived from it.
 
-    ``kv_matched[r]`` is the raw common-prefix length between the query
-    and replica ``r``'s cached content (the Transformer reuse length);
-    ``ckpt_depth[r]`` is the deepest checkpointed prefix of the query that
-    ``r`` holds with depth <= the walk's ``limit`` (the hybrid hit).
+    The walk keeps only where it stopped: ``last``, the deepest index node
+    it reached (its edge matched whole or in part; None: nothing matched),
+    and ``matched``, how many query tokens it matched; ``limit`` caps the
+    checkpoint depths that count.  :meth:`checkpoints` lists the path's
+    checkpointed nodes and their holder sets.  It and the three per-replica
+    maps are built from the path the first time something reads them
+    (values and dict order as a walk filling them would have built them),
+    so read a lookup before the index changes again:
+
+    * ``kv_matched[r]`` — the raw common-prefix length between the query
+      and replica ``r``'s cached content (the Transformer reuse length);
+    * ``ckpt_depth[r]`` — the deepest checkpointed prefix of the query that
+      ``r`` holds with depth <= ``limit`` (the hybrid hit);
+    * ``ckpt_depths[r]`` — every such depth, ascending (``ckpt_depth[r]``
+      is its last); split-point steering picks its split depths from it.
+
     Replicas with no match are absent.
     """
 
-    kv_matched: dict[int, int] = field(default_factory=dict)
-    ckpt_depth: dict[int, int] = field(default_factory=dict)
-    #: Every checkpointed prefix depth of the query each replica holds
-    #: (ascending, capped by the walk's ``limit``); ``ckpt_depth[r]`` is
-    #: always ``ckpt_depths[r][-1]``.  Split-point steering picks its
-    #: candidate split depths from this list.
-    ckpt_depths: dict[int, list[int]] = field(default_factory=dict)
+    __slots__ = (
+        "last", "matched", "limit", "_checkpoints", "_kv_matched", "_ckpt_depth", "_ckpt_depths"
+    )
+
+    def __init__(self, last: Optional[_DirNode] = None, matched: int = 0, limit: int = 0) -> None:
+        self.last = last
+        self.matched = matched
+        self.limit = limit
+        self._checkpoints: Optional[list[tuple[int, set[int]]]] = None
+        self._kv_matched: Optional[dict[int, int]] = None
+        self._ckpt_depth: Optional[dict[int, int]] = None
+        self._ckpt_depths: Optional[dict[int, list[int]]] = None
+
+    def checkpoints(self) -> list[tuple[int, set[int]]]:
+        """``(depth, holders)`` of every fully matched checkpointed node at
+        depth <= ``limit``, deepest first.  ``holders`` is the index's own
+        set: read it, never keep or change it."""
+        if self._checkpoints is None:
+            found = []
+            node = self.last
+            if node is not None:
+                cap = self.matched if self.matched < self.limit else self.limit
+                while node.end > cap and node.parent is not None:
+                    node = node.parent
+                while node.parent is not None:
+                    if node.ckpt:
+                        found.append((node.end, node.ckpt))
+                    node = node.parent
+            self._checkpoints = found
+        return self._checkpoints
+
+    @property
+    def kv_matched(self) -> dict[int, int]:
+        if self._kv_matched is None:
+            path = []
+            node = self.last
+            while node is not None and node.parent is not None:
+                path.append(node)
+                node = node.parent
+            kv: dict[int, int] = {}
+            matched = self.matched
+            # Root side first: coverage is prefix-closed, so a deeper node's
+            # entry for a replica overwrites its shallower ones.
+            for node in reversed(path):
+                start = node.parent.end
+                shared = (node.end if node.end < matched else matched) - start
+                for r, c in node.cover.items():
+                    kv[r] = start + (c if c < shared else shared)
+            self._kv_matched = kv
+        return self._kv_matched
+
+    def _derive_ckpt(self) -> None:
+        depth: dict[int, int] = {}
+        depths: dict[int, list[int]] = {}
+        for end, holders in reversed(self.checkpoints()):
+            for r in holders:
+                depth[r] = end
+                depths.setdefault(r, []).append(end)
+        self._ckpt_depth, self._ckpt_depths = depth, depths
+
+    @property
+    def ckpt_depth(self) -> dict[int, int]:
+        if self._ckpt_depth is None:
+            self._derive_ckpt()
+        return self._ckpt_depth
+
+    @property
+    def ckpt_depths(self) -> dict[int, list[int]]:
+        if self._ckpt_depths is None:
+            self._derive_ckpt()
+        return self._ckpt_depths
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectoryLookup):
+            return NotImplemented
+        return (self.kv_matched, self.ckpt_depth, self.ckpt_depths) == (
+            other.kv_matched,
+            other.ckpt_depth,
+            other.ckpt_depths,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"DirectoryLookup(kv_matched={self.kv_matched!r}, "
+            f"ckpt_depth={self.ckpt_depth!r}, ckpt_depths={self.ckpt_depths!r})"
+        )
 
 
 # Path-op kinds (ints, not an enum: applied in the gossip hot loop).
@@ -183,46 +274,36 @@ class PrefixIndex:
     # Lookup (the per-request O(query depth) walk)
     # ------------------------------------------------------------------
     def lookup(self, tokens: np.ndarray, limit: Optional[int] = None) -> DirectoryLookup:
-        """Per-replica deepest reuse for ``tokens``.
+        """The path ``tokens`` match, for per-replica deepest reuse.
 
         ``limit`` caps the checkpoint depths considered (the hybrid rule
         requires the final input token to be prefilled, so routers pass
-        ``len(tokens) - 1``); KV matched lengths are reported raw.
+        ``len(tokens) - 1``); KV matched lengths are reported raw.  The walk
+        touches no per-replica map: see :class:`DirectoryLookup` for what is
+        derived from the path it returns.
         """
-        out = DirectoryLookup()
         # Canonicalize once: the walk memcmps the query's bytes against edge
         # bytes, and an int64 array or a list compared raw would silently
         # miss.  A handle lends its backing bytes, which may run past ``n``.
         tokens, data = token_bytes(tokens)
         n = len(tokens)
-        if limit is None:
-            limit = n
-        kv_matched = out.kv_matched
-        node = self.root
+        heads = memoryview(data).cast("i")  # a token as an int, no numpy scalar
+        stop = 4 * n
+        last = None
+        children = self.root.children
         pos = 0
-        # Coverage is prefix-closed (cover on a node implies full cover of
-        # every ancestor — see check_integrity), so a single downward pass
-        # suffices: deeper cover entries simply overwrite shallower ones.
         while pos < n:
-            child = node.children.get(int(tokens[pos]))
+            child = children.get(heads[pos])
             if child is None:
                 break
-            shared = _edge_shared(child, tokens, data, pos, n)
-            for r, c in child.cover.items():
-                kv_matched[r] = pos + (c if c < shared else shared)
-            pos += shared
-            if pos < child.end:
+            last = child
+            # ``_edge_shared``, inlined: a whole edge is one memcmp.
+            if not data.startswith(child.data, 4 * pos, stop):
+                pos += common_prefix_length(child.edge, tokens[pos:n])
                 break
-            if child.ckpt and pos <= limit:
-                for r in child.ckpt:
-                    out.ckpt_depth[r] = pos
-                    depths = out.ckpt_depths.get(r)
-                    if depths is None:
-                        out.ckpt_depths[r] = [pos]
-                    else:
-                        depths.append(pos)
-            node = child
-        return out
+            pos = child.end
+            children = child.children
+        return DirectoryLookup(last, pos, n if limit is None else limit)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -462,13 +543,19 @@ class PrefixIndex:
             self._prune(last[0])
 
     def clear_replica(self, replica: int) -> None:
-        """Remove every annotation of ``replica`` from the whole index."""
+        """Remove every annotation of ``replica``, visiting its footprint
+        only: coverage is prefix-closed and a checkpoint implies full
+        coverage (``check_integrity``), so every node carrying ``replica``
+        hangs below a chain of nodes it covers."""
         doomed: list[_DirNode] = []
-        for node in self.iter_nodes():
-            node.cover.pop(replica, None)
-            node.ckpt.discard(replica)
-            if node.is_empty:
-                doomed.append(node)
+        stack = [self.root]
+        while stack:
+            for child in stack.pop().children.values():
+                if child.cover.pop(replica, 0):
+                    child.ckpt.discard(replica)
+                    stack.append(child)
+                    if child.is_empty:
+                        doomed.append(child)
         for node in doomed:
             self._prune(node)
 

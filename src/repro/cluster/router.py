@@ -48,7 +48,7 @@ _U64_MASK = (1 << 64) - 1
 #: ``python -m benchmarks.probe_crossover`` measures directory / deep whole-run
 #: wall <= 1.0 on both of its workloads (``docs/architecture.md`` "The probe
 #: rule" has the table).
-_AUTO_PROBE_THRESHOLD = 64
+_AUTO_PROBE_THRESHOLD = 32
 
 
 def probe_hit_tokens(cache: Any, tokens: np.ndarray) -> int:
@@ -233,10 +233,9 @@ class PrefixAffinityRouter(Router):
     Per-replica hits are measured one of two ways, never by a caller's
     choice.  The router reads the incrementally maintained
     :class:`~repro.cluster.directory.PrefixDirectory` — one walk of O(query
-    depth) nodes, each node paying a pass over the replicas that hold it,
-    so the cost is sub-linear (not flat) in fleet size: 4-4.7x for 8x the
-    replicas, and selection reads the hit holders and one ``min`` over the
-    loads — when it was handed a backend or the fleet has at least
+    depth) nodes that returns the path it matched, and selection reads the
+    checkpoint holders on it and at most one ``min`` over the loads — when
+    it was handed a backend or the fleet has at least
     :data:`_AUTO_PROBE_THRESHOLD` replicas; below that it deep-probes every
     replica tree (:func:`probe_hit_tokens`, O(replicas x tree) per
     request), because per-arrival directory maintenance costs more than a
@@ -271,6 +270,7 @@ class PrefixAffinityRouter(Router):
         self._directory_factory = directory_factory
         self._directory: Optional[Any] = None
         self._owns_directory = False
+        self._bound: Optional[Sequence[Any]] = None
         self._cache_ids: Optional[list[int]] = None
         # The bound replicas by hit rule: "ckpt" / "kv" / "fallback" -> set.
         self._rules: defaultdict[str, set[int]] = defaultdict(set)
@@ -308,9 +308,15 @@ class PrefixAffinityRouter(Router):
 
     def _bind(self, caches: Sequence[Any], force: bool = False) -> None:
         """(Re-)attach the directory to ``caches``; idempotent per fleet
-        unless ``force`` requests a rebuild."""
+        unless ``force`` requests a rebuild.  The kernel lends the list it
+        bound at ``prepare`` and grows it only by a join it reports, so a
+        request costs one identity check; another list of the same caches
+        is adopted after one compare of their ids."""
+        if not force and caches is self._bound and len(caches) == len(self._cache_ids):
+            return
         ids = list(map(id, caches))
         if not force and self._directory is not None and ids == self._cache_ids:
+            self._bound = caches
             return
         if self._owns_directory and self._directory is not None:
             self._directory.close()
@@ -324,7 +330,7 @@ class PrefixAffinityRouter(Router):
             factory = self._directory_factory or PrefixDirectory
             self._directory = factory()
             self._owns_directory = True
-        self._cache_ids = ids
+        self._bound, self._cache_ids = caches, ids
         self._rules = defaultdict(set)
         for index, cache in enumerate(caches):
             self._directory.attach(index, cache)
@@ -360,16 +366,23 @@ class PrefixAffinityRouter(Router):
         that passes ``lookup`` has bound the fleet to read it.  The
         directory's answer is restricted to the replicas bound here (a
         shared or stale backend may name others) and read by each one's
-        rule; replicas it cannot track are deep-probed."""
-        if not self._reads_directory(len(caches)):
+        rule: a checkpoint holder's hit is the deepest checkpointed node on
+        the looked-up path that names it, read in place; KV matches are
+        derived only for a fleet with replicas under that rule.  Replicas
+        the directory cannot track are deep-probed."""
+        hits: dict[int, int] = {}
+        if lookup is None and not self._reads_directory(len(caches)):
             probed = range(len(caches))
-            hits: dict[int, int] = {}
         else:
             if lookup is None:
                 self._bind(caches)
                 lookup = self._directory.lookup(tokens, limit=len(tokens) - 1)
             ckpt, kv = self._rules["ckpt"], self._rules["kv"]
-            hits = {r: d for r, d in lookup.ckpt_depth.items() if r in ckpt}
+            if ckpt:
+                for depth, holders in lookup.checkpoints():
+                    for r in holders:
+                        if r in ckpt and r not in hits:
+                            hits[r] = depth
             cap = len(tokens) - 1
             if kv and cap > 0:
                 for r, matched in lookup.kv_matched.items():
@@ -398,7 +411,8 @@ class PrefixAffinityRouter(Router):
             return self._fallback._pick(loads)
         holders, pool, start, bound, pick, prefix = self._scope(hits, loads)
         best = max(holders, key=lambda i: (holders[i], -loads[i], -i))
-        if loads[best] - min(pool) > bound:
+        # Loads are >= 0, so a preferred load within the bound cannot spill.
+        if loads[best] > bound and loads[best] - min(pool) > bound:
             self._bump(prefix + "spilled")
             return start + pick(pool)
         self._bump(prefix + "affinity")
@@ -419,7 +433,7 @@ class PrefixAffinityRouter(Router):
             self._directory.close()
             self._directory = None
             self._owns_directory = False
-            self._cache_ids = None
+            self._bound = self._cache_ids = None
             self._rules = defaultdict(set)
 
     def reset(self) -> None:
@@ -517,6 +531,17 @@ class DirectoryRouter(PrefixAffinityRouter):
         if not hasattr(caches[target], "receive_state_transfer"):
             return None  # target has no second-tier landing zone
         local = hits.get(target, 0)
+        # Is any other holder deep enough to be worth a transfer?  Read the
+        # path in place; only then build the maps the source choice and the
+        # split planner read.
+        floor = local + self.transfer_min_tokens
+        for depth, holders in lookup.checkpoints():
+            if depth < floor:
+                return None
+            if len(holders) > 1 or target not in holders:
+                break
+        else:
+            return None
         source, depth = -1, local
         for replica, ckpt_depth in lookup.ckpt_depth.items():
             if replica != target and ckpt_depth > depth:

@@ -544,11 +544,13 @@ class TestNoFleetSizedPassPerRequest:
         for cls in (DirectoryRouter, HierarchicalRouter):
             assert cls._select is PrefixAffinityRouter._select
         # _bind's per-request part is the identity check before its early
-        # return; the attach loop below it runs when the fleet changed.
+        # return, with no pass over ``caches``; the id compare and the
+        # attach loop below it run when the fleet changed.
         bind = function(router_module, "PrefixAffinityRouter", "_bind")
         first_return = next(i for i, stmt in enumerate(bind.body) if "return" in ast.unparse(stmt))
         check = ast.Module(body=bind.body[: first_return + 1], type_ignores=[])
-        assert comprehensions_over(check, "caches") == [] and calls(check, "map")
+        assert comprehensions_over(check, "caches") == [] and not calls(check, "map")
+        assert "caches is self._bound" in ast.unparse(check)
 
     def test_synchronous_ingest_applies_past_region_ops_on_the_owner_alone(self):
         ingest = function(sharded_module, "ShardedPrefixDirectory", "_ingest")

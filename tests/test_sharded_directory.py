@@ -888,7 +888,7 @@ class TestAutoProbeCrossover:
     """The one probe rule: deep below ``_AUTO_PROBE_THRESHOLD`` replicas,
     the directory at and above it and whenever a backend was handed in."""
 
-    THRESHOLD = 64  # what `python -m benchmarks.probe_crossover` measured
+    THRESHOLD = 32  # what `python -m benchmarks.probe_crossover` measured
 
     def _routed(self, router, n_replicas, seed):
         caches = [fresh_cache() for _ in range(n_replicas)]
