@@ -56,8 +56,16 @@ class TraceSession:
             )
         if self.think_times[0] != 0.0:
             raise ValueError("think time before the first round must be 0")
-        if any(t < 0 for t in self.think_times):
-            raise ValueError("think times must be non-negative")
+        # NaN fails both bounds; a NaN or inf time would reach the kernel
+        # as a NaN TTFT, a negative arrival as a clock running backwards.
+        if not 0.0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time!r}"
+            )
+        if not all(0.0 <= t < math.inf for t in self.think_times):
+            raise ValueError(
+                f"think_times must be finite and non-negative, got {self.think_times!r}"
+            )
         # The session's one token buffer (every round, in order) and each
         # round's (input end, full end) offsets into it, built on first use.
         self._history: Optional[TokenSeq] = None

@@ -1,7 +1,7 @@
 """Property tests for the simulation kernel and its event queue.
 
-Four kernel invariants, checked over hypothesis-generated random traces
-and replica counts, plus one read off the source — the kernel and the
+Five kernel invariants, checked over hypothesis-generated traces and
+replica counts, plus one read off the source — the kernel and the
 schedulers meet only at the surface ``ReplicaScheduler`` writes down:
 
 * event-queue ordering is *total* — equal-timestamp events pop in
@@ -10,7 +10,14 @@ schedulers meet only at the surface ``ReplicaScheduler`` writes down:
 * the virtual clock is monotone and refuses to run backwards;
 * no cache session is left open once the kernel drains;
 * replay is deterministic — the same (trace, seed, config) produces an
-  identical ``RequestRecord`` stream, run after run, engine after engine.
+  identical ``RequestRecord`` stream, run after run, engine after engine;
+* sessions are pulled in a stable sort by arrival, so a shuffled list
+  with tied arrivals replays as the same list sorted.
+
+What the kernel decides on the decision digest's traces is frozen by
+``tests/test_decision_digest.py``; the checks at the end run on the same
+traces and state what no digest does: drains, equalities between engine
+configurations, and what continuous batching buys.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from repro.engine.server import ServingSimulator, simulate_trace
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
 from repro.workloads.trace import Trace, TraceRound, TraceSession
+
+from _decisions import bursty_trace, lmsys_trace
+from _decisions import marconi as evicting_marconi
 
 MODEL = hybrid_7b()
 
@@ -343,3 +353,78 @@ class TestKernelInvariants:
         trace = Trace(name="t", seed=0, sessions=trace_sessions)
         engine = ServingSimulator(MODEL, VanillaCache(MODEL))
         assert engine.run(trace).records == engine.run(trace).records
+
+
+# ----------------------------------------------------------------------
+# On the digest's matrix traces
+# ----------------------------------------------------------------------
+class TestKernelOnMatrixTraces:
+    def test_no_open_sessions_after_run(self):
+        cache = evicting_marconi()
+        simulate_trace(MODEL, cache, bursty_trace(), n_executors=2)
+        assert cache.open_sessions == 0
+
+    @given(
+        order=st.permutations(range(8)),
+        arrivals=st.lists(st.sampled_from([0.0, 0.5, 2.5]), min_size=8, max_size=8),
+        n_executors=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_unsorted_tied_arrivals_replay_as_stable_sorted(self, order, arrivals, n_executors):
+        """A shuffled session list with forced duplicate arrival times
+        replays record for record as the same list stable-sorted by arrival
+        (the goldens and the digest only hold sorted lists)."""
+        sessions = bursty_trace().sessions
+        for session, arrival in zip(sessions, arrivals):
+            session.arrival_time = arrival
+        shuffled = [sessions[i] for i in order]
+        runs = [
+            simulate_trace(
+                MODEL,
+                evicting_marconi(),
+                Trace(name="tied", seed=0, sessions=listed),
+                n_executors=n_executors,
+            )
+            for listed in (shuffled, sorted(shuffled, key=lambda s: s.arrival_time))
+        ]
+        assert runs[0].records == runs[1].records
+        assert runs[0].cache_stats == runs[1].cache_stats
+
+    def test_cluster_equals_serving_at_one_replica(self):
+        """The two kernel configurations coincide at R=1, max_running=1."""
+        trace = lmsys_trace()
+        single = simulate_trace(MODEL, evicting_marconi(), trace)
+        cluster = simulate_cluster(MODEL, [evicting_marconi()], RoundRobinRouter(), trace)
+        assert cluster.replica_results[0].records == single.records
+        assert cluster.replica_results[0].cache_stats == single.cache_stats
+
+
+class TestKernelNewCapabilities:
+    """What the kernel adds beyond the pre-kernel serving loops."""
+
+    def test_timeseries_populated_and_monotone(self):
+        result = simulate_trace(MODEL, evicting_marconi(), bursty_trace(), n_executors=2)
+        assert result.queue_depth_series and result.running_series
+        for series in (result.queue_depth_series, result.running_series):
+            times = [t for t, _ in series]
+            assert times == sorted(times)
+        assert result.peak_queue_depth() > 0
+        assert 0.0 <= result.executor_utilization() <= 1.0
+
+    def test_more_executors_raise_concurrency_on_bursty_trace(self):
+        trace = bursty_trace()
+        serial = simulate_trace(MODEL, evicting_marconi(), trace, n_executors=1)
+        batched = simulate_trace(MODEL, evicting_marconi(), trace, n_executors=4)
+        # Continuous batching actually occupies the extra slots...
+        assert batched.mean_running() > serial.mean_running()
+        # ...and burns down the backlog.
+        assert batched.mean_queue_depth() < serial.mean_queue_depth()
+
+    def test_cluster_max_running_speeds_up_bursts(self):
+        trace = bursty_trace()
+        slow = simulate_cluster(MODEL, [evicting_marconi()], RoundRobinRouter(), trace)
+        fast = simulate_cluster(
+            MODEL, [evicting_marconi()], RoundRobinRouter(), trace, max_running=4
+        )
+        assert fast.ttft_percentile(95) < slow.ttft_percentile(95)
+        assert fast.replica_results[0].max_running == 4

@@ -5,10 +5,9 @@ with ``propagation_delay=0`` a :class:`ShardedPrefixDirectory` of any
 shard count and region size must be lookup- and routing-decision-identical
 to the synchronous :class:`PrefixDirectory` oracle, for any stream of
 cache operations (inserts, evictions, aborts, truncations, resets,
-replica failures and joins).  The suites here pin that contract the same
-way ``tests/test_kernel_conformance.py`` pins the kernel against the
-legacy engines — a hand-written differential harness plus hypothesis-
-randomized operation streams — then exercise what the oracle cannot
+replica failures and joins).  The suites here pin that contract with a
+hand-written differential harness plus hypothesis-randomized operation
+streams, then exercise what the oracle cannot
 express: bounded staleness (delayed gossip, budget throttling, lookup
 ages), shard loss, dropped batches, and shared multi-router views.
 """
