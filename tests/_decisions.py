@@ -19,8 +19,11 @@ re-attaches) since the previous ``d`` / ``b`` / ``h`` line:
   then one of ``staleness()`` and the replica views' resume-map sizes;
 * ``["r", replica, session, round, hit_tokens, reused_bytes, ttft.hex(),
   crc of every field]``: a ``RequestRecord``, after the run;
-* ``["s", {...}]``: cache stats, routed counts, busy seconds, iteration
-  count, TBT gaps (length and crc), steering counters.
+* ``["s", {...}]``: cache stats (and each cache's extra counters, such as
+  second-tier promotions and demotions), routed counts, busy seconds,
+  iteration count, TBT gaps (length and crc), steering counters.
+
+A fixture whose trace is drawn at run time starts with :data:`NUMPY`.
 """
 
 from __future__ import annotations
@@ -47,55 +50,43 @@ from repro.engine.server import simulate_trace
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
 from repro.workloads import generate_trace
-from repro.workloads.lmsys import generate_lmsys_trace
-from repro.workloads.trace import Trace, TraceRound, TraceSession
+from repro.workloads.trace import Trace
 
-FIXTURES = Path(__file__).parent / "fixtures" / "decisions"
+TRACES = Path(__file__).parent / "fixtures"
+FIXTURES = TRACES / "decisions"
 _REPO = str(Path(__file__).resolve().parents[1])
 if _REPO not in sys.path:  # bench_e2e, under a bare ``pytest`` too
     sys.path.append(_REPO)
 MODEL = hybrid_7b()
 HASH_EVERY = 64
 SEED = 11
+# At scale 0.25 seed 11's fleet plans no transfer; 28's plans three (two
+# split, one whole), promotes and demotes, fails a replica mid-decode and
+# joins a spare.
+FLEET_SEED = 28
 SHOW_EVENTS = 40
+#: The first line of a fixture whose scenario draws its trace from numpy
+#: Generators at run time (the directory scenario, the ``bench_e2e``
+#: workloads): numpy does not promise the same streams across releases.
+#: It is not compared; a divergence reports it when it differs.
+NUMPY = ["numpy", np.__version__]
 
 
 # ----------------------------------------------------------------------
 # The kernel matrix's three trace shapes and two caches
 # ----------------------------------------------------------------------
-def _rounds(*specs: tuple[int, int, int]) -> list[TraceRound]:
-    """One round of random tokens per ``(seed, n_in, n_out)``."""
-    rounds = []
-    for seed, n_in, n_out in specs:
-        rng = np.random.default_rng(seed)
-        rounds.append(TraceRound(rng.integers(0, 2000, n_in), rng.integers(0, 2000, n_out)))
-    return rounds
+#: Frozen as ``tests/fixtures/matrix_<shape>.trace.jsonl``, as the golden
+#: traces are, so that a numpy release cannot move them: ``lmsys`` (14
+#: sessions at 4/s, so the FCFS queue builds depth), ``bursty`` (waves of
+#: same-instant arrivals, the tie-break torture test; round 0 of session
+#: ``i`` appends ``300 + 40 i`` tokens) and ``zero_think`` (next rounds
+#: arriving exactly at decode end: equal-timestamp events).
+SHAPES = ("lmsys", "bursty", "zero_think")
 
 
-def lmsys_trace() -> Trace:
-    # High session rate so the FCFS queue actually builds depth.
-    return generate_lmsys_trace(n_sessions=14, seed=93, session_rate=4.0, mean_think_s=1.0)
-
-
-def bursty_trace() -> Trace:
-    """Waves of same-instant arrivals: the tie-break torture test."""
-    waves = [0.0, 0.0, 2.5, 2.5, 2.5, 7.0, 7.0, 7.0]
-    return Trace(name="bursty", seed=0, sessions=[
-        TraceSession(i, t, _rounds((101 * i, 300 + 40 * i, 50), (201 * i, 80, 60)), [0.0, 1.0])
-        for i, t in enumerate(waves)
-    ])
-
-
-def zero_think_trace() -> Trace:
-    """Next rounds arriving exactly at decode end (equal-timestamp events)."""
-    return Trace(name="zero-think", seed=0, sessions=[
-        TraceSession(0, 0.0, _rounds((7, 200, 30), (8, 50, 1), (9, 40, 25)), [0.0] * 3),
-        TraceSession(1, 0.0, _rounds((10, 150, 1)), [0.0]),
-        TraceSession(2, 0.1, _rounds((11, 90, 20), (12, 30, 10)), [0.0] * 2),
-    ])
-
-
-TRACES = {"lmsys": lmsys_trace, "bursty": bursty_trace, "zero_think": zero_think_trace}
+def matrix_trace(shape: str) -> Trace:
+    """A fresh copy of one of the matrix's :data:`SHAPES`."""
+    return Trace.from_jsonl(TRACES / f"matrix_{shape}.trace.jsonl")
 
 
 def marconi() -> MarconiCache:
@@ -238,6 +229,9 @@ class Recorder:
                 fields = [r.session_id, r.round_index, r.hit_tokens, r.reused_bytes, r.ttft.hex()]
                 self.put(["r", k, *fields, _crc(repr(astuple(r)))])
         summary: dict[str, Any] = {"cache_stats": [res.cache_stats for res in replicas]}
+        extra = [cache.stats.extra for cache in self.caches]
+        if any(extra):  # second-tier promotions and demotions, aborts
+            summary["extra"] = extra
         for name in ("routed_counts", "busy_seconds", "n_iterations", "n_events"):
             if hasattr(result, name):
                 summary[name] = getattr(result, name)
@@ -277,6 +271,7 @@ def _directory_restart(rec: Recorder) -> None:
     itself, as a persistence reload does) under the live directory view."""
     caches = [marconi() for _ in range(3)]
     router = DirectoryRouter(max_imbalance=0, directory=PrefixDirectory())
+    rec.put(NUMPY)
     rec.attach(caches, router)
     trace = generate_trace("fewshot", n_sessions=24, seed=SEED, session_rate=2.0)
     rec.finish(simulate_cluster(MODEL, caches, router, trace))
@@ -284,8 +279,10 @@ def _directory_restart(rec: Recorder) -> None:
     rec.finish(simulate_cluster(MODEL, caches, router, trace))
 
 
-def _kernel_workload(name: str, scale: float, modelled: bool = False) -> Callable:
-    """A ``bench_e2e`` kernel workload at ``scale``, seed 11, built and
+def _kernel_workload(
+    name: str, scale: float, modelled: bool = False, seed: int = SEED
+) -> Callable:
+    """A ``bench_e2e`` kernel workload at ``scale`` and ``seed``, built and
     replayed by the benchmark's own code (its checks included); with
     ``modelled``, ``gateway_live``'s kernel model of its own sub-trace.
     The run is recorded as the kernel drains, before the benchmark closes
@@ -294,6 +291,7 @@ def _kernel_workload(name: str, scale: float, modelled: bool = False) -> Callabl
     def replay(rec: Recorder) -> None:
         from bench_e2e import workloads
 
+        rec.put(NUMPY)
         original = workloads._replay_kernel
 
         def recorded(system: Any, tracer: Any) -> Any:
@@ -307,9 +305,9 @@ def _kernel_workload(name: str, scale: float, modelled: bool = False) -> Callabl
         workload = workloads.WORKLOADS[name]
         if modelled:
             with mock.patch.object(workloads, "_replay_kernel", recorded):
-                workload.modelled(SEED, scale)
+                workload.modelled(seed, scale)
         else:
-            recorded(workload.build(SEED, scale), None)
+            recorded(workload.build(seed, scale), None)
 
     return replay
 
@@ -321,6 +319,7 @@ def _live_gateway(rec: Recorder) -> None:
     from bench_e2e.workloads import WORKLOADS
 
     workload = WORKLOADS["gateway_live"]
+    rec.put(NUMPY)
     system = workload.build(SEED, 0.25)
     rec.attach([system.cache])
     rep = workload.replay(system, None)
@@ -342,7 +341,8 @@ ROUTERS = {
 SCENARIOS: dict[str, Callable[[Recorder], None]] = {
     "directory-fewshot-restart": _directory_restart,  # first: the one with ties and a restart
 }
-for _t, _trace in TRACES.items():
+for _t in SHAPES:
+    _trace = partial(matrix_trace, _t)
     for _c, _make in CACHES.items():
         for _n in (1, 4):
             _serve = partial(simulate_trace, n_executors=_n)
@@ -355,7 +355,7 @@ for _t, _trace in TRACES.items():
             SCENARIOS[f"cluster-{_t}-{_r}-r{_n}"] = _cell(
                 [marconi] * _n, simulate_cluster, _trace, _router
             )
-SCENARIOS["fleet_steer"] = _kernel_workload("fleet_steer", 0.25)
+SCENARIOS["fleet_steer"] = _kernel_workload("fleet_steer", 0.25, seed=FLEET_SEED)
 SCENARIOS["cache_contended"] = _kernel_workload("cache_contended", 0.25)
 SCENARIOS["cache_reuse"] = _kernel_workload("cache_reuse", 0.1)
 SCENARIOS["gateway_live"] = _live_gateway
@@ -377,13 +377,16 @@ def write(name: str) -> None:
 
 
 def divergence(name: str) -> Optional[str]:
-    """None when scenario ``name`` replays its fixture line for line; else
+    """None when scenario ``name`` replays its fixture line for line (its
+    :data:`NUMPY` line aside); else
     the scenario, its first differing line and this run's tree events in
     the window before that line."""
     rec = record(name)
     expected = (FIXTURES / f"{name}.jsonl").read_text().splitlines()
-    lines = itertools.zip_longest(expected, rec.lines, fillvalue="<no line>")
-    for i, (want, got) in enumerate(lines):
+    header = expected[:1] + rec.lines[:1]
+    skip = int(len(header) == 2 and all(line.startswith('["numpy"') for line in header))
+    lines = itertools.zip_longest(expected[skip:], rec.lines[skip:], fillvalue="<no line>")
+    for i, (want, got) in enumerate(lines, start=skip):
         if want != got:
             break
     else:
@@ -393,6 +396,11 @@ def divergence(name: str) -> Optional[str]:
         f"  expected: {want}",
         f"  actual:   {got}",
     ]
+    if skip and header[0] != header[1]:
+        message.append(
+            f"  the fixture was written under {header[0]}, this run has {header[1]}: a numpy"
+            " release may draw this scenario's trace differently, with no code change"
+        )
     if i in rec.windows:
         start, end = rec.windows[i]
         message.append(f"  this run's {end - start} tree events since the line before:")

@@ -14,6 +14,7 @@ Under each of three seeded mutations some scenario must diverge.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 
 import pytest
@@ -42,6 +43,39 @@ def test_every_fixture_has_a_scenario():
             fixtures[name].unlink()
     else:
         assert sorted(fixtures) == sorted(_decisions.SCENARIOS)
+
+
+@pytest.mark.skipif(REGEN, reason="the fixtures are being rewritten")
+def test_the_fixtures_steer():
+    """Some fixture plans a split transfer and a whole one, and some replica
+    promotes from and demotes to its second tier: the digest sees steering."""
+    lines = [
+        json.loads(line)
+        for path in _decisions.FIXTURES.glob("*.jsonl")
+        for line in path.read_text().splitlines()
+    ]
+    transfers = [line[3] for line in lines if line[0] == "d" and line[3]]
+    assert any(t[3] is not None for t in transfers), "no fixture splits a transfer"
+    assert any(t[3] is None for t in transfers), "no fixture plans a whole transfer"
+    summaries = [line[1] for line in lines if line[0] == "s" and isinstance(line[1], dict)]
+    extra = [e for summary in summaries for e in summary.get("extra", [])]
+    assert any(e.get("promotions") for e in extra), "no fixture promotes"
+    assert any(e.get("demotions") for e in extra), "no fixture demotes"
+
+
+@pytest.mark.skipif(REGEN, reason="the fixtures are being rewritten")
+def test_a_numpy_release_is_named_not_compared(monkeypatch, tmp_path):
+    """A fixture's numpy line is not compared, and a divergence in its
+    scenario names both releases."""
+    lines = (_decisions.FIXTURES / "gateway_live.jsonl").read_text().splitlines()
+    lines[0] = '["numpy","0.0"]'
+    monkeypatch.setattr(_decisions, "FIXTURES", tmp_path)
+    (tmp_path / "gateway_live.jsonl").write_text("\n".join(lines) + "\n")
+    assert _decisions.divergence("gateway_live") is None
+    (tmp_path / "gateway_live.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+    message = _decisions.divergence("gateway_live")
+    assert f"diverges at line {len(lines)} " in message
+    assert '["numpy","0.0"]' in message and _decisions.NUMPY[1] in message
 
 
 def second_best_victim(monkeypatch):

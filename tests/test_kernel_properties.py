@@ -44,7 +44,7 @@ from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
-from _decisions import bursty_trace, lmsys_trace
+from _decisions import matrix_trace
 from _decisions import marconi as evicting_marconi
 
 MODEL = hybrid_7b()
@@ -361,7 +361,7 @@ class TestKernelInvariants:
 class TestKernelOnMatrixTraces:
     def test_no_open_sessions_after_run(self):
         cache = evicting_marconi()
-        simulate_trace(MODEL, cache, bursty_trace(), n_executors=2)
+        simulate_trace(MODEL, cache, matrix_trace("bursty"), n_executors=2)
         assert cache.open_sessions == 0
 
     @given(
@@ -371,28 +371,39 @@ class TestKernelOnMatrixTraces:
     )
     @settings(max_examples=25, deadline=None)
     def test_unsorted_tied_arrivals_replay_as_stable_sorted(self, order, arrivals, n_executors):
-        """A shuffled session list with forced duplicate arrival times
+        """A shuffled session list with forced duplicate arrival times is
+        admitted in arrival order, tied sessions in their list order, and
         replays record for record as the same list stable-sorted by arrival
         (the goldens and the digest only hold sorted lists)."""
-        sessions = bursty_trace().sessions
+        sessions = matrix_trace("bursty").sessions
         for session, arrival in zip(sessions, arrivals):
             session.arrival_time = arrival
         shuffled = [sessions[i] for i in order]
-        runs = [
-            simulate_trace(
-                MODEL,
-                evicting_marconi(),
-                Trace(name="tied", seed=0, sessions=listed),
-                n_executors=n_executors,
-            )
-            for listed in (shuffled, sorted(shuffled, key=lambda s: s.arrival_time))
-        ]
+        stable = sorted(shuffled, key=lambda s: s.arrival_time)
+        # Round 0 of session i appends 300 + 40 i tokens, and no later
+        # round's input has one of those lengths: a begin of that length
+        # admits session i.
+        first_round = {len(s.rounds[0].new_input_tokens): s.session_id for s in sessions}
+        runs, admitted = [], []
+        for listed in (shuffled, stable):
+            cache, begun = evicting_marconi(), []
+            begin = cache.begin
+
+            def recorded(tokens, now, begin=begin, begun=begun):
+                begun.append(first_round.get(len(tokens)))
+                return begin(tokens, now)
+
+            cache.begin = recorded
+            trace = Trace(name="tied", seed=0, sessions=listed)
+            runs.append(simulate_trace(MODEL, cache, trace, n_executors=n_executors))
+            admitted.append([sid for sid in begun if sid is not None])
+        assert admitted[0] == admitted[1] == [s.session_id for s in stable]
         assert runs[0].records == runs[1].records
         assert runs[0].cache_stats == runs[1].cache_stats
 
     def test_cluster_equals_serving_at_one_replica(self):
         """The two kernel configurations coincide at R=1, max_running=1."""
-        trace = lmsys_trace()
+        trace = matrix_trace("lmsys")
         single = simulate_trace(MODEL, evicting_marconi(), trace)
         cluster = simulate_cluster(MODEL, [evicting_marconi()], RoundRobinRouter(), trace)
         assert cluster.replica_results[0].records == single.records
@@ -403,7 +414,7 @@ class TestKernelNewCapabilities:
     """What the kernel adds beyond the pre-kernel serving loops."""
 
     def test_timeseries_populated_and_monotone(self):
-        result = simulate_trace(MODEL, evicting_marconi(), bursty_trace(), n_executors=2)
+        result = simulate_trace(MODEL, evicting_marconi(), matrix_trace("bursty"), n_executors=2)
         assert result.queue_depth_series and result.running_series
         for series in (result.queue_depth_series, result.running_series):
             times = [t for t, _ in series]
@@ -412,7 +423,7 @@ class TestKernelNewCapabilities:
         assert 0.0 <= result.executor_utilization() <= 1.0
 
     def test_more_executors_raise_concurrency_on_bursty_trace(self):
-        trace = bursty_trace()
+        trace = matrix_trace("bursty")
         serial = simulate_trace(MODEL, evicting_marconi(), trace, n_executors=1)
         batched = simulate_trace(MODEL, evicting_marconi(), trace, n_executors=4)
         # Continuous batching actually occupies the extra slots...
@@ -421,7 +432,7 @@ class TestKernelNewCapabilities:
         assert batched.mean_queue_depth() < serial.mean_queue_depth()
 
     def test_cluster_max_running_speeds_up_bursts(self):
-        trace = bursty_trace()
+        trace = matrix_trace("bursty")
         slow = simulate_cluster(MODEL, [evicting_marconi()], RoundRobinRouter(), trace)
         fast = simulate_cluster(
             MODEL, [evicting_marconi()], RoundRobinRouter(), trace, max_running=4
