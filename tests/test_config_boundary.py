@@ -34,7 +34,6 @@ BAD = [
     (GatewayConfig, "max_queue_depth", 8.5),
     (GatewayConfig, "response_cache_entries", 10.5),
     (GatewayConfig, "response_cache_bytes", 1e6 + 0.5),
-    (GatewayConfig, "decode_yield_every", 1.5),
 ]
 
 

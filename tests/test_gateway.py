@@ -34,6 +34,7 @@ from repro.serving import (
 )
 from repro.serving import netserve
 from repro.serving.engine import ServedRequest
+from repro.serving.gateway import MAX_SWEEPS_PER_TRIP
 from repro.metrics import gateway_summary_dict
 
 
@@ -110,7 +111,7 @@ class TrackingServer(CacheOnlyServer):
         return wrapped()
 
 
-SWEEP = "|"
+TRIP = "|"
 
 
 class RecordingServer(CacheOnlyServer):
@@ -146,26 +147,65 @@ class RecordingServer(CacheOnlyServer):
 
         return wrapped()
 
-    async def mark_sweeps(self):
+    async def mark_trips(self):
         """Log a marker once per event-loop trip.  Started before the
         gateway, it runs ahead of the step loop in every trip, so what the
-        log holds between two markers is one sweep."""
+        log holds between two markers is the sweeps of one stretch without
+        a trip."""
         while True:
-            self.log.append(SWEEP)
+            self.log.append(TRIP)
             await asyncio.sleep(0)
 
-    def sweeps(self) -> list[list[tuple[int, int]]]:
-        out, current = [], []
-        for entry in self.log + [SWEEP]:
-            if entry != SWEEP:
-                current.append(entry)
-            elif current:
-                out.append(current)
-                current = []
+    def steps(self) -> list[tuple[int, int]]:
+        """Every resumption, in order."""
+        return [e for e in self.log if e != TRIP]
+
+    def trips(self) -> list[list[list[tuple[int, int]]]]:
+        """The sweeps between two trips, one list of sweeps per trip.  Inside
+        a stretch without a trip every slot stays busy, so a sweep opens on
+        the request that holds slot 0: a new sweep starts where a request is
+        resumed a second time."""
+        out, sweeps, sweep = [], [], []
+        for entry in self.log + [TRIP]:
+            if entry == TRIP:
+                if sweep:
+                    out.append(sweeps + [sweep])
+                sweeps, sweep = [], []
+                continue
+            if any(request == entry[0] for request, _ in sweep):
+                sweeps.append(sweep)
+                sweep = []
+            sweep.append(entry)
         return out
 
+    def sweeps(self) -> list[list[tuple[int, int]]]:
+        return [sweep for trip in self.trips() for sweep in trip]
+
     def steps_of(self, request: int) -> list[int]:
-        return [e[1] for e in self.log if e != SWEEP and e[0] == request]
+        return [step for r, step in self.steps() if r == request]
+
+
+def waking(server: RecordingServer, n_workers: int) -> list[list[bool]]:
+    """Per trip, per sweep: did the sweep end a request (hold its last
+    resumption) or leave a slot free (resume fewer than ``n_workers``
+    requests that go on)?  Exact for a log without cancels, which end a
+    request without resuming it."""
+    last = dict(server.steps())
+
+    def wakes(sweep) -> bool:
+        ended = sum(step == last[request] for request, step in sweep)
+        return ended > 0 or len(sweep) - ended < n_workers
+
+    return [[wakes(sweep) for sweep in trip] for trip in server.trips()]
+
+
+def assert_trip_rule(server: RecordingServer, n_workers: int) -> None:
+    """A trip follows every sweep that ended a request or left a slot free,
+    and never more than ``MAX_SWEEPS_PER_TRIP`` sweeps run without one."""
+    for trip in waking(server, n_workers):
+        assert len(trip) <= MAX_SWEEPS_PER_TRIP
+        assert not any(trip[:-1])
+        assert trip[-1] or len(trip) == MAX_SWEEPS_PER_TRIP
 
 
 def numbered(i: int, tokens, n: int = 10) -> np.ndarray:
@@ -174,8 +214,10 @@ def numbered(i: int, tokens, n: int = 10) -> np.ndarray:
 
 
 class TestStepLoop:
-    """The gateway serves from one task: per event-loop trip, one sweep over
-    ``n_workers`` slots, ``decode_yield_every`` steps per slot, slot order."""
+    """The gateway serves from one task: one sweep steps each of the
+    ``n_workers`` slots once, in slot order, and the event loop gets a turn
+    only after a sweep that ended a request or left a slot free, or after
+    ``MAX_SWEEPS_PER_TRIP`` sweeps without one."""
 
     def test_sweep_is_slot_order_round_robin(self, tiny, tokens):
         """Three slots, five requests: each sweep advances the slots in
@@ -186,7 +228,7 @@ class TestStepLoop:
         n_outputs = [1, 3, 2, 2, 1]
 
         async def scenario():
-            marker = asyncio.create_task(server.mark_sweeps())
+            marker = asyncio.create_task(server.mark_trips())
             async with Gateway(server, GatewayConfig(n_workers=3)) as gw:
                 results = await asyncio.gather(
                     *[gw.submit(numbered(i, tokens), n) for i, n in enumerate(n_outputs)]
@@ -195,69 +237,116 @@ class TestStepLoop:
             return results
 
         results = run(scenario())
-        assert server.sweeps() == [
-            [(0, 0), (1, 0), (2, 0)],  # slots 0, 1, 2 take requests 0, 1, 2
-            [(0, 1), (3, 0), (1, 1), (2, 1)],  # 0 ends: slot 0 starts 3 at once
-            [(3, 1), (1, 2), (2, 2), (4, 0)],  # 2 ends: slot 2 starts 4
-            [(3, 2), (1, 3), (4, 1)],  # the last three end; nothing is queued
+        assert server.steps() == [
+            (0, 0), (1, 0), (2, 0),  # slots 0, 1, 2 take requests 0, 1, 2
+            (0, 1), (3, 0), (1, 1), (2, 1),  # 0 ends: slot 0 starts 3 at once
+            (3, 1), (1, 2), (2, 2), (4, 0),  # 2 ends: slot 2 starts 4
+            (3, 2), (1, 3), (4, 1),  # the last three end; nothing is queued
         ]
+        # The first sweep ends nothing and fills every slot: no trip.
+        assert [len(trip) for trip in server.trips()] == [2, 1, 1]
+        assert_trip_rule(server, n_workers=3)
         assert [len(r.output_tokens) for r in results] == n_outputs
         assert cache.open_sessions == 0
         assert no_pins(cache)
 
-    def test_decode_yield_every_sets_the_steps_per_sweep(self, tiny, tokens):
-        """k=3: every request advances three tokens per sweep — a successor
-        too — and outputs are byte-identical to k=1's."""
-        n_outputs = [7, 4, 5]
-        forced = [tokens(n, seed=400 + i) for i, n in enumerate(n_outputs)]
-
-        def serve_all(every):
-            cache = MarconiCache(tiny, int(1e9), alpha=1.0)
-            server = RecordingServer(cache)
-            config = GatewayConfig(n_workers=2, decode_yield_every=every)
-
-            async def scenario():
-                marker = asyncio.create_task(server.mark_sweeps())
-                async with Gateway(server, config) as gw:
-                    results = await asyncio.gather(
-                        *[
-                            gw.submit(numbered(i, tokens), 0, forced_outputs=f)
-                            for i, f in enumerate(forced)
-                        ]
-                    )
-                marker.cancel()
-                return results
-
-            results = run(scenario())
-            assert cache.open_sessions == 0 and no_pins(cache)
-            return server, results
-
-        server, by_three = serve_all(3)
-        assert server.sweeps() == [
-            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
-            # Request 1 yields its 4th token and ends; request 2 gets a full
-            # share of three in the same sweep.
-            [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2)],
-            [(0, 6), (0, 7), (2, 3), (2, 4), (2, 5)],
-        ]
-        _, by_one = serve_all(1)
-        for a, b, f in zip(by_three, by_one, forced):
-            assert a.output_tokens.tobytes() == b.output_tokens.tobytes() == f.tobytes()
-            assert a.full_sequence.tobytes() == b.full_sequence.tobytes()
-            assert a.hit_tokens == b.hit_tokens
-
-    def test_cancel_lands_at_the_next_sweep_edge(self, tiny, tokens):
-        """With k=3 a cancelled request stops on a multiple of three steps,
-        at most one sweep after the cancel, and leaves no pin behind."""
+    def test_a_successor_starts_in_the_sweep_its_predecessor_ended_in(
+        self, tiny, tokens
+    ):
+        """Two slots, three teacher-forced requests: one step per slot per
+        sweep, request 2 starts in the sweep request 1 ends in, and the
+        outputs are the forced tokens."""
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
         server = RecordingServer(cache)
-        config = GatewayConfig(n_workers=2, decode_yield_every=3)
+        forced = [tokens(n, seed=400 + i) for i, n in enumerate([7, 4, 5])]
 
         async def scenario():
-            async with Gateway(server, config) as gw:
-                doomed = asyncio.create_task(gw.submit(numbered(0, tokens), 60))
-                other = asyncio.create_task(gw.submit(numbered(1, tokens), 12))
-                while len(server.steps_of(0)) < 6:
+            marker = asyncio.create_task(server.mark_trips())
+            async with Gateway(server, GatewayConfig(n_workers=2)) as gw:
+                results = await asyncio.gather(
+                    *[
+                        gw.submit(numbered(i, tokens), 0, forced_outputs=f)
+                        for i, f in enumerate(forced)
+                    ]
+                )
+            marker.cancel()
+            return results
+
+        results = run(scenario())
+        assert server.steps() == [
+            *[(r, k) for k in range(4) for r in (0, 1)],
+            (0, 4), (1, 4), (2, 0),  # 1 ends: slot 1 starts 2 at once
+            (0, 5), (2, 1),
+            (0, 6), (2, 2),
+            (0, 7), (2, 3),  # 0 ends with nothing queued: slot 0 stays free
+            (2, 4),
+            (2, 5),
+        ]
+        assert_trip_rule(server, n_workers=2)
+        for result, f in zip(results, forced):
+            assert result.output_tokens.tobytes() == f.tobytes()
+        assert cache.open_sessions == 0 and no_pins(cache)
+
+    def test_a_busy_loop_trips_every_max_sweeps(self, tiny, tokens):
+        """Every slot busy on requests far longer than the bound: the ticker
+        (the marker task) still gets a turn after every
+        ``MAX_SWEEPS_PER_TRIP`` sweeps."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        n = 6 * MAX_SWEEPS_PER_TRIP + 4  # n tokens: n + 1 resumptions each
+
+        async def scenario():
+            marker = asyncio.create_task(server.mark_trips())
+            async with Gateway(server, GatewayConfig(n_workers=2)) as gw:
+                await asyncio.gather(*[gw.submit(numbered(i, tokens), n) for i in (0, 1)])
+            marker.cancel()
+
+        run(scenario())
+        assert [len(trip) for trip in server.trips()] == [MAX_SWEEPS_PER_TRIP] * 6 + [5]
+        assert_trip_rule(server, n_workers=2)
+
+    def test_a_closed_loop_trips_only_when_a_submitter_can_run(self, tiny, tokens):
+        """Twelve clients of three rounds each over four slots: trips are at
+        most one per ``MAX_SWEEPS_PER_TRIP`` sweeps plus one per sweep that
+        ended a request or freed a slot — not one per sweep."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        lengths = np.random.default_rng(5).integers(10, 80, size=(12, 3))
+
+        async def client(gw, c):
+            for k, n in enumerate(lengths[c]):
+                await gw.submit(numbered(3 * c + k, tokens), int(n))
+
+        async def scenario():
+            marker = asyncio.create_task(server.mark_trips())
+            async with Gateway(server, GatewayConfig(n_workers=4)) as gw:
+                await asyncio.gather(*[client(gw, c) for c in range(12)])
+                stats = gw.stats.snapshot()
+            marker.cancel()
+            return stats
+
+        stats = run(scenario())
+        assert stats["completed"] == 36
+        assert_trip_rule(server, n_workers=4)
+        flags = waking(server, n_workers=4)
+        sweeps = sum(map(len, flags))
+        assert len(flags) <= -(-sweeps // MAX_SWEEPS_PER_TRIP) + sum(map(sum, flags))
+
+    def test_a_cancel_lands_within_max_sweeps_while_every_slot_is_busy(
+        self, tiny, tokens
+    ):
+        """Both slots hold requests far longer than the bound: a cancel
+        reaches the step loop at its next trip, at most
+        ``MAX_SWEEPS_PER_TRIP`` sweeps later, and leaves no pin behind."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = RecordingServer(cache)
+        n = 10 * MAX_SWEEPS_PER_TRIP
+
+        async def scenario():
+            async with Gateway(server, GatewayConfig(n_workers=2)) as gw:
+                doomed = asyncio.create_task(gw.submit(numbered(0, tokens), n))
+                other = asyncio.create_task(gw.submit(numbered(1, tokens), n))
+                while not server.steps_of(0):
                     await asyncio.sleep(0)
                 at_cancel = len(server.steps_of(0))
                 doomed.cancel()
@@ -269,8 +358,8 @@ class TestStepLoop:
 
         at_cancel, survivor, stats = run(scenario())
         taken = len(server.steps_of(0))
-        assert taken % 3 == 0 and at_cancel <= taken <= at_cancel + 3
-        assert len(survivor.output_tokens) == 12
+        assert at_cancel <= taken <= at_cancel + MAX_SWEEPS_PER_TRIP < n
+        assert len(survivor.output_tokens) == n
         assert stats["aborted"] == 1 and stats["completed"] == 1
         assert cache.open_sessions == 0
         assert no_pins(cache)
@@ -334,7 +423,7 @@ class TestStepLoop:
         queries = [numbered(i, tokens, n=20) for i in range(3)]
 
         async def scenario():
-            marker = asyncio.create_task(server.mark_sweeps())
+            marker = asyncio.create_task(server.mark_trips())
             async with Gateway(server, GatewayConfig(n_workers=1)) as gw:
                 results = await asyncio.gather(*[gw.submit(q, 0) for q in queries])
                 follow = await gw.submit(np.concatenate([queries[1], tokens(5, seed=9)]), 1)
@@ -618,6 +707,23 @@ class TestAdmissionControl:
                 await gw.submit(tokens(8, seed=1), 2)
 
         run(scenario())
+
+    def test_a_closed_gateway_starts_no_step_loop(self, tiny, tokens):
+        """Closed before it ever ran: submit and start raise, and no
+        step-loop task is left pending with nothing to cancel it."""
+
+        async def scenario():
+            gw = Gateway(CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0)))
+            await gw.close()
+            with pytest.raises(GatewayClosed):
+                await gw.submit(tokens(8, seed=1), 2)
+            with pytest.raises(GatewayClosed):
+                await gw.start()
+            return asyncio.all_tasks() - {asyncio.current_task()}, gw.stats.snapshot()
+
+        left, stats = run(scenario())
+        assert left == set()
+        assert stats["submitted"] == stats["shed"] == 1 and accounted(stats)
 
     def test_unknown_tier_rejected(self, tiny, tokens):
         async def scenario():
@@ -1034,8 +1140,6 @@ class TestConfigValidation:
             GatewayConfig(n_workers=0)
         with pytest.raises(ValueError):
             GatewayConfig(max_queue_depth=0)
-        with pytest.raises(ValueError):
-            GatewayConfig(decode_yield_every=0)
         with pytest.raises(ValueError):
             GatewayConfig(tiers=())
         with pytest.raises(ValueError, match="duplicate"):
