@@ -5,12 +5,27 @@ which run deterministic simulations once): they track the cost of the hot
 operations a serving engine would sit on.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
 from repro.core.radix_tree import RadixTree
+from repro.core.tokens import TokenSeq
 from repro.models.presets import hybrid_7b
+
+# The match depth floor: the match of round MATCH_DEPTHS[1] of one session
+# buffer against its round MATCH_DEPTHS[0], each in a tree holding the
+# session's earlier rounds.  A root walk memcmps every earlier round's edge,
+# O(session depth): 6.6x (5.3 / 35 us).  A handle's walk resumes at its
+# buffer's anchor, the node its last round reached: 1.0x (~1 / ~1 us).
+MATCH_DEPTHS = (8, 64)
+MATCH_ROUND_TOKENS = 200
+MATCH_CALLS = 2000
+MATCH_ROUNDS = 7
+MATCH_GROWTH_BOUND = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +88,56 @@ def test_micro_cache_lookup_admit(benchmark):
 
     cache = benchmark(serve_round)
     assert cache.stats.hits > 0
+
+
+def _session_trees() -> dict:
+    """One session buffer and, per depth, a tree holding the rounds before
+    it (committed through the buffer's handles, so the buffer's anchor
+    there is the last round's node) and the round's own handle."""
+    rng = np.random.default_rng(3)
+    rounds = MATCH_DEPTHS[-1] + 1
+    buffer = TokenSeq(rng.integers(0, 32000, MATCH_ROUND_TOKENS * rounds, dtype=np.int32))
+    trees = {}
+    for depth in MATCH_DEPTHS:
+        tree = RadixTree()
+        for turn in range(1, depth):
+            tree.insert(buffer.prefix(turn * MATCH_ROUND_TOKENS), float(turn))
+        trees[depth] = (tree, buffer.prefix(depth * MATCH_ROUND_TOKENS))
+    return trees
+
+
+def _match_us(tree: RadixTree, query) -> float:
+    match = tree.match
+    start = time.perf_counter()
+    for _ in range(MATCH_CALLS):
+        match(query)
+    return 1e6 * (time.perf_counter() - start) / MATCH_CALLS
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
+)
+def test_match_cost_flat_in_session_depth():
+    """A session's next round starts where its last one ended: the match of
+    a round 8x deeper costs at most 2x.  The root walk of the same query
+    (a plain array carries no anchor) is printed, not asserted."""
+    trees = _session_trees()
+    anchored = {depth: [] for depth in MATCH_DEPTHS}
+    root = {depth: [] for depth in MATCH_DEPTHS}
+    for _ in range(MATCH_ROUNDS):
+        for depth, (tree, handle) in trees.items():
+            assert tree.match(handle).matched_len == (depth - 1) * MATCH_ROUND_TOKENS
+            anchored[depth].append(_match_us(tree, handle))
+            root[depth].append(_match_us(tree, np.asarray(handle)))
+    shallow, deep = (min(anchored[d]) for d in MATCH_DEPTHS)
+    root_shallow, root_deep = (min(root[d]) for d in MATCH_DEPTHS)
+    print(
+        f"\nmatch: {shallow:.2f} us at round {MATCH_DEPTHS[0]}, {deep:.2f} us at "
+        f"round {MATCH_DEPTHS[1]} ({deep / shallow:.2f}x); root walk {root_shallow:.2f} "
+        f"/ {root_deep:.2f} us ({root_deep / root_shallow:.2f}x)"
+    )
+    assert deep <= MATCH_GROWTH_BOUND * shallow, (
+        f"a round's match grew {deep / shallow:.1f}x from round {MATCH_DEPTHS[0]} "
+        f"to round {MATCH_DEPTHS[1]} of its session"
+    )

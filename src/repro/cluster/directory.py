@@ -40,12 +40,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
+from weakref import ref
 
 import numpy as np
 
 from repro.core.node import RadixNode
 from repro.core.radix_tree import TreeObserver, common_prefix_length
-from repro.core.tokens import token_bytes
+from repro.core.tokens import anchor_key, resume_anchor, token_bytes
 
 
 class _DirNode:
@@ -61,7 +62,7 @@ class _DirNode:
     lands on a node boundary.
     """
 
-    __slots__ = ("data", "edge", "parent", "children", "end", "cover", "ckpt")
+    __slots__ = ("data", "edge", "parent", "children", "end", "cover", "ckpt", "__weakref__")
 
     def __init__(self, data: bytes, parent: Optional["_DirNode"]) -> None:
         self.data = data
@@ -269,6 +270,7 @@ class PrefixIndex:
     def __init__(self) -> None:
         self.root = _DirNode(b"", parent=None)
         self.stats = IndexStats()
+        self._anchor_key = anchor_key()
 
     # ------------------------------------------------------------------
     # Lookup (the per-request O(query depth) walk)
@@ -281,7 +283,15 @@ class PrefixIndex:
         ``len(tokens) - 1``); KV matched lengths are reported raw.  The walk
         touches no per-replica map: see :class:`DirectoryLookup` for what is
         derived from the path it returns.
+
+        A handle's walk starts at its anchor for this index (see
+        :mod:`repro.core.tokens`), the deepest node its buffer's last lookup
+        here fully matched, when that node is still attached and no deeper
+        than the query.  An attached node's root path never changes (a split
+        inserts above it, a prune detaches it), so the lookup is the root
+        walk's, node for node.
         """
+        anchors, node = resume_anchor(tokens, self._anchor_key)
         # Canonicalize once: the walk memcmps the query's bytes against edge
         # bytes, and an int64 array or a list compared raw would silently
         # miss.  A handle lends its backing bytes, which may run past ``n``.
@@ -289,11 +299,12 @@ class PrefixIndex:
         n = len(tokens)
         heads = memoryview(data).cast("i")  # a token as an int, no numpy scalar
         stop = 4 * n
-        last = None
-        children = self.root.children
-        pos = 0
+        if node is None or node.parent is None or node.end > n:
+            node = self.root
+        last = None if node is self.root else node
+        pos = node.end
         while pos < n:
-            child = children.get(heads[pos])
+            child = node.children.get(heads[pos])
             if child is None:
                 break
             last = child
@@ -302,7 +313,9 @@ class PrefixIndex:
                 pos += common_prefix_length(child.edge, tokens[pos:n])
                 break
             pos = child.end
-            children = child.children
+            node = child
+        if anchors is not None:
+            anchors[self._anchor_key] = ref(node)
         return DirectoryLookup(last, pos, n if limit is None else limit)
 
     # ------------------------------------------------------------------

@@ -258,9 +258,9 @@ class MarconiCache(PrefixCache):
             hit_tokens = min(match.matched_len, n - 1)
             if hit_tokens > 0:
                 reused_bytes = hit_tokens * self._kv_per_token
-                if match.path:
-                    tree.touch(match.path[-1], now)
-                    self.policy.notify_access(match.path[-1], now)
+                if match.deepest_node is not None:
+                    tree.touch(match.deepest_node, now)
+                    self.policy.notify_access(match.deepest_node, now)
 
         self._stats.record_lookup(hit_tokens, n)
         self._stats.flops_saved += model_prefill_flops(self.model, hit_tokens)
@@ -270,9 +270,7 @@ class MarconiCache(PrefixCache):
         # above already walked the fully-matched prefix and nothing between
         # match and insert mutates tree structure, so insertion resumes from
         # the deepest fully-matched node instead of re-descending from root.
-        outcome = tree.insert(
-            seq, now, start=match.path[-1] if match.path else None
-        )
+        outcome = tree.insert(seq, now, start=match.deepest_node)
         end = outcome.end_node
         tree.refresh_access(end, now)
         tree.pin_path(end)

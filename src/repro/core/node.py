@@ -66,6 +66,7 @@ class RadixNode:
         "hit_count",
         "pin_count",
         "state_payload",
+        "__weakref__",  # a session buffer's resume anchor (core/tokens.py)
     )
 
     def __init__(

@@ -12,13 +12,14 @@ SGLang+, and the ablation variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
+from weakref import ref
 
 import numpy as np
 
 from repro.core.node import RadixNode
-from repro.core.tokens import token_bytes
+from repro.core.tokens import anchor_key, resume_anchor, token_bytes
 
 
 class TreeObserver:
@@ -91,25 +92,36 @@ class MatchResult:
         Raw common-prefix length between the query and the tree's contents
         (may end mid-edge).  This is the KV-reusable length for pure
         Transformers.
-    path:
-        Fully matched non-root nodes in root→deepest order.  Candidate
-        recurrent-state hits are the nodes in this list with
-        ``has_ssm_state`` — an SSM hit must end exactly on a node (the
-        "all or nothing" property of section 3).
+    deepest_node:
+        The deepest fully matched non-root node (None: none).  The walk
+        keeps only this; :attr:`path` and :meth:`deepest_ssm_node` read its
+        parent chain, so read a match before the tree changes again.
     """
 
     matched_len: int
-    path: list[RadixNode] = field(default_factory=list)
+    deepest_node: Optional[RadixNode] = None
 
     @property
-    def deepest_node(self) -> Optional[RadixNode]:
-        return self.path[-1] if self.path else None
+    def path(self) -> list[RadixNode]:
+        """Fully matched non-root nodes in root→deepest order.  Candidate
+        recurrent-state hits are the nodes in this list with
+        ``has_ssm_state`` — an SSM hit must end exactly on a node (the "all
+        or nothing" property of section 3)."""
+        path = []
+        node = self.deepest_node
+        while node is not None and node.parent is not None:
+            path.append(node)
+            node = node.parent
+        path.reverse()
+        return path
 
     def deepest_ssm_node(self, max_seq_len: int) -> Optional[RadixNode]:
         """Deepest matched checkpoint usable for a prefix of ``max_seq_len``."""
-        for node in reversed(self.path):
+        node = self.deepest_node
+        while node is not None and node.parent is not None:
             if node.has_ssm_state and node.seq_len <= max_seq_len:
                 return node
+            node = node.parent
         return None
 
 
@@ -145,11 +157,21 @@ class InsertOutcome:
 
 
 class RadixTree:
-    """A radix tree keyed by int32 token sequences."""
+    """A radix tree keyed by int32 token sequences.
+
+    :meth:`match` and :meth:`insert` resume at a handle's anchor for this
+    tree (see :mod:`repro.core.tokens`): the deepest node the buffer's last
+    walk here fully matched or created, when it is still attached and no
+    deeper than the query.  An attached node's root path never changes (a
+    split inserts above it; removal, merge and reset detach it or drop the
+    tree; a truncation only shortens a leaf, whose path stays a prefix of
+    the buffer), so the result is the root walk's, node for node.
+    """
 
     def __init__(self) -> None:
         self.root = RadixNode(b"", parent=None, now=0.0)
         self._observers: list[TreeObserver] = []
+        self._anchor_key = anchor_key()
 
     # ------------------------------------------------------------------
     # Observers
@@ -175,12 +197,14 @@ class RadixTree:
         memcmp of the node's edge bytes against the query's bytes where
         they lie (no slice); only the step that diverges (or ends the query
         mid-edge) compares elementwise with :func:`common_prefix_length`.
+        A handle's walk starts at its anchor (see the class docstring).
         """
         arr, data = token_bytes(tokens)
         n = len(arr)
-        node = self.root
-        pos = 0
-        path: list[RadixNode] = []
+        anchors, node = resume_anchor(tokens, self._anchor_key)
+        if node is None or node.parent is None or node.seq_len > n:
+            node = self.root
+        pos = node.seq_len
         while pos < n:
             child = node.children.get(int(arr[pos]))
             if child is None:
@@ -189,13 +213,14 @@ class RadixTree:
             if end <= n and data.startswith(child.data, 4 * pos, 4 * end):
                 pos = end
                 node = child
-                path.append(child)
                 continue
             # Diverged (or query exhausted) mid-edge: KVs up to the shared
             # point are reusable but no node boundary was reached.
             pos += common_prefix_length(child.edge_tokens, arr[pos:])
             break
-        return MatchResult(matched_len=pos, path=path)
+        if anchors is not None:
+            anchors[self._anchor_key] = ref(node)
+        return MatchResult(pos, None if node is self.root else node)
 
     def insert(
         self,
@@ -210,7 +235,8 @@ class RadixTree:
         deepest fully-matched node of a just-completed :meth:`match`, or a
         still-pinned end node whose sequence ``tokens`` extends).  The walk
         then skips straight to it — the root walk would deterministically
-        descend to the same node, so the outcome is identical.
+        descend to the same node, so the outcome is identical.  A handle's
+        anchor is such a node too; the walk starts at the deeper of the two.
 
         The tree owns its edges: a new leaf copies exactly its suffix out of
         the query's bytes, so no edge ever aliases a caller's array, a
@@ -218,12 +244,11 @@ class RadixTree:
         """
         arr, data = token_bytes(tokens)
         n = len(arr)
-        if start is not None and start.parent is not None:
-            node = start
-            pos = start.seq_len
-        else:
-            node = self.root
-            pos = 0
+        anchors, held = resume_anchor(tokens, self._anchor_key)
+        node = start if start is not None and start.parent is not None else self.root
+        if held is not None and held.parent is not None and node.seq_len < held.seq_len <= n:
+            node = held
+        pos = node.seq_len
         split_node: Optional[RadixNode] = None
         new_leaf: Optional[RadixNode] = None
         new_edge_tokens = 0
@@ -248,6 +273,8 @@ class RadixTree:
             node = new_leaf
             for obs in self._observers:
                 obs.on_node_added(new_leaf)
+        if anchors is not None:
+            anchors[self._anchor_key] = ref(node)
         return InsertOutcome(
             end_node=node,
             new_leaf=new_leaf,

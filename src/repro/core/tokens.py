@@ -20,7 +20,18 @@ token exactly one home:
   root handle, sliced on first use and cached for a prefix handle), for
   consumers that key on them;
 * :meth:`__hash__` / :meth:`prefix_hash` — a cached content hash, and the
-  crc32 of any prefix's bytes (O(prefix length), read from ``data``).
+  crc32 of any prefix's bytes (O(prefix length), read from ``data``);
+* ``anchors`` — the buffer's resume anchors, its one mutable part: per
+  index (a radix tree, a directory index) the deepest node the buffer's
+  last walk of that index fully matched or created, so the next walk of any
+  prefix handle of the buffer (a session's next round) starts there instead
+  of at the root.  :meth:`prefix` hands the map on, so a buffer's handles
+  share it.  Keys are :func:`anchor_key` serials, never ``id()`` (which a
+  dropped index's successor may reuse), and values are weak references:
+  a session's buffer keeps no tree, index or node alive.  A walker resumes
+  only at a node still attached (``parent is not None``) and no deeper than
+  its query; an attached node's root path never changes, so the resumed
+  walk ends where the root walk would.
 
 A ``TokenSeq`` quacks like its array (``len``, indexing, slicing,
 iteration, ``np.asarray``), so it can flow through code written against
@@ -30,17 +41,28 @@ plain arrays; :func:`as_token_array` (re-exported by
 Equality and hashing follow *canonicalized content*: two ``TokenSeq``
 handles (or a handle and any token sequence) are equal exactly when their
 canonical int32 arrays are element-wise equal — the property the hypothesis
-suite pins across dtypes, slices, prefix handles and empty sequences.
+suite pins across dtypes, slices, prefix handles and empty sequences.  The
+anchors take no part in either.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterator, Optional
+from weakref import ref
 from zlib import crc32
 
 import numpy as np
 
 _INT32_ITEMSIZE = 4
+
+_anchor_keys = itertools.count(1)
+
+
+def anchor_key() -> int:
+    """A fresh key for one index's resume anchors (see ``anchors``), unique
+    for the process's lifetime."""
+    return next(_anchor_keys)
 
 
 def canonical_token_array(tokens: Any) -> np.ndarray:
@@ -68,6 +90,19 @@ def token_bytes(tokens: Any) -> tuple[np.ndarray, bytes]:
     return arr, arr.tobytes()
 
 
+def resume_anchor(tokens: Any, key: int) -> tuple[Optional[dict], Any]:
+    """``(anchor map, anchored node)`` of a query for the index keyed
+    ``key``: the map is None for anything but a handle, the node None when
+    the index has no live anchor there.  The walker checks that the node is
+    attached and no deeper than the query before it starts there, and
+    stores a weak reference to its own deepest node under ``key``."""
+    if not isinstance(tokens, TokenSeq):
+        return None, None
+    anchors = tokens.anchors
+    held = anchors.get(key)
+    return anchors, None if held is None else held()
+
+
 class TokenSeq:
     """An immutable, interned token sequence: bytes, a view, cached hashes.
 
@@ -75,14 +110,17 @@ class TokenSeq:
     ``arr`` views those bytes, so nothing the caller still holds can reach
     the handle.  The exact bytes of a prefix handle and the content hash
     are computed on first use and cached for the handle's lifetime.
+    ``anchors`` (see the module docstring) is shared by every prefix handle
+    of the buffer.
     """
 
-    __slots__ = ("arr", "data", "_len", "_bytes", "_hash")
+    __slots__ = ("arr", "data", "anchors", "_len", "_bytes", "_hash")
 
     def __init__(self, tokens: Any) -> None:
         data = canonical_token_array(tokens).tobytes()
         self.data = data
         self.arr = np.frombuffer(data, dtype=np.int32)
+        self.anchors: dict[int, ref] = {}
         self._len = len(self.arr)
         self._bytes: Optional[bytes] = data
         self._hash: Optional[int] = None
@@ -96,8 +134,8 @@ class TokenSeq:
 
     def prefix(self, length: int) -> "TokenSeq":
         """Handle on ``tokens[:length]`` that shares this handle's ``data``
-        (``arr`` is a view, no bytes are copied); the whole sequence is the
-        handle itself."""
+        and ``anchors`` (``arr`` is a view, no bytes are copied); the whole
+        sequence is the handle itself."""
         if length == self._len:
             return self
         if not 0 <= length < self._len:
@@ -107,6 +145,7 @@ class TokenSeq:
         view = TokenSeq.__new__(TokenSeq)
         view.data = self.data
         view.arr = self.arr[:length]
+        view.anchors = self.anchors
         view._len = length
         view._bytes = None
         view._hash = None
@@ -128,6 +167,10 @@ class TokenSeq:
         if dtype is None or dtype == self.arr.dtype:
             return self.arr if not copy else self.arr.copy()
         return self.arr.astype(dtype)
+
+    def __reduce__(self) -> tuple:
+        # Weak references do not pickle: a copy starts with no anchors.
+        return TokenSeq, (self.arr,)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TokenSeq(len={len(self.arr)}, hash={hash(self):#x})"
