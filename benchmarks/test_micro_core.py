@@ -7,6 +7,7 @@ operations a serving engine would sit on.
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.core.cache import MarconiCache
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
 from repro.models.presets import hybrid_7b
+from repro.workloads.swebench import generate_swebench_trace
 
 # The match depth floor: the match of round MATCH_DEPTHS[1] of one session
 # buffer against its round MATCH_DEPTHS[0], each in a tree holding the
@@ -26,6 +28,14 @@ MATCH_ROUND_TOKENS = 200
 MATCH_CALLS = 2000
 MATCH_ROUNDS = 7
 MATCH_GROWTH_BOUND = 2.0
+
+# The one-copy floor: a materialized swebench trace of ONE_COPY_SESSIONS
+# sessions, with every round interned, retains at most ONE_COPY_BOUND times
+# its token bytes.  Each session's rounds are views of its one buffer; the
+# rest is the rounds', handles' and sessions' own objects.  Rounds kept
+# beside a buffer built on first use read ~2x.
+ONE_COPY_SESSIONS = 600
+ONE_COPY_BOUND = 1.15
 
 
 @pytest.fixture(scope="module")
@@ -140,4 +150,31 @@ def test_match_cost_flat_in_session_depth():
     assert deep <= MATCH_GROWTH_BOUND * shallow, (
         f"a round's match grew {deep / shallow:.1f}x from round {MATCH_DEPTHS[0]} "
         f"to round {MATCH_DEPTHS[1]} of its session"
+    )
+
+
+def test_trace_holds_one_copy():
+    """A trace session holds its tokens once: every round interned, the
+    trace retains about its token bytes, not the rounds plus a buffer."""
+    tracemalloc.start()
+    try:
+        trace = generate_swebench_trace(n_sessions=ONE_COPY_SESSIONS, seed=11)
+        for session in trace.sessions:
+            for k in range(session.n_rounds):
+                session.interned_round(k)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    token_bytes = 4 * sum(
+        len(r.new_input_tokens) + len(r.output_tokens)
+        for session in trace.sessions
+        for r in session.rounds
+    )
+    ratio = retained / token_bytes
+    print(
+        f"\ntrace: {trace.n_requests} rounds, {token_bytes / 1e6:.1f} MB of tokens, "
+        f"{retained / 1e6:.1f} MB retained ({ratio:.2f}x)"
+    )
+    assert ratio <= ONE_COPY_BOUND, (
+        f"the trace retains {ratio:.2f}x its token bytes (floor {ONE_COPY_BOUND}x)"
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class LogNormalLength:
                 f"need 1 <= minimum <= maximum, got [{self.minimum}, {self.maximum}]"
             )
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return math.log(self.median)
 
@@ -48,7 +49,14 @@ class LogNormalLength:
         return math.exp(self.mu + self.sigma**2 / 2.0)
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_many(rng, 1)[0])
+        """``int(sample_many(rng, 1)[0])``, drawn as one scalar from the same
+        stream.  ``round`` is half-to-even like ``np.rint``; a draw at or past
+        ``maximum`` (``inf`` included, which ``round`` refuses) is clipped
+        before it."""
+        raw = rng.lognormal(self.mu, self.sigma)
+        if raw >= self.maximum:
+            return self.maximum
+        return max(self.minimum, round(raw))
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raw = rng.lognormal(mean=self.mu, sigma=self.sigma, size=size)
@@ -75,7 +83,7 @@ class GeometricCount:
         # Geometric with support {1, 2, ...} and the requested mean.
         p = 1.0 / self.mean
         value = int(rng.geometric(p))
-        return int(np.clip(value, self.minimum, self.maximum))
+        return min(max(value, self.minimum), self.maximum)
 
 
 def zipf_weights(n: int, exponent: float) -> np.ndarray:

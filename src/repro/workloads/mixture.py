@@ -15,13 +15,15 @@ consumers (engine, cluster router, analysis) see one coherent trace;
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Iterator, Sequence
 
 from repro.workloads.trace import Trace, TraceSession, TraceStream
 
 # Component session-id ranges are spaced this far apart; the mixture
-# refuses components larger than this so ids can never collide.
+# refuses a component session id outside [0, _ID_STRIDE) so ids can never
+# collide (a nested mixture's ids are already offset).
 _ID_STRIDE = 1_000_000
 
 
@@ -37,21 +39,9 @@ def mix_traces(traces: list[Trace], name: str | None = None) -> Trace:
     sessions: list[TraceSession] = []
     components = []
     for index, component in enumerate(traces):
-        if component.n_sessions >= _ID_STRIDE:
-            raise ValueError(
-                f"component {component.name!r} has {component.n_sessions} sessions; "
-                f"the mixture supports at most {_ID_STRIDE - 1} per component"
-            )
         offset = index * _ID_STRIDE
         for session in component.sessions:
-            sessions.append(
-                TraceSession(
-                    session_id=offset + session.session_id,
-                    arrival_time=session.arrival_time,
-                    rounds=session.rounds,
-                    think_times=session.think_times,
-                )
-            )
+            sessions.append(_remap(session, offset, component.name))
         components.append(
             {
                 "name": component.name,
@@ -69,13 +59,18 @@ def mix_traces(traces: list[Trace], name: str | None = None) -> Trace:
     )
 
 
-def _remap(session: TraceSession, offset: int) -> TraceSession:
-    return TraceSession(
-        session_id=offset + session.session_id,
-        arrival_time=session.arrival_time,
-        rounds=session.rounds,
-        think_times=session.think_times,
-    )
+def _remap(session: TraceSession, offset: int, component: str) -> TraceSession:
+    """``session`` under id ``offset + session_id``: a shallow copy, sharing
+    the rounds, the token buffer and its resume anchors (both handles walk
+    the same bytes), so mixing concatenates nothing again."""
+    if not 0 <= session.session_id < _ID_STRIDE:
+        raise ValueError(
+            f"component {component!r} has session id {session.session_id}; "
+            f"the mixture supports ids in [0, {_ID_STRIDE})"
+        )
+    remapped = copy.copy(session)
+    remapped.session_id = offset + session.session_id
+    return remapped
 
 
 def mix_streams(
@@ -90,9 +85,9 @@ def mix_streams(
     ``(arrival_time, session_id)`` order :func:`mix_traces` sorts by — so
     a mixed stream replays identically to the materialized mixture.
 
-    Component sizes are checked lazily: a component that yields its
-    :data:`_ID_STRIDE`-th session raises mid-iteration rather than up
-    front (streams may not know their length).
+    Session ids are checked lazily: a component that yields an id outside
+    ``[0, _ID_STRIDE)`` raises mid-iteration rather than up front (streams
+    may not know their ids).
     """
     if not streams:
         raise ValueError("need at least one component stream")
@@ -101,15 +96,8 @@ def mix_streams(
     def factory() -> Iterator[TraceSession]:
         def component_iter(index: int, stream: TraceStream) -> Iterator[TraceSession]:
             offset = index * _ID_STRIDE
-            count = 0
             for session in stream.iter_sessions():
-                count += 1
-                if count > _ID_STRIDE - 1:
-                    raise ValueError(
-                        f"component {stream.name!r} exceeded "
-                        f"{_ID_STRIDE - 1} sessions; ids would collide"
-                    )
-                yield _remap(session, offset)
+                yield _remap(session, offset, stream.name)
 
         merged = heapq.merge(
             *(component_iter(i, s) for i, s in enumerate(streams)),

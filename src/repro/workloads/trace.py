@@ -39,7 +39,14 @@ class TraceRound:
 
 @dataclass
 class TraceSession:
-    """A chat session / agent trajectory: rounds plus think-time gaps."""
+    """A chat session / agent trajectory: rounds plus think-time gaps.
+
+    Construction concatenates the rounds once into the session's one
+    interned :class:`TokenSeq` and replaces ``rounds`` with rounds whose
+    arrays are read-only views of it: every token of the session has one
+    home, and the arrays the caller passed stay the caller's (editing them
+    afterwards reaches neither the rounds nor a handle).
+    """
 
     session_id: int
     arrival_time: float
@@ -67,9 +74,21 @@ class TraceSession:
                 f"think_times must be finite and non-negative, got {self.think_times!r}"
             )
         # The session's one token buffer (every round, in order) and each
-        # round's (input end, full end) offsets into it, built on first use.
-        self._history: Optional[TokenSeq] = None
-        self._round_ends: list[tuple[int, int]] = []
+        # round's (start, input end, full end) offsets into it.
+        parts: list[np.ndarray] = []
+        self._round_spans: list[tuple[int, int, int]] = []
+        end = 0
+        for r in self.rounds:
+            parts += (r.new_input_tokens, r.output_tokens)
+            start, input_end = end, end + len(r.new_input_tokens)
+            end = input_end + len(r.output_tokens)
+            self._round_spans.append((start, input_end, end))
+        self._history = TokenSeq(np.concatenate(parts))
+        tokens = self._history.arr
+        self.rounds = [
+            TraceRound(tokens[start:input_end], tokens[input_end:end])
+            for start, input_end, end in self._round_spans
+        ]
 
     @property
     def n_rounds(self) -> int:
@@ -80,22 +99,11 @@ class TraceSession:
 
         Round ``k``'s input is the whole history through round ``k - 1`` plus
         its new segment, so every round is a prefix of the session's last
-        full sequence: the session concatenates its rounds once, and both
-        handles are :meth:`TokenSeq.prefix` views of that one buffer (no
-        bytes of their own), whatever order rounds are asked for in.
+        full sequence: both handles are :meth:`TokenSeq.prefix` views of the
+        buffer built at construction (no bytes of their own).
         """
-        history = self._history
-        if history is None:
-            parts: list[np.ndarray] = []
-            end = 0
-            for r in self.rounds:
-                parts += (r.new_input_tokens, r.output_tokens)
-                input_end = end + len(r.new_input_tokens)
-                end = input_end + len(r.output_tokens)
-                self._round_ends.append((input_end, end))
-            history = self._history = TokenSeq(np.concatenate(parts))
-        input_end, full_end = self._round_ends[round_index]
-        return history.prefix(input_end), history.prefix(full_end)
+        _, input_end, full_end = self._round_spans[round_index]
+        return self._history.prefix(input_end), self._history.prefix(full_end)
 
     def full_input(self, round_index: int) -> np.ndarray:
         """Complete input of round ``round_index`` (accumulated context + new)."""

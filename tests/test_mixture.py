@@ -11,9 +11,10 @@ from repro.workloads import (
     generate_lmsys_trace,
     generate_sharegpt_trace,
     generate_swebench_trace,
+    mix_streams,
     mix_traces,
 )
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceStream
 
 
 class TestMixTraces:
@@ -49,6 +50,17 @@ class TestMixTraces:
         _, _, mixed = self._mixture()
         with pytest.raises(KeyError):
             component_of(mixed, 5_000_000)
+
+    def test_nested_mixture_rejected(self):
+        """A mixture's ids are already offset: mixing it again would give a
+        second component the same ids and ``component_of`` the wrong name."""
+        chat, _, mixed = self._mixture()
+        nested = r"component 'lmsys\+swebench' has session id 100000\d"
+        with pytest.raises(ValueError, match=nested):
+            mix_traces([mixed, chat])
+        stream = mix_streams([TraceStream.from_trace(mixed), TraceStream.from_trace(chat)])
+        with pytest.raises(ValueError, match=nested):  # lazily, on the pass
+            stream.materialize()
 
     def test_default_name_and_metadata(self):
         _, _, mixed = self._mixture()

@@ -1,9 +1,12 @@
 """Tests for distributions, vocab pools, trace schema, and generators."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tokens import TokenSeq
 from repro.workloads.arrivals import PoissonProcess, exponential_think_times
@@ -14,6 +17,7 @@ from repro.workloads.distributions import (
     zipf_weights,
 )
 from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads.mixture import mix_streams, mix_traces
 from repro.workloads.registry import WORKLOAD_NAMES, generate_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.sharegpt import generate_sharegpt_trace
@@ -46,6 +50,43 @@ class TestDistributions:
         samples = [dist.sample(rng) for _ in range(3000)]
         assert 1 <= min(samples) and max(samples) <= 10
         assert 3.0 < np.mean(samples) < 4.5
+
+    # Medians that exp(log(m)) reproduces exactly: with sigma 0 the draw is
+    # exactly m, a .5 that np.rint and round() must both send to even.
+    HALVES = [k + 0.5 for k in range(400) if math.exp(math.log(k + 0.5)) == k + 0.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        median=st.one_of(st.sampled_from(HALVES), st.floats(0.01, 1e5)),
+        # 800 overflows exp() to inf for any normal deviate above ~0.9.
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.just(800.0)),
+        bounds=st.lists(st.integers(1, 600), min_size=2, max_size=2).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lognormal_scalar_draw_equals_the_array_form(self, median, sigma, bounds, seed):
+        dist = LogNormalLength(median, sigma, *bounds)
+        scalar, array = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(16):
+            assert dist.sample(scalar) == int(dist.sample_many(array, 1)[0])
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+    def test_a_half_rounds_to_even(self):
+        rng = np.random.default_rng(0)
+        assert [LogNormalLength(m, 0.0).sample(rng) for m in (2.5, 3.5)] == [2, 4]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mean=st.floats(1.0, 60.0),
+        bounds=st.lists(st.integers(1, 40), min_size=2, max_size=2).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_geometric_clip_equals_the_numpy_form(self, mean, bounds, seed):
+        dist = GeometricCount(mean, *bounds)
+        ours, numpy_form = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(16):
+            value = int(numpy_form.geometric(1.0 / mean))
+            assert dist.sample(ours) == int(np.clip(value, *bounds))
+        assert ours.bit_generator.state == numpy_form.bit_generator.state
 
     def test_zipf_weights_normalized_and_decreasing(self):
         w = zipf_weights(10, 1.2)
@@ -140,15 +181,18 @@ class TestTraceSchema:
             assert np.shares_memory(session.full_input(k), session.full_sequence(k))
         np.testing.assert_array_equal(session.full_input(1), [1, 2, 3, 4, 5, 6])
 
-    def _long_session(self, n_rounds, seed=3):
+    def _long_rounds(self, n_rounds, seed=3, scale=1):
         rng = np.random.default_rng(seed)
-        rounds = [
+        return [
             TraceRound(
-                rng.integers(0, 1000, int(rng.integers(1, 400))).astype(np.int32),
-                rng.integers(0, 1000, int(rng.integers(1, 60))).astype(np.int32),
+                rng.integers(0, 1000, int(rng.integers(1, 400 * scale))).astype(np.int32),
+                rng.integers(0, 1000, int(rng.integers(1, 60 * scale))).astype(np.int32),
             )
             for _ in range(n_rounds)
         ]
+
+    def _long_session(self, n_rounds, seed=3):
+        rounds = self._long_rounds(n_rounds, seed)
         return TraceSession(7, 0.0, rounds, [0.0] + [1.0] * (n_rounds - 1))
 
     def test_interned_rounds_in_any_order_equal_the_concatenation(self):
@@ -170,35 +214,63 @@ class TestTraceSchema:
             assert len(full_input) == session.input_lengths()[k]
 
     def test_every_round_of_a_session_shares_one_buffer(self):
-        session = self._long_session(12)
+        passed = self._long_rounds(12)
+        kept = [(r.new_input_tokens.copy(), r.output_tokens.copy()) for r in passed]
+        session = TraceSession(7, 0.0, passed, [0.0] + [1.0] * 11)
         handles = [h for k in range(12) for h in session.interned_round(k)]
         assert len({id(h.data) for h in handles}) == 1
         assert handles[-1].tobytes() is handles[-1].data  # the last round is the buffer
-        for handle in handles:
-            assert not handle.arr.flags.writeable
-            assert np.shares_memory(handle.arr, handles[-1].arr)
-        # The session's own round arrays are not the buffer: a caller that
-        # edits them after materialization cannot reach a handle.
-        session.rounds[0].new_input_tokens[:] = -1
-        assert session.interned_round(0)[0] == handles[0]
+        buffer = handles[-1].arr
+        arrays = [a for r in session.rounds for a in (r.new_input_tokens, r.output_tokens)]
+        for array in arrays + [h.arr for h in handles]:
+            assert not array.flags.writeable
+            assert np.shares_memory(array, buffer)
+        # The arrays the caller passed stay the caller's: editing them
+        # reaches neither the rounds nor a handle.
+        for r in passed:
+            assert not np.shares_memory(r.new_input_tokens, buffer)
+            r.new_input_tokens[:] = -1
+            r.output_tokens[:] = -1
+        for r, (new_input, output) in zip(session.rounds, kept):
+            np.testing.assert_array_equal(r.new_input_tokens, new_input)
+            np.testing.assert_array_equal(r.output_tokens, output)
+        assert session.interned_round(11)[1].tobytes() == np.concatenate(
+            [a for pair in kept for a in pair]
+        ).tobytes()
+        # A mixed or remapped session is the same session under another id:
+        # its rounds, buffer and resume anchors are its component's.
+        trace = Trace(name="t", seed=0, sessions=[session])
+        twins = (
+            mix_traces([trace, trace]).sessions
+            + mix_streams([TraceStream.from_trace(trace)]).materialize().sessions
+        )
+        assert sorted(t.session_id for t in twins) == [7, 7, 1_000_007]
+        for twin in twins:
+            assert np.shares_memory(twin.rounds[0].new_input_tokens, buffer)
+            full_input, _ = twin.interned_round(4)
+            assert full_input.data is handles[-1].data
+            assert full_input.anchors is handles[-1].anchors
 
     def test_materializing_every_round_allocates_about_one_session(self):
-        """One concatenate plus one serialization per session, not one of each
-        per round (a 40-round session used to allocate ≈20x its own bytes)."""
+        """A session holds its tokens once, from construction: the buffer
+        plus each round's two views.  Interning every round then allocates
+        only the handles, no token bytes (the parent built the buffer there,
+        beside the rounds' own arrays: two copies)."""
         import tracemalloc
 
-        session = self._long_session(40)
-        session_bytes = 4 * sum(
-            len(r.new_input_tokens) + len(r.output_tokens) for r in session.rounds
-        )
+        rounds = self._long_rounds(40, scale=10)
+        session_bytes = 4 * sum(len(r.new_input_tokens) + len(r.output_tokens) for r in rounds)
         tracemalloc.start()
         try:
-            kept = [session.interned_round(k) for k in range(40)]
-            _, peak = tracemalloc.get_traced_memory()
+            session = TraceSession(7, 0.0, rounds, [0.0] + [1.0] * 39)
+            built, _ = tracemalloc.get_traced_memory()
+            handles = [session.interned_round(k) for k in range(40)]
+            interned, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(kept) == 40
-        assert peak <= 3 * session_bytes, (peak, session_bytes)
+        assert len(handles) == 40
+        assert built <= 1.1 * session_bytes, (built, session_bytes)
+        assert interned - built <= 0.1 * session_bytes, (interned - built, session_bytes)
 
     def test_lengths(self):
         session = self._session()
