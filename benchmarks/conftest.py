@@ -23,6 +23,7 @@ import pytest
 _FAST_MODULES = {
     "test_compare.py",
     "test_micro_core.py",
+    "test_micro_gateway.py",
     "test_micro_kernel.py",
     "test_micro_router.py",
     "test_micro_steering.py",

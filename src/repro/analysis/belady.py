@@ -10,19 +10,19 @@ to prediction, not mechanics.
 
 The replay drives a regular :class:`repro.core.cache.MarconiCache` (same
 admission, same tree mechanics) with the eviction policy swapped for
-:class:`ClairvoyantEviction`, which scans the yet-unserved request schedule
-for the next request whose input extends each candidate node's prefix.
+:class:`ClairvoyantEviction`, which looks up the next yet-unserved request
+whose input extends each candidate node's prefix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate, EvictionPolicy
-from repro.core.radix_tree import common_prefix_length
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace
 
@@ -45,6 +45,10 @@ class ClairvoyantEviction(EvictionPolicy):
     def __init__(self, schedule: list[np.ndarray]) -> None:
         self.schedule = [np.asarray(s, dtype=np.int32) for s in schedule]
         self.cursor = 0
+        self._inputs = [s.tobytes() for s in self.schedule]
+        # A path's bytes -> the sorted indices of every scheduled input that
+        # strictly extends it, built on the path's first lookup.
+        self._uses: dict[bytes, list[int]] = {}
 
     def advance(self, cursor: int) -> None:
         """Mark requests before ``cursor`` as already served."""
@@ -60,14 +64,21 @@ class ClairvoyantEviction(EvictionPolicy):
         A checkpoint at prefix length ``p`` serves request ``r`` only when
         ``r``'s input strictly extends the prefix (at least the final input
         token must be prefilled to produce first-step logits), mirroring
-        the cache's ``max_seq_len = len(tokens) - 1`` hit rule.
+        the cache's ``max_seq_len = len(tokens) - 1`` hit rule.  The
+        schedule is scanned once per distinct path; a lookup is a dict get
+        and a bisect from the cursor.
         """
-        p = len(path)
-        for index in range(self.cursor, len(self.schedule)):
-            future = self.schedule[index]
-            if len(future) > p and common_prefix_length(future, path) == p:
-                return float(index)
-        return _NEVER
+        key = np.asarray(path, dtype=np.int32).tobytes()
+        uses = self._uses.get(key)
+        if uses is None:
+            n = len(key)
+            uses = self._uses[key] = [
+                index
+                for index, future in enumerate(self._inputs)
+                if len(future) > n and future.startswith(key)
+            ]
+        at = bisect_left(uses, self.cursor)
+        return float(uses[at]) if at < len(uses) else _NEVER
 
     def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
         if not candidates:

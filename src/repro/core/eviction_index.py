@@ -236,8 +236,8 @@ class EvictionIndex(TreeObserver):
             visits += 1
             node_id = node.node_id
             children = node.children
-            # Inlined node.is_eviction_shaped; a detached node (parent None)
-            # is dropped by the same guard.
+            # Structural candidacy (section 4.3): attached, unpinned, at most
+            # one child.  A detached node (parent None) is dropped here too.
             if node.parent is None or node.pin_count > 0 or len(children) > 1:
                 freeable = 0
             else:

@@ -126,17 +126,6 @@ class RadixNode:
         return self.pin_count > 0
 
     @property
-    def is_eviction_shaped(self) -> bool:
-        """Structural eviction candidacy (section 4.3): attached, unpinned,
-        and with at most one child.  Whether the node would actually free
-        bytes is byte accounting, which lives in the cache/index layer."""
-        return (
-            self.parent is not None
-            and self.pin_count == 0
-            and len(self.children) <= 1
-        )
-
-    @property
     def first_token(self) -> int:
         """First token of the incoming edge (the child-map key in the parent)."""
         if len(self.edge_tokens) == 0:

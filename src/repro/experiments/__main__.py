@@ -10,6 +10,7 @@ Examples::
     python -m repro.experiments --gen-trace lmsys --out lmsys.jsonl --sessions 80
     python -m repro.experiments --gen-trace lmsys --stream --sessions 100000
     python -m repro.experiments --sweep sharegpt --workers 4 --scale smoke
+    python -m repro.experiments --headroom sharegpt --scale smoke
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import sys
 import time
 
+from repro.experiments.config import DATASET_CONFIGS
 from repro.experiments.registry import FIGURES, run_figure
 
 
@@ -123,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sweep", metavar="DATASET", default=None,
                         help="run the standard cache x think-time sweep of a "
                         "dataset (lmsys, sharegpt, swebench)")
+    parser.add_argument("--headroom", metavar="DATASET", default=None,
+                        choices=sorted(DATASET_CONFIGS),
+                        help="print LRU, tuned Marconi, the best static alpha "
+                        "and the clairvoyant bound over a dataset's cache grid "
+                        "(lmsys, sharegpt, swebench)")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-pool size for --sweep (default: 1, serial)")
     parser.add_argument("--out", default=None,
@@ -154,11 +161,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.sweep:
         _run_sweep(args.sweep, args.scale, args.workers, args.out)
         return 0
+    if args.headroom:
+        from repro.experiments.extensions import run_headroom
+
+        started = time.perf_counter()
+        print(run_headroom(args.headroom, args.scale).render())
+        elapsed = time.perf_counter() - started
+        print(f"[headroom done in {elapsed:.1f}s at scale={args.scale}]")
+        return 0
 
     targets = sorted(FIGURES) if args.all else (args.figure or [])
     if not targets:
         parser.error(
-            "pass --figure <id>, --all, --list, --taxonomy, --gen-trace, or --sweep"
+            "pass --figure <id>, --all, --list, --taxonomy, --gen-trace, --sweep, "
+            "or --headroom"
         )
     for figure_id in targets:
         started = time.perf_counter()

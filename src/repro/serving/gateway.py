@@ -29,10 +29,17 @@ Layers, outermost first:
   event loop only when it resolved a request's future or left a slot
   free — the only sweeps after which a submitter can have something to
   do — or when :data:`MAX_SWEEPS_PER_TRIP` sweeps have run without one,
-  which bounds how long timers, sockets and cancels wait.  Slot order is
-  fixed and yields are counted, never timed, so the order of every
-  ``begin``/``commit`` — and with it every hit and eviction — follows
-  from the order of submissions, not from how fast the host is.
+  which bounds how long timers, sockets and cancels wait.  A serve whose
+  steps expose ``silent`` (the model-less
+  :class:`~repro.serving.replay.CacheOnlyServer`'s echo tokens: no cache
+  call, no decision) lets the loop jump: when every slot holds a
+  request that is not cancelled, ``k`` sweeps of silent steps (``k`` the
+  fewest any slot has left, capped at the sweeps left before the next
+  trip) become one ``skip(k)`` per slot and count as ``k`` sweeps.  Slot
+  order is fixed and yields are counted, never timed, so the order of
+  every ``begin``/``commit`` — and with it every hit and eviction —
+  follows from the order of submissions, not from how fast the host is;
+  jumping changes none of it, nor where a trip falls.
   Cancelling a submitted request closes its generator at the first sweep
   after its submitter next runs (closing the gateway without draining:
   at the next sweep), which aborts the open
@@ -236,10 +243,11 @@ class Gateway:
 
     ``server`` is anything exposing the serve-steps protocol — a
     ``serve_steps(tokens, n_output, *, params, forced_outputs)`` generator
-    returning a :class:`ServedRequest`, plus a ``cache`` attribute (the
-    live :class:`~repro.serving.engine.ExactReuseServer`, or the
-    model-less :class:`~repro.serving.replay.CacheOnlyServer` for trace
-    replays).
+    (or an iterator with the same ``next`` / ``close`` contract) returning
+    a :class:`ServedRequest`, plus a ``cache`` attribute (the live
+    :class:`~repro.serving.engine.ExactReuseServer`, or the model-less
+    :class:`~repro.serving.replay.CacheOnlyServer` for trace replays,
+    whose steps also expose ``silent`` / ``skip``).
 
     Use as an async context manager::
 
@@ -491,38 +499,51 @@ class Gateway:
         sweep.  The event loop gets a turn after a sweep that ended a request
         or left a slot free, and after every :data:`MAX_SWEEPS_PER_TRIP`
         sweeps without one.  Any other trip would wake no submitter: a
-        submitter waits on a future only ``_finish`` resolves."""
+        submitter waits on a future only ``_finish`` resolves.
+
+        When every slot's next ``k`` steps are silent (see
+        :meth:`_silent_sweeps`), those ``k`` sweeps are one jump: each slot
+        skips ``k`` steps, and the jump counts as ``k`` sweeps toward the
+        trip bound.  Such sweeps end nothing and free no slot, so every
+        ``begin``/``commit``, first token, cancel and trip stays where the
+        sweeps would have put it."""
         slots = self._slots
         quiet = 0  # sweeps since the last loop trip
         try:
             while True:
                 ended = False
-                for i, item in enumerate(slots):
-                    while True:
-                        if item is None:
-                            if not self._queued_total:
-                                break
-                            item = slots[i] = self._next_item()
+                jump = self._silent_sweeps(MAX_SWEEPS_PER_TRIP - quiet)
+                if jump:
+                    for item in slots:
+                        item.steps.skip(jump)
+                    quiet += jump
+                else:
+                    for i, item in enumerate(slots):
+                        while True:
                             if item is None:
-                                break
-                        if item.cancelled:
-                            self._finish(item)
-                        else:
-                            try:
-                                if item.steps is None:
-                                    item.steps = item.serve()
-                                next(item.steps)  # blocking prefill/decode work
-                            except StopIteration as stop:
-                                self._finish(item, served=stop.value)
-                            except Exception as exc:  # fails this request only
-                                self._finish(item, error=exc)
+                                if not self._queued_total:
+                                    break
+                                item = slots[i] = self._next_item()
+                                if item is None:
+                                    break
+                            if item.cancelled:
+                                self._finish(item)
                             else:
-                                if item.first_token_time is None:
-                                    item.first_token_time = self.clock()
-                                break
-                        ended = True
-                        item = slots[i] = None
-                quiet += 1
+                                try:
+                                    if item.steps is None:
+                                        item.steps = item.serve()
+                                    next(item.steps)  # blocking prefill/decode work
+                                except StopIteration as stop:
+                                    self._finish(item, served=stop.value)
+                                except Exception as exc:  # fails this request only
+                                    self._finish(item, error=exc)
+                                else:
+                                    if item.first_token_time is None:
+                                        item.first_token_time = self.clock()
+                                    break
+                            ended = True
+                            item = slots[i] = None
+                    quiet += 1
                 if ended or quiet == MAX_SWEEPS_PER_TRIP or not all(slots):
                     quiet = 0
                     if any(slots):
@@ -535,6 +556,23 @@ class Gateway:
             for item in filter(None, slots):
                 self._finish(item)
             slots[:] = [None] * len(slots)
+
+    def _silent_sweeps(self, limit: int) -> int:
+        """How many sweeps from here on would only run silent steps, at most
+        ``limit``: 0 unless every slot holds a request that is not cancelled
+        and whose steps expose ``silent`` (the remaining steps that touch no
+        cache and surface no first token; ``CacheOnlyServer``'s echoes).  A
+        generator exposes nothing, so a model-backed or wrapped server is
+        always swept step by step."""
+        for item in self._slots:
+            if item is None or item.cancelled:
+                return 0
+            silent = getattr(item.steps, "silent", 0)
+            if silent < limit:
+                if not silent:
+                    return 0
+                limit = silent
+        return limit
 
     def _finish(
         self,

@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 import numpy as np
 
 from repro.core.interfaces import Clock, monotonic_counter
-from repro.serving.engine import (
-    GREEDY,
-    DecodeParams,
-    ServedRequest,
-    ServeSteps,
-    checked_request,
-)
+from repro.serving.engine import GREEDY, DecodeParams, ServedRequest, checked_request
 from repro.serving.gateway import AdmissionRejected, Gateway
 from repro.workloads.trace import Trace, TraceSession, TraceStream
 
@@ -61,30 +55,113 @@ class CacheOnlyServer:
         *,
         params: DecodeParams = GREEDY,
         forced_outputs: Optional[np.ndarray] = None,
-    ) -> ServeSteps:
-        input_tokens, n_output, forced = checked_request(
-            input_tokens, n_output, forced_outputs
-        )
-        with self.cache.begin(input_tokens, self.clock()) as session:
-            hit = session.hit_tokens
-            # Without a model there is nothing to sample: a cache-only serve
-            # echoes the forced tokens (or zeros, which keeps the byte
-            # accounting of synthetic benchmark requests honest).  The first
-            # goes out before the one-time conversion of the rest: TTFT.
-            if n_output:
-                yield int(forced[0]) if forced is not None else 0
-            output = forced.tolist() if forced is not None else [0] * n_output
-            yield from output[1:]
-            output_tokens = np.asarray(output, dtype=np.int32)
-            full = input_tokens  # n_output == 0: exactly the input is committed
-            if output:
-                full = np.concatenate([input_tokens, output_tokens])
-            session.commit(full, self.clock())
-        return ServedRequest(
-            output_tokens=output_tokens,
-            hit_tokens=hit,
-            prefilled_tokens=len(input_tokens) - hit,
-            full_sequence=full,
+    ) -> "_EchoSteps":
+        """The request flow as serve steps (see :class:`_EchoSteps`)."""
+        request = checked_request(input_tokens, n_output, forced_outputs)
+        return _EchoSteps(self, *request)
+
+
+class _EchoSteps:
+    """:meth:`CacheOnlyServer.serve_steps`: the serve-steps contract as an
+    iterator that can say what lies ahead.
+
+    ``next`` runs one step.  The first begins the session and surfaces the
+    first token; the last commits and raises ``StopIteration`` carrying the
+    :class:`ServedRequest`; ``close`` aborts a session still open, releasing
+    every pin.  Without a model there is nothing to sample, so every step
+    in between only echoes a forced token (or a zero, which keeps the byte
+    accounting of synthetic benchmark requests honest) and touches no
+    cache.  ``silent`` counts those steps still ahead, and ``skip(k)``
+    consumes ``k`` of them at once, without running any: the step loop
+    jumps a sweep in which every slot would only echo (see
+    :mod:`repro.serving.gateway`).
+    """
+
+    __slots__ = (
+        "silent", "_server", "_input", "_n", "_forced", "_echo", "_session", "_done",
+    )
+
+    def __init__(
+        self,
+        server: CacheOnlyServer,
+        input_tokens: np.ndarray,
+        n_output: int,
+        forced: Optional[np.ndarray],
+    ) -> None:
+        self.silent = 0  # echo-only steps ahead: none before the session begins
+        self._server = server
+        self._input = input_tokens
+        self._n = n_output
+        self._forced = forced
+        self._echo: Optional[list[int]] = None  # the echoes as Python ints
+        self._session: Any = None
+        self._done = False
+
+    def __iter__(self) -> "_EchoSteps":
+        return self
+
+    def __next__(self) -> int:
+        silent = self.silent
+        if silent:
+            self.silent = silent - 1
+            echo = self._echo
+            if echo is None:  # converted once, after the first token (TTFT)
+                forced = self._forced
+                echo = self._echo = (
+                    forced.tolist() if forced is not None else [0] * self._n
+                )
+            return echo[self._n - silent]
+        if self._done:
+            raise StopIteration
+        if self._session is None:
+            return self._begin()
+        return self._commit()
+
+    def skip(self, k: int) -> None:
+        """Consume ``k`` (1 ≤ k ≤ ``silent``) echo steps without running them."""
+        if not 0 < k <= self.silent:
+            raise ValueError(f"can skip 1..{self.silent} silent steps, not {k}")
+        self.silent -= k
+
+    def close(self) -> None:
+        if self._session is not None and not self._done:
+            self._session.abort()
+        self.silent = 0
+        self._done = True
+
+    def _begin(self) -> int:
+        self._done = True  # a begin that raises ends the serve
+        server = self._server
+        self._session = server.cache.begin(self._input, server.clock())
+        self._done = False
+        if not self._n:
+            return self._commit()
+        self.silent = self._n - 1
+        return int(self._forced[0]) if self._forced is not None else 0
+
+    def _commit(self) -> NoReturn:
+        session, input_tokens, forced = self._session, self._input, self._forced
+        self._done = True
+        hit = session.hit_tokens
+        if forced is not None:
+            output_tokens = np.array(forced, dtype=np.int32)
+        else:
+            output_tokens = np.zeros(self._n, dtype=np.int32)
+        full = input_tokens  # n_output == 0: exactly the input is committed
+        if self._n:
+            full = np.concatenate([input_tokens, output_tokens])
+        try:
+            session.commit(full, self._server.clock())
+        except BaseException:  # as leaving a `with session:` block would
+            session.abort()
+            raise
+        raise StopIteration(
+            ServedRequest(
+                output_tokens=output_tokens,
+                hit_tokens=hit,
+                prefilled_tokens=len(input_tokens) - hit,
+                full_sequence=full,
+            )
         )
 
 

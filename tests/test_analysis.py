@@ -135,6 +135,62 @@ class TestClairvoyantReplay:
             clairvoyant_replay(hybrid, empty, int(1e9))
 
 
+def _rescan_next_use(schedule, cursor, path) -> float:
+    """The reference: scan the schedule from ``cursor`` for the first input
+    that strictly extends ``path``."""
+    for index in range(cursor, len(schedule)):
+        future = schedule[index]
+        if len(future) > len(path) and np.array_equal(future[: len(path)], path):
+            return float(index)
+    return float("inf")
+
+
+class RescanClairvoyant(ClairvoyantEviction):
+    def _next_use(self, path):
+        return _rescan_next_use(self.schedule, self.cursor, path)
+
+
+class TestNextUseIndex:
+    """``ClairvoyantEviction._next_use`` looks a path up in a per-path index
+    of the schedule; it must answer what a rescan of the schedule answers."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_index_equals_a_rescan(self, seed):
+        trace = generate_lmsys_trace(n_sessions=12, seed=seed)
+        schedule = [inp for _, _, _, inp, _ in trace.iter_requests_nominal()]
+        rng = np.random.default_rng(seed)
+        paths = [np.asarray([7, 7, 7], dtype=np.int32)]  # extended by nothing
+        for inp in schedule:
+            # The input itself: equal is not a use, its next round is.
+            paths.append(np.asarray(inp))
+            paths.append(np.asarray(inp[: int(rng.integers(1, len(inp) + 1))]))
+        policy = ClairvoyantEviction(schedule)
+        n = len(schedule)
+        for cursor in (0, n // 3, n // 2, n - 1, n, 1):  # forward, then back
+            policy.advance(cursor)
+            for path in paths:
+                expected = _rescan_next_use(schedule, cursor, path)
+                assert policy._next_use(path) == expected
+
+    def test_replay_equals_a_rescan_replay(self, hybrid):
+        """Under contention, every victim and so every hit is the rescan's."""
+        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        capacity = 6 * node_state_bytes(hybrid, 2000, True)
+        indexed = clairvoyant_replay(hybrid, trace, capacity)
+        requests = list(trace.iter_requests_nominal())
+        cache = MarconiCache(hybrid, capacity, eviction="lru")
+        cache.policy = policy = RescanClairvoyant([r[3] for r in requests])
+        hits = []
+        for index, (now, _, _, inp, full) in enumerate(requests):
+            policy.advance(index + 1)
+            with cache.begin(inp, now) as session:
+                hits.append(session.hit_tokens)
+                session.commit(full, now)
+        assert cache.stats.evictions > 0
+        assert indexed.evictions == cache.stats.evictions
+        assert indexed.per_request_hits == hits
+
+
 class TestTaxonomy:
     def test_first_request_is_fresh(self):
         trace = Trace(

@@ -157,6 +157,20 @@ class TestRegistryAndCLI:
         with pytest.raises(KeyError):
             cli_main(["--taxonomy", "nope"])
 
+    def test_cli_headroom_on_one_sharegpt_cell(self, capsys, monkeypatch):
+        """ROADMAP item 1's sharegpt 2.5 GB cell at smoke scale: LRU, tuned
+        Marconi, the best static alpha (with alpha) and the clairvoyant
+        bound."""
+        sharegpt = DATASET_CONFIGS["sharegpt"]
+        monkeypatch.setitem(
+            DATASET_CONFIGS, "sharegpt", sharegpt.with_overrides(cache_grid_gb=(2.5,))
+        )
+        assert cli_main(["--headroom", "sharegpt", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        row = [line for line in out.splitlines() if line.startswith("2.5 ")]
+        cells = [cell.strip() for cell in row[0].split("|")]
+        assert cells == ["2.5", "0.267", "0.171", "0.267", "0", "0.452", "0%"]
+
     def test_extension_figures_registered(self):
         from repro.experiments.registry import FIGURES
 

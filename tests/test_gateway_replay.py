@@ -18,11 +18,13 @@ Equivalence preconditions (each deliberate):
 from __future__ import annotations
 
 import asyncio
+import types
 
 import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import RequestSession
 from repro.engine.server import ServingSimulator
 from repro.models.presets import hybrid_7b
 from repro.serving import (
@@ -31,6 +33,9 @@ from repro.serving import (
     GatewayConfig,
     TraceReplayer,
 )
+from repro.serving import gateway as gateway_module
+from repro.serving.gateway import MAX_SWEEPS_PER_TRIP
+from repro.serving.replay import _EchoSteps
 from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
@@ -122,6 +127,57 @@ class TestCacheOnlyServer:
         gen.close()
         assert cache.open_sessions == 0
         assert no_pins(cache)
+
+    def test_skipped_echoes_are_committed(self, tiny, tokens, monkeypatch):
+        """``silent`` counts the echoes between the first token and the
+        commit; skipping them surfaces nothing and still commits every
+        forced token.  Closing a finished serve calls no ``abort``."""
+        aborts = []
+        abort = RequestSession.abort
+        monkeypatch.setattr(
+            RequestSession,
+            "abort",
+            lambda session: (aborts.append(session), abort(session)),
+        )
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = CacheOnlyServer(cache)
+        prefix, forced = tokens(20, seed=5), tokens(9, seed=6)
+        steps = server.serve_steps(prefix, 0, forced_outputs=forced)
+        assert steps.silent == 0  # the first step begins the session
+        assert next(steps) == forced[0] and steps.silent == 8
+        steps.skip(5)
+        with pytest.raises(ValueError, match="silent"):
+            steps.skip(4)
+        assert [next(steps) for _ in range(3)] == forced[6:].tolist()
+        assert steps.silent == 0
+        with pytest.raises(StopIteration) as stop:
+            next(steps)
+        np.testing.assert_array_equal(stop.value.value.output_tokens, forced)
+        np.testing.assert_array_equal(
+            stop.value.value.full_sequence, np.concatenate([prefix, forced])
+        )
+        with pytest.raises(StopIteration):
+            next(steps)
+        steps.close()
+        assert not aborts
+        assert cache.open_sessions == 0 and no_pins(cache)
+
+    def test_close_after_a_skip_aborts(self, tiny, tokens):
+        """Skipped steps are never applied: closing the iterator aborts the
+        session with zero pins, and it stays finished."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        server = CacheOnlyServer(cache)
+        for _ in server.serve_steps(tokens(30, seed=7), 4):  # something to hit
+            pass
+        steps = server.serve_steps(tokens(30, seed=7), 16)
+        next(steps)
+        steps.skip(10)
+        assert cache.open_sessions == 1 and not no_pins(cache)
+        steps.close()
+        assert cache.open_sessions == 0 and no_pins(cache)
+        assert steps.silent == 0
+        with pytest.raises(StopIteration):
+            next(steps)
 
 
 class TestReplayEquivalence:
@@ -334,3 +390,190 @@ class TestReplayTiming:
         report = asyncio.run(scenario())
         assert report.served == trace.n_requests
         assert {tier for _, tier in routed} == {"interactive", "batch"}
+
+
+class PassThroughServer(CacheOnlyServer):
+    """``CacheOnlyServer`` behind a generator that forwards every step: the
+    step loop sees no ``silent`` and sweeps it one step at a time."""
+
+    def serve_steps(self, *args, **kwargs):
+        inner = super().serve_steps(*args, **kwargs)
+
+        def forward():
+            try:
+                return (yield from inner)
+            finally:
+                inner.close()
+
+        return forward()
+
+
+def logging_asyncio(log: list) -> types.SimpleNamespace:
+    """``asyncio`` for the gateway module, logging each loop trip
+    (``sleep``) and idle wait (``Event.wait``)."""
+
+    class Event(asyncio.Event):
+        async def wait(self):
+            log.append("wait")
+            return await super().wait()
+
+    async def sleep(delay, *args, **kwargs):
+        log.append("trip")
+        return await asyncio.sleep(delay, *args, **kwargs)
+
+    return types.SimpleNamespace(**{**vars(asyncio), "sleep": sleep, "Event": Event})
+
+
+def logging_clock(log: list, tag: str):
+    """A clock that logs each read: the cache's reads are its begins and
+    commits, the gateway's its submits, dequeues, first tokens and ends."""
+
+    def tick() -> float:
+        log.append(tag)
+        return float(len(log))
+
+    return tick
+
+
+def tree_state(cache) -> list:
+    return sorted(
+        (n.path_tokens().tobytes(), n.has_ssm_state, n.last_access, n.hit_count)
+        for n in cache.tree.iter_nodes()
+    )
+
+
+class TestSilentSweepJump:
+    """``CacheOnlyServer``'s echo steps touch no cache, so the step loop
+    jumps sweeps in which every slot would only echo; a jump of ``k`` counts
+    as ``k`` sweeps toward :data:`MAX_SWEEPS_PER_TRIP`.  A pass-through
+    wrapper hides ``silent``, which makes it the step-by-step reference."""
+
+    @staticmethod
+    def _replay(server_type, trace, monkeypatch):
+        log: list = []
+        monkeypatch.setattr(gateway_module, "asyncio", logging_asyncio(log))
+        cache = MarconiCache(hybrid_7b(), int(2e9), eviction="flop_aware", alpha=1.0)
+        server = server_type(cache, clock=logging_clock(log, "cache"))
+        gateway = Gateway(
+            server,
+            GatewayConfig(n_workers=4, max_queue_depth=10_000),
+            clock=logging_clock(log, "gateway"),
+        )
+
+        async def scenario():
+            report = await TraceReplayer(gateway, speed=None).run(trace)
+            await gateway.close()
+            return report
+
+        report = asyncio.run(scenario())
+        assert cache.open_sessions == 0 and no_pins(cache)
+        return log, report.hit_counts(), tree_state(cache), cache.stats.evictions
+
+    def test_a_jump_is_the_sweeps_it_replaces(self, monkeypatch):
+        """One contended closed loop, jumped and stepped: the same hits, the
+        same final tree, and the same log of begins, commits, dequeues,
+        first tokens and trips, in the same order."""
+        trace = generate_lmsys_trace(
+            WorkloadParams(n_sessions=40, session_rate=2.0, mean_think_s=3.0, seed=31)
+        )
+        skips: list[int] = []
+        skip = _EchoSteps.skip
+        monkeypatch.setattr(
+            _EchoSteps, "skip", lambda self, k: (skips.append(k), skip(self, k))[1]
+        )
+        jumped = self._replay(CacheOnlyServer, trace, monkeypatch)
+        assert skips and max(skips) == MAX_SWEEPS_PER_TRIP  # the jump ran
+        jumped_sweeps = len(skips)
+        stepped = self._replay(PassThroughServer, trace, monkeypatch)
+        assert len(skips) == jumped_sweeps  # the wrapper is never jumped
+        log, hits, tree, evictions = jumped
+        assert evictions > 0 and log.count("trip") > 0
+        assert hits == stepped[1]
+        assert tree == stepped[2]
+        assert evictions == stepped[3]
+        assert log == stepped[0]
+
+    def test_a_free_or_cancelled_slot_is_never_jumped(self, tiny, tokens, monkeypatch):
+        """Alone in two slots, a long request is stepped, not jumped; beside
+        a second one it is jumped until it is cancelled, and from the cancel
+        on the step loop sweeps, aborting it with zero pins."""
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        gateway = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=2))
+        skips: list[int] = []
+        jumped_past: list[str] = []  # raising here would kill the step loop
+        skip = _EchoSteps.skip
+
+        def checked_skip(steps, k):
+            if not all(gateway._slots):
+                jumped_past.append("a free slot")
+            elif any(item.cancelled for item in gateway._slots):
+                jumped_past.append("a cancelled slot")
+            skips.append(k)
+            skip(steps, k)
+
+        monkeypatch.setattr(_EchoSteps, "skip", checked_skip)
+        n = 10 * MAX_SWEEPS_PER_TRIP
+
+        async def scenario():
+            async with gateway:
+                alone = await gateway.submit(tokens(20, seed=1), n)
+                assert not skips, jumped_past  # one slot was free throughout
+                doomed = asyncio.create_task(gateway.submit(tokens(20, seed=2), n))
+                other = asyncio.create_task(gateway.submit(tokens(20, seed=3), n))
+                while not skips:
+                    await asyncio.sleep(0)
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                return alone, await other, gateway.stats.snapshot()
+
+        alone, survivor, stats = asyncio.run(scenario())
+        assert not jumped_past
+        assert len(alone.output_tokens) == len(survivor.output_tokens) == n
+        assert stats["aborted"] == 1 and stats["completed"] == 2
+        assert cache.open_sessions == 0 and no_pins(cache)
+
+    def test_no_jump_crosses_a_trip(self, tiny, tokens, monkeypatch):
+        """Two slots busy on requests far longer than the bound: counting a
+        jump of ``k`` as ``k`` sweeps, every stretch between two trips holds
+        exactly ``MAX_SWEEPS_PER_TRIP`` sweeps, as stepping gives, and all
+        but the first and last are one jump each."""
+        log: list = []
+        monkeypatch.setattr(gateway_module, "asyncio", logging_asyncio(log))
+        step, skip = _EchoSteps.__next__, _EchoSteps.skip
+
+        def logged_step(steps):
+            log.append(("step", 1))
+            return step(steps)
+
+        def logged_skip(steps, k):
+            log.append(("skip", k))
+            skip(steps, k)
+
+        monkeypatch.setattr(_EchoSteps, "__next__", logged_step)
+        monkeypatch.setattr(_EchoSteps, "skip", logged_skip)
+        cache = MarconiCache(tiny, int(1e9), alpha=1.0)
+        n = 6 * MAX_SWEEPS_PER_TRIP + 4  # n tokens: n + 1 steps each
+
+        async def scenario():
+            gateway = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=2))
+            async with gateway:
+                await asyncio.gather(
+                    *[gateway.submit(tokens(10, seed=i), n) for i in (0, 1)]
+                )
+
+        asyncio.run(scenario())
+        windows, window = [], []
+        for entry in log:
+            if entry in ("trip", "wait"):
+                if window:
+                    windows.append(window)
+                window = []
+            else:
+                window.append(entry)
+        # One entry per slot per sweep or jump: halve the sum.
+        assert [sum(k for _, k in w) // 2 for w in windows] == (
+            [MAX_SWEEPS_PER_TRIP] * 6 + [5]
+        )
+        assert all(w == [("skip", MAX_SWEEPS_PER_TRIP)] * 2 for w in windows[1:-1])
+        assert cache.open_sessions == 0 and no_pins(cache)
