@@ -16,6 +16,7 @@ whose input extends each candidate node's prefix.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate, EvictionPolicy
+from repro.core.node import RadixNode
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace
 
@@ -45,10 +47,17 @@ class ClairvoyantEviction(EvictionPolicy):
     def __init__(self, schedule: list[np.ndarray]) -> None:
         self.schedule = [np.asarray(s, dtype=np.int32) for s in schedule]
         self.cursor = 0
-        self._inputs = [s.tobytes() for s in self.schedule]
-        # A path's bytes -> the sorted indices of every scheduled input that
-        # strictly extends it, built on the path's first lookup.
-        self._uses: dict[bytes, list[int]] = {}
+        self._lengths = np.array([len(s) for s in self.schedule], dtype=np.int64)
+        # A candidate node -> (its seq_len, the sorted indices of every
+        # scheduled input that strictly extends its path), built on the
+        # node's first lookup.  A node keeps its path while it lives (a split
+        # goes in above it, a merge folds its parent into it) except that a
+        # truncation shortens it, so the seq_len names the path.  Keyed
+        # weakly by the node, not by its tokens: a path can carry a whole
+        # session history, and the memo lives no longer than the tree's nodes.
+        self._uses: weakref.WeakKeyDictionary[
+            RadixNode, tuple[int, list[int]]
+        ] = weakref.WeakKeyDictionary()
 
     def advance(self, cursor: int) -> None:
         """Mark requests before ``cursor`` as already served."""
@@ -64,19 +73,36 @@ class ClairvoyantEviction(EvictionPolicy):
         A checkpoint at prefix length ``p`` serves request ``r`` only when
         ``r``'s input strictly extends the prefix (at least the final input
         token must be prefilled to produce first-step logits), mirroring
-        the cache's ``max_seq_len = len(tokens) - 1`` hit rule.  The
-        schedule is scanned once per distinct path; a lookup is a dict get
-        and a bisect from the cursor.
+        the cache's ``max_seq_len = len(tokens) - 1`` hit rule.
         """
-        key = np.asarray(path, dtype=np.int32).tobytes()
-        uses = self._uses.get(key)
-        if uses is None:
-            n = len(key)
-            uses = self._uses[key] = [
-                index
-                for index, future in enumerate(self._inputs)
-                if len(future) > n and future.startswith(key)
-            ]
+        return self._first_at_cursor(self._uses_of(path))
+
+    def _node_next_use(self, node: RadixNode) -> float:
+        """:meth:`_next_use` of ``node``'s path.  The schedule is scanned
+        once per node (and again after a truncation); a lookup is a dict get
+        and a bisect from the cursor."""
+        entry = self._uses.get(node)
+        if entry is None or entry[0] != node.seq_len:
+            entry = (node.seq_len, self._uses_of(node.path_tokens()))
+            self._uses[node] = entry
+        return self._first_at_cursor(entry[1])
+
+    def _uses_of(self, path: np.ndarray) -> list[int]:
+        """The sorted indices of every scheduled input that strictly extends
+        ``path``: one scan of the schedule."""
+        path = np.asarray(path, dtype=np.int32)
+        n = len(path)
+        schedule = self.schedule
+        last = path.item(n - 1) if n else 0
+        return [
+            index
+            for index in np.flatnonzero(self._lengths > n).tolist()
+            # The last token rules out almost every non-match cheaply.
+            if (not n or schedule[index].item(n - 1) == last)
+            and np.array_equal(schedule[index][:n], path)
+        ]
+
+    def _first_at_cursor(self, uses: list[int]) -> float:
         at = bisect_left(uses, self.cursor)
         return float(uses[at]) if at < len(uses) else _NEVER
 
@@ -84,7 +110,7 @@ class ClairvoyantEviction(EvictionPolicy):
         if not candidates:
             raise ValueError("no eviction candidates")
         scored = [
-            (self._next_use(c.node.path_tokens()), c.sort_key, c) for c in candidates
+            (self._node_next_use(c.node), c.sort_key, c) for c in candidates
         ]
         # Farthest next use goes first; among the never-reused, evict the
         # least FLOP-efficient first so surviving dead weight is cheap.

@@ -12,7 +12,6 @@ regenerated with one command.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional, Sequence
 
 from repro.analysis import classify_trace, clairvoyant_replay
 from repro.baselines.oracle import (
@@ -81,11 +80,7 @@ def run_policy_zoo(scale: str | Scale = "bench") -> FigureResult:
     )
 
 
-def run_headroom(
-    dataset: str,
-    scale: str | Scale = "bench",
-    cache_grid_gb: Optional[Sequence[float]] = None,
-) -> FigureResult:
+def run_headroom(dataset: str, scale: str | Scale = "bench") -> FigureResult:
     """How much of the clairvoyant bound's headroom over LRU the FLOP-aware
     score finds, per cache size of ``dataset``'s grid (nominal replay).
 
@@ -100,7 +95,7 @@ def run_headroom(
     trace = get_trace(config.workload, config.workload_params(scale))
     requests = trace_to_replay_requests(trace)
     rows, cells = [], {}
-    for cache_gb in cache_grid_gb or config.cache_grid_gb:
+    for cache_gb in config.cache_grid_gb:
         capacity = scale.cache_bytes(cache_gb)
         lru = replay_requests(make_cache("sglang+", model, capacity), requests)
         tuned = replay_requests(make_cache("marconi", model, capacity), requests)

@@ -30,7 +30,7 @@ and no pins leak).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Protocol
 
 import numpy as np
 
@@ -78,7 +78,19 @@ class ServedRequest:
     full_sequence: np.ndarray
 
 
-ServeSteps = Generator[int, None, ServedRequest]
+class ServeSteps(Protocol):
+    """What a ``serve_steps`` returns.  Each ``next`` runs one step and
+    returns its token; the step after the last token raises
+    ``StopIteration`` whose ``value`` is the :class:`ServedRequest`;
+    ``close`` aborts a serve still open, releasing every pin.  A generator
+    is one (:meth:`ExactReuseServer.serve_steps`); so is the model-less
+    :meth:`~repro.serving.replay.CacheOnlyServer.serve_steps` iterator,
+    which adds ``silent`` / ``skip`` for the gateway's step loop.
+    """
+
+    def __next__(self) -> int: ...
+
+    def close(self) -> None: ...
 
 
 def checked_request(
@@ -159,7 +171,7 @@ class ExactReuseServer:
         *,
         params: DecodeParams = GREEDY,
         forced_outputs: Optional[np.ndarray] = None,
-    ) -> ServeSteps:
+    ) -> Generator[int, None, ServedRequest]:
         """The request flow as a generator: yields each decoded token.
 
         The caller drives decoding one token at a time (``next``) and

@@ -242,10 +242,11 @@ class Gateway:
     """Asyncio front door over a serve-steps backend.
 
     ``server`` is anything exposing the serve-steps protocol — a
-    ``serve_steps(tokens, n_output, *, params, forced_outputs)`` generator
-    (or an iterator with the same ``next`` / ``close`` contract) returning
-    a :class:`ServedRequest`, plus a ``cache`` attribute (the live
-    :class:`~repro.serving.engine.ExactReuseServer`, or the model-less
+    ``serve_steps(tokens, n_output, *, params, forced_outputs)`` returning
+    :class:`~repro.serving.engine.ServeSteps` (a generator, or any
+    iterator with the same ``next`` / ``close`` contract), plus a ``cache``
+    attribute (the live :class:`~repro.serving.engine.ExactReuseServer`, or
+    the model-less
     :class:`~repro.serving.replay.CacheOnlyServer` for trace replays,
     whose steps also expose ``silent`` / ``skip``).
 

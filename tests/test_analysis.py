@@ -146,13 +146,27 @@ def _rescan_next_use(schedule, cursor, path) -> float:
 
 
 class RescanClairvoyant(ClairvoyantEviction):
-    def _next_use(self, path):
-        return _rescan_next_use(self.schedule, self.cursor, path)
+    def _node_next_use(self, node):
+        return _rescan_next_use(self.schedule, self.cursor, node.path_tokens())
+
+
+class _PathNode:
+    """Stands in for a tree node: a path and its length."""
+
+    def __init__(self, path):
+        self.path = np.asarray(path, dtype=np.int32)
+
+    @property
+    def seq_len(self):
+        return len(self.path)
+
+    def path_tokens(self):
+        return self.path
 
 
 class TestNextUseIndex:
-    """``ClairvoyantEviction._next_use`` looks a path up in a per-path index
-    of the schedule; it must answer what a rescan of the schedule answers."""
+    """``ClairvoyantEviction`` looks a candidate up in a per-node index of
+    the schedule; it must answer what a rescan of the schedule answers."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_index_equals_a_rescan(self, seed):
@@ -164,13 +178,27 @@ class TestNextUseIndex:
             # The input itself: equal is not a use, its next round is.
             paths.append(np.asarray(inp))
             paths.append(np.asarray(inp[: int(rng.integers(1, len(inp) + 1))]))
+        nodes = [_PathNode(path) for path in paths]
         policy = ClairvoyantEviction(schedule)
         n = len(schedule)
         for cursor in (0, n // 3, n // 2, n - 1, n, 1):  # forward, then back
             policy.advance(cursor)
-            for path in paths:
+            for path, node in zip(paths, nodes):
                 expected = _rescan_next_use(schedule, cursor, path)
                 assert policy._next_use(path) == expected
+                assert policy._node_next_use(node) == expected
+
+    def test_a_truncated_node_is_looked_up_again(self):
+        schedule = [
+            np.asarray([1, 2, 3, 4], dtype=np.int32),
+            np.asarray([1, 2, 9], dtype=np.int32),
+        ]
+        policy = ClairvoyantEviction(schedule)
+        node = _PathNode([1, 2, 3])
+        policy.advance(1)
+        assert policy._node_next_use(node) == float("inf")
+        node.path = node.path[:2]
+        assert policy._node_next_use(node) == 1.0
 
     def test_replay_equals_a_rescan_replay(self, hybrid):
         """Under contention, every victim and so every hit is the rescan's."""
