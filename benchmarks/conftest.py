@@ -28,6 +28,7 @@ _FAST_MODULES = {
     "test_micro_router.py",
     "test_micro_steering.py",
     "test_micro_sweep.py",
+    "test_reachability.py",
 }
 _BENCH_DIR = Path(__file__).resolve().parent
 

@@ -22,12 +22,7 @@ from repro.analysis.belady import (
     ClairvoyantResult,
     clairvoyant_replay,
 )
-from repro.analysis.timeseries import (
-    WindowPoint,
-    cumulative_hit_rate,
-    warmup_requests,
-    windowed_hit_rate,
-)
+from repro.analysis.timeseries import WindowPoint, windowed_hit_rate
 from repro.analysis.taxonomy import (
     RequestReuse,
     ReuseClass,
@@ -49,6 +44,4 @@ __all__ = [
     "classify_trace",
     "WindowPoint",
     "windowed_hit_rate",
-    "cumulative_hit_rate",
-    "warmup_requests",
 ]

@@ -1,17 +1,15 @@
-"""Time-resolved cache behaviour: warmup curves and windowed hit rates.
+"""Time-resolved cache behaviour: windowed hit rates.
 
 Aggregate token hit rate hides the dynamics that matter operationally:
 how long the cache takes to warm up after a (re)start, when the alpha
 tuner's adoption kicks in, and whether a policy's advantage is steady or
-episodic.  These helpers slice a simulation's request records into
+episodic.  :func:`windowed_hit_rate` slices a simulation's request records into
 rolling windows over *service* order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.engine.results import RequestRecord
 
@@ -50,37 +48,3 @@ def windowed_hit_rate(
             )
         )
     return points
-
-
-def cumulative_hit_rate(records: list[RequestRecord]) -> np.ndarray:
-    """Running token hit rate after each served request (service order)."""
-    ordered = sorted(records, key=lambda r: r.service_start)
-    hits = np.cumsum([r.hit_tokens for r in ordered], dtype=np.float64)
-    inputs = np.cumsum([r.input_len for r in ordered], dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(inputs > 0, hits / inputs, 0.0)
-    return out
-
-
-def warmup_requests(
-    records: list[RequestRecord], fraction: float = 0.9, window: int = 20
-) -> int:
-    """Requests served before the windowed hit rate first reaches
-    ``fraction`` of its steady-state (final-window) value.
-
-    Returns ``len(records)`` when the threshold is never reached — e.g. a
-    cold cache that thrashes forever.
-    """
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    points = windowed_hit_rate(records, window)
-    if not points:
-        return 0
-    steady = points[-1].token_hit_rate
-    threshold = fraction * steady
-    served = 0
-    for point in points:
-        served += point.requests
-        if point.token_hit_rate >= threshold:
-            return served
-    return len(records)

@@ -91,12 +91,6 @@ class EngineResult:
     def ttfts(self) -> np.ndarray:
         return np.asarray([r.ttft for r in self.records], dtype=np.float64)
 
-    def per_request_hit_rates(self) -> np.ndarray:
-        return np.asarray([r.hit_rate for r in self.records], dtype=np.float64)
-
-    def input_lengths(self) -> np.ndarray:
-        return np.asarray([r.input_len for r in self.records], dtype=np.int64)
-
     def ttft_percentile(self, percentile: float) -> float:
         """Linear-interpolated TTFT percentile in seconds (e.g. 95 for P95)."""
         values = self.ttfts()
@@ -131,16 +125,3 @@ class EngineResult:
         if self.max_running <= 0:
             return 0.0
         return self.mean_running() / self.max_running
-
-    def summary(self) -> dict[str, float]:
-        """Compact scalar summary for tables and logs."""
-        return {
-            "policy": self.policy,
-            "n_requests": self.n_requests,
-            "token_hit_rate": self.token_hit_rate,
-            "flops_saved": self.total_flops_saved,
-            "p5_ttft_s": self.ttft_percentile(5),
-            "p50_ttft_s": self.ttft_percentile(50),
-            "p95_ttft_s": self.ttft_percentile(95),
-            "mean_queue_delay_s": self.mean_queue_delay(),
-        }

@@ -40,14 +40,11 @@ def _gen_trace(
     out: str,
     sessions: int,
     seed: int,
-    arrival_process: str,
     stream: bool,
 ) -> None:
     from repro.workloads import WorkloadParams, generate_trace, generate_trace_stream
 
-    params = WorkloadParams(
-        n_sessions=sessions, seed=seed, arrival_process=arrival_process
-    )
+    params = WorkloadParams(n_sessions=sessions, seed=seed)
     if stream:
         # Constant-memory path: sessions are generated and written one at
         # a time, so session counts far beyond RAM are fine.
@@ -119,9 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stream", action="store_true",
                         help="with --gen-trace: stream sessions to disk "
                         "(constant memory, any session count)")
-    parser.add_argument("--arrival", default="poisson",
-                        choices=("poisson", "bursty", "diurnal", "flashcrowd"),
-                        help="arrival process for --gen-trace (default: poisson)")
     parser.add_argument("--sweep", metavar="DATASET", default=None,
                         help="run the standard cache x think-time sweep of a "
                         "dataset (lmsys, sharegpt, swebench)")
@@ -154,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out or "trace.jsonl",
             args.sessions,
             args.seed,
-            args.arrival,
             args.stream,
         )
         return 0

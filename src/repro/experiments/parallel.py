@@ -96,7 +96,7 @@ class RunSpec:
             self.params.n_sessions,
             self.params.session_rate,
             self.params.mean_think_s,
-            self.params.arrival_process,
+            "poisson",  # the one arrival process; keeps every derived seed unchanged
             self.tag,
         )
         return replace(self, params=replace(self.params, seed=seed))

@@ -26,8 +26,7 @@ from repro.workloads.trace import Trace, TraceStream
 @lru_cache(maxsize=32)
 def _cached_trace(workload: str, params: WorkloadParams) -> Trace:
     # WorkloadParams is frozen (hashable); keying by the whole object keeps
-    # every generation knob — including arrival_process, which the old
-    # field-by-field key silently dropped — part of the cache identity.
+    # every generation knob part of the cache identity.
     return generate_trace(workload, params)
 
 

@@ -1,65 +1,30 @@
 """Metrics: token hit rate, TTFT percentiles, FLOP savings, and summaries."""
 
 from repro.metrics.export import (
-    cluster_summary_dict,
-    cluster_summary_from_json,
-    cluster_summary_to_json,
     gateway_summary_dict,
-    gateway_summary_from_json,
-    gateway_summary_to_json,
-    records_from_csv,
-    records_to_csv,
     steering_split_summary,
     summary_dict,
-    summary_from_json,
-    summary_to_json,
 )
 from repro.metrics.fairness import coefficient_of_variation, jain_fairness
-from repro.metrics.hit_rate import (
-    hit_rate_win,
-    improvement_ratio,
-    mean_hit_rate_by_length_bin,
-    token_hit_rate,
-)
-from repro.metrics.percentiles import BoxSummary, cdf, percentile
-from repro.metrics.reporting import ascii_table, format_bytes, format_ratio
-from repro.metrics.throughput import (
-    computed_prefill_throughput_tokens_per_s,
-    executor_utilization,
-    makespan_seconds,
-    prefill_throughput_tokens_per_s,
-)
-from repro.metrics.ttft import relative_ttft_percentile, ttft_cdf
+from repro.metrics.hit_rate import improvement_ratio, mean_hit_rate_by_length_bin
+from repro.metrics.percentiles import BoxSummary, percentile
+from repro.metrics.reporting import ascii_table, format_bytes
+from repro.metrics.throughput import makespan_seconds, prefill_throughput_tokens_per_s
+from repro.metrics.ttft import relative_ttft_percentile
 
 __all__ = [
-    "token_hit_rate",
-    "hit_rate_win",
     "improvement_ratio",
     "mean_hit_rate_by_length_bin",
     "BoxSummary",
     "percentile",
-    "cdf",
     "relative_ttft_percentile",
-    "ttft_cdf",
     "ascii_table",
     "format_bytes",
-    "format_ratio",
     "jain_fairness",
     "coefficient_of_variation",
     "makespan_seconds",
     "prefill_throughput_tokens_per_s",
-    "computed_prefill_throughput_tokens_per_s",
-    "executor_utilization",
-    "records_to_csv",
-    "records_from_csv",
     "summary_dict",
-    "summary_to_json",
-    "summary_from_json",
-    "cluster_summary_dict",
-    "cluster_summary_to_json",
-    "cluster_summary_from_json",
     "steering_split_summary",
     "gateway_summary_dict",
-    "gateway_summary_to_json",
-    "gateway_summary_from_json",
 ]

@@ -1,60 +1,13 @@
-"""Result export: per-request CSV and aggregate JSON.
+"""Result summaries: flat, JSON-ready dicts of one run, fleet or gateway.
 
 The paper's artifact writes one log file per dataset sweep and post-
-processes it with plotting scripts; these helpers provide the equivalent
-machine-readable surface for this reproduction's results.
+processes it with plotting scripts; these dicts are the equivalent
+machine-readable surface (``json.dumps`` writes any of them).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict
-from pathlib import Path
-
 from repro.engine.results import EngineResult
-
-_CSV_FIELDS = (
-    "session_id",
-    "round_index",
-    "arrival_time",
-    "service_start",
-    "prefill_seconds",
-    "ttft",
-    "input_len",
-    "hit_tokens",
-    "output_len",
-    "reused_bytes",
-    "flops_saved",
-)
-
-
-def records_to_csv(result: EngineResult, path: str | Path) -> None:
-    """Write one CSV row per served request."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
-        for record in result.records:
-            row = asdict(record)
-            writer.writerow({key: row[key] for key in _CSV_FIELDS})
-
-
-def records_from_csv(path: str | Path) -> list[dict]:
-    """Read rows written by :func:`records_to_csv` with numeric types restored."""
-    path = Path(path)
-    out: list[dict] = []
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            for key in ("session_id", "round_index", "input_len", "hit_tokens",
-                        "output_len", "reused_bytes"):
-                parsed[key] = int(row[key])
-            for key in ("arrival_time", "service_start", "prefill_seconds",
-                        "ttft", "flops_saved"):
-                parsed[key] = float(row[key])
-            out.append(parsed)
-    return out
 
 
 def summary_dict(result: EngineResult) -> dict:
@@ -78,35 +31,6 @@ def summary_dict(result: EngineResult) -> dict:
         summary["ttft_p50"] = result.ttft_percentile(50)
         summary["ttft_p95"] = result.ttft_percentile(95)
     return summary
-
-
-def _write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def summary_to_json(result: EngineResult, path: str | Path) -> None:
-    """Write :func:`summary_dict` as pretty-printed JSON."""
-    _write_json(summary_dict(result), path)
-
-
-def summary_from_json(path: str | Path) -> dict:
-    """Load a summary written by :func:`summary_to_json` (or its cluster
-    counterpart :func:`cluster_summary_to_json`)."""
-    return json.loads(Path(path).read_text())
-
-
-def cluster_summary_dict(result) -> dict:
-    """Aggregate view of one cluster run (duck-typed on
-    :meth:`repro.cluster.simulator.ClusterResult.to_dict`): cluster-wide
-    hit rate and TTFT percentiles, per-replica summaries, steering and
-    directory telemetry, and the scenario schedule — so cluster runs land
-    in the same reporting pipeline as single-engine runs."""
-    return result.to_dict()
-
-
-def cluster_summary_to_json(result, path: str | Path) -> None:
-    """Write :func:`cluster_summary_dict` as pretty-printed JSON."""
-    _write_json(cluster_summary_dict(result), path)
 
 
 #: Counters promoted into :func:`steering_split_summary` (absent counters
@@ -193,9 +117,6 @@ def directory_staleness_summary(result) -> dict:
     return summary
 
 
-cluster_summary_from_json = summary_from_json
-
-
 def gateway_summary_dict(gateway) -> dict:
     """Aggregate view of one live gateway (duck-typed on
     :class:`repro.serving.gateway.Gateway`): the admission counters
@@ -214,11 +135,3 @@ def gateway_summary_dict(gateway) -> dict:
         summary["prefix_cache"] = cache.stats.snapshot()
         summary["open_sessions"] = cache.open_sessions
     return summary
-
-
-def gateway_summary_to_json(gateway, path: str | Path) -> None:
-    """Write :func:`gateway_summary_dict` as pretty-printed JSON."""
-    _write_json(gateway_summary_dict(gateway), path)
-
-
-gateway_summary_from_json = summary_from_json

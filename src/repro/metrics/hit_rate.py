@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.results import EngineResult, RequestRecord
-
-
-def token_hit_rate(records: list[RequestRecord]) -> float:
-    """Tokens that skipped prefill over total input tokens."""
-    total = sum(r.input_len for r in records)
-    if total == 0:
-        return 0.0
-    return sum(r.hit_tokens for r in records) / total
+from repro.engine.results import RequestRecord
 
 
 def improvement_ratio(candidate: float, baseline: float, floor: float = 1e-4) -> float:
@@ -48,14 +40,3 @@ def mean_hit_rate_by_length_bin(
         if counts[b]:
             means[b] = float(rates[mask].mean())
     return means, counts
-
-
-def hit_rate_win(result: EngineResult, baseline: EngineResult) -> float:
-    """Relative token-hit-rate win of ``result`` over ``baseline`` (Fig. 8).
-
-    Expressed as a fraction: 0.5 means "+50% hit rate".
-    """
-    base = baseline.token_hit_rate
-    if base <= 0:
-        raise ValueError("baseline has zero hit rate; use improvement_ratio instead")
-    return result.token_hit_rate / base - 1.0

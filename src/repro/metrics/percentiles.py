@@ -1,4 +1,4 @@
-"""Percentile, box-summary, and CDF helpers (pure NumPy wrappers)."""
+"""Percentile and box-summary helpers (pure NumPy wrappers)."""
 
 from __future__ import annotations
 
@@ -34,21 +34,3 @@ class BoxSummary:
             raise ValueError("cannot summarize no values")
         p5, q1, med, q3, p95 = np.percentile(arr, [5, 25, 50, 75, 95])
         return cls(float(p5), float(q1), float(med), float(q3), float(p95))
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "p5": self.p5,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "p95": self.p95,
-        }
-
-
-def cdf(values) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: sorted values and cumulative probabilities in (0, 1]."""
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
-        raise ValueError("cannot build a CDF of no values")
-    probs = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size
-    return arr, probs

@@ -31,13 +31,3 @@ def format_bytes(n: float) -> str:
         if abs(n) >= scale:
             return f"{n / scale:.1f} {unit}"
     return f"{n:.0f} B"
-
-
-def format_ratio(value: float) -> str:
-    """Render an improvement ratio the way the paper does ("34.4x")."""
-    return f"{value:.1f}x"
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Render a fraction as a percentage string."""
-    return f"{100.0 * value:.{digits}f}%"

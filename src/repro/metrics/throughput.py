@@ -25,22 +25,3 @@ def prefill_throughput_tokens_per_s(result: EngineResult) -> float:
     if span == 0.0:
         return 0.0
     return sum(r.input_len for r in result.records) / span
-
-
-def computed_prefill_throughput_tokens_per_s(result: EngineResult) -> float:
-    """Input tokens actually *prefilled* (misses only) per second of makespan."""
-    span = makespan_seconds(result)
-    if span == 0.0:
-        return 0.0
-    return sum(r.input_len - r.hit_tokens for r in result.records) / span
-
-
-def executor_utilization(result: EngineResult, n_executors: int = 1) -> float:
-    """Fraction of executor-seconds spent prefilling over the makespan."""
-    if n_executors < 1:
-        raise ValueError(f"n_executors must be >= 1, got {n_executors}")
-    span = makespan_seconds(result)
-    if span == 0.0:
-        return 0.0
-    busy = sum(r.prefill_seconds for r in result.records)
-    return min(1.0, busy / (span * n_executors))

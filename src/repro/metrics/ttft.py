@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine.results import EngineResult
-from repro.metrics.percentiles import cdf, percentile
+from repro.metrics.percentiles import percentile
 
 
 def relative_ttft_percentile(
@@ -19,8 +17,3 @@ def relative_ttft_percentile(
     if base <= 0:
         raise ValueError("vanilla TTFT percentile is non-positive")
     return percentile(result.ttfts(), p) / base
-
-
-def ttft_cdf(result: EngineResult) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of per-request TTFT in seconds (Fig. 10b)."""
-    return cdf(result.ttfts())

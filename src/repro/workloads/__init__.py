@@ -9,15 +9,7 @@ exactly those properties per dataset — see each module's docstring for the
 distributional targets taken from the paper's Fig. 6.
 """
 
-from repro.workloads.arrivals import (
-    ARRIVAL_PROCESS_NAMES,
-    DiurnalProcess,
-    FlashCrowdProcess,
-    MarkovModulatedPoisson,
-    PoissonProcess,
-    exponential_think_times,
-    make_arrival_process,
-)
+from repro.workloads.arrivals import PoissonProcess, exponential_think_times
 from repro.workloads.distributions import (
     GeometricCount,
     LogNormalLength,
@@ -52,11 +44,6 @@ from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
 
 __all__ = [
     "PoissonProcess",
-    "MarkovModulatedPoisson",
-    "DiurnalProcess",
-    "FlashCrowdProcess",
-    "ARRIVAL_PROCESS_NAMES",
-    "make_arrival_process",
     "exponential_think_times",
     "LogNormalLength",
     "GeometricCount",

@@ -31,265 +31,6 @@ class PoissonProcess:
         return np.cumsum(gaps)
 
 
-@dataclass(frozen=True)
-class MarkovModulatedPoisson:
-    """Two-state MMPP: bursty arrivals alternating busy and quiet phases.
-
-    Real public-facing traffic (the paper's ShareGPT/LMSys setting) is
-    burstier than a homogeneous Poisson stream: diurnal peaks, retry
-    storms, and batch submissions produce arrival clusters that stress a
-    cache much harder than the same mean rate spread evenly.  The process
-    alternates exponentially-dwelled ON (``burst_rate``) and OFF
-    (``base_rate``) phases.
-    """
-
-    base_rate: float
-    burst_rate: float
-    mean_on_s: float = 10.0
-    mean_off_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.base_rate <= 0 or self.burst_rate <= 0:
-            raise ValueError("rates must be positive")
-        if self.burst_rate < self.base_rate:
-            raise ValueError(
-                f"burst_rate ({self.burst_rate}) must be >= base_rate ({self.base_rate})"
-            )
-        if self.mean_on_s <= 0 or self.mean_off_s <= 0:
-            raise ValueError("phase dwell times must be positive")
-
-    @property
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate across both phases."""
-        total = self.mean_on_s + self.mean_off_s
-        return (
-            self.burst_rate * self.mean_on_s + self.base_rate * self.mean_off_s
-        ) / total
-
-    def arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """First ``n`` arrival times, alternating ON/OFF phases."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        times = np.empty(n, dtype=np.float64)
-        now = 0.0
-        produced = 0
-        on = bool(rng.random() < self.mean_on_s / (self.mean_on_s + self.mean_off_s))
-        phase_end = now + rng.exponential(self.mean_on_s if on else self.mean_off_s)
-        rate = self.burst_rate if on else self.base_rate
-        while produced < n:
-            candidate = now + rng.exponential(1.0 / rate)
-            if candidate > phase_end:
-                # No arrival before the phase flips; advance the phase.
-                now = phase_end
-                on = not on
-                rate = self.burst_rate if on else self.base_rate
-                phase_end = now + rng.exponential(
-                    self.mean_on_s if on else self.mean_off_s
-                )
-                continue
-            now = candidate
-            times[produced] = now
-            produced += 1
-        return times
-
-
-def _thinned_arrivals(
-    rng: np.random.Generator,
-    n: int,
-    rate_at,
-    rate_max: float,
-) -> np.ndarray:
-    """First ``n`` arrivals of a non-homogeneous Poisson process.
-
-    Lewis–Shedler thinning: candidates are drawn from a homogeneous
-    process at ``rate_max`` and kept with probability
-    ``rate_at(t) / rate_max``, giving an exact sample of the
-    inhomogeneous process for any bounded rate curve.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    times = np.empty(n, dtype=np.float64)
-    now = 0.0
-    produced = 0
-    while produced < n:
-        now += rng.exponential(1.0 / rate_max)
-        if rng.random() * rate_max <= rate_at(now):
-            times[produced] = now
-            produced += 1
-    return times
-
-
-@dataclass(frozen=True)
-class DiurnalProcess:
-    """Non-homogeneous Poisson arrivals following a daily rate curve.
-
-    Cluster-scale traces exhibit strong diurnal cycles: demand swells
-    toward a daily peak and bottoms out off-hours.  The rate curve is the
-    classic sinusoid ``mean_rate * (1 + amplitude * sin(2*pi*t/period))``
-    (``phase`` shifts where the peak falls), sampled exactly by thinning.
-    The default period is one compressed "day" of an hour so that bench-
-    scale traces actually traverse peak and trough; pass ``period_s=86400``
-    for wall-clock days.
-    """
-
-    mean_rate: float
-    amplitude: float = 0.6
-    period_s: float = 3600.0
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mean_rate <= 0:
-            raise ValueError(f"mean_rate must be positive, got {self.mean_rate}")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(
-                f"amplitude must be in [0, 1), got {self.amplitude}"
-            )
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {self.period_s}")
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate at time ``t`` (seconds)."""
-        angle = 2.0 * np.pi * (t / self.period_s) + self.phase
-        return self.mean_rate * (1.0 + self.amplitude * np.sin(angle))
-
-    def arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """First ``n`` arrival times of the diurnal process."""
-        return _thinned_arrivals(
-            rng, n, self.rate_at, self.mean_rate * (1.0 + self.amplitude)
-        )
-
-
-@dataclass(frozen=True)
-class FlashCrowdProcess:
-    """A base arrival stream punctuated by flash-crowd spikes.
-
-    Models the announcement effect (a product launch, a viral link): the
-    baseline ``base_rate`` jumps to ``spike_multiplier`` times itself for
-    ``spike_duration_s`` seconds at each time in ``spike_times``, then
-    collapses back.  With ``spike_period_s`` set the schedule repeats
-    indefinitely (``spike_times`` are offsets within one cycle), so the
-    envelope — and any mean-rate normalization over it — holds for traces
-    of any length, not just the first cycle.  Layered multiplicatively
-    over the homogeneous base via thinning, so it composes with the
-    diurnal curve by nesting ``rate_at`` calls if needed.  Spikes are the
-    sharpest cache stress the arrival axis can produce: a burst of
-    near-simultaneous sessions whose shared prefixes either all hit or
-    all thrash.
-    """
-
-    base_rate: float
-    spike_times: tuple[float, ...] = (60.0, 300.0)
-    spike_duration_s: float = 30.0
-    spike_multiplier: float = 6.0
-    spike_period_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.base_rate <= 0:
-            raise ValueError(f"base_rate must be positive, got {self.base_rate}")
-        if self.spike_duration_s <= 0:
-            raise ValueError(
-                f"spike_duration_s must be positive, got {self.spike_duration_s}"
-            )
-        if self.spike_multiplier < 1.0:
-            raise ValueError(
-                f"spike_multiplier must be >= 1, got {self.spike_multiplier}"
-            )
-        if any(t < 0 for t in self.spike_times):
-            raise ValueError("spike times must be non-negative")
-        if self.spike_period_s is not None:
-            if self.spike_period_s <= 0:
-                raise ValueError(
-                    f"spike_period_s must be positive, got {self.spike_period_s}"
-                )
-            if any(
-                t + self.spike_duration_s > self.spike_period_s
-                for t in self.spike_times
-            ):
-                raise ValueError(
-                    "periodic spike windows must fit inside one period "
-                    "(start + duration <= spike_period_s)"
-                )
-        # Normalize: tuples keep the dataclass hashable and the rate
-        # function cheap (a few comparisons per candidate).
-        object.__setattr__(self, "spike_times", tuple(sorted(self.spike_times)))
-
-    def in_spike(self, t: float) -> bool:
-        """Whether ``t`` falls inside any spike window."""
-        if self.spike_period_s is not None:
-            t = t % self.spike_period_s
-        for start in self.spike_times:
-            if start <= t < start + self.spike_duration_s:
-                return True
-            if t < start:
-                break
-        return False
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate at time ``t`` (seconds)."""
-        if self.in_spike(t):
-            return self.base_rate * self.spike_multiplier
-        return self.base_rate
-
-    def arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """First ``n`` arrival times of the spiked process."""
-        return _thinned_arrivals(
-            rng, n, self.rate_at, self.base_rate * self.spike_multiplier
-        )
-
-
-#: Names accepted by :func:`make_arrival_process` and
-#: :class:`repro.workloads.sessions.WorkloadParams.arrival_process`.
-ARRIVAL_PROCESS_NAMES: tuple[str, ...] = ("poisson", "bursty", "diurnal", "flashcrowd")
-
-
-def make_arrival_process(name: str, session_rate: float):
-    """Build a named arrival process with long-run mean ``session_rate``.
-
-    Every preset is mean-rate-normalized so swapping the process changes
-    *when* sessions land but not *how many per second* on average — the
-    axis the paper's Fig. 13 sweeps stays comparable across processes:
-
-    * ``poisson`` — homogeneous (the paper's setting);
-    * ``bursty`` — two-state MMPP, 2.5x the rate during 10 s bursts and
-      0.5x during 30 s lulls (long-run mean = ``session_rate`` exactly);
-    * ``diurnal`` — sinusoidal rate curve over a compressed one-hour day;
-    * ``flashcrowd`` — 6x spikes of 20 s every 120 s over a lowered base
-      (mean over each 120 s cycle = ``session_rate`` exactly).
-    """
-    if name == "poisson":
-        return PoissonProcess(session_rate)
-    if name == "bursty":
-        # (2.5 * on + 0.5 * off) / (on + off) == 1 for on=10, off=30,
-        # so the long-run rate equals session_rate exactly.
-        return MarkovModulatedPoisson(
-            base_rate=0.5 * session_rate,
-            burst_rate=2.5 * session_rate,
-            mean_on_s=10.0,
-            mean_off_s=30.0,
-        )
-    if name == "diurnal":
-        # A sinusoid is mean-rate-normalized over whole periods already.
-        return DiurnalProcess(mean_rate=session_rate, amplitude=0.6, period_s=3600.0)
-    if name == "flashcrowd":
-        # One 20 s spike at 6x per repeating 120 s cycle: mean multiplier
-        # is (20 * 6 + 100 * 1) / 120 = 11/6; divide the base so the
-        # long-run rate equals session_rate exactly, over any horizon.
-        duration, multiplier, cycle = 20.0, 6.0, 120.0
-        mean_multiplier = (
-            duration * multiplier + (cycle - duration)
-        ) / cycle
-        return FlashCrowdProcess(
-            base_rate=session_rate / mean_multiplier,
-            spike_times=(30.0,),
-            spike_duration_s=duration,
-            spike_multiplier=multiplier,
-            spike_period_s=cycle,
-        )
-    raise KeyError(
-        f"unknown arrival process {name!r}; known: {ARRIVAL_PROCESS_NAMES}"
-    )
-
-
 def exponential_think_times(
     rng: np.random.Generator, n_rounds: int, mean_seconds: float
 ) -> list[float]:

@@ -7,7 +7,6 @@ remaining purely-input scenarios of the section 4.1 taxonomy.
 
 from __future__ import annotations
 
-from repro.workloads.arrivals import ARRIVAL_PROCESS_NAMES
 from repro.workloads.docqa import DOCQA_SHAPE, generate_docqa_trace
 from repro.workloads.fewshot import FEWSHOT_SHAPE, generate_fewshot_trace
 from repro.workloads.lmsys import LMSYS_SHAPE, generate_lmsys_trace
@@ -87,7 +86,6 @@ def generate_trace_stream(
 
 __all__ = [
     "WORKLOAD_NAMES",
-    "ARRIVAL_PROCESS_NAMES",
     "generate_trace",
     "generate_trace_stream",
 ]

@@ -28,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.distributions import GeometricCount, LogNormalLength
 from repro.workloads.sessions import WorkloadParams, _pool_seed
 from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
@@ -89,7 +90,7 @@ def _selfconsistency_session_generator(
         vocab_size=params.vocab_size,
         zipf_exponent=shape.template_zipf,
     )
-    query_arrivals = params.make_arrival_process().arrival_times(
+    query_arrivals = PoissonProcess(params.session_rate).arrival_times(
         rng, params.n_sessions
     )
     buffer: list[tuple[float, int, TraceSession]] = []

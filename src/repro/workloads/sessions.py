@@ -3,8 +3,7 @@
 Every workload (LMSys-like chat, ShareGPT-like chat, SWE-Bench-like agent
 trajectories) is an instance of the same generative skeleton:
 
-* sessions arrive at ``session_rate`` per second — Poisson by default, or
-  a bursty two-state MMPP via ``WorkloadParams.arrival_process``;
+* sessions arrive as a Poisson process at ``session_rate`` per second;
 * every session optionally opens with a *global preamble* shared by all
   sessions of the workload (a deployment-wide system prompt), followed by
   an optional *shared* template segment (task instructions / few-shot
@@ -24,11 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.arrivals import (
-    ARRIVAL_PROCESS_NAMES,
-    exponential_think_times,
-    make_arrival_process,
-)
+from repro.workloads.arrivals import PoissonProcess, exponential_think_times
 from repro.workloads.distributions import GeometricCount, LogNormalLength
 from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
 from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
@@ -66,12 +61,9 @@ class WorkloadParams:
     """Scale and timing knobs shared by all workloads.
 
     ``session_rate`` and ``mean_think_s`` are the two arrival-pattern axes
-    the paper sweeps in Fig. 13.  ``arrival_process`` selects among the
-    mean-rate-normalized presets of
-    :func:`repro.workloads.arrivals.make_arrival_process`: homogeneous
-    ``"poisson"`` (the paper's setting), ``"bursty"`` two-state MMPP,
-    ``"diurnal"`` rate curves, or ``"flashcrowd"`` spikes — public-facing
-    traffic is rarely as smooth as Poisson.
+    the paper sweeps in Fig. 13: sessions start as a homogeneous Poisson
+    process at ``session_rate``, and each later round follows its
+    predecessor after an exponential think time of mean ``mean_think_s``.
     """
 
     n_sessions: int = 100
@@ -79,7 +71,6 @@ class WorkloadParams:
     mean_think_s: float = 5.0
     seed: int = 0
     vocab_size: int = 32000
-    arrival_process: str = "poisson"
 
     def __post_init__(self) -> None:
         if self.n_sessions <= 0:
@@ -90,15 +81,6 @@ class WorkloadParams:
             raise ValueError(f"mean_think_s must be non-negative, got {self.mean_think_s}")
         if self.vocab_size <= 1:
             raise ValueError(f"vocab_size must be > 1, got {self.vocab_size}")
-        if self.arrival_process not in ARRIVAL_PROCESS_NAMES:
-            raise ValueError(
-                f"arrival_process must be one of {ARRIVAL_PROCESS_NAMES}, "
-                f"got {self.arrival_process!r}"
-            )
-
-    def make_arrival_process(self):
-        """The configured session arrival process."""
-        return make_arrival_process(self.arrival_process, self.session_rate)
 
 
 def _pool_seed(shape_name: str, seed: int) -> int:
@@ -112,15 +94,12 @@ def _pool_seed(shape_name: str, seed: int) -> int:
 
 
 def _trace_metadata(params: WorkloadParams) -> dict:
-    metadata = {
+    return {
         "n_sessions": params.n_sessions,
         "session_rate": params.session_rate,
         "mean_think_s": params.mean_think_s,
         "vocab_size": params.vocab_size,
     }
-    if params.arrival_process != "poisson":
-        metadata["arrival_process"] = params.arrival_process
-    return metadata
 
 
 def _session_generator(shape: SessionShape, params: WorkloadParams):
@@ -140,7 +119,7 @@ def _session_generator(shape: SessionShape, params: WorkloadParams):
         zipf_exponent=shape.template_zipf,
     )
     preamble = global_preamble(shape, params)
-    arrivals = params.make_arrival_process().arrival_times(rng, params.n_sessions)
+    arrivals = PoissonProcess(params.session_rate).arrival_times(rng, params.n_sessions)
     for session_id in range(params.n_sessions):
         yield _build_session(
             session_id=session_id,

@@ -1,12 +1,10 @@
-"""Tests for the capacity planner and bursty arrival process."""
+"""Tests for the capacity planner."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import capacity_curve, recommend_capacity
 from repro.analysis.capacity import CapacityPoint
 from repro.models.memory import node_state_bytes
-from repro.workloads.arrivals import MarkovModulatedPoisson, PoissonProcess
 from repro.workloads.lmsys import generate_lmsys_trace
 
 
@@ -76,85 +74,3 @@ class TestRecommendCapacity:
             recommend_capacity(
                 hybrid, planner_trace, 0.5, low_bytes=1, high_bytes=2, rel_tol=2.0
             )
-
-
-class TestMarkovModulatedPoisson:
-    def test_arrivals_increase(self):
-        process = MarkovModulatedPoisson(base_rate=0.5, burst_rate=10.0)
-        times = process.arrival_times(np.random.default_rng(0), 200)
-        assert len(times) == 200
-        assert np.all(np.diff(times) > 0)
-
-    def test_mean_rate_formula(self):
-        process = MarkovModulatedPoisson(
-            base_rate=1.0, burst_rate=9.0, mean_on_s=10.0, mean_off_s=30.0
-        )
-        assert process.mean_rate == pytest.approx((9 * 10 + 1 * 30) / 40)
-
-    def test_long_run_rate_matches_mean(self):
-        process = MarkovModulatedPoisson(
-            base_rate=1.0, burst_rate=20.0, mean_on_s=5.0, mean_off_s=15.0
-        )
-        times = process.arrival_times(np.random.default_rng(7), 20_000)
-        empirical = len(times) / times[-1]
-        assert empirical == pytest.approx(process.mean_rate, rel=0.15)
-
-    def test_burstier_than_poisson(self):
-        """MMPP inter-arrival gaps have a higher coefficient of variation
-        than the exponential's CV of 1."""
-        rng = np.random.default_rng(3)
-        mmpp = MarkovModulatedPoisson(base_rate=0.2, burst_rate=20.0)
-        gaps = np.diff(mmpp.arrival_times(rng, 5_000))
-        cv_mmpp = gaps.std() / gaps.mean()
-        poisson_gaps = np.diff(
-            PoissonProcess(mmpp.mean_rate).arrival_times(np.random.default_rng(3), 5_000)
-        )
-        cv_poisson = poisson_gaps.std() / poisson_gaps.mean()
-        assert cv_mmpp > 1.3 * cv_poisson
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarkovModulatedPoisson(base_rate=0.0, burst_rate=1.0)
-        with pytest.raises(ValueError):
-            MarkovModulatedPoisson(base_rate=2.0, burst_rate=1.0)
-        with pytest.raises(ValueError):
-            MarkovModulatedPoisson(base_rate=1.0, burst_rate=2.0, mean_on_s=0.0)
-        process = MarkovModulatedPoisson(base_rate=1.0, burst_rate=2.0)
-        with pytest.raises(ValueError):
-            process.arrival_times(np.random.default_rng(0), -1)
-
-
-class TestBurstyWorkloads:
-    def test_params_validate_process_name(self):
-        from repro.workloads import WorkloadParams
-
-        with pytest.raises(ValueError):
-            WorkloadParams(arrival_process="uniform")
-
-    def test_bursty_traces_cluster_arrivals(self):
-        from repro.workloads import WorkloadParams, generate_lmsys_trace
-
-        smooth = generate_lmsys_trace(
-            WorkloadParams(n_sessions=120, seed=5, arrival_process="poisson")
-        )
-        bursty = generate_lmsys_trace(
-            WorkloadParams(n_sessions=120, seed=5, arrival_process="bursty")
-        )
-
-        def cv(trace):
-            gaps = np.diff([s.arrival_time for s in trace.sessions])
-            return gaps.std() / gaps.mean()
-
-        assert cv(bursty) > cv(smooth)
-        # Same long-run rate: total horizons are comparable.
-        assert bursty.sessions[-1].arrival_time == pytest.approx(
-            smooth.sessions[-1].arrival_time, rel=0.5
-        )
-
-    def test_bursty_selfconsistency(self):
-        from repro.workloads import WorkloadParams, generate_selfconsistency_trace
-
-        trace = generate_selfconsistency_trace(
-            WorkloadParams(n_sessions=6, seed=3, arrival_process="bursty")
-        )
-        assert trace.n_requests == trace.metadata["n_samples"]

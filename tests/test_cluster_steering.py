@@ -27,7 +27,6 @@ from repro.cluster import (
 )
 from repro.core.cache import MarconiCache
 from repro.engine.latency import LatencyModel
-from repro.metrics.export import cluster_summary_from_json, cluster_summary_to_json
 from repro.models.memory import node_state_bytes, transfer_state_bytes
 from repro.tiering import TieredMarconiCache
 from repro.workloads.lmsys import generate_lmsys_trace
@@ -787,17 +786,6 @@ class TestClusterExport:
         assert "directory" in d
         assert d["scenario"][0]["action"] == "drain"
         json.dumps(d)  # must be JSON-serializable as-is
-
-    def test_json_roundtrip(self, hybrid, tmp_path):
-        trace = generate_lmsys_trace(n_sessions=6, seed=55)
-        result = simulate_cluster(
-            hybrid, _caches(hybrid, 2), PrefixAffinityRouter(), trace
-        )
-        path = tmp_path / "cluster.json"
-        cluster_summary_to_json(result, path)
-        loaded = cluster_summary_from_json(path)
-        assert loaded["n_requests"] == result.n_requests
-        assert loaded["token_hit_rate"] == pytest.approx(result.token_hit_rate)
 
     def test_scenario_without_router_rejected(self, hybrid):
         from repro.engine.kernel import SimulationKernel

@@ -217,8 +217,3 @@ class TestEngineResult:
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError):
             EngineResult(policy="x").ttft_percentile(50)
-
-    def test_summary_keys(self):
-        summary = self._result().summary()
-        for key in ("token_hit_rate", "p95_ttft_s", "n_requests"):
-            assert key in summary

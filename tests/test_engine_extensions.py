@@ -1,4 +1,4 @@
-"""Tests for multi-executor serving and the throughput/export metrics."""
+"""Tests for multi-executor serving and the throughput/summary metrics."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,8 @@ import pytest
 from repro.core.cache import MarconiCache
 from repro.engine.results import EngineResult, RequestRecord
 from repro.engine.server import ServingSimulator, simulate_trace
-from repro.metrics.export import (
-    records_from_csv,
-    records_to_csv,
-    summary_dict,
-    summary_from_json,
-    summary_to_json,
-)
-from repro.metrics.throughput import (
-    computed_prefill_throughput_tokens_per_s,
-    executor_utilization,
-    makespan_seconds,
-    prefill_throughput_tokens_per_s,
-)
+from repro.metrics.export import summary_dict
+from repro.metrics.throughput import makespan_seconds, prefill_throughput_tokens_per_s
 from repro.models.memory import node_state_bytes
 from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.selfconsistency import generate_selfconsistency_trace
@@ -93,52 +82,15 @@ class TestThroughput:
     def test_prefill_throughput_counts_hits(self):
         assert prefill_throughput_tokens_per_s(_toy_result()) == pytest.approx(2000 / 3)
 
-    def test_computed_throughput_excludes_hits(self):
-        assert computed_prefill_throughput_tokens_per_s(_toy_result()) == pytest.approx(
-            1400 / 3
-        )
-
-    def test_utilization(self):
-        result = _toy_result()
-        assert executor_utilization(result) == pytest.approx(2.0 / 3.0)
-        assert executor_utilization(result, n_executors=2) == pytest.approx(1.0 / 3.0)
-        with pytest.raises(ValueError):
-            executor_utilization(result, n_executors=0)
-
     def test_empty_result_is_zero(self):
         empty = EngineResult(policy="empty")
         assert prefill_throughput_tokens_per_s(empty) == 0.0
-        assert executor_utilization(empty) == 0.0
 
 
 class TestExport:
-    def test_csv_roundtrip(self, tmp_path):
-        result = _toy_result()
-        path = tmp_path / "records.csv"
-        records_to_csv(result, path)
-        rows = records_from_csv(path)
-        assert len(rows) == 2
-        assert rows[1]["hit_tokens"] == 600
-        assert rows[1]["flops_saved"] == pytest.approx(1e9)
-
     def test_summary_fields(self):
         summary = summary_dict(_toy_result())
         assert summary["policy"] == "toy"
         assert summary["n_requests"] == 2
         assert summary["token_hit_rate"] == pytest.approx(600 / 2000)
         assert "ttft_p95" in summary
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "summary.json"
-        summary_to_json(_toy_result(), path)
-        loaded = summary_from_json(path)
-        assert loaded["policy"] == "toy"
-        assert loaded["token_hit_rate"] == pytest.approx(0.3)
-
-    def test_real_run_exports(self, hybrid, tmp_path):
-        trace = generate_lmsys_trace(n_sessions=5, seed=35)
-        result = simulate_trace(hybrid, _cache(hybrid), trace, policy_name="marconi")
-        records_to_csv(result, tmp_path / "r.csv")
-        summary_to_json(result, tmp_path / "s.json")
-        assert len(records_from_csv(tmp_path / "r.csv")) == result.n_requests
-        assert summary_from_json(tmp_path / "s.json")["policy"] == "marconi"

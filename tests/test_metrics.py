@@ -5,15 +5,10 @@ import pytest
 
 from repro.engine.results import EngineResult, RequestRecord, step_time_weighted_mean
 from repro.metrics.fairness import coefficient_of_variation, jain_fairness
-from repro.metrics.hit_rate import (
-    hit_rate_win,
-    improvement_ratio,
-    mean_hit_rate_by_length_bin,
-    token_hit_rate,
-)
-from repro.metrics.percentiles import BoxSummary, cdf, percentile
-from repro.metrics.reporting import ascii_table, format_bytes, format_percent, format_ratio
-from repro.metrics.ttft import relative_ttft_percentile, ttft_cdf
+from repro.metrics.hit_rate import improvement_ratio, mean_hit_rate_by_length_bin
+from repro.metrics.percentiles import BoxSummary, percentile
+from repro.metrics.reporting import ascii_table, format_bytes
+from repro.metrics.ttft import relative_ttft_percentile
 
 
 def record(input_len, hit, ttft=0.1):
@@ -33,15 +28,6 @@ class TestPercentiles:
     def test_box_summary_ordering(self, rng):
         box = BoxSummary.from_values(rng.normal(size=500))
         assert box.p5 <= box.q1 <= box.median <= box.q3 <= box.p95
-
-    def test_box_as_dict(self):
-        box = BoxSummary.from_values([1.0, 2.0, 3.0])
-        assert set(box.as_dict()) == {"p5", "q1", "median", "q3", "p95"}
-
-    def test_cdf_monotone(self, rng):
-        values, probs = cdf(rng.normal(size=100))
-        assert np.all(np.diff(values) >= 0)
-        assert probs[0] == pytest.approx(0.01) and probs[-1] == 1.0
 
 
 class TestPercentileEdgeCases:
@@ -70,15 +56,6 @@ class TestPercentileEdgeCases:
     def test_box_summary_empty_raises(self):
         with pytest.raises(ValueError):
             BoxSummary.from_values([])
-
-    def test_cdf_single_sample(self):
-        values, probs = cdf([3.0])
-        assert values.tolist() == [3.0]
-        assert probs.tolist() == [1.0]
-
-    def test_cdf_empty_raises(self):
-        with pytest.raises(ValueError):
-            cdf([])
 
 
 class TestFairness:
@@ -154,19 +131,14 @@ class TestStepTimeWeightedMean:
 class TestHitRate:
     def test_token_hit_rate_weighted(self):
         records = [record(100, 50), record(300, 0)]
-        assert token_hit_rate(records) == pytest.approx(50 / 400)
+        assert EngineResult("x", records).token_hit_rate == pytest.approx(50 / 400)
 
     def test_empty_is_zero(self):
-        assert token_hit_rate([]) == 0.0
+        assert EngineResult("x").token_hit_rate == 0.0
 
     def test_improvement_ratio_floor(self):
         assert improvement_ratio(0.3, 0.0) == pytest.approx(0.3 / 1e-4)
         assert improvement_ratio(0.3, 0.1) == pytest.approx(3.0)
-
-    def test_hit_rate_win(self):
-        a = EngineResult("a", [record(100, 60)])
-        b = EngineResult("b", [record(100, 40)])
-        assert hit_rate_win(a, b) == pytest.approx(0.5)
 
     def test_binning(self):
         records = [record(500, 250), record(1500, 1500 * 0.8), record(2500, 0)]
@@ -191,11 +163,6 @@ class TestTTFT:
         slow = EngineResult("slow", [record(10, 0, ttft=1.0) for _ in range(10)])
         assert relative_ttft_percentile(fast, slow, 95) == pytest.approx(0.5)
 
-    def test_ttft_cdf(self):
-        result = EngineResult("x", [record(10, 0, ttft=t) for t in (0.3, 0.1, 0.2)])
-        values, probs = ttft_cdf(result)
-        assert values.tolist() == [0.1, 0.2, 0.3]
-
 
 class TestReporting:
     def test_ascii_table_alignment(self):
@@ -214,7 +181,3 @@ class TestReporting:
         assert format_bytes(17.4e9) == "17.4 GB"
         assert format_bytes(26.7e6) == "26.7 MB"
         assert format_bytes(512) == "512 B"
-
-    def test_format_ratio_and_percent(self):
-        assert format_ratio(34.42) == "34.4x"
-        assert format_percent(0.711) == "71.1%"

@@ -84,6 +84,18 @@ class TestRunSpec:
         # sweep; move it only with a fixture-style review.
         assert derive_point_seed(0, "lmsys", 2.0) == 829212162
 
+    def test_with_derived_seed_is_pinned(self):
+        # A spec's whole derivation, frozen: the sweeps' traces stay the
+        # ones every earlier result was measured on.
+        spec = RunSpec(
+            workload="lmsys",
+            params=WorkloadParams(n_sessions=40, seed=0),
+            policy="marconi",
+            capacity_bytes=10**9,
+            tag="cache=1GB",
+        )
+        assert spec.with_derived_seed(7).params.seed == 668724982
+
 
 class TestChunking:
     def test_chunks_are_trace_contiguous_and_complete(self):

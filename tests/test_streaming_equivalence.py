@@ -48,9 +48,6 @@ def workload_params(draw, max_sessions: int = 12):
         session_rate=draw(st.sampled_from([0.5, 1.0, 2.0, 5.0])),
         mean_think_s=draw(st.sampled_from([0.0, 0.5, 2.0])),
         seed=draw(st.integers(min_value=0, max_value=2**20)),
-        arrival_process=draw(
-            st.sampled_from(["poisson", "bursty", "diurnal", "flashcrowd"])
-        ),
     )
 
 

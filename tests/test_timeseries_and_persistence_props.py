@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    cumulative_hit_rate,
-    warmup_requests,
-    windowed_hit_rate,
-)
+from repro.analysis import windowed_hit_rate
 from repro.core.cache import MarconiCache
 from repro.core.persistence import load_cache, save_cache
 from repro.engine.results import RequestRecord
-from repro.engine.server import simulate_trace
-from repro.models.memory import node_state_bytes
 from repro.models.presets import tiny_test_model
-from repro.workloads.lmsys import generate_lmsys_trace
 
 
 def record(i, input_len=100, hit=0):
@@ -47,48 +40,6 @@ class TestWindowedHitRate:
 
     def test_empty_records(self):
         assert windowed_hit_rate([], window=5) == []
-        assert cumulative_hit_rate([]).size == 0
-
-
-class TestCumulative:
-    def test_running_ratio(self):
-        records = [record(0, 100, 0), record(1, 100, 100), record(2, 100, 50)]
-        running = cumulative_hit_rate(records)
-        assert running[0] == 0.0
-        assert running[1] == pytest.approx(0.5)
-        assert running[2] == pytest.approx(0.5)
-
-    def test_matches_aggregate_at_end(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=6, seed=99)
-        cache = MarconiCache(hybrid, 50 * node_state_bytes(hybrid, 2000, True), alpha=1.0)
-        result = simulate_trace(hybrid, cache, trace)
-        running = cumulative_hit_rate(result.records)
-        assert running[-1] == pytest.approx(result.token_hit_rate)
-
-
-class TestWarmup:
-    def test_cold_then_warm(self):
-        records = [record(i, hit=0 if i < 40 else 90) for i in range(80)]
-        warm_at = warmup_requests(records, fraction=0.9, window=10)
-        assert 40 < warm_at <= 60
-
-    def test_never_warm_returns_total(self):
-        # Hit rate strictly decreasing: threshold (of the final window)
-        # is met by the *first* window already; use fraction=1.0 with
-        # oscillation to exercise the fallback instead.
-        records = [record(i, hit=100 if i % 20 < 10 else 0) for i in range(40)]
-        assert warmup_requests(records, fraction=1.0, window=40) == 40
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            warmup_requests([record(0)], fraction=0.0)
-
-    def test_real_cache_warms_up(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=20, seed=101)
-        cache = MarconiCache(hybrid, 50 * node_state_bytes(hybrid, 3000, True), alpha=1.0)
-        result = simulate_trace(hybrid, cache, trace)
-        warm_at = warmup_requests(result.records, fraction=0.5, window=15)
-        assert 0 < warm_at <= result.n_requests
 
 
 TOKENS = st.lists(st.integers(0, 3), min_size=1, max_size=10)

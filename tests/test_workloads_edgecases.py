@@ -1,8 +1,7 @@
 """Edge-case coverage for the workload layer.
 
 The corners the generators and trace schema must hold firm on: degenerate
-think-time lists, single-round sessions, one-state MMPP chains, the
-thinning-based arrival processes' validation and envelopes, and — the
+think-time lists, single-round sessions, zero Poisson arrivals, and — the
 regression the experiment caches rely on — seed stability of every
 registered workload generator.
 """
@@ -13,17 +12,12 @@ import numpy as np
 import pytest
 
 from repro.workloads import (
-    ARRIVAL_PROCESS_NAMES,
     WORKLOAD_NAMES,
-    DiurnalProcess,
-    FlashCrowdProcess,
-    MarkovModulatedPoisson,
     PoissonProcess,
     WorkloadParams,
     exponential_think_times,
     generate_trace,
     generate_trace_stream,
-    make_arrival_process,
     mix_streams,
 )
 from repro.workloads.trace import TraceRound, TraceSession
@@ -65,135 +59,9 @@ class TestThinkTimes:
         assert (session.full_sequence(0) == np.array([1, 2, 3])).all()
 
 
-class TestDegenerateMMPP:
-    def test_one_state_chain_is_poisson_like(self):
-        """burst_rate == base_rate collapses the chain to one state."""
-        rate = 3.0
-        mmpp = MarkovModulatedPoisson(base_rate=rate, burst_rate=rate)
-        assert mmpp.mean_rate == pytest.approx(rate)
-        rng = np.random.default_rng(11)
-        times = mmpp.arrival_times(rng, 4000)
-        assert len(times) == 4000
-        assert (np.diff(times) >= 0).all()
-        # Gaps of a collapsed chain are exponential(rate): the empirical
-        # mean gap lands near 1/rate (law of large numbers, wide margin).
-        assert float(np.mean(np.diff(times))) == pytest.approx(1 / rate, rel=0.15)
-
-    def test_burst_below_base_is_rejected(self):
-        with pytest.raises(ValueError, match="burst_rate"):
-            MarkovModulatedPoisson(base_rate=2.0, burst_rate=1.0)
-
-    def test_zero_dwell_is_rejected(self):
-        with pytest.raises(ValueError, match="dwell"):
-            MarkovModulatedPoisson(base_rate=1.0, burst_rate=2.0, mean_on_s=0.0)
-
-
 class TestArrivalProcesses:
-    def test_factory_covers_every_name(self):
-        for name in ARRIVAL_PROCESS_NAMES:
-            process = make_arrival_process(name, 2.0)
-            times = process.arrival_times(np.random.default_rng(5), 200)
-            assert len(times) == 200
-            assert (np.diff(times) >= 0).all()
-            assert (times > 0).all()
-
-    def test_factory_rejects_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown arrival process"):
-            make_arrival_process("tidal", 1.0)
-
     def test_poisson_zero_requests(self):
         assert len(PoissonProcess(1.0).arrival_times(np.random.default_rng(0), 0)) == 0
-
-    def test_diurnal_rate_curve_spans_peak_and_trough(self):
-        process = DiurnalProcess(mean_rate=4.0, amplitude=0.5, period_s=100.0)
-        quarter = 25.0  # sin peaks a quarter period in
-        assert process.rate_at(quarter) == pytest.approx(6.0)
-        assert process.rate_at(3 * quarter) == pytest.approx(2.0)
-        assert process.rate_at(0.0) == pytest.approx(4.0)
-
-    def test_diurnal_validation(self):
-        with pytest.raises(ValueError, match="amplitude"):
-            DiurnalProcess(mean_rate=1.0, amplitude=1.0)
-        with pytest.raises(ValueError, match="mean_rate"):
-            DiurnalProcess(mean_rate=0.0)
-        with pytest.raises(ValueError, match="period_s"):
-            DiurnalProcess(mean_rate=1.0, period_s=0.0)
-
-    def test_flash_crowd_windows(self):
-        process = FlashCrowdProcess(
-            base_rate=1.0, spike_times=(10.0,), spike_duration_s=5.0,
-            spike_multiplier=4.0,
-        )
-        assert not process.in_spike(9.999)
-        assert process.in_spike(10.0)
-        assert process.in_spike(14.999)
-        assert not process.in_spike(15.0)
-        assert process.rate_at(12.0) == pytest.approx(4.0)
-        assert process.rate_at(20.0) == pytest.approx(1.0)
-
-    def test_flash_crowd_sorts_spikes_and_validates(self):
-        process = FlashCrowdProcess(base_rate=1.0, spike_times=(30.0, 10.0))
-        assert process.spike_times == (10.0, 30.0)
-        with pytest.raises(ValueError, match="spike_multiplier"):
-            FlashCrowdProcess(base_rate=1.0, spike_multiplier=0.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            FlashCrowdProcess(base_rate=1.0, spike_times=(-1.0,))
-
-    def test_flash_crowd_periodic_schedule_repeats_forever(self):
-        process = FlashCrowdProcess(
-            base_rate=1.0, spike_times=(30.0,), spike_duration_s=20.0,
-            spike_multiplier=6.0, spike_period_s=120.0,
-        )
-        for cycle in (0, 1, 5, 1000):
-            base = 120.0 * cycle
-            assert process.in_spike(base + 30.0)
-            assert process.in_spike(base + 49.999)
-            assert not process.in_spike(base + 50.0)
-            assert not process.in_spike(base + 29.999)
-
-    def test_flash_crowd_periodic_window_must_fit_period(self):
-        with pytest.raises(ValueError, match="fit inside one period"):
-            FlashCrowdProcess(
-                base_rate=1.0, spike_times=(110.0,), spike_duration_s=20.0,
-                spike_period_s=120.0,
-            )
-        with pytest.raises(ValueError, match="spike_period_s"):
-            FlashCrowdProcess(base_rate=1.0, spike_period_s=0.0)
-
-    def test_flashcrowd_preset_mean_rate_holds_over_long_horizons(self):
-        """The factory preset's normalization must not decay after the
-        first spike cycles (the schedule repeats indefinitely)."""
-        rate = 2.0
-        process = make_arrival_process("flashcrowd", rate)
-        times = process.arrival_times(np.random.default_rng(17), 30_000)
-        horizon = float(times[-1])
-        assert horizon > 5_000  # many 120 s cycles deep
-        empirical = len(times) / horizon
-        assert empirical == pytest.approx(rate, rel=0.1)
-
-    def test_flash_crowd_concentrates_arrivals_in_spikes(self):
-        process = FlashCrowdProcess(
-            base_rate=1.0, spike_times=(50.0,), spike_duration_s=10.0,
-            spike_multiplier=10.0,
-        )
-        times = process.arrival_times(np.random.default_rng(3), 400)
-        horizon = times[-1]
-        in_spike = np.sum((times >= 50.0) & (times < 60.0))
-        # The 10 s window carries ~10x the base density; with 400 samples
-        # it must visibly dominate an equal-width window outside it.
-        out_spike = np.sum((times >= 70.0) & (times < 80.0))
-        if horizon > 80.0:
-            assert in_spike > 2 * max(out_spike, 1)
-
-    def test_workload_params_accepts_every_process(self):
-        for name in ARRIVAL_PROCESS_NAMES:
-            params = WorkloadParams(n_sessions=4, seed=0, arrival_process=name)
-            trace = generate_trace("lmsys", params)
-            assert trace.n_sessions == 4
-
-    def test_workload_params_rejects_unknown_process(self):
-        with pytest.raises(ValueError, match="arrival_process"):
-            WorkloadParams(arrival_process="tidal")
 
 
 class TestSeedStability:
