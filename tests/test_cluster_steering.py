@@ -787,6 +787,61 @@ class TestClusterExport:
         assert d["scenario"][0]["action"] == "drain"
         json.dumps(d)  # must be JSON-serializable as-is
 
+    def test_json_roundtrip(self, hybrid):
+        trace = generate_lmsys_trace(n_sessions=6, seed=55)
+        result = simulate_cluster(
+            hybrid, _caches(hybrid, 2), PrefixAffinityRouter(), trace
+        )
+        loaded = json.loads(json.dumps(result.to_dict()))
+        assert loaded["n_requests"] == result.n_requests
+        assert loaded["token_hit_rate"] == pytest.approx(result.token_hit_rate)
+        assert sum(loaded["routed_counts"]) == result.n_requests
+        assert sum(r["n_requests"] for r in loaded["replicas"]) == result.n_requests
+        assert loaded["mean_executor_utilization"] == pytest.approx(
+            np.mean([r.executor_utilization() for r in result.replica_results])
+        )
+        assert 0.0 <= loaded["mean_executor_utilization"] <= 1.0
+
+    def test_split_summary_without_steering_is_all_zero(self):
+        """A run with no steering telemetry still exports the full shape."""
+        from types import SimpleNamespace
+
+        from repro.metrics.export import steering_split_summary
+
+        summary = steering_split_summary(
+            SimpleNamespace(router_stats={"chose_load": 2}, steering=None)
+        )
+        assert summary["chose_load"] == 2
+        assert summary["chose_recompute"] == summary["chose_split"] == 0
+        assert summary["transfers_planned"] == summary["splits_hidden"] == 0
+        assert summary["overlap_seconds_saved"] == 0.0
+        assert summary["total_transfer_bytes"] == 0
+
+    def test_staleness_summary_of_a_plain_snapshot(self):
+        """A bare staleness dict passes through: known scalars kept, the
+        per-shard breakdown folded to (applied, pending) lists."""
+        from repro.metrics.export import directory_staleness_summary
+
+        snapshot = {
+            "backend": "sharded",
+            "n_shards": 2,
+            "lookups": 7,
+            "unlisted": "dropped",
+            "per_shard": [
+                {"applied_updates": 3, "pending_updates": 0, "other": 1},
+                {"applied_updates": 5, "pending_updates": 2, "other": 1},
+            ],
+        }
+        summary = directory_staleness_summary(snapshot)
+        assert summary == {
+            "backend": "sharded",
+            "n_shards": 2,
+            "lookups": 7,
+            "shard_applied_updates": [3, 5],
+            "shard_pending_updates": [0, 2],
+        }
+        assert directory_staleness_summary({}) == {}
+
     def test_scenario_without_router_rejected(self, hybrid):
         from repro.engine.kernel import SimulationKernel
 

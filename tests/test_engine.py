@@ -217,3 +217,27 @@ class TestEngineResult:
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError):
             EngineResult(policy="x").ttft_percentile(50)
+
+    def test_summary_keys(self):
+        from repro.metrics.export import summary_dict
+
+        summary = summary_dict(self._result())
+        for key in ("token_hit_rate", "ttft_p95", "n_requests"):
+            assert key in summary
+        assert summary["ttft_p95"] == pytest.approx(self._result().ttft_percentile(95))
+
+    def test_total_flops_saved_sums_records(self):
+        records = [
+            RequestRecord(0, i, 0.0, 0.0, 0.1, 0.1, 100, 10, 10, 0, 1.5 * i)
+            for i in range(4)
+        ]
+        assert EngineResult("x", records).total_flops_saved == pytest.approx(9.0)
+        assert EngineResult("x").total_flops_saved == 0
+
+    def test_mean_queue_delay(self):
+        records = [
+            RequestRecord(0, 0, 1.0, 1.5, 0.1, 0.6, 100, 0, 10, 0, 0.0),
+            RequestRecord(0, 1, 2.0, 3.5, 0.1, 1.6, 100, 0, 10, 0, 0.0),
+        ]
+        assert EngineResult("x", records).mean_queue_delay() == pytest.approx(1.0)
+        assert EngineResult("x").mean_queue_delay() == 0.0

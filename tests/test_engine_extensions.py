@@ -1,5 +1,7 @@
 """Tests for multi-executor serving and the throughput/summary metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,20 @@ class TestThroughput:
     def test_prefill_throughput_counts_hits(self):
         assert prefill_throughput_tokens_per_s(_toy_result()) == pytest.approx(2000 / 3)
 
+    def test_utilization(self):
+        """Two 1 s prefills over a 3 s span keep one executor 2/3 busy."""
+        result = _toy_result()
+        result.running_series = [(0.0, 1), (1.0, 0), (2.0, 1), (3.0, 0)]
+        assert result.executor_utilization() == pytest.approx(2.0 / 3.0)
+        result.max_running = 2
+        assert result.executor_utilization() == pytest.approx(1.0 / 3.0)
+        result.max_running = 0
+        assert result.executor_utilization() == 0.0
+
     def test_empty_result_is_zero(self):
         empty = EngineResult(policy="empty")
         assert prefill_throughput_tokens_per_s(empty) == 0.0
+        assert empty.executor_utilization() == 0.0
 
 
 class TestExport:
@@ -94,3 +107,26 @@ class TestExport:
         assert summary["n_requests"] == 2
         assert summary["token_hit_rate"] == pytest.approx(600 / 2000)
         assert "ttft_p95" in summary
+
+    def test_json_roundtrip(self):
+        loaded = json.loads(json.dumps(summary_dict(_toy_result())))
+        assert loaded["policy"] == "toy"
+        assert loaded["token_hit_rate"] == pytest.approx(0.3)
+        assert loaded["total_flops_saved"] == pytest.approx(1e9)
+        assert loaded["makespan_seconds"] == pytest.approx(3.0)
+
+    def test_empty_result_has_no_ttft_percentiles(self):
+        summary = summary_dict(EngineResult(policy="empty"))
+        assert summary["n_requests"] == 0
+        assert summary["token_hit_rate"] == 0.0
+        assert not any(key.startswith("ttft_") for key in summary)
+
+    def test_real_run_exports(self, hybrid):
+        trace = generate_lmsys_trace(n_sessions=5, seed=35)
+        result = simulate_trace(hybrid, _cache(hybrid), trace, policy_name="marconi")
+        loaded = json.loads(json.dumps(summary_dict(result)))
+        assert loaded["policy"] == "marconi"
+        assert loaded["n_requests"] == result.n_requests == trace.n_requests
+        assert loaded["token_hit_rate"] == pytest.approx(result.token_hit_rate)
+        assert loaded["ttft_p5"] <= loaded["ttft_p50"] <= loaded["ttft_p95"]
+        assert loaded["cache_stats"] == json.loads(json.dumps(result.cache_stats))

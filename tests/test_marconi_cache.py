@@ -17,6 +17,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             MarconiCache(hybrid, capacity_bytes=0)
 
+    def test_set_alpha_only_for_flop_aware(self, hybrid):
+        cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
+        cache.set_alpha(0.25)
+        assert cache.alpha == 0.25
+        lru = MarconiCache(hybrid, int(1e9), eviction="lru")
+        with pytest.raises(ValueError, match="no alpha"):
+            lru.set_alpha(0.5)
+
+    def test_eviction_node_visits_count_up(self, hybrid, tokens):
+        cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
+        assert cache.eviction_node_visits == 0
+        seq = tokens(100, seed=40)
+        cache.begin(seq, 0.0).commit(np.concatenate([seq, tokens(10, seed=41)]), 0.5)
+        assert cache.eviction_node_visits > 0
+
     def test_rejects_empty_lookup(self, hybrid):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
         with pytest.raises(ValueError):

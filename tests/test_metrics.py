@@ -29,6 +29,11 @@ class TestPercentiles:
         box = BoxSummary.from_values(rng.normal(size=500))
         assert box.p5 <= box.q1 <= box.median <= box.q3 <= box.p95
 
+    def test_box_summary_values(self):
+        """Whiskers at P5/P95, box at the quartiles (linear interpolation)."""
+        box = BoxSummary.from_values(np.arange(101))
+        assert (box.p5, box.q1, box.median, box.q3, box.p95) == (5, 25, 50, 75, 95)
+
 
 class TestPercentileEdgeCases:
     """Degenerate inputs exercised by the kernel's utilization telemetry."""
@@ -140,6 +145,10 @@ class TestHitRate:
         assert improvement_ratio(0.3, 0.0) == pytest.approx(0.3 / 1e-4)
         assert improvement_ratio(0.3, 0.1) == pytest.approx(3.0)
 
+    def test_improvement_ratio_custom_floor(self):
+        assert improvement_ratio(0.5, 0.001, floor=0.01) == pytest.approx(50.0)
+        assert improvement_ratio(0.5, 0.1, floor=0.01) == pytest.approx(5.0)
+
     def test_binning(self):
         records = [record(500, 250), record(1500, 1500 * 0.8), record(2500, 0)]
         means, counts = mean_hit_rate_by_length_bin(records, np.asarray([0, 1000, 2000, 3000]))
@@ -163,6 +172,12 @@ class TestTTFT:
         slow = EngineResult("slow", [record(10, 0, ttft=1.0) for _ in range(10)])
         assert relative_ttft_percentile(fast, slow, 95) == pytest.approx(0.5)
 
+    def test_relative_percentile_rejects_zero_baseline(self):
+        result = EngineResult("x", [record(10, 0, ttft=0.5)])
+        vanilla = EngineResult("vanilla", [record(10, 0, ttft=0.0)])
+        with pytest.raises(ValueError, match="non-positive"):
+            relative_ttft_percentile(result, vanilla)
+
 
 class TestReporting:
     def test_ascii_table_alignment(self):
@@ -181,3 +196,8 @@ class TestReporting:
         assert format_bytes(17.4e9) == "17.4 GB"
         assert format_bytes(26.7e6) == "26.7 MB"
         assert format_bytes(512) == "512 B"
+
+    def test_format_bytes_kilobytes_and_negatives(self):
+        assert format_bytes(1500) == "1.5 KB"
+        assert format_bytes(-2.5e9) == "-2.5 GB"
+        assert format_bytes(999) == "999 B"

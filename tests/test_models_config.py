@@ -11,6 +11,7 @@ from repro.models.presets import (
     hybrid_7b,
     hybrid_with_composition,
     hybrid_with_state_dim,
+    jamba_mini_like,
     mamba_7b,
     tiny_test_model,
     transformer_7b,
@@ -103,6 +104,12 @@ class TestPresets:
     def test_transformer_is_llama_shaped(self):
         m = transformer_7b()
         assert (m.n_attention, m.n_ssm, m.n_mlp) == (32, 0, 32)
+
+    def test_jamba_is_one_attention_per_seven_ssm(self):
+        m = jamba_mini_like()
+        assert m.n_ssm == 7 * m.n_attention
+        assert m.n_mlp == m.n_attention + m.n_ssm
+        assert (m.d_model, m.d_state) == (4096, 128)
 
     def test_mamba_is_pure_ssm(self):
         m = mamba_7b()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.models.config import LayerType
 from repro.models.flops import (
+    prefill_flops_table,
     attention_prefill_flops,
     flop_breakdown,
     layer_prefill_flops,
@@ -68,6 +69,18 @@ class TestModelAggregates:
             b = flop_breakdown(hybrid, length)
             shares.append(b[LayerType.ATTENTION] / sum(b.values()))
         assert shares[0] < shares[1] < shares[2]
+
+    def test_flops_table_is_the_memo(self, hybrid):
+        """Entries written by either path are visible to the other."""
+        table = prefill_flops_table(hybrid)
+        value = model_prefill_flops(hybrid, 1234)
+        assert table[1234] == value
+        table[98765] = -1.0  # a probe of the live dict, not a copy
+        assert model_prefill_flops(hybrid, 98765) == -1.0
+        del table[98765]
+        assert model_prefill_flops(hybrid, 98765) == sum(
+            flop_breakdown(hybrid, 98765).values()
+        )
 
     def test_monotone_in_length(self, hybrid):
         values = [model_prefill_flops(hybrid, n) for n in (1, 10, 100, 1000)]

@@ -66,6 +66,16 @@ class TestForward:
         assert np.allclose(full_logits, np.concatenate([l1, l2]), rtol=1e-9, atol=1e-12)
         assert states_close(full_state, s2)
 
+    def test_kv_state_only_for_attention_layers(self, tiny, tokens):
+        model = HybridModel(tiny, seed=0)
+        _, state = model.forward(tokens(6, seed=3) % tiny.vocab_size, model.init_state())
+        for index, layer in enumerate(layer_sequence(tiny)):
+            kv = state.kv_state(index)
+            if layer == LayerType.ATTENTION:
+                assert isinstance(kv, KVState) and kv.seq_len == 6
+            else:
+                assert kv is None
+
     def test_rejects_empty(self, tiny):
         model = HybridModel(tiny, seed=0)
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from repro.experiments.config import default_model
 from repro.experiments.parallel import (
     RunSpec,
     _chunk_by_trace,
+    default_workers,
     derive_point_seed,
     execute_spec,
     run_specs,
@@ -43,6 +44,16 @@ def _spec(policy="marconi", seed=3, workload="docqa", n_sessions=6, tag=""):
         capacity_bytes=500_000_000,
         tag=tag,
     )
+
+
+class TestDefaultWorkers:
+    def test_one_worker_per_cpu_at_least_one(self, monkeypatch):
+        import repro.experiments.parallel as parallel
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 6)
+        assert default_workers() == 6
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 class TestRunSpec:

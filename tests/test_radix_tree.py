@@ -290,6 +290,63 @@ class TestPathTokens:
         end = tree.insert(arr(5, 6, 7, 8, 9), now=2.0).end_node
         np.testing.assert_array_equal(end.path_tokens(), arr(5, 6, 7, 8, 9))
 
+    def test_root_path_is_empty(self):
+        assert RadixTree().root.path_tokens().size == 0
+
+
+class TestNodeStructure:
+    def _tree(self):
+        tree = RadixTree()
+        tree.insert(arr(1, 2, 3, 4), now=1.0)
+        tree.insert(arr(1, 2, 9), now=2.0)
+        tree.insert(arr(7, 8), now=3.0)
+        return tree
+
+    def test_root_has_no_incoming_edge(self):
+        root = RadixTree().root
+        assert root.is_root and root.kv_tokens == 0 and root.parent_seq_len == 0
+        with pytest.raises(ValueError, match="root"):
+            root.first_token
+
+    def test_child_for_keys_on_the_edges_first_token(self):
+        tree = self._tree()
+        split = tree.root.child_for(1)
+        assert split.first_token == 1
+        assert split.edge_tokens.tolist() == [1, 2]
+        assert split.child_for(np.int64(3)).edge_tokens.tolist() == [3, 4]
+        assert split.child_for(9).first_token == 9
+        assert tree.root.child_for(2) is None
+        assert not split.is_root and not split.is_leaf
+
+    def test_iter_subtree_is_preorder_over_every_node(self):
+        tree = self._tree()
+        nodes = list(tree.root.iter_subtree())
+        assert nodes[0] is tree.root
+        assert len(nodes) == tree.n_nodes + 1 == 5
+        seen = set()
+        for node in nodes:
+            assert node.is_root or id(node.parent) in seen
+            seen.add(id(node))
+
+    def test_iter_subtree_of_a_leaf_is_the_leaf(self):
+        leaf = self._tree().root.child_for(7)
+        assert list(leaf.iter_subtree()) == [leaf]
+
+    def test_seq_len_counts_the_parent_chain(self):
+        tree = self._tree()
+        leaf = tree.root.child_for(1).child_for(3)
+        assert leaf.parent_seq_len == 2
+        assert leaf.kv_tokens == 2
+        assert leaf.seq_len == leaf.parent_seq_len + leaf.kv_tokens == 4
+
+    def test_replace_edge_swaps_bytes_and_view_together(self):
+        node = RadixTree().insert(arr(4, 5, 6), now=0.0).end_node
+        node.replace_edge(arr(4, 5).tobytes())
+        assert node.data == arr(4, 5).tobytes()
+        assert node.edge_tokens.tolist() == [4, 5]
+        assert node.kv_tokens == 2
+        assert not node.edge_tokens.flags.writeable
+
 
 # ----------------------------------------------------------------------
 # The tree owns its edges

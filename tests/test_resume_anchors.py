@@ -27,7 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.cluster.directory import PrefixDirectory
 from repro.core.cache import MarconiCache
 from repro.core.radix_tree import RadixTree
-from repro.core.tokens import TokenSeq
+from repro.core.tokens import TokenSeq, anchor_key, resume_anchor
 from repro.models.presets import tiny_test_model
 from repro.tiering import TieredMarconiCache
 
@@ -229,3 +229,40 @@ class TestRetention:
         assert handle.anchors  # weak references, which do not pickle
         copy = pickle.loads(pickle.dumps(handle))
         assert copy == handle and not copy.anchors
+
+
+class TestResumeAnchor:
+    def test_anchor_keys_are_fresh(self):
+        keys = [anchor_key() for _ in range(50)]
+        assert len(set(keys)) == 50
+        assert keys == sorted(keys)
+        assert anchor_key() not in keys
+
+    def test_a_plain_array_has_no_anchor_map(self):
+        assert resume_anchor(np.arange(5, dtype=np.int32), anchor_key()) == (None, None)
+
+    def test_a_walk_anchors_the_deepest_node_under_its_trees_key(self):
+        tree = RadixTree()
+        buffer = TokenSeq(np.arange(1, 30, dtype=np.int32))
+        end = tree.insert(buffer.prefix(20), 0.0).end_node
+        (key,) = buffer.anchors
+        anchors, node = resume_anchor(buffer, key)
+        assert anchors is buffer.anchors
+        assert node is end
+        assert resume_anchor(buffer, anchor_key()) == (buffer.anchors, None)
+
+    def test_prefix_handles_share_the_buffers_anchors(self):
+        buffer = TokenSeq(np.arange(1, 30, dtype=np.int32))
+        head = buffer.prefix(10)
+        assert head.anchors is buffer.anchors
+        RadixTree().insert(head, 0.0)
+        assert len(buffer.anchors) == 1
+
+    def test_a_dropped_trees_anchor_reads_as_none(self):
+        buffer = TokenSeq(np.arange(1, 30, dtype=np.int32))
+        tree = RadixTree()
+        tree.insert(buffer.prefix(20), 0.0)
+        (key,) = buffer.anchors
+        del tree
+        gc.collect()
+        assert resume_anchor(buffer, key) == (buffer.anchors, None)

@@ -41,6 +41,47 @@ class TestWindowedHitRate:
     def test_empty_records(self):
         assert windowed_hit_rate([], window=5) == []
 
+    def test_window_rate_is_token_weighted(self):
+        """A window's rate is hits over input tokens, not a mean of rates."""
+        points = windowed_hit_rate([record(0, 100, 0), record(1, 300, 300)], window=2)
+        assert points[0].token_hit_rate == pytest.approx(0.75)
+
+    def test_single_window_matches_aggregate(self, hybrid):
+        result = _real_run(hybrid, seed=99)
+        (point,) = windowed_hit_rate(result.records, window=result.n_requests)
+        assert point.requests == result.n_requests
+        assert point.token_hit_rate == pytest.approx(result.token_hit_rate)
+
+    def test_windows_reweight_to_aggregate(self, hybrid):
+        """Weighting each window by its input tokens recovers the run's rate."""
+        result = _real_run(hybrid, seed=99)
+        ordered = sorted(result.records, key=lambda r: r.service_start)
+        points = windowed_hit_rate(result.records, window=7)
+        weights = [
+            sum(r.input_len for r in ordered[i : i + 7])
+            for i in range(0, len(ordered), 7)
+        ]
+        hits = sum(p.token_hit_rate * w for p, w in zip(points, weights))
+        assert hits / sum(weights) == pytest.approx(result.token_hit_rate)
+
+    def test_real_cache_warms_up(self, hybrid):
+        """A cold cache serves its first request with no hits; later
+        windows reuse what earlier rounds left behind."""
+        result = _real_run(hybrid, seed=101, n_sessions=20)
+        points = windowed_hit_rate(result.records, window=1)
+        assert points[0].token_hit_rate == 0.0
+        assert max(p.token_hit_rate for p in points[1:]) > 0.0
+
+
+def _real_run(hybrid, seed, n_sessions=6):
+    from repro.engine.server import simulate_trace
+    from repro.models.memory import node_state_bytes
+    from repro.workloads.lmsys import generate_lmsys_trace
+
+    trace = generate_lmsys_trace(n_sessions=n_sessions, seed=seed)
+    cache = MarconiCache(hybrid, 50 * node_state_bytes(hybrid, 3000, True), alpha=1.0)
+    return simulate_trace(hybrid, cache, trace)
+
 
 TOKENS = st.lists(st.integers(0, 3), min_size=1, max_size=10)
 

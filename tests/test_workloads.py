@@ -132,6 +132,13 @@ class TestVocab:
         draws = [pool.sample_index(rng) for _ in range(800)]
         assert draws.count(0) > draws.count(9)
 
+    def test_template_lengths_are_the_templates(self):
+        pool = SharedSegmentPool(
+            base_seed=3, n_templates=4,
+            length=LogNormalLength(median=40, sigma=0.5), vocab_size=1000,
+        )
+        assert pool.template_lengths == [len(pool.get(i)) for i in range(4)]
+
 
 class TestArrivals:
     def test_poisson_rate(self, rng):
@@ -373,6 +380,58 @@ class TestGenerators:
 
     def test_registry_names(self):
         assert {"lmsys", "sharegpt", "swebench"} <= set(WORKLOAD_NAMES)
+
+    def test_global_preamble_opens_every_session(self):
+        from repro.workloads.docqa import DOCQA_SHAPE
+        from repro.workloads.sessions import global_preamble
+
+        params = WorkloadParams(n_sessions=5, seed=4)
+        preamble = global_preamble(DOCQA_SHAPE, params)
+        assert len(preamble) == DOCQA_SHAPE.global_preamble_tokens > 0
+        trace = generate_trace("docqa", params)
+        for session in trace.sessions:
+            head = session.full_sequence(0)[: len(preamble)]
+            np.testing.assert_array_equal(head, preamble)
+        # the same seed material: a second trace of the seed shares it
+        np.testing.assert_array_equal(
+            global_preamble(DOCQA_SHAPE, WorkloadParams(n_sessions=9, seed=4)), preamble
+        )
+
+    def test_no_global_preamble_without_tokens(self):
+        from repro.workloads.lmsys import LMSYS_SHAPE
+        from repro.workloads.sessions import global_preamble
+
+        preamble = global_preamble(LMSYS_SHAPE, WorkloadParams(seed=4))
+        assert preamble.dtype == np.int32 and preamble.size == 0
+
+    def test_content_fingerprint_tracks_content(self):
+        params = WorkloadParams(n_sessions=6, seed=9)
+        a = generate_lmsys_trace(params)
+        assert a.content_fingerprint() == generate_lmsys_trace(params).content_fingerprint()
+        assert (
+            a.content_fingerprint()
+            != generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=10)).content_fingerprint()
+        )
+        assert (
+            a.content_fingerprint()
+            != generate_lmsys_trace(
+                WorkloadParams(n_sessions=6, seed=9, mean_think_s=1.0)
+            ).content_fingerprint()
+        )
+
+    def test_selfconsistency_stream_is_the_trace(self):
+        from repro.workloads.selfconsistency import (
+            generate_selfconsistency_stream,
+            generate_selfconsistency_trace,
+        )
+
+        params = WorkloadParams(n_sessions=6, seed=12)
+        trace = generate_selfconsistency_trace(params)
+        streamed = generate_selfconsistency_stream(params).materialize()
+        assert streamed.content_fingerprint() == trace.content_fingerprint()
+        assert trace.metadata["n_samples"] == trace.n_sessions
+        with pytest.raises(TypeError, match="not both"):
+            generate_selfconsistency_stream(params, seed=1)
         with pytest.raises(KeyError):
             generate_trace("nope")
 

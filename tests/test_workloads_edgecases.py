@@ -63,6 +63,75 @@ class TestArrivalProcesses:
     def test_poisson_zero_requests(self):
         assert len(PoissonProcess(1.0).arrival_times(np.random.default_rng(0), 0)) == 0
 
+    def test_poisson_arrivals_increase(self):
+        times = PoissonProcess(3.0).arrival_times(np.random.default_rng(1), 500)
+        assert times[0] > 0.0
+        assert (np.diff(times) > 0).all()
+
+    def test_poisson_long_run_rate_matches(self):
+        rate = 4.0
+        times = PoissonProcess(rate).arrival_times(np.random.default_rng(2), 20_000)
+        assert len(times) / times[-1] == pytest.approx(rate, rel=0.03)
+
+    def test_poisson_gaps_are_exponential(self):
+        """Exponential gaps: the coefficient of variation is 1 (no bursts)."""
+        times = PoissonProcess(2.0).arrival_times(np.random.default_rng(3), 20_000)
+        gaps = np.diff(np.concatenate([[0.0], times]))
+        assert gaps.std() / gaps.mean() == pytest.approx(1.0, abs=0.03)
+
+    def test_poisson_validation(self):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            PoissonProcess(-1.0)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            PoissonProcess(1.0).arrival_times(np.random.default_rng(0), -1)
+
+    def test_poisson_draws_are_cumulative_exponential_gaps(self):
+        """The draws every generator's arrival times (and so every trace)
+        rest on: one ``exponential(1/rate)`` vector, cumulated."""
+        times = PoissonProcess(0.5).arrival_times(np.random.default_rng(9), 50)
+        gaps = np.random.default_rng(9).exponential(scale=2.0, size=50)
+        np.testing.assert_array_equal(times, np.cumsum(gaps))
+
+    def test_think_times_long_run_mean(self):
+        gaps = exponential_think_times(np.random.default_rng(4), 20_001, 3.0)
+        assert gaps[0] == 0.0
+        assert len(gaps) == 20_001
+        assert np.mean(gaps[1:]) == pytest.approx(3.0, rel=0.03)
+
+    @pytest.mark.parametrize("workload", ["lmsys", "sharegpt", "swebench"])
+    def test_session_starts_are_the_poisson_draws(self, workload):
+        """A session trace's start times are the first draws of its seed's
+        stream: Poisson at ``session_rate``, nothing else selects them."""
+        params = WorkloadParams(n_sessions=12, session_rate=2.5, seed=5)
+        trace = generate_trace(workload, params)
+        expected = PoissonProcess(2.5).arrival_times(np.random.default_rng(5), 12)
+        starts = [s.arrival_time for s in trace.sessions]
+        np.testing.assert_array_equal(starts, expected)
+
+    def test_selfconsistency_queries_arrive_at_the_poisson_draws(self):
+        """Each query's first sample fires at its Poisson arrival; the other
+        samples land within the dispatch spread after it."""
+        params = WorkloadParams(n_sessions=10, session_rate=1.5, seed=6)
+        trace = generate_trace("selfconsistency", params)
+        bases = PoissonProcess(1.5).arrival_times(np.random.default_rng(6), 10)
+        starts = np.asarray([s.arrival_time for s in trace.sessions])
+        assert set(bases.tolist()) <= set(starts.tolist())
+        # every sample is within the 0.5 s spread after some query's base
+        owner = np.searchsorted(bases, starts, side="right") - 1
+        assert (owner >= 0).all()
+        assert (starts - bases[owner] <= 0.5).all()
+
+    def test_workload_params_has_no_arrival_option(self):
+        """Poisson is the only arrival process: there is nothing to pick."""
+        with pytest.raises(TypeError):
+            WorkloadParams(arrival_process="poisson")
+
+    def test_cli_has_no_arrival_flag(self):
+        from repro.experiments.__main__ import main as cli_main
+
+        with pytest.raises(SystemExit):
+            cli_main(["--arrival", "poisson", "--list"])
+
 
 class TestSeedStability:
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
