@@ -402,10 +402,8 @@ class PrefixAffinityRouter(Router):
 
     def _select(self, hits: dict[int, int], loads: Sequence[int]) -> int:
         """The affinity-vs-spill rule, one body for every prefix router and
-        both probes: the preferred replica is sought among the hit holders
-        (a dense sequence is read as its mapping), the fleet only by ``min``."""
-        if not isinstance(hits, dict):
-            hits = {index: hit for index, hit in enumerate(hits) if hit}
+        both probes: the preferred replica is sought among the hit holders,
+        the fleet only by ``min``."""
         if not hits:
             self._bump("cold")
             return self._fallback._pick(loads)

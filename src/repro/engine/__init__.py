@@ -16,7 +16,7 @@ token-level):
   router, each an independent FCFS executor with its own cache.
 """
 
-from repro.engine.events import Event, EventKind, EventQueue
+from repro.engine.events import EventKind, EventQueue
 from repro.engine.iteration import (
     IterationConfig,
     IterationResult,
@@ -50,7 +50,6 @@ from repro.engine.steering import (
 )
 
 __all__ = [
-    "Event",
     "EventKind",
     "EventQueue",
     "IterationConfig",

@@ -19,8 +19,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 #: Heap-entry layout: indices into one entry tuple.
 ENTRY_TIME = 0
@@ -54,18 +53,6 @@ class EventKind(enum.IntEnum):
     DIRECTORY_SYNC = 5
 
 
-@dataclass
-class Event:
-    """One scheduled simulator event, as :meth:`EventQueue.pop` and
-    :meth:`EventQueue.peek` return it (the queue itself heaps plain tuples,
-    so events are never compared with each other)."""
-
-    time: float
-    kind: int
-    seq: int
-    payload: Any
-
-
 class EventQueue:
     """A deterministic tuple-backed min-heap ordered by ``(time, kind, seq)``.
 
@@ -76,22 +63,16 @@ class EventQueue:
     Each queue owns its counter, starting at zero: tie-break order depends
     only on this queue's push history, never on how many events any other
     queue (or a previous run reusing an engine-held counter) has issued.
-    Passing an external ``seq`` iterator is still accepted for callers that
-    deliberately share numbering, but sharing one counter across queues
-    makes seq values — and thus replay transcripts — depend on unrelated
-    simulations running in the same process.
 
-    Two pop surfaces exist: :meth:`pop`/:meth:`peek` return :class:`Event`
-    objects (the compatibility API), while :meth:`pop_entry` /
-    :meth:`peek_entry` expose the raw heap tuples for hot loops that want
-    zero per-event allocation (see the ``ENTRY_*`` index constants).
+    :meth:`pop_entry` / :meth:`peek_entry` return the raw heap tuples, so a
+    pop allocates nothing per event (see the ``ENTRY_*`` index constants).
     """
 
     __slots__ = ("_heap", "_seq", "_serial")
 
-    def __init__(self, seq: Optional[Iterator[int]] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, int, Any]] = []
-        self._seq = itertools.count() if seq is None else seq
+        self._seq = itertools.count()
         self._serial = itertools.count()
 
     def __bool__(self) -> bool:
@@ -122,15 +103,6 @@ class EventQueue:
                 payload,
             ),
         )
-
-    def pop(self) -> Event:
-        time, kind, seq, _serial, payload = heapq.heappop(self._heap)
-        return Event(time, kind, seq, payload)
-
-    def peek(self) -> Event:
-        """The next event to pop, without removing it (queue must be non-empty)."""
-        time, kind, seq, _serial, payload = self._heap[0]
-        return Event(time, kind, seq, payload)
 
     def pop_entry(self) -> tuple[float, int, int, int, Any]:
         """Pop the raw ``(time, kind, seq, serial, payload)`` heap entry."""

@@ -255,7 +255,7 @@ class SimulationKernel:
         """
         self._begin_run(trace)
         # The hot path (3+ events per request): raw (time, kind, seq,
-        # serial, payload) heap entries, so no Event object is built.
+        # serial, payload) heap entries, so no per-event object is built.
         handlers = self._handlers
         events = self.events
         pop_entry = events.pop_entry

@@ -21,7 +21,10 @@ re-attaches) since the previous ``d`` / ``b`` / ``h`` line:
   crc of every field]``: a ``RequestRecord``, after the run;
 * ``["s", {...}]``: cache stats (and each cache's extra counters, such as
   second-tier promotions and demotions), routed counts, busy seconds,
-  iteration count, TBT gaps (length and crc), steering counters.
+  iteration count, TBT gaps (length and crc), steering counters;
+* ``["l", kv_matched, ckpt_depths]``: in the scenarios that ask for it, a
+  directory lookup's two maps as ``[replica, value]`` pairs in dict order
+  (a split plan sorts the depths it reads, so no decision shows their order).
 
 A fixture whose trace is drawn at run time starts with :data:`NUMPY`.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import sys
 import zlib
 from dataclasses import astuple
@@ -41,14 +45,19 @@ from unittest import mock
 import numpy as np
 
 from repro.baselines.vanilla import VanillaCache
-from repro.cluster import DirectoryRouter, LeastLoadedRouter, PrefixAffinityRouter
-from repro.cluster import PrefixDirectory, RoundRobinRouter, simulate_cluster
+from repro.baselines.vllm_plus import VLLMPlusCache
+from repro.cluster import DirectoryRouter, HierarchicalRouter, LeastLoadedRouter
+from repro.cluster import PrefixAffinityRouter, PrefixDirectory, RoundRobinRouter
+from repro.cluster import ScenarioEvent, ShardedPrefixDirectory, simulate_cluster
 from repro.core.cache import MarconiCache
 from repro.core.radix_tree import TreeObserver
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
+from repro.engine.latency import LatencyModel
 from repro.engine.server import simulate_trace
+from repro.experiments.steering_sweep import split_probe_trace
 from repro.models.memory import node_state_bytes
-from repro.models.presets import hybrid_7b
+from repro.models.presets import hybrid_7b, transformer_7b
+from repro.tiering import TieredMarconiCache
 from repro.workloads import generate_trace
 from repro.workloads.trace import Trace
 
@@ -58,6 +67,7 @@ _REPO = str(Path(__file__).resolve().parents[1])
 if _REPO not in sys.path:  # bench_e2e, under a bare ``pytest`` too
     sys.path.append(_REPO)
 MODEL = hybrid_7b()
+TRANSFORMER = transformer_7b()
 HASH_EVERY = 64
 SEED = 11
 # At scale 0.25 seed 11's fleet plans no transfer; 28's plans three (two
@@ -201,6 +211,17 @@ class Recorder:
 
         router.decide, router.on_replica_joined = recorded_decide, recorded_join
 
+    def record_lookups(self, directory: Any) -> None:
+        """Put an ``l`` line for every lookup ``directory`` answers."""
+        lookup = directory.lookup
+
+        def recorded_lookup(tokens, limit=None):
+            found = lookup(tokens, limit)
+            self.put(["l", list(found.kv_matched.items()), list(found.ckpt_depths.items())])
+            return found
+
+        directory.lookup = recorded_lookup
+
     def watch(self, cache: Any) -> None:
         self.caches.append(cache)
         cache.add_tree_observer(_Tap(self.events.append, len(self.caches) - 1))
@@ -279,6 +300,136 @@ def _directory_restart(rec: Recorder) -> None:
     rec.finish(simulate_cluster(MODEL, caches, router, trace))
 
 
+def _racks(rec: Recorder) -> None:
+    """A ``HierarchicalRouter`` over racks of 3, 3 and 2 replicas: few-shot
+    sessions arrive faster than a preamble gains its branch checkpoint, so
+    cold picks seed it in every rack and racks tie on the deepest hit;
+    ``rack_max_imbalance=0`` spills within the rack."""
+    caches = [marconi() for _ in range(8)]
+    router = HierarchicalRouter(rack_size=3, max_imbalance=2, rack_max_imbalance=0)
+    rec.put(NUMPY)
+    rec.attach(caches, router)
+    trace = generate_trace("fewshot", n_sessions=48, seed=SEED, session_rate=200.0)
+    rec.finish(simulate_cluster(MODEL, caches, router, trace))
+
+
+#: Compute so slow and links so fast that a few tokens are worth shipping.
+LOAD_BEATS_COMPUTE = LatencyModel(
+    peak_flops_per_s=1e9,
+    transfer_latency_s=0.0,
+    transfer_bandwidth_bytes_per_s=1e15,
+    secondary_fetch_bandwidth_bytes_per_s=1e15,
+)
+
+
+def _mixed_fleet(rec: Recorder) -> None:
+    """``decide`` called on a ``DirectoryRouter`` over three hybrid tiered
+    replicas, a pure-Transformer one (the ``kv`` rule) and a tree-less vLLM+
+    one (the probe rule); each request is served where it was routed, each
+    planned transfer landed.  A query re-sends a served sequence whole (so
+    the ``kv`` cap binds), extends it, or branches off it at a drawn depth
+    (so holders cover the path to several depths); every lookup is put."""
+    draw = random.Random(SEED)
+    state = node_state_bytes(MODEL, 48, True)
+    caches: list[Any] = [
+        TieredMarconiCache(MODEL, 3 * state, secondary_bytes=6 * state, alpha=1.0)
+        for _ in range(3)
+    ]
+    caches += [VLLMPlusCache(MODEL, int(1e12), block_size=1), MarconiCache(TRANSFORMER, int(1e12))]
+    router = DirectoryRouter(max_imbalance=1, transfer_min_tokens=4, directory=PrefixDirectory())
+    rec.record_lookups(router.directory)
+    rec.attach(caches, router)
+    router.prepare(MODEL, caches, LOAD_BEATS_COMPUTE)
+
+    def fresh(low: int, high: int) -> list[int]:
+        return [draw.randrange(1000) for _ in range(draw.randrange(low, high))]
+
+    served = [fresh(8, 40)]
+    for step in range(160):
+        seq = draw.choice(served)
+        mode = draw.choice("NWWWEEBB")  # new, whole, extended, branching
+        if mode == "N":
+            seq = fresh(8, 40)
+        elif mode == "E":
+            seq = seq + fresh(1, 4)
+        elif mode == "B":
+            seq = seq[: draw.randrange(1, len(seq))] + fresh(1, 6)
+        query = np.array(seq, dtype=np.int32)
+        loads = [draw.randrange(3) for _ in caches]
+        decision = router.decide(query, step, caches, loads, float(step))
+        if decision.transfer is not None:
+            t = decision.transfer
+            caches[t.target].receive_state_transfer(t.tokens, t.nbytes, float(step))
+        full = seq if mode == "W" else seq + fresh(0, 3)
+        with caches[decision.replica].begin(query, float(step)) as session:
+            session.commit(np.array(full, dtype=np.int32), step + 0.5)
+        if mode != "W":
+            served.append(full)
+    rec.state_hash()
+    rec.put(["s", router.decision_stats, [cache.stats for cache in caches]])
+
+
+def _siblings(rec: Recorder) -> None:
+    """One tiered replica with room for two states: two sequences of one
+    length that differ only in their last token are demoted to the second
+    tier, and a request extending each promotes its own back."""
+    state = node_state_bytes(MODEL, 64, True)
+    cache = TieredMarconiCache(MODEL, 2 * state, secondary_bytes=16 * state, alpha=1.0)
+    rec.attach([cache])
+    stem = list(range(1, 48))
+    fillers = [list(range(start, start + 40)) for start in (100, 200, 300)]
+    script = [stem + [1], stem + [2], *fillers, stem + [1, 7, 7], stem + [2, 7, 7]]
+    for now, seq in enumerate(script):
+        with cache.begin(np.array(seq, dtype=np.int32), float(now)) as session:
+            session.commit(np.array(seq, dtype=np.int32), now + 0.5)
+    rec.state_hash()
+    rec.put(["s", cache.stats])
+
+
+def _split_probe(rec: Recorder) -> None:
+    """The steering sweep's split probe at 1 GB/s: one session lays a
+    checkpoint per round on replica 0, which drains; its last round goes to
+    replica 1, which plans a split transfer among those interior depths."""
+    caches = [TieredMarconiCache(MODEL, int(1e12), int(1e12)) for _ in range(2)]
+    router = DirectoryRouter(transfer_min_tokens=16, directory=PrefixDirectory())
+    rec.put(NUMPY)
+    rec.record_lookups(router.directory)
+    rec.attach(caches, router)
+    drain = [ScenarioEvent(10.0, "drain", replica=0)]
+    latency = LatencyModel(transfer_bandwidth_bytes_per_s=1e9)
+    trace = split_probe_trace()
+    rec.finish(simulate_cluster(MODEL, caches, router, trace, latency, scenario=drain))
+
+
+def _stale_shards(region_tokens: int) -> Callable:
+    """A ``DirectoryRouter`` over four replicas reading a sharded directory
+    whose gossip lags a second and flushes two updates at a time, so shards
+    answer stale; replica 1 fails mid-run and they go on naming it until
+    its invalidation lands.  The directory also tracks a fifth replica the
+    router never bound, which holds half the sessions' second rounds."""
+
+    def replay(rec: Recorder) -> None:
+        caches = [marconi() for _ in range(4)]
+        directory = ShardedPrefixDirectory(
+            n_shards=3, region_tokens=region_tokens, propagation_delay=1.0, gossip_budget=2
+        )
+        router = DirectoryRouter(max_imbalance=1, directory=directory)
+        rec.put(NUMPY)
+        rec.record_lookups(directory)
+        rec.attach(caches, router)
+        trace = generate_trace("sharegpt", n_sessions=16, seed=SEED, session_rate=4.0)
+        stranger = MarconiCache(MODEL, int(1e12))
+        directory.attach(len(caches), stranger)
+        for session in trace.sessions[::2]:
+            seq = session.full_sequence(min(1, session.n_rounds - 1))
+            stranger.begin(seq, 0.0).commit(seq, 0.0)
+        fail = [ScenarioEvent(3.0, "fail", replica=1)]
+        rec.finish(simulate_cluster(MODEL, caches, router, trace, scenario=fail))
+        directory.close()
+
+    return replay
+
+
 def _kernel_workload(
     name: str, scale: float, modelled: bool = False, seed: int = SEED
 ) -> Callable:
@@ -340,6 +491,11 @@ ROUTERS = {
 }
 SCENARIOS: dict[str, Callable[[Recorder], None]] = {
     "directory-fewshot-restart": _directory_restart,  # first: the one with ties and a restart
+    "hierarchical-racks": _racks,
+    "directory-mixed-fleet": _mixed_fleet,
+    "tiering-siblings": _siblings,
+    "directory-split-probe": _split_probe,
+    **{f"sharded-stale-region{n}": _stale_shards(n) for n in (1, 4, 32)},
 }
 for _t in SHAPES:
     _trace = partial(matrix_trace, _t)

@@ -32,6 +32,8 @@ from repro.tiering import TieredMarconiCache
 from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
+from _drain import assert_drained, expected_rounds, served_rounds
+
 
 def toks(n, seed):
     return np.random.default_rng(seed).integers(0, 32000, size=n, dtype=np.int32)
@@ -49,27 +51,7 @@ def _tiered(model, seqs=8):
     )
 
 
-def _expected_rounds(trace):
-    return {
-        (session.session_id, r)
-        for session in trace.sessions
-        for r in range(session.n_rounds)
-    }
 
-
-def _served_rounds(result):
-    return {
-        (rec.session_id, rec.round_index)
-        for replica in result.replica_results
-        for rec in replica.records
-    }
-
-
-def _assert_no_leaks(caches):
-    for cache in caches:
-        assert cache.open_sessions == 0
-        assert all(node.pin_count == 0 for node in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
 
 
 class TestScenarioEvents:
@@ -117,7 +99,6 @@ class TestFailover:
             scenario=scenario,
         )
         # Every round of every session completed, despite the mid-trace death.
-        assert _served_rounds(result) == _expected_rounds(trace)
         # ...and exactly once: requests interrupted mid-decode keep their
         # original record instead of being re-served.
         assert result.n_requests == trace.n_requests
@@ -128,7 +109,7 @@ class TestFailover:
         assert sum(result.routed_counts) == trace.n_requests + reroutes
         assert result.steering_counter("failures") == 1
         # Zero leaked pins or open sessions anywhere, including the corpse.
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
         # Nothing arriving after the failure lands on the dead replica.
         assert all(
             rec.arrival_time <= 1.0 for rec in result.replica_results[1].records
@@ -145,9 +126,8 @@ class TestFailover:
             scenario=[ScenarioEvent(1.5, "fail", replica=0)],
         )
         assert result.steering_counter("aborted_sessions") > 0
-        assert _served_rounds(result) == _expected_rounds(trace)
         assert result.n_requests == trace.n_requests
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
     def test_rerun_after_failure_revives_replica(self, hybrid):
         """A router reused across runs must re-track replicas a previous
@@ -182,7 +162,7 @@ class TestFailover:
             scenario=[ScenarioEvent(1.0, "fail", replica=0)],
         )
         assert result.steering_counter("overrides") > 0
-        assert _served_rounds(result) == _expected_rounds(trace)
+        assert served_rounds(result) == expected_rounds(trace)
         assert all(
             rec.arrival_time <= 1.0 for rec in result.replica_results[0].records
         )
@@ -307,11 +287,10 @@ class TestDrainAndJoin:
             scenario=[ScenarioEvent(2.0, "drain", replica=2)],
         )
         assert result.steering_counter("drains") == 1
-        assert _served_rounds(result) == _expected_rounds(trace)
         assert all(
             rec.arrival_time <= 2.0 for rec in result.replica_results[2].records
         )
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
     def test_join_adds_capacity_mid_trace(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=20, seed=37, session_rate=4.0)
@@ -327,8 +306,7 @@ class TestDrainAndJoin:
         assert result.n_replicas == 3
         assert result.steering_counter("joins") == 1
         assert result.routed_counts[2] > 0  # the newcomer pulled traffic
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches + [spare])
+        assert_drained(caches + [spare], result, trace)
 
     def test_failover_then_join_recovers(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=16, seed=38, session_rate=2.0)
@@ -345,7 +323,7 @@ class TestDrainAndJoin:
         )
         assert result.n_replicas == 3
         assert result.routed_counts[2] > 0
-        assert _served_rounds(result) == _expected_rounds(trace)
+        assert served_rounds(result) == expected_rounds(trace)
 
 
 class TestShardedScenarioEdges:
@@ -378,8 +356,7 @@ class TestShardedScenarioEdges:
         assert result.n_replicas == 3
         assert result.steering_counter("joins") == 1
         assert result.routed_counts[2] > 0
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches + [spare])
+        assert_drained(caches + [spare], result, trace)
         # The joiner is tracked by the shared sharded view.
         assert backend.replicas == (0, 1, 2)
         backend.pump(upto=1e9)
@@ -406,8 +383,7 @@ class TestShardedScenarioEdges:
         )
         assert result.steering_counter("failures") == 1
         assert result.steering_counter("drains") == 1
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
         assert result.directory_staleness["invalidations"] >= 1
         backend.pump(upto=1e9)
         for shard in backend.shards:
@@ -519,8 +495,7 @@ class TestTransfers:
             cache.stats.extra.get("promotions", 0) for cache in caches
         )
         assert promoted > 0
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
     def test_transfer_to_dead_target_is_dropped_and_rerouted(self, hybrid):
         """A transfer in flight when its target dies must not strand the
@@ -537,8 +512,7 @@ class TestTransfers:
                 ScenarioEvent(4.5, "fail", replica=1),
             ],
         )
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
     @pytest.mark.parametrize("action", ["fail", "drain"])
     @pytest.mark.parametrize("split", [False, True], ids=["parked", "split"])
@@ -595,12 +569,12 @@ class TestTransfers:
         assert result.steering.transfer_bytes_in[1] == (nbytes if landed else 0)
         # Served exactly once; a parked request only ever runs where the
         # re-admission put it.
-        assert _served_rounds(result) == {(0, 0)}
+        assert served_rounds(result) == {(0, 0)}
         assert result.n_requests == 1
         if not split:
             assert result.replica_results[2].n_requests == 1
             assert result.routed_counts == [0, 0, 1]
-        _assert_no_leaks(caches)
+        assert_drained(caches)
 
     def test_transfer_free_run_matches_prefix_affinity(self, hybrid):
         """With transfers disabled, the steering router is routing-identical
@@ -714,8 +688,7 @@ class TestSplitSteering:
         assert result.steering_counter("splits_overlapped") >= 1
         assert result.overlap_seconds_saved > 0
         assert router.decision_stats.get("chose_split", 0) >= 1
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
     def test_concurrent_transfers_serialize_on_source_link(self, hybrid):
         """N transfers leaving one source must share its link, not each see
@@ -764,8 +737,7 @@ class TestSplitSteering:
         assert steering.link_wait_seconds > 0
         assert sum(steering.link_busy_seconds) > 0
         steering.check_conservation(bandwidth)  # must not raise
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
 
 
 class TestClusterExport:

@@ -1,28 +1,36 @@
 """Every seeded replay in ``_decisions.SCENARIOS`` writes its committed
 ``tests/fixtures/decisions/<name>.jsonl`` line for line: the kernel matrix
 (three trace shapes through the serving engine, the iteration engine and
-1-3 replica clusters), a directory scenario and the four ``bench_e2e``
-workloads at a small scale.  What a line holds is in ``_decisions.py``.  A
-change meant to alter decisions regenerates the fixtures, and its PR says
-"decisions change" in its title::
+1-3 replica clusters), directory, rack, second-tier and sharded-directory
+scenarios and the four ``bench_e2e`` workloads at a small scale.  What a
+line holds is in ``_decisions.py``.  A change meant to alter decisions
+regenerates the fixtures, and its PR says "decisions change" in its title::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_decision_digest.py
 
-Under each of three seeded mutations some scenario must diverge.
+Under each seeded mutation some scenario must diverge: three patched
+behaviours, and eight one-line edits of the source (:data:`EDITS`).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import os
+import sys
+import types
 
 import pytest
 
 import _decisions
+from repro.cluster import directory as directory_module
 from repro.cluster import router as router_module
+from repro.cluster import sharded_directory as sharded_module
 from repro.cluster.directory import _ReplicaView
 from repro.core.eviction import FlopAwareEviction
+from repro.engine import steering as steering_module
+from repro.tiering import secondary as secondary_module
 
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
@@ -111,10 +119,65 @@ def ties_to_highest(monkeypatch):
     monkeypatch.setattr(router_module, "max", flipped, raising=False)
 
 
+def edit_source(monkeypatch, module, qualname, old, new):
+    """Patch in ``module``'s ``qualname`` (``function`` or ``Class.method``,
+    a property's getter too) as its source reads with ``old`` replaced by
+    ``new``, there and in every module that imported it by name.  The edited
+    code runs against the real module's globals and classes."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, f"{old!r} is not in {module.__name__} exactly once"
+    namespace = {"__name__": module.__name__}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    *cls, name = qualname.split(".")
+    owner = getattr(module, cls[0]) if cls else module
+    edited, original = (vars(namespace[cls[0]]) if cls else namespace)[name], vars(owner)[name]
+    code = edited.fget if isinstance(edited, property) else edited
+    cells = [types.CellType(owner) if var == "__class__" else cell  # super() sees the real class
+             for var, cell in zip(code.__code__.co_freevars, code.__closure__ or ())]
+    fn = types.FunctionType(code.__code__, vars(module), name, code.__defaults__, tuple(cells))
+    for holder in [owner] if cls else list(sys.modules.values()):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, property(fn) if isinstance(edited, property) else fn)
+
+
+@pytest.mark.parametrize("old", ["no such text", "self"])
+def test_an_edit_names_its_text_exactly_once(old, monkeypatch):
+    with pytest.raises(AssertionError, match="exactly once"):
+        edit_source(monkeypatch, router_module, "PrefixAffinityRouter._hits", old, "")
+
+
+#: The eight one-line edits: ``(module, qualname, old text, new text)``.
+EDITS = {
+    "M1-rotation": (steering_module, "pick_least_loaded",
+                    "rotation % loads.count(floor)", "rotation % min(loads.count(floor), 2)"),
+    "M2-owner-only": (sharded_module, "ShardedPrefixDirectory._ingest",
+                      "owner_only = self._past_region(update.kind, update.depth)"
+                      "  # no one else stores it", "owner_only = True"),
+    "M3-clear-skips-one": (directory_module, "PrefixIndex.clear_replica",
+                           "for node in doomed:", "for node in doomed[1:]:"),
+    "M4-rack-tie": (router_module, "HierarchicalRouter._scope",
+                    "(-min(loads[rack * size : (rack + 1) * size]), -rack)",
+                    "(-min(loads[rack * size : (rack + 1) * size]), rack)"),
+    "M5-kv-uncapped": (router_module, "PrefixAffinityRouter._hits",
+                       "hits[r] = matched if matched < cap else cap", "hits[r] = matched"),
+    "M6-last-token": (secondary_module, "SecondaryStore._held",
+                      "data.startswith(entry.key)", "data.startswith(entry.key[:-4])"),
+    "M7-depths-descending": (directory_module, "DirectoryLookup._derive_ckpt",
+                             "depths.setdefault(r, []).append(end)",
+                             "depths.setdefault(r, []).insert(0, end)"),
+    "M8-kv-leaf-first": (directory_module, "DirectoryLookup.kv_matched",
+                         "for node in reversed(path):", "for node in path:"),
+}
+MUTATIONS = [second_best_victim, held_kept, ties_to_highest] + [
+    pytest.param(lambda mp, edit=edit: edit_source(mp, *edit), id=name)
+    for name, edit in EDITS.items()
+]
+
+
 @pytest.mark.skipif(REGEN, reason="the fixtures are being rewritten")
-@pytest.mark.parametrize("mutate", [second_best_victim, held_kept, ties_to_highest])
+@pytest.mark.parametrize("mutate", MUTATIONS)
 def test_a_seeded_mutation_fails_the_digest(mutate, monkeypatch):
     mutate(monkeypatch)
     message = _decisions.first_divergence()
-    assert message is not None, f"every scenario replays its digest under {mutate.__name__}"
+    assert message is not None, "every scenario replays its digest under this mutation"
     assert message.startswith("decision digest '") and " diverges at line " in message

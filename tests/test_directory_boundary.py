@@ -1,27 +1,20 @@
-"""The directory's cut, held by tests.
+"""The directory's contract, held by tests.
 
 ``cluster/directory.py`` is a :class:`PrefixIndex`, one
 :class:`ReplicaFront` and the inline :class:`PrefixDirectory`;
-``cluster/sharded_directory.py`` is the same front over a ring of indexes.
-The first suite parses the sources and fails when the sharded class reaches
-behind an index's listed surface, when the lifecycle is written a second
-time, or when the kernel goes back to probing for the backend.  The second
-pins what the counters promise.  The third drives truncations — the event
-whose own index operation was deleted in favour of a clear along the leaf's
-old path — against the oracle and 1 / 2 / 8-shard directories, checking
-after every event against the replica trees themselves.  The fourth replays
-the same streams on a directory whose inline ingest applies a past-region
-op on its ring owner alone, beside one that offers every op to every shard
-(the loop it replaced), comparing shard by shard after every event.  The
-fifth replays them on directories whose inline ops resume at the replica
-node's own directory node, beside ones whose every op carries its path,
-comparing every index node for node in dict order after every event, and
-drives each fallback (a dropped deep half, a resync, a lost shard, queued
-gossip) by hand.
+``cluster/sharded_directory.py`` is the same front over a ring of indexes
+(``tests/test_source_boundaries.py`` holds the cut between them).  The first
+suite pins what the counters promise.  The second drives truncations — the
+event whose own index operation was deleted in favour of a clear along the
+leaf's old path — against the oracle and 1 / 2 / 8-shard directories,
+checking after every event against the replica trees themselves.  The
+third replays the same streams on directories whose inline ops resume at
+the replica node's own directory node, beside ones whose every op carries
+its path, comparing every index node for node in dict order after every
+event, and drives each fallback (a dropped deep half, a resync, a lost
+shard, queued gossip) by hand.
 """
 
-import ast
-import inspect
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -34,99 +27,13 @@ from hypothesis import strategies as st
 from repro.cluster import PrefixDirectory, ShardedPrefixDirectory, probe_hit_tokens
 from repro.cluster import directory as directory_module
 from repro.cluster.directory import PrefixIndex, _ReplicaView
-from repro.cluster import sharded_directory as sharded_module
 from repro.core.cache import MarconiCache
 from repro.core.radix_tree import TreeObserver
-from repro.engine import kernel as kernel_module
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b, transformer_7b
 
 HYBRID = hybrid_7b()
 TRANSFORMER = transformer_7b()
-LIFECYCLE = ("attach", "detach", "tracked", "replicas", "close")
-
-
-# ----------------------------------------------------------------------
-# The boundary, read from the sources
-# ----------------------------------------------------------------------
-def reaches_behind_the_index(source: str) -> list[str]:
-    """Every ``<anything but self>._x`` access and every
-    ``PrefixDirectory(...)`` call: a shard's store is a ``PrefixIndex``
-    driven through the surface its docstring lists."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr.startswith("_")
-            and not node.attr.startswith("__")
-            and getattr(node.value, "id", None) != "self"
-        ):
-            found.append(f"line {node.lineno}: {ast.unparse(node)}")
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PrefixDirectory":
-            found.append(f"line {node.lineno}: builds a PrefixDirectory")
-    return found
-
-
-def kernel_probes_for_directory(source: str) -> list[str]:
-    """Every ``getattr`` / ``hasattr`` naming the directory or its transport."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) in ("getattr", "hasattr")
-            and any(
-                word in ast.unparse(arg)
-                for arg in node.args
-                for word in ("directory", "connect_transport")
-            )
-        ):
-            found.append(f"line {node.lineno}: {ast.unparse(node)}")
-    return found
-
-
-def definitions(*sources: str) -> list[str]:
-    return [
-        node.name
-        for source in sources
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef)
-    ]
-
-
-class TestDirectoryBoundary:
-    def test_sharded_directory_stays_on_the_index_surface(self):
-        assert reaches_behind_the_index(inspect.getsource(sharded_module)) == []
-
-    def test_kernel_asks_the_router_not_getattr(self):
-        assert kernel_probes_for_directory(inspect.getsource(kernel_module)) == []
-
-    def test_lifecycle_is_written_once_and_truncation_has_no_op_of_its_own(self):
-        names = definitions(
-            inspect.getsource(directory_module), inspect.getsource(sharded_module)
-        )
-        for name in LIFECYCLE:
-            assert names.count(name) == 1, f"def {name} x{names.count(name)}"
-        assert "_truncate" not in names
-        for module in (directory_module, sharded_module):
-            assert not hasattr(module, "_TRUNCATE")
-
-    def test_the_checks_catch_what_this_boundary_replaced(self):
-        """The reach-arounds the two files carried before the cut, verbatim."""
-        old_sharded = (
-            "self.directory = PrefixDirectory()\n"
-            "d._clear_replica(r)\n"
-            "d.stats.resyncs += 1\n"
-            "d._mark(r, path, data, depth, ckpt=has_ckpt)\n"
-            "d._apply_path_op(kind, r, tokens, data, depth)\n"
-            "self._tracked.add(replica)\n"
-        )
-        assert len(reaches_behind_the_index(old_sharded)) == 4
-        old_kernel = (
-            "directory = getattr(self.router, 'directory', None)\n"
-            "connect = getattr(directory, 'connect_transport', None)\n"
-            "tree = getattr(cache, 'tree', None)\n"
-        )
-        assert len(kernel_probes_for_directory(old_kernel)) == 2
 
 
 # ----------------------------------------------------------------------
@@ -342,81 +249,6 @@ def nodes(index):
         (node.end, node.data, sorted(node.cover.items()), sorted(node.ckpt))
         for node in index.iter_nodes()
     )
-
-
-# ----------------------------------------------------------------------
-# Inline ingest applies a past-region op on its owner alone
-# ----------------------------------------------------------------------
-class _AppliesOnAll(ShardedPrefixDirectory):
-    """Inline ingest as it was before PR 24: every live shard is offered
-    every update, and a non-owner drops what it does not store."""
-
-    def _ingest(self, update):
-        self.stats.events += 1
-        owner = self._ring.lookup(update.rkey)
-        for shard in self.shards:
-            if shard.alive:
-                self._apply(shard, update, owner)
-                shard.applied += 1
-
-
-class TestOwnerOnlyIngest:
-    def pairs(self, region):
-        return [
-            (
-                ShardedPrefixDirectory(n_shards=n, region_tokens=region),
-                _AppliesOnAll(n_shards=n, region_tokens=region),
-            )
-            for n in (2, 8)
-        ]
-
-    def drive(self, stream, region):
-        pairs = self.pairs(region)
-        applied_by = []
-
-        def same_shard_for_shard():
-            for owner_only, on_all in pairs:
-                for a, b in zip(owner_only.shards, on_all.shards):
-                    assert nodes(a.directory) == nodes(b.directory)
-                    assert a.applied == b.applied
-                assert owner_only.staleness() == on_all.staleness()
-
-        original = ShardedPrefixDirectory._apply
-
-        def counting(self, shard, update, owner):
-            applied_by.append(type(self))
-            return original(self, shard, update, owner)
-
-        ShardedPrefixDirectory._apply = counting
-        try:
-            drive(
-                stream,
-                [PrefixDirectory()] + [d for pair in pairs for d in pair],
-                after_event=same_shard_for_shard,
-            )
-        finally:
-            ShardedPrefixDirectory._apply = original
-        return (
-            applied_by.count(ShardedPrefixDirectory),
-            applied_by.count(_AppliesOnAll),
-        )
-
-    @pytest.mark.parametrize("region", [4, 32])
-    @settings(max_examples=40, deadline=None)
-    @given(stream=truncation_streams())
-    def test_every_shard_equals_the_one_apply_on_all_builds(self, region, stream):
-        self.drive(stream, region)
-
-    def test_the_streams_do_reach_past_the_region(self):
-        """A fixed stream: at ``region_tokens=4`` many ops start past the
-        region and skip the non-owners (attach-time resyncs and shallow ops
-        still go everywhere); at 32 none does (no sequence is that long)
-        and the two directories do the same work."""
-        ops = random_ops(11, ["begin", "begin", "commit", "abort", "truncate"], 60, 8)
-        owner_only, on_all = self.drive((4, ops, 3, HYBRID), region=4)
-        assert owner_only < 0.75 * on_all
-        owner_only, on_all = self.drive((4, ops, 3, HYBRID), region=32)
-        assert owner_only == on_all > 0
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ from repro.models.memory import (
 from repro.tiering import TieredMarconiCache
 from repro.workloads.lmsys import generate_lmsys_trace
 
+from _drain import assert_drained
+
 
 def toks(n, seed):
     return np.random.default_rng(seed).integers(0, 32000, size=n, dtype=np.int32)
@@ -195,27 +197,7 @@ def _fleet(model, n, seqs=8):
     return [MarconiCache(model, seqs * per_seq, alpha=1.0) for _ in range(n)]
 
 
-def _expected_rounds(trace):
-    return {
-        (session.session_id, r)
-        for session in trace.sessions
-        for r in range(session.n_rounds)
-    }
 
-
-def _served_rounds(result):
-    return {
-        (rec.session_id, rec.round_index)
-        for replica in result.replica_results
-        for rec in replica.records
-    }
-
-
-def _assert_no_leaks(caches):
-    for cache in caches:
-        assert cache.open_sessions == 0
-        assert all(node.pin_count == 0 for node in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
 
 
 class _ShardFailingDirectory(ShardedPrefixDirectory):
@@ -253,9 +235,8 @@ class TestDirectoryShardFaults:
         result = simulate_cluster(
             hybrid, caches, PrefixAffinityRouter(directory=backend), trace
         )
-        assert _served_rounds(result) == _expected_rounds(trace)
         assert result.n_requests == trace.n_requests
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
         staleness = result.directory_staleness
         assert staleness["backend"] == "sharded"
         assert staleness["shard_losses"] == 1
@@ -274,8 +255,7 @@ class TestDirectoryShardFaults:
         result = simulate_cluster(
             hybrid, caches, PrefixAffinityRouter(directory=backend), trace
         )
-        assert _served_rounds(result) == _expected_rounds(trace)
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
         staleness = result.directory_staleness
         assert staleness["updates_dropped"] > 0
         assert sum(
@@ -303,9 +283,8 @@ class TestDirectoryShardFaults:
             trace,
             scenario=[ScenarioEvent(2.0, "fail", replica=1)],
         )
-        assert _served_rounds(result) == _expected_rounds(trace)
         assert result.n_requests == trace.n_requests
-        _assert_no_leaks(caches)
+        assert_drained(caches, result, trace)
         assert result.directory_staleness["invalidations"] >= 1
         # Eventual consistency: once the queues drain, no shard still
         # stores the dead replica.

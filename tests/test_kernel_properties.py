@@ -1,8 +1,9 @@
 """Property tests for the simulation kernel and its event queue.
 
 Five kernel invariants, checked over hypothesis-generated traces and
-replica counts, plus one read off the source — the kernel and the
-schedulers meet only at the surface ``ReplicaScheduler`` writes down:
+replica counts (that the kernel and the schedulers meet only at the surface
+``ReplicaScheduler`` writes down is read off the source in
+``tests/test_source_boundaries.py``):
 
 * event-queue ordering is *total* — equal-timestamp events pop in
   ``(kind, per-queue insertion order)``, independent of payloads and of
@@ -22,10 +23,6 @@ configurations, and what continuous batching buys.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,9 +31,7 @@ from hypothesis import strategies as st
 from repro.baselines.vanilla import VanillaCache
 from repro.cluster import RoundRobinRouter, simulate_cluster
 from repro.core.cache import MarconiCache
-from repro.engine import kernel as kernel_module
-from repro.engine import schedulers as schedulers_module
-from repro.engine.events import EventKind, EventQueue
+from repro.engine.events import ENTRY_PAYLOAD, ENTRY_SEQ, EventKind, EventQueue
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.kernel import KernelConfig, SimulationKernel, VirtualClock
 from repro.engine.server import ServingSimulator, simulate_trace
@@ -112,13 +107,13 @@ class TestEventQueueOrdering:
         queue = EventQueue()
         for index, (time, kind) in enumerate(entries):
             queue.push(time, kind, payload=index)
-        popped = [queue.pop() for _ in range(len(entries))]
-        keys = [(e.time, e.kind, e.seq) for e in popped]
+        popped = [queue.pop_entry() for _ in range(len(entries))]
+        keys = [(time, kind, seq) for time, kind, seq, _, _ in popped]
         assert keys == sorted(keys)
         # FIFO among identical (time, kind): payload index must ascend.
         for (a, b) in zip(popped, popped[1:]):
-            if (a.time, a.kind) == (b.time, b.kind):
-                assert a.payload < b.payload
+            if a[:2] == b[:2]:
+                assert a[ENTRY_PAYLOAD] < b[ENTRY_PAYLOAD]
 
     def test_per_queue_counters_are_independent(self):
         """Regression for the shared tie-break counter: a second queue in
@@ -132,21 +127,16 @@ class TestEventQueueOrdering:
         second.push(1.0, EventKind.REQUEST_ARRIVAL, "a")
         first.push(1.0, EventKind.REQUEST_ARRIVAL, None)  # interleaved pushes
         second.push(1.0, EventKind.REQUEST_ARRIVAL, "b")
-        events = [second.pop(), second.pop()]
-        assert [e.payload for e in events] == ["a", "b"]
-        assert [e.seq for e in events] == [0, 1]
-
-    def test_external_seq_still_accepted(self):
-        shared = itertools.count(10)
-        queue = EventQueue(shared)
-        queue.push(0.0, EventKind.REQUEST_ARRIVAL, None)
-        assert queue.pop().seq == 10
+        entries = [second.pop_entry(), second.pop_entry()]
+        assert [e[ENTRY_PAYLOAD] for e in entries] == ["a", "b"]
+        assert [e[ENTRY_SEQ] for e in entries] == [0, 1]
 
     def test_peek_does_not_remove(self):
         queue = EventQueue()
         queue.push(3.0, EventKind.PREFILL_DONE, "x")
-        assert queue.peek().payload == "x"
-        assert len(queue) == 1
+        head = queue.peek_entry()
+        assert head[ENTRY_PAYLOAD] == "x" and len(queue) == 1
+        assert queue.pop_entry() is head
 
 
 class TestVirtualClock:
@@ -182,83 +172,6 @@ class TestKernelConstruction:
     def test_rejects_policy_name_mismatch(self):
         with pytest.raises(ValueError):
             SimulationKernel(MODEL, [VanillaCache(MODEL)], policy_names=["a", "b"])
-
-
-# ----------------------------------------------------------------------
-# The kernel / scheduler boundary, read off the source
-# ----------------------------------------------------------------------
-def _all_subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _all_subclasses(sub)
-
-
-CONCRETE_SCHEDULERS = {
-    cls.__name__ for cls in _all_subclasses(schedulers_module.ReplicaScheduler)
-}
-
-
-def _mentions(node: ast.AST, word: str) -> bool:
-    """Does any name or attribute inside ``node`` contain ``word``?"""
-    return any(
-        word in (getattr(sub, "id", "") + getattr(sub, "attr", ""))
-        for sub in ast.walk(node)
-    )
-
-
-def scheduler_reaches_into_kernel(source: str) -> list[str]:
-    """Every ``kernel._x`` / ``<expr>.kernel._x`` attribute access."""
-    return [
-        f"line {node.lineno}: kernel.{node.attr}"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and node.attr.startswith("_")
-        and getattr(node.value, "id", getattr(node.value, "attr", None)) == "kernel"
-    ]
-
-
-def kernel_reaches_into_scheduler(source: str) -> list[str]:
-    """Every ``isinstance(_, <concrete scheduler>)`` and every
-    ``getattr`` / ``hasattr`` whose object names a scheduler."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id == "isinstance" and len(node.args) == 2:
-            if any(_mentions(node.args[1], name) for name in CONCRETE_SCHEDULERS):
-                found.append(f"line {node.lineno}: isinstance on a concrete scheduler")
-        elif node.func.id in ("getattr", "hasattr") and node.args:
-            if _mentions(node.args[0], "scheduler"):
-                found.append(f"line {node.lineno}: {node.func.id} on a scheduler")
-    return found
-
-
-class TestKernelSchedulerBoundary:
-    def test_neither_side_reaches_into_the_other(self):
-        assert scheduler_reaches_into_kernel(inspect.getsource(schedulers_module)) == []
-        assert kernel_reaches_into_scheduler(inspect.getsource(kernel_module)) == []
-
-    def test_the_checks_catch_what_this_boundary_replaced(self):
-        """The reach-arounds the kernel carried before the cut, verbatim."""
-        assert {"ContinuousBatchingScheduler", "TokenBatchingScheduler"} <= (
-            CONCRETE_SCHEDULERS
-        )
-        old_scheduler = (
-            "if kernel._pending_splits:\n"
-            "    self.kernel._active_sessions[id(session)] = entry\n"
-            "self._track_active = kernel._track_active\n"
-            "kernel.busy_seconds[self.replica] += seconds\n"
-        )
-        assert len(scheduler_reaches_into_kernel(old_scheduler)) == 3
-        old_kernel = (
-            "split = isinstance(spec, SplitSpec) and isinstance(\n"
-            "    self.schedulers[replica], ContinuousBatchingScheduler)\n"
-            "if isinstance(scheduler, (TokenBatchingScheduler, int)): pass\n"
-            "queue = getattr(scheduler, 'queue', None)\n"
-            "if hasattr(self.schedulers[replica], 'free_slots'): pass\n"
-            "tree = getattr(self.caches[0], 'tree', None)\n"
-        )
-        assert len(kernel_reaches_into_scheduler(old_kernel)) == 4
 
 
 # ----------------------------------------------------------------------

@@ -955,7 +955,7 @@ class TestAutoProbeCrossover:
                 query = tiny(10 + qi * 5, qi % 3)
                 loads = [qi % 2] * n
                 hits = [probe_hit_tokens(cache, query) for cache in caches]
-                want = reference._select(hits, loads)
+                want = reference._select({i: h for i, h in enumerate(hits) if h}, loads)
                 assert auto.route(query, qi, caches, loads, 10.0) == want
                 assert backed.route(query, qi, caches, loads, 10.0) == want
             assert (auto.directory is not None) == (n >= self.THRESHOLD)

@@ -29,6 +29,8 @@ from repro.models.memory import kv_bytes, model_recurrent_bytes
 from repro.models.presets import hybrid_7b
 from repro.tiering import TieredMarconiCache
 
+from _drain import assert_drained
+
 HYBRID = hybrid_7b()
 
 
@@ -158,21 +160,6 @@ def _run_probe(scenario, n_replicas=2, bandwidth=1e9):
     return trace, caches, result
 
 
-def _assert_no_leaks(trace, caches, result):
-    expected = {
-        (s.session_id, r) for s in trace.sessions for r in range(s.n_rounds)
-    }
-    served = {
-        (rec.session_id, rec.round_index)
-        for replica in result.replica_results
-        for rec in replica.records
-    }
-    assert served == expected
-    for cache in caches:
-        assert cache.open_sessions == 0
-        assert all(node.pin_count == 0 for node in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
-
 
 class TestMidFlightFailure:
     """The split probe's steered round arrives ~31s in (4 quick rounds,
@@ -195,7 +182,7 @@ class TestMidFlightFailure:
         trace, caches, result = _run_probe(
             scenario, n_replicas=3, bandwidth=bandwidth
         )
-        _assert_no_leaks(trace, caches, result)
+        assert_drained(caches, result, trace)
 
     def test_source_failure_during_transfer_drops_cleanly(self):
         """Sweep failure times until one provably lands mid-flight (the
@@ -213,7 +200,7 @@ class TestMidFlightFailure:
                 ScenarioEvent(float(fail_time), "fail", replica=0),
             ]
             trace, caches, result = _run_probe(scenario, n_replicas=3)
-            _assert_no_leaks(trace, caches, result)
+            assert_drained(caches, result, trace)
             counter = result.steering_counter
             if counter("transfers_completed") < base("transfers_completed") or (
                 counter("transfers_stale_source") > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.core.tokens import TokenSeq
 from repro.engine.latency import LatencyModel
 from repro.engine.server import simulate_trace
 from repro.models.memory import kv_bytes, model_recurrent_bytes, node_state_bytes
@@ -79,6 +80,29 @@ class TestSecondaryStore:
         store.insert(toks(5, 2), 100, now=0.0)
         store.clear()
         assert store.n_entries == 0 and store.used_bytes == 0
+
+    def test_two_entries_of_one_length_sharing_a_long_prefix(self):
+        store = SecondaryStore(capacity_bytes=100)
+        stem = list(range(50))
+        store.insert(stem + [1], 10, now=0.0)
+        store.insert(stem + [2], 10, now=1.0)
+        assert store.longest_match(stem + [2, 9], 60, 2.0).tokens[-1] == 2
+        assert store.longest_match(stem + [1, 9], 60, 2.0).tokens[-1] == 1
+        assert store.longest_match(stem + [3, 9], 60, 2.0) is None
+        assert store.longest_match(stem + [2, 9], 50, 2.0) is None  # capped below both
+        assert stem + [2] in store and stem + [3] not in store
+        assert store.remove(stem + [1]).tokens[-1] == 1 and store.n_entries == 1
+
+    def test_a_query_shorter_than_every_entry(self):
+        store = SecondaryStore(capacity_bytes=100)
+        store.insert(list(range(20)), 10, now=0.0)
+        store.insert(list(range(30)), 10, now=0.0)
+        assert store.longest_match(list(range(10)), 10, 1.0) is None
+        # ... also when the handle's backing bytes do hold an entry's tokens.
+        short = TokenSeq.of(list(range(40))).prefix(10)
+        assert store.longest_match(short, 10, 1.0) is None
+        assert short not in store and store.remove(short) is None
+        assert store.longest_match(TokenSeq.of(list(range(40))).prefix(25), 24, 1.0).seq_len == 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
