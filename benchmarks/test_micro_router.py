@@ -23,9 +23,7 @@ fleet) does not measure:
   delayed, throttled directory view gives up against the synchronous
   oracle.
 
-Deep probe vs directory at whole-run scale is ``python -m
-benchmarks.probe_crossover`` (the table ``router._AUTO_PROBE_THRESHOLD``
-is read from), and sharded-vs-oracle decision identity is
+Sharded-vs-oracle decision identity is
 ``tests/test_sharded_directory.py::TestShardedProperties``.
 
 Results are written to

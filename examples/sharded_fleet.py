@@ -22,7 +22,6 @@ from repro import MarconiCache, hybrid_7b, simulate_cluster
 from repro.cluster import (
     HierarchicalRouter,
     PrefixAffinityRouter,
-    PrefixDirectory,
     ShardedPrefixDirectory,
 )
 from repro.metrics import ascii_table
@@ -53,7 +52,7 @@ def main() -> None:
     configs = [
         (
             "flat affinity, oracle directory",
-            PrefixAffinityRouter(directory_factory=PrefixDirectory),
+            PrefixAffinityRouter(),
         ),
         (
             "flat affinity, sharded (sync)",

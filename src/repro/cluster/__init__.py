@@ -14,8 +14,7 @@ steering subsystem:
   :class:`DirectoryRouter`;
 * :mod:`repro.cluster.directory` — the router-side global prefix
   directory, an incrementally maintained radix index mapping prefixes to
-  replica sets (one O(query-depth) lookup per request instead of
-  deep-probing every replica tree);
+  replica sets (one O(query-depth) lookup per request);
 * :mod:`repro.cluster.simulator` — the multi-replica discrete-event
   simulator, with cross-replica state transfers and elastic/failure
   scenario schedules (replicas failing, draining, and joining mid-trace).

@@ -1,11 +1,10 @@
 """Router-side global prefix directory over a cluster's replica caches.
 
-The deep probe (``router.probe_hit_tokens``) walks every replica's full radix
-tree on every arrival — an O(replicas x tree-depth) walk per request that
-also couples the router to each cache's internals.  The directory replaces
-those probes with one shared radix index over the *union* of all replicas'
-cached content, answering "who holds the deepest usable prefix of this
-query?" in a single O(query-depth) walk.
+The directory is one shared radix index over the *union* of all replicas'
+cached content, each node naming the replicas that hold it.  It answers
+"who holds the deepest usable prefix of this query?" in a single
+O(query-depth) walk, with the hit each replica's own tree would serve
+(``router.probe_hit_tokens`` is the per-replica reference).
 
 It is maintained incrementally, never rescanned per request:
 
@@ -713,11 +712,11 @@ class ReplicaFront:
 
     def attach(self, replica: int, cache: Any) -> bool:
         """Start tracking ``replica``'s cache; returns False when the
-        cache has no observable tree (deep-probe fallback applies).
+        cache has no observable tree (the router probes it instead).
 
         Caches exposing their own ``probe`` method (block stores) are
-        left untracked on purpose: the deep probe prefers that method,
-        so the directory must too for decision compatibility.
+        left untracked on purpose: ``probe_hit_tokens`` prefers that
+        method, so the router must too for decision compatibility.
         """
         if replica in self._views:
             if self._caches.get(replica) is cache:

@@ -7,17 +7,13 @@ locality-only (session affinity), and the combined prefix-affinity policy
 that chases cached prefixes but spills to less-loaded replicas when the
 preferred one is overloaded.
 
-Prefix-aware policies answer "who holds my prefix?" in one of two
-decision-identical ways, chosen by one rule (see
-:class:`PrefixAffinityRouter`): small fleets deep-probe every replica tree
-(:func:`probe_hit_tokens`), fleets of :data:`_AUTO_PROBE_THRESHOLD`
-replicas or more — and any router handed a directory backend — read the
-shared :class:`~repro.cluster.directory.PrefixDirectory`, one
-O(query-depth) walk per request over an index maintained incrementally
-from each replica's tree events.  :class:`DirectoryRouter` additionally
-*steers* state: when the load-balanced choice lacks a prefix another
-replica holds, it applies a per-request compute-or-load rule and plans a
-cross-replica transfer that the simulation kernel charges as an
+Prefix-aware policies answer "who holds my prefix?" by reading the
+shared :class:`~repro.cluster.directory.PrefixDirectory` at every fleet
+size: one O(query-depth) walk per request over an index maintained
+incrementally from each replica's tree events.  :class:`DirectoryRouter`
+additionally *steers* state: when the load-balanced choice lacks a prefix
+another replica holds, it applies a per-request compute-or-load rule and
+plans a cross-replica transfer that the simulation kernel charges as an
 asynchronous bandwidth/latency event.
 """
 
@@ -42,13 +38,6 @@ from repro.engine.steering import (
 )
 
 _U64_MASK = (1 << 64) - 1
-
-#: Fleet size from which :class:`PrefixAffinityRouter` reads the directory
-#: instead of deep-probing every replica tree: the smallest fleet at which
-#: ``python -m benchmarks.probe_crossover`` measures directory / deep whole-run
-#: wall <= 1.0 on both of its workloads (``docs/architecture.md`` "The probe
-#: rule" has the table).
-_AUTO_PROBE_THRESHOLD = 32
 
 
 def probe_hit_tokens(cache: Any, tokens: np.ndarray) -> int:
@@ -230,18 +219,14 @@ class PrefixAffinityRouter(Router):
     rounds).  Requests with no cached prefix anywhere go least-loaded with
     a rotating tie-break, spreading cold sessions across the cluster.
 
-    Per-replica hits are measured one of two ways, never by a caller's
-    choice.  The router reads the incrementally maintained
-    :class:`~repro.cluster.directory.PrefixDirectory` — one walk of O(query
-    depth) nodes that returns the path it matched, and selection reads the
-    checkpoint holders on it and at most one ``min`` over the loads — when
-    it was handed a backend or the fleet has at least
-    :data:`_AUTO_PROBE_THRESHOLD` replicas; below that it deep-probes every
-    replica tree (:func:`probe_hit_tokens`, O(replicas x tree) per
-    request), because per-arrival directory maintenance costs more than a
-    few dozen tree walks.  Both are decision-identical (property-tested);
-    replicas the directory cannot track (tree-less caches, caches with
-    their own ``probe`` method) transparently fall back to the deep probe.
+    Per-replica hits are read from the incrementally maintained
+    :class:`~repro.cluster.directory.PrefixDirectory` at every fleet size:
+    one walk of O(query depth) nodes that returns the path it matched, and
+    selection reads the checkpoint holders on it and at most one ``min``
+    over the loads.  Replicas the directory cannot track (tree-less caches,
+    caches with their own ``probe`` method) are probed one by one
+    (:func:`probe_hit_tokens`, which the tests also hold the directory's
+    answer to).
 
     The directory backend is pluggable: pass ``directory=`` to share one
     externally owned instance (e.g. a
@@ -249,7 +234,7 @@ class PrefixAffinityRouter(Router):
     across several routers in a contention experiment — the router
     attaches replicas but never closes a shared backend — or
     ``directory_factory=`` to have the router build and own a fresh
-    backend per fleet.  Either makes the router read it at any fleet size.
+    backend per fleet.  With neither it owns a :class:`PrefixDirectory`.
     """
 
     name = "prefix_affinity"
@@ -290,21 +275,12 @@ class PrefixAffinityRouter(Router):
     def _bump(self, key: str) -> None:
         self._stats[key] = self._stats.get(key, 0) + 1
 
-    def _reads_directory(self, n_replicas: int) -> bool:
-        """The probe rule: a backend was given, or the fleet is large."""
-        return (
-            self._shared_directory is not None
-            or self._directory_factory is not None
-            or n_replicas >= _AUTO_PROBE_THRESHOLD
-        )
-
     def prepare(self, model, caches, latency) -> None:
         # Run-start hook: rebuild the directory even for an unchanged
         # fleet (a prior run's scenario may have detached failed replicas
         # that this run revives) and start decision counters fresh.
         self._stats = {}
-        if self._reads_directory(len(caches)):
-            self._bind(caches, force=True)
+        self._bind(caches, force=True)
 
     def _bind(self, caches: Sequence[Any], force: bool = False) -> None:
         """(Re-)attach the directory to ``caches``; idempotent per fleet
@@ -362,34 +338,30 @@ class PrefixAffinityRouter(Router):
         lookup: Optional[DirectoryLookup] = None,
     ) -> dict[int, int]:
         """Hit estimate of every replica that has one (``replica -> tokens``,
-        never 0: no hit, no entry), decision-identical either way.  A caller
-        that passes ``lookup`` has bound the fleet to read it.  The
-        directory's answer is restricted to the replicas bound here (a
-        shared or stale backend may name others) and read by each one's
+        never 0: no hit, no entry), equal to :func:`probe_hit_tokens` of
+        each.  A caller that passes ``lookup`` has bound the fleet to read
+        it.  The directory's answer is restricted to the replicas bound here
+        (a shared or stale backend may name others) and read by each one's
         rule: a checkpoint holder's hit is the deepest checkpointed node on
         the looked-up path that names it, read in place; KV matches are
         derived only for a fleet with replicas under that rule.  Replicas
-        the directory cannot track are deep-probed."""
+        the directory cannot track are probed."""
+        if lookup is None:
+            self._bind(caches)
+            lookup = self._directory.lookup(tokens, limit=len(tokens) - 1)
         hits: dict[int, int] = {}
-        if lookup is None and not self._reads_directory(len(caches)):
-            probed = range(len(caches))
-        else:
-            if lookup is None:
-                self._bind(caches)
-                lookup = self._directory.lookup(tokens, limit=len(tokens) - 1)
-            ckpt, kv = self._rules["ckpt"], self._rules["kv"]
-            if ckpt:
-                for depth, holders in lookup.checkpoints():
-                    for r in holders:
-                        if r in ckpt and r not in hits:
-                            hits[r] = depth
-            cap = len(tokens) - 1
-            if kv and cap > 0:
-                for r, matched in lookup.kv_matched.items():
-                    if r in kv:
-                        hits[r] = matched if matched < cap else cap
-            probed = self._rules["fallback"]
-        for r in probed:
+        ckpt, kv = self._rules["ckpt"], self._rules["kv"]
+        if ckpt:
+            for depth, holders in lookup.checkpoints():
+                for r in holders:
+                    if r in ckpt and r not in hits:
+                        hits[r] = depth
+        cap = len(tokens) - 1
+        if kv and cap > 0:
+            for r, matched in lookup.kv_matched.items():
+                if r in kv:
+                    hits[r] = matched if matched < cap else cap
+        for r in self._rules["fallback"]:
             hit = probe_hit_tokens(caches[r], tokens)
             if hit:
                 hits[r] = hit
@@ -401,9 +373,9 @@ class PrefixAffinityRouter(Router):
         return hits, loads, 0, self.max_imbalance, self._fallback._pick, ""
 
     def _select(self, hits: dict[int, int], loads: Sequence[int]) -> int:
-        """The affinity-vs-spill rule, one body for every prefix router and
-        both probes: the preferred replica is sought among the hit holders,
-        the fleet only by ``min``."""
+        """The affinity-vs-spill rule, one body for every prefix router: the
+        preferred replica is sought among the hit holders, the fleet only by
+        ``min``."""
         if not hits:
             self._bump("cold")
             return self._fallback._pick(loads)
@@ -444,10 +416,8 @@ class DirectoryRouter(PrefixAffinityRouter):
     """Directory-driven steering: prefix affinity plus state transfers.
 
     Routing follows the same affinity/spill rule as
-    :class:`PrefixAffinityRouter`, always read from the directory (steering
-    needs its checkpoint depths; with no backend given the router builds
-    its own :class:`PrefixDirectory`).  On top of
-    it, when the chosen replica's local hit is shallower than the best
+    :class:`PrefixAffinityRouter`, read from the same directory, whose
+    checkpoint depths steering also needs.  On top of it, when the chosen replica's local hit is shallower than the best
     hit elsewhere in the cluster, the router applies a per-request
     **compute-or-load rule**: fetch the hot prefix's self-contained state
     (recurrent checkpoint + prefix KVs) from the owning replica if the
@@ -481,8 +451,6 @@ class DirectoryRouter(PrefixAffinityRouter):
         directory: Optional[Any] = None,
         directory_factory: Optional[Any] = None,
     ) -> None:
-        if directory is None and directory_factory is None:
-            directory_factory = PrefixDirectory
         super().__init__(
             max_imbalance=max_imbalance,
             directory=directory,

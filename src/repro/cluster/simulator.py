@@ -134,7 +134,7 @@ class ClusterResult:
     @property
     def directory_staleness(self) -> dict:
         """Staleness telemetry of the routing directory ({} for content-
-        blind routers or deep-probe runs).  A sharded backend reports
+        blind routers).  A sharded backend reports
         per-shard applied/pending update counts, dropped batches, and
         lookup-age percentiles here (see
         :meth:`repro.cluster.sharded_directory.ShardedPrefixDirectory.staleness`);

@@ -284,8 +284,8 @@ def _cell(makers: list, engine: Callable, trace: Callable, router: Any = None) -
 
 
 def _directory_restart(rec: Recorder) -> None:
-    """The cases the matrix never reaches (its clusters are small, so the
-    prefix router deep-probes): a ``DirectoryRouter`` reading a shared
+    """The cases the matrix never reaches (its routers own their
+    directories and never steer): a ``DirectoryRouter`` reading a shared
     oracle ``PrefixDirectory``; few-shot sessions share their preamble and
     ``max_imbalance=0`` spills them, so equally deep holders tie; after a
     first run replica 0 restarts warm (its tree swapped for a snapshot of
@@ -325,7 +325,7 @@ LOAD_BEATS_COMPUTE = LatencyModel(
 def _mixed_fleet(rec: Recorder) -> None:
     """``decide`` called on a ``DirectoryRouter`` over three hybrid tiered
     replicas, a pure-Transformer one (the ``kv`` rule) and a tree-less vLLM+
-    one (the probe rule); each request is served where it was routed, each
+    one (the ``fallback`` rule, probed); each request is served where it was routed, each
     planned transfer landed.  A query re-sends a served sequence whole (so
     the ``kv`` cap binds), extends it, or branches off it at a drawn depth
     (so holders cover the path to several depths); every lookup is put."""

@@ -16,7 +16,6 @@ from repro.cluster import (
     ClusterSimulator,
     DirectoryRouter,
     PrefixAffinityRouter,
-    PrefixDirectory,
     RoundRobinRouter,
     RouteDecision,
     Router,
@@ -134,8 +133,7 @@ class TestFailover:
         run's scenario killed, and report per-run decision counters."""
         trace = generate_lmsys_trace(n_sessions=10, seed=39, session_rate=2.0)
         caches = _caches(hybrid, 3)
-        # Force directory mode: auto would deep-probe a 3-replica fleet.
-        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+        router = PrefixAffinityRouter()
         first = ClusterSimulator(
             hybrid,
             caches,
@@ -257,8 +255,7 @@ class TestFailover:
     def test_directory_invalidated_on_failure(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=10, seed=35, session_rate=2.0)
         caches = _caches(hybrid, 2)
-        # Force directory mode: auto would deep-probe a 2-replica fleet.
-        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+        router = PrefixAffinityRouter()
         result = simulate_cluster(
             hybrid,
             caches,
@@ -773,6 +770,17 @@ class TestClusterExport:
             np.mean([r.executor_utilization() for r in result.replica_results])
         )
         assert 0.0 <= loaded["mean_executor_utilization"] <= 1.0
+
+    def test_small_fleet_exports_its_directory(self, hybrid):
+        """A prefix router reads a directory at every fleet size, so even a
+        2-replica run reports its maintenance counters."""
+        trace = generate_lmsys_trace(n_sessions=6, seed=56)
+        result = simulate_cluster(
+            hybrid, _caches(hybrid, 2), PrefixAffinityRouter(), trace
+        )
+        assert result.directory_stats is not None
+        assert result.directory_stats["events"] > 0
+        assert "directory" in result.to_dict()
 
     def test_split_summary_without_steering_is_all_zero(self):
         """A run with no steering telemetry still exports the full shape."""

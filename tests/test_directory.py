@@ -2,7 +2,7 @@
 
 The directory's one promise is decision compatibility: for any sequence of
 cache operations, a directory lookup must report exactly the per-replica
-hits the legacy deep probe would compute by walking every replica tree.
+hits ``probe_hit_tokens`` computes by walking each replica tree.
 The suites here check the maintenance protocol event by event, then hammer
 the equivalence with randomized operation streams (hypothesis) including
 eviction pressure, aborts, truncation, and resets.
@@ -37,7 +37,7 @@ def serve(cache, seq, now, out=10, out_seed=991):
 
 
 def assert_parity(directory, caches, queries):
-    """Directory lookups must equal deep probes for every tracked replica."""
+    """Directory lookups must equal probes of every tracked replica."""
     for query in queries:
         query = np.asarray(query, dtype=np.int32)
         lookup = directory.lookup(query, limit=len(query) - 1)
@@ -49,7 +49,7 @@ def assert_parity(directory, caches, queries):
             else:
                 got = min(lookup.kv_matched.get(index, 0), cap)
             assert got == expected, (
-                f"replica {index}: directory {got} != deep probe {expected} "
+                f"replica {index}: directory {got} != probe {expected} "
                 f"for query of {len(query)} tokens"
             )
 
@@ -432,9 +432,9 @@ class TestDirectoryProperties:
     @settings(max_examples=25, deadline=None)
     @given(op_stream())
     def test_router_decision_parity(self, stream):
-        """PrefixAffinityRouter picks the same replica whether it reads a
-        directory or deep-probes (these fleets are below the size at which
-        it would read one unasked) for any cache state and query."""
+        """PrefixAffinityRouter, reading its directory, picks the replica
+        the affinity rule picks over every replica's probed hit, for any
+        cache state and query."""
         n_replicas, ops, queries = stream
         caches = [MarconiCache(HYBRID, int(1e12), alpha=0.0) for _ in range(n_replicas)]
         now = 0.0
@@ -449,16 +449,17 @@ class TestDirectoryProperties:
                     np.concatenate([seq, _tiny_vocab_seq(4, vocab_seed + 7)]),
                     now + 0.5,
                 )
-        deep = PrefixAffinityRouter()
-        fast = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+        routed = PrefixAffinityRouter()
+        reference = PrefixAffinityRouter()  # only its _select, fed the probes
         loads_cycle = [[i % 3 for i in range(n_replicas)], [0] * n_replicas]
         for qi, (n, s) in enumerate(queries):
             query = _tiny_vocab_seq(n, s)
             loads = loads_cycle[qi % 2]
-            assert deep.route(query, qi, caches, loads, now) == fast.route(
-                query, qi, caches, loads, now
-            )
-        assert deep.directory is None and fast.directory is not None
+            hits = (probe_hit_tokens(c, query) for c in caches)
+            want = reference._select({i: h for i, h in enumerate(hits) if h}, loads)
+            assert routed.route(query, qi, caches, loads, now) == want
+        assert routed.directory is not None
+        routed.release()
 
 
 class TestRouterSatellites:
@@ -501,7 +502,7 @@ class TestRouterSatellites:
         assert isinstance(make_router("directory"), DirectoryRouter)
 
     def test_router_reset_clears_directory(self):
-        router = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+        router = PrefixAffinityRouter()
         caches = [MarconiCache(HYBRID, int(1e12), alpha=0.0) for _ in range(2)]
         serve(caches[0], toks(120, 4), 0.0)
         router.route(toks(120, 4), 0, caches, [0, 0], 1.0)

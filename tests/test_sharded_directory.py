@@ -27,7 +27,7 @@ from repro.cluster import (
     make_router,
     probe_hit_tokens,
 )
-from repro.cluster import router as router_module
+from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.cluster.sharded_directory import _HashRing
 from repro.core.cache import MarconiCache
 from repro.core.tokens import TokenSeq
@@ -99,8 +99,9 @@ class TestShardedValidation:
             ShardedPrefixDirectory(n_shards=2).fail_shard(5)
 
     def test_attach_contract_matches_oracle(self):
-        """Opaque caches and probe-owning caches fall back to deep probing
-        under the sharded backend exactly as under the oracle."""
+        """Opaque caches and probe-owning caches are left untracked (the
+        router probes them) under the sharded backend exactly as under the
+        oracle."""
 
         class Opaque:
             pass
@@ -471,8 +472,9 @@ class TestShardedProperties:
     @settings(max_examples=20, deadline=None)
     @given(sharded_op_stream())
     def test_randomized_router_decision_identity(self, stream):
-        """Routers backed by the sharded directory pick the same replica
-        as oracle-backed and deep-probing routers, for any fleet state."""
+        """Routers backed by the sharded directory and by the oracle pick
+        the replica the affinity rule picks over every replica's probed
+        hit, for any fleet state."""
         n_replicas, ops, queries, n_shards, region_tokens = stream
         caches = [fresh_cache() for _ in range(n_replicas)]
         now = 0.0
@@ -488,8 +490,8 @@ class TestShardedProperties:
                 session.commit(
                     np.concatenate([seq, tiny(4, vocab_seed + 7)]), now + 0.5
                 )
-        deep = PrefixAffinityRouter()  # fleets this small deep-probe
-        oracle_backed = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+        reference = PrefixAffinityRouter()  # only its _select, fed the probes
+        oracle_backed = PrefixAffinityRouter()
         sharded_backed = PrefixAffinityRouter(
             directory_factory=lambda: ShardedPrefixDirectory(
                 n_shards=n_shards, region_tokens=region_tokens
@@ -499,11 +501,11 @@ class TestShardedProperties:
         for qi, (n, s) in enumerate(queries):
             query = tiny(n, s)
             loads = loads_cycle[qi % 2]
-            want = deep.route(query, qi, caches, loads, now)
+            hits = (probe_hit_tokens(c, query) for c in caches)
+            want = reference._select({i: h for i, h in enumerate(hits) if h}, loads)
             assert oracle_backed.route(query, qi, caches, loads, now) == want
             assert sharded_backed.route(query, qi, caches, loads, now) == want
-        assert deep.directory is None
-        for router in (deep, oracle_backed, sharded_backed):
+        for router in (oracle_backed, sharded_backed):
             router.release()
 
 
@@ -883,44 +885,43 @@ class TestSharedBackendRouting:
         router.release()
 
 
-class TestAutoProbeCrossover:
-    """The one probe rule: deep below ``_AUTO_PROBE_THRESHOLD`` replicas,
-    the directory at and above it and whenever a backend was handed in."""
-
-    THRESHOLD = 32  # what `python -m benchmarks.probe_crossover` measured
+class TestOneRoutingRead:
+    """A prefix router reads its directory at every fleet size: the one it
+    was handed, or a ``PrefixDirectory`` it builds and owns."""
 
     def _routed(self, router, n_replicas, seed):
         caches = [fresh_cache() for _ in range(n_replicas)]
-        full = serve(caches[2], toks(100, seed), 0.0)
+        full = serve(caches[0], toks(100, seed), 0.0)
         query = np.concatenate([full, toks(5, 100 + seed)])
         router.prepare(HYBRID, caches, None)
-        assert router.route(query, 0, caches, [0] * n_replicas, 1.0) == 2
+        assert router.route(query, 0, caches, [0] * n_replicas, 1.0) == 0
         return router
 
-    def test_mode_pins_crossover_at_threshold(self):
-        """Deep-probing below the threshold (directory maintenance costs
-        more than a few dozen tree walks) and the directory from the
-        crossover on, never before."""
-        assert router_module._AUTO_PROBE_THRESHOLD == self.THRESHOLD
+    def test_default_router_reads_a_directory_at_every_size(self):
+        for n in (1, 2, 31, 32, 64):
+            router = self._routed(PrefixAffinityRouter(), n, 12 + n)
+            assert isinstance(router.directory, PrefixDirectory), n
+            assert router.directory_stats is not None
+            router.release()
+
+    def test_block_store_is_probed_through_the_fallback_rule(self):
+        """A vLLM+ block store has its own ``probe``: the directory leaves it
+        untracked, and the router reads its hit from ``probe_hit_tokens``."""
+        caches = [fresh_cache(), VLLMPlusCache(HYBRID, int(1e12), block_size=4)]
         router = PrefixAffinityRouter()
-        for n in range(1, self.THRESHOLD):
-            assert not router._reads_directory(n), f"fleet of {n} must deep-probe"
-        for n in (self.THRESHOLD, self.THRESHOLD + 1, 128, 512):
-            assert router._reads_directory(n)
-
-    def test_auto_small_fleet_builds_no_directory(self):
-        router = self._routed(PrefixAffinityRouter(), self.THRESHOLD - 1, 12)
-        assert router.directory is None
-        assert router.directory_stats is None
-
-    def test_auto_large_fleet_builds_directory(self):
-        router = self._routed(PrefixAffinityRouter(), self.THRESHOLD, 13)
-        assert router.directory is not None
+        router.prepare(HYBRID, caches, None)
+        assert router._rules["fallback"] == {1}
+        assert not router.directory.tracked(1)
+        full = serve(caches[1], toks(40, 15), 0.0)
+        query = np.concatenate([full, toks(5, 115)])
+        assert probe_hit_tokens(caches[1], query) > 0
+        assert router._hits(query, caches) == {1: probe_hit_tokens(caches[1], query)}
+        assert router.route(query, 0, caches, [0, 0], 1.0) == 1
         router.release()
 
-    def test_backend_forces_directory_mode_under_auto(self):
-        """A backend handed in is read at any fleet size, and a
-        DirectoryRouter builds its own when handed none."""
+    def test_handed_backend_is_read(self):
+        """A backend handed in is read, and a DirectoryRouter handed none
+        builds its own."""
         for router in (
             PrefixAffinityRouter(
                 directory_factory=lambda: ShardedPrefixDirectory(n_shards=2)
@@ -931,25 +932,26 @@ class TestAutoProbeCrossover:
             assert self._routed(router, 3, 14).directory is not None
             router.release()
 
-    def test_backend_rejected_with_deep_probe(self):
-        """There is no deep-probe option left to clash with a backend; two
-        backends at once are still refused."""
+    def test_two_backends_refused(self):
+        """Two backends at once are refused."""
         with pytest.raises(ValueError):
             PrefixAffinityRouter(
                 directory=ShardedPrefixDirectory(),
                 directory_factory=ShardedPrefixDirectory,
             )
 
-    def test_auto_decisions_identical_across_crossover(self):
-        """Fleets on either side of the threshold: the router left to the
-        rule and one handed a directory agree with the deep probe's own
-        hits, so the crossover is invisible to routing."""
-        for n in (self.THRESHOLD - 1, self.THRESHOLD):
+    def test_decisions_match_the_probe_reference(self):
+        """At 2 and 33 replicas the router left to its default and one
+        handed a sharded backend agree with the affinity rule over every
+        replica's probed hit."""
+        for n in (2, 33):
             caches = [fresh_cache() for _ in range(n)]
             for i in (1, 4, n - 1):
-                serve(caches[i], tiny(30 + i % 7, i % 5), float(i))
+                serve(caches[i % n], tiny(30 + i % 7, i % 5), float(i))
             auto = PrefixAffinityRouter()
-            backed = PrefixAffinityRouter(directory_factory=PrefixDirectory)
+            backed = PrefixAffinityRouter(
+                directory_factory=lambda: ShardedPrefixDirectory(n_shards=2)
+            )
             reference = PrefixAffinityRouter()
             for qi in range(8):
                 query = tiny(10 + qi * 5, qi % 3)
@@ -958,7 +960,6 @@ class TestAutoProbeCrossover:
                 want = reference._select({i: h for i, h in enumerate(hits) if h}, loads)
                 assert auto.route(query, qi, caches, loads, 10.0) == want
                 assert backed.route(query, qi, caches, loads, 10.0) == want
-            assert (auto.directory is not None) == (n >= self.THRESHOLD)
             auto.release()
             backed.release()
 
