@@ -191,3 +191,9 @@ class VLLMPlusCache(PrefixCache):
     def recompute_used_bytes(self) -> int:
         """Re-derive occupancy from the store (accounting invariant)."""
         return self.store.n_blocks * self.block_bytes
+
+    def check_integrity(self) -> None:
+        """Also: the block store is consistent and ``used_bytes`` is its blocks."""
+        super().check_integrity()
+        self.store.check_integrity()
+        assert self._used == self.recompute_used_bytes(), "byte count out of step"

@@ -147,11 +147,10 @@ class MarconiCache(PrefixCache):
         self._flops_table = prefill_flops_table(model)
 
         self._index: Optional[EvictionIndex] = None  # until the first tree, below
-        self._used = 0
         self._stats = CacheStats()
         self.tuner: Optional[AlphaTuner] = None
         self.policy: EvictionPolicy = self._build_policy()
-        self.tree = RadixTree()  # property setter attaches the index
+        self.tree = RadixTree()  # the setter attaches the index, counts the bytes
 
     def _build_policy(self) -> EvictionPolicy:
         if self._eviction_name == "flop_aware" and self._fixed_alpha is None:
@@ -173,12 +172,13 @@ class MarconiCache(PrefixCache):
         """Adopt ``tree``, rebuilding the eviction index against it.
 
         Assigning a tree (reset, persistence reload, the tuner's replay
-        snapshot) re-seeds the index with its one-and-only full scan and
-        re-binds the policy's selector state.
+        snapshot) re-seeds the index with its one-and-only full scan, re-binds
+        the policy's selector state and derives ``used_bytes`` from the tree.
         """
         if self._index is not None:
             self._tree.remove_observer(self._index)
         self._tree = tree
+        self._used = self.recompute_used_bytes()
         self._index = EvictionIndex(
             tree, self._freeable_bytes, self._candidate_efficiency
         )
@@ -221,7 +221,6 @@ class MarconiCache(PrefixCache):
 
     def reset(self) -> None:
         self.detach_open_sessions()  # outstanding sessions must not touch the new tree
-        self._used = 0
         self._stats = CacheStats()
         self.policy = self._build_policy()
         self.tree = RadixTree()  # after the policy so the index binds to it
@@ -597,7 +596,7 @@ class MarconiCache(PrefixCache):
         """A throwaway cache seeded from ``snapshot`` with a fixed alpha.
 
         Assigning the cloned tree re-seeds the replica's eviction index
-        in one scan.
+        and byte count.
         """
         replica = MarconiCache(
             self.model,
@@ -608,9 +607,6 @@ class MarconiCache(PrefixCache):
             efficiency_mode=self.efficiency_mode,
         )
         replica.tree = snapshot.clone()
-        replica._used = sum(
-            replica._node_bytes(node) for node in replica.tree.iter_nodes()
-        )
         return replica
 
     def set_alpha(self, alpha: float) -> None:
@@ -620,8 +616,17 @@ class MarconiCache(PrefixCache):
         self.policy.alpha = alpha
 
     # ------------------------------------------------------------------
-    # Introspection for tests
+    # Accounting and integrity
     # ------------------------------------------------------------------
     def recompute_used_bytes(self) -> int:
         """Re-derive occupancy from the tree (the accounting invariant)."""
         return sum(self._node_bytes(node) for node in self.tree.iter_nodes())
+
+    def check_integrity(self) -> None:
+        """Also: a sound tree, ``used_bytes`` equal to its nodes' bytes, and
+        no pinned node while no session is open (pins belong to sessions)."""
+        super().check_integrity()
+        self.tree.check_integrity()
+        assert self._used == self.recompute_used_bytes(), "byte count out of step"
+        if self.open_sessions == 0:
+            assert not any(n.pin_count for n in self.tree.iter_nodes()), "pin with no session"

@@ -503,6 +503,13 @@ class PrefixCache(abc.ABC):
     def stats(self) -> CacheStats:
         """Aggregate counters for this cache instance."""
 
+    def check_integrity(self) -> None:
+        """Raise ``AssertionError`` unless ``0 <= used_bytes <= capacity_bytes``.
+
+        A subclass adds its own clauses after ``super()``.  The check scans
+        the cache, so callers run it where they choose, off the request path."""
+        assert 0 <= self.used_bytes <= self.capacity_bytes, "bytes outside capacity"
+
     @abc.abstractmethod
     def reset(self) -> None:
         """Drop all cached state and zero the counters.

@@ -177,8 +177,7 @@ def load_cache(
             f"not {model.name!r}"
         )
     cache = MarconiCache(model, capacity_bytes, **cache_kwargs)
-    cache.tree = tree  # property setter re-seeds the eviction index
-    cache._used = cache.recompute_used_bytes()
+    cache.tree = tree  # the setter re-seeds the eviction index and byte count
     if cache.used_bytes > capacity_bytes:
         # Shrink to fit with the cache's own eviction policy.
         if not cache._ensure_free(0):

@@ -512,7 +512,7 @@ class RadixTree:
         return copy
 
     def check_integrity(self) -> None:
-        """Raise ``AssertionError`` on any structural inconsistency (tests)."""
+        """Raise ``AssertionError`` on any structural inconsistency."""
         for node in self.iter_nodes(include_root=True):
             if node.is_root:
                 assert node.seq_len == 0 and len(node.edge_tokens) == 0

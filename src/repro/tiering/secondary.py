@@ -225,6 +225,14 @@ class SecondaryStore:
         self._used = 0
         self.stats = _StoreStats()
 
+    def check_integrity(self) -> None:
+        """Raise ``AssertionError`` unless ``used_bytes`` is the entries'
+        bytes and fits, and every entry sits in its length's non-empty bucket."""
+        for length, bucket in self._by_length.items():
+            assert bucket and all(e.seq_len == length for e in bucket), f"bucket {length}"
+        used = sum(e.nbytes for e in self.iter_entries())
+        assert self._used == used <= self.capacity_bytes, f"used {self._used} B, entries {used} B"
+
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------

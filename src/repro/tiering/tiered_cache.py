@@ -82,10 +82,12 @@ class TieredMarconiCache(MarconiCache):
 
     def reset(self) -> None:
         super().reset()
-        # reset() is called from MarconiCache.__init__ paths only after
-        # construction; guard for the base constructor ordering.
-        if hasattr(self, "secondary"):
-            self.secondary.clear()
+        self.secondary.clear()
+
+    def check_integrity(self) -> None:
+        """Also: the second tier is consistent."""
+        super().check_integrity()
+        self.secondary.check_integrity()
 
     # ------------------------------------------------------------------
     # Demotion (primary eviction hook)

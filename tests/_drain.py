@@ -1,5 +1,6 @@
-"""The drain check the cluster suites share: once a run is over, every
-cache has closed its sessions, pins no node and accounts its bytes exactly,
+"""The drain check the cluster and gateway suites share: once a run is
+over, every cache has closed its sessions and passes its own
+``check_integrity()`` (so pins no node and accounts its bytes exactly),
 and (given the trace) every round of the trace was served."""
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ def served_rounds(result: Any) -> set[tuple[int, int]]:
 def assert_drained(caches: Sequence[Any], result: Any = None, trace: Optional[Any] = None) -> None:
     for cache in caches:
         assert cache.open_sessions == 0
-        assert all(node.pin_count == 0 for node in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()
     if trace is not None:
         assert served_rounds(result) == expected_rounds(trace)

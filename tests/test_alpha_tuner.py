@@ -124,5 +124,4 @@ class TestLifecycle:
         cache = self._make_cache(hybrid)
         self._drive(cache, tokens, 25)
         assert cache.tuner.is_tuned
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        cache.check_integrity()

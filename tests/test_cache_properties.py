@@ -89,9 +89,7 @@ class TestCacheInvariants:
             s = cache.begin(arr_in, float(i))
             assert 0 <= s.hit_tokens < len(arr_in)
             s.commit(arr_full, float(i) + 0.5)
-            assert cache.used_bytes == cache.recompute_used_bytes()
-            assert cache.used_bytes <= cache.capacity_bytes
-            cache.tree.check_integrity()
+            cache.check_integrity()
 
     @given(requests=request_stream())
     @settings(max_examples=50, deadline=None)
@@ -153,7 +151,7 @@ class TestCacheInvariants:
                 for c in cache._collect_candidates()
             }
             assert maintained == rebuilt
-            assert cache.used_bytes == cache.recompute_used_bytes()
+            cache.check_integrity()
 
         for i, (inp, out) in enumerate(requests):
             s = cache.begin(np.asarray(inp, dtype=np.int32), float(i))

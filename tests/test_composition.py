@@ -34,10 +34,7 @@ class TestTieredCluster:
         result = simulate_cluster(hybrid, caches, PrefixAffinityRouter(), trace)
         assert result.n_requests == trace.n_requests
         for cache in caches:
-            assert cache.used_bytes == cache.recompute_used_bytes()
-            assert cache.used_bytes <= cache.capacity_bytes
-            assert cache.secondary.used_bytes <= cache.secondary.capacity_bytes
-            cache.tree.check_integrity()
+            cache.check_integrity()
 
     def test_tiered_cluster_beats_plain_cluster(self, hybrid):
         """Stacking a second tier under each replica recovers hit rate."""

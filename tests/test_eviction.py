@@ -223,8 +223,7 @@ class TestPolicyContract:
             seq = tokens(400, seed=4000 + i)
             s = cache.begin(seq, float(i))
             s.commit(np.concatenate([seq, tokens(50, seed=5000 + i)]), float(i) + 0.5)
-        assert cache.used_bytes <= cache.capacity_bytes
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()
         assert cache.stats.evictions > 0
 
 
@@ -260,15 +259,14 @@ class TestCacheEviction:
         per_seq = node_state_bytes(hybrid, 450, True)
         cache = MarconiCache(hybrid, capacity_bytes=3 * per_seq, alpha=0.0)
         self._fill(cache, tokens)
-        assert cache.used_bytes <= cache.capacity_bytes
+        cache.check_integrity()
         assert cache.stats.evictions > 0
 
     def test_accounting_invariant_after_evictions(self, hybrid, tokens):
         per_seq = node_state_bytes(hybrid, 450, True)
         cache = MarconiCache(hybrid, capacity_bytes=3 * per_seq, alpha=1.0)
         self._fill(cache, tokens, n_sequences=10)
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
     def test_lru_evicts_oldest_sequence(self, hybrid, tokens):
         per_seq = node_state_bytes(hybrid, 450, True)
@@ -318,7 +316,7 @@ class TestCacheEviction:
         cache._apply_eviction(victim)
         assert used_before - cache.used_bytes == model_recurrent_bytes(hybrid)
         assert cache.tree.total_edge_tokens == tokens_before
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()
 
     def test_hit_refreshes_only_accessed_node(self, hybrid, tokens):
         """Section 4.3 detail (2): ancestors' timestamps stay stale."""
@@ -347,5 +345,4 @@ class TestCacheEviction:
         assert s.hit_tokens == 0
         result = s.commit(np.concatenate([huge, tokens(10, seed=22)]), 0.5)
         assert result.rejected
-        assert cache.used_bytes <= cache.capacity_bytes
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()

@@ -223,7 +223,6 @@ class TestTreeReattachment:
             s.commit(np.concatenate([seq, tokens(5, seed=50 + i)]), float(i) + 0.5)
         target = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
         target.tree = source.tree.clone()
-        target._used = target.recompute_used_bytes()
         maintained = {c.node.node_id for c in target.eviction_index.candidates()}
         rebuilt = {c.node.node_id for c in target._collect_candidates()}
         assert maintained == rebuilt and maintained
@@ -477,4 +476,4 @@ class TestRankUpkeepThreshold:
                 cache._capacity = 200_000
         below = sum(n < eviction._MAINTAIN_RANKS_FROM for n in sizes)
         assert below > 20 and len(sizes) - below > 20
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()

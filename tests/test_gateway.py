@@ -37,9 +37,7 @@ from repro.serving.engine import ServedRequest
 from repro.serving.gateway import MAX_SWEEPS_PER_TRIP
 from repro.metrics import gateway_summary_dict
 
-
-def no_pins(cache) -> bool:
-    return all(n.pin_count == 0 for n in cache.tree.iter_nodes())
+from _drain import assert_drained
 
 
 def run(coro):
@@ -247,8 +245,7 @@ class TestStepLoop:
         assert [len(trip) for trip in server.trips()] == [2, 1, 1]
         assert_trip_rule(server, n_workers=3)
         assert [len(r.output_tokens) for r in results] == n_outputs
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_a_successor_starts_in_the_sweep_its_predecessor_ended_in(
         self, tiny, tokens
@@ -285,7 +282,7 @@ class TestStepLoop:
         assert_trip_rule(server, n_workers=2)
         for result, f in zip(results, forced):
             assert result.output_tokens.tobytes() == f.tobytes()
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
 
     def test_a_busy_loop_trips_every_max_sweeps(self, tiny, tokens):
         """Every slot busy on requests far longer than the bound: the ticker
@@ -361,8 +358,7 @@ class TestStepLoop:
         assert at_cancel <= taken <= at_cancel + MAX_SWEEPS_PER_TRIP < n
         assert len(survivor.output_tokens) == n
         assert stats["aborted"] == 1 and stats["completed"] == 1
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_cancelling_the_loop_task_closes_in_flight_generators(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
@@ -386,8 +382,7 @@ class TestStepLoop:
         assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
         assert running == 0 and queued == 0
         assert stats["aborted"] == 3 and stats["completed"] == 0
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_a_failing_request_fails_alone(self, tiny, tokens):
         """The backend raises on one request: its submitter gets the error,
@@ -411,8 +406,7 @@ class TestStepLoop:
         assert stats["failed"] == 1 and stats["completed"] == 3
         assert stats["aborted"] == 0 and accounted(stats)
         assert server.steps_of(1) == [0, 1, 2]
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_zero_output_requests_never_surface_a_token(self, tiny, tokens):
         """n_output=0 is begin-and-commit in one resumption: the slot moves
@@ -439,8 +433,7 @@ class TestStepLoop:
             assert result.ttft_seconds <= result.total_seconds
         assert follow.hit_tokens == len(queries[1])
         assert 0.0 <= follow.ttft_seconds <= follow.total_seconds
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
 
 class TestConcurrentCorrectness:
@@ -473,8 +466,7 @@ class TestConcurrentCorrectness:
             np.testing.assert_array_equal(
                 result.full_sequence, np.concatenate([query, expected])
             )
-        assert server.cache.open_sessions == 0
-        assert no_pins(server.cache)
+        assert_drained([server.cache])
 
     def test_interleaving_actually_happens(self, tiny, tokens):
         """With several workers and per-token yields, decode steps of
@@ -493,8 +485,7 @@ class TestConcurrentCorrectness:
 
         run(scenario())
         assert server.max_active > 1
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_timing_fields_sane(self, tiny, tokens):
         server = ExactReuseServer(tiny, int(1e9), seed=0)
@@ -529,8 +520,7 @@ class TestCancellation:
         stats = run(scenario())
         assert stats["aborted"] == 1
         assert stats["completed"] == 0
-        assert server.cache.open_sessions == 0
-        assert no_pins(server.cache)
+        assert_drained([server.cache])
 
     def test_cancel_while_queued_never_opens_session(self, tiny, tokens):
         """Cancelling a request that is still waiting in the queue drops it
@@ -559,8 +549,7 @@ class TestCancellation:
         result, stats = run(scenario())
         assert len(result.output_tokens) == 64
         assert stats["aborted"] == 1 and stats["completed"] == 1
-        assert server.cache.open_sessions == 0
-        assert no_pins(server.cache)
+        assert_drained([server.cache])
 
     def test_cancelled_queued_requests_free_their_admission_slots(
         self, tiny, tokens
@@ -596,8 +585,7 @@ class TestCancellation:
         assert len(fresh.output_tokens) == 4
         assert stats["aborted"] == 2 and stats["completed"] == 2
         assert stats["shed"] == 0 and accounted(stats)
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_close_without_drain_sheds_queue_and_aborts_running(
         self, tiny, tokens
@@ -634,8 +622,7 @@ class TestCancellation:
             assert outcome.reason == "shutdown"
         assert stats["aborted"] == 4
         assert accounted(stats)
-        assert server.cache.open_sessions == 0
-        assert no_pins(server.cache)
+        assert_drained([server.cache])
 
 
 class TestAdmissionControl:
@@ -666,8 +653,7 @@ class TestAdmissionControl:
             assert rejection.reason == "queue_full"
         assert stats["shed"] == 7 and stats["completed"] == 3
         assert accounted(stats)
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_per_tier_queue_bound(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
@@ -1037,8 +1023,7 @@ class TestNetServe:
         for query, response in zip(queries, responses):
             expected, _ = reference.generate(query, 3)
             np.testing.assert_array_equal(response["output"], expected)
-        assert server.cache.open_sessions == 0
-        assert no_pins(server.cache)
+        assert_drained([server.cache])
 
     def test_error_reply_for_bad_request(self, tiny):
         server = ExactReuseServer(tiny, int(1e9), seed=0)
@@ -1105,7 +1090,7 @@ class TestNetServe:
         assert refused.error["type"] == "line_too_long"
         assert "4096" in refused.error["message"]
         assert not caplog.records
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
 
     def test_admission_rejection_travels_to_client(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)

@@ -40,6 +40,8 @@ from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
+from _drain import assert_drained
+
 
 def build_trace(n_sessions=12, seed=7, max_rounds=4, burst=False):
     """Multi-round sessions with disjoint prefixes (unique first token)."""
@@ -75,10 +77,6 @@ def build_trace(n_sessions=12, seed=7, max_rounds=4, burst=False):
     return Trace(name="replay-test", seed=seed, sessions=sessions)
 
 
-def no_pins(cache) -> bool:
-    return all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-
-
 class TestCacheOnlyServer:
     def test_session_lifecycle_and_reuse(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
@@ -108,8 +106,7 @@ class TestCacheOnlyServer:
                 second = stop.value
                 break
         assert second.hit_tokens == len(first.full_sequence)
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_rejects_empty_input_and_negative_n_output(self, tiny, tokens):
         server = CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0))
@@ -125,8 +122,7 @@ class TestCacheOnlyServer:
         next(gen)  # session is open, mid-decode
         assert cache.open_sessions == 1
         gen.close()
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_skipped_echoes_are_committed(self, tiny, tokens, monkeypatch):
         """``silent`` counts the echoes between the first token and the
@@ -160,7 +156,7 @@ class TestCacheOnlyServer:
             next(steps)
         steps.close()
         assert not aborts
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
 
     def test_close_after_a_skip_aborts(self, tiny, tokens):
         """Skipped steps are never applied: closing the iterator aborts the
@@ -172,9 +168,9 @@ class TestCacheOnlyServer:
         steps = server.serve_steps(tokens(30, seed=7), 16)
         next(steps)
         steps.skip(10)
-        assert cache.open_sessions == 1 and not no_pins(cache)
+        assert cache.open_sessions == 1 and any(n.pin_count for n in cache.tree.iter_nodes())
         steps.close()
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
         assert steps.silent == 0
         with pytest.raises(StopIteration):
             next(steps)
@@ -212,8 +208,7 @@ class TestReplayEquivalence:
         assert gw_cache.stats.hit_tokens == sim_cache.stats.hit_tokens
         assert gw_cache.stats.input_tokens == sim_cache.stats.input_tokens
         assert report.hit_tokens == sim_cache.stats.hit_tokens
-        assert gw_cache.open_sessions == 0
-        assert no_pins(gw_cache)
+        assert_drained([gw_cache])
 
     def test_replay_matches_offline_with_concurrent_workers(self, tiny):
         """Disjoint session prefixes make the comparison worker-count
@@ -240,8 +235,7 @@ class TestReplayEquivalence:
 
         report = asyncio.run(scenario())
         assert report.hit_counts() == offline_hits
-        assert gw_cache.open_sessions == 0
-        assert no_pins(gw_cache)
+        assert_drained([gw_cache])
 
 
 class TestReplayBackpressure:
@@ -275,8 +269,7 @@ class TestReplayBackpressure:
         assert report.abandoned_rounds == expected_abandoned
         # Accounting closes: every round is served, shed, or abandoned.
         assert report.served + report.shed + report.abandoned_rounds == trace.n_requests
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
         assert report.gateway_stats["shed"] == report.shed
 
     def test_replay_accounting_closes(self):
@@ -304,8 +297,7 @@ class TestReplayBackpressure:
         stats = report.gateway_stats
         assert stats["completed"] == report.served
         assert stats["failed"] == 0 and stats["aborted"] == 0
-        assert cache.open_sessions == 0
-        assert no_pins(cache)
+        assert_drained([cache])
 
     def test_report_to_dict_round_trips_counts(self, tiny):
         trace = build_trace(n_sessions=4, seed=11)
@@ -466,7 +458,7 @@ class TestSilentSweepJump:
             return report
 
         report = asyncio.run(scenario())
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
         return log, report.hit_counts(), tree_state(cache), cache.stats.evictions
 
     def test_a_jump_is_the_sweeps_it_replaces(self, monkeypatch):
@@ -531,7 +523,7 @@ class TestSilentSweepJump:
         assert not jumped_past
         assert len(alone.output_tokens) == len(survivor.output_tokens) == n
         assert stats["aborted"] == 1 and stats["completed"] == 2
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])
 
     def test_no_jump_crosses_a_trip(self, tiny, tokens, monkeypatch):
         """Two slots busy on requests far longer than the bound: counting a
@@ -576,4 +568,4 @@ class TestSilentSweepJump:
             [MAX_SWEEPS_PER_TRIP] * 6 + [5]
         )
         assert all(w == [("skip", MAX_SWEEPS_PER_TRIP)] * 2 for w in windows[1:-1])
-        assert cache.open_sessions == 0 and no_pins(cache)
+        assert_drained([cache])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.vanilla import VanillaCache
+from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.interfaces import LookupResult, RequestSession
 from repro.models.memory import (
@@ -10,6 +12,7 @@ from repro.models.memory import (
     model_recurrent_bytes,
     node_state_bytes,
 )
+from repro.tiering import TieredMarconiCache
 
 
 class TestBasics:
@@ -94,7 +97,7 @@ class TestAccounting:
         result = s.commit(full, 0.5)
         expected = 100 * kv_bytes_per_token(hybrid) + model_recurrent_bytes(hybrid)
         assert result.admitted_bytes == expected
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()
 
     def test_branch_checkpoint_charged_once(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
@@ -103,7 +106,7 @@ class TestAccounting:
             seq = np.concatenate([shared, tokens(80, seed=20 + i)])
             s = cache.begin(seq, float(i))
             s.commit(np.concatenate([seq, tokens(30, seed=30 + i)]), float(i) + 0.5)
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        cache.check_integrity()
 
     def test_free_bytes_and_utilization(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(1e9), alpha=1.0)
@@ -169,8 +172,7 @@ class TestPinningUnderPressure:
         node = cache.tree.match(follow).deepest_node
         assert node is not None and node.is_pinned
         inflight.commit(np.concatenate([follow, tokens(10, seed=21)]), 20.0)
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
     def test_partial_prefix_kept_when_input_exceeds_capacity(self, hybrid, tokens):
         """An input larger than the cache keeps only its longest affordable
@@ -179,15 +181,13 @@ class TestPinningUnderPressure:
         seq = tokens(2000, seed=22)  # 2000 * 64KB >> 50MB
         s = cache.begin(seq, 0.0)
         assert s.hit_tokens == 0
-        assert 0 < cache.used_bytes <= cache.capacity_bytes
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert cache.used_bytes > 0
+        cache.check_integrity()
         node = next(iter(cache.tree.iter_nodes()))
         assert 0 < node.kv_tokens < 2000
         np.testing.assert_array_equal(node.edge_tokens, seq[: node.kv_tokens])
         s.commit(np.concatenate([seq, tokens(10, seed=23)]), 0.5)
-        assert cache.used_bytes <= cache.capacity_bytes
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
     def test_full_rollback_when_nothing_fits(self, hybrid, tokens):
         """With capacity below one token's KVs, the path is rolled back."""
@@ -199,7 +199,7 @@ class TestPinningUnderPressure:
         result = s.commit(np.concatenate([seq, tokens(10, seed=25)]), 0.5)
         assert result.rejected
         assert cache.tree.n_nodes == 0
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
 
 class TestStorePayloads:
@@ -233,3 +233,53 @@ class TestStorePayloads:
         s = cache.begin(tokens(50, seed=33), 0.0)
         with pytest.raises(ValueError, match="branch checkpoint"):
             s.attach_branch_state(10, {})
+
+
+CACHES = {
+    "marconi": lambda model, cap: MarconiCache(model, cap, alpha=1.0),
+    "tiered": lambda model, cap: TieredMarconiCache(model, cap, cap, alpha=1.0),
+    "vllm+": VLLMPlusCache,
+    "vanilla": VanillaCache,
+}
+
+
+def _nudge(obj, attr, by=-1):
+    setattr(obj, attr, getattr(obj, attr) + by)
+
+
+# One broken clause per case: (cache, the break, the message it raises).
+BREAKS = {
+    "byte count": ("marconi", lambda c: _nudge(c, "_used"), "out of step"),
+    "pin, no session": ("marconi", lambda c: c.tree.pin_path(next(c.tree.iter_nodes())), "pin"),
+    "over capacity": ("marconi", lambda c: setattr(c, "_capacity", c.used_bytes - 1), "outside"),
+    "second-tier bytes": ("tiered", lambda c: _nudge(c.secondary, "_used"), "entries"),
+    "block children": ("vllm+", lambda c: _nudge(next(c.store.iter_blocks()), "n_children"), None),
+}
+
+
+class TestCheckIntegrity:
+    """Every cache passes after a contended run; each clause catches its break."""
+
+    @staticmethod
+    def _contended_run(kind, model, tokens):
+        cache = CACHES[kind](model, 3 * node_state_bytes(model, 300, True))
+        stem = tokens(200, seed=1)
+        for i in range(24):
+            seq = np.concatenate([stem[: 40 * (i % 5)], tokens(120, seed=100 + i)])
+            s = cache.begin(seq, float(i))
+            s.commit(np.concatenate([seq, tokens(20, seed=200 + i)]), i + 0.5)
+        assert cache.stats.evictions > 0 or kind == "vanilla"
+        return cache
+
+    @pytest.mark.parametrize("kind", CACHES)
+    def test_holds_after_a_contended_run(self, hybrid, tokens, kind):
+        self._contended_run(kind, hybrid, tokens).check_integrity()
+
+    @pytest.mark.parametrize("clause", BREAKS)
+    def test_catches_a_break(self, hybrid, tokens, clause):
+        kind, corrupt, message = BREAKS[clause]
+        cache = self._contended_run(kind, hybrid, tokens)
+        cache.check_integrity()
+        corrupt(cache)
+        with pytest.raises(AssertionError, match=message):
+            cache.check_integrity()

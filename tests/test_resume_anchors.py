@@ -165,8 +165,7 @@ class AnchoredWalkMachine(RuleBasedStateMachine):
 
     @invariant()
     def structures_hold(self):
-        assert self.cache.used_bytes == self.cache.recompute_used_bytes()
-        self.cache.tree.check_integrity()
+        self.cache.check_integrity()
         self.directory.check_integrity()
 
 

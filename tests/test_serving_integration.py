@@ -102,7 +102,7 @@ class TestExactReuse:
             query = tokens(25, seed=40 + i) % tiny.vocab_size
             served = server.serve(query, 3)
             np.testing.assert_array_equal(served.output_tokens, expect(reference, query, 3))
-        assert server.cache.used_bytes <= server.cache.capacity_bytes
+        server.cache.check_integrity()
 
     def test_prefilled_plus_hit_covers_input(self, tiny, tokens):
         server = ExactReuseServer(tiny, int(1e9), seed=0)
@@ -153,7 +153,7 @@ class TestServeEdgeCases:
         assert server.cache.open_sessions == 1
         gen.close()
         assert server.cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in server.cache.tree.iter_nodes())
+        server.cache.check_integrity()
 
     def test_seeded_sampling_reproducible_and_exact_under_reuse(
         self, tiny, reference, tokens

@@ -7,8 +7,8 @@ Covers the transactional request-session surface:
 * the lifecycle state machine (double-commit, commit-after-abort,
   abort-after-commit, detach-on-reset) behaves as documented,
 * aborts — including abort storms under eviction pressure and interleaved
-  with committing requests — leave zero pinned nodes, ``open_sessions == 0``,
-  and intact accounting (``used_bytes == recompute_used_bytes()``).
+  with committing requests — leave ``open_sessions == 0`` and a cache that
+  passes ``check_integrity()`` (no pinned node, exact byte accounting).
 """
 
 import dataclasses
@@ -27,6 +27,8 @@ from repro.core.interfaces import CacheProtocol, LookupResult, SessionState
 from repro.core.tokens import TokenSeq
 from repro.models.presets import tiny_test_model
 from repro.tiering.tiered_cache import TieredMarconiCache
+
+from _drain import assert_drained
 
 # Small alphabet makes prefix collisions (splits, extensions) likely.
 token_seq = st.lists(st.integers(0, 3), min_size=1, max_size=24)
@@ -110,9 +112,7 @@ class TestLifecycle:
             with cache.begin(_arr(list(range(12))), 0.0) as session:
                 raise RuntimeError("prefill executor died")
         assert session.is_aborted
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert_drained([cache])
 
     def test_context_manager_commit_wins(self):
         cache = _make_cache("marconi", 1 << 24)
@@ -124,9 +124,7 @@ class TestLifecycle:
         cache = _make_cache("marconi", 1 << 24)
         cache.begin(_arr(list(range(16))), 0.0)  # dropped immediately
         gc.collect()
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert_drained([cache])
 
     def test_gc_mid_operation_defers_abort_to_next_entry(self):
         """A session collected while the cache is mid-operation must not
@@ -142,9 +140,7 @@ class TestLifecycle:
         assert any(n.is_pinned for n in cache.tree.iter_nodes())
         cache.begin(_arr([7, 8]), 1.0).abort()  # next operation drains the backlog
         assert not cache._deferred_aborts
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert_drained([cache])
 
     def test_reset_detaches_open_sessions(self):
         cache = _make_cache("marconi", 1 << 24)
@@ -155,7 +151,8 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="reset"):
             session.commit(_arr([1, 2, 3, 4]), 0.5)
         session.abort()  # inert, must not touch the rebuilt tree
-        assert cache.used_bytes == 0 == cache.recompute_used_bytes()
+        assert cache.used_bytes == 0
+        cache.check_integrity()
 
     def test_attach_requires_open_session(self):
         cache = MarconiCache(tiny_test_model(), 1 << 24, alpha=1.0, store_states=True)
@@ -233,9 +230,8 @@ class TestCommitPrecondition:
             session.commit(foreign, 1.5)
         assert session.is_open and cache.open_sessions == 1
         session.abort()
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == used == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        assert cache.used_bytes == used
+        assert_drained([cache])
         # Nothing was checkpointed under the path the foreign sequence would
         # have been grafted onto: what it claimed to extend still misses.
         grafted = np.concatenate([a, foreign[len(a):], [1]]).astype(np.int32)
@@ -264,7 +260,7 @@ class TestAbortRollback:
         session.abort()
         assert cache.used_bytes == 0
         assert cache.tree.n_nodes == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
+        assert_drained([cache])
 
     def test_abort_keeps_shared_prefix_intact(self):
         """Aborting one request must not damage paths other requests
@@ -276,10 +272,10 @@ class TestAbortRollback:
         used_before = cache.used_bytes
         victim = cache.begin(_arr(shared + [77, 78]), 1.0)
         victim.abort()
-        assert cache.used_bytes == used_before == cache.recompute_used_bytes()
+        assert cache.used_bytes == used_before
         # The committed path still fully matches.
         assert cache.tree.match(_arr(shared + [91, 92, 93])).matched_len == 13
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
     def test_abort_preserves_extension_built_on_our_edge(self):
         """If another session grew a path through our speculative leaf,
@@ -289,10 +285,8 @@ class TestAbortRollback:
         with cache.begin(_arr([1, 2, 3, 4, 5, 6]), 1.0) as theirs:
             theirs.commit(_arr([1, 2, 3, 4, 5, 6, 7]), 1.5)
         ours.abort()
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert_drained([cache])
         assert cache.tree.match(_arr([1, 2, 3, 4, 5, 6, 7])).matched_len == 7
-        cache.tree.check_integrity()
 
     def test_abort_storm_leaves_no_pins(self):
         """The regression for the seed's pin leak: a storm of sessions
@@ -316,11 +310,9 @@ class TestAbortRollback:
                 full = inp + rng.integers(0, 4, size=8).tolist()
                 session.commit(_arr(full), float(i) + 0.5)
                 history.append(full)
-            assert cache.used_bytes == cache.recompute_used_bytes()
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
+            cache.check_integrity()
+        assert_drained([cache])
         assert cache.stats.extra.get("aborted_sessions", 0) > 0
-        cache.tree.check_integrity()
 
     @given(requests=request_stream(min_size=4, max_size=18), data=st.data(),
            capacity_kb=st.integers(1, 64))
@@ -344,14 +336,10 @@ class TestAbortRollback:
                 else:
                     clock += 1.0
                     session.commit(_arr(full), clock)
-            assert cache.used_bytes == cache.recompute_used_bytes()
-            assert cache.used_bytes <= cache.capacity_bytes
-            cache.tree.check_integrity()
+            cache.check_integrity()
         for full, session in open_sessions:
             session.abort()
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
+        assert_drained([cache])
 
     def test_tiered_abort_keeps_both_tiers_consistent(self):
         model = tiny_test_model()
@@ -364,7 +352,4 @@ class TestAbortRollback:
                 session.abort()
             else:
                 session.commit(_arr(inp + [1, 2, 3]), float(i) + 0.5)
-        assert cache.open_sessions == 0
-        assert all(n.pin_count == 0 for n in cache.tree.iter_nodes())
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        assert cache.secondary_used_bytes <= cache.secondary.capacity_bytes
+        assert_drained([cache])

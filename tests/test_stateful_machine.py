@@ -148,9 +148,8 @@ class MarconiSpecMachine(RuleBasedStateMachine):
         self.history.append(full)
 
     @invariant()
-    def accounting_holds(self):
-        assert self.cache.used_bytes == self.cache.recompute_used_bytes()
-        self.cache.tree.check_integrity()
+    def cache_is_consistent(self):
+        self.cache.check_integrity()
 
     @invariant()
     def checkpoint_sets_agree(self):
@@ -204,17 +203,9 @@ class ContendedInvariantMachine(RuleBasedStateMachine):
         self._roundtrip(inp, tuple(data.draw(TOKENS)))
 
     @invariant()
-    def never_over_capacity(self):
-        assert self.cache.used_bytes <= self.cache.capacity_bytes
-
-    @invariant()
-    def accounting_holds(self):
-        assert self.cache.used_bytes == self.cache.recompute_used_bytes()
-        self.cache.tree.check_integrity()
-
-    @invariant()
-    def no_pins_leak(self):
-        assert all(n.pin_count == 0 for n in self.cache.tree.iter_nodes())
+    def cache_is_consistent(self):
+        assert self.cache.open_sessions == 0  # every rule closes its request
+        self.cache.check_integrity()
 
 
 class TieredInvariantMachine(ContendedInvariantMachine):
@@ -225,10 +216,6 @@ class TieredInvariantMachine(ContendedInvariantMachine):
             model, capacity_bytes=200_000, secondary_bytes=400_000, alpha=1.0
         )
     )
-
-    @invariant()
-    def secondary_within_capacity(self):
-        assert self.cache.secondary.used_bytes <= self.cache.secondary.capacity_bytes
 
 
 TestMarconiSpec = MarconiSpecMachine.TestCase

@@ -141,7 +141,7 @@ class TestTieredCache:
             _run_session(cache, toks(400, 100 + i), toks(50, 200 + i), float(i))
         assert cache.stats.extra.get("demotions", 0) > 0
         assert cache.secondary.n_entries > 0
-        assert cache.used_bytes <= cache.capacity_bytes
+        cache.check_integrity()
 
     def test_promotion_serves_demoted_prefix(self, hybrid):
         cache = self._make(hybrid)
@@ -208,10 +208,7 @@ class TestTieredCache:
         for i in range(25):
             seq = toks(300 + (i * 37) % 400, 1000 + i % 7)
             _run_session(cache, seq, toks(40, 2000 + i), float(i))
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        assert cache.used_bytes <= cache.capacity_bytes
-        assert cache.secondary.used_bytes <= cache.secondary.capacity_bytes
-        cache.tree.check_integrity()
+        cache.check_integrity()
 
     def test_failed_promotion_keeps_tree_consistent(self, hybrid):
         # Secondary holds an entry far larger than the whole primary tier.
@@ -224,8 +221,7 @@ class TestTieredCache:
         assert s.hit_tokens == 0
         assert s.reused_secondary_bytes == 0
         assert cache.stats.extra.get("promotions_failed", 0) == 1
-        assert cache.used_bytes == cache.recompute_used_bytes()
-        cache.tree.check_integrity()
+        cache.check_integrity()
         s.commit(np.concatenate([seq, toks(10, 22), toks(5, 23)]), 1.5)
 
     def test_failed_promotion_undoes_edge_split(self, hybrid):

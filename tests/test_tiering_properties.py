@@ -67,8 +67,7 @@ class TestSecondaryStoreProperties:
                 np.asarray(tokens, dtype=np.int32), nbytes, now=clock,
                 flop_efficiency=float(nbytes % 7),
             )
-            assert store.used_bytes <= capacity
-            assert store.used_bytes == sum(e.nbytes for e in store.iter_entries())
+            store.check_integrity()
 
     @settings(max_examples=40, deadline=None)
     @given(
