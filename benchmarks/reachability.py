@@ -25,7 +25,9 @@ ENTRY_POINTS = [
     (*_CLI, "--gen-trace", "lmsys", "--sessions", "20", "--out", "{tmp}/built.jsonl"),
     (*_CLI, "--gen-trace", "swebench", "--stream", "--sessions", "20", "--out", "{tmp}/s.jsonl"),
     (*_CLI, "--sweep", "sharegpt", "--scale", "smoke", "--workers", "2"),
-    (*_CLI, "--headroom", "sharegpt", "--scale", "smoke"), (*_E2E, "0"), (*_E2E, "1"),
+    (*_CLI, "--headroom", "sharegpt", "--scale", "smoke"),
+    (*_CLI, "--headroom", "sharegpt", "--victims", "--scale", "smoke"),
+    (*_E2E, "0"), (*_E2E, "1"),
     *((sys.executable, str(path)) for path in sorted(ROOT.glob("examples/[!_]*.py"))),
 ]
 _HOOK = """import os, sys, threading

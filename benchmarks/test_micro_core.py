@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.core.eviction import FlopAwareEviction
+from repro.core.eviction_index import EvictionIndex
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
 from repro.models.presets import hybrid_7b
@@ -36,6 +38,19 @@ MATCH_GROWTH_BOUND = 2.0
 # beside a buffer built on first use read ~2x.
 ONE_COPY_SESSIONS = 600
 ONE_COPY_BOUND = 1.15
+
+# The victim-selection floor: FlopAwareEviction.select_from_index over an
+# index of SELECT_CANDIDATES candidates, each of whose two scored rows
+# holds SELECT_TIED_VALUES values shared by SELECT_TIE_SIZE candidates
+# (cache_contended's shape: a median of ~450 candidates, ties in nearly
+# every row).  Tie runs read off one sort per row cost ~0.6x the two
+# searchsorted calls per row that found them before (the reference below).
+SELECT_CANDIDATES = 450
+SELECT_TIED_VALUES = 10
+SELECT_TIE_SIZE = 20
+SELECT_CALLS = 1000
+SELECT_ROUNDS = 7
+SELECT_SPEEDUP_BOUND = 0.8
 
 
 @pytest.fixture(scope="module")
@@ -177,4 +192,81 @@ def test_trace_holds_one_copy():
     )
     assert ratio <= ONE_COPY_BOUND, (
         f"the trace retains {ratio:.2f}x its token bytes (floor {ONE_COPY_BOUND}x)"
+    )
+
+
+def _tied_row(rng) -> np.ndarray:
+    """SELECT_CANDIDATES values: SELECT_TIED_VALUES of them shared by
+    SELECT_TIE_SIZE candidates each, the rest distinct, shuffled."""
+    tied = np.repeat(rng.random(SELECT_TIED_VALUES), SELECT_TIE_SIZE)
+    distinct = rng.random(SELECT_CANDIDATES - len(tied)) + 1.0
+    return rng.permutation(np.concatenate([tied, distinct]))
+
+
+def _ranked_index() -> EvictionIndex:
+    """An index of SELECT_CANDIDATES leaves, its rank columns maintained."""
+    rng = np.random.default_rng(5)
+    recency, efficiency = _tied_row(rng), _tied_row(rng)
+    tree = RadixTree()
+    price = {}
+    for i in range(SELECT_CANDIDATES):
+        leaf = tree.insert(np.array([i + 1, 0], dtype=np.int32), float(recency[i]))
+        price[leaf.end_node.node_id] = float(efficiency[i])
+    index = EvictionIndex(tree, lambda node: 1, lambda node, _: price[node.node_id])
+    index.normalized_ranks()
+    assert len(index) == SELECT_CANDIDATES
+    return index
+
+
+def _searched_select(policy: FlopAwareEviction, index: EvictionIndex):
+    """``select_from_index`` with each row's tie groups found by searching
+    the sorted row for itself, left and right: the reference."""
+    len(index)
+    columns = index._ranks
+    candidates, n = columns.candidates, len(columns.candidates)
+    ranks = np.empty((2, n))
+    for row in (0, 1):
+        values = columns.v[row, :n]
+        order = values.argsort()
+        ordered = values[order]
+        lo = ordered.searchsorted(ordered, "left")
+        hi = ordered.searchsorted(ordered, "right")
+        ranks[row, order] = ((lo + hi - 1) / 2.0 + 1.0) / n
+    scores = ranks[0] + policy.alpha * ranks[1]
+    lowest = np.flatnonzero(scores == scores.min())
+    if len(lowest) == 1:
+        return candidates[lowest[0]]
+    return min((candidates[slot] for slot in lowest), key=lambda c: c.sort_key)
+
+
+def _select_us(select, policy, index) -> float:
+    start = time.perf_counter()
+    for _ in range(SELECT_CALLS):
+        select(policy, index)
+    return 1e6 * (time.perf_counter() - start) / SELECT_CALLS
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
+)
+def test_victim_selection_runs_no_searches():
+    """A FLOP-aware selection over ~450 tied candidates ranks both rows
+    with one sort each and no search: at most 0.8x the searched form."""
+    index = _ranked_index()
+    policy = FlopAwareEviction(alpha=1.0)
+    shipped = FlopAwareEviction.select_from_index
+    assert shipped(policy, index) is _searched_select(policy, index)
+    times = {shipped: [], _searched_select: []}
+    for _ in range(SELECT_ROUNDS):
+        for select, samples in times.items():
+            samples.append(_select_us(select, policy, index))
+    ours, searched = (min(samples) for samples in times.values())
+    print(
+        f"\nvictim selection over {SELECT_CANDIDATES} candidates: {ours:.1f} us, "
+        f"searched reference {searched:.1f} us ({ours / searched:.2f}x)"
+    )
+    assert ours <= SELECT_SPEEDUP_BOUND * searched, (
+        f"victim selection took {ours / searched:.2f}x the searched reference "
+        f"(floor {SELECT_SPEEDUP_BOUND}x)"
     )

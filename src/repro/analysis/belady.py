@@ -11,7 +11,10 @@ to prediction, not mechanics.
 The replay drives a regular :class:`repro.core.cache.MarconiCache` (same
 admission, same tree mechanics) with the eviction policy swapped for
 :class:`ClairvoyantEviction`, which looks up the next yet-unserved request
-whose input extends each candidate node's prefix.
+whose input extends each candidate node's prefix.  :func:`victim_profile`
+runs the same replay and records what each victim looked like: its ranks
+under the FLOP-aware score's two terms, whether it is ever used again and
+whether LRU would have picked it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cache import MarconiCache
-from repro.core.eviction import EvictionCandidate, EvictionPolicy
+from repro.core.eviction import EvictionCandidate, EvictionPolicy, _rank_normalize
 from repro.core.node import RadixNode
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace
@@ -143,23 +146,9 @@ def clairvoyant_replay(
     the engine-less replays used by the static-alpha oracle, so results are
     directly comparable with :func:`repro.baselines.oracle.tune_static_alpha`.
     """
-    requests = list(trace.iter_requests_nominal())
-    if not requests:
-        raise ValueError("cannot replay an empty trace")
-    schedule = [input_tokens for _, _, _, input_tokens, _ in requests]
-
-    cache = MarconiCache(model, capacity_bytes, eviction="lru")
-    policy = ClairvoyantEviction(schedule)
-    cache.policy = policy
-
-    per_request_hits: list[int] = []
-    for index, (now, _, _, input_tokens, full_tokens) in enumerate(requests):
-        # The request being served is no longer a *future* use of anything.
-        policy.advance(index + 1)
-        with cache.begin(input_tokens, now) as session:
-            per_request_hits.append(session.hit_tokens)
-            session.commit(full_tokens, now)
-
+    requests = _nominal_requests(trace)
+    policy = ClairvoyantEviction([input_tokens for _, _, _, input_tokens, _ in requests])
+    cache, per_request_hits = _replay(model, requests, capacity_bytes, policy)
     stats = cache.stats
     return ClairvoyantResult(
         token_hit_rate=stats.token_hit_rate,
@@ -169,3 +158,116 @@ def clairvoyant_replay(
         input_tokens=stats.input_tokens,
         per_request_hits=per_request_hits,
     )
+
+
+def _nominal_requests(trace: Trace) -> list:
+    requests = list(trace.iter_requests_nominal())
+    if not requests:
+        raise ValueError("cannot replay an empty trace")
+    return requests
+
+
+def _replay(
+    model: ModelConfig,
+    requests: list,
+    capacity_bytes: int,
+    policy: ClairvoyantEviction,
+) -> tuple[MarconiCache, list[int]]:
+    """Serve ``requests`` in order through a cache that evicts with ``policy``."""
+    cache = MarconiCache(model, capacity_bytes, eviction="lru")
+    cache.policy = policy
+    per_request_hits: list[int] = []
+    for index, (now, _, _, input_tokens, full_tokens) in enumerate(requests):
+        # The request being served is no longer a *future* use of anything.
+        policy.advance(index + 1)
+        with cache.begin(input_tokens, now) as session:
+            per_request_hits.append(session.hit_tokens)
+            session.commit(full_tokens, now)
+    return cache, per_request_hits
+
+
+@dataclass(frozen=True)
+class Victim:
+    """What one clairvoyant victim looked like when it was chosen.
+
+    Ranks are :func:`~repro.core.eviction._rank_normalize` over the
+    candidate set, the values the FLOP-aware score adds: near 0 is the
+    oldest / least FLOP-efficient candidate, 1 the newest / most efficient.
+    """
+
+    recency_rank: float
+    efficiency_rank: float
+    #: Requests from the one being served to the next that extends the
+    #: victim's path; ``inf`` when none does.
+    reuse_distance: float
+    #: Is the victim the candidate LRU (SGLang+) would have evicted?
+    same_as_lru: bool
+    length: int
+    lru_length: int
+    #: Nodes from the root (a child of the root is at depth 1).
+    depth: int
+    is_leaf: bool
+    #: Round, within its session, of the request that last used the victim.
+    session_round: int
+    #: Seconds since that use, over the workload's mean think time.
+    idle_over_think: float
+
+    @property
+    def never_reused(self) -> bool:
+        return self.reuse_distance == _NEVER
+
+
+class _ProfiledClairvoyant(ClairvoyantEviction):
+    """:class:`ClairvoyantEviction` that records each victim it picks."""
+
+    def __init__(self, requests: list, mean_think_s: float) -> None:
+        super().__init__([input_tokens for _, _, _, input_tokens, _ in requests])
+        self._times = [now for now, _, _, _, _ in requests]
+        # A state's last_access is the nominal time of the request that
+        # last used it; nominal times are ordered, so a later round sharing
+        # a time overwrites an earlier one.
+        self._round_at = {now: k for now, _, k, _, _ in requests}
+        self._mean_think_s = mean_think_s
+        self.victims: list[Victim] = []
+
+    def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
+        victim = super().select_victim(candidates)
+        at = next(i for i, c in enumerate(candidates) if c is victim)
+        lru = min(candidates, key=lambda c: c.sort_key)
+        depth, node = 0, victim.node
+        while node.parent is not None:
+            depth, node = depth + 1, node.parent
+        serving = self.cursor - 1
+        self.victims.append(
+            Victim(
+                recency_rank=_rank_normalize([c.last_access for c in candidates])[at],
+                efficiency_rank=_rank_normalize([c.flop_efficiency for c in candidates])[at],
+                reuse_distance=self._node_next_use(victim.node) - serving,
+                same_as_lru=lru is victim,
+                length=victim.node.seq_len,
+                lru_length=lru.node.seq_len,
+                depth=depth,
+                is_leaf=victim.is_leaf,
+                session_round=self._round_at.get(victim.last_access, -1),
+                idle_over_think=(self._times[serving] - victim.last_access)
+                / self._mean_think_s,
+            )
+        )
+        return victim
+
+
+def victim_profile(
+    model: ModelConfig,
+    trace: Trace,
+    capacity_bytes: int,
+    mean_think_s: float,
+) -> list[Victim]:
+    """Every victim of :func:`clairvoyant_replay` on ``trace``, in order.
+
+    The replay's decisions are :func:`clairvoyant_replay`'s; recording them
+    reads the candidate set and changes nothing.
+    """
+    requests = _nominal_requests(trace)
+    policy = _ProfiledClairvoyant(requests, mean_think_s)
+    _replay(model, requests, capacity_bytes, policy)
+    return policy.victims

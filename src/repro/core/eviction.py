@@ -213,9 +213,13 @@ class LRUKEviction(HeapEviction):
 #: Candidate count from which :class:`FlopAwareEviction` scores from the
 #: index's rank columns.  Below it NumPy's per-call overhead (a selection
 #: is ~20 array calls, whatever the size) outweighs the two Python sorts it
-#: saves: replaying lmsys against caches of 8..200 states, from-scratch
-#: selection won by 8 us per victim at 26 candidates, the columns by 18 us
-#: at 35 and 400 us at 277 (docs/architecture.md "Hot-path inventory").
+#: saves.  Replaying lmsys (240 sessions) against caches of 8..200 states,
+#: the line pinned to either arm: from-scratch selection won by 18 us per
+#: victim at a median 5 candidates and by 5 us at 17, the columns by 25 us
+#: at 48 and 270 us at 321.  From a median 19 to 35 the arms differ by
+#: less than the replay's noise, and the line at 24 against 32 read -10 to
+#: +13 us per victim, so it stays.  At a fixed size, with three candidates
+#: touched per victim, the arms cross between 20 and 24 candidates.
 _MAINTAIN_RANKS_FROM = 32
 
 

@@ -74,20 +74,31 @@ class _RankColumns:
     def normalized(self) -> np.ndarray:
         """``_rank_normalize`` of both columns, shape ``(2, n)``, slot order.
 
-        Per row one sort; a value's tie group fills the sorted positions
-        ``lo .. hi - 1`` (``_rank_normalize``'s ``i`` and ``j``), found by
-        searching the sorted row for itself: keys in order, a walk.
+        One sort per row, the two rows laid end to end as ``2n`` flat
+        positions.  A tie group is a run between two value changes, forced
+        at 0, ``n`` and ``2n`` so no run spans the rows; the run at sorted
+        positions ``lo .. hi - 1`` (``_rank_normalize``'s ``i`` and ``j``)
+        ranks ``(lo + hi + 1) / (2n)``, the same double as the definition's
+        ``((i + j) / 2 + 1) / n``: the halving is exact, ``2n`` is exact,
+        and each side rounds once.
         """
         n = len(self.candidates)
-        out = np.empty((2, n))
-        for row in (0, 1):
-            values = self.v[row, :n]
-            order = values.argsort()
-            ordered = values[order]
-            lo = ordered.searchsorted(ordered, "left")
-            hi = ordered.searchsorted(ordered, "right")
-            out[row, order] = ((lo + hi - 1) / 2.0 + 1.0) / n
-        return out
+        values = self.v[:, :n]
+        order = values.argsort(axis=1)
+        order[1] += n
+        flat = order.ravel()
+        ordered = values.reshape(-1)[flat]
+        edge = np.empty(2 * n + 1, dtype=bool)
+        edge[0] = edge[2 * n] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[1 : 2 * n])
+        edge[n] = True  # row 0's largest and row 1's smallest never tie
+        bounds = np.flatnonzero(edge)
+        lo, hi = bounds[:-1], bounds[1:]
+        total = lo + hi + 1
+        total[np.count_nonzero(edge[:n]) :] -= 2 * n
+        out = np.empty(2 * n)
+        out[flat] = np.repeat(total / (2.0 * n), hi - lo)
+        return out.reshape(2, n)
 
     def put(
         self, candidate: EvictionCandidate, old: Optional[EvictionCandidate]

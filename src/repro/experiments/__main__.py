@@ -11,6 +11,7 @@ Examples::
     python -m repro.experiments --gen-trace lmsys --stream --sessions 100000
     python -m repro.experiments --sweep sharegpt --workers 4 --scale smoke
     python -m repro.experiments --headroom sharegpt --scale smoke
+    python -m repro.experiments --headroom sharegpt --victims --scale smoke
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="print LRU, tuned Marconi, the best static alpha "
                         "and the clairvoyant bound over a dataset's cache grid "
                         "(lmsys, sharegpt, swebench)")
+    parser.add_argument("--victims", action="store_true",
+                        help="with --headroom: print what the clairvoyant bound "
+                        "evicts over the dataset's cache grid instead")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-pool size for --sweep (default: 1, serial)")
     parser.add_argument("--out", default=None,
@@ -154,11 +158,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.sweep:
         _run_sweep(args.sweep, args.scale, args.workers, args.out)
         return 0
+    if args.victims and not args.headroom:
+        parser.error("--victims needs --headroom DATASET")
     if args.headroom:
-        from repro.experiments.extensions import run_headroom
+        from repro.experiments.extensions import run_headroom, run_victim_profile
 
         started = time.perf_counter()
-        print(run_headroom(args.headroom, args.scale).render())
+        if args.victims:
+            for result in run_victim_profile(args.headroom, args.scale):
+                print(result.render())
+        else:
+            print(run_headroom(args.headroom, args.scale).render())
         elapsed = time.perf_counter() - started
         print(f"[headroom done in {elapsed:.1f}s at scale={args.scale}]")
         return 0

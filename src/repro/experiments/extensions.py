@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
+
 from repro.analysis import classify_trace, clairvoyant_replay
+from repro.analysis.belady import victim_profile
 from repro.baselines.oracle import (
     replay_requests,
     trace_to_replay_requests,
@@ -135,6 +138,90 @@ def run_headroom(dataset: str, scale: str | Scale = "bench") -> FigureResult:
         ),
         extra={"cells": cells},
     )
+
+
+_VICTIM_QUANTILES = (10, 25, 50, 75, 90)
+
+
+def _share(flags: list[bool]) -> str:
+    return f"{100 * np.mean(flags):.0f}%"
+
+
+def run_victim_profile(dataset: str, scale: str | Scale = "bench") -> list[FigureResult]:
+    """What the clairvoyant bound evicts, per cache size of ``dataset``'s
+    grid (nominal replay): one summary table and one of distributions.
+
+    Ranks are the FLOP-aware score's own two terms over the candidate set
+    (0 oldest / least efficient, 1 newest / most efficient); "same as LRU"
+    is the share of victims LRU would have picked too.  Re-use distance,
+    in requests, is over the victims that are used again.
+    """
+    scale = get_scale(scale)
+    model = default_model()
+    config = DATASET_CONFIGS[dataset]
+    trace = get_trace(config.workload, config.workload_params(scale))
+    summary, spread, cells = [], [], {}
+    for cache_gb in config.cache_grid_gb:
+        victims = victim_profile(
+            model, trace, scale.cache_bytes(cache_gb), config.mean_think_s
+        )
+        cells[cache_gb] = victims
+        if not victims:
+            summary.append([f"{cache_gb:g}", "0"] + ["-"] * 6)
+            continue
+        summary.append(
+            [
+                f"{cache_gb:g}",
+                str(len(victims)),
+                fmt(np.median([v.recency_rank for v in victims]), 2),
+                fmt(np.median([v.efficiency_rank for v in victims]), 2),
+                _share([v.never_reused for v in victims]),
+                _share([v.same_as_lru for v in victims]),
+                _share([v.is_leaf for v in victims]),
+                f"{np.median([v.length for v in victims]):.0f} vs "
+                f"{np.median([v.lru_length for v in victims]):.0f}",
+            ]
+        )
+        reused = [v.reuse_distance for v in victims if not v.never_reused]
+        for measure, values, digits in (
+            ("recency_rank", [v.recency_rank for v in victims], 2),
+            ("efficiency_rank", [v.efficiency_rank for v in victims], 2),
+            ("depth", [v.depth for v in victims], 0),
+            ("session_round", [v.session_round for v in victims], 0),
+            ("idle/think", [v.idle_over_think for v in victims], 2),
+            (f"reuse_distance (n={len(reused)})", reused, 0),
+        ):
+            quantiles = (
+                np.percentile(values, _VICTIM_QUANTILES)
+                if values
+                else [np.nan] * len(_VICTIM_QUANTILES)
+            )
+            spread.append(
+                [f"{cache_gb:g}", measure] + [fmt(q, digits) for q in quantiles]
+            )
+    title = f"({dataset}, nominal clairvoyant replay, {scale.name})"
+    return [
+        FigureResult(
+            figure_id=f"victims-{dataset}",
+            title=f"What the clairvoyant bound evicts {title}",
+            headers=[
+                "cache_gb", "victims", "recency_rank", "efficiency_rank",
+                "never_reused", "same_as_lru", "leaf", "length_vs_lru_pick",
+            ],
+            rows=summary,
+            paper_expectation=(
+                "section 4.2 keeps long, FLOP-efficient states; an eviction score "
+                "can only find the bound's headroom if it sees what the bound evicts"
+            ),
+            extra={"cells": cells},
+        ),
+        FigureResult(
+            figure_id=f"victims-{dataset}-spread",
+            title=f"Distributions over the clairvoyant victims {title}",
+            headers=["cache_gb", "measure"] + [f"p{q}" for q in _VICTIM_QUANTILES],
+            rows=spread,
+        ),
+    ]
 
 
 def run_tiering(scale: str | Scale = "bench") -> FigureResult:

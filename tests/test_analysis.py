@@ -12,6 +12,7 @@ from repro.analysis import (
     clairvoyant_replay,
     classify_trace,
 )
+from repro.analysis.belady import Victim, victim_profile
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate
 from repro.core.node import RadixNode
@@ -217,6 +218,76 @@ class TestNextUseIndex:
         assert cache.stats.evictions > 0
         assert indexed.evictions == cache.stats.evictions
         assert indexed.per_request_hits == hits
+
+
+class TestVictimProfile:
+    """``victim_profile`` recounted: a recorder keeps each selection's
+    candidates and derives every field the plain way, with the rescan
+    for re-use."""
+
+    def test_recounts_every_victim_on_a_seeded_trace(self, hybrid):
+        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        capacity = 6 * node_state_bytes(hybrid, 2000, True)
+        profile = victim_profile(hybrid, trace, capacity, mean_think_s=5.0)
+        assert len(profile) == clairvoyant_replay(hybrid, trace, capacity).evictions
+
+        requests = list(trace.iter_requests_nominal())
+        expected = []
+
+        def rank(values, value):
+            below = sum(v < value for v in values)
+            tied = sum(v == value for v in values)
+            return (below + (tied + 1) / 2) / len(values)
+
+        class Recorder(RescanClairvoyant):
+            def select_victim(self, candidates):
+                victim = super().select_victim(candidates)
+                serving = self.cursor - 1
+                lru = min(candidates, key=lambda c: (c.last_access, c.node.node_id))
+                ancestors, node = [], victim.node.parent
+                while node is not None:
+                    ancestors.append(node)
+                    node = node.parent
+                last_use = max(
+                    i for i in range(serving + 1) if requests[i][0] == victim.last_access
+                )
+                expected.append(
+                    Victim(
+                        recency_rank=rank(
+                            [c.last_access for c in candidates], victim.last_access
+                        ),
+                        efficiency_rank=rank(
+                            [c.flop_efficiency for c in candidates],
+                            victim.flop_efficiency,
+                        ),
+                        reuse_distance=_rescan_next_use(
+                            self.schedule, self.cursor, victim.node.path_tokens()
+                        )
+                        - serving,
+                        same_as_lru=lru is victim,
+                        length=len(victim.node.path_tokens()),
+                        lru_length=len(lru.node.path_tokens()),
+                        depth=len(ancestors),
+                        is_leaf=not victim.node.children,
+                        session_round=requests[last_use][2],
+                        idle_over_think=(requests[serving][0] - victim.last_access) / 5.0,
+                    )
+                )
+                return victim
+
+        cache = MarconiCache(hybrid, capacity, eviction="lru")
+        cache.policy = policy = Recorder([r[3] for r in requests])
+        for index, (now, _, _, inp, full) in enumerate(requests):
+            policy.advance(index + 1)
+            with cache.begin(inp, now) as session:
+                session.commit(full, now)
+        assert len(expected) > 100
+        assert profile == expected
+        # The trace has victims of every kind the profile tells apart.
+        assert {v.never_reused for v in profile} == {True, False}
+        assert {v.same_as_lru for v in profile} == {True, False}
+        assert {v.is_leaf for v in profile} == {True, False}
+        assert len({v.session_round for v in profile}) > 2
 
 
 class TestTaxonomy:

@@ -1,5 +1,7 @@
 """Unit tests for the tree observer surface and the incremental eviction index."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import eviction
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction, _rank_normalize
-from repro.core.eviction_index import EvictionIndex
+from repro.core.eviction_index import EvictionIndex, _RankColumns
 from repro.core.persistence import load_cache, save_cache
 from repro.core.radix_tree import RadixTree, TreeObserver
 from repro.models.presets import tiny_test_model
@@ -290,6 +292,80 @@ class RankedLeaves:
 
     def check(self, policy=FlopAwareEviction(alpha=1.0)):
         check_ranks(self.index, policy)
+
+
+def assert_kernel_is_the_definition(rows):
+    """``_RankColumns.normalized`` over candidates carrying ``rows`` (row 0
+    their ``last_access``, row 1 their ``flop_efficiency``) equals
+    ``_rank_normalize`` of each row, float for float."""
+    columns = _RankColumns(
+        SimpleNamespace(last_access=a, flop_efficiency=e) for a, e in zip(*rows)
+    )
+    ranks = columns.normalized()
+    assert ranks.shape == (2, len(rows[0]))
+    for row, values in zip(ranks, rows):
+        assert row.tolist() == _rank_normalize(list(values))
+
+
+class TestRankKernel:
+    """The kernel alone, on rows drawn or named, tie by tie."""
+
+    @given(
+        n=st.integers(0, 1200),
+        alphabet=st.lists(
+            st.floats(allow_nan=False), min_size=3, max_size=5, unique=True
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_rows_rank_as_the_definition(self, n, alphabet, seed):
+        """Few distinct values, so nearly every candidate is in a tie."""
+        rows = np.random.default_rng(seed).choice(alphabet, size=(2, n)).tolist()
+        assert_kernel_is_the_definition(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 3.0, 2.0, 3.0], [3.0, 5.0, 3.0, 4.0]],
+            [[0.0, 0.0, 5.0], [5.0, 5.0, 9.0]],
+        ],
+        ids=["between-ties", "singleton-meets-tie"],
+    )
+    def test_row_0_largest_equal_to_row_1_smallest(self, rows):
+        """Laid end to end, the two rows meet at a run of equal values: the
+        tie must stop at the row boundary."""
+        assert_kernel_is_the_definition(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    def test_all_values_equal(self, n):
+        """One run per row; with both rows at one value, the runs meet."""
+        for rows in ([[4.0] * n, [-1.0] * n], [[0.0] * n, [0.0] * n]):
+            assert_kernel_is_the_definition(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[], []],
+            [[5.0], [-2.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[2.0, 1.0], [1.0, 1.0]],
+            [[1.0, 1.0], [3.0, 2.0]],
+            [[float("-inf"), float("inf")], [0.0, -0.0]],
+        ],
+        ids=["n0", "n1", "n2-distinct", "n2-row1-tied", "n2-row0-tied", "n2-infs-zeros"],
+    )
+    def test_smallest_sets(self, rows):
+        assert_kernel_is_the_definition(rows)
+
+    def test_run_rank_expression_is_the_definition_bit_for_bit(self):
+        """``(lo + hi + 1) / (2n)`` == ``((lo + hi - 1) / 2 + 1) / n`` for
+        every run ``0 <= lo < hi <= n <= 2048``: both read only
+        ``lo + hi``, which takes every value from 1 to ``2n - 1``."""
+        for n in range(1, 2049):
+            total = np.arange(1, 2 * n)
+            kernel = (total + 1) / (2.0 * n)
+            definition = ((total - 1) / 2.0 + 1.0) / n
+            assert np.array_equal(kernel, definition), n
 
 
 @pytest.fixture

@@ -171,6 +171,31 @@ class TestRegistryAndCLI:
         cells = [cell.strip() for cell in row[0].split("|")]
         assert cells == ["2.5", "0.267", "0.171", "0.267", "0", "0.452", "0%"]
 
+    def test_cli_victim_profile_on_one_sharegpt_cell(self, capsys, monkeypatch):
+        """ROADMAP item 1 step 1 at smoke scale: the clairvoyant victims of
+        sharegpt 2.5 GB, then their distributions."""
+        sharegpt = DATASET_CONFIGS["sharegpt"]
+        monkeypatch.setitem(
+            DATASET_CONFIGS, "sharegpt", sharegpt.with_overrides(cache_grid_gb=(2.5,))
+        )
+        assert cli_main(["--headroom", "sharegpt", "--victims", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in out.splitlines()
+            if line.startswith("2.5 ")
+        ]
+        assert rows[0] == ["2.5", "502", "0.75", "0.62", "34%", "19%", "81%", "817 vs 634"]
+        assert [row[1] for row in rows[1:]] == [
+            "recency_rank", "efficiency_rank", "depth", "session_round",
+            "idle/think", "reuse_distance (n=332)",
+        ]
+        assert rows[1][4] == "0.75"  # the median, as in the summary
+
+    def test_cli_victims_needs_headroom(self):
+        with pytest.raises(SystemExit):
+            cli_main(["--victims"])
+
     def test_extension_figures_registered(self):
         from repro.experiments.registry import FIGURES
 
