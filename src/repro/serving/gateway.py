@@ -28,18 +28,18 @@ Layers, outermost first:
   generator one step, in slot order.  A sweep ends in a trip through the
   event loop only when it resolved a request's future or left a slot
   free — the only sweeps after which a submitter can have something to
-  do — or when :data:`MAX_SWEEPS_PER_TRIP` sweeps have run without one,
-  which bounds how long timers, sockets and cancels wait.  A serve whose
-  steps expose ``silent`` (the model-less
+  do — or when :data:`MAX_SWEEPS_PER_TRIP` sweeps or jumps have run
+  without one, which bounds how long timers, sockets and cancels wait.  A
+  serve whose steps expose ``silent`` (the model-less
   :class:`~repro.serving.replay.CacheOnlyServer`'s echo tokens: no cache
   call, no decision) lets the loop jump: when every slot holds a
   request that is not cancelled, ``k`` sweeps of silent steps (``k`` the
-  fewest any slot has left, capped at the sweeps left before the next
-  trip) become one ``skip(k)`` per slot and count as ``k`` sweeps.  Slot
-  order is fixed and yields are counted, never timed, so the order of
-  every ``begin``/``commit`` — and with it every hit and eviction —
-  follows from the order of submissions, not from how fast the host is;
-  jumping changes none of it, nor where a trip falls.
+  fewest any slot has left) become one ``skip(k)`` per slot, which counts
+  as one sweep toward the bound.  Slot order is fixed and yields are
+  counted, never timed, so the order of every ``begin``/``commit`` — and
+  with it every hit and eviction — follows from the order of submissions,
+  not from how fast the host is.  Jumping moves none of it; it drops only
+  trips after which no submitter could run.
   Cancelling a submitted request closes its generator at the first sweep
   after its submitter next runs (closing the gateway without draining:
   at the next sweep), which aborts the open
@@ -63,11 +63,12 @@ from repro.core.interfaces import Clock, as_token_array
 from repro.serving.engine import GREEDY, DecodeParams, ServedRequest, ServeSteps
 from repro.serving.response_cache import ResponseCache
 
-#: The most sweeps the step loop runs back to back without a loop trip
-#: while every slot stays busy and no request ends.  A trip costs
+#: The most sweeps or jumps the step loop runs back to back without a loop
+#: trip while every slot stays busy and no request ends.  A trip costs
 #: 2.5–3.5 µs of asyncio machinery; with the tiny NumPy model's ≈0.45 ms
 #: decode step and four slots, 16 sweeps is ≈29 ms of latency for a timer,
-#: a socket or a cancel.
+#: a socket or a cancel.  A jump over silent sweeps runs no step, so it
+#: costs less than one real sweep and the wait gets no longer.
 MAX_SWEEPS_PER_TRIP = 16
 
 # ----------------------------------------------------------------------
@@ -374,6 +375,29 @@ class Gateway:
             for name in self._queues
         }
 
+    def check_integrity(self) -> None:
+        """Raise ``AssertionError`` unless the gateway's books agree: every
+        submission was admitted, shed or answered from the response cache;
+        every admitted request not yet resolved is queued or running; each
+        tier's running count is the slots its requests hold; the queued
+        total is the queues' lengths; and an idle gateway holds no slot."""
+        stats = self.stats
+        assert stats.submitted == (
+            stats.admitted + stats.shed + stats.response_cache_hits
+        ), "a submission counted twice or not at all"
+        assert stats.in_flight_accounted == self.queued + self.running, (
+            "an admitted request neither resolved, queued nor running"
+        )
+        held = {name: 0 for name in self._running}
+        for item in filter(None, self._slots):
+            held[item.tier.name] += 1
+        assert held == self._running, "running counts out of step with the slots"
+        assert self._queued_total == sum(map(len, self._queues.values())), (
+            "queued total out of step with the queues"
+        )
+        if self._idle is None or self._idle.is_set():
+            assert not any(self._slots), "an idle gateway holds a slot"
+
     # ------------------------------------------------------------------
     # The front door
     # ------------------------------------------------------------------
@@ -499,25 +523,25 @@ class Gateway:
         slot whose request ends takes its successor's first step in the same
         sweep.  The event loop gets a turn after a sweep that ended a request
         or left a slot free, and after every :data:`MAX_SWEEPS_PER_TRIP`
-        sweeps without one.  Any other trip would wake no submitter: a
-        submitter waits on a future only ``_finish`` resolves.
+        sweeps or jumps without one.  Any other trip would wake no
+        submitter: a submitter waits on a future only ``_finish`` resolves.
 
         When every slot's next ``k`` steps are silent (see
         :meth:`_silent_sweeps`), those ``k`` sweeps are one jump: each slot
-        skips ``k`` steps, and the jump counts as ``k`` sweeps toward the
-        trip bound.  Such sweeps end nothing and free no slot, so every
-        ``begin``/``commit``, first token, cancel and trip stays where the
-        sweeps would have put it."""
+        skips ``k`` steps, and the jump counts as one sweep toward the trip
+        bound.  Such sweeps end nothing and free no slot, so every
+        ``begin``/``commit``, first token and waking trip stays where the
+        sweeps would have put it; the trips that go are ones no submitter
+        could have used."""
         slots = self._slots
-        quiet = 0  # sweeps since the last loop trip
+        quiet = 0  # sweeps and jumps since the last loop trip
         try:
             while True:
                 ended = False
-                jump = self._silent_sweeps(MAX_SWEEPS_PER_TRIP - quiet)
+                jump = self._silent_sweeps()
                 if jump:
                     for item in slots:
                         item.steps.skip(jump)
-                    quiet += jump
                 else:
                     for i, item in enumerate(slots):
                         while True:
@@ -544,7 +568,7 @@ class Gateway:
                                     break
                             ended = True
                             item = slots[i] = None
-                    quiet += 1
+                quiet += 1
                 if ended or quiet == MAX_SWEEPS_PER_TRIP or not all(slots):
                     quiet = 0
                     if any(slots):
@@ -558,22 +582,23 @@ class Gateway:
                 self._finish(item)
             slots[:] = [None] * len(slots)
 
-    def _silent_sweeps(self, limit: int) -> int:
-        """How many sweeps from here on would only run silent steps, at most
-        ``limit``: 0 unless every slot holds a request that is not cancelled
-        and whose steps expose ``silent`` (the remaining steps that touch no
-        cache and surface no first token; ``CacheOnlyServer``'s echoes).  A
-        generator exposes nothing, so a model-backed or wrapped server is
-        always swept step by step."""
+    def _silent_sweeps(self) -> int:
+        """How many sweeps from here on would only run silent steps: the
+        fewest ``silent`` steps any slot has left (the steps that touch no
+        cache and surface no first token; ``CacheOnlyServer``'s echoes), and
+        0 unless every slot holds a request that is not cancelled and whose
+        steps expose ``silent``.  A generator exposes nothing, so a
+        model-backed or wrapped server is always swept step by step."""
+        fewest = 0
         for item in self._slots:
             if item is None or item.cancelled:
                 return 0
             silent = getattr(item.steps, "silent", 0)
-            if silent < limit:
-                if not silent:
-                    return 0
-                limit = silent
-        return limit
+            if not silent:
+                return 0
+            if not fewest or silent < fewest:
+                fewest = silent
+        return fewest
 
     def _finish(
         self,

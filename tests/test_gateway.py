@@ -11,6 +11,7 @@ via ``asyncio.run`` (no asyncio pytest plugin required).
 from __future__ import annotations
 
 import asyncio
+import types
 
 import numpy as np
 import pytest
@@ -38,18 +39,11 @@ from repro.serving.gateway import MAX_SWEEPS_PER_TRIP
 from repro.metrics import gateway_summary_dict
 
 from _drain import assert_drained
+from _servers import PassThroughServer
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-def accounted(stats) -> bool:
-    """Every submission was admitted, shed, or answered from the response
-    cache — the front door counts each call exactly once."""
-    return stats["submitted"] == (
-        stats["admitted"] + stats["shed"] + stats["response_cache_hits"]
-    )
 
 
 class SignalingServer(ExactReuseServer):
@@ -389,9 +383,10 @@ class TestStepLoop:
         its session is aborted, and the other slots run to completion."""
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
         server = RecordingServer(cache, fail_at=(1, 2))
+        gw = Gateway(server, GatewayConfig(n_workers=3))
 
         async def scenario():
-            async with Gateway(server, GatewayConfig(n_workers=3)) as gw:
+            async with gw:
                 outcomes = await asyncio.gather(
                     *[gw.submit(numbered(i, tokens), 5) for i in range(4)],
                     return_exceptions=True,
@@ -404,7 +399,8 @@ class TestStepLoop:
         for i in (0, 2, 3):
             assert len(outcomes[i].output_tokens) == 5
         assert stats["failed"] == 1 and stats["completed"] == 3
-        assert stats["aborted"] == 0 and accounted(stats)
+        assert stats["aborted"] == 0
+        gw.check_integrity()
         assert server.steps_of(1) == [0, 1, 2]
         assert_drained([cache])
 
@@ -557,11 +553,13 @@ class TestCancellation:
         """A request cancelled while queued leaves the queue at once: dead
         entries must not fill ``max_queue_depth`` and shed live traffic."""
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
-        server = CacheOnlyServer(cache)
+        # Swept step by step: a cache-only serve's echoes would be jumped, and
+        # the long request would end within the trip that starts it.
         config = GatewayConfig(n_workers=1, max_queue_depth=2)
+        gw = Gateway(PassThroughServer(cache), config)
 
         async def scenario():
-            async with Gateway(server, config) as gw:
+            async with gw:
                 long_task = asyncio.create_task(gw.submit(tokens(20, seed=14), 5000))
                 while gw.running == 0:  # until it holds the only slot
                     await asyncio.sleep(0)
@@ -571,6 +569,7 @@ class TestCancellation:
                 ]
                 await asyncio.sleep(0)  # both enqueue: the queue is full
                 assert gw.queued == 2
+                gw.check_integrity()
                 for task in doomed:
                     task.cancel()
                 outcomes = await asyncio.gather(*doomed, return_exceptions=True)
@@ -584,17 +583,18 @@ class TestCancellation:
         fresh, stats = run(scenario())
         assert len(fresh.output_tokens) == 4
         assert stats["aborted"] == 2 and stats["completed"] == 2
-        assert stats["shed"] == 0 and accounted(stats)
+        assert stats["shed"] == 0
+        gw.check_integrity()
         assert_drained([cache])
 
     def test_close_without_drain_sheds_queue_and_aborts_running(
         self, tiny, tokens
     ):
         server = SignalingServer(tiny, int(1e9), seed=0)
+        gw = Gateway(server, GatewayConfig(n_workers=1))
 
         async def scenario():
             server.first_token_event = asyncio.Event()
-            gw = Gateway(server, GatewayConfig(n_workers=1))
             await gw.start()
             running = asyncio.create_task(
                 gw.submit(tokens(20, seed=12) % tiny.vocab_size, 64)
@@ -621,19 +621,16 @@ class TestCancellation:
             assert isinstance(outcome, AdmissionRejected)
             assert outcome.reason == "shutdown"
         assert stats["aborted"] == 4
-        assert accounted(stats)
+        gw.check_integrity()
         assert_drained([server.cache])
 
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_rejection(self, tiny, tokens):
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
-        server = CacheOnlyServer(cache)
+        gw = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=1, max_queue_depth=3))
 
         async def scenario():
-            gw = Gateway(
-                server, GatewayConfig(n_workers=1, max_queue_depth=3)
-            )
             await gw.start()
             outcomes = await asyncio.gather(
                 *[
@@ -652,7 +649,7 @@ class TestAdmissionControl:
         for rejection in shed:
             assert rejection.reason == "queue_full"
         assert stats["shed"] == 7 and stats["completed"] == 3
-        assert accounted(stats)
+        gw.check_integrity()
         assert_drained([cache])
 
     def test_per_tier_queue_bound(self, tiny, tokens):
@@ -698,8 +695,9 @@ class TestAdmissionControl:
         """Closed before it ever ran: submit and start raise, and no
         step-loop task is left pending with nothing to cancel it."""
 
+        gw = Gateway(CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0)))
+
         async def scenario():
-            gw = Gateway(CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0)))
             await gw.close()
             with pytest.raises(GatewayClosed):
                 await gw.submit(tokens(8, seed=1), 2)
@@ -709,13 +707,14 @@ class TestAdmissionControl:
 
         left, stats = run(scenario())
         assert left == set()
-        assert stats["submitted"] == stats["shed"] == 1 and accounted(stats)
+        assert stats["submitted"] == stats["shed"] == 1
+        gw.check_integrity()
 
     def test_unknown_tier_rejected(self, tiny, tokens):
+        gw = Gateway(CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0)))
+
         async def scenario():
-            async with Gateway(
-                CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0))
-            ) as gw:
+            async with gw:
                 with pytest.raises(ValueError, match="unknown tier"):
                     await gw.submit(tokens(8, seed=1), 2, tier="platinum")
                 await gw.submit(tokens(8, seed=1), 2)
@@ -723,7 +722,8 @@ class TestAdmissionControl:
 
         stats = run(scenario())
         # The bad call was a caller's bug, not a submission.
-        assert stats["submitted"] == 1 and accounted(stats)
+        assert stats["submitted"] == 1
+        gw.check_integrity()
 
 
 class TestSLOTiers:
@@ -1117,6 +1117,52 @@ class TestNetServe:
         for rejection in rejections:
             assert rejection.error["type"] == "admission_rejected"
             assert rejection.error["reason"] in ("queue_full", "tier_queue_full")
+
+
+class TestCheckIntegrity:
+    """``Gateway.check_integrity`` names each broken clause: one case per
+    clause, on an unstarted gateway (idle, every slot free)."""
+
+    @staticmethod
+    def gateway(tiny) -> Gateway:
+        gw = Gateway(CacheOnlyServer(MarconiCache(tiny, int(1e9), alpha=1.0)))
+        gw.check_integrity()
+        return gw
+
+    def test_a_submission_counted_twice(self, tiny):
+        gw = self.gateway(tiny)
+        gw.stats.submitted += 1
+        with pytest.raises(AssertionError, match="submission"):
+            gw.check_integrity()
+
+    def test_an_outcome_counted_with_nothing_admitted(self, tiny):
+        gw = self.gateway(tiny)
+        gw.stats.aborted += 1
+        with pytest.raises(AssertionError, match="neither resolved"):
+            gw.check_integrity()
+
+    def test_a_running_count_on_the_wrong_tier(self, tiny):
+        gw = self.gateway(tiny)
+        gw._running["interactive"] -= 1
+        gw._running["batch"] += 1
+        with pytest.raises(AssertionError, match="running counts"):
+            gw.check_integrity()
+
+    def test_a_queued_item_left_out_of_the_total(self, tiny):
+        gw = self.gateway(tiny)
+        gw._queues["batch"].append(object())
+        with pytest.raises(AssertionError, match="queued total"):
+            gw.check_integrity()
+
+    def test_an_idle_gateway_holding_a_slot(self, tiny):
+        gw = self.gateway(tiny)
+        tier = gw._tiers["interactive"]
+        gw._slots[0] = types.SimpleNamespace(tier=tier)
+        gw._running[tier.name] += 1
+        gw.stats.submitted += 1
+        gw.stats.admitted += 1
+        with pytest.raises(AssertionError, match="idle"):
+            gw.check_integrity()
 
 
 class TestConfigValidation:

@@ -41,6 +41,7 @@ from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 from _drain import assert_drained
+from _servers import PassThroughServer
 
 
 def build_trace(n_sessions=12, seed=7, max_rounds=4, burst=False):
@@ -384,22 +385,6 @@ class TestReplayTiming:
         assert {tier for _, tier in routed} == {"interactive", "batch"}
 
 
-class PassThroughServer(CacheOnlyServer):
-    """``CacheOnlyServer`` behind a generator that forwards every step: the
-    step loop sees no ``silent`` and sweeps it one step at a time."""
-
-    def serve_steps(self, *args, **kwargs):
-        inner = super().serve_steps(*args, **kwargs)
-
-        def forward():
-            try:
-                return (yield from inner)
-            finally:
-                inner.close()
-
-        return forward()
-
-
 def logging_asyncio(log: list) -> types.SimpleNamespace:
     """``asyncio`` for the gateway module, logging each loop trip
     (``sleep``) and idle wait (``Event.wait``)."""
@@ -418,13 +403,19 @@ def logging_asyncio(log: list) -> types.SimpleNamespace:
 
 def logging_clock(log: list, tag: str):
     """A clock that logs each read: the cache's reads are its begins and
-    commits, the gateway's its submits, dequeues, first tokens and ends."""
+    commits, the gateway's its submits, dequeues, first tokens and ends.  It
+    reads the number of entries that are not trips, so where the loop trips
+    moves no time stamp."""
 
     def tick() -> float:
         log.append(tag)
-        return float(len(log))
+        return float(len(log) - log.count("trip"))
 
     return tick
+
+
+def untripped(log: list) -> list:
+    return [entry for entry in log if entry != "trip"]
 
 
 def tree_state(cache) -> list:
@@ -436,9 +427,10 @@ def tree_state(cache) -> list:
 
 class TestSilentSweepJump:
     """``CacheOnlyServer``'s echo steps touch no cache, so the step loop
-    jumps sweeps in which every slot would only echo; a jump of ``k`` counts
-    as ``k`` sweeps toward :data:`MAX_SWEEPS_PER_TRIP`.  A pass-through
-    wrapper hides ``silent``, which makes it the step-by-step reference."""
+    jumps sweeps in which every slot would only echo: one jump spans the
+    fewest echoes any slot has left and counts as one sweep toward
+    :data:`MAX_SWEEPS_PER_TRIP`.  A pass-through wrapper hides ``silent``,
+    which makes it the step-by-step reference."""
 
     @staticmethod
     def _replay(server_type, trace, monkeypatch):
@@ -459,12 +451,14 @@ class TestSilentSweepJump:
 
         report = asyncio.run(scenario())
         assert_drained([cache])
+        gateway.check_integrity()
         return log, report.hit_counts(), tree_state(cache), cache.stats.evictions
 
     def test_a_jump_is_the_sweeps_it_replaces(self, monkeypatch):
         """One contended closed loop, jumped and stepped: the same hits, the
-        same final tree, and the same log of begins, commits, dequeues,
-        first tokens and trips, in the same order."""
+        same evictions, the same final tree and the same log of begins,
+        commits, dequeues, first tokens and idle waits, in the same order;
+        only trips that could wake no submitter are gone."""
         trace = generate_lmsys_trace(
             WorkloadParams(n_sessions=40, session_rate=2.0, mean_think_s=3.0, seed=31)
         )
@@ -474,21 +468,24 @@ class TestSilentSweepJump:
             _EchoSteps, "skip", lambda self, k: (skips.append(k), skip(self, k))[1]
         )
         jumped = self._replay(CacheOnlyServer, trace, monkeypatch)
-        assert skips and max(skips) == MAX_SWEEPS_PER_TRIP  # the jump ran
+        assert skips and max(skips) > MAX_SWEEPS_PER_TRIP  # one jump, many sweeps
         jumped_sweeps = len(skips)
         stepped = self._replay(PassThroughServer, trace, monkeypatch)
         assert len(skips) == jumped_sweeps  # the wrapper is never jumped
         log, hits, tree, evictions = jumped
-        assert evictions > 0 and log.count("trip") > 0
+        assert evictions > 0
         assert hits == stepped[1]
         assert tree == stepped[2]
         assert evictions == stepped[3]
-        assert log == stepped[0]
+        assert untripped(log) == untripped(stepped[0])
+        assert 0 < log.count("trip") < stepped[0].count("trip")
 
     def test_a_free_or_cancelled_slot_is_never_jumped(self, tiny, tokens, monkeypatch):
-        """Alone in two slots, a long request is stepped, not jumped; beside
-        a second one it is jumped until it is cancelled, and from the cancel
-        on the step loop sweeps, aborting it with zero pins."""
+        """Alone in two slots, a long request is stepped, not jumped.  Beside
+        a chain of shorter companions it is jumped up to each companion's
+        commit, where the loop trips; a cancel lands while both slots are
+        busy, and from then on the step loop sweeps, aborting it with zero
+        pins."""
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
         gateway = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=2))
         skips: list[int] = []
@@ -504,35 +501,44 @@ class TestSilentSweepJump:
             skip(steps, k)
 
         monkeypatch.setattr(_EchoSteps, "skip", checked_skip)
-        n = 10 * MAX_SWEEPS_PER_TRIP
+        n, short = 10 * MAX_SWEEPS_PER_TRIP, MAX_SWEEPS_PER_TRIP
 
         async def scenario():
             async with gateway:
                 alone = await gateway.submit(tokens(20, seed=1), n)
                 assert not skips, jumped_past  # one slot was free throughout
                 doomed = asyncio.create_task(gateway.submit(tokens(20, seed=2), n))
-                other = asyncio.create_task(gateway.submit(tokens(20, seed=3), n))
+                companions = [
+                    asyncio.create_task(gateway.submit(tokens(20, seed=3 + i), short))
+                    for i in range(4)
+                ]
                 while not skips:
                     await asyncio.sleep(0)
                 doomed.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await doomed
-                return alone, await other, gateway.stats.snapshot()
+                landed = len(skips)
+                served = await asyncio.gather(*companions)
+                return alone, served, landed, gateway.stats.snapshot()
 
-        alone, survivor, stats = asyncio.run(scenario())
+        alone, served, landed, stats = asyncio.run(scenario())
         assert not jumped_past
-        assert len(alone.output_tokens) == len(survivor.output_tokens) == n
-        assert stats["aborted"] == 1 and stats["completed"] == 2
+        assert len(alone.output_tokens) == n
+        assert all(len(r.output_tokens) == short for r in served)
+        assert 0 < landed < len(skips)  # jumps went on once the abort freed its slot
+        assert stats["aborted"] == 1 and stats["completed"] == 5
+        gateway.check_integrity()
         assert_drained([cache])
 
-    def test_no_jump_crosses_a_trip(self, tiny, tokens, monkeypatch):
-        """Two slots busy on requests far longer than the bound: counting a
-        jump of ``k`` as ``k`` sweeps, every stretch between two trips holds
-        exactly ``MAX_SWEEPS_PER_TRIP`` sweeps, as stepping gives, and all
-        but the first and last are one jump each."""
+    def test_a_jump_counts_once_toward_the_trip_bound(self, tiny, tokens, monkeypatch):
+        """Two slots busy on requests of different lengths, both far longer
+        than the bound: one jump spans the shorter one's whole silent
+        stretch, and no stretch between two trips holds more than
+        ``MAX_SWEEPS_PER_TRIP`` sweeps plus jumps."""
         log: list = []
         monkeypatch.setattr(gateway_module, "asyncio", logging_asyncio(log))
         step, skip = _EchoSteps.__next__, _EchoSteps.skip
+        silent_sweeps = Gateway._silent_sweeps
 
         def logged_step(steps):
             log.append(("step", 1))
@@ -542,30 +548,39 @@ class TestSilentSweepJump:
             log.append(("skip", k))
             skip(steps, k)
 
+        def logged_unit(gateway):  # asked once before every sweep or jump
+            log.append("unit")
+            return silent_sweeps(gateway)
+
         monkeypatch.setattr(_EchoSteps, "__next__", logged_step)
         monkeypatch.setattr(_EchoSteps, "skip", logged_skip)
+        monkeypatch.setattr(Gateway, "_silent_sweeps", logged_unit)
         cache = MarconiCache(tiny, int(1e9), alpha=1.0)
-        n = 6 * MAX_SWEEPS_PER_TRIP + 4  # n tokens: n + 1 steps each
+        gateway = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=2))
+        short, long = 6 * MAX_SWEEPS_PER_TRIP + 4, 10 * MAX_SWEEPS_PER_TRIP
 
         async def scenario():
-            gateway = Gateway(CacheOnlyServer(cache), GatewayConfig(n_workers=2))
             async with gateway:
                 await asyncio.gather(
-                    *[gateway.submit(tokens(10, seed=i), n) for i in (0, 1)]
+                    *[gateway.submit(tokens(10, seed=i), n) for i, n in enumerate((short, long))]
                 )
 
         asyncio.run(scenario())
-        windows, window = [], []
-        for entry in log:
+        windows, window = [], []  # the entries between two trips or idle waits
+        for entry in log + ["trip"]:
             if entry in ("trip", "wait"):
                 if window:
                     windows.append(window)
                 window = []
             else:
                 window.append(entry)
-        # One entry per slot per sweep or jump: halve the sum.
-        assert [sum(k for _, k in w) // 2 for w in windows] == (
-            [MAX_SWEEPS_PER_TRIP] * 6 + [5]
-        )
-        assert all(w == [("skip", MAX_SWEEPS_PER_TRIP)] * 2 for w in windows[1:-1])
+        assert max(w.count("unit") for w in windows) <= MAX_SWEEPS_PER_TRIP
+        one = [("step", 1)] * 2
+        busy = [w for w in windows if ("skip", short - 1) in w]
+        # Both begin; one jump over the short request's n - 1 echoes; its
+        # commit ends the stretch, with the long request's echo beside it.
+        assert busy == [["unit", *one, "unit", *[("skip", short - 1)] * 2, "unit", *one]]
+        jumps = [e for e in log if isinstance(e, tuple) and e[0] == "skip"]
+        assert jumps == [("skip", short - 1)] * 2  # then a slot is free
+        gateway.check_integrity()
         assert_drained([cache])
