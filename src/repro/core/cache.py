@@ -172,8 +172,9 @@ class MarconiCache(PrefixCache):
         """Adopt ``tree``, rebuilding the eviction index against it.
 
         Assigning a tree (reset, persistence reload, the tuner's replay
-        snapshot) re-seeds the index with its one-and-only full scan, re-binds
-        the policy's selector state and derives ``used_bytes`` from the tree.
+        snapshot) re-seeds the index with its one-and-only full scan (an
+        empty tree's index scans at its first read), re-binds the policy's
+        selector state and derives ``used_bytes`` from the tree.
         """
         if self._index is not None:
             self._tree.remove_observer(self._index)

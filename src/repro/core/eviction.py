@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from repro.core.node import RadixNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -147,8 +145,9 @@ class HeapEviction(EvictionPolicy):
         super().bind_index(index)
         index.on_candidate_changed = self.on_candidate_changed
         self._heap = []
-        for candidate in index.candidates():
-            self.on_candidate_changed(candidate)
+        if index.awake:  # a sleeping index feeds every candidate as it wakes
+            for candidate in index.candidates():
+                self.on_candidate_changed(candidate)
 
     def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
         """Called by the bound index when a candidate is added or rebuilt."""
@@ -214,12 +213,13 @@ class LRUKEviction(HeapEviction):
 #: index's rank columns.  Below it NumPy's per-call overhead (a selection
 #: is ~20 array calls, whatever the size) outweighs the two Python sorts it
 #: saves.  Replaying lmsys (240 sessions) against caches of 8..200 states,
-#: the line pinned to either arm: from-scratch selection won by 18 us per
-#: victim at a median 5 candidates and by 5 us at 17, the columns by 25 us
-#: at 48 and 270 us at 321.  From a median 19 to 35 the arms differ by
-#: less than the replay's noise, and the line at 24 against 32 read -10 to
-#: +13 us per victim, so it stays.  At a fixed size, with three candidates
-#: touched per victim, the arms cross between 20 and 24 candidates.
+#: the line pinned to either arm: from-scratch selection won by 15 us per
+#: victim at a median 5 candidates, the columns by 18 us at 33, 42 us at
+#: 48 and 336 us at 321.  From a median 8 to 21 the arms differ by less
+#: than the replay's noise, and the line at 16 or 24 against 32 read -5 to
+#: +9 us per victim (medians per cache size), so it stays.  At a fixed
+#: size, with three candidates touched per victim, the arms cross between
+#: 12 and 16 candidates.
 _MAINTAIN_RANKS_FROM = 32
 
 
@@ -273,9 +273,10 @@ class FlopAwareEviction(EvictionPolicy):
             return self.select_victim(index.candidates())
         candidates, (recency, efficiency) = index.normalized_ranks()
         scores = recency + self.alpha * efficiency
-        lowest = np.flatnonzero(scores == scores.min())
+        first = scores.argmin()
+        lowest = (scores == scores[first]).nonzero()[0]
         if len(lowest) == 1:
-            return candidates[lowest[0]]
+            return candidates[first]
         return min((candidates[slot] for slot in lowest), key=lambda c: c.sort_key)
 
 

@@ -30,6 +30,12 @@ candidate's two scored values are kept as two array rows
 few array expressions, not two Python sorts.  An index nobody asks for
 ranks allocates and maintains nothing.
 
+An index built on an empty tree *sleeps*: it neither observes the tree
+nor scans it until something first reads it, so a cache whose capacity
+never binds pays nothing here.  Its first read seeds it in the order an
+index registered from the start would have reached (see
+:meth:`EvictionIndex._wake`).
+
 ``node_visits`` counts candidacy evaluations — the index-side analogue of
 the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
 ``core.eviction_index.node_visits``.
@@ -37,6 +43,7 @@ the seed's per-eviction full-tree node visits; ``bench_e2e`` reports it as
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -48,6 +55,10 @@ from repro.core.radix_tree import RadixTree, TreeObserver
 FreeableFn = Callable[[RadixNode], int]
 EfficiencyFn = Callable[[RadixNode, int], float]
 
+#: ``EvictionIndex._dirty`` until the index is first read: truthy, so the
+#: first query's flush meets it and wakes the index.
+_ASLEEP = object()
+
 
 class _RankColumns:
     """The two scored columns of every live candidate, ranked when read.
@@ -55,26 +66,32 @@ class _RankColumns:
     Row 0 of ``v`` is ``last_access``, row 1 ``flop_efficiency``; a
     candidate's ``slot`` is its column in ``v`` and its position in
     ``candidates``, so one entering, changing or leaving is two scalar
-    writes.  :meth:`normalized` evaluates the IEEE expressions of
+    writes through ``flat``, ``v``'s buffer as one row (row 1 starts at
+    ``capacity``).  :meth:`normalized` evaluates the IEEE expressions of
     :func:`~repro.core.eviction._rank_normalize` on the same whole
     numbers, so it is bit-identical to the from-scratch definition.
     """
 
-    __slots__ = ("candidates", "v")
+    __slots__ = ("candidates", "v", "flat", "capacity")
 
     def __init__(self, candidates: Iterable[EvictionCandidate]) -> None:
         self.candidates = live = list(candidates)
         n = len(live)
-        self.v = np.empty((2, 2 * n))
+        self._allocate(2 * n)
         for slot, candidate in enumerate(live):
             candidate.slot = slot
         self.v[0, :n] = [c.last_access for c in live]
         self.v[1, :n] = [c.flop_efficiency for c in live]
 
+    def _allocate(self, capacity: int) -> None:
+        self.v = np.empty((2, capacity))
+        self.flat = self.v.reshape(-1)  # a view: v is C-contiguous
+        self.capacity = capacity
+
     def normalized(self) -> np.ndarray:
         """``_rank_normalize`` of both columns, shape ``(2, n)``, slot order.
 
-        One sort per row, the two rows laid end to end as ``2n`` flat
+        One sort per row, the two rows laid end to end as ``2n`` sorted
         positions.  A tie group is a run between two value changes, forced
         at 0, ``n`` and ``2n`` so no run spans the rows; the run at sorted
         positions ``lo .. hi - 1`` (``_rank_normalize``'s ``i`` and ``j``)
@@ -83,22 +100,22 @@ class _RankColumns:
         and each side rounds once.
         """
         n = len(self.candidates)
-        values = self.v[:, :n]
-        order = values.argsort(axis=1)
-        order[1] += n
+        capacity = self.capacity
+        order = self.v[:, :n].argsort(axis=1)
+        order[1] += capacity  # indices into flat, row 1 past row 0's buffer
         flat = order.ravel()
-        ordered = values.reshape(-1)[flat]
+        ordered = self.flat[flat]
         edge = np.empty(2 * n + 1, dtype=bool)
         edge[0] = edge[2 * n] = True
         np.not_equal(ordered[1:], ordered[:-1], out=edge[1 : 2 * n])
         edge[n] = True  # row 0's largest and row 1's smallest never tie
-        bounds = np.flatnonzero(edge)
+        bounds = edge.nonzero()[0]
         lo, hi = bounds[:-1], bounds[1:]
         total = lo + hi + 1
-        total[np.count_nonzero(edge[:n]) :] -= 2 * n
-        out = np.empty(2 * n)
-        out[flat] = np.repeat(total / (2.0 * n), hi - lo)
-        return out.reshape(2, n)
+        total[edge[:n].sum() :] -= 2 * n
+        out = np.empty((2, capacity))
+        out.reshape(-1)[flat] = (total / (2.0 * n)).repeat(hi - lo)
+        return out[:, :n]
 
     def put(
         self, candidate: EvictionCandidate, old: Optional[EvictionCandidate]
@@ -107,16 +124,17 @@ class _RankColumns:
         live = self.candidates
         if old is None:
             slot = candidate.slot = len(live)
-            if slot == self.v.shape[1]:
-                grown = np.empty((2, 2 * slot + 2))
-                grown[:, :slot] = self.v
-                self.v = grown
+            if slot == self.capacity:
+                kept = self.v
+                self._allocate(2 * slot + 2)
+                self.v[:, :slot] = kept
             live.append(candidate)
         else:
             slot = candidate.slot = old.slot
             live[slot] = candidate
-        self.v[0, slot] = candidate.last_access
-        self.v[1, slot] = candidate.flop_efficiency
+        flat = self.flat
+        flat[slot] = candidate.last_access
+        flat[self.capacity + slot] = candidate.flop_efficiency
 
     def remove(self, old: EvictionCandidate) -> None:
         """Drop ``old``; the last slot moves into the hole it leaves."""
@@ -125,7 +143,9 @@ class _RankColumns:
         if last is not old:
             slot = last.slot = old.slot
             live[slot] = last
-            self.v[:, slot] = self.v[:, len(live)]
+            flat = self.flat
+            flat[slot] = last.last_access
+            flat[self.capacity + slot] = last.flop_efficiency
 
 
 class EvictionIndex(TreeObserver):
@@ -136,7 +156,8 @@ class EvictionIndex(TreeObserver):
     tree:
         The tree to observe.  The index registers itself as an observer and
         seeds the candidate set with one full scan (the only full scan it
-        ever performs).
+        ever performs) -- at once for a tree that holds nodes, at the first
+        query for an empty one (see :meth:`_wake`).
     freeable_fn:
         ``node -> bytes`` the cache would reclaim by evicting the node (the
         full entry for a leaf, checkpoint-only for a single-child node).
@@ -160,15 +181,21 @@ class EvictionIndex(TreeObserver):
         self._eval_keys: dict[int, tuple] = {}
         # Nodes whose state may have changed since the last read; flushed
         # (re-evaluated once each) before the index answers anything.
-        self._dirty: dict[int, RadixNode] = {}
+        # _ASLEEP until the first query when the tree starts empty.
+        self._dirty: dict[int, RadixNode] = _ASLEEP  # type: ignore[assignment]
         self._snapshot: Optional[list[EvictionCandidate]] = None
         # Kept from the first normalized_ranks() read on; None until then,
         # and again after drop_ranks() or rebuild().
         self._ranks: Optional[_RankColumns] = None
         self._node_visits = 0
         self.on_candidate_changed: Optional[Callable[[EvictionCandidate], None]] = None
-        tree.add_observer(self)
-        self.rebuild()
+        if tree.root.children:
+            self.rebuild()
+
+    @property
+    def awake(self) -> bool:
+        """Whether the index observes its tree yet (reading it wakes it)."""
+        return self._dirty is not _ASLEEP
 
     # ------------------------------------------------------------------
     # Queries (each settles pending dirty marks first)
@@ -223,6 +250,8 @@ class EvictionIndex(TreeObserver):
 
     def rebuild(self) -> None:
         """Re-seed the candidate set with one full tree scan."""
+        if self._dirty is _ASLEEP:
+            self._tree.add_observer(self)
         self._entries.clear()
         self._eval_keys.clear()
         self._snapshot = None
@@ -236,6 +265,9 @@ class EvictionIndex(TreeObserver):
         Runs a handful of times per eviction, hence the hoisted lookups.
         """
         dirty = self._dirty
+        if dirty is _ASLEEP:
+            self._wake()
+            return
         self._dirty = {}
         entries = self._entries
         eval_keys = self._eval_keys
@@ -286,6 +318,23 @@ class EvictionIndex(TreeObserver):
             if self.on_candidate_changed is not None:
                 self.on_candidate_changed(candidate)
         self._node_visits += visits
+
+    def _wake(self) -> None:
+        """The first query of an index built on an empty tree: register,
+        and mark every node in ``node_id`` order.
+
+        That is the order an index registered from the start holds their
+        first marks in: a node's first mark is the ``insert`` or
+        ``_split_edge`` callback that created it, and ids are drawn at
+        creation.  So the flush below makes the same candidates, in the same
+        order, with the same ``on_candidate_changed`` calls.  Only
+        ``node_visits`` can read lower: nodes detached while asleep are not
+        visited (a registered index visits each once, then drops it).
+        """
+        self._tree.add_observer(self)
+        nodes = sorted(self._tree.iter_nodes(), key=attrgetter("node_id"))
+        self._dirty = {node.node_id: node for node in nodes}
+        self._flush()
 
     # ------------------------------------------------------------------
     # TreeObserver callbacks — O(1) dirty marks, settled at the next read

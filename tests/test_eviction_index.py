@@ -12,7 +12,9 @@ from repro.core.eviction import FlopAwareEviction, _rank_normalize
 from repro.core.eviction_index import EvictionIndex, _RankColumns
 from repro.core.persistence import load_cache, save_cache
 from repro.core.radix_tree import RadixTree, TreeObserver
-from repro.models.presets import tiny_test_model
+from repro.models.memory import node_state_bytes
+from repro.models.presets import hybrid_7b, tiny_test_model
+from repro.workloads.lmsys import generate_lmsys_trace
 
 
 def arr(*tokens):
@@ -459,6 +461,64 @@ class TestMaintainedRanks:
         world.check()
         assert len(world.index.normalized_ranks()[0]) == 150
 
+    def test_puts_and_removes_across_three_growths(self):
+        """Straight on the columns: grow the buffer from empty at least
+        three times, take candidates out of the middle, put replacements in place, and
+        the flat buffer still ranks as the definition, bit for bit."""
+        columns = _RankColumns([])
+        rng = np.random.default_rng(3)
+        alphabet = [0.0, 0.5, 2.0, -1.0]
+
+        def candidate():
+            a, e = rng.choice(alphabet, size=2).tolist()
+            return SimpleNamespace(last_access=a, flop_efficiency=e, slot=-1)
+
+        def check():
+            live = columns.candidates
+            assert [c.slot for c in live] == list(range(len(live)))
+            ranks = columns.normalized()
+            assert ranks.shape == (2, len(live))
+            assert ranks[0].tolist() == _rank_normalize([c.last_access for c in live])
+            assert ranks[1].tolist() == _rank_normalize([c.flop_efficiency for c in live])
+
+        capacities = {columns.capacity}
+        for step in range(60):
+            columns.put(candidate(), None)
+            capacities.add(columns.capacity)
+            if step % 7 == 6:
+                columns.remove(columns.candidates[len(columns.candidates) // 2])
+            if step % 5 == 4:
+                columns.put(candidate(), columns.candidates[step % len(columns.candidates)])
+            check()
+        assert len(capacities) >= 4  # the empty buffer and three growths
+        while len(columns.candidates) > 1:
+            columns.remove(columns.candidates[len(columns.candidates) // 3])
+            check()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 1e6])
+    def test_a_tie_for_the_lowest_score_breaks_as_the_definition(self, alpha):
+        """Two values per column: the lowest score is shared by several
+        candidates, and the first of them in slot order is not the victim
+        (``sort_key`` decides): the first four leaves left and came back,
+        so the slots no longer run in node-id order."""
+        world = RankedLeaves(24)
+        for i in range(24):
+            world.touch(i, float((i * 7) % 2))
+            world.price(i, float((i * 5) % 3 == 0))
+        for i in range(4):
+            world.drop(i)
+        world.index.candidates()
+        for i in range(4):
+            world.price(i, world.efficiency[world.leaves[i].node_id])
+        policy = FlopAwareEviction(alpha=alpha)
+        ranked, (recency, efficiency) = world.index.normalized_ranks()
+        scores = (recency + alpha * efficiency).tolist()
+        assert scores.count(min(scores)) > 1
+        victim = policy.select_victim(world.index.candidates())
+        assert ranked[scores.index(min(scores))] is not victim
+        assert policy.select_from_index(world.index) is victim
+        world.check(policy)
+
     def test_empty_and_single_candidate(self):
         world = RankedLeaves(1)
         world.check()  # n = 0: selection raises
@@ -553,3 +613,96 @@ class TestRankUpkeepThreshold:
         below = sum(n < eviction._MAINTAIN_RANKS_FROM for n in sizes)
         assert below > 20 and len(sizes) - below > 20
         cache.check_integrity()
+
+
+
+class TestSleepingIndex:
+    """An index built on an empty tree observes nothing until first read,
+    and wakes into the state an index registered from the start holds."""
+
+    @staticmethod
+    def replay(states, wake, **cache_kwargs):
+        """Serve a seeded lmsys trace; returns the cache, its victims
+        (node-id offset from its root's, seq_len) and the candidate order
+        at its first eviction (offsets)."""
+        model = hybrid_7b()
+        victims, first_order = [], []
+
+        class RecordingCache(MarconiCache):
+            def _apply_eviction(self, victim):
+                if not victims:
+                    first_order.extend(
+                        c.node.node_id - base for c in self.eviction_index.candidates()
+                    )
+                victims.append((victim.node.node_id - base, victim.node.seq_len))
+                super()._apply_eviction(victim)
+
+        capacity = states * node_state_bytes(model, 2000, True)
+        cache = RecordingCache(model, capacity, **cache_kwargs)
+        base = cache.tree.root.node_id
+        if wake:
+            len(cache.eviction_index)
+        for now, _, _, inp, full in generate_lmsys_trace(
+            n_sessions=120, seed=3
+        ).iter_requests_nominal():
+            with cache.begin(inp, now) as session:
+                session.commit(full, now)
+        return cache, victims, first_order
+
+    @pytest.mark.parametrize(
+        "eviction_name,alpha,ranks_from",
+        [
+            ("flop_aware", 1.0, None),
+            ("flop_aware", 1.0, 1),  # maintained ranks at every size
+            ("flop_aware", None, None),  # the tuner
+            ("flop_aware", None, 1),
+            ("lru", None, None),
+            ("lru_k", None, None),
+            ("random", None, None),
+            ("gdsf", None, None),
+        ],
+    )
+    def test_a_sleeping_index_decides_as_a_woken_one(
+        self, monkeypatch, eviction_name, alpha, ranks_from
+    ):
+        if ranks_from is not None:
+            monkeypatch.setattr(eviction, "_MAINTAIN_RANKS_FROM", ranks_from)
+        runs = [
+            self.replay(20, wake, eviction=eviction_name, alpha=alpha)
+            for wake in (True, False)
+        ]
+        (woken, victims, order), (asleep, asleep_victims, asleep_order) = runs
+        assert len(victims) > 100 and len(order) > 1
+        assert asleep_victims == victims
+        assert asleep_order == order
+        if woken.tuner is not None:
+            assert woken.tuner.is_tuned and asleep.alpha == woken.alpha
+        assert asleep.stats == woken.stats
+        asleep.check_integrity()
+
+    @pytest.mark.parametrize("eviction_name", ["flop_aware", "lru"])
+    def test_a_cache_that_never_evicts_never_wakes_its_index(
+        self, monkeypatch, eviction_name
+    ):
+        calls = {"on_pin_changed": 0, "_flush": 0}
+
+        def counted(name):
+            method = getattr(EvictionIndex, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(EvictionIndex, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        cache, victims, _ = self.replay(10**6, wake=False, eviction=eviction_name)
+        index = cache.eviction_index
+        assert not victims and cache.tree.n_nodes > 100
+        assert not index.awake and index not in cache.tree._observers
+        assert calls == {"on_pin_changed": 0, "_flush": 0}
+
+        assert cache.eviction_node_visits == cache.tree.n_nodes  # wakes it
+        assert index.awake and index in cache.tree._observers
+        assert len(index) == len(cache._collect_candidates()) > 0
