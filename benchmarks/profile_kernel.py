@@ -7,9 +7,11 @@ two complementary profilers, entirely from the standard library.
 ``--workload swebench`` is ``bench_e2e``'s ``cache_reuse`` shape (long
 multi-round histories against a cache that never evicts: deep matches, long
 inserts and token materialization).  Every run replays a freshly generated
-trace, as ``bench_e2e`` does per repetition, so what a session pays on first
-use (building its token buffer) is inside the profile rather than in a
-warm-up; generation itself is outside the sampled and timed window.
+trace on a freshly built ``hybrid_7b()``, as ``bench_e2e`` does per
+repetition, so what a session pays on first use (building its token buffer)
+and what a length pays on first pricing (filling the model's FLOP table) are
+inside the profile rather than in a warm-up; generation itself is outside
+the sampled and timed window.
 
 * **cProfile** — exact call counts and per-function cumulative times,
   printed as a top-N table and optionally dumped to a ``.prof`` file for
@@ -56,8 +58,6 @@ from repro.models.presets import hybrid_7b  # noqa: E402
 from repro.workloads.registry import generate_trace  # noqa: E402
 from repro.workloads.trace import Trace  # noqa: E402
 
-MODEL = hybrid_7b()
-
 #: workload -> (trace recipe, cache capacity in 2000-token states).
 WORKLOADS = {
     "lmsys": (dict(n_sessions=120, session_rate=3.0, mean_think_s=2.0, seed=37), 24),
@@ -66,12 +66,13 @@ WORKLOADS = {
 
 
 def _fresh_run(workload: str) -> tuple[SimulationKernel, Trace]:
-    """A new kernel over a new cache, and a newly generated trace (nothing
-    about it interned yet)."""
+    """A new kernel over a new cache and a new model (its FLOP table empty),
+    and a newly generated trace (nothing about it interned yet)."""
     recipe, states = WORKLOADS[workload]
-    cache = MarconiCache(MODEL, states * node_state_bytes(MODEL, 2000, True), alpha=1.0)
+    model = hybrid_7b()
+    cache = MarconiCache(model, states * node_state_bytes(model, 2000, True), alpha=1.0)
     kernel = SimulationKernel(
-        MODEL, [cache], config=KernelConfig(max_running=1), policy_names=["kernel"]
+        model, [cache], config=KernelConfig(max_running=1), policy_names=["kernel"]
     )
     return kernel, generate_trace(workload, **recipe)
 

@@ -17,6 +17,7 @@ from repro.core.eviction import FlopAwareEviction
 from repro.core.eviction_index import EvictionIndex
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
+from repro.models.flops import flop_breakdown, model_prefill_flops
 from repro.models.presets import hybrid_7b
 from repro.workloads.swebench import generate_swebench_trace
 
@@ -51,6 +52,17 @@ SELECT_TIE_SIZE = 20
 SELECT_CALLS = 1000
 SELECT_ROUNDS = 7
 SELECT_SPEEDUP_BOUND = 0.8
+
+# The FLOP-pricing floor: PRICE_LENGTHS lengths a fresh config has never
+# priced (a long-context trace's lengths are mostly new), read through
+# model_prefill_flops, against summing flop_breakdown for each (the
+# definition, the reference below).  The config's table evaluates the closed
+# forms inline on a miss: ~0.25x.  The id-keyed memo it replaced, which
+# looked the config up per call and summed a list of formula calls, ~0.52x.
+PRICE_LENGTHS = 4000
+PRICE_FIRST_LENGTH = 10_000
+PRICE_ROUNDS = 9
+PRICE_SPEEDUP_BOUND = 0.35
 
 
 @pytest.fixture(scope="module")
@@ -269,4 +281,41 @@ def test_victim_selection_runs_no_searches():
     assert ours <= SELECT_SPEEDUP_BOUND * searched, (
         f"victim selection took {ours / searched:.2f}x the searched reference "
         f"(floor {SELECT_SPEEDUP_BOUND}x)"
+    )
+
+
+def _breakdown_flops(config, seq_len: int) -> float:
+    return sum(flop_breakdown(config, seq_len).values())
+
+
+def _price_us(price) -> float:
+    """Microseconds per length to price PRICE_LENGTHS new lengths with
+    ``price`` on a fresh config."""
+    config = hybrid_7b()
+    lengths = range(PRICE_FIRST_LENGTH, PRICE_FIRST_LENGTH + PRICE_LENGTHS)
+    start = time.perf_counter()
+    for seq_len in lengths:
+        price(config, seq_len)
+    return 1e6 * (time.perf_counter() - start) / PRICE_LENGTHS
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
+)
+def test_flop_pricing_is_a_table_read():
+    """Pricing a new length is one miss of the config's FLOP table: at most
+    0.35x summing flop_breakdown, the definition it equals bit for bit."""
+    times = {model_prefill_flops: [], _breakdown_flops: []}
+    for _ in range(PRICE_ROUNDS):
+        for price, samples in times.items():
+            samples.append(_price_us(price))
+    ours, reference = (min(samples) for samples in times.values())
+    print(
+        f"\nFLOP pricing of {PRICE_LENGTHS} new lengths: {ours:.2f} us each, "
+        f"flop_breakdown reference {reference:.2f} us ({ours / reference:.2f}x)"
+    )
+    assert ours <= PRICE_SPEEDUP_BOUND * reference, (
+        f"pricing a new length took {ours / reference:.2f}x the flop_breakdown "
+        f"reference (floor {PRICE_SPEEDUP_BOUND}x)"
     )

@@ -176,6 +176,7 @@ def _replay(
     """Serve ``requests`` in order through a cache that evicts with ``policy``."""
     cache = MarconiCache(model, capacity_bytes, eviction="lru")
     cache.policy = policy
+    policy.bind_index(cache.eviction_index)  # and unbind the LRU heap's feed
     per_request_hits: list[int] = []
     for index, (now, _, _, input_tokens, full_tokens) in enumerate(requests):
         # The request being served is no longer a *future* use of anything.

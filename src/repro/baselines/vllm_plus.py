@@ -25,7 +25,7 @@ from repro.core.interfaces import (
 )
 from repro.core.stats import CacheStats
 from repro.models.config import ModelConfig
-from repro.models.flops import model_prefill_flops
+from repro.models.flops import prefill_flops_table
 from repro.models.memory import kv_bytes, model_recurrent_bytes
 
 
@@ -51,6 +51,7 @@ class VLLMPlusCache(PrefixCache):
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
         self.model = model
+        self._flops_table = prefill_flops_table(model)
         self.block_size = block_size
         self._capacity = int(capacity_bytes)
         self.store = BlockStore(block_size)
@@ -86,7 +87,7 @@ class VLLMPlusCache(PrefixCache):
             for block in chain:
                 self.store.touch(block, now)
         self._stats.record_lookup(hit_tokens, len(tokens))
-        self._stats.flops_saved += model_prefill_flops(self.model, hit_tokens)
+        self._stats.flops_saved += self._flops_table[hit_tokens]
         return RequestSession(
             self,
             LookupResult(

@@ -52,7 +52,7 @@ from repro.core.stats import CacheStats
 from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
 from repro.models.efficiency import node_flop_efficiency
-from repro.models.flops import model_prefill_flops, prefill_flops_table
+from repro.models.flops import prefill_flops_table
 from repro.models.memory import (
     kv_bytes_per_token,
     model_recurrent_bytes,
@@ -140,8 +140,9 @@ class MarconiCache(PrefixCache):
         self.efficiency_mode = efficiency_mode
         self._tuner_config = tuner_config or AlphaTunerConfig()
 
-        # Per-model byte constants, bound once: the eviction index refreshes
-        # candidates on every tree mutation, and each refresh needs both.
+        # Per-model costs, bound once: the eviction index refreshes
+        # candidates on every tree mutation and each refresh needs all
+        # three; every begin prices its hit from the FLOP table.
         self._kv_per_token = kv_bytes_per_token(model)
         self._recurrent_bytes = model_recurrent_bytes(model)
         self._flops_table = prefill_flops_table(model)
@@ -263,7 +264,7 @@ class MarconiCache(PrefixCache):
                     self.policy.notify_access(match.deepest_node, now)
 
         self._stats.record_lookup(hit_tokens, n)
-        self._stats.flops_saved += model_prefill_flops(self.model, hit_tokens)
+        self._stats.flops_saved += self._flops_table[hit_tokens]
 
         # Commit the input path (every system admits all KVs of the sequence;
         # Marconi is judicious only about recurrent checkpoints).  The match
@@ -505,17 +506,12 @@ class MarconiCache(PrefixCache):
         return 0
 
     def _candidate_efficiency(self, node: RadixNode, freeable: int) -> float:
-        # Inlined node_flop_efficiency "prefix_per_freed" hot path: probe the
-        # shared prefill-FLOPs memo directly (same floats — the memo stores
-        # the value model_prefill_flops would return) and skip two frames.
+        # Inlined node_flop_efficiency "prefix_per_freed" hot path: the same
+        # float, read straight from the model's FLOP table.
         if self.efficiency_mode == "prefix_per_freed":
             if freeable <= 0:
                 return 0.0
-            seq_len = node.seq_len
-            saved = self._flops_table.get(seq_len)
-            if saved is None:
-                saved = model_prefill_flops(self.model, seq_len)
-            return saved / freeable
+            return self._flops_table[node.seq_len] / freeable
         return node_flop_efficiency(
             self.model,
             node.seq_len,

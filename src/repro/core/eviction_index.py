@@ -361,22 +361,25 @@ class EvictionIndex(TreeObserver):
     def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
         self._dirty[node.node_id] = node
 
-    # The three state-change callbacks below share a shortcut: a node that
-    # is pinned *and* not currently a candidate was a non-candidate before
-    # the change and stays one (pinned nodes never enter the set), so no
-    # mark is needed — its fresh recency/checkpoint/freeable state is
-    # re-read at the unpin mark that must precede it becoming evictable.
+    # The state-change callbacks below skip a node that is not a candidate
+    # and that the change leaves a non-candidate: whatever later makes it
+    # evictable (an unpin, a checkpoint set, a child removed or merged, an
+    # insert under it) marks it then, and the flush reads its fresh state.
+    # A checkpoint change skips a pinned node; a pin or a touch, which
+    # changes neither children nor freeable bytes, also one with more than
+    # one child or nothing to free.
     def on_checkpoint_changed(self, node: RadixNode) -> None:
         if node.pin_count > 0 and node.node_id not in self._entries:
             return
         self._dirty[node.node_id] = node
 
     def on_pin_changed(self, node: RadixNode) -> None:
-        if node.pin_count > 0 and node.node_id not in self._entries:
+        if node.node_id not in self._entries and (
+            node.pin_count > 0
+            or len(node.children) > 1
+            or self._freeable_fn(node) <= 0
+        ):
             return
         self._dirty[node.node_id] = node
 
-    def on_touched(self, node: RadixNode) -> None:
-        if node.pin_count > 0 and node.node_id not in self._entries:
-            return
-        self._dirty[node.node_id] = node
+    on_touched = on_pin_changed

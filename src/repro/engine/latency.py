@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from repro.models.config import ModelConfig
-from repro.models.flops import model_suffix_prefill_flops
+from repro.models.flops import model_suffix_prefill_flops, prefill_flops_table
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,13 @@ class LatencyModel:
 
         ``items`` holds ``(seq_len, reused_len, reused_bytes,
         secondary_bytes)`` per request.  Invariant terms (effective FLOP/s,
-        bandwidths, launch overhead) are hoisted out of the loop; each
-        element's arithmetic keeps the scalar method's exact expression
+        bandwidths, overhead, the FLOP table) are hoisted out of the loop;
+        each element's arithmetic keeps the scalar method's exact expression
         order, so the two paths are bit-identical float for float — the
         batch API is a per-call-overhead optimization, not a reformulation.
         """
         eff = self.peak_flops_per_s * self.mfu  # == effective_flops_per_s
+        flops_of = prefill_flops_table(model)
         fetch_bw = self.fetch_bandwidth_bytes_per_s
         secondary_bw = self.secondary_fetch_bandwidth_bytes_per_s
         overhead = self.prefill_overhead_s
@@ -125,7 +126,12 @@ class LatencyModel:
                     f"secondary_bytes must be within [0, reused_bytes], got "
                     f"{secondary_bytes} of {reused_bytes}"
                 )
-            flops = model_suffix_prefill_flops(model, seq_len, reused_len)
+            if not 0 <= reused_len <= seq_len:
+                raise ValueError(
+                    f"need 0 <= reused_len <= seq_len, got "
+                    f"reused_len={reused_len}, seq_len={seq_len}"
+                )
+            flops = flops_of[seq_len] - flops_of[reused_len]
             compute = flops / eff
             fetch = (reused_bytes - secondary_bytes) / fetch_bw
             fetch += secondary_bytes / secondary_bw

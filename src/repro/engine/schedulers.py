@@ -25,7 +25,7 @@ from repro.engine.events import EventKind
 from repro.engine.request import EngineRequest
 from repro.engine.results import RequestRecord
 from repro.engine.steering import SplitSpec, split_prefill_seconds
-from repro.models.flops import model_prefill_flops, model_suffix_prefill_flops
+from repro.models.flops import prefill_flops_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.kernel import SimulationKernel
@@ -81,6 +81,7 @@ class ReplicaScheduler(abc.ABC):
         self.cache = kernel.caches[replica]
         self._push = kernel.events.push
         self._records = kernel.results[replica].records
+        self._flops = prefill_flops_table(kernel.model)
 
     @abc.abstractmethod
     def enqueue(self, request: EngineRequest, now: float) -> None:
@@ -152,7 +153,7 @@ class ReplicaScheduler(abc.ABC):
                 hit_tokens=hit_tokens,
                 output_len=request.output_len,
                 reused_bytes=session.reused_bytes,
-                flops_saved=model_prefill_flops(self.kernel.model, hit_tokens),
+                flops_saved=self._flops[hit_tokens],
             )
         )
 
@@ -390,9 +391,7 @@ class TokenBatchingScheduler(ReplicaScheduler):
         """Compute time of one prefill chunk (suffix-aware at its position)."""
         latency = self.kernel.latency
         session = job.session
-        flops = model_suffix_prefill_flops(
-            self.kernel.model, job.position + chunk, job.position
-        )
+        flops = self._flops[job.position + chunk] - self._flops[job.position]
         seconds = flops / latency.effective_flops_per_s
         if job.position == session.hit_tokens and session.reused_bytes:
             secondary = session.reused_secondary_bytes

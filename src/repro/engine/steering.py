@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.models.flops import model_suffix_prefill_flops
+from repro.models.flops import prefill_flops_table
 from repro.models.memory import transfer_state_bytes
 
 _SCENARIO_ACTIONS = ("fail", "drain", "join")
@@ -202,19 +202,22 @@ def plan_split(
     depth = usable[-1]
     eff = latency.effective_flops_per_s
     secondary_bw = latency.secondary_fetch_bandwidth_bytes_per_s
+    # Suffix FLOPs are differences of this table's entries, as
+    # model_suffix_prefill_flops takes them (the depths above are in range).
+    flops = prefill_flops_table(model)
+    total_flops = flops[total_len]
 
     # -- endpoint arms: the PR-4 all-or-nothing comparison, verbatim ----
     nbytes = transfer_state_bytes(model, depth)
     load_seconds = (
         latency.transfer_seconds(nbytes) + nbytes / secondary_bw
     )
-    saved_flops = model_suffix_prefill_flops(
-        model, total_len, local_hit
-    ) - model_suffix_prefill_flops(model, total_len, depth)
+    depth_tail_flops = total_flops - flops[depth]
+    saved_flops = (total_flops - flops[local_hit]) - depth_tail_flops
     recompute_seconds = saved_flops / eff
     load_wins = load_seconds < recompute_seconds
 
-    tail_at_depth = model_suffix_prefill_flops(model, total_len, depth) / eff
+    tail_at_depth = depth_tail_flops / eff
     est_recompute = recompute_seconds + tail_at_depth  # == tail(local_hit)
     est_load = load_seconds + tail_at_depth
 
@@ -226,7 +229,7 @@ def plan_split(
                 continue
             nb = transfer_state_bytes(model, d)
             load_arm = latency.transfer_seconds(nb) + nb / secondary_bw
-            tail_flops = model_suffix_prefill_flops(model, total_len, d)
+            tail_flops = total_flops - flops[d]
             tail_arm = tail_flops / eff
             est = max(load_arm, tail_arm) + latency.split_merge_s
             # Deepest among equal-cost candidates: ship more state when the
@@ -242,7 +245,7 @@ def plan_split(
             depth=d,
             nbytes=nb,
             tail_flops=tail_flops,
-            head_flops=model_suffix_prefill_flops(model, d, local_hit),
+            head_flops=flops[d] - flops[local_hit],
             est_recompute=est_recompute,
             est_load=est_load,
             est_split=est,
@@ -251,9 +254,7 @@ def plan_split(
         mode="load" if load_wins else "recompute",
         depth=depth if load_wins else local_hit,
         nbytes=nbytes if load_wins else 0,
-        tail_flops=model_suffix_prefill_flops(model, total_len, depth)
-        if load_wins
-        else saved_flops + model_suffix_prefill_flops(model, total_len, depth),
+        tail_flops=depth_tail_flops if load_wins else saved_flops + depth_tail_flops,
         head_flops=0.0,
         est_recompute=est_recompute,
         est_load=est_load,

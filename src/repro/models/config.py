@@ -80,6 +80,11 @@ class ModelConfig:
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
             )
 
+    def __getstate__(self) -> dict:
+        # The fields only: the costs repro.models.flops / memory keep in the
+        # instance dict are rebuilt on first read, never pickled or copied.
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+
     # ------------------------------------------------------------------
     # Derived properties
     # ------------------------------------------------------------------

@@ -18,6 +18,9 @@ Prefilling a *suffix* on top of a reused prefix of length ``h`` costs exactly
 ``flops(L) - flops(h)`` for every layer family: the linear terms subtract
 trivially and the quadratic Attention term ``4 L^2 D - 4 h^2 D`` accounts for
 the new tokens attending to the full ``L``-token context.
+
+Each config prices a length once, in its own table (:func:`prefill_flops_table`;
+``docs/architecture.md``, "Model costs").
 """
 
 from __future__ import annotations
@@ -68,55 +71,57 @@ def flop_breakdown(config: ModelConfig, seq_len: int) -> dict[LayerType, float]:
     }
 
 
-#: Exact-value memo for :func:`model_prefill_flops`.  The eviction scorer and
-#: latency model call it thousands of times per simulated second, so we cache
-#: the *computed* float (never a refactored closed form — float association
-#: differences would shift golden-trace numbers).  Keyed by ``id(config)``
-#: with a strong config reference as an identity check, so a recycled id can
-#: never alias a stale entry and lookups skip hashing the 11-field frozen
-#: dataclass.  An entry is ``(config, seq_len -> flops, terms)``; ``terms`` is
-#: the config's ``(layer count, layer formula)`` pairs in ``LayerType`` order,
-#: so a miss (every length of a long-context trace is new) evaluates exactly
-#: :func:`flop_breakdown`'s products in its order without building its dicts.
-_PREFILL_MEMO: dict[int, tuple[ModelConfig, dict[int, float], list]] = {}
-_PREFILL_MEMO_MAX_CONFIGS = 64
+class _PrefillFlopsTable(dict):
+    """``seq_len -> model_prefill_flops`` of one config, filled on first read.
+
+    A miss scales each closed form above (its own products, in its order) by
+    its layer count and adds them in ``LayerType`` order, as ``sum`` over
+    :func:`flop_breakdown` does on CPython 3.11: every float is bit-equal to
+    the definition.  A negative length raises and stores nothing.
+    """
+
+    __slots__ = ("_dim", "_state", "_n_attention", "_n_ssm", "_n_mlp", "__weakref__")
+
+    def __init__(self, config: ModelConfig) -> None:
+        super().__init__()
+        self._dim = float(config.d_model)
+        self._state = float(config.d_state)
+        self._n_attention = config.n_attention
+        self._n_ssm = config.n_ssm
+        self._n_mlp = config.n_mlp
+
+    def __missing__(self, seq_len: int) -> float:
+        if seq_len < 0:
+            raise ValueError(f"seq_len must be non-negative, got {seq_len}")
+        length = float(seq_len)
+        dim = self._dim
+        value = (
+            self._n_attention * (8.0 * length * dim * dim + 4.0 * length * length * dim)
+            + self._n_ssm
+            * (12.0 * length * dim * dim + 16.0 * length * dim * self._state + 10.0 * length)
+            + self._n_mlp * (16.0 * length * dim ** 2)
+        )
+        self[seq_len] = value
+        return value
 
 
-def _memo_entry(config: ModelConfig) -> tuple[ModelConfig, dict[int, float], list]:
-    """``config``'s memo entry, created (or re-created over a stale id) on
-    first sight."""
-    entry = _PREFILL_MEMO.get(id(config))
-    if entry is None or entry[0] is not config:
-        if len(_PREFILL_MEMO) >= _PREFILL_MEMO_MAX_CONFIGS:
-            _PREFILL_MEMO.clear()
-        counts = config.layer_counts()
-        terms = [(counts[layer], _LAYER_FLOPS[layer]) for layer in LayerType]
-        entry = _PREFILL_MEMO[id(config)] = (config, {}, terms)
-    return entry
+def prefill_flops_table(config: ModelConfig) -> dict[int, float]:
+    """``config``'s prefill-FLOP table, which per-request pricing binds once
+    and subscripts.  It sits in the config's instance dict, out of its
+    fields (so out of ``==``, ``hash``, ``repr`` and pickles), and lives
+    exactly as long as the config."""
+    cached = config.__dict__
+    table = cached.get("_prefill_flops")
+    if table is None:
+        table = cached["_prefill_flops"] = _PrefillFlopsTable(config)
+    return table
 
 
 def model_prefill_flops(config: ModelConfig, seq_len: int) -> float:
     """Total FLOPs for the whole model to prefill ``seq_len`` tokens from
-    scratch: ``sum(flop_breakdown(config, seq_len).values())``, memoized."""
-    _, per_len, terms = _memo_entry(config)
-    value = per_len.get(seq_len)
-    if value is None:
-        if seq_len < 0:
-            raise ValueError(f"seq_len must be non-negative, got {seq_len}")
-        value = sum([count * flops(seq_len, config) for count, flops in terms])
-        per_len[seq_len] = value
-    return value
-
-
-def prefill_flops_table(config: ModelConfig) -> dict[int, float]:
-    """The live ``seq_len -> flops`` memo dict for ``config``.
-
-    Hot callers (the eviction scorer) can probe this dict directly and fall
-    back to :func:`model_prefill_flops` on a miss, skipping two call frames
-    per lookup.  The dict is the memo itself: entries added by either path
-    are shared.
-    """
-    return _memo_entry(config)[1]
+    scratch: ``sum(flop_breakdown(config, seq_len).values())``, read from
+    :func:`prefill_flops_table`."""
+    return prefill_flops_table(config)[seq_len]
 
 
 def model_suffix_prefill_flops(

@@ -7,6 +7,9 @@ causal-conv1d state of ``d_inner * (d_conv - 1) ~ in_channels * conv_kernel``
 bytes (about 6% of the total for the paper's 7B hybrid; the paper omits it
 from Table 1 "for simplicity, but they are included in all experiments" —
 we include it everywhere too).
+
+The per-config byte constants are kept beside its FLOP table
+(``docs/architecture.md``, "Model costs").
 """
 
 from __future__ import annotations
@@ -14,31 +17,13 @@ from __future__ import annotations
 from repro.models.config import ModelConfig
 
 
-#: Exact-value memo for the two per-config byte constants the eviction index
-#: recomputes on every candidate refresh.  Keyed by ``id(config)`` with a
-#: strong reference as an identity check (same scheme as
-#: ``repro.models.flops._PREFILL_MEMO``); values are lazily filled.
-_BYTES_MEMO: dict[int, list] = {}
-_BYTES_MEMO_MAX_CONFIGS = 64
-
-
-def _bytes_memo_entry(config: ModelConfig) -> list:
-    entry = _BYTES_MEMO.get(id(config))
-    if entry is None or entry[0] is not config:
-        if len(_BYTES_MEMO) >= _BYTES_MEMO_MAX_CONFIGS:
-            _BYTES_MEMO.clear()
-        entry = [config, None, None]  # [config, kv_per_token, recurrent]
-        _BYTES_MEMO[id(config)] = entry
-    return entry
-
-
 def kv_bytes_per_token(config: ModelConfig) -> int:
     """Bytes of KV cache per token across *all* Attention layers."""
-    entry = _bytes_memo_entry(config)
-    value = entry[1]
+    cached = config.__dict__
+    value = cached.get("_kv_bytes_per_token")
     if value is None:
         per_layer = 2 * config.d_model * config.dtype_bytes  # K and V
-        value = entry[1] = config.n_attention * per_layer
+        value = cached["_kv_bytes_per_token"] = config.n_attention * per_layer
     return value
 
 
@@ -63,10 +48,10 @@ def recurrent_state_bytes(config: ModelConfig) -> int:
 
 def model_recurrent_bytes(config: ModelConfig) -> int:
     """Bytes of one full-model recurrent checkpoint (all SSM layers)."""
-    entry = _bytes_memo_entry(config)
-    value = entry[2]
+    cached = config.__dict__
+    value = cached.get("_recurrent_bytes")
     if value is None:
-        value = entry[2] = config.n_ssm * recurrent_state_bytes(config)
+        value = cached["_recurrent_bytes"] = config.n_ssm * recurrent_state_bytes(config)
     return value
 
 

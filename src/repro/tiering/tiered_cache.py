@@ -31,12 +31,7 @@ from repro.core.interfaces import as_token_array
 from repro.core.radix_tree import MatchResult
 from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
-from repro.models.flops import model_prefill_flops
-from repro.models.memory import (
-    kv_bytes_per_token,
-    model_recurrent_bytes,
-    transfer_state_bytes,
-)
+from repro.models.memory import transfer_state_bytes
 from repro.tiering.secondary import SecondaryEntry, SecondaryStore
 
 
@@ -113,7 +108,7 @@ class TieredMarconiCache(MarconiCache):
                 tokens,
                 nbytes,
                 now=node.last_access,
-                flop_efficiency=model_prefill_flops(self.model, node.seq_len) / nbytes,
+                flop_efficiency=self._flops_table[node.seq_len] / nbytes,
                 payload=node.state_payload,
             )
             key = "demotions" if accepted else "demotions_rejected"
@@ -151,7 +146,7 @@ class TieredMarconiCache(MarconiCache):
             tokens,
             int(nbytes),
             now,
-            flop_efficiency=model_prefill_flops(self.model, len(tokens)) / int(nbytes),
+            flop_efficiency=self._flops_table[len(tokens)] / int(nbytes),
             payload=payload,
         )
         key = "transfers_in" if accepted else "transfers_rejected"
@@ -191,8 +186,8 @@ class TieredMarconiCache(MarconiCache):
         outcome = self.tree.insert(entry.tokens, now)
         end = outcome.end_node
         want_checkpoint = not end.has_ssm_state
-        kv_cost = outcome.new_edge_tokens * kv_bytes_per_token(self.model)
-        checkpoint_cost = model_recurrent_bytes(self.model) if want_checkpoint else 0
+        kv_cost = outcome.new_edge_tokens * self._kv_per_token
+        checkpoint_cost = self._recurrent_bytes if want_checkpoint else 0
 
         self.tree.pin_path(end)
         fits = self._ensure_free(kv_cost + checkpoint_cost)

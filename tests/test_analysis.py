@@ -12,7 +12,7 @@ from repro.analysis import (
     clairvoyant_replay,
     classify_trace,
 )
-from repro.analysis.belady import Victim, victim_profile
+from repro.analysis.belady import Victim, _nominal_requests, _replay, victim_profile
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate
 from repro.core.node import RadixNode
@@ -122,6 +122,22 @@ class TestClairvoyantReplay:
             s.commit(full, now)
         assert oracle.evictions > 0
         assert oracle.token_hit_rate >= lru.stats.token_hit_rate
+
+    def test_the_replay_binds_its_policy(self, hybrid):
+        """The clairvoyant policy replaces the cache's LRU heap as the
+        index's reader, so no candidate change feeds the discarded heap;
+        every victim and hit stays what the unbound replay made."""
+        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        capacity = 6 * node_state_bytes(hybrid, 2000, True)
+        requests = _nominal_requests(trace)
+        policy = ClairvoyantEviction([r[3] for r in requests])
+        cache, hits = _replay(hybrid, requests, capacity, policy)
+        assert cache.policy is policy
+        assert cache.eviction_index.on_candidate_changed is None
+        assert cache.stats.evictions == 160
+        assert (len(hits), sum(hits)) == (86, 116_857)
+        assert hits == clairvoyant_replay(hybrid, trace, capacity).per_request_hits
+        assert len(victim_profile(hybrid, trace, capacity, mean_think_s=5.0)) == 160
 
     def test_per_request_accounting(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=5, seed=1)

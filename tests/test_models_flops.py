@@ -1,4 +1,9 @@
-"""Tests for the Table 1 FLOP formulas."""
+"""Tests for the Table 1 FLOP formulas and the per-config FLOP table."""
+
+import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,9 @@ from repro.models.flops import (
     model_suffix_prefill_flops,
     ssm_prefill_flops,
 )
-from repro.models.presets import PRESETS
+from repro.engine.latency import LatencyModel
+from repro.models.memory import kv_bytes_per_token, model_recurrent_bytes
+from repro.models.presets import PRESETS, hybrid_7b
 
 
 class TestClosedForms:
@@ -51,16 +58,17 @@ class TestModelAggregates:
             model_prefill_flops(hybrid, -1)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    @given(seq_len=st.integers(0, 2_000_000))
+    @given(seq_len=st.integers(0, 2**24))
     @settings(max_examples=200, deadline=None)
     def test_memo_miss_is_bit_equal_to_the_breakdown(self, preset, seq_len):
-        """The memo's miss path evaluates the per-config (count, formula)
-        pairs directly; it must produce the very float the public
-        definition sums to (golden transcripts carry these values)."""
+        """The table's miss evaluates the closed forms inline; it must
+        produce the very float the public definition sums to (golden
+        transcripts carry these values)."""
         config = PRESETS[preset]()  # a fresh config: every length is a miss
         want = sum(flop_breakdown(config, seq_len).values())
-        assert model_prefill_flops(config, seq_len) == want
+        assert prefill_flops_table(config)[seq_len] == want
         assert model_prefill_flops(config, seq_len) == want  # and the hit
+        assert model_prefill_flops(PRESETS[preset](), seq_len) == want
 
     def test_attention_share_grows_with_length(self, hybrid):
         """Fig. 14: the quadratic term makes attention dominate at long L."""
@@ -91,6 +99,76 @@ class TestModelAggregates:
         """A 7B model costs ~2 * 7e9 FLOPs per prefill token at short L."""
         per_token = model_prefill_flops(hybrid, 1000) / 1000
         assert 0.5e10 < per_token < 3e10
+
+
+class TestPrefillFlopsTable:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_length_to_64k_is_the_breakdown(self, preset):
+        lengths = range(65_537)
+        config = PRESETS[preset]()
+        want = [sum(flop_breakdown(config, n).values()) for n in lengths]
+        table = prefill_flops_table(config)
+        assert [table[n] for n in lengths] == want  # misses
+        assert [table[n] for n in lengths] == want  # hits
+        fresh = PRESETS[preset]()
+        assert [model_prefill_flops(fresh, n) for n in lengths] == want
+
+    def test_a_negative_length_raises_and_stores_nothing(self, hybrid):
+        table = prefill_flops_table(hybrid)
+        with pytest.raises(ValueError, match="non-negative"):
+            table[-1]
+        with pytest.raises(ValueError, match="non-negative"):
+            model_prefill_flops(hybrid, -5)
+        assert len(table) == 0
+
+    def test_one_table_per_config_object(self, hybrid):
+        assert prefill_flops_table(hybrid) is prefill_flops_table(hybrid)
+        assert prefill_flops_table(hybrid) is not prefill_flops_table(hybrid_7b())
+
+    def test_the_costs_die_with_their_config(self):
+        """Nothing outside a config keeps it or its costs alive: its FLOP
+        table and byte constants sit in its own instance dict."""
+        configs = [hybrid_7b() for _ in range(100)]
+        for i, config in enumerate(configs):
+            model_prefill_flops(config, 1000 + i)
+            kv_bytes_per_token(config)
+            model_recurrent_bytes(config)
+            assert {"_prefill_flops", "_kv_bytes_per_token", "_recurrent_bytes"} <= set(
+                vars(config)
+            )
+        refs = [weakref.ref(c) for c in configs]
+        refs += [weakref.ref(prefill_flops_table(c)) for c in configs]
+        del configs, config
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_the_costs_are_no_part_of_the_config_value(self, hybrid):
+        bare = hybrid_7b()
+        model_prefill_flops(hybrid, 10)
+        kv_bytes_per_token(hybrid)
+        model_recurrent_bytes(hybrid)
+        assert hybrid == bare and hash(hybrid) == hash(bare)
+        assert repr(hybrid) == repr(bare)
+        for clone in (pickle.loads(pickle.dumps(hybrid)), copy.deepcopy(hybrid)):
+            assert clone == hybrid and vars(clone) == vars(bare)
+
+    def test_batch_pricing_reads_the_table(self):
+        """``prefill_seconds_batch`` subscripts the table itself: it keeps
+        the range check and equals the scalar path float for float."""
+        lm = LatencyModel()
+        items = [
+            (n, r, 4096 * r, (4096 * r) // 3)
+            for n in (1, 777, 40_000)
+            for r in (0, n // 2, n)
+        ]
+        batch = lm.prefill_seconds_batch(hybrid_7b(), items)
+        scalar = hybrid_7b()
+        assert batch == [lm.prefill_seconds(scalar, *item) for item in items]
+        for bad in [(10, 20, 0, 0), (10, -1, 0, 0)]:
+            with pytest.raises(ValueError, match="need 0 <= reused_len <= seq_len"):
+                lm.prefill_seconds_batch(hybrid_7b(), [(100, 0, 0, 0), bad])
+        with pytest.raises(ValueError, match="reused_bytes"):
+            lm.prefill_seconds_batch(hybrid_7b(), [(100, 50, -1, 0)])
 
 
 class TestSuffixFlops:
