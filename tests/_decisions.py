@@ -44,6 +44,10 @@ from unittest import mock
 
 import numpy as np
 
+from repro.analysis import capacity_curve, clairvoyant_replay
+from repro.analysis.belady import victim_profile
+from repro.baselines.oracle import replay_requests, trace_to_replay_requests, tune_static_alpha
+from repro.baselines.registry import make_cache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.cluster import DirectoryRouter, HierarchicalRouter, LeastLoadedRouter
@@ -54,6 +58,7 @@ from repro.core.radix_tree import TreeObserver
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.latency import LatencyModel
 from repro.engine.server import simulate_trace
+from repro.experiments.config import DATASET_CONFIGS, get_scale
 from repro.experiments.steering_sweep import split_probe_trace
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b, transformer_7b
@@ -463,6 +468,31 @@ def _kernel_workload(
     return replay
 
 
+def _nominal_replays(rec: Recorder) -> None:
+    """Every nominal replay of lmsys at smoke scale, 4 GB pre-scaling, where
+    the online tuner adopts alpha 2: the static-alpha oracle's hit rates,
+    the clairvoyant bound's hits and evictions, its victim profile, a
+    capacity curve over the dataset's grid, and a tuned Marconi cache's
+    begins, its tree's hash, its tuner's grid search and adopted alpha."""
+    config, scale = DATASET_CONFIGS["lmsys"], get_scale("smoke")
+    trace = generate_trace(config.workload, config.workload_params(scale))
+    capacity = scale.cache_bytes(config.cache_grid_gb[0])
+    requests = trace_to_replay_requests(trace)
+    rec.put(NUMPY)
+    rec.put(["alpha", list(tune_static_alpha(MODEL, capacity, requests).hit_rates.items())])
+    bound = clairvoyant_replay(MODEL, trace, capacity)
+    rec.put(["clairvoyant", bound.per_request_hits, bound.evictions])
+    victims = victim_profile(MODEL, trace, capacity, config.mean_think_s)
+    rec.put(["victims", [astuple(victim) for victim in victims]])
+    grid = [scale.cache_bytes(gb) for gb in config.cache_grid_gb]
+    rec.put(["capacity", [astuple(point) for point in capacity_curve(MODEL, trace, grid)]])
+    cache = make_cache("marconi", MODEL, capacity)
+    rec.attach([cache])
+    replay_requests(cache, requests)
+    rec.state_hash()
+    rec.put(["s", list(cache.tuner.search_results.items()), cache.alpha, cache.stats])
+
+
 def _live_gateway(rec: Recorder) -> None:
     """``gateway_live``'s closed loop on asyncio at scale 0.25: its step loop
     counts yields and never reads a clock to decide one, so it replays
@@ -490,7 +520,8 @@ ROUTERS = {
     "prefix_affinity": PrefixAffinityRouter,
 }
 SCENARIOS: dict[str, Callable[[Recorder], None]] = {
-    "directory-fewshot-restart": _directory_restart,  # first: the one with ties and a restart
+    "nominal-replays": _nominal_replays,  # first: the one that reaches the replay driver
+    "directory-fewshot-restart": _directory_restart,  # next: the one with ties and a restart
     "hierarchical-racks": _racks,
     "directory-mixed-fleet": _mixed_fleet,
     "tiering-siblings": _siblings,
