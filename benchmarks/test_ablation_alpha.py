@@ -7,7 +7,7 @@ online tuner and the offline static-alpha oracle (artifact policy V3).
 
 from conftest import run_once
 
-from repro.baselines.oracle import ReplayRequest, tune_static_alpha
+from repro.baselines.oracle import tune_static_alpha
 from repro.experiments.config import DATASET_CONFIGS, default_model, get_scale
 from repro.experiments.runner import get_trace, run_policy_on_trace
 from repro.metrics.reporting import ascii_table
@@ -28,10 +28,7 @@ def _run(scale_name):
         for alpha in ALPHAS
     }
     auto = run_policy_on_trace(model, trace, "marconi", capacity).token_hit_rate
-    log = [
-        ReplayRequest(now=t, input_tokens=inp, full_tokens=full)
-        for t, _, _, inp, full in trace.iter_requests_nominal()
-    ]
+    log = list(trace.iter_requests_nominal())
     oracle = tune_static_alpha(model, capacity, log, alpha_grid=ALPHAS)
     return fixed, auto, oracle
 

@@ -12,6 +12,7 @@ Run:  python examples/document_qa.py
 from _common import FAST
 from repro import MarconiCache, clairvoyant_replay, classify_trace, hybrid_7b
 from repro.baselines import make_cache
+from repro.core import replay_log
 from repro.metrics import ascii_table
 from repro.workloads import generate_docqa_trace
 
@@ -19,9 +20,7 @@ CACHE_GB = 20
 
 
 def replay(cache, trace):
-    for now, _, _, inp, full in trace.iter_requests_nominal():
-        with cache.begin(inp, now) as session:
-            session.commit(full, now)
+    replay_log(cache, trace.iter_requests_nominal())
     return cache.stats.token_hit_rate
 
 

@@ -9,12 +9,13 @@ reused, so any gap between an online policy and this replay is attributable
 to prediction, not mechanics.
 
 The replay drives a regular :class:`repro.core.cache.MarconiCache` (same
-admission, same tree mechanics) with the eviction policy swapped for
-:class:`ClairvoyantEviction`, which looks up the next yet-unserved request
-whose input extends each candidate node's prefix.  :func:`victim_profile`
-runs the same replay and records what each victim looked like: its ranks
-under the FLOP-aware score's two terms, whether it is ever used again and
-whether LRU would have picked it.
+admission, same tree mechanics) through
+:func:`~repro.core.interfaces.replay_log`, with the eviction policy swapped
+for :class:`ClairvoyantEviction`, which looks up the next yet-unserved
+request whose input extends each candidate node's prefix.
+:func:`victim_profile` runs the same replay and records what each victim
+looked like: its ranks under the FLOP-aware score's two terms, whether it
+is ever used again and whether LRU would have picked it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate, EvictionPolicy, _rank_normalize
+from repro.core.interfaces import replay_log
 from repro.core.node import RadixNode
+from repro.core.stats import CacheStats
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace
 
@@ -40,16 +43,16 @@ class ClairvoyantEviction(EvictionPolicy):
     Parameters
     ----------
     schedule:
-        The inputs of every request in service order.  ``cursor`` marks the
-        first request that has not been served yet; only requests at or
-        after the cursor count as future uses.
+        The inputs of every request in service order.  Only requests at or
+        after :attr:`cursor` count as future uses.
     """
 
     name = "clairvoyant"
 
     def __init__(self, schedule: list[np.ndarray]) -> None:
         self.schedule = [np.asarray(s, dtype=np.int32) for s in schedule]
-        self.cursor = 0
+        #: The counters of the cache serving the schedule (see :attr:`cursor`).
+        self.stats = CacheStats()
         self._lengths = np.array([len(s) for s in self.schedule], dtype=np.int64)
         # A candidate node -> (its seq_len, the sorted indices of every
         # scheduled input that strictly extends its path), built on the
@@ -62,13 +65,15 @@ class ClairvoyantEviction(EvictionPolicy):
             RadixNode, tuple[int, list[int]]
         ] = weakref.WeakKeyDictionary()
 
-    def advance(self, cursor: int) -> None:
-        """Mark requests before ``cursor`` as already served."""
-        if not 0 <= cursor <= len(self.schedule):
-            raise ValueError(
-                f"cursor must be in [0, {len(self.schedule)}], got {cursor}"
-            )
-        self.cursor = cursor
+    @property
+    def cursor(self) -> int:
+        """The first request not served yet: the serving cache's begin count.
+
+        A cache counts a begin before it makes room for the input, so while
+        request ``i`` is being served (begin and commit alike) the count is
+        ``i + 1``: the request being served is no longer a future use.
+        """
+        return self.stats.lookups
 
     def _next_use(self, path: np.ndarray) -> float:
         """Index of the next scheduled request whose input extends ``path``.
@@ -146,9 +151,10 @@ def clairvoyant_replay(
     the engine-less replays used by the static-alpha oracle, so results are
     directly comparable with :func:`repro.baselines.oracle.tune_static_alpha`.
     """
-    requests = _nominal_requests(trace)
+    requests = list(trace.iter_requests_nominal())
     policy = ClairvoyantEviction([input_tokens for _, _, _, input_tokens, _ in requests])
-    cache, per_request_hits = _replay(model, requests, capacity_bytes, policy)
+    cache = _clairvoyant_cache(model, capacity_bytes, policy)
+    per_request_hits = replay_log(cache, requests)
     stats = cache.stats
     return ClairvoyantResult(
         token_hit_rate=stats.token_hit_rate,
@@ -160,31 +166,17 @@ def clairvoyant_replay(
     )
 
 
-def _nominal_requests(trace: Trace) -> list:
-    requests = list(trace.iter_requests_nominal())
-    if not requests:
+def _clairvoyant_cache(
+    model: ModelConfig, capacity_bytes: int, policy: ClairvoyantEviction
+) -> MarconiCache:
+    """A Marconi cache that evicts with ``policy``, whose cursor it moves."""
+    if not policy.schedule:
         raise ValueError("cannot replay an empty trace")
-    return requests
-
-
-def _replay(
-    model: ModelConfig,
-    requests: list,
-    capacity_bytes: int,
-    policy: ClairvoyantEviction,
-) -> tuple[MarconiCache, list[int]]:
-    """Serve ``requests`` in order through a cache that evicts with ``policy``."""
     cache = MarconiCache(model, capacity_bytes, eviction="lru")
     cache.policy = policy
     policy.bind_index(cache.eviction_index)  # and unbind the LRU heap's feed
-    per_request_hits: list[int] = []
-    for index, (now, _, _, input_tokens, full_tokens) in enumerate(requests):
-        # The request being served is no longer a *future* use of anything.
-        policy.advance(index + 1)
-        with cache.begin(input_tokens, now) as session:
-            per_request_hits.append(session.hit_tokens)
-            session.commit(full_tokens, now)
-    return cache, per_request_hits
+    policy.stats = cache.stats
+    return cache
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,7 @@ def victim_profile(
     The replay's decisions are :func:`clairvoyant_replay`'s; recording them
     reads the candidate set and changes nothing.
     """
-    requests = _nominal_requests(trace)
+    requests = list(trace.iter_requests_nominal())
     policy = _ProfiledClairvoyant(requests, mean_think_s)
-    _replay(model, requests, capacity_bytes, policy)
+    replay_log(_clairvoyant_cache(model, capacity_bytes, policy), requests)
     return policy.victims

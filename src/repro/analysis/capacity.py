@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.registry import make_cache
+from repro.core.interfaces import replay_log
 from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace
 
@@ -29,9 +30,7 @@ def _replay_hit_rate(
     model: ModelConfig, trace: Trace, capacity_bytes: int, policy: str, **kwargs
 ) -> float:
     cache = make_cache(policy, model, capacity_bytes, **kwargs)
-    for now, _, _, inp, full in trace.iter_requests_nominal():
-        with cache.begin(inp, now) as session:
-            session.commit(full, now)
+    replay_log(cache, trace.iter_requests_nominal())
     return cache.stats.token_hit_rate
 
 

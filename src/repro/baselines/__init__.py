@@ -11,13 +11,7 @@
 """
 
 from repro.baselines.block_store import Block, BlockStore
-from repro.baselines.oracle import (
-    OracleResult,
-    ReplayRequest,
-    replay_requests,
-    trace_to_replay_requests,
-    tune_static_alpha,
-)
+from repro.baselines.oracle import OracleResult, tune_static_alpha
 from repro.baselines.registry import POLICY_NAMES, make_cache
 from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
@@ -32,9 +26,6 @@ __all__ = [
     "VLLMPlusCache",
     "SGLangPlusCache",
     "OracleResult",
-    "ReplayRequest",
-    "replay_requests",
-    "trace_to_replay_requests",
     "tune_static_alpha",
     "make_cache",
     "POLICY_NAMES",

@@ -10,24 +10,13 @@ as an offline procedure rather than an online cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.core.cache import MarconiCache
-from repro.core.interfaces import PrefixCache
+from repro.core.interfaces import replay_log
 from repro.models.config import ModelConfig
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-
-
-@dataclass(frozen=True)
-class ReplayRequest:
-    """One request of an offline log: arrival time, input, and full sequence."""
-
-    now: float
-    input_tokens: np.ndarray
-    full_tokens: np.ndarray
 
 
 @dataclass
@@ -42,32 +31,18 @@ class OracleResult:
         return self.hit_rates[self.best_alpha]
 
 
-def replay_requests(cache: PrefixCache, requests: Iterable[ReplayRequest]) -> float:
-    """Run a request log through ``cache`` and return its token hit rate."""
-    for request in requests:
-        with cache.begin(request.input_tokens, request.now) as session:
-            session.commit(request.full_tokens, request.now)
-    return cache.stats.token_hit_rate
-
-
-def trace_to_replay_requests(trace) -> list[ReplayRequest]:
-    """Flatten a :class:`~repro.workloads.trace.Trace` into a nominal-order log."""
-    return [
-        ReplayRequest(now=now, input_tokens=inp, full_tokens=full)
-        for now, _, _, inp, full in trace.iter_requests_nominal()
-    ]
-
-
 def tune_static_alpha(
     model: ModelConfig,
     capacity_bytes: int,
-    requests: Sequence[ReplayRequest],
+    requests: Sequence[tuple],
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> OracleResult:
     """Sweep static alphas over the full log; return the hit-rate maximizer.
 
-    Ties break toward the smaller alpha (the more recency-respecting
-    configuration), matching the online tuner's convention.
+    ``requests`` is a log :func:`~repro.core.interfaces.replay_log` serves,
+    e.g. ``list(trace.iter_requests_nominal())``.  Ties break toward the
+    smaller alpha (the more recency-respecting configuration), matching the
+    online tuner's convention.
     """
     if not requests:
         raise ValueError("cannot tune on an empty request log")
@@ -78,6 +53,7 @@ def tune_static_alpha(
         cache = MarconiCache(
             model, capacity_bytes, eviction="flop_aware", alpha=alpha
         )
-        hit_rates[alpha] = replay_requests(cache, requests)
+        replay_log(cache, requests)
+        hit_rates[alpha] = cache.stats.token_hit_rate
     best = max(hit_rates, key=lambda a: (hit_rates[a], -a))
     return OracleResult(best_alpha=best, hit_rates=hit_rates)

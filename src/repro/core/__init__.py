@@ -13,6 +13,7 @@ from repro.core.interfaces import (
     PrefixCache,
     RequestSession,
     SessionState,
+    replay_log,
 )
 from repro.core.eviction_index import EvictionIndex
 from repro.core.node import RadixNode
@@ -38,6 +39,7 @@ __all__ = [
     "PrefixCache",
     "RequestSession",
     "SessionState",
+    "replay_log",
     "RadixNode",
     "RadixTree",
     "TreeObserver",

@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core.interfaces import replay_log
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.cache import MarconiCache
     from repro.core.radix_tree import RadixTree
@@ -69,13 +71,6 @@ class AlphaTunerConfig:
             raise ValueError("margins must be non-negative")
 
 
-@dataclass
-class _LoggedRequest:
-    now: float
-    input_len: int
-    full_tokens: np.ndarray
-
-
 class AlphaTuner:
     """Drives the warmup → bootstrap → tuned state machine for one cache."""
 
@@ -88,7 +83,8 @@ class AlphaTuner:
         self._warmup_requests = 0
         self._bootstrap_target = 0
         self._snapshot: Optional["RadixTree"] = None
-        self._log: list[_LoggedRequest] = []
+        #: The bootstrap window, as :func:`replay_log` serves it.
+        self._log: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Hooks called by the cache
@@ -113,9 +109,7 @@ class AlphaTuner:
                 self._enter_bootstrap(cache)
             return
         # BOOTSTRAP: record this request, then tune once the window fills.
-        self._log.append(
-            _LoggedRequest(now=now, input_len=input_len, full_tokens=full_tokens)
-        )
+        self._log.append((now, full_tokens[:input_len], full_tokens))
         if len(self._log) >= self._bootstrap_target:
             self._tune(cache)
 
@@ -135,10 +129,10 @@ class AlphaTuner:
 
     def _tune(self, cache: "MarconiCache") -> None:
         assert self._snapshot is not None
-        self.search_results = {
-            alpha: self._replay_hit_rate(cache, alpha)
-            for alpha in self.config.alpha_grid
-        }
+        for alpha in self.config.alpha_grid:
+            replica = cache.make_replay_cache(alpha, self._snapshot)
+            replay_log(replica, self._log)
+            self.search_results[alpha] = replica.stats.token_hit_rate
         self.tuned_alpha = self._select_alpha(self.search_results)
         cache.set_alpha(self.tuned_alpha)
         self.phase = TunerPhase.TUNED
@@ -162,16 +156,6 @@ class AlphaTuner:
         threshold = best_rate * (1.0 - self.config.plateau_tolerance)
         eligible = [a for a, rate in results.items() if rate >= threshold]
         return min(eligible)
-
-    def _replay_hit_rate(self, cache: "MarconiCache", alpha: float) -> float:
-        assert self._snapshot is not None
-        replica = cache.make_replay_cache(alpha, self._snapshot)
-        for entry in self._log:
-            with replica.begin(
-                entry.full_tokens[: entry.input_len], entry.now
-            ) as session:
-                session.commit(entry.full_tokens, entry.now)
-        return replica.stats.token_hit_rate
 
     # ------------------------------------------------------------------
     # Introspection

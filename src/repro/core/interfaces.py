@@ -27,7 +27,8 @@ import abc
 import enum
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
+from typing import runtime_checkable
 
 import numpy as np
 
@@ -556,6 +557,24 @@ class CacheProtocol(Protocol):
 
     @property
     def used_bytes(self) -> int: ...
+
+
+def replay_log(cache: CacheProtocol, requests: Iterable[Sequence]) -> list[int]:
+    """Serve a request log in order, each request one session begun and
+    committed at its own time, and return each request's hit tokens.
+
+    A request is a tuple with its time first and its input and full
+    sequence last: ``(now, session, round, input, full)`` as
+    :meth:`~repro.workloads.trace.Trace.iter_requests_nominal` yields it
+    (zero service time: the *nominal* replay), or ``(now, input, full)`` as
+    the alpha tuner records its window.  Rates are the cache's ``stats``.
+    """
+    hits = []
+    for now, *_, tokens, full in requests:
+        with cache.begin(tokens, now) as session:
+            hits.append(session.hit_tokens)
+            session.commit(full, now)
+    return hits
 
 
 def as_token_array(tokens: Any) -> np.ndarray:

@@ -17,15 +17,12 @@ import numpy as np
 
 from repro.analysis import classify_trace, clairvoyant_replay
 from repro.analysis.belady import victim_profile
-from repro.baselines.oracle import (
-    replay_requests,
-    trace_to_replay_requests,
-    tune_static_alpha,
-)
+from repro.baselines.oracle import tune_static_alpha
 from repro.baselines.registry import make_cache
 from repro.cluster import make_router, simulate_cluster
 from repro.cluster.router import ROUTER_NAMES
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import replay_log
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.server import simulate_trace
 from repro.experiments.config import DATASET_CONFIGS, Scale, default_model, get_scale
@@ -45,13 +42,6 @@ TAXONOMY_CONFIGS = {
 TBT_POLICIES = ("vanilla", "vllm+", "sglang+", "marconi")
 
 
-def _nominal_replay(cache, trace) -> float:
-    for now, _, _, inp, full in trace.iter_requests_nominal():
-        with cache.begin(inp, now) as session:
-            session.commit(full, now)
-    return cache.stats.token_hit_rate
-
-
 def run_policy_zoo(scale: str | Scale = "bench") -> FigureResult:
     """Eviction-policy zoo plus the clairvoyant bound (nominal replay)."""
     scale = get_scale(scale)
@@ -65,7 +55,8 @@ def run_policy_zoo(scale: str | Scale = "bench") -> FigureResult:
     rates = {}
     for name in ZOO_POLICIES:
         cache = MarconiCache(model, capacity, eviction=name, alpha=1.0)
-        rates[name] = _nominal_replay(cache, trace)
+        replay_log(cache, trace.iter_requests_nominal())
+        rates[name] = cache.stats.token_hit_rate
     rates["clairvoyant"] = clairvoyant_replay(model, trace, capacity).token_hit_rate
     return FigureResult(
         figure_id="ext-zoo",
@@ -96,12 +87,16 @@ def run_headroom(dataset: str, scale: str | Scale = "bench") -> FigureResult:
     model = default_model()
     config = DATASET_CONFIGS[dataset]
     trace = get_trace(config.workload, config.workload_params(scale))
-    requests = trace_to_replay_requests(trace)
+    requests = list(trace.iter_requests_nominal())
     rows, cells = [], {}
     for cache_gb in config.cache_grid_gb:
         capacity = scale.cache_bytes(cache_gb)
-        lru = replay_requests(make_cache("sglang+", model, capacity), requests)
-        tuned = replay_requests(make_cache("marconi", model, capacity), requests)
+        lru_cache = make_cache("sglang+", model, capacity)
+        tuned_cache = make_cache("marconi", model, capacity)
+        replay_log(lru_cache, requests)
+        replay_log(tuned_cache, requests)
+        lru = lru_cache.stats.token_hit_rate
+        tuned = tuned_cache.stats.token_hit_rate
         oracle = tune_static_alpha(model, capacity, requests)
         bound = clairvoyant_replay(model, trace, capacity).token_hit_rate
         best = oracle.best_hit_rate
@@ -315,7 +310,8 @@ def run_taxonomy_workloads(scale: str | Scale = "bench") -> FigureResult:
         row = {"ceiling": classify_trace(trace).reusable_token_share}
         for policy in ("vllm+", "sglang+", "marconi"):
             cache = make_cache(policy, model, scale.cache_bytes(cache_gb))
-            row[policy] = _nominal_replay(cache, trace)
+            replay_log(cache, trace.iter_requests_nominal())
+            row[policy] = cache.stats.token_hit_rate
         out[workload] = row
     return FigureResult(
         figure_id="ext-taxonomy",

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.analysis import capacity_curve, clairvoyant_replay
 from repro.analysis.belady import victim_profile
-from repro.baselines.oracle import replay_requests, trace_to_replay_requests, tune_static_alpha
+from repro.baselines.oracle import tune_static_alpha
 from repro.baselines.registry import make_cache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
@@ -54,6 +54,7 @@ from repro.cluster import DirectoryRouter, HierarchicalRouter, LeastLoadedRouter
 from repro.cluster import PrefixAffinityRouter, PrefixDirectory, RoundRobinRouter
 from repro.cluster import ScenarioEvent, ShardedPrefixDirectory, simulate_cluster
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import replay_log
 from repro.core.radix_tree import TreeObserver
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.latency import LatencyModel
@@ -477,7 +478,7 @@ def _nominal_replays(rec: Recorder) -> None:
     config, scale = DATASET_CONFIGS["lmsys"], get_scale("smoke")
     trace = generate_trace(config.workload, config.workload_params(scale))
     capacity = scale.cache_bytes(config.cache_grid_gb[0])
-    requests = trace_to_replay_requests(trace)
+    requests = list(trace.iter_requests_nominal())
     rec.put(NUMPY)
     rec.put(["alpha", list(tune_static_alpha(MODEL, capacity, requests).hit_rates.items())])
     bound = clairvoyant_replay(MODEL, trace, capacity)
@@ -488,7 +489,7 @@ def _nominal_replays(rec: Recorder) -> None:
     rec.put(["capacity", [astuple(point) for point in capacity_curve(MODEL, trace, grid)]])
     cache = make_cache("marconi", MODEL, capacity)
     rec.attach([cache])
-    replay_requests(cache, requests)
+    replay_log(cache, requests)
     rec.state_hash()
     rec.put(["s", list(cache.tuner.search_results.items()), cache.alpha, cache.stats])
 

@@ -12,8 +12,9 @@ from repro.analysis import (
     clairvoyant_replay,
     classify_trace,
 )
-from repro.analysis.belady import Victim, _nominal_requests, _replay, victim_profile
+from repro.analysis.belady import Victim, _clairvoyant_cache, victim_profile
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import replay_log
 from repro.core.eviction import EvictionCandidate
 from repro.core.node import RadixNode
 from repro.models.memory import node_state_bytes
@@ -61,7 +62,7 @@ class TestClairvoyantEviction:
         ]
         policy = ClairvoyantEviction(schedule)
         assert policy._next_use(np.asarray([1, 2], dtype=np.int32)) == 0.0
-        policy.advance(1)
+        policy.stats.lookups = 1
         assert policy._next_use(np.asarray([1, 2], dtype=np.int32)) == 1.0
         assert policy._next_use(np.asarray([7], dtype=np.int32)) == float("inf")
 
@@ -88,12 +89,14 @@ class TestClairvoyantEviction:
         later = _candidate([3, 4])
         assert policy.select_victim([soon, later]) is later
 
-    def test_advance_bounds(self):
-        policy = ClairvoyantEviction([np.asarray([1], dtype=np.int32)])
-        with pytest.raises(ValueError):
-            policy.advance(-1)
-        with pytest.raises(ValueError):
-            policy.advance(2)
+    def test_the_cursor_is_the_serving_cache_begin_count(self, hybrid):
+        trace = generate_lmsys_trace(n_sessions=3, seed=5)
+        requests = list(trace.iter_requests_nominal())
+        policy = ClairvoyantEviction([r[3] for r in requests])
+        assert policy.cursor == 0
+        cache = _clairvoyant_cache(hybrid, int(1e13), policy)
+        replay_log(cache, requests[:4])
+        assert policy.stats is cache.stats and policy.cursor == 4
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError):
@@ -129,9 +132,10 @@ class TestClairvoyantReplay:
         every victim and hit stays what the unbound replay made."""
         trace = generate_lmsys_trace(n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
-        requests = _nominal_requests(trace)
+        requests = list(trace.iter_requests_nominal())
         policy = ClairvoyantEviction([r[3] for r in requests])
-        cache, hits = _replay(hybrid, requests, capacity, policy)
+        cache = _clairvoyant_cache(hybrid, capacity, policy)
+        hits = replay_log(cache, requests)
         assert cache.policy is policy
         assert cache.eviction_index.on_candidate_changed is None
         assert cache.stats.evictions == 160
@@ -150,6 +154,8 @@ class TestClairvoyantReplay:
         empty = Trace(name="empty", seed=0, sessions=[])
         with pytest.raises(ValueError):
             clairvoyant_replay(hybrid, empty, int(1e9))
+        with pytest.raises(ValueError):
+            victim_profile(hybrid, empty, int(1e9), mean_think_s=5.0)
 
 
 def _rescan_next_use(schedule, cursor, path) -> float:
@@ -163,6 +169,11 @@ def _rescan_next_use(schedule, cursor, path) -> float:
 
 
 class RescanClairvoyant(ClairvoyantEviction):
+    """The reference: a rescan from a cursor the replay loop sets to the
+    requests served so far, the one being served included."""
+
+    cursor = 0
+
     def _node_next_use(self, node):
         return _rescan_next_use(self.schedule, self.cursor, node.path_tokens())
 
@@ -199,7 +210,7 @@ class TestNextUseIndex:
         policy = ClairvoyantEviction(schedule)
         n = len(schedule)
         for cursor in (0, n // 3, n // 2, n - 1, n, 1):  # forward, then back
-            policy.advance(cursor)
+            policy.stats.lookups = cursor
             for path, node in zip(paths, nodes):
                 expected = _rescan_next_use(schedule, cursor, path)
                 assert policy._next_use(path) == expected
@@ -212,13 +223,14 @@ class TestNextUseIndex:
         ]
         policy = ClairvoyantEviction(schedule)
         node = _PathNode([1, 2, 3])
-        policy.advance(1)
+        policy.stats.lookups = 1
         assert policy._node_next_use(node) == float("inf")
         node.path = node.path[:2]
         assert policy._node_next_use(node) == 1.0
 
     def test_replay_equals_a_rescan_replay(self, hybrid):
-        """Under contention, every victim and so every hit is the rescan's."""
+        """Under contention, every victim and so every hit is the rescan's,
+        whose cursor the loop moves: the cache's begin count is that cursor."""
         trace = generate_lmsys_trace(n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
         indexed = clairvoyant_replay(hybrid, trace, capacity)
@@ -227,7 +239,7 @@ class TestNextUseIndex:
         cache.policy = policy = RescanClairvoyant([r[3] for r in requests])
         hits = []
         for index, (now, _, _, inp, full) in enumerate(requests):
-            policy.advance(index + 1)
+            policy.cursor = index + 1
             with cache.begin(inp, now) as session:
                 hits.append(session.hit_tokens)
                 session.commit(full, now)
@@ -294,7 +306,7 @@ class TestVictimProfile:
         cache = MarconiCache(hybrid, capacity, eviction="lru")
         cache.policy = policy = Recorder([r[3] for r in requests])
         for index, (now, _, _, inp, full) in enumerate(requests):
-            policy.advance(index + 1)
+            policy.cursor = index + 1
             with cache.begin(inp, now) as session:
                 session.commit(full, now)
         assert len(expected) > 100

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.oracle import ReplayRequest, replay_requests, tune_static_alpha
+from repro.baselines.oracle import tune_static_alpha
 from repro.baselines.registry import POLICY_NAMES, make_cache
 from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
+from repro.core.interfaces import replay_log
+from repro.workloads.lmsys import generate_lmsys_trace
 from repro.core.interfaces import CacheProtocol
 
 
@@ -61,14 +63,19 @@ class TestOracle:
         for i in range(n):
             seq = tokens(150, seed=i % 4)  # heavy reuse across 4 sessions
             full = np.concatenate([seq, tokens(30, seed=100 + i)])
-            requests.append(ReplayRequest(now=float(i), input_tokens=seq, full_tokens=full))
+            requests.append((float(i), seq, full))
         return requests
 
-    def test_replay_returns_hit_rate(self, hybrid, tokens):
+    def test_replay_log_returns_each_requests_hits(self, hybrid):
+        requests = list(generate_lmsys_trace(n_sessions=5, seed=1).iter_requests_nominal())
         cache = MarconiCache(hybrid, int(10e9), alpha=0.0)
-        rate = replay_requests(cache, self._requests(tokens))
-        assert 0.0 <= rate <= 1.0
-        assert rate == cache.stats.token_hit_rate
+        hits = replay_log(cache, requests)
+        assert len(hits) == cache.stats.lookups == len(requests)
+        assert sum(hits) == cache.stats.hit_tokens > 0
+        # The same log as (now, input, full), the tuner's window shape.
+        short = MarconiCache(hybrid, int(10e9), alpha=0.0)
+        assert replay_log(short, [(t, i, f) for t, _, _, i, f in requests]) == hits
+        assert short.stats == cache.stats
 
     def test_tune_finds_best_alpha(self, hybrid, tokens):
         result = tune_static_alpha(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import classify_trace
-from repro.baselines import trace_to_replay_requests, tune_static_alpha
+from repro.baselines import tune_static_alpha
 from repro.cluster import PrefixAffinityRouter, simulate_cluster
 from repro.core.cache import MarconiCache
 from repro.models.memory import node_state_bytes
@@ -81,23 +81,21 @@ class TestMixtureComposition:
 
 
 class TestOracleHelpers:
-    def test_trace_to_replay_requests_roundtrip(self, hybrid):
+    def test_the_nominal_log_is_ordered_and_extends(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=5, seed=47)
-        log = trace_to_replay_requests(trace)
+        log = list(trace.iter_requests_nominal())
         assert len(log) == trace.n_requests
-        times = [r.now for r in log]
+        times = [now for now, *_ in log]
         assert times == sorted(times)
-        for request in log:
-            assert len(request.full_tokens) > len(request.input_tokens)
-            assert np.array_equal(
-                request.full_tokens[: len(request.input_tokens)], request.input_tokens
-            )
+        for _, _, _, inp, full in log:
+            assert len(full) > len(inp)
+            assert np.array_equal(full[: len(inp)], inp)
 
     def test_oracle_runs_on_flattened_trace(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=8, seed=48)
         capacity = 4 * node_state_bytes(hybrid, 2000, True)
         result = tune_static_alpha(
-            hybrid, capacity, trace_to_replay_requests(trace), alpha_grid=(0.0, 1.0)
+            hybrid, capacity, list(trace.iter_requests_nominal()), alpha_grid=(0.0, 1.0)
         )
         assert set(result.hit_rates) == {0.0, 1.0}
         assert result.best_hit_rate == max(result.hit_rates.values())

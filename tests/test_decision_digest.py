@@ -1,7 +1,9 @@
 """Every seeded replay in ``_decisions.SCENARIOS`` writes its committed
-``tests/fixtures/decisions/<name>.jsonl`` line for line: the kernel matrix
-(three trace shapes through the serving engine, the iteration engine and
-1-3 replica clusters), directory, rack, second-tier and sharded-directory
+``tests/fixtures/decisions/<name>.jsonl`` line for line: every nominal
+replay (the static-alpha oracle, the clairvoyant bound and its victims, a
+capacity curve, a tuned cache's grid search), the kernel matrix (three
+trace shapes through the serving engine, the iteration engine and 1-3
+replica clusters), directory, rack, second-tier and sharded-directory
 scenarios and the four ``bench_e2e`` workloads at a small scale.  What a
 line holds is in ``_decisions.py``.  A change meant to alter decisions
 regenerates the fixtures, and its PR says "decisions change" in its title::
@@ -9,7 +11,7 @@ regenerates the fixtures, and its PR says "decisions change" in its title::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_decision_digest.py
 
 Under each seeded mutation some scenario must diverge: three patched
-behaviours, and eight one-line edits of the source (:data:`EDITS`).
+behaviours, and nine one-line edits of the source (:data:`EDITS`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.cluster import directory as directory_module
 from repro.cluster import router as router_module
 from repro.cluster import sharded_directory as sharded_module
 from repro.cluster.directory import _ReplicaView
+from repro.core import interfaces as interfaces_module
 from repro.core.eviction import FlopAwareEviction
 from repro.engine import steering as steering_module
 from repro.tiering import secondary as secondary_module
@@ -146,7 +149,7 @@ def test_an_edit_names_its_text_exactly_once(old, monkeypatch):
         edit_source(monkeypatch, router_module, "PrefixAffinityRouter._hits", old, "")
 
 
-#: The eight one-line edits: ``(module, qualname, old text, new text)``.
+#: The nine one-line edits: ``(module, qualname, old text, new text)``.
 EDITS = {
     "M1-rotation": (steering_module, "pick_least_loaded",
                     "rotation % loads.count(floor)", "rotation % min(loads.count(floor), 2)"),
@@ -167,6 +170,8 @@ EDITS = {
                              "depths.setdefault(r, []).insert(0, end)"),
     "M8-kv-leaf-first": (directory_module, "DirectoryLookup.kv_matched",
                          "for node in reversed(path):", "for node in path:"),
+    "M9-commit-late": (interfaces_module, "replay_log",
+                       "session.commit(full, now)", "session.commit(full, now + 1.0)"),
 }
 MUTATIONS = [second_best_victim, held_kept, ties_to_highest] + [
     pytest.param(lambda mp, edit=edit: edit_source(mp, *edit), id=name)
