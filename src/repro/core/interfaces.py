@@ -18,7 +18,8 @@ The cache surface is transactional: every request opens a
 Sessions are context managers: ``with cache.begin(tokens, now) as s: ...``
 aborts automatically unless the body committed.  ``begin`` and
 ``commit | abort`` are the cache's only doors: nothing is admitted
-outside a session.
+outside a session.  :func:`replay_log` serves a whole request log through
+them, one session per request.
 """
 
 from __future__ import annotations

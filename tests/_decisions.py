@@ -521,7 +521,7 @@ ROUTERS = {
     "prefix_affinity": PrefixAffinityRouter,
 }
 SCENARIOS: dict[str, Callable[[Recorder], None]] = {
-    "nominal-replays": _nominal_replays,  # first: the one that reaches the replay driver
+    "nominal-replays": _nominal_replays,  # first: the one that reaches `replay_log`
     "directory-fewshot-restart": _directory_restart,  # next: the one with ties and a restart
     "hierarchical-racks": _racks,
     "directory-mixed-fleet": _mixed_fleet,

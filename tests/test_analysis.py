@@ -14,8 +14,8 @@ from repro.analysis import (
 )
 from repro.analysis.belady import Victim, _clairvoyant_cache, victim_profile
 from repro.core.cache import MarconiCache
-from repro.core.interfaces import replay_log
 from repro.core.eviction import EvictionCandidate
+from repro.core.interfaces import replay_log
 from repro.core.node import RadixNode
 from repro.models.memory import node_state_bytes
 from repro.workloads.lmsys import generate_lmsys_trace

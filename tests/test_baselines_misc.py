@@ -10,9 +10,8 @@ from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
-from repro.core.interfaces import replay_log
+from repro.core.interfaces import CacheProtocol, replay_log
 from repro.workloads.lmsys import generate_lmsys_trace
-from repro.core.interfaces import CacheProtocol
 
 
 class TestVanilla:
