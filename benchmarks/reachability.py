@@ -24,7 +24,8 @@ ENTRY_POINTS = [
     (*_CLI, "--all", "--scale", "smoke"), (*_CLI, "--list"), (*_CLI, "--taxonomy", "lmsys"),
     (*_CLI, "--gen-trace", "lmsys", "--sessions", "20", "--out", "{tmp}/built.jsonl"),
     (*_CLI, "--gen-trace", "swebench", "--stream", "--sessions", "20", "--out", "{tmp}/s.jsonl"),
-    (*_CLI, "--sweep", "sharegpt", "--scale", "smoke", "--workers", "2"),
+    (*_CLI, "--sweep", "sharegpt", "--scale", "smoke", "--workers", "2",
+     "--out", "{tmp}/sweep.json"),
     (*_CLI, "--headroom", "sharegpt", "--scale", "smoke"),
     (*_CLI, "--headroom", "sharegpt", "--victims", "--scale", "smoke"),
     (*_E2E, "0"), (*_E2E, "1"),

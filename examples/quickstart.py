@@ -9,11 +9,10 @@ Demonstrates the two reuse classes from the paper's admission taxonomy:
 
 This file drives the cache directly with a hand-rolled clock.  For
 whole-trace replays under the analytic latency model, use the
-kernel-backed engine constructors instead — ``ServingSimulator`` /
-``simulate_trace`` (FCFS, ``n_executors`` concurrent prefill slots),
-``IterationSimulator`` / ``simulate_trace_iteration`` (chunked-prefill
-iteration batching, TBT tails), and ``ClusterSimulator`` /
-``simulate_cluster`` (N routed replicas) — all thin configurations of
+kernel-backed engine functions instead — ``simulate_trace`` (FCFS,
+``n_executors`` concurrent prefill slots), ``simulate_trace_iteration``
+(chunked-prefill iteration batching, TBT tails), and ``simulate_cluster``
+(N routed replicas) — each one configuration of
 ``repro.engine.kernel.SimulationKernel``; see ``examples/chatbot_serving.py``
 and ``examples/cluster_routing.py``.
 

@@ -29,10 +29,8 @@ from repro.cluster import (
 )
 from repro.engine import (
     IterationConfig,
-    IterationSimulator,
     KernelConfig,
     LatencyModel,
-    ServingSimulator,
     SimulationKernel,
     simulate_trace,
     simulate_trace_iteration,
@@ -69,10 +67,8 @@ __all__ = [
     "clairvoyant_replay",
     "classify_trace",
     "IterationConfig",
-    "IterationSimulator",
     "KernelConfig",
     "LatencyModel",
-    "ServingSimulator",
     "SimulationKernel",
     "simulate_trace",
     "simulate_trace_iteration",

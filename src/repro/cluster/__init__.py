@@ -40,7 +40,7 @@ from repro.cluster.sharded_directory import (
     ManualGossipTransport,
     ShardedPrefixDirectory,
 )
-from repro.cluster.simulator import ClusterResult, ClusterSimulator, simulate_cluster
+from repro.cluster.simulator import ClusterResult, simulate_cluster
 from repro.engine.steering import (
     NoRoutableReplicaError,
     RouteDecision,
@@ -69,7 +69,6 @@ __all__ = [
     "TransferSpec",
     "SplitSpec",
     "ScenarioEvent",
-    "ClusterSimulator",
     "ClusterResult",
     "simulate_cluster",
 ]

@@ -172,57 +172,6 @@ class ClusterResult:
         return out
 
 
-class ClusterSimulator:
-    """Replays one trace through R replicas under one routing policy."""
-
-    def __init__(
-        self,
-        model: ModelConfig,
-        caches: Sequence[CacheProtocol],
-        router: Router,
-        latency: Optional[LatencyModel] = None,
-        max_running: int = 1,
-        scenario: Optional[Sequence[ScenarioEvent]] = None,
-    ) -> None:
-        if not caches:
-            raise ValueError("need at least one replica cache")
-        self.model = model
-        self.caches = list(caches)
-        self.router = router
-        self.latency = latency or LatencyModel()
-        self.scenario = list(scenario) if scenario else []
-        self.config = KernelConfig(max_running=max_running)
-
-    def run(self, trace: Trace | TraceStream) -> ClusterResult:
-        """Simulate the full trace across all replicas under the router."""
-        kernel = SimulationKernel(
-            self.model,
-            self.caches,
-            self.latency,
-            router=self.router,
-            config=self.config,
-            policy_names=[
-                f"{self.router.name}/replica{i}" for i in range(len(self.caches))
-            ],
-            scenario=self.scenario,
-        )
-        run = kernel.run(trace)
-        result = ClusterResult(
-            router=self.router.name,
-            replica_results=run.replica_results,
-            routed_counts=run.routed_counts,
-            busy_seconds=run.busy_seconds,
-            steering=run.steering,
-            router_stats=self.router.decision_stats,
-            directory_stats=self.router.directory_stats,
-            scenario=[event.to_dict() for event in self.scenario],
-        )
-        # Run-end teardown: detach the router's tree observers so the
-        # caches stop paying directory maintenance outside cluster runs.
-        self.router.release()
-        return result
-
-
 def simulate_cluster(
     model: ModelConfig,
     caches: Sequence[CacheProtocol],
@@ -232,7 +181,29 @@ def simulate_cluster(
     max_running: int = 1,
     scenario: Optional[Sequence[ScenarioEvent]] = None,
 ) -> ClusterResult:
-    """One-call convenience wrapper around :class:`ClusterSimulator`."""
-    return ClusterSimulator(
-        model, caches, router, latency, max_running, scenario=scenario
-    ).run(trace)
+    """Replays one trace through R replicas under one routing policy."""
+    scenario = list(scenario) if scenario else []
+    kernel = SimulationKernel(
+        model,
+        caches,
+        latency,
+        router=router,
+        config=KernelConfig(max_running=max_running),
+        policy_names=[f"{router.name}/replica{i}" for i in range(len(caches))],
+        scenario=scenario,
+    )
+    run = kernel.run(trace)
+    result = ClusterResult(
+        router=router.name,
+        replica_results=run.replica_results,
+        routed_counts=run.routed_counts,
+        busy_seconds=run.busy_seconds,
+        steering=run.steering,
+        router_stats=router.decision_stats,
+        directory_stats=router.directory_stats,
+        scenario=[event.to_dict() for event in scenario],
+    )
+    # Run-end teardown: detach the router's tree observers so the
+    # caches stop paying directory maintenance outside cluster runs.
+    router.release()
+    return result

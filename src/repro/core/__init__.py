@@ -18,7 +18,6 @@ from repro.core.interfaces import (
 from repro.core.eviction_index import EvictionIndex
 from repro.core.node import RadixNode
 from repro.core.radix_tree import InsertOutcome, MatchResult, RadixTree, TreeObserver
-from repro.core.admission import SpeculativeInsertReport, speculative_insert
 from repro.core.eviction import (
     EvictionCandidate,
     EvictionPolicy,
@@ -46,8 +45,6 @@ __all__ = [
     "EvictionIndex",
     "MatchResult",
     "InsertOutcome",
-    "SpeculativeInsertReport",
-    "speculative_insert",
     "EvictionCandidate",
     "EvictionPolicy",
     "FlopAwareEviction",

@@ -51,7 +51,6 @@ from repro.core.radix_tree import MatchResult, RadixTree
 from repro.core.stats import CacheStats
 from repro.core.tokens import TokenSeq
 from repro.models.config import ModelConfig
-from repro.models.efficiency import node_flop_efficiency
 from repro.models.flops import prefill_flops_table
 from repro.models.memory import (
     kv_bytes_per_token,
@@ -128,7 +127,6 @@ class MarconiCache(PrefixCache):
         alpha: Optional[float] = None,
         tuner_config: Optional[AlphaTunerConfig] = None,
         store_states: bool = False,
-        efficiency_mode: str = "prefix_per_freed",
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
@@ -137,7 +135,6 @@ class MarconiCache(PrefixCache):
         self._eviction_name = eviction
         self._fixed_alpha = alpha
         self.store_states = store_states
-        self.efficiency_mode = efficiency_mode
         self._tuner_config = tuner_config or AlphaTunerConfig()
 
         # Per-model costs, bound once: the eviction index refreshes
@@ -506,19 +503,16 @@ class MarconiCache(PrefixCache):
         return 0
 
     def _candidate_efficiency(self, node: RadixNode, freeable: int) -> float:
-        # Inlined node_flop_efficiency "prefix_per_freed" hot path: the same
-        # float, read straight from the model's FLOP table.
-        if self.efficiency_mode == "prefix_per_freed":
-            if freeable <= 0:
-                return 0.0
-            return self._flops_table[node.seq_len] / freeable
-        return node_flop_efficiency(
-            self.model,
-            node.seq_len,
-            node.parent_seq_len,
-            freeable,
-            mode=self.efficiency_mode,
-        )
+        """FLOPs a hit on ``node`` saves per byte its eviction frees.
+
+        A hit saves the prefill of the node's whole prefix, so the numerator
+        is ``flops(seq_len)``: a 20K-token checkpoint outscores a 2K one by
+        an order of magnitude (Fig. 10a).  The denominator is what eviction
+        reclaims (``_freeable_bytes``); a node that frees nothing scores 0.
+        """
+        if freeable <= 0:
+            return 0.0
+        return self._flops_table[node.seq_len] / freeable
 
     def _collect_candidates(self) -> list[EvictionCandidate]:
         """From-scratch candidate rebuild: the reference the index's
@@ -601,7 +595,6 @@ class MarconiCache(PrefixCache):
             eviction="flop_aware",
             alpha=alpha,
             store_states=False,
-            efficiency_mode=self.efficiency_mode,
         )
         replica.tree = snapshot.clone()
         return replica

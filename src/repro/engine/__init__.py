@@ -6,13 +6,13 @@ and the closed loop of every trace session) with one scheduler of
 :mod:`repro.engine.schedulers` per replica (FCFS + continuous batching, or
 token-level):
 
-* :class:`~repro.engine.server.ServingSimulator` — one replica, FCFS over
+* :func:`~repro.engine.server.simulate_trace` — one replica, FCFS over
   ``n_executors`` prefill slots with background decode; per-request
   records (TTFT, queue delay, hit tokens, FLOPs saved).
-* :class:`~repro.engine.iteration.IterationSimulator` — one replica,
+* :func:`~repro.engine.iteration.simulate_trace_iteration` — one replica,
   iteration-level batching with Sarathi-style chunked prefill; adds the
   TBT/TPOT gap distribution.
-* :class:`repro.cluster.simulator.ClusterSimulator` — N replicas behind a
+* :func:`repro.cluster.simulator.simulate_cluster` — N replicas behind a
   router, each an independent FCFS executor with its own cache.
 """
 
@@ -20,7 +20,6 @@ from repro.engine.events import EventKind, EventQueue
 from repro.engine.iteration import (
     IterationConfig,
     IterationResult,
-    IterationSimulator,
     simulate_trace_iteration,
 )
 from repro.engine.kernel import (
@@ -37,7 +36,7 @@ from repro.engine.schedulers import (
     ReplicaScheduler,
     TokenBatchingScheduler,
 )
-from repro.engine.server import ServingSimulator, simulate_trace
+from repro.engine.server import simulate_trace
 from repro.engine.steering import (
     NoRoutableReplicaError,
     RouteDecision,
@@ -54,7 +53,6 @@ __all__ = [
     "EventQueue",
     "IterationConfig",
     "IterationResult",
-    "IterationSimulator",
     "simulate_trace_iteration",
     "ContinuousBatchingScheduler",
     "KernelConfig",
@@ -68,7 +66,6 @@ __all__ = [
     "EngineResult",
     "RequestRecord",
     "step_time_weighted_mean",
-    "ServingSimulator",
     "simulate_trace",
     "NoRoutableReplicaError",
     "RouteDecision",

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.interfaces import CacheProtocol
-from repro.engine.kernel import KernelConfig, SimulationKernel
+from repro.engine.kernel import SimulationKernel
 from repro.engine.latency import LatencyModel
 from repro.engine.results import EngineResult
 from repro.engine.schedulers import TokenBatchingScheduler
@@ -74,60 +74,6 @@ class IterationResult(EngineResult):
         return float(np.percentile(self.tbt_gaps, percentile))
 
 
-class IterationSimulator:
-    """Replays one trace through one cache, iteration by iteration."""
-
-    def __init__(
-        self,
-        model: ModelConfig,
-        cache: CacheProtocol,
-        latency: Optional[LatencyModel] = None,
-        config: Optional[IterationConfig] = None,
-        policy_name: str = "unnamed",
-    ) -> None:
-        self.model = model
-        self.cache = cache
-        self.latency = latency or LatencyModel()
-        self.config = config or IterationConfig()
-        self.policy_name = policy_name
-        self.kernel_config = KernelConfig(max_running=1)
-
-    def run(self, trace: Trace | TraceStream) -> IterationResult:
-        """Simulate the full trace; returns records plus the TBT gap sample."""
-        config = self.config
-
-        def factory(kernel: SimulationKernel, replica: int) -> TokenBatchingScheduler:
-            return TokenBatchingScheduler(
-                kernel,
-                replica,
-                token_budget=config.token_budget,
-                max_batch=config.max_batch,
-                iteration_overhead_s=config.iteration_overhead_s,
-            )
-
-        kernel = SimulationKernel(
-            self.model,
-            [self.cache],
-            self.latency,
-            config=self.kernel_config,
-            scheduler_factory=factory,
-            policy_names=[self.policy_name],
-        )
-        run = kernel.run(trace)
-        base = run.replica_results[0]
-        scheduler: TokenBatchingScheduler = run.schedulers[0]
-        return IterationResult(
-            policy=base.policy,
-            records=base.records,
-            cache_stats=base.cache_stats,
-            max_running=base.max_running,
-            queue_depth_series=base.queue_depth_series,
-            running_series=base.running_series,
-            tbt_gaps=scheduler.tbt_gaps,
-            n_iterations=scheduler.n_iterations,
-        )
-
-
 def simulate_trace_iteration(
     model: ModelConfig,
     cache: CacheProtocol,
@@ -136,5 +82,36 @@ def simulate_trace_iteration(
     config: Optional[IterationConfig] = None,
     policy_name: str = "unnamed",
 ) -> IterationResult:
-    """One-call convenience wrapper around :class:`IterationSimulator`."""
-    return IterationSimulator(model, cache, latency, config, policy_name).run(trace)
+    """Replays one trace through one cache, iteration by iteration; returns
+    the records plus the TBT gap sample."""
+    config = config or IterationConfig()
+
+    def factory(kernel: SimulationKernel, replica: int) -> TokenBatchingScheduler:
+        return TokenBatchingScheduler(
+            kernel,
+            replica,
+            token_budget=config.token_budget,
+            max_batch=config.max_batch,
+            iteration_overhead_s=config.iteration_overhead_s,
+        )
+
+    kernel = SimulationKernel(
+        model,
+        [cache],
+        latency,
+        scheduler_factory=factory,
+        policy_names=[policy_name],
+    )
+    run = kernel.run(trace)
+    base = run.replica_results[0]
+    scheduler: TokenBatchingScheduler = run.schedulers[0]
+    return IterationResult(
+        policy=base.policy,
+        records=base.records,
+        cache_stats=base.cache_stats,
+        max_running=base.max_running,
+        queue_depth_series=base.queue_depth_series,
+        running_series=base.running_series,
+        tbt_gaps=scheduler.tbt_gaps,
+        n_iterations=scheduler.n_iterations,
+    )

@@ -30,44 +30,6 @@ from repro.models.config import ModelConfig
 from repro.workloads.trace import Trace, TraceStream
 
 
-class ServingSimulator:
-    """Replays one trace through one cache under the latency model.
-
-    ``n_executors > 1`` models data-parallel prefill workers that share the
-    single prefix cache (e.g. multiple prefill streams on one node): up to
-    that many requests prefill concurrently (continuous batching at
-    prefill granularity), each still paying its own FLOP-derived duration.
-    """
-
-    def __init__(
-        self,
-        model: ModelConfig,
-        cache: CacheProtocol,
-        latency: Optional[LatencyModel] = None,
-        policy_name: str = "unnamed",
-        n_executors: int = 1,
-    ) -> None:
-        if n_executors < 1:
-            raise ValueError(f"n_executors must be >= 1, got {n_executors}")
-        self.model = model
-        self.cache = cache
-        self.latency = latency or LatencyModel()
-        self.policy_name = policy_name
-        self.n_executors = n_executors
-        self.config = KernelConfig(max_running=n_executors)
-
-    def run(self, trace: Trace | TraceStream) -> EngineResult:
-        """Simulate the full trace; returns per-request records."""
-        kernel = SimulationKernel(
-            self.model,
-            [self.cache],
-            self.latency,
-            config=self.config,
-            policy_names=[self.policy_name],
-        )
-        return kernel.run(trace).replica_results[0]
-
-
 def simulate_trace(
     model: ModelConfig,
     cache: CacheProtocol,
@@ -76,5 +38,20 @@ def simulate_trace(
     policy_name: str = "unnamed",
     n_executors: int = 1,
 ) -> EngineResult:
-    """One-call convenience wrapper around :class:`ServingSimulator`."""
-    return ServingSimulator(model, cache, latency, policy_name, n_executors).run(trace)
+    """Replays one trace through one cache under the latency model.
+
+    ``n_executors > 1`` models data-parallel prefill workers that share the
+    single prefix cache (e.g. multiple prefill streams on one node): up to
+    that many requests prefill concurrently (continuous batching at
+    prefill granularity), each still paying its own FLOP-derived duration.
+    """
+    if n_executors < 1:
+        raise ValueError(f"n_executors must be >= 1, got {n_executors}")
+    kernel = SimulationKernel(
+        model,
+        [cache],
+        latency,
+        config=KernelConfig(max_running=n_executors),
+        policy_names=[policy_name],
+    )
+    return kernel.run(trace).replica_results[0]

@@ -17,7 +17,6 @@ from repro.experiments.config import (
 from repro.experiments.figures.base import FigureResult
 from repro.experiments.parallel import (
     RunSpec,
-    derive_point_seed,
     execute_spec,
     run_specs,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "run_policies",
     "ResultCache",
     "RunSpec",
-    "derive_point_seed",
     "execute_spec",
     "run_specs",
     "SweepPoint",

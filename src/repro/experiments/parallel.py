@@ -8,9 +8,6 @@ the one place that fan-out lives:
 * :class:`RunSpec` — a frozen, pickle-safe description of one simulation
   (workload params by value, never a live trace or cache object), so
   specs can cross process boundaries and key caches;
-* :func:`derive_point_seed` — deterministic per-point seed derivation
-  (stable hashing, not Python's per-process ``hash``), so a sweep's
-  points draw independent-but-reproducible randomness from one base seed;
 * :func:`run_specs` — the sweep engine: serial in-process when
   ``n_workers <= 1`` (sharing the process's trace/result caches), a
   ``ProcessPoolExecutor`` otherwise.  Workers rebuild everything from the
@@ -25,11 +22,9 @@ in the caller's original spec order regardless.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import multiprocessing
@@ -38,21 +33,6 @@ from repro.engine.latency import LatencyModel
 from repro.engine.results import EngineResult
 from repro.models.config import ModelConfig
 from repro.workloads.sessions import WorkloadParams
-
-
-def derive_point_seed(base_seed: int, *components: object) -> int:
-    """A deterministic seed for one sweep point.
-
-    Stable across processes and Python invocations (unlike ``hash()``,
-    which is salted): the base seed and the point's identifying components
-    are folded through SHA-256.  Distinct component tuples get independent
-    seeds; the same tuple always gets the same seed.
-    """
-    payload = json.dumps(
-        [int(base_seed), *[str(c) for c in components]], separators=(",", ":")
-    ).encode()
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -82,24 +62,6 @@ class RunSpec:
             raise ValueError(
                 f"capacity_bytes must be positive, got {self.capacity_bytes}"
             )
-
-    def with_derived_seed(self, base_seed: int) -> "RunSpec":
-        """This spec with its trace seed derived from ``base_seed``.
-
-        The derivation folds in every trace-shaping field (but not the
-        policy or capacity, so all policies of one sweep point replay the
-        *same* trace — the paired comparison the paper's box plots need).
-        """
-        seed = derive_point_seed(
-            base_seed,
-            self.workload,
-            self.params.n_sessions,
-            self.params.session_rate,
-            self.params.mean_think_s,
-            "poisson",  # the one arrival process; keeps every derived seed unchanged
-            self.tag,
-        )
-        return replace(self, params=replace(self.params, seed=seed))
 
     def trace_key(self) -> tuple:
         """Identity of the trace this spec replays (grouping key)."""

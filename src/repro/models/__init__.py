@@ -11,7 +11,6 @@ cache entry occupy".
 from repro.models.config import LayerType, ModelConfig
 from repro.models.efficiency import (
     flop_efficiency,
-    node_flop_efficiency,
     flops_saved_per_byte_attention,
     flops_saved_per_byte_ssm,
 )
@@ -21,7 +20,6 @@ from repro.models.flops import (
     ssm_prefill_flops,
     model_prefill_flops,
     model_suffix_prefill_flops,
-    model_decode_flops_per_token,
     flop_breakdown,
 )
 from repro.models.memory import (
@@ -55,7 +53,6 @@ __all__ = [
     "ssm_prefill_flops",
     "model_prefill_flops",
     "model_suffix_prefill_flops",
-    "model_decode_flops_per_token",
     "flop_breakdown",
     "kv_bytes_per_token",
     "ssm_state_bytes",
@@ -67,7 +64,6 @@ __all__ = [
     "block_entry_bytes",
     "sequence_cache_footprint",
     "flop_efficiency",
-    "node_flop_efficiency",
     "flops_saved_per_byte_attention",
     "flops_saved_per_byte_ssm",
     "hybrid_7b",

@@ -26,51 +26,6 @@ def flop_efficiency(config: ModelConfig, seq_len: int) -> float:
     return saved / state_bytes
 
 
-def node_flop_efficiency(
-    config: ModelConfig,
-    node_seq_len: int,
-    parent_seq_len: int,
-    freeable_bytes: int,
-    mode: str = "prefix_per_freed",
-) -> float:
-    """FLOP efficiency of one eviction candidate (radix-tree node).
-
-    Eviction wants "compute savings destroyed per byte reclaimed".  Two
-    numerator conventions are supported:
-
-    * ``prefix_per_freed`` (default): a hit on this node saves the prefill
-      of its entire prefix, so the numerator is ``flops(seq_len)``.  This is
-      the Fig. 5 notion of an entry's FLOP efficiency and is what makes the
-      score *trade short sequences for long ones* (Fig. 10a): a 20K-token
-      conversation checkpoint scores an order of magnitude above a 2K one.
-    * ``edge_delta``: the node's savings relative to its parent
-      (``flops(seq_len) - flops(parent_seq_len)``), crediting each node only
-      for its own edge.  Kept for the ablation bench; empirically it
-      under-protects deep checkpoints whose edges are short (a conversation
-      round appends few tokens relative to its context).
-
-    The denominator is always the bytes eviction would actually reclaim:
-    the full entry for a leaf, only the recurrent checkpoint for a
-    single-child node (its KVs are absorbed by the child).
-    """
-    if not 0 <= parent_seq_len <= node_seq_len:
-        raise ValueError(
-            "need 0 <= parent_seq_len <= node_seq_len, got "
-            f"parent={parent_seq_len}, node={node_seq_len}"
-        )
-    if freeable_bytes <= 0:
-        return 0.0
-    if mode == "prefix_per_freed":
-        saved = model_prefill_flops(config, node_seq_len)
-    elif mode == "edge_delta":
-        saved = model_prefill_flops(config, node_seq_len) - model_prefill_flops(
-            config, parent_seq_len
-        )
-    else:
-        raise ValueError(f"unknown efficiency mode {mode!r}")
-    return saved / freeable_bytes
-
-
 def flops_saved_per_byte_attention(seq_len: int, d_model: int) -> float:
     """Closed form from Table 1 for one Attention layer: ``L + 2D``.
 

@@ -75,9 +75,10 @@ class _PrefillFlopsTable(dict):
     """``seq_len -> model_prefill_flops`` of one config, filled on first read.
 
     A miss scales each closed form above (its own products, in its order) by
-    its layer count and adds them in ``LayerType`` order, as ``sum`` over
-    :func:`flop_breakdown` does on CPython 3.11: every float is bit-equal to
-    the definition.  A negative length raises and stores nothing.
+    its layer count and adds the three terms left to right in ``LayerType``
+    order: every float is bit-equal to the definition in
+    :func:`model_prefill_flops`.  A negative length raises and stores
+    nothing.
     """
 
     __slots__ = ("_dim", "_state", "_n_attention", "_n_ssm", "_n_mlp", "__weakref__")
@@ -119,7 +120,9 @@ def prefill_flops_table(config: ModelConfig) -> dict[int, float]:
 
 def model_prefill_flops(config: ModelConfig, seq_len: int) -> float:
     """Total FLOPs for the whole model to prefill ``seq_len`` tokens from
-    scratch: ``sum(flop_breakdown(config, seq_len).values())``, read from
+    scratch: the three :func:`flop_breakdown` terms added left to right in
+    ``LayerType`` order (``attention + ssm + mlp``; not ``sum``, which
+    compensates float rounding from CPython 3.12 on), read from
     :func:`prefill_flops_table`."""
     return prefill_flops_table(config)[seq_len]
 
@@ -138,17 +141,3 @@ def model_suffix_prefill_flops(
             f"need 0 <= reused_len <= seq_len, got reused_len={reused_len}, seq_len={seq_len}"
         )
     return model_prefill_flops(config, seq_len) - model_prefill_flops(config, reused_len)
-
-
-def model_decode_flops_per_token(config: ModelConfig, context_len: int) -> float:
-    """FLOPs to decode one token at the given context length.
-
-    Derived as the marginal cost ``flops(L+1) - flops(L)``; used by the
-    latency model for completeness (decode is memory-bound in practice, so the
-    simulator's decode clock is dominated by a bandwidth term instead).
-    """
-    if context_len < 0:
-        raise ValueError(f"context_len must be non-negative, got {context_len}")
-    return model_prefill_flops(config, context_len + 1) - model_prefill_flops(
-        config, context_len
-    )

@@ -12,7 +12,7 @@ real client facing a 429 would experience.
 Replays are teacher-forced (``forced_outputs`` carries the trace's output
 tokens), so every committed sequence matches the trace's next-round
 inputs and the prefix-cache behaviour is comparable, request for request,
-with an offline :class:`~repro.engine.server.ServingSimulator` run over
+with an offline :func:`~repro.engine.server.simulate_trace` run over
 the same trace.  :class:`CacheOnlyServer` makes that comparison cheap: it
 speaks the same serve-steps protocol as the real model server but runs
 cache transactions only, so a million-round replay exercises the gateway

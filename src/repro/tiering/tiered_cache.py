@@ -63,18 +63,6 @@ class TieredMarconiCache(MarconiCache):
         super().__init__(model, capacity_bytes, **kwargs)
         self.secondary = SecondaryStore(secondary_bytes, policy=secondary_policy)
 
-    # ------------------------------------------------------------------
-    # Tier accounting
-    # ------------------------------------------------------------------
-    @property
-    def secondary_used_bytes(self) -> int:
-        return self.secondary.used_bytes
-
-    @property
-    def total_used_bytes(self) -> int:
-        """Bytes held across both tiers."""
-        return self.used_bytes + self.secondary.used_bytes
-
     def reset(self) -> None:
         super().reset()
         self.secondary.clear()

@@ -1,74 +1,8 @@
-"""Tests for speculative insertion and the admission taxonomy (section 4.1)."""
+"""Tests for the admission taxonomy (section 4.1), through MarconiCache."""
 
 import numpy as np
 
-from repro.core.admission import speculative_insert
 from repro.core.cache import MarconiCache
-from repro.core.radix_tree import RadixTree
-
-
-def arr(*values):
-    return np.asarray(values, dtype=np.int32)
-
-
-class TestSpeculativeInsert:
-    def test_empty_tree_no_split(self):
-        tree = RadixTree()
-        report = speculative_insert(tree, arr(1, 2, 3))
-        assert not report.would_split_edge
-        assert report.branch_position is None
-        assert report.matched_len == 0
-
-    def test_divergence_mid_edge_reports_branch(self):
-        tree = RadixTree()
-        tree.insert(arr(1, 2, 3, 4), now=1.0)
-        report = speculative_insert(tree, arr(1, 2, 9))
-        assert report.would_split_edge
-        assert report.branch_position == 2
-
-    def test_proper_prefix_reports_branch_at_end(self):
-        tree = RadixTree()
-        tree.insert(arr(1, 2, 3, 4), now=1.0)
-        report = speculative_insert(tree, arr(1, 2, 3))
-        assert report.would_split_edge
-        assert report.branch_position == 3
-
-    def test_extension_no_split(self):
-        tree = RadixTree()
-        tree.insert(arr(1, 2), now=1.0)
-        report = speculative_insert(tree, arr(1, 2, 3, 4))
-        assert not report.would_split_edge
-        assert report.matched_len == 2
-
-    def test_exact_node_match_no_split(self):
-        tree = RadixTree()
-        tree.insert(arr(1, 2), now=1.0)
-        report = speculative_insert(tree, arr(1, 2))
-        assert not report.would_split_edge
-        assert report.matched_len == 2
-
-    def test_never_mutates(self):
-        tree = RadixTree()
-        tree.insert(arr(1, 2, 3, 4), now=1.0)
-        before = tree.n_nodes
-        speculative_insert(tree, arr(1, 2, 9, 9))
-        assert tree.n_nodes == before
-
-    def test_agrees_with_actual_insert(self, tokens):
-        """The dry run must predict exactly what insert() then does."""
-        rng = np.random.default_rng(7)
-        tree = RadixTree()
-        shadow = RadixTree()
-        base = tokens(64, seed=1)
-        for i in range(50):
-            cut = int(rng.integers(1, 64))
-            candidate = np.concatenate([base[:cut], tokens(int(rng.integers(1, 20)), seed=100 + i)])
-            report = speculative_insert(tree, candidate)
-            outcome = tree.insert(candidate, now=float(i))
-            assert report.would_split_edge == (outcome.split_node is not None)
-            if report.would_split_edge:
-                assert report.branch_position == outcome.split_node.seq_len
-            shadow.insert(candidate, now=float(i))
 
 
 class TestAdmissionTaxonomy:

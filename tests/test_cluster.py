@@ -229,10 +229,9 @@ class TestClusterSimulator:
         assert result.load_imbalance >= 0.0
 
     def test_rejects_empty_cluster(self, hybrid):
-        from repro.cluster.simulator import ClusterSimulator
-
-        with pytest.raises(ValueError):
-            ClusterSimulator(hybrid, [], RoundRobinRouter())
+        trace = generate_lmsys_trace(n_sessions=1, seed=1)
+        with pytest.raises(ValueError, match="at least one replica cache"):
+            simulate_cluster(hybrid, [], RoundRobinRouter(), trace)
 
     def test_invalid_router_output_raises(self, hybrid):
         class BadRouter(RoundRobinRouter):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    ClusterSimulator,
     DirectoryRouter,
     PrefixAffinityRouter,
     RoundRobinRouter,
@@ -134,14 +133,15 @@ class TestFailover:
         trace = generate_lmsys_trace(n_sessions=10, seed=39, session_rate=2.0)
         caches = _caches(hybrid, 3)
         router = PrefixAffinityRouter()
-        first = ClusterSimulator(
+        first = simulate_cluster(
             hybrid,
             caches,
             router,
+            trace,
             scenario=[ScenarioEvent(1.5, "fail", replica=1)],
-        ).run(trace)
+        )
         assert first.directory_stats["invalidations"] >= 1
-        second = ClusterSimulator(hybrid, caches, router).run(trace)
+        second = simulate_cluster(hybrid, caches, router, trace)
         # The replica a previous run killed is tracked and routable again.
         assert second.routed_counts[1] > 0
         assert second.directory_stats["invalidations"] == 0

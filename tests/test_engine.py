@@ -10,7 +10,7 @@ from repro.core.cache import MarconiCache
 from repro.engine.latency import LatencyModel
 from repro.engine.request import EngineRequest
 from repro.engine.results import EngineResult, RequestRecord
-from repro.engine.server import ServingSimulator, simulate_trace
+from repro.engine.server import simulate_trace
 from repro.models.flops import model_prefill_flops
 from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.sessions import WorkloadParams

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.cache import MarconiCache
 from repro.engine.results import EngineResult, RequestRecord
-from repro.engine.server import ServingSimulator, simulate_trace
+from repro.engine.server import simulate_trace
 from repro.metrics.export import summary_dict
 from repro.metrics.throughput import makespan_seconds, prefill_throughput_tokens_per_s
 from repro.models.memory import node_state_bytes
@@ -21,8 +21,9 @@ def _cache(hybrid, seqs=50):
 
 class TestMultiExecutor:
     def test_rejects_zero_executors(self, hybrid):
-        with pytest.raises(ValueError):
-            ServingSimulator(hybrid, _cache(hybrid), n_executors=0)
+        trace = generate_lmsys_trace(n_sessions=1, seed=31)
+        with pytest.raises(ValueError, match="n_executors"):
+            simulate_trace(hybrid, _cache(hybrid), trace, n_executors=0)
 
     def test_serves_all_requests(self, hybrid):
         trace = generate_lmsys_trace(n_sessions=10, seed=31)

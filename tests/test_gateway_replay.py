@@ -1,6 +1,6 @@
 """Replay-path tests: CacheOnlyServer, TraceReplayer, and the headline
 equivalence — a wall-clock replay through the live gateway produces the
-same per-request hit counts as the offline ``ServingSimulator`` on the
+same per-request hit counts as the offline ``simulate_trace`` on the
 same trace.
 
 Equivalence preconditions (each deliberate):
@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.cache import MarconiCache
 from repro.core.interfaces import RequestSession
-from repro.engine.server import ServingSimulator
+from repro.engine.server import simulate_trace
 from repro.models.presets import hybrid_7b
 from repro.serving import (
     CacheOnlyServer,
@@ -180,12 +180,12 @@ class TestCacheOnlyServer:
 class TestReplayEquivalence:
     def test_replay_matches_offline_simulator(self, tiny):
         """The headline check: per-request hit counts and cache totals of a
-        live gateway replay equal the offline ServingSimulator's on the
+        live gateway replay equal the offline simulate_trace's on the
         same trace."""
         trace = build_trace(n_sessions=12, seed=7)
 
         sim_cache = MarconiCache(tiny, int(1e12), alpha=1.0)
-        offline = ServingSimulator(tiny, sim_cache, policy_name="marconi").run(trace)
+        offline = simulate_trace(tiny, sim_cache, trace, policy_name="marconi")
         offline_hits = sorted(
             (r.session_id, r.round_index, r.hit_tokens) for r in offline.records
         )
@@ -218,7 +218,7 @@ class TestReplayEquivalence:
         trace = build_trace(n_sessions=10, seed=21)
 
         sim_cache = MarconiCache(tiny, int(1e12), alpha=1.0)
-        offline = ServingSimulator(tiny, sim_cache, policy_name="marconi").run(trace)
+        offline = simulate_trace(tiny, sim_cache, trace, policy_name="marconi")
         offline_hits = sorted(
             (r.session_id, r.round_index, r.hit_tokens) for r in offline.records
         )

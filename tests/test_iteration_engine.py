@@ -7,7 +7,6 @@ from repro.core.cache import MarconiCache
 from repro.baselines.vanilla import VanillaCache
 from repro.engine.iteration import (
     IterationConfig,
-    IterationSimulator,
     simulate_trace_iteration,
 )
 from repro.engine.latency import LatencyModel

@@ -34,7 +34,7 @@ from repro.core.cache import MarconiCache
 from repro.engine.events import ENTRY_PAYLOAD, ENTRY_SEQ, EventKind, EventQueue
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.kernel import KernelConfig, SimulationKernel, VirtualClock
-from repro.engine.server import ServingSimulator, simulate_trace
+from repro.engine.server import simulate_trace
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
 from repro.workloads.trace import Trace, TraceRound, TraceSession
@@ -245,11 +245,11 @@ class TestKernelInvariants:
         for a, b in zip(runs[0].replica_results, runs[1].replica_results):
             assert a.records == b.records
 
-    def test_same_engine_instance_replays_identically(self):
+    def test_rerun_on_one_cache_replays_identically(self):
         """Regression: the legacy loops threaded one engine-held counter
-        into every run's event queue, so a reused engine instance started
-        each run at a different seq offset.  Kernel runs rebuild all
-        per-run state, so one instance replays byte-identically."""
+        into every run's event queue, so a reused engine started each run
+        at a different seq offset.  Kernel runs rebuild all per-run state,
+        so a rerun over the same cache replays byte-identically."""
         trace_sessions = [
             TraceSession(
                 session_id=0,
@@ -264,8 +264,9 @@ class TestKernelInvariants:
             )
         ]
         trace = Trace(name="t", seed=0, sessions=trace_sessions)
-        engine = ServingSimulator(MODEL, VanillaCache(MODEL))
-        assert engine.run(trace).records == engine.run(trace).records
+        cache = VanillaCache(MODEL)
+        first = simulate_trace(MODEL, cache, trace)
+        assert first.records == simulate_trace(MODEL, cache, trace).records
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.interfaces import LookupResult, RequestSession
+from repro.models.flops import prefill_flops_table
 from repro.models.memory import (
     kv_bytes_per_token,
     model_recurrent_bytes,
@@ -115,6 +116,33 @@ class TestAccounting:
         with cache.begin(tokens(100, seed=10), 0.0):
             assert 0.0 < cache.utilization < 1.0
             assert cache.free_bytes == cache.capacity_bytes - cache.used_bytes
+
+
+class TestCandidateEfficiency:
+    """The eviction score's FLOP term: the prefill FLOPs of a node's whole
+    prefix per byte its eviction frees."""
+
+    def test_prefix_flops_per_freed_byte(self, hybrid, tokens):
+        cache = MarconiCache(hybrid, int(1e12), alpha=1.0)
+        for length, seed in ((20_000, 1), (2_000, 2)):
+            seq = tokens(length, seed=seed)
+            full = np.concatenate([seq, tokens(10, seed=seed + 10)])
+            cache.begin(seq, 0.0).commit(full, 0.5)
+        leaves = {node.seq_len: node for node in cache.tree.iter_nodes() if not node.children}
+        assert sorted(leaves) == [2_010, 20_010]
+        table = prefill_flops_table(hybrid)
+        for node in leaves.values():
+            freeable = cache._freeable_bytes(node)
+            assert freeable > 0
+            assert cache._candidate_efficiency(node, freeable) == table[node.seq_len] / freeable
+            assert cache._candidate_efficiency(node, 0) == 0.0
+
+        # The short-for-long trade (Fig. 10a): per byte freed, a deep node
+        # outranks a shallow one.
+        freed = 10_000_000
+        deep = cache._candidate_efficiency(leaves[20_010], freed)
+        shallow = cache._candidate_efficiency(leaves[2_010], freed)
+        assert deep >= 5 * shallow
 
 
 class TestStats:

@@ -6,9 +6,7 @@ from repro.models.efficiency import (
     flop_efficiency,
     flops_saved_per_byte_attention,
     flops_saved_per_byte_ssm,
-    node_flop_efficiency,
 )
-from repro.models.flops import model_prefill_flops
 from repro.models.presets import hybrid_7b, mamba_7b, transformer_7b
 
 
@@ -64,33 +62,3 @@ class TestModelEfficiency:
         with pytest.raises(ValueError):
             flop_efficiency(hybrid, 0)
 
-
-class TestNodeEfficiency:
-    def test_prefix_mode_uses_full_prefix_flops(self, hybrid):
-        freed = 1000
-        value = node_flop_efficiency(hybrid, 500, 400, freed, mode="prefix_per_freed")
-        assert value == pytest.approx(model_prefill_flops(hybrid, 500) / freed)
-
-    def test_edge_delta_mode(self, hybrid):
-        freed = 1000
-        value = node_flop_efficiency(hybrid, 500, 400, freed, mode="edge_delta")
-        expected = (model_prefill_flops(hybrid, 500) - model_prefill_flops(hybrid, 400)) / freed
-        assert value == pytest.approx(expected)
-
-    def test_deep_nodes_dominate_in_prefix_mode(self, hybrid):
-        """The short-for-long trade (Fig. 10a) requires deep >> shallow."""
-        freed = 10_000_000
-        deep = node_flop_efficiency(hybrid, 20_000, 19_500, freed)
-        shallow = node_flop_efficiency(hybrid, 2_000, 1_500, freed)
-        assert deep / shallow > 5
-
-    def test_zero_freeable_scores_zero(self, hybrid):
-        assert node_flop_efficiency(hybrid, 500, 400, 0) == 0.0
-
-    def test_rejects_bad_range(self, hybrid):
-        with pytest.raises(ValueError):
-            node_flop_efficiency(hybrid, 10, 20, 100)
-
-    def test_rejects_unknown_mode(self, hybrid):
-        with pytest.raises(ValueError, match="mode"):
-            node_flop_efficiency(hybrid, 20, 10, 100, mode="bogus")

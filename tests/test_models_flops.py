@@ -16,7 +16,6 @@ from repro.models.flops import (
     flop_breakdown,
     layer_prefill_flops,
     mlp_prefill_flops,
-    model_decode_flops_per_token,
     model_prefill_flops,
     model_suffix_prefill_flops,
     ssm_prefill_flops,
@@ -24,6 +23,15 @@ from repro.models.flops import (
 from repro.engine.latency import LatencyModel
 from repro.models.memory import kv_bytes_per_token, model_recurrent_bytes
 from repro.models.presets import PRESETS, hybrid_7b
+
+
+def _left_to_right(breakdown):
+    """The definition of a model's prefill FLOPs: the three per-family
+    terms added left to right in ``LayerType`` order.  Not ``sum``: from
+    CPython 3.12 on it compensates float rounding and can differ in the
+    last bit."""
+    attention, ssm, mlp = (breakdown[layer] for layer in LayerType)
+    return attention + ssm + mlp
 
 
 class TestClosedForms:
@@ -65,7 +73,7 @@ class TestModelAggregates:
         produce the very float the public definition sums to (golden
         transcripts carry these values)."""
         config = PRESETS[preset]()  # a fresh config: every length is a miss
-        want = sum(flop_breakdown(config, seq_len).values())
+        want = _left_to_right(flop_breakdown(config, seq_len))
         assert prefill_flops_table(config)[seq_len] == want
         assert model_prefill_flops(config, seq_len) == want  # and the hit
         assert model_prefill_flops(PRESETS[preset](), seq_len) == want
@@ -86,8 +94,8 @@ class TestModelAggregates:
         table[98765] = -1.0  # a probe of the live dict, not a copy
         assert model_prefill_flops(hybrid, 98765) == -1.0
         del table[98765]
-        assert model_prefill_flops(hybrid, 98765) == sum(
-            flop_breakdown(hybrid, 98765).values()
+        assert model_prefill_flops(hybrid, 98765) == _left_to_right(
+            flop_breakdown(hybrid, 98765)
         )
 
     def test_monotone_in_length(self, hybrid):
@@ -106,7 +114,7 @@ class TestPrefillFlopsTable:
     def test_every_length_to_64k_is_the_breakdown(self, preset):
         lengths = range(65_537)
         config = PRESETS[preset]()
-        want = [sum(flop_breakdown(config, n).values()) for n in lengths]
+        want = [_left_to_right(flop_breakdown(config, n)) for n in lengths]
         table = prefill_flops_table(config)
         assert [table[n] for n in lengths] == want  # misses
         assert [table[n] for n in lengths] == want  # hits
@@ -196,15 +204,3 @@ class TestSuffixFlops:
         fresh = model_prefill_flops(transformer, length)
         assert suffix > fresh
 
-
-class TestDecodeFlops:
-    def test_decode_is_marginal_prefill(self, hybrid):
-        expected = model_prefill_flops(hybrid, 101) - model_prefill_flops(hybrid, 100)
-        assert model_decode_flops_per_token(hybrid, 100) == pytest.approx(expected)
-
-    def test_decode_grows_with_context_for_attention(self, transformer):
-        assert model_decode_flops_per_token(transformer, 10000) > model_decode_flops_per_token(transformer, 100)
-
-    def test_rejects_negative_context(self, hybrid):
-        with pytest.raises(ValueError):
-            model_decode_flops_per_token(hybrid, -1)

@@ -19,7 +19,6 @@ from repro.experiments.parallel import (
     RunSpec,
     _chunk_by_trace,
     default_workers,
-    derive_point_seed,
     execute_spec,
     run_specs,
 )
@@ -66,46 +65,6 @@ class TestRunSpec:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="capacity_bytes"):
             replace(_spec(), capacity_bytes=0)
-
-    def test_derived_seed_is_stable_and_policy_blind(self):
-        base = _spec(policy="marconi", tag="cache=4")
-        other_policy = _spec(policy="vanilla", tag="cache=4")
-        other_point = _spec(policy="marconi", tag="cache=8")
-        assert (
-            base.with_derived_seed(7).params.seed
-            == base.with_derived_seed(7).params.seed
-        )
-        # Same point, different policy: the *same* trace (paired runs).
-        assert (
-            base.with_derived_seed(7).params.seed
-            == other_policy.with_derived_seed(7).params.seed
-        )
-        # Different point or different base: independent traces.
-        assert (
-            base.with_derived_seed(7).params.seed
-            != other_point.with_derived_seed(7).params.seed
-        )
-        assert (
-            base.with_derived_seed(7).params.seed
-            != base.with_derived_seed(8).params.seed
-        )
-
-    def test_derive_point_seed_is_process_stable(self):
-        # A frozen value: breaking it silently reshuffles every derived
-        # sweep; move it only with a fixture-style review.
-        assert derive_point_seed(0, "lmsys", 2.0) == 829212162
-
-    def test_with_derived_seed_is_pinned(self):
-        # A spec's whole derivation, frozen: the sweeps' traces stay the
-        # ones every earlier result was measured on.
-        spec = RunSpec(
-            workload="lmsys",
-            params=WorkloadParams(n_sessions=40, seed=0),
-            policy="marconi",
-            capacity_bytes=10**9,
-            tag="cache=1GB",
-        )
-        assert spec.with_derived_seed(7).params.seed == 668724982
 
 
 class TestChunking:
