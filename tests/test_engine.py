@@ -48,6 +48,36 @@ class TestLatencyModel:
         lm = LatencyModel()
         assert lm.decode_seconds(100) == pytest.approx(100 * lm.decode_seconds_per_token)
 
+    def test_decode_rejects_negative_tokens(self):
+        with pytest.raises(ValueError, match="n_tokens"):
+            LatencyModel().decode_seconds(-1)
+
+    def test_secondary_bytes_priced_at_secondary_bandwidth(self, hybrid):
+        lm = LatencyModel()
+        free_fetch = lm.prefill_seconds(hybrid, 1000, 500, 0)
+        tiered = lm.prefill_seconds(hybrid, 1000, 500, int(1e9), int(4e8))
+        assert tiered - free_fetch == pytest.approx(
+            6e8 / lm.fetch_bandwidth_bytes_per_s
+            + 4e8 / lm.secondary_fetch_bandwidth_bytes_per_s
+        )
+        # The slower tier costs more than the same bytes from the first.
+        assert tiered > lm.prefill_seconds(hybrid, 1000, 500, int(1e9))
+
+    def test_secondary_bytes_beyond_reused_rejected(self, hybrid):
+        with pytest.raises(ValueError, match="secondary_bytes"):
+            LatencyModel().prefill_seconds(hybrid, 1000, 500, 10, 20)
+
+    def test_transfer_is_launch_plus_bandwidth(self):
+        lm = LatencyModel()
+        assert lm.transfer_seconds(0) == lm.transfer_latency_s
+        assert lm.transfer_seconds(int(6e9)) == pytest.approx(
+            lm.transfer_latency_s + 6e9 / lm.transfer_bandwidth_bytes_per_s
+        )
+
+    def test_transfer_rejects_negative_bytes(self):
+        with pytest.raises(ValueError, match="nbytes"):
+            LatencyModel().transfer_seconds(-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LatencyModel(mfu=0)

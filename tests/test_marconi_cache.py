@@ -122,7 +122,7 @@ class TestCandidateEfficiency:
     """The eviction score's FLOP term: the prefill FLOPs of a node's whole
     prefix per byte its eviction frees."""
 
-    def test_prefix_flops_per_freed_byte(self, hybrid, tokens):
+    def _leaves(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(1e12), alpha=1.0)
         for length, seed in ((20_000, 1), (2_000, 2)):
             seq = tokens(length, seed=seed)
@@ -130,15 +130,25 @@ class TestCandidateEfficiency:
             cache.begin(seq, 0.0).commit(full, 0.5)
         leaves = {node.seq_len: node for node in cache.tree.iter_nodes() if not node.children}
         assert sorted(leaves) == [2_010, 20_010]
+        return cache, leaves
+
+    def test_prefix_flops_per_freed_byte(self, hybrid, tokens):
+        cache, leaves = self._leaves(hybrid, tokens)
         table = prefill_flops_table(hybrid)
         for node in leaves.values():
             freeable = cache._freeable_bytes(node)
             assert freeable > 0
             assert cache._candidate_efficiency(node, freeable) == table[node.seq_len] / freeable
+
+    def test_zero_freeable_scores_zero(self, hybrid, tokens):
+        cache, leaves = self._leaves(hybrid, tokens)
+        for node in leaves.values():
             assert cache._candidate_efficiency(node, 0) == 0.0
 
-        # The short-for-long trade (Fig. 10a): per byte freed, a deep node
-        # outranks a shallow one.
+    def test_deep_nodes_dominate(self, hybrid, tokens):
+        """The short-for-long trade (Fig. 10a): per byte freed, a deep node
+        outranks a shallow one."""
+        cache, leaves = self._leaves(hybrid, tokens)
         freed = 10_000_000
         deep = cache._candidate_efficiency(leaves[20_010], freed)
         shallow = cache._candidate_efficiency(leaves[2_010], freed)

@@ -66,6 +66,19 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="capacity_bytes"):
             replace(_spec(), capacity_bytes=0)
 
+    def test_trace_key_is_policy_and_capacity_blind(self):
+        # Every policy and cache size of one point replays the same trace:
+        # the paired comparison the paper's box plots need.
+        base = _spec(policy="marconi", tag="cache=4")
+        assert _spec(policy="vanilla", tag="cache=4").trace_key() == base.trace_key()
+        assert replace(base, capacity_bytes=10**10).trace_key() == base.trace_key()
+
+    def test_trace_key_tells_traces_apart(self):
+        base = _spec()
+        assert _spec(seed=4).trace_key() != base.trace_key()
+        assert _spec(workload="lmsys").trace_key() != base.trace_key()
+        assert _spec(n_sessions=7).trace_key() != base.trace_key()
+
 
 class TestChunking:
     def test_chunks_are_trace_contiguous_and_complete(self):
@@ -98,6 +111,16 @@ class TestRunSpecs:
         a = run_specs([spec], n_workers=1)[0]
         b = execute_spec(spec)
         assert [asdict(r) for r in a.records] == [asdict(r) for r in b.records]
+
+    def test_uncached_execution_reproduces_the_cached_result(self):
+        # A result cache may only save time: a fresh run of the same spec
+        # replays the same records.
+        spec = _spec(seed=11)
+        cached = execute_spec(spec)
+        fresh = execute_spec(spec, use_cache=False)
+        assert fresh is not cached
+        assert [asdict(r) for r in fresh.records] == [asdict(r) for r in cached.records]
+        assert fresh.cache_stats == cached.cache_stats
 
     def test_parallel_matches_serial_in_order(self):
         specs = [
@@ -202,6 +225,14 @@ class TestSweepAdoption:
         assert len(specs) == 16
         assert specs[0].tag == "think=5/cache=1.5"
         assert specs[0].policy == "vanilla" and specs[1].policy == "marconi"
+
+    def test_policies_of_one_point_share_one_trace(self):
+        specs = sweep_specs("sharegpt", "smoke", policies=("vanilla", "marconi"))
+        by_tag: dict[str, set] = {}
+        for spec in specs:
+            by_tag.setdefault(spec.tag, set()).add(spec.trace_key())
+        assert len(by_tag) == 8
+        assert all(len(keys) == 1 for keys in by_tag.values())
 
     def test_points_fold_back_in_grid_order(self):
         policies = ("vanilla", "marconi")
