@@ -18,7 +18,11 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.lmsys import generate_lmsys_trace
 from repro.workloads.mixture import mix_streams, mix_traces
-from repro.workloads.registry import WORKLOAD_NAMES, generate_trace
+from repro.workloads.registry import (
+    WORKLOAD_NAMES,
+    generate_trace,
+    generate_trace_stream,
+)
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.sharegpt import generate_sharegpt_trace
 from repro.workloads.swebench import generate_swebench_trace
@@ -478,3 +482,56 @@ class TestGenerators:
         slow = generate_lmsys_trace(WorkloadParams(n_sessions=50, session_rate=0.5, seed=8))
         fast = generate_lmsys_trace(WorkloadParams(n_sessions=50, session_rate=2.0, seed=8))
         assert slow.sessions[-1].arrival_time > fast.sessions[-1].arrival_time
+
+
+# Content fingerprints of every registered workload at FINGERPRINT_SESSIONS
+# sessions, two seeds each.  Written with the generators that concatenated
+# each round and drew templates through ``Generator.choice(p=)``: a change
+# to how a trace is built or drawn must leave every token, id and time equal.
+FINGERPRINT_SESSIONS = 40
+FINGERPRINTS = {
+    ("docqa", 5): 2186876136,
+    ("docqa", 17): 3931990258,
+    ("fewshot", 5): 1157560464,
+    ("fewshot", 17): 1118337008,
+    ("lmsys", 5): 2022761617,
+    ("lmsys", 17): 1389704800,
+    ("selfconsistency", 5): 2258351205,
+    ("selfconsistency", 17): 1647487549,
+    ("sharegpt", 5): 2167105620,
+    ("sharegpt", 17): 2426754589,
+    ("swebench", 5): 4066378301,
+    ("swebench", 17): 4046124154,
+}
+
+
+class TestByteIdentity:
+    def test_every_workload_is_pinned(self):
+        assert {name for name, _ in FINGERPRINTS} == set(WORKLOAD_NAMES)
+
+    @pytest.mark.parametrize(("name", "seed"), sorted(FINGERPRINTS))
+    def test_generated_trace_is_pinned(self, name, seed):
+        params = WorkloadParams(n_sessions=FINGERPRINT_SESSIONS, seed=seed)
+        assert generate_trace(name, params).content_fingerprint() == FINGERPRINTS[name, seed]
+
+    @pytest.mark.parametrize(("name", "seed"), sorted(FINGERPRINTS))
+    def test_materialized_stream_is_pinned(self, name, seed):
+        params = WorkloadParams(n_sessions=FINGERPRINT_SESSIONS, seed=seed)
+        stream = generate_trace_stream(name, params)
+        assert stream.materialize().content_fingerprint() == FINGERPRINTS[name, seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_templates", [1, 7, 64])
+    def test_sample_index_draws_as_choice(self, seed, n_templates):
+        """A template draw is ``Generator.choice(n, p=weights)``: the same
+        index for the same double, and one double consumed per draw."""
+        pool = SharedSegmentPool(
+            base_seed=seed, n_templates=n_templates,
+            length=LogNormalLength(median=8, sigma=0.1), vocab_size=100,
+        )
+        weights = zipf_weights(n_templates, pool.zipf_exponent)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [pool.sample_index(ours) for _ in range(10_000)]
+        expected = [int(reference.choice(n_templates, p=weights)) for _ in range(10_000)]
+        assert drawn == expected
+        assert ours.random() == reference.random()
