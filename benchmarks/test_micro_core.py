@@ -17,9 +17,14 @@ from repro.core.eviction import FlopAwareEviction
 from repro.core.eviction_index import EvictionIndex
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
+from repro.models.config import LayerType
 from repro.models.flops import flop_breakdown, model_prefill_flops
 from repro.models.presets import hybrid_7b
+from repro.workloads import sessions
+from repro.workloads.registry import generate_trace
+from repro.workloads.sessions import WorkloadParams
 from repro.workloads.swebench import generate_swebench_trace
+from repro.workloads.vocab import fresh_tokens
 
 # The match depth floor: the match of round MATCH_DEPTHS[1] of one session
 # buffer against its round MATCH_DEPTHS[0], each in a tree holding the
@@ -55,14 +60,27 @@ SELECT_SPEEDUP_BOUND = 0.8
 
 # The FLOP-pricing floor: PRICE_LENGTHS lengths a fresh config has never
 # priced (a long-context trace's lengths are mostly new), read through
-# model_prefill_flops, against summing flop_breakdown for each (the
-# definition, the reference below).  The config's table evaluates the closed
-# forms inline on a miss: ~0.25x.  The id-keyed memo it replaced, which
+# model_prefill_flops, against adding flop_breakdown's three terms for each
+# (the definition, the reference below).  The config's table evaluates the
+# closed forms inline on a miss: ~0.25x.  The id-keyed memo it replaced, which
 # looked the config up per call and summed a list of formula calls, ~0.52x.
 PRICE_LENGTHS = 4000
 PRICE_FIRST_LENGTH = 10_000
 PRICE_ROUNDS = 9
 PRICE_SPEEDUP_BOUND = 0.35
+
+# The trace-generation floor: generating a GEN_SESSIONS-session sharegpt
+# trace, against Generator.integers drawing the same segment lengths in the
+# same order on a fresh generator (the draws no generator can skip),
+# alternating, the fastest of GEN_ROUNDS each.  Each token written once, by
+# one join per session, with templates drawn from a CDF computed once:
+# ~1.65-1.75x.  Concatenating round 0, then the session, then copying the
+# result into its handle, with a Generator.choice(p=) per template draw:
+# ~2.0-2.2x.
+GEN_SESSIONS = 400
+GEN_SEED = 11
+GEN_ROUNDS = 15
+GEN_COST_BOUND = 1.9
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +225,58 @@ def test_trace_holds_one_copy():
     )
 
 
+def _drawn_lengths(params: WorkloadParams) -> list[int]:
+    """The length of every token segment the session generator draws, in
+    draw order (templates come from the pool, drawn once per trace)."""
+    lengths: list[int] = []
+
+    def recording(rng, n, vocab_size):
+        lengths.append(n)
+        return fresh_tokens(rng, n, vocab_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sessions, "fresh_tokens", recording)
+        generate_trace("sharegpt", params)
+    return lengths
+
+
+def _generate_s(params: WorkloadParams) -> float:
+    start = time.perf_counter()
+    generate_trace("sharegpt", params)
+    return time.perf_counter() - start
+
+
+def _draw_s(lengths: list[int], vocab_size: int) -> float:
+    rng = np.random.default_rng(GEN_SEED)
+    start = time.perf_counter()
+    for n in lengths:
+        rng.integers(0, vocab_size, size=n, dtype=np.int32)
+    return time.perf_counter() - start
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
+)
+def test_generation_costs_its_draws():
+    """Generating a trace costs at most 1.9x drawing its tokens: every
+    token is written once, by its session's one join."""
+    params = WorkloadParams(n_sessions=GEN_SESSIONS, seed=GEN_SEED)
+    lengths = _drawn_lengths(params)
+    generated, drawn = [], []
+    for _ in range(GEN_ROUNDS):
+        generated.append(_generate_s(params))
+        drawn.append(_draw_s(lengths, params.vocab_size))
+    ratio = min(generated) / min(drawn)
+    print(
+        f"\ngeneration of {GEN_SESSIONS} sharegpt sessions: {min(generated) * 1e3:.1f} ms, "
+        f"its {len(lengths)} draws {min(drawn) * 1e3:.1f} ms ({ratio:.2f}x)"
+    )
+    assert ratio <= GEN_COST_BOUND, (
+        f"generating the trace took {ratio:.2f}x its draws (floor {GEN_COST_BOUND}x)"
+    )
+
+
 def _tied_row(rng) -> np.ndarray:
     """SELECT_CANDIDATES values: SELECT_TIED_VALUES of them shared by
     SELECT_TIE_SIZE candidates each, the rest distinct, shuffled."""
@@ -285,7 +355,12 @@ def test_victim_selection_runs_no_searches():
 
 
 def _breakdown_flops(config, seq_len: int) -> float:
-    return sum(flop_breakdown(config, seq_len).values())
+    """The three ``flop_breakdown`` terms added left to right in
+    ``LayerType`` order, as the table adds them (not ``sum``, which from
+    CPython 3.12 on compensates rounding and may differ in the last bit)."""
+    breakdown = flop_breakdown(config, seq_len)
+    attention, ssm, mlp = (breakdown[layer] for layer in LayerType)
+    return attention + ssm + mlp
 
 
 def _price_us(price) -> float:
@@ -305,7 +380,11 @@ def _price_us(price) -> float:
 )
 def test_flop_pricing_is_a_table_read():
     """Pricing a new length is one miss of the config's FLOP table: at most
-    0.35x summing flop_breakdown, the definition it equals bit for bit."""
+    0.35x adding flop_breakdown's terms, the definition it equals bit for
+    bit (asserted first)."""
+    config = hybrid_7b()
+    for seq_len in range(PRICE_FIRST_LENGTH, PRICE_FIRST_LENGTH + PRICE_LENGTHS):
+        assert model_prefill_flops(config, seq_len) == _breakdown_flops(config, seq_len)
     times = {model_prefill_flops: [], _breakdown_flops: []}
     for _ in range(PRICE_ROUNDS):
         for price, samples in times.items():

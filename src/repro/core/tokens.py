@@ -7,8 +7,9 @@ one-per-request handle that canonicalizes a sequence once and gives every
 token exactly one home:
 
 * ``data`` — the immutable little-endian int32 bytes backing the handle.
-  The one copy taken at construction is both the defensive snapshot and
-  the serialization every byte-comparing walk reads;
+  The one copy taken at construction (or the ``bytes`` object
+  :meth:`TokenSeq.adopt` was given, immutable already) is both the
+  defensive snapshot and the serialization every byte-comparing walk reads;
 * ``arr`` — the canonical 1-D ``int32`` array every consumer agrees on: a
   read-only ``np.frombuffer`` view of ``data``, never a second buffer;
 * :meth:`prefix` — a handle on the first ``n`` tokens that shares the same
@@ -106,9 +107,10 @@ def resume_anchor(tokens: Any, key: int) -> tuple[Optional[dict], Any]:
 class TokenSeq:
     """An immutable, interned token sequence: bytes, a view, cached hashes.
 
-    Construction canonicalizes eagerly and copies once, into ``data``;
-    ``arr`` views those bytes, so nothing the caller still holds can reach
-    the handle.  The exact bytes of a prefix handle and the content hash
+    Construction canonicalizes eagerly and copies once, into ``data``
+    (:meth:`adopt` takes bytes already made, with no copy); ``arr`` views
+    those bytes, so nothing the caller still holds can reach the handle.
+    The exact bytes of a prefix handle and the content hash
     are computed on first use and cached for the handle's lifetime.
     ``anchors`` (see the module docstring) is shared by every prefix handle
     of the buffer.
@@ -117,7 +119,22 @@ class TokenSeq:
     __slots__ = ("arr", "data", "anchors", "_len", "_bytes", "_hash")
 
     def __init__(self, tokens: Any) -> None:
-        data = canonical_token_array(tokens).tobytes()
+        self._own(canonical_token_array(tokens).tobytes())
+
+    @classmethod
+    def adopt(cls, data: bytes) -> "TokenSeq":
+        """Handle whose ``data`` is ``data`` itself, int32 bytes in native
+        order: ``bytes`` cannot change, so it needs no defensive copy (a
+        session's buffer, joined once from its rounds)."""
+        if not isinstance(data, bytes):
+            raise TypeError(f"adopt takes immutable bytes, got {type(data).__name__}")
+        if len(data) % _INT32_ITEMSIZE:
+            raise ValueError(f"{len(data)} bytes are not whole int32 tokens")
+        seq = cls.__new__(cls)
+        seq._own(data)
+        return seq
+
+    def _own(self, data: bytes) -> None:
         self.data = data
         self.arr = np.frombuffer(data, dtype=np.int32)
         self.anchors: dict[int, ref] = {}

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.workloads.arrivals import PoissonProcess, exponential_think_times
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
+from repro.workloads.trace import Trace, TraceSession, TraceStream
 from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
 
 
@@ -172,32 +172,26 @@ def _build_session(
     rng: np.random.Generator,
 ) -> TraceSession:
     target_rounds = shape.rounds.sample(rng)
-    rounds: list[TraceRound] = []
+    # The session's tokens in order, each segment written once, by the join
+    # that builds its buffer: round 0's preamble (empty without one), pooled
+    # template and fresh turn, then every round's output and next input.
+    segments = [preamble]
+    if rng.random() < shape.shared_prefix_prob:
+        segments.append(pool.sample(rng))
+    shared = sum(map(len, segments))  # round 0's input ahead of its fresh turn
+    round_lengths: list[tuple[int, int]] = []
     context = 0
     for round_index in range(target_rounds):
-        if round_index == 0:
-            parts = []
-            if len(preamble) > 0:
-                parts.append(preamble)
-            if rng.random() < shape.shared_prefix_prob:
-                parts.append(pool.sample(rng))
-            parts.append(
-                fresh_tokens(rng, shape.first_turn.sample(rng), params.vocab_size)
-            )
-            new_input = np.concatenate(parts)
-        else:
-            new_input = fresh_tokens(
-                rng, shape.later_turn.sample(rng), params.vocab_size
-            )
+        turn = shape.later_turn if round_index else shape.first_turn
+        new_input = fresh_tokens(rng, turn.sample(rng), params.vocab_size)
         output = fresh_tokens(rng, shape.output.sample(rng), params.vocab_size)
-        if round_index > 0 and context + len(new_input) > shape.max_context_tokens:
+        n_input = len(new_input) + (0 if round_index else shared)
+        if round_index > 0 and context + n_input > shape.max_context_tokens:
             break
-        rounds.append(TraceRound(new_input_tokens=new_input, output_tokens=output))
-        context += len(new_input) + len(output)
-    think_times = exponential_think_times(rng, len(rounds), params.mean_think_s)
-    return TraceSession(
-        session_id=session_id,
-        arrival_time=arrival_time,
-        rounds=rounds,
-        think_times=think_times,
+        segments += (new_input, output)
+        round_lengths.append((n_input, len(output)))
+        context += n_input + len(output)
+    think_times = exponential_think_times(rng, len(round_lengths), params.mean_think_s)
+    return TraceSession._from_segments(
+        session_id, arrival_time, segments, round_lengths, think_times
     )

@@ -36,16 +36,28 @@ class TraceRound:
         if len(self.output_tokens) == 0:
             raise ValueError("a round must produce at least one output token")
 
+    @classmethod
+    def _view(
+        cls, new_input_tokens: np.ndarray, output_tokens: np.ndarray
+    ) -> "TraceRound":
+        """A round over two non-empty views of a session buffer, unchecked."""
+        round_ = cls.__new__(cls)
+        round_.new_input_tokens = new_input_tokens
+        round_.output_tokens = output_tokens
+        return round_
+
 
 @dataclass
 class TraceSession:
     """A chat session / agent trajectory: rounds plus think-time gaps.
 
-    Construction concatenates the rounds once into the session's one
-    interned :class:`TokenSeq` and replaces ``rounds`` with rounds whose
-    arrays are read-only views of it: every token of the session has one
-    home, and the arrays the caller passed stay the caller's (editing them
-    afterwards reaches neither the rounds nor a handle).
+    Construction joins the rounds once into the session's one interned
+    :class:`TokenSeq` and replaces ``rounds`` with rounds whose arrays are
+    read-only views of it: every token of the session has one home, and the
+    arrays the caller passed stay the caller's (editing them afterwards
+    reaches neither the rounds nor a handle).  The generators build through
+    :meth:`_from_segments`, the same join without the checks their draws
+    make true by construction.
     """
 
     session_id: int
@@ -73,22 +85,57 @@ class TraceSession:
             raise ValueError(
                 f"think_times must be finite and non-negative, got {self.think_times!r}"
             )
-        # The session's one token buffer (every round, in order) and each
-        # round's (start, input end, full end) offsets into it.
-        parts: list[np.ndarray] = []
-        self._round_spans: list[tuple[int, int, int]] = []
-        end = 0
+        # bytes.join reads each array's buffer as it lies, so every segment
+        # must be C-contiguous int32 (a strided or int64 view is not).
+        segments: list[np.ndarray] = []
+        round_lengths: list[tuple[int, int]] = []
         for r in self.rounds:
-            parts += (r.new_input_tokens, r.output_tokens)
-            start, input_end = end, end + len(r.new_input_tokens)
-            end = input_end + len(r.output_tokens)
-            self._round_spans.append((start, input_end, end))
-        self._history = TokenSeq(np.concatenate(parts))
+            new_input = np.ascontiguousarray(r.new_input_tokens, dtype=np.int32)
+            output = np.ascontiguousarray(r.output_tokens, dtype=np.int32)
+            segments += (new_input, output)
+            round_lengths.append((len(new_input), len(output)))
+        self._join(segments, round_lengths)
+
+    @classmethod
+    def _from_segments(
+        cls,
+        session_id: int,
+        arrival_time: float,
+        segments: list[np.ndarray],
+        round_lengths: list[tuple[int, int]],
+        think_times: list[float],
+    ) -> "TraceSession":
+        """A session from its tokens in order, as C-contiguous int32
+        ``segments`` (one round may span several), and each round's
+        ``(new input, output)`` token counts, every count positive.  Nothing
+        is checked: the generators' draws hold the constructor's checks by
+        construction."""
+        session = cls.__new__(cls)
+        session.session_id = session_id
+        session.arrival_time = arrival_time
+        session.think_times = think_times
+        session._join(segments, round_lengths)
+        return session
+
+    def _join(
+        self, segments: list[np.ndarray], round_lengths: list[tuple[int, int]]
+    ) -> None:
+        """Write the segments once, into the session's one buffer, and set
+        ``rounds`` to read-only views of it with each round's (input end,
+        full end) offsets."""
+        self._history = TokenSeq.adopt(b"".join(segments))
         tokens = self._history.arr
-        self.rounds = [
-            TraceRound(tokens[start:input_end], tokens[input_end:end])
-            for start, input_end, end in self._round_spans
-        ]
+        rounds: list[TraceRound] = []
+        self._round_ends: list[tuple[int, int]] = []
+        end = 0
+        for n_input, n_output in round_lengths:
+            start, input_end = end, end + n_input
+            end = input_end + n_output
+            rounds.append(
+                TraceRound._view(tokens[start:input_end], tokens[input_end:end])
+            )
+            self._round_ends.append((input_end, end))
+        self.rounds = rounds
 
     @property
     def n_rounds(self) -> int:
@@ -102,7 +149,7 @@ class TraceSession:
         full sequence: both handles are :meth:`TokenSeq.prefix` views of the
         buffer built at construction (no bytes of their own).
         """
-        _, input_end, full_end = self._round_spans[round_index]
+        input_end, full_end = self._round_ends[round_index]
         return self._history.prefix(input_end), self._history.prefix(full_end)
 
     def full_input(self, round_index: int) -> np.ndarray:

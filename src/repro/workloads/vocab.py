@@ -43,7 +43,7 @@ class SharedSegmentPool:
     vocab_size: int
     zipf_exponent: float = 1.2
     _templates: list[np.ndarray] = field(default_factory=list, repr=False)
-    _weights: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    _cdf: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.n_templates <= 0:
@@ -53,15 +53,20 @@ class SharedSegmentPool:
             rng = np.random.default_rng((self.base_seed, index))
             n = self.length.sample(rng)
             self._templates.append(fresh_tokens(rng, n, self.vocab_size))
-        self._weights = zipf_weights(self.n_templates, self.zipf_exponent)
+        # Generator.choice(p=)'s CDF, computed once: cumsum, then divide by
+        # the last element, so a draw below reads the same index.
+        cdf = zipf_weights(self.n_templates, self.zipf_exponent).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     def get(self, index: int) -> np.ndarray:
         """Template by index (read-only by convention)."""
         return self._templates[index]
 
     def sample_index(self, rng: np.random.Generator) -> int:
-        """Zipf-popular template index."""
-        return int(rng.choice(self.n_templates, p=self._weights))
+        """Zipf-popular template index: ``rng.choice(n_templates, p=weights)``,
+        the same index from the same one double."""
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Zipf-popular template segment."""

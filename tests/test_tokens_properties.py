@@ -193,6 +193,37 @@ class TestPrefixHandles:
         assert head.prefix_hash(5) == crc32(np.arange(5, dtype=np.int32).tobytes())
 
 
+class TestAdoptedBytes:
+    """``TokenSeq.adopt(data)`` is ``TokenSeq(tokens)`` over the very bytes
+    object it is given: no copy, the same equality and hashes."""
+
+    @given(values=token_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_adopting_the_bytes_is_interning_the_tokens(self, values):
+        data = np.asarray(values, dtype=np.int32).tobytes()
+        seq = TokenSeq.adopt(data)
+        fresh = TokenSeq(values)
+        assert seq.data is data and seq.tobytes() is data
+        assert seq == fresh and hash(seq) == hash(fresh)
+        assert np.array_equal(seq.arr, fresh.arr) and seq.arr.dtype == np.int32
+        assert not seq.arr.flags.writeable
+        assert seq.anchors == {} and seq.anchors is not fresh.anchors
+        assert seq.prefix(len(values) // 2).data is data
+
+    @pytest.mark.parametrize(
+        "data",
+        [bytearray(8), memoryview(bytes(8)), np.zeros(2, dtype=np.int32), [0, 0]],
+        ids=["bytearray", "memoryview", "ndarray", "list"],
+    )
+    def test_only_immutable_bytes_are_adopted(self, data):
+        with pytest.raises(TypeError, match="immutable bytes"):
+            TokenSeq.adopt(data)
+
+    def test_adopted_bytes_are_whole_tokens(self):
+        with pytest.raises(ValueError, match="whole int32"):
+            TokenSeq.adopt(bytes(6))
+
+
 class TestProbeHitTokensUnchanged:
     """Interning must not change what routing probes observe."""
 

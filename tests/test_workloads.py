@@ -262,6 +262,44 @@ class TestTraceSchema:
             assert full_input.data is handles[-1].data
             assert full_input.anchors is handles[-1].anchors
 
+    @pytest.mark.parametrize("layout", ["list", "int64", "strided", "read-only"])
+    def test_rounds_of_any_layout_build_the_same_session(self, layout):
+        """The constructor joins each round's buffer as it lies, so it first
+        makes every array C-contiguous int32: a list, an int64 array, a
+        strided view or a read-only array builds the canonical session."""
+
+        def relayout(arr):
+            if layout == "list":
+                return arr.tolist()
+            if layout == "int64":
+                return arr.astype(np.int64)
+            if layout == "strided":
+                return np.repeat(arr, 2)[::2]
+            frozen = arr.copy()
+            frozen.flags.writeable = False
+            return frozen
+
+        canonical = self._long_rounds(6)
+        rounds = [
+            TraceRound(relayout(r.new_input_tokens), relayout(r.output_tokens))
+            for r in canonical
+        ]
+        if layout == "strided":
+            assert not rounds[0].new_input_tokens.flags.c_contiguous
+        think_times = [0.0] + [1.0] * 5
+        want = TraceSession(7, 0.0, canonical, think_times)
+        got = TraceSession(7, 0.0, rounds, think_times)
+        assert got.interned_round(5)[1].tobytes() == want.interned_round(5)[1].tobytes()
+        for ours, theirs in zip(got.rounds, want.rounds):
+            for a, b in ((ours.new_input_tokens, theirs.new_input_tokens),
+                         (ours.output_tokens, theirs.output_tokens)):
+                assert a.dtype == np.int32 and not a.flags.writeable
+                np.testing.assert_array_equal(a, b)
+        assert (
+            Trace("t", 0, [got]).content_fingerprint()
+            == Trace("t", 0, [want]).content_fingerprint()
+        )
+
     def test_materializing_every_round_allocates_about_one_session(self):
         """A session holds its tokens once, from construction: the buffer
         plus each round's two views.  Interning every round then allocates
@@ -400,6 +438,27 @@ class TestGenerators:
         np.testing.assert_array_equal(
             global_preamble(DOCQA_SHAPE, WorkloadParams(n_sessions=9, seed=4)), preamble
         )
+
+    def test_a_generated_session_is_its_one_buffer(self):
+        """A generated session writes its tokens once: its rounds are
+        read-only views of the one buffer its last round's handle adopts,
+        in order, and round 0's input opens with the preamble."""
+        from repro.workloads.docqa import DOCQA_SHAPE
+        from repro.workloads.sessions import global_preamble
+
+        params = WorkloadParams(n_sessions=8, seed=4)
+        preamble = global_preamble(DOCQA_SHAPE, params)
+        for session in generate_trace("docqa", params).sessions:
+            last = session.interned_round(session.n_rounds - 1)[1]
+            arrays = [a for r in session.rounds for a in (r.new_input_tokens, r.output_tokens)]
+            assert last.tobytes() is last.data
+            assert b"".join(a.tobytes() for a in arrays) == last.data
+            for array in arrays:
+                assert len(array) > 0 and not array.flags.writeable
+                assert np.shares_memory(array, last.arr)
+            np.testing.assert_array_equal(
+                session.rounds[0].new_input_tokens[: len(preamble)], preamble
+            )
 
     def test_no_global_preamble_without_tokens(self):
         from repro.workloads.lmsys import LMSYS_SHAPE
