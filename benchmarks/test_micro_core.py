@@ -71,16 +71,18 @@ PRICE_SPEEDUP_BOUND = 0.35
 
 # The trace-generation floor: generating a GEN_SESSIONS-session sharegpt
 # trace, against Generator.integers drawing the same segment lengths in the
-# same order on a fresh generator (the draws no generator can skip),
-# alternating, the fastest of GEN_ROUNDS each.  Each token written once, by
-# one join per session, with templates drawn from a CDF computed once:
-# ~1.65-1.75x.  Concatenating round 0, then the session, then copying the
-# result into its handle, with a Generator.choice(p=) per template draw:
-# ~2.0-2.2x.
+# same order on a fresh generator (the draws no generator can skip), as the
+# median over GEN_ROUNDS alternating pairs of their time ratio.  A pair runs
+# back to back, so a busy host slows both sides: on a busy 2-core host the
+# ratio of each side's fastest run swung 1.6-1.95x for the same code, the
+# pair median 1.6-1.85x.  Each token written once, by one join per session,
+# with templates drawn from a CDF computed once: ~1.75x.  Concatenating
+# round 0, then the session, then copying the result into its handle, with
+# a Generator.choice(p=) per template draw: 2.05-2.25x.
 GEN_SESSIONS = 400
 GEN_SEED = 11
-GEN_ROUNDS = 15
-GEN_COST_BOUND = 1.9
+GEN_ROUNDS = 21
+GEN_COST_BOUND = 1.95
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +261,7 @@ def _draw_s(lengths: list[int], vocab_size: int) -> float:
     reason="perf floor gated on >= 2 cores (matches the CI perf lane)",
 )
 def test_generation_costs_its_draws():
-    """Generating a trace costs at most 1.9x drawing its tokens: every
+    """Generating a trace costs at most 1.95x drawing its tokens: every
     token is written once, by its session's one join."""
     params = WorkloadParams(n_sessions=GEN_SESSIONS, seed=GEN_SEED)
     lengths = _drawn_lengths(params)
@@ -267,10 +269,11 @@ def test_generation_costs_its_draws():
     for _ in range(GEN_ROUNDS):
         generated.append(_generate_s(params))
         drawn.append(_draw_s(lengths, params.vocab_size))
-    ratio = min(generated) / min(drawn)
+    ratio = float(np.median(np.divide(generated, drawn)))
     print(
         f"\ngeneration of {GEN_SESSIONS} sharegpt sessions: {min(generated) * 1e3:.1f} ms, "
-        f"its {len(lengths)} draws {min(drawn) * 1e3:.1f} ms ({ratio:.2f}x)"
+        f"its {len(lengths)} draws {min(drawn) * 1e3:.1f} ms (fastest of each); "
+        f"median pair {ratio:.2f}x"
     )
     assert ratio <= GEN_COST_BOUND, (
         f"generating the trace took {ratio:.2f}x its draws (floor {GEN_COST_BOUND}x)"

@@ -110,10 +110,9 @@ class TokenSeq:
     Construction canonicalizes eagerly and copies once, into ``data``
     (:meth:`adopt` takes bytes already made, with no copy); ``arr`` views
     those bytes, so nothing the caller still holds can reach the handle.
-    The exact bytes of a prefix handle and the content hash
-    are computed on first use and cached for the handle's lifetime.
-    ``anchors`` (see the module docstring) is shared by every prefix handle
-    of the buffer.
+    The exact bytes of a prefix handle and the content hash are computed on
+    first use and cached for the handle's lifetime.  ``anchors`` (see the
+    module docstring) is shared by every prefix handle of the buffer.
     """
 
     __slots__ = ("arr", "data", "anchors", "_len", "_bytes", "_hash")
@@ -123,13 +122,10 @@ class TokenSeq:
 
     @classmethod
     def adopt(cls, data: bytes) -> "TokenSeq":
-        """Handle whose ``data`` is ``data`` itself, int32 bytes in native
-        order: ``bytes`` cannot change, so it needs no defensive copy (a
-        session's buffer, joined once from its rounds)."""
+        """Handle whose ``data`` is ``data`` itself (int32 tokens in native
+        order): ``bytes`` cannot change, so it needs no defensive copy."""
         if not isinstance(data, bytes):
             raise TypeError(f"adopt takes immutable bytes, got {type(data).__name__}")
-        if len(data) % _INT32_ITEMSIZE:
-            raise ValueError(f"{len(data)} bytes are not whole int32 tokens")
         seq = cls.__new__(cls)
         seq._own(data)
         return seq

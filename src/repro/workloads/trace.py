@@ -36,16 +36,6 @@ class TraceRound:
         if len(self.output_tokens) == 0:
             raise ValueError("a round must produce at least one output token")
 
-    @classmethod
-    def _view(
-        cls, new_input_tokens: np.ndarray, output_tokens: np.ndarray
-    ) -> "TraceRound":
-        """A round over two non-empty views of a session buffer, unchecked."""
-        round_ = cls.__new__(cls)
-        round_.new_input_tokens = new_input_tokens
-        round_.output_tokens = output_tokens
-        return round_
-
 
 @dataclass
 class TraceSession:
@@ -105,14 +95,11 @@ class TraceSession:
         round_lengths: list[tuple[int, int]],
         think_times: list[float],
     ) -> "TraceSession":
-        """A session from its tokens in order, as C-contiguous int32
-        ``segments`` (one round may span several), and each round's
-        ``(new input, output)`` token counts, every count positive.  Nothing
-        is checked: the generators' draws hold the constructor's checks by
-        construction."""
+        """The generators' constructor: the session's tokens in order as
+        C-contiguous int32 ``segments`` and each round's positive ``(new
+        input, output)`` counts, unchecked (the draws make the checks true)."""
         session = cls.__new__(cls)
-        session.session_id = session_id
-        session.arrival_time = arrival_time
+        session.session_id, session.arrival_time = session_id, arrival_time
         session.think_times = think_times
         session._join(segments, round_lengths)
         return session
@@ -120,22 +107,20 @@ class TraceSession:
     def _join(
         self, segments: list[np.ndarray], round_lengths: list[tuple[int, int]]
     ) -> None:
-        """Write the segments once, into the session's one buffer, and set
-        ``rounds`` to read-only views of it with each round's (input end,
-        full end) offsets."""
+        """Write the segments once, into the session's one buffer, and make
+        the rounds read-only views of it without re-running their checks."""
         self._history = TokenSeq.adopt(b"".join(segments))
         tokens = self._history.arr
-        rounds: list[TraceRound] = []
-        self._round_ends: list[tuple[int, int]] = []
+        self.rounds, self._round_ends = [], []
         end = 0
         for n_input, n_output in round_lengths:
             start, input_end = end, end + n_input
             end = input_end + n_output
-            rounds.append(
-                TraceRound._view(tokens[start:input_end], tokens[input_end:end])
-            )
+            view = TraceRound.__new__(TraceRound)
+            view.new_input_tokens = tokens[start:input_end]
+            view.output_tokens = tokens[input_end:end]
+            self.rounds.append(view)
             self._round_ends.append((input_end, end))
-        self.rounds = rounds
 
     @property
     def n_rounds(self) -> int:

@@ -220,7 +220,7 @@ class TestAdoptedBytes:
             TokenSeq.adopt(data)
 
     def test_adopted_bytes_are_whole_tokens(self):
-        with pytest.raises(ValueError, match="whole int32"):
+        with pytest.raises(ValueError):
             TokenSeq.adopt(bytes(6))
 
 
