@@ -23,7 +23,6 @@ _E2E = (sys.executable, "bench_e2e/run.py", "--seconds", "1", "--scale", "0.25",
 ENTRY_POINTS = [
     (*_CLI, "--all", "--scale", "smoke"), (*_CLI, "--list"), (*_CLI, "--taxonomy", "lmsys"),
     (*_CLI, "--gen-trace", "lmsys", "--sessions", "20", "--out", "{tmp}/built.jsonl"),
-    (*_CLI, "--gen-trace", "swebench", "--stream", "--sessions", "20", "--out", "{tmp}/s.jsonl"),
     (*_CLI, "--sweep", "sharegpt", "--scale", "smoke", "--workers", "2",
      "--out", "{tmp}/sweep.json"),
     (*_CLI, "--headroom", "sharegpt", "--scale", "smoke"),

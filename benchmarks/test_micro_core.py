@@ -23,7 +23,6 @@ from repro.models.presets import hybrid_7b
 from repro.workloads import sessions
 from repro.workloads.registry import generate_trace
 from repro.workloads.sessions import WorkloadParams
-from repro.workloads.swebench import generate_swebench_trace
 from repro.workloads.vocab import fresh_tokens
 
 # The match depth floor: the match of round MATCH_DEPTHS[1] of one session
@@ -205,7 +204,7 @@ def test_trace_holds_one_copy():
     trace retains about its token bytes, not the rounds plus a buffer."""
     tracemalloc.start()
     try:
-        trace = generate_swebench_trace(n_sessions=ONE_COPY_SESSIONS, seed=11)
+        trace = generate_trace("swebench", n_sessions=ONE_COPY_SESSIONS, seed=11)
         for session in trace.sessions:
             for k in range(session.n_rounds):
                 session.interned_round(k)

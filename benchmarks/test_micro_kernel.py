@@ -26,7 +26,7 @@ from repro.core.cache import MarconiCache
 from repro.engine.kernel import KernelConfig, SimulationKernel
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 BENCH_PATH = OUT_DIR / "BENCH_kernel.json"
@@ -38,7 +38,8 @@ MODEL = hybrid_7b()
 
 @pytest.fixture(scope="module")
 def trace() -> Trace:
-    return generate_lmsys_trace(
+    return generate_trace(
+        "lmsys",
         n_sessions=N_SESSIONS, session_rate=3.0, mean_think_s=2.0, seed=37
     )
 

@@ -50,7 +50,7 @@ MATERIALIZE_SESSIONS = 25_000
 _MEMORY_PROBE = """
 import resource, sys
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace, stream_trace
+from repro.workloads.sessions import SessionShape, WorkloadParams, stream_trace
 
 
 def peak_rss_kb():
@@ -85,7 +85,7 @@ if mode == "stream":
         for r in s.rounds:
             tokens += len(r.new_input_tokens) + len(r.output_tokens)
 else:
-    trace = build_trace(shape, params)
+    trace = stream_trace(shape, params).materialize()
     sessions = trace.n_sessions
     tokens = int(trace.total_input_tokens)
 print(sessions, tokens, peak_rss_kb())

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import (
     WorkloadParams,
-    generate_swebench_trace,
+    generate_trace,
     hybrid_7b,
     make_cache,
     simulate_trace,
@@ -32,7 +32,8 @@ GB = 1e9
 def main() -> None:
     cache_gb = float(sys.argv[1]) if len(sys.argv) > 1 else 35.0
     model = hybrid_7b()
-    trace = generate_swebench_trace(
+    trace = generate_trace(
+        "swebench",
         WorkloadParams(
             n_sessions=24 if FAST else 160,
             session_rate=2.0, mean_think_s=7.5, seed=7,

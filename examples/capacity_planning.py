@@ -12,7 +12,7 @@ Run:  python examples/capacity_planning.py
 from _common import FAST
 from repro import (
     WorkloadParams,
-    generate_swebench_trace,
+    generate_trace,
     hybrid_7b,
     make_cache,
     simulate_trace,
@@ -25,7 +25,8 @@ CACHE_GRID_GB = (15, 35, 60) if FAST else (15, 25, 35, 45, 60)
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_swebench_trace(
+    trace = generate_trace(
+        "swebench",
         WorkloadParams(
             n_sessions=24 if FAST else 160,
             session_rate=2.0, mean_think_s=7.5, seed=11,

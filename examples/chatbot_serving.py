@@ -14,7 +14,7 @@ from _common import FAST
 from repro import (
     LatencyModel,
     WorkloadParams,
-    generate_lmsys_trace,
+    generate_trace,
     hybrid_7b,
     make_cache,
     simulate_trace,
@@ -29,7 +29,8 @@ def main() -> None:
     cache_gb = float(sys.argv[1]) if len(sys.argv) > 1 else 8.0
     model = hybrid_7b()
     latency = LatencyModel()
-    trace = generate_lmsys_trace(
+    trace = generate_trace(
+        "lmsys",
         WorkloadParams(
             n_sessions=24 if FAST else 120,
             session_rate=2.0, mean_think_s=5.0, seed=7,

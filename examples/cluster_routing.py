@@ -16,7 +16,7 @@ from repro.cluster import make_router
 from repro.cluster.router import ROUTER_NAMES
 from repro.metrics import ascii_table
 from repro.models.memory import node_state_bytes
-from repro.workloads import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 N_REPLICAS = 4
 SESSIONS = 12 if FAST else 40
@@ -24,7 +24,7 @@ SESSIONS = 12 if FAST else 40
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_lmsys_trace(n_sessions=SESSIONS, seed=7, session_rate=1.0)
+    trace = generate_trace("lmsys", n_sessions=SESSIONS, seed=7, session_rate=1.0)
     per_cache = 6 * node_state_bytes(model, 2000, True)
 
     rows = []

@@ -28,7 +28,7 @@ from repro.engine.latency import LatencyModel
 from repro.metrics import ascii_table, format_bytes
 from repro.models.memory import node_state_bytes
 from repro.tiering import TieredMarconiCache
-from repro.workloads import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 N_REPLICAS = 4
 SESSIONS = 16 if FAST else 48
@@ -58,7 +58,7 @@ def scenario(model, fleet):
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_lmsys_trace(n_sessions=SESSIONS, seed=11, session_rate=2.0)
+    trace = generate_trace("lmsys", n_sessions=SESSIONS, seed=11, session_rate=2.0)
 
     routers = [
         ("directory + split transfers", DirectoryRouter(transfer_min_tokens=32)),

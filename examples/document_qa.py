@@ -14,7 +14,7 @@ from repro import MarconiCache, clairvoyant_replay, classify_trace, hybrid_7b
 from repro.baselines import make_cache
 from repro.core import replay_log
 from repro.metrics import ascii_table
-from repro.workloads import generate_docqa_trace
+from repro.workloads import generate_trace
 
 CACHE_GB = 20
 
@@ -26,7 +26,8 @@ def replay(cache, trace):
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_docqa_trace(
+    trace = generate_trace(
+        "docqa",
         n_sessions=12 if FAST else 60, seed=11, session_rate=0.5
     )
     capacity = int(CACHE_GB * 1e9)

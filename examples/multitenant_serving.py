@@ -17,12 +17,7 @@ from _common import FAST
 
 from repro import MarconiCache, hybrid_7b, simulate_trace
 from repro.metrics import ascii_table
-from repro.workloads import (
-    component_of,
-    generate_sharegpt_trace,
-    generate_swebench_trace,
-    mix_traces,
-)
+from repro.workloads import component_of, generate_trace, mix_streams
 
 CACHE_GB = 12
 
@@ -38,11 +33,11 @@ def per_tenant(result, trace):
 
 def main() -> None:
     model = hybrid_7b()
-    chat = generate_sharegpt_trace(n_sessions=24 if FAST else 120, seed=1, session_rate=3.0,
-                                   mean_think_s=3.0)
-    agent = generate_swebench_trace(n_sessions=4 if FAST else 12, seed=2, session_rate=0.2,
-                                    mean_think_s=10.0)
-    mixed = mix_traces([chat, agent])
+    chat = generate_trace("sharegpt", n_sessions=24 if FAST else 120, seed=1,
+                          session_rate=3.0, mean_think_s=3.0)
+    agent = generate_trace("swebench", n_sessions=4 if FAST else 12, seed=2,
+                           session_rate=0.2, mean_think_s=10.0)
+    mixed = mix_streams([chat, agent]).materialize()
     print(
         f"tenants: chat={chat.n_requests} requests (bursty), "
         f"agent={agent.n_requests} requests (long contexts); "

@@ -27,7 +27,7 @@ from repro.cluster import (
 from repro.metrics import ascii_table
 from repro.metrics.export import directory_staleness_summary
 from repro.models.memory import node_state_bytes
-from repro.workloads import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 N_REPLICAS = 12 if FAST else 24
 RACK_SIZE = 4
@@ -46,7 +46,7 @@ def sharded(delay: float = 0.0):
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_lmsys_trace(n_sessions=SESSIONS, seed=13, session_rate=2.0)
+    trace = generate_trace("lmsys", n_sessions=SESSIONS, seed=13, session_rate=2.0)
     per_cache = 6 * node_state_bytes(model, 2000, True)
 
     configs = [

@@ -13,12 +13,12 @@ from _common import FAST
 from repro import LatencyModel, MarconiCache, TieredMarconiCache, hybrid_7b, simulate_trace
 from repro.metrics import ascii_table
 from repro.models.memory import node_state_bytes
-from repro.workloads import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 def main() -> None:
     model = hybrid_7b()
-    trace = generate_lmsys_trace(n_sessions=12 if FAST else 40, seed=3, mean_think_s=8.0)
+    trace = generate_trace("lmsys", n_sessions=12 if FAST else 40, seed=3, mean_think_s=8.0)
     primary = 5 * node_state_bytes(model, 2000, True)
     latency = LatencyModel()  # 25 GB/s primary fetch, 8 GB/s secondary
 

@@ -15,7 +15,7 @@ from repro.core.persistence import load_cache, save_cache
 from repro.engine.results import RequestRecord
 from repro.metrics import ascii_table
 from repro.models.memory import node_state_bytes
-from repro.workloads import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 SNAPSHOT = "/tmp/marconi_cache_snapshot.npz"
 
@@ -37,7 +37,7 @@ def replay(cache, requests, records):
 def main() -> None:
     model = hybrid_7b()
     capacity = 40 * node_state_bytes(model, 3000, True)
-    trace = generate_lmsys_trace(n_sessions=12 if FAST else 40, seed=13)
+    trace = generate_trace("lmsys", n_sessions=12 if FAST else 40, seed=13)
     requests = list(trace.iter_requests_nominal())
     half = len(requests) // 2
 

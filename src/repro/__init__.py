@@ -37,16 +37,7 @@ from repro.engine import (
 )
 from repro.models import ModelConfig, hybrid_7b, mamba_7b, transformer_7b
 from repro.tiering import TieredMarconiCache
-from repro.workloads import (
-    WorkloadParams,
-    generate_docqa_trace,
-    generate_fewshot_trace,
-    generate_lmsys_trace,
-    generate_selfconsistency_trace,
-    generate_sharegpt_trace,
-    generate_swebench_trace,
-    generate_trace,
-)
+from repro.workloads import WorkloadParams, generate_trace
 
 __version__ = "1.0.0"
 
@@ -77,12 +68,6 @@ __all__ = [
     "mamba_7b",
     "transformer_7b",
     "WorkloadParams",
-    "generate_lmsys_trace",
-    "generate_sharegpt_trace",
-    "generate_swebench_trace",
-    "generate_docqa_trace",
-    "generate_fewshot_trace",
-    "generate_selfconsistency_trace",
     "generate_trace",
     "__version__",
 ]

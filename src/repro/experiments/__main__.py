@@ -8,7 +8,6 @@ Examples::
     python -m repro.experiments --all --scale bench
     python -m repro.experiments --taxonomy swebench --sessions 40
     python -m repro.experiments --gen-trace lmsys --out lmsys.jsonl --sessions 80
-    python -m repro.experiments --gen-trace lmsys --stream --sessions 100000
     python -m repro.experiments --sweep sharegpt --workers 4 --scale smoke
     python -m repro.experiments --headroom sharegpt --scale smoke
     python -m repro.experiments --headroom sharegpt --victims --scale smoke
@@ -36,28 +35,13 @@ def _run_taxonomy(workload: str, sessions: int, seed: int) -> None:
     print(f"speculative-insertion splits: {report.branch_splits}")
 
 
-def _gen_trace(
-    workload: str,
-    out: str,
-    sessions: int,
-    seed: int,
-    stream: bool,
-) -> None:
-    from repro.workloads import WorkloadParams, generate_trace, generate_trace_stream
+def _gen_trace(workload: str, out: str, sessions: int, seed: int) -> None:
+    from repro.workloads import generate_trace_stream
 
-    params = WorkloadParams(n_sessions=sessions, seed=seed)
-    if stream:
-        # Constant-memory path: sessions are generated and written one at
-        # a time, so session counts far beyond RAM are fine.
-        written = generate_trace_stream(workload, params).to_jsonl(out)
-        print(f"streamed {written} sessions to {out}")
-        return
-    trace = generate_trace(workload, params)
-    trace.to_jsonl(out)
-    print(
-        f"wrote {trace.n_requests} requests "
-        f"({trace.total_input_tokens} input tokens) to {out}"
-    )
+    # Sessions are generated and written one at a time: constant memory,
+    # so session counts far beyond RAM are fine.
+    written = generate_trace_stream(workload, n_sessions=sessions, seed=seed).to_jsonl(out)
+    print(f"wrote {written} sessions to {out}")
 
 
 def _run_sweep(dataset: str, scale: str, workers: int, out: str | None) -> None:
@@ -113,10 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--taxonomy", metavar="WORKLOAD", default=None,
                         help="print the reuse-taxonomy report of a workload")
     parser.add_argument("--gen-trace", metavar="WORKLOAD", default=None,
-                        help="generate a workload trace and write it as JSONL")
-    parser.add_argument("--stream", action="store_true",
-                        help="with --gen-trace: stream sessions to disk "
-                        "(constant memory, any session count)")
+                        help="generate a workload trace and write it as JSONL, "
+                        "one session at a time (constant memory)")
     parser.add_argument("--sweep", metavar="DATASET", default=None,
                         help="run the standard cache x think-time sweep of a "
                         "dataset (lmsys, sharegpt, swebench)")
@@ -147,13 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         _run_taxonomy(args.taxonomy, args.sessions, args.seed)
         return 0
     if args.gen_trace:
-        _gen_trace(
-            args.gen_trace,
-            args.out or "trace.jsonl",
-            args.sessions,
-            args.seed,
-            args.stream,
-        )
+        _gen_trace(args.gen_trace, args.out or "trace.jsonl", args.sessions, args.seed)
         return 0
     if args.sweep:
         _run_sweep(args.sweep, args.scale, args.workers, args.out)

@@ -29,7 +29,7 @@ from repro.experiments.config import DATASET_CONFIGS, Scale, default_model, get_
 from repro.experiments.figures.base import FigureResult, fmt
 from repro.experiments.runner import get_trace
 from repro.tiering import TieredMarconiCache
-from repro.workloads import component_of, mix_traces
+from repro.workloads import component_of, mix_streams
 from repro.workloads.sessions import WorkloadParams
 
 ZOO_POLICIES = ("random", "gds", "lfu", "lru", "lru_k", "gdsf", "flop_aware")
@@ -344,7 +344,7 @@ def run_multitenant(scale: str | Scale = "bench") -> FigureResult:
         WorkloadParams(n_sessions=scale.sessions(12), session_rate=0.2,
                        mean_think_s=10.0, seed=2),
     )
-    mixed = mix_traces([chat, agent])
+    mixed = mix_streams([chat, agent]).materialize()
     capacity = scale.cache_bytes(12.0)
 
     out = {}

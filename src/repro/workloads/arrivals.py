@@ -8,6 +8,7 @@ interaction, closed-loop within a session).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ class PoissonProcess:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:  # NaN fails both bounds
+            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
     def arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """First ``n`` arrival times (cumulative exponential gaps)."""

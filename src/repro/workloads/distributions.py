@@ -95,8 +95,3 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
-
-
-def sample_zipf(rng: np.random.Generator, n: int, exponent: float) -> int:
-    """Sample an item index in ``[0, n)`` with Zipf popularity."""
-    return int(rng.choice(n, p=zipf_weights(n, exponent)))

@@ -18,8 +18,7 @@ so a single shared document dominates each request's FLOPs.
 from __future__ import annotations
 
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace
-from repro.workloads.trace import Trace
+from repro.workloads.sessions import SessionShape
 
 DOCQA_SHAPE = SessionShape(
     name="docqa",
@@ -34,12 +33,3 @@ DOCQA_SHAPE = SessionShape(
     max_context_tokens=40000,
     global_preamble_tokens=180,
 )
-
-
-def generate_docqa_trace(params: WorkloadParams | None = None, **kwargs) -> Trace:
-    """Generate a long-document-QA trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_trace(DOCQA_SHAPE, params)

@@ -16,8 +16,7 @@ useful contrast case for ablations.
 from __future__ import annotations
 
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace
-from repro.workloads.trace import Trace
+from repro.workloads.sessions import SessionShape
 
 FEWSHOT_SHAPE = SessionShape(
     name="fewshot",
@@ -32,12 +31,3 @@ FEWSHOT_SHAPE = SessionShape(
     max_context_tokens=16000,
     global_preamble_tokens=60,
 )
-
-
-def generate_fewshot_trace(params: WorkloadParams | None = None, **kwargs) -> Trace:
-    """Generate a few-shot-prompting trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_trace(FEWSHOT_SHAPE, params)

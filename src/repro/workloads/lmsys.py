@@ -11,8 +11,7 @@ shared system prompt.
 from __future__ import annotations
 
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace
-from repro.workloads.trace import Trace
+from repro.workloads.sessions import SessionShape
 
 LMSYS_SHAPE = SessionShape(
     name="lmsys",
@@ -25,12 +24,3 @@ LMSYS_SHAPE = SessionShape(
     template_length=LogNormalLength(median=250, sigma=0.5, minimum=32, maximum=1500),
     max_context_tokens=32000,
 )
-
-
-def generate_lmsys_trace(params: WorkloadParams | None = None, **kwargs) -> Trace:
-    """Generate an LMSys-like trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_trace(LMSYS_SHAPE, params)

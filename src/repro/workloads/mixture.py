@@ -27,38 +27,6 @@ from repro.workloads.trace import Trace, TraceSession, TraceStream
 _ID_STRIDE = 1_000_000
 
 
-def mix_traces(traces: list[Trace], name: str | None = None) -> Trace:
-    """Interleave component traces on their shared timeline.
-
-    Arrival times are kept as generated — components already place their
-    sessions on an absolute clock, so mixing is a merge, not a reschedule.
-    Session ids are remapped to ``component_index * 1e6 + original_id``.
-    """
-    if not traces:
-        raise ValueError("need at least one component trace")
-    sessions: list[TraceSession] = []
-    components = []
-    for index, component in enumerate(traces):
-        offset = index * _ID_STRIDE
-        for session in component.sessions:
-            sessions.append(_remap(session, offset, component.name))
-        components.append(
-            {
-                "name": component.name,
-                "seed": component.seed,
-                "n_sessions": component.n_sessions,
-                "session_id_offset": offset,
-            }
-        )
-    sessions.sort(key=lambda s: (s.arrival_time, s.session_id))
-    return Trace(
-        name=name or "+".join(t.name for t in traces),
-        seed=traces[0].seed,
-        sessions=sessions,
-        metadata={"components": components},
-    )
-
-
 def _remap(session: TraceSession, offset: int, component: str) -> TraceSession:
     """``session`` under id ``offset + session_id``: a shallow copy, sharing
     the rounds, the token buffer and its resume anchors (both handles walk
@@ -74,16 +42,18 @@ def _remap(session: TraceSession, offset: int, component: str) -> TraceSession:
 
 
 def mix_streams(
-    streams: Sequence[TraceStream], name: str | None = None
+    streams: Sequence[TraceStream | Trace], name: str | None = None
 ) -> TraceStream:
-    """Lazily interleave component streams on their shared timeline.
+    """Lazily interleave component traces on their shared timeline.
 
-    The streaming counterpart of :func:`mix_traces`: a heap merge over the
-    components' session iterators, holding one pending session per
-    component.  Ids are remapped with the same per-component offsets, and
-    ties are broken by the remapped session id — the same
-    ``(arrival_time, session_id)`` order :func:`mix_traces` sorts by — so
-    a mixed stream replays identically to the materialized mixture.
+    Arrival times are kept as generated — components already place their
+    sessions on an absolute clock, so mixing is a merge, not a reschedule:
+    a heap merge over the components' session iterators, holding one
+    pending session per component, in ``(arrival_time, session_id)``
+    order.  Session ids are remapped to ``component_index * 1e6 +
+    original_id``.  A component is a :class:`TraceStream` or a
+    :class:`Trace` (both have ``iter_sessions``); the materialized
+    mixture is ``mix_streams(...).materialize()``.
 
     Session ids are checked lazily: a component that yields an id outside
     ``[0, _ID_STRIDE)`` raises mid-iteration rather than up front (streams

@@ -30,9 +30,9 @@ import numpy as np
 
 from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import WorkloadParams, _pool_seed
-from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
-from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
+from repro.workloads.sessions import WorkloadParams, template_pool
+from repro.workloads.trace import TraceRound, TraceSession, TraceStream
+from repro.workloads.vocab import fresh_tokens
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,6 @@ class SelfConsistencyShape:
 SELFCONSISTENCY_SHAPE = SelfConsistencyShape()
 
 
-def build_selfconsistency_trace(
-    shape: SelfConsistencyShape, params: WorkloadParams
-) -> Trace:
-    """Generate a self-consistency trace (deterministic in the seed): the
-    stream, materialized, plus the sample count only a full pass knows."""
-    trace = stream_selfconsistency_trace(shape, params).materialize()
-    trace.metadata["n_samples"] = trace.n_sessions
-    return trace
-
-
 def _selfconsistency_session_generator(
     shape: SelfConsistencyShape, params: WorkloadParams
 ) -> Iterator[TraceSession]:
@@ -83,13 +73,7 @@ def _selfconsistency_session_generator(
     buffer therefore holds only the sessions inside one spread window.
     """
     rng = np.random.default_rng(params.seed)
-    pool = SharedSegmentPool(
-        base_seed=_pool_seed(shape.name, params.seed),
-        n_templates=shape.n_templates,
-        length=shape.template_length,
-        vocab_size=params.vocab_size,
-        zipf_exponent=shape.template_zipf,
-    )
+    pool = template_pool(shape, params)
     query_arrivals = PoissonProcess(params.session_rate).arrival_times(
         rng, params.n_sessions
     )
@@ -141,25 +125,3 @@ def stream_selfconsistency_trace(
             "vocab_size": params.vocab_size,
         },
     )
-
-
-def generate_selfconsistency_trace(
-    params: WorkloadParams | None = None, **kwargs
-) -> Trace:
-    """Generate a self-consistency trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_selfconsistency_trace(SELFCONSISTENCY_SHAPE, params)
-
-
-def generate_selfconsistency_stream(
-    params: WorkloadParams | None = None, **kwargs
-) -> TraceStream:
-    """Streaming variant of :func:`generate_selfconsistency_trace`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return stream_selfconsistency_trace(SELFCONSISTENCY_SHAPE, params)

@@ -18,14 +18,16 @@ trajectories) is an instance of the same generative skeleton:
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from repro.workloads.arrivals import PoissonProcess, exponential_think_times
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.trace import Trace, TraceSession, TraceStream
+from repro.workloads.trace import TraceSession, TraceStream
 from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
 
 
@@ -73,12 +75,28 @@ class WorkloadParams:
     vocab_size: int = 32000
 
     def __post_init__(self) -> None:
+        # The generators trust these: a NaN or inf time would reach the
+        # kernel as a NaN TTFT, a float count or seed as a numpy error.  A
+        # numpy integer is kept as the Python int it equals, so seed
+        # arithmetic and the JSON metadata see one type.
+        for name in ("n_sessions", "seed", "vocab_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_sessions <= 0:
             raise ValueError(f"n_sessions must be positive, got {self.n_sessions}")
-        if self.session_rate <= 0:
-            raise ValueError(f"session_rate must be positive, got {self.session_rate}")
-        if self.mean_think_s < 0:
-            raise ValueError(f"mean_think_s must be non-negative, got {self.mean_think_s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # NaN fails both bounds.
+        if not 0 < self.session_rate < math.inf:
+            raise ValueError(
+                f"session_rate must be positive and finite, got {self.session_rate!r}"
+            )
+        if not 0 <= self.mean_think_s < math.inf:
+            raise ValueError(
+                f"mean_think_s must be non-negative and finite, got {self.mean_think_s!r}"
+            )
         if self.vocab_size <= 1:
             raise ValueError(f"vocab_size must be > 1, got {self.vocab_size}")
 
@@ -93,6 +111,17 @@ def _pool_seed(shape_name: str, seed: int) -> int:
     return (zlib.crc32(shape_name.encode()) << 16) ^ (seed & 0xFFFF_FFFF)
 
 
+def template_pool(shape, params: WorkloadParams) -> SharedSegmentPool:
+    """The Zipf-popular template pool of one (workload, seed) pair."""
+    return SharedSegmentPool(
+        base_seed=_pool_seed(shape.name, params.seed),
+        n_templates=shape.n_templates,
+        length=shape.template_length,
+        vocab_size=params.vocab_size,
+        zipf_exponent=shape.template_zipf,
+    )
+
+
 def _trace_metadata(params: WorkloadParams) -> dict:
     return {
         "n_sessions": params.n_sessions,
@@ -105,19 +134,13 @@ def _trace_metadata(params: WorkloadParams) -> dict:
 def _session_generator(shape: SessionShape, params: WorkloadParams):
     """Yield the trace's sessions lazily, one RNG stream, arrival order.
 
-    This is the single generative path: :func:`build_trace` materializes
-    it and :func:`stream_trace` wraps it, so the two are byte-identical by
-    construction.  Only the arrival-time vector (8 bytes per session) is
+    This is the single generative path of the shape-driven workloads:
+    :func:`stream_trace` wraps it, and a materialized trace is that stream
+    collapsed.  Only the arrival-time vector (8 bytes per session) is
     held up front; token content is produced session by session.
     """
     rng = np.random.default_rng(params.seed)
-    pool = SharedSegmentPool(
-        base_seed=_pool_seed(shape.name, params.seed),
-        n_templates=shape.n_templates,
-        length=shape.template_length,
-        vocab_size=params.vocab_size,
-        zipf_exponent=shape.template_zipf,
-    )
+    pool = template_pool(shape, params)
     preamble = global_preamble(shape, params)
     arrivals = PoissonProcess(params.session_rate).arrival_times(rng, params.n_sessions)
     for session_id in range(params.n_sessions):
@@ -141,11 +164,6 @@ def stream_trace(shape: SessionShape, params: WorkloadParams) -> TraceStream:
         n_sessions=params.n_sessions,
         metadata=_trace_metadata(params),
     )
-
-
-def build_trace(shape: SessionShape, params: WorkloadParams) -> Trace:
-    """Generate a full trace for one workload shape (deterministic in seed)."""
-    return stream_trace(shape, params).materialize()
 
 
 def global_preamble(shape: SessionShape, params: WorkloadParams) -> np.ndarray:

@@ -8,8 +8,7 @@ somewhat chattier sessions (more, shorter rounds) than LMSys.
 from __future__ import annotations
 
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace
-from repro.workloads.trace import Trace
+from repro.workloads.sessions import SessionShape
 
 SHAREGPT_SHAPE = SessionShape(
     name="sharegpt",
@@ -22,12 +21,3 @@ SHAREGPT_SHAPE = SessionShape(
     template_length=LogNormalLength(median=150, sigma=0.5, minimum=24, maximum=800),
     max_context_tokens=6000,
 )
-
-
-def generate_sharegpt_trace(params: WorkloadParams | None = None, **kwargs) -> Trace:
-    """Generate a ShareGPT-like trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_trace(SHAREGPT_SHAPE, params)

@@ -12,8 +12,7 @@ FLOP-aware eviction matter most on this workload (Figs. 8, 10).
 from __future__ import annotations
 
 from repro.workloads.distributions import GeometricCount, LogNormalLength
-from repro.workloads.sessions import SessionShape, WorkloadParams, build_trace
-from repro.workloads.trace import Trace
+from repro.workloads.sessions import SessionShape
 
 SWEBENCH_SHAPE = SessionShape(
     name="swebench",
@@ -27,12 +26,3 @@ SWEBENCH_SHAPE = SessionShape(
     template_zipf=0.9,
     max_context_tokens=38000,
 )
-
-
-def generate_swebench_trace(params: WorkloadParams | None = None, **kwargs) -> Trace:
-    """Generate a SWE-Bench-like trace; kwargs override :class:`WorkloadParams`."""
-    if params is None:
-        params = WorkloadParams(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either params or keyword overrides, not both")
-    return build_trace(SWEBENCH_SHAPE, params)

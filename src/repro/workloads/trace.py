@@ -21,9 +21,14 @@ import numpy as np
 from repro.core.tokens import TokenSeq
 
 
-@dataclass
+@dataclass(eq=False)
 class TraceRound:
-    """One request round: the newly appended input and the model's output."""
+    """One request round: the newly appended input and the model's output.
+
+    Rounds, sessions and traces compare by identity: their numpy fields
+    have no single truth value.  Content equality is
+    :meth:`Trace.content_fingerprint`.
+    """
 
     new_input_tokens: np.ndarray
     output_tokens: np.ndarray
@@ -37,7 +42,7 @@ class TraceRound:
             raise ValueError("a round must produce at least one output token")
 
 
-@dataclass
+@dataclass(eq=False)
 class TraceSession:
     """A chat session / agent trajectory: rounds plus think-time gaps.
 
@@ -47,7 +52,8 @@ class TraceSession:
     arrays the caller passed stay the caller's (editing them afterwards
     reaches neither the rounds nor a handle).  The generators build through
     :meth:`_from_segments`, the same join without the checks their draws
-    make true by construction.
+    make true by construction.  Equality is identity (see
+    :class:`TraceRound`).
     """
 
     session_id: int
@@ -158,17 +164,18 @@ class TraceSession:
         return [len(r.output_tokens) for r in self.rounds]
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """A full workload trace: many sessions plus generation metadata."""
+    """A full workload trace: many sessions plus generation metadata.
+
+    Equality is identity; compare content by :meth:`content_fingerprint`.
+    """
 
     name: str
     seed: int
     sessions: list[TraceSession]
     metadata: dict = field(default_factory=dict)
-    _fingerprint: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fingerprint: Optional[int] = field(default=None, init=False, repr=False)
 
     @property
     def n_sessions(self) -> int:

@@ -18,7 +18,7 @@ from repro.core.eviction import EvictionCandidate
 from repro.core.interfaces import replay_log
 from repro.core.node import RadixNode
 from repro.models.memory import node_state_bytes
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 
@@ -90,7 +90,7 @@ class TestClairvoyantEviction:
         assert policy.select_victim([soon, later]) is later
 
     def test_the_cursor_is_the_serving_cache_begin_count(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=3, seed=5)
+        trace = generate_trace("lmsys", n_sessions=3, seed=5)
         requests = list(trace.iter_requests_nominal())
         policy = ClairvoyantEviction([r[3] for r in requests])
         assert policy.cursor == 0
@@ -105,7 +105,7 @@ class TestClairvoyantEviction:
 
 class TestClairvoyantReplay:
     def test_unbounded_cache_matches_lru_replay(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=10, seed=7)
+        trace = generate_trace("lmsys", n_sessions=10, seed=7)
         huge = int(1e13)
         oracle = clairvoyant_replay(hybrid, trace, huge)
         lru = MarconiCache(hybrid, huge, eviction="lru")
@@ -116,7 +116,7 @@ class TestClairvoyantReplay:
         assert oracle.token_hit_rate == pytest.approx(lru.stats.token_hit_rate)
 
     def test_beats_lru_under_contention(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        trace = generate_trace("lmsys", n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
         oracle = clairvoyant_replay(hybrid, trace, capacity)
         lru = MarconiCache(hybrid, capacity, eviction="lru")
@@ -130,7 +130,7 @@ class TestClairvoyantReplay:
         """The clairvoyant policy replaces the cache's LRU heap as the
         index's reader, so no candidate change feeds the discarded heap;
         every victim and hit stays what the unbound replay made."""
-        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        trace = generate_trace("lmsys", n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
         requests = list(trace.iter_requests_nominal())
         policy = ClairvoyantEviction([r[3] for r in requests])
@@ -144,7 +144,7 @@ class TestClairvoyantReplay:
         assert len(victim_profile(hybrid, trace, capacity, mean_think_s=5.0)) == 160
 
     def test_per_request_accounting(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=5, seed=1)
+        trace = generate_trace("lmsys", n_sessions=5, seed=1)
         result = clairvoyant_replay(hybrid, trace, int(1e13))
         assert len(result.per_request_hits) == result.n_requests == trace.n_requests
         assert sum(result.per_request_hits) == result.hit_tokens
@@ -198,7 +198,7 @@ class TestNextUseIndex:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_index_equals_a_rescan(self, seed):
-        trace = generate_lmsys_trace(n_sessions=12, seed=seed)
+        trace = generate_trace("lmsys", n_sessions=12, seed=seed)
         schedule = [inp for _, _, _, inp, _ in trace.iter_requests_nominal()]
         rng = np.random.default_rng(seed)
         paths = [np.asarray([7, 7, 7], dtype=np.int32)]  # extended by nothing
@@ -231,7 +231,7 @@ class TestNextUseIndex:
     def test_replay_equals_a_rescan_replay(self, hybrid):
         """Under contention, every victim and so every hit is the rescan's,
         whose cursor the loop moves: the cache's begin count is that cursor."""
-        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        trace = generate_trace("lmsys", n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
         indexed = clairvoyant_replay(hybrid, trace, capacity)
         requests = list(trace.iter_requests_nominal())
@@ -254,7 +254,7 @@ class TestVictimProfile:
     for re-use."""
 
     def test_recounts_every_victim_on_a_seeded_trace(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=24, seed=3)
+        trace = generate_trace("lmsys", n_sessions=24, seed=3)
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
         profile = victim_profile(hybrid, trace, capacity, mean_think_s=5.0)
         assert len(profile) == clairvoyant_replay(hybrid, trace, capacity).evictions
@@ -365,7 +365,7 @@ class TestTaxonomy:
         assert report.branch_splits == 1
 
     def test_aggregates_are_consistent(self):
-        trace = generate_lmsys_trace(n_sessions=12, seed=5)
+        trace = generate_trace("lmsys", n_sessions=12, seed=5)
         report = classify_trace(trace)
         assert report.input_tokens == trace.total_input_tokens
         assert (
@@ -379,7 +379,7 @@ class TestTaxonomy:
 
     def test_share_bounds_unbounded_cache_hit_rate(self, hybrid):
         """No cache can beat the trace's reuse opportunity."""
-        trace = generate_lmsys_trace(n_sessions=10, seed=9)
+        trace = generate_trace("lmsys", n_sessions=10, seed=9)
         report = classify_trace(trace)
         cache = MarconiCache(hybrid, int(1e13), eviction="lru")
         for now, _, _, inp, full in trace.iter_requests_nominal():
@@ -388,7 +388,7 @@ class TestTaxonomy:
         assert cache.stats.token_hit_rate <= report.reusable_token_share + 1e-9
 
     def test_summary_table_renders(self):
-        trace = generate_lmsys_trace(n_sessions=4, seed=2)
+        trace = generate_trace("lmsys", n_sessions=4, seed=2)
         table = classify_trace(trace).summary_table()
         assert "purely_input" in table and "input_output" in table
 
@@ -400,7 +400,7 @@ class TestTaxonomy:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), n_sessions=st.integers(1, 8))
     def test_reuse_never_exceeds_input(self, seed, n_sessions):
-        trace = generate_lmsys_trace(n_sessions=n_sessions, seed=seed)
+        trace = generate_trace("lmsys", n_sessions=n_sessions, seed=seed)
         report = classify_trace(trace)
         for request in report.requests:
             assert 0 <= request.purely_input

@@ -11,7 +11,7 @@ from repro.baselines.vllm_plus import VLLMPlusCache
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
 from repro.core.interfaces import CacheProtocol, replay_log
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 class TestVanilla:
@@ -66,7 +66,7 @@ class TestOracle:
         return requests
 
     def test_replay_log_returns_each_requests_hits(self, hybrid):
-        requests = list(generate_lmsys_trace(n_sessions=5, seed=1).iter_requests_nominal())
+        requests = list(generate_trace("lmsys", n_sessions=5, seed=1).iter_requests_nominal())
         cache = MarconiCache(hybrid, int(10e9), alpha=0.0)
         hits = replay_log(cache, requests)
         assert len(hits) == cache.stats.lookups == len(requests)

@@ -5,12 +5,12 @@ import pytest
 from repro.analysis import capacity_curve, recommend_capacity
 from repro.analysis.capacity import CapacityPoint
 from repro.models.memory import node_state_bytes
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 @pytest.fixture(scope="module")
 def planner_trace():
-    return generate_lmsys_trace(n_sessions=14, seed=91)
+    return generate_trace("lmsys", n_sessions=14, seed=91)
 
 
 class TestCapacityCurve:

@@ -16,7 +16,7 @@ from repro.cluster.router import ROUTER_NAMES
 from repro.core.cache import MarconiCache
 from repro.metrics.fairness import coefficient_of_variation, jain_fairness
 from repro.models.memory import node_state_bytes
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 def toks(n, seed):
@@ -167,7 +167,7 @@ class TestClusterSimulator:
         return [MarconiCache(hybrid, seqs * per_seq, alpha=1.0) for _ in range(n)]
 
     def test_all_requests_served_once(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=12, seed=21)
+        trace = generate_trace("lmsys", n_sessions=12, seed=21)
         result = simulate_cluster(
             hybrid, self._caches(hybrid, 3), RoundRobinRouter(), trace
         )
@@ -178,7 +178,7 @@ class TestClusterSimulator:
         """A 1-replica cluster under any router equals the single simulator."""
         from repro.engine.server import simulate_trace
 
-        trace = generate_lmsys_trace(n_sessions=8, seed=22)
+        trace = generate_trace("lmsys", n_sessions=8, seed=22)
         per_seq = node_state_bytes(hybrid, 2000, True)
         single = simulate_trace(
             hybrid, MarconiCache(hybrid, 4 * per_seq, alpha=1.0), trace
@@ -193,7 +193,7 @@ class TestClusterSimulator:
         assert cluster.ttft_percentile(95) == pytest.approx(single.ttft_percentile(95))
 
     def test_prefix_affinity_beats_round_robin_on_hit_rate(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=20, seed=23)
+        trace = generate_trace("lmsys", n_sessions=20, seed=23)
         affinity = simulate_cluster(
             hybrid, self._caches(hybrid, 4), PrefixAffinityRouter(), trace
         )
@@ -203,7 +203,7 @@ class TestClusterSimulator:
         assert affinity.token_hit_rate > scattered.token_hit_rate
 
     def test_session_affinity_preserves_conversation_reuse(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=20, seed=24)
+        trace = generate_trace("lmsys", n_sessions=20, seed=24)
         sticky = simulate_cluster(
             hybrid, self._caches(hybrid, 4), SessionAffinityRouter(), trace
         )
@@ -213,7 +213,7 @@ class TestClusterSimulator:
         assert sticky.token_hit_rate > scattered.token_hit_rate
 
     def test_round_robin_balances_request_counts(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=16, seed=25)
+        trace = generate_trace("lmsys", n_sessions=16, seed=25)
         result = simulate_cluster(
             hybrid, self._caches(hybrid, 4), RoundRobinRouter(), trace
         )
@@ -221,7 +221,7 @@ class TestClusterSimulator:
         assert max(counts) - min(counts) <= 1
 
     def test_fairness_metrics_exposed(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=12, seed=26)
+        trace = generate_trace("lmsys", n_sessions=12, seed=26)
         result = simulate_cluster(
             hybrid, self._caches(hybrid, 3), LeastLoadedRouter(), trace
         )
@@ -229,7 +229,7 @@ class TestClusterSimulator:
         assert result.load_imbalance >= 0.0
 
     def test_rejects_empty_cluster(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=1, seed=1)
+        trace = generate_trace("lmsys", n_sessions=1, seed=1)
         with pytest.raises(ValueError, match="at least one replica cache"):
             simulate_cluster(hybrid, [], RoundRobinRouter(), trace)
 
@@ -238,6 +238,6 @@ class TestClusterSimulator:
             def route(self, tokens, session_id, caches, loads, now):
                 return 99
 
-        trace = generate_lmsys_trace(n_sessions=2, seed=27)
+        trace = generate_trace("lmsys", n_sessions=2, seed=27)
         with pytest.raises(ValueError):
             simulate_cluster(hybrid, self._caches(hybrid, 2), BadRouter(), trace)

@@ -27,7 +27,7 @@ from repro.core.cache import MarconiCache
 from repro.engine.latency import LatencyModel
 from repro.models.memory import node_state_bytes, transfer_state_bytes
 from repro.tiering import TieredMarconiCache
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 from _drain import assert_drained, expected_rounds, served_rounds
@@ -86,7 +86,7 @@ class TestFailover:
         # A burst-heavy trace so the failure catches requests in every
         # phase: queued, mid-prefill (re-routed), and mid-decode (record
         # kept, session continues).
-        trace = generate_lmsys_trace(n_sessions=24, seed=31, session_rate=16.0)
+        trace = generate_trace("lmsys", n_sessions=24, seed=31, session_rate=16.0)
         caches = _caches(hybrid, 3)
         scenario = [ScenarioEvent(1.0, "fail", replica=1)]
         result = simulate_cluster(
@@ -114,7 +114,7 @@ class TestFailover:
         )
 
     def test_mid_session_abort_path_is_exercised(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=16, seed=32, session_rate=4.0)
+        trace = generate_trace("lmsys", n_sessions=16, seed=32, session_rate=4.0)
         caches = _caches(hybrid, 2)
         result = simulate_cluster(
             hybrid,
@@ -130,7 +130,7 @@ class TestFailover:
     def test_rerun_after_failure_revives_replica(self, hybrid):
         """A router reused across runs must re-track replicas a previous
         run's scenario killed, and report per-run decision counters."""
-        trace = generate_lmsys_trace(n_sessions=10, seed=39, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=10, seed=39, session_rate=2.0)
         caches = _caches(hybrid, 3)
         router = PrefixAffinityRouter()
         first = simulate_cluster(
@@ -150,7 +150,7 @@ class TestFailover:
 
     def test_content_blind_router_gets_overridden(self, hybrid):
         """Round-robin keeps nominating the corpse; the kernel corrects it."""
-        trace = generate_lmsys_trace(n_sessions=12, seed=33, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=12, seed=33, session_rate=2.0)
         caches = _caches(hybrid, 2)
         result = simulate_cluster(
             hybrid,
@@ -168,7 +168,7 @@ class TestFailover:
     def test_dead_replica_releases_executor_slots(self, hybrid):
         """Telemetry of the corpse drops to zero occupancy at failure
         instead of freezing at its at-failure value."""
-        trace = generate_lmsys_trace(n_sessions=24, seed=31, session_rate=16.0)
+        trace = generate_trace("lmsys", n_sessions=24, seed=31, session_rate=16.0)
         result = simulate_cluster(
             hybrid,
             _caches(hybrid, 3),
@@ -229,7 +229,7 @@ class TestFailover:
         assert second.arrival_time == pytest.approx(decode_end + 1.0)
 
     def test_scenario_replica_out_of_range_raises(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=4, seed=30)
+        trace = generate_trace("lmsys", n_sessions=4, seed=30)
         with pytest.raises(ValueError, match="names replica"):
             simulate_cluster(
                 hybrid,
@@ -242,7 +242,7 @@ class TestFailover:
             ScenarioEvent(0.5, "fail", replica=-1)
 
     def test_all_replicas_dead_raises(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=4, seed=34)
+        trace = generate_trace("lmsys", n_sessions=4, seed=34)
         with pytest.raises(RuntimeError):
             simulate_cluster(
                 hybrid,
@@ -253,7 +253,7 @@ class TestFailover:
             )
 
     def test_directory_invalidated_on_failure(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=10, seed=35, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=10, seed=35, session_rate=2.0)
         caches = _caches(hybrid, 2)
         router = PrefixAffinityRouter()
         result = simulate_cluster(
@@ -274,7 +274,7 @@ class TestFailover:
 
 class TestDrainAndJoin:
     def test_drained_replica_takes_no_new_arrivals(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=14, seed=36, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=14, seed=36, session_rate=2.0)
         caches = _caches(hybrid, 3)
         result = simulate_cluster(
             hybrid,
@@ -290,7 +290,7 @@ class TestDrainAndJoin:
         assert_drained(caches, result, trace)
 
     def test_join_adds_capacity_mid_trace(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=20, seed=37, session_rate=4.0)
+        trace = generate_trace("lmsys", n_sessions=20, seed=37, session_rate=4.0)
         caches = _caches(hybrid, 2)
         spare = _caches(hybrid, 1)[0]
         result = simulate_cluster(
@@ -306,7 +306,7 @@ class TestDrainAndJoin:
         assert_drained(caches + [spare], result, trace)
 
     def test_failover_then_join_recovers(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=16, seed=38, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=16, seed=38, session_rate=2.0)
         caches = _caches(hybrid, 2)
         result = simulate_cluster(
             hybrid,
@@ -339,7 +339,7 @@ class TestShardedScenarioEdges:
 
     def test_join_while_updates_in_flight(self, hybrid):
         backend = self._backend()
-        trace = generate_lmsys_trace(n_sessions=16, seed=64, session_rate=4.0)
+        trace = generate_trace("lmsys", n_sessions=16, seed=64, session_rate=4.0)
         caches = _caches(hybrid, 2)
         spare = _caches(hybrid, 1)[0]
         result = simulate_cluster(
@@ -366,7 +366,7 @@ class TestShardedScenarioEdges:
         still served, and the dead replica's entries eventually vanish
         from every shard."""
         backend = self._backend(propagation_delay=0.6, gossip_interval=0.3)
-        trace = generate_lmsys_trace(n_sessions=16, seed=65, session_rate=4.0)
+        trace = generate_trace("lmsys", n_sessions=16, seed=65, session_rate=4.0)
         caches = _caches(hybrid, 3)
         result = simulate_cluster(
             hybrid,
@@ -393,7 +393,7 @@ class TestShardedScenarioEdges:
         from repro.metrics.export import directory_staleness_summary
 
         backend = self._backend()
-        trace = generate_lmsys_trace(n_sessions=8, seed=66, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=8, seed=66, session_rate=2.0)
         result = simulate_cluster(
             hybrid, _caches(hybrid, 2), PrefixAffinityRouter(directory=backend), trace
         )
@@ -470,7 +470,7 @@ class TestTransfers:
     def test_drain_triggers_transfers_end_to_end(self, hybrid):
         """Draining a replica migrates its sessions' hot state: later rounds
         land elsewhere, fetch the span over the link, and hit."""
-        trace = generate_lmsys_trace(n_sessions=10, seed=51, session_rate=1.0)
+        trace = generate_trace("lmsys", n_sessions=10, seed=51, session_rate=1.0)
         caches = [_tiered(hybrid), _tiered(hybrid)]
         router = DirectoryRouter(transfer_min_tokens=16)
         result = simulate_cluster(
@@ -497,7 +497,7 @@ class TestTransfers:
     def test_transfer_to_dead_target_is_dropped_and_rerouted(self, hybrid):
         """A transfer in flight when its target dies must not strand the
         parked request."""
-        trace = generate_lmsys_trace(n_sessions=10, seed=52, session_rate=1.0)
+        trace = generate_trace("lmsys", n_sessions=10, seed=52, session_rate=1.0)
         caches = [_tiered(hybrid), _tiered(hybrid), _tiered(hybrid)]
         result = simulate_cluster(
             hybrid,
@@ -576,7 +576,7 @@ class TestTransfers:
     def test_transfer_free_run_matches_prefix_affinity(self, hybrid):
         """With transfers disabled, the steering router is routing-identical
         to directory-mode prefix affinity."""
-        trace = generate_lmsys_trace(n_sessions=12, seed=53)
+        trace = generate_trace("lmsys", n_sessions=12, seed=53)
         a = simulate_cluster(
             hybrid, _caches(hybrid, 3), DirectoryRouter(transfer=False), trace
         )
@@ -739,7 +739,7 @@ class TestSplitSteering:
 
 class TestClusterExport:
     def test_to_dict_shape(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=8, seed=54)
+        trace = generate_trace("lmsys", n_sessions=8, seed=54)
         result = simulate_cluster(
             hybrid,
             [_tiered(hybrid), _tiered(hybrid)],
@@ -757,7 +757,7 @@ class TestClusterExport:
         json.dumps(d)  # must be JSON-serializable as-is
 
     def test_json_roundtrip(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=6, seed=55)
+        trace = generate_trace("lmsys", n_sessions=6, seed=55)
         result = simulate_cluster(
             hybrid, _caches(hybrid, 2), PrefixAffinityRouter(), trace
         )
@@ -774,7 +774,7 @@ class TestClusterExport:
     def test_small_fleet_exports_its_directory(self, hybrid):
         """A prefix router reads a directory at every fleet size, so even a
         2-replica run reports its maintenance counters."""
-        trace = generate_lmsys_trace(n_sessions=6, seed=56)
+        trace = generate_trace("lmsys", n_sessions=6, seed=56)
         result = simulate_cluster(
             hybrid, _caches(hybrid, 2), PrefixAffinityRouter(), trace
         )

@@ -16,16 +16,12 @@ from repro.cluster import PrefixAffinityRouter, simulate_cluster
 from repro.core.cache import MarconiCache
 from repro.models.memory import node_state_bytes
 from repro.tiering import TieredMarconiCache
-from repro.workloads import (
-    generate_lmsys_trace,
-    generate_swebench_trace,
-    mix_traces,
-)
+from repro.workloads import generate_trace, mix_streams
 
 
 class TestTieredCluster:
     def test_tiered_replicas_behind_prefix_router(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=16, seed=41)
+        trace = generate_trace("lmsys", n_sessions=16, seed=41)
         per_seq = node_state_bytes(hybrid, 2000, True)
         caches = [
             TieredMarconiCache(hybrid, 2 * per_seq, int(50e9), alpha=1.0)
@@ -38,7 +34,7 @@ class TestTieredCluster:
 
     def test_tiered_cluster_beats_plain_cluster(self, hybrid):
         """Stacking a second tier under each replica recovers hit rate."""
-        trace = generate_lmsys_trace(n_sessions=24, seed=42, mean_think_s=8.0)
+        trace = generate_trace("lmsys", n_sessions=24, seed=42, mean_think_s=8.0)
         per_seq = node_state_bytes(hybrid, 2000, True)
 
         def run(factory):
@@ -56,18 +52,18 @@ class TestTieredCluster:
 
 class TestMixtureComposition:
     def test_mixture_through_cluster(self, hybrid):
-        chat = generate_lmsys_trace(n_sessions=8, seed=43)
-        agent = generate_swebench_trace(n_sessions=3, seed=44)
-        mixed = mix_traces([chat, agent])
+        chat = generate_trace("lmsys", n_sessions=8, seed=43)
+        agent = generate_trace("swebench", n_sessions=3, seed=44)
+        mixed = mix_streams([chat, agent]).materialize()
         per_seq = node_state_bytes(hybrid, 3000, True)
         caches = [MarconiCache(hybrid, 6 * per_seq, alpha=1.0) for _ in range(2)]
         result = simulate_cluster(hybrid, caches, PrefixAffinityRouter(), mixed)
         assert result.n_requests == mixed.n_requests
 
     def test_taxonomy_of_mixture_sums_components(self):
-        chat = generate_lmsys_trace(n_sessions=8, seed=45)
-        agent = generate_swebench_trace(n_sessions=3, seed=46)
-        mixed = mix_traces([chat, agent])
+        chat = generate_trace("lmsys", n_sessions=8, seed=45)
+        agent = generate_trace("swebench", n_sessions=3, seed=46)
+        mixed = mix_streams([chat, agent]).materialize()
         combined = classify_trace(mixed)
         assert combined.input_tokens == (
             chat.total_input_tokens + agent.total_input_tokens
@@ -82,7 +78,7 @@ class TestMixtureComposition:
 
 class TestOracleHelpers:
     def test_the_nominal_log_is_ordered_and_extends(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=5, seed=47)
+        trace = generate_trace("lmsys", n_sessions=5, seed=47)
         log = list(trace.iter_requests_nominal())
         assert len(log) == trace.n_requests
         times = [now for now, *_ in log]
@@ -92,7 +88,7 @@ class TestOracleHelpers:
             assert np.array_equal(full[: len(inp)], inp)
 
     def test_oracle_runs_on_flattened_trace(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=8, seed=48)
+        trace = generate_trace("lmsys", n_sessions=8, seed=48)
         capacity = 4 * node_state_bytes(hybrid, 2000, True)
         result = tune_static_alpha(
             hybrid, capacity, list(trace.iter_requests_nominal()), alpha_grid=(0.0, 1.0)

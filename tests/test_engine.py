@@ -12,7 +12,7 @@ from repro.engine.request import EngineRequest
 from repro.engine.results import EngineResult, RequestRecord
 from repro.engine.server import simulate_trace
 from repro.models.flops import model_prefill_flops
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
@@ -207,7 +207,7 @@ class TestSimulator:
             )
 
     def test_deterministic(self, hybrid):
-        trace = generate_lmsys_trace(WorkloadParams(n_sessions=10, seed=3))
+        trace = generate_trace("lmsys", WorkloadParams(n_sessions=10, seed=3))
         a = simulate_trace(hybrid, MarconiCache(hybrid, int(5e9), alpha=1.0), trace)
         b = simulate_trace(hybrid, MarconiCache(hybrid, int(5e9), alpha=1.0), trace)
         assert [r.ttft for r in a.records] == [r.ttft for r in b.records]

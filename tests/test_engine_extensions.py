@@ -11,8 +11,7 @@ from repro.engine.server import simulate_trace
 from repro.metrics.export import summary_dict
 from repro.metrics.throughput import makespan_seconds, prefill_throughput_tokens_per_s
 from repro.models.memory import node_state_bytes
-from repro.workloads.lmsys import generate_lmsys_trace
-from repro.workloads.selfconsistency import generate_selfconsistency_trace
+from repro.workloads import generate_trace
 
 
 def _cache(hybrid, seqs=50):
@@ -21,33 +20,33 @@ def _cache(hybrid, seqs=50):
 
 class TestMultiExecutor:
     def test_rejects_zero_executors(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=1, seed=31)
+        trace = generate_trace("lmsys", n_sessions=1, seed=31)
         with pytest.raises(ValueError, match="n_executors"):
             simulate_trace(hybrid, _cache(hybrid), trace, n_executors=0)
 
     def test_serves_all_requests(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=10, seed=31)
+        trace = generate_trace("lmsys", n_sessions=10, seed=31)
         result = simulate_trace(hybrid, _cache(hybrid), trace, n_executors=4)
         assert result.n_requests == trace.n_requests
 
     def test_more_executors_cut_queueing(self, hybrid):
         """Bursty identical arrivals (self-consistency) queue on one
         executor and overlap on many."""
-        trace = generate_selfconsistency_trace(n_sessions=6, seed=32, session_rate=2.0)
+        trace = generate_trace("selfconsistency", n_sessions=6, seed=32, session_rate=2.0)
         serial = simulate_trace(hybrid, _cache(hybrid), trace, n_executors=1)
         parallel = simulate_trace(hybrid, _cache(hybrid), trace, n_executors=8)
         assert parallel.ttft_percentile(95) < serial.ttft_percentile(95)
         assert parallel.mean_queue_delay() <= serial.mean_queue_delay()
 
     def test_single_executor_unchanged_by_default(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=6, seed=33)
+        trace = generate_trace("lmsys", n_sessions=6, seed=33)
         a = simulate_trace(hybrid, _cache(hybrid), trace)
         b = simulate_trace(hybrid, _cache(hybrid), trace, n_executors=1)
         assert a.token_hit_rate == b.token_hit_rate
         assert np.allclose(a.ttfts(), b.ttfts())
 
     def test_concurrent_prefills_overlap_in_time(self, hybrid):
-        trace = generate_selfconsistency_trace(n_sessions=3, seed=34, session_rate=5.0)
+        trace = generate_trace("selfconsistency", n_sessions=3, seed=34, session_rate=5.0)
         result = simulate_trace(hybrid, _cache(hybrid), trace, n_executors=4)
         intervals = sorted(
             (r.service_start, r.service_start + r.prefill_seconds)
@@ -123,7 +122,7 @@ class TestExport:
         assert not any(key.startswith("ttft_") for key in summary)
 
     def test_real_run_exports(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=5, seed=35)
+        trace = generate_trace("lmsys", n_sessions=5, seed=35)
         result = simulate_trace(hybrid, _cache(hybrid), trace, policy_name="marconi")
         loaded = json.loads(json.dumps(summary_dict(result)))
         assert loaded["policy"] == "marconi"

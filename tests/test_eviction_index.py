@@ -14,7 +14,7 @@ from repro.core.persistence import load_cache, save_cache
 from repro.core.radix_tree import RadixTree, TreeObserver
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b, tiny_test_model
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 def arr(*tokens):
@@ -642,7 +642,8 @@ class TestSleepingIndex:
         base = cache.tree.root.node_id
         if wake:
             len(cache.eviction_index)
-        for now, _, _, inp, full in generate_lmsys_trace(
+        for now, _, _, inp, full in generate_trace(
+            "lmsys",
             n_sessions=120, seed=3
         ).iter_requests_nominal():
             with cache.begin(inp, now) as session:

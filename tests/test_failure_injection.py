@@ -18,7 +18,7 @@ from repro.models.memory import (
     node_state_bytes,
 )
 from repro.tiering import TieredMarconiCache
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 from _drain import assert_drained
 
@@ -224,7 +224,7 @@ class TestDirectoryShardFaults:
             fail_at=2.0,
             fail_index=1,
         )
-        trace = generate_lmsys_trace(n_sessions=14, seed=61, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=14, seed=61, session_rate=2.0)
         caches = _fleet(hybrid, 3)
         result = simulate_cluster(
             hybrid, caches, PrefixAffinityRouter(directory=backend), trace
@@ -244,7 +244,7 @@ class TestDirectoryShardFaults:
             n_shards=3, region_tokens=8, propagation_delay=0.05, gossip_interval=0.05
         )
         backend.drop_gossip(batches=2)  # every shard loses its first flushes
-        trace = generate_lmsys_trace(n_sessions=14, seed=62, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=14, seed=62, session_rate=2.0)
         caches = _fleet(hybrid, 3)
         result = simulate_cluster(
             hybrid, caches, PrefixAffinityRouter(directory=backend), trace
@@ -268,7 +268,7 @@ class TestDirectoryShardFaults:
         backend = ShardedPrefixDirectory(
             n_shards=2, region_tokens=8, propagation_delay=0.5, gossip_interval=0.25
         )
-        trace = generate_lmsys_trace(n_sessions=14, seed=63, session_rate=4.0)
+        trace = generate_trace("lmsys", n_sessions=14, seed=63, session_rate=4.0)
         caches = _fleet(hybrid, 3)
         result = simulate_cluster(
             hybrid,
@@ -302,7 +302,7 @@ class TestAllReplicasDown:
     def test_all_replicas_failed_mid_run(self, hybrid):
         from repro.cluster import ScenarioEvent
 
-        trace = generate_lmsys_trace(n_sessions=8, seed=64, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=8, seed=64, session_rate=2.0)
         caches = _fleet(hybrid, 2)
         with pytest.raises(NoRoutableReplicaError) as excinfo:
             simulate_cluster(
@@ -323,7 +323,7 @@ class TestAllReplicasDown:
     def test_last_replica_drained_then_failed(self, hybrid):
         from repro.cluster import ScenarioEvent
 
-        trace = generate_lmsys_trace(n_sessions=8, seed=65, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=8, seed=65, session_rate=2.0)
         with pytest.raises(NoRoutableReplicaError, match="1 failed and 1 draining"):
             simulate_cluster(
                 hybrid,
@@ -360,7 +360,7 @@ class TestSchedulerFailover:
             ),
             scenario=[ScenarioEvent(2.0, "fail", replica=0)],
         )
-        trace = generate_lmsys_trace(n_sessions=20, seed=66, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=20, seed=66, session_rate=2.0)
         with pytest.raises(ValueError, match="TokenBatchingScheduler cannot hand back"):
             kernel.run(trace)
         # Refused before anything ran: no session was ever opened.
@@ -418,7 +418,7 @@ class TestKernelLoadList:
     def test_equal_to_the_rebuild_through_fail_drain_and_join(self, hybrid, router):
         from repro.cluster import ScenarioEvent, make_router
 
-        trace = generate_lmsys_trace(n_sessions=40, seed=71, session_rate=400.0)
+        trace = generate_trace("lmsys", n_sessions=40, seed=71, session_rate=400.0)
         caches = _fleet(hybrid, 4)
         kernel, audit = self.audited(
             hybrid,
@@ -481,7 +481,7 @@ class TestKernelLoadList:
                 return choice
 
         kernel, _ = self.audited(hybrid, _fleet(hybrid, 2), Scribbler())
-        trace = generate_lmsys_trace(n_sessions=4, seed=72, session_rate=2.0)
+        trace = generate_trace("lmsys", n_sessions=4, seed=72, session_rate=2.0)
         with pytest.raises(AssertionError, match="wrote to the load list"):
             kernel.run(trace)
 

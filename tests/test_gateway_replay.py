@@ -36,7 +36,7 @@ from repro.serving import (
 from repro.serving import gateway as gateway_module
 from repro.serving.gateway import MAX_SWEEPS_PER_TRIP
 from repro.serving.replay import _EchoSteps
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.sessions import WorkloadParams
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
@@ -278,7 +278,8 @@ class TestReplayBackpressure:
         run, four requests in flight): every trace round is served —
         nothing shed, aborted, or lost — and the gateway's counters agree
         with the replay report."""
-        trace = generate_lmsys_trace(
+        trace = generate_trace(
+            "lmsys",
             WorkloadParams(n_sessions=60, session_rate=2.0, mean_think_s=3.0, seed=31)
         )
         cache = MarconiCache(hybrid_7b(), int(2e9), eviction="flop_aware", alpha=1.0)
@@ -459,7 +460,8 @@ class TestSilentSweepJump:
         same evictions, the same final tree and the same log of begins,
         commits, dequeues, first tokens and idle waits, in the same order;
         only trips that could wake no submitter are gone."""
-        trace = generate_lmsys_trace(
+        trace = generate_trace(
+            "lmsys",
             WorkloadParams(n_sessions=40, session_rate=2.0, mean_think_s=3.0, seed=31)
         )
         skips: list[int] = []

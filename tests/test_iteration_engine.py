@@ -11,7 +11,7 @@ from repro.engine.iteration import (
 )
 from repro.engine.latency import LatencyModel
 from repro.models.memory import node_state_bytes
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
 
 
@@ -51,7 +51,7 @@ class TestConfigValidation:
 
 class TestScheduling:
     def test_serves_all_requests(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=8, seed=51)
+        trace = generate_trace("lmsys", n_sessions=8, seed=51)
         result = simulate_trace_iteration(hybrid, _cache(hybrid), trace)
         assert result.n_requests == trace.n_requests
         assert all(r.ttft > 0 for r in result.records)
@@ -120,7 +120,8 @@ class TestFootnoteTwo:
     """The paper's footnote 2: prefix caching lowers tail TPT too."""
 
     def _tbt_p95(self, hybrid, cache):
-        trace = generate_lmsys_trace(
+        trace = generate_trace(
+            "lmsys",
             n_sessions=16, seed=53, session_rate=4.0, mean_think_s=2.0
         )
         result = simulate_trace_iteration(
@@ -166,6 +167,6 @@ class TestResultSurface:
         assert empty.token_hit_rate == 0.0
 
     def test_cache_stats_snapshot_attached(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=4, seed=55)
+        trace = generate_trace("lmsys", n_sessions=4, seed=55)
         result = simulate_trace_iteration(hybrid, _cache(hybrid), trace)
         assert result.cache_stats["lookups"] == trace.n_requests

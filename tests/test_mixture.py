@@ -8,20 +8,17 @@ from repro.engine.server import simulate_trace
 from repro.models.memory import node_state_bytes
 from repro.workloads import (
     component_of,
-    generate_lmsys_trace,
-    generate_sharegpt_trace,
-    generate_swebench_trace,
+    generate_trace,
     mix_streams,
-    mix_traces,
 )
 from repro.workloads.trace import Trace, TraceStream
 
 
 class TestMixTraces:
     def _mixture(self):
-        chat = generate_lmsys_trace(n_sessions=6, seed=1)
-        agent = generate_swebench_trace(n_sessions=4, seed=2)
-        return chat, agent, mix_traces([chat, agent])
+        chat = generate_trace("lmsys", n_sessions=6, seed=1)
+        agent = generate_trace("swebench", n_sessions=4, seed=2)
+        return chat, agent, mix_streams([chat, agent]).materialize()
 
     def test_sessions_and_requests_preserved(self):
         chat, agent, mixed = self._mixture()
@@ -44,7 +41,7 @@ class TestMixTraces:
         assert names == {"lmsys", "swebench"}
 
     def test_component_of_validates(self):
-        chat = generate_lmsys_trace(n_sessions=3, seed=3)
+        chat = generate_trace("lmsys", n_sessions=3, seed=3)
         with pytest.raises(ValueError):
             component_of(chat, 0)  # not a mixture
         _, _, mixed = self._mixture()
@@ -57,7 +54,7 @@ class TestMixTraces:
         chat, _, mixed = self._mixture()
         nested = r"component 'lmsys\+swebench' has session id 100000\d"
         with pytest.raises(ValueError, match=nested):
-            mix_traces([mixed, chat])
+            mix_streams([mixed, chat]).materialize()
         stream = mix_streams([TraceStream.from_trace(mixed), TraceStream.from_trace(chat)])
         with pytest.raises(ValueError, match=nested):  # lazily, on the pass
             stream.materialize()
@@ -68,12 +65,12 @@ class TestMixTraces:
         assert [c["name"] for c in mixed.metadata["components"]] == [
             "lmsys", "swebench",
         ]
-        named = mix_traces([generate_sharegpt_trace(n_sessions=2, seed=4)], name="solo")
+        named = mix_streams([generate_trace("sharegpt", n_sessions=2, seed=4)], name="solo")
         assert named.name == "solo"
 
     def test_empty_component_list_rejected(self):
         with pytest.raises(ValueError):
-            mix_traces([])
+            mix_streams([])
 
     def test_round_content_shared_not_copied(self):
         """Mixing re-wraps sessions without touching token arrays."""

@@ -9,7 +9,7 @@ from repro.core.cache import MarconiCache
 from repro.core.persistence import load_cache, load_tree, save_cache
 from repro.models.memory import node_state_bytes
 from repro.models.presets import transformer_7b
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 def toks(n, seed):
@@ -65,7 +65,7 @@ class TestRoundtrip:
 
     def test_warm_restart_preserves_trace_hit_rate(self, hybrid, tmp_path):
         """Splitting a trace across a save/load boundary loses nothing."""
-        trace = generate_lmsys_trace(n_sessions=10, seed=61)
+        trace = generate_trace("lmsys", n_sessions=10, seed=61)
         requests = list(trace.iter_requests_nominal())
         half = len(requests) // 2
         capacity = 50 * node_state_bytes(hybrid, 3000, True)

@@ -7,13 +7,14 @@ from repro.core.cache import MarconiCache
 from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.engine.server import simulate_trace
 from repro.models.presets import hybrid_7b
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 from repro.workloads.sessions import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_lmsys_trace(
+    return generate_trace(
+        "lmsys",
         WorkloadParams(n_sessions=40, session_rate=2.0, mean_think_s=3.0, seed=17)
     )
 

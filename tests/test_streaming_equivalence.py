@@ -33,7 +33,6 @@ from repro.workloads import (
     generate_trace,
     generate_trace_stream,
     mix_streams,
-    mix_traces,
 )
 from repro.workloads.trace import TraceStream
 
@@ -180,9 +179,9 @@ class TestEngineEquivalence:
         pb=workload_params(max_sessions=6),
     )
     def test_mixture_stream_byte_identical(self, pa, pb):
-        trace = mix_traces(
+        trace = mix_streams(
             [generate_trace("lmsys", pa), generate_trace("docqa", pb)]
-        )
+        ).materialize()
         stream = mix_streams(
             [
                 generate_trace_stream("lmsys", pa),

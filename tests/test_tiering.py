@@ -9,7 +9,7 @@ from repro.engine.latency import LatencyModel
 from repro.engine.server import simulate_trace
 from repro.models.memory import kv_bytes, model_recurrent_bytes, node_state_bytes
 from repro.tiering import SecondaryStore, TieredMarconiCache
-from repro.workloads.lmsys import generate_lmsys_trace
+from repro.workloads import generate_trace
 
 
 def toks(n, seed):
@@ -178,7 +178,7 @@ class TestTieredCache:
         )
 
     def test_zero_secondary_matches_single_tier(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=15, seed=11)
+        trace = generate_trace("lmsys", n_sessions=15, seed=11)
         per_seq = node_state_bytes(hybrid, 2000, True)
         single = MarconiCache(hybrid, 5 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 5 * per_seq, 0, alpha=1.0)
@@ -191,7 +191,7 @@ class TestTieredCache:
         assert tiered.secondary.n_entries == 0
 
     def test_second_tier_improves_hit_rate(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=20, seed=13)
+        trace = generate_trace("lmsys", n_sessions=20, seed=13)
         per_seq = node_state_bytes(hybrid, 2000, True)
         single = MarconiCache(hybrid, 4 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 4 * per_seq, int(200e9), alpha=1.0)
@@ -268,7 +268,7 @@ class TestLatencyIntegration:
             )
 
     def test_engine_runs_tiered_cache(self, hybrid):
-        trace = generate_lmsys_trace(n_sessions=8, seed=17)
+        trace = generate_trace("lmsys", n_sessions=8, seed=17)
         per_seq = node_state_bytes(hybrid, 2000, True)
         cache = TieredMarconiCache(hybrid, 3 * per_seq, int(100e9), alpha=1.0)
         result = simulate_trace(hybrid, cache, trace, policy_name="tiered")

@@ -76,9 +76,9 @@ class TestWindowedHitRate:
 def _real_run(hybrid, seed, n_sessions=6):
     from repro.engine.server import simulate_trace
     from repro.models.memory import node_state_bytes
-    from repro.workloads.lmsys import generate_lmsys_trace
+    from repro.workloads import generate_trace
 
-    trace = generate_lmsys_trace(n_sessions=n_sessions, seed=seed)
+    trace = generate_trace("lmsys", n_sessions=n_sessions, seed=seed)
     cache = MarconiCache(hybrid, 50 * node_state_bytes(hybrid, 3000, True), alpha=1.0)
     return simulate_trace(hybrid, cache, trace)
 

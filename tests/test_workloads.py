@@ -10,22 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.tokens import TokenSeq
 from repro.workloads.arrivals import PoissonProcess, exponential_think_times
-from repro.workloads.distributions import (
-    GeometricCount,
-    LogNormalLength,
-    sample_zipf,
-    zipf_weights,
-)
-from repro.workloads.lmsys import generate_lmsys_trace
-from repro.workloads.mixture import mix_streams, mix_traces
+from repro.workloads.distributions import GeometricCount, LogNormalLength, zipf_weights
+from repro.workloads.mixture import mix_streams
 from repro.workloads.registry import (
     WORKLOAD_NAMES,
     generate_trace,
     generate_trace_stream,
 )
 from repro.workloads.sessions import WorkloadParams
-from repro.workloads.sharegpt import generate_sharegpt_trace
-from repro.workloads.swebench import generate_swebench_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession, TraceStream
 from repro.workloads.vocab import SharedSegmentPool, fresh_tokens
 
@@ -97,10 +89,6 @@ class TestDistributions:
         assert w.sum() == pytest.approx(1.0)
         assert all(w[i] >= w[i + 1] for i in range(9))
 
-    def test_zipf_sample_in_range(self, rng):
-        for _ in range(50):
-            assert 0 <= sample_zipf(rng, 7, 1.0) < 7
-
 
 class TestVocab:
     def test_fresh_tokens_shape_and_range(self, rng):
@@ -163,6 +151,51 @@ class TestArrivals:
             PoissonProcess(rate=0)
         with pytest.raises(ValueError):
             exponential_think_times(rng, 0, 1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            PoissonProcess(rate)
+
+
+BAD_PARAMS = [
+    ("session_rate", math.nan, "session_rate must be positive and finite"),
+    ("session_rate", math.inf, "session_rate must be positive and finite"),
+    ("session_rate", 0.0, "session_rate must be positive and finite"),
+    ("mean_think_s", math.nan, "mean_think_s must be non-negative and finite"),
+    ("mean_think_s", math.inf, "mean_think_s must be non-negative and finite"),
+    ("mean_think_s", -1.0, "mean_think_s must be non-negative and finite"),
+    ("n_sessions", 4.0, "n_sessions must be an integer"),
+    ("n_sessions", True, "n_sessions must be an integer"),
+    ("n_sessions", 0, "n_sessions must be positive"),
+    ("vocab_size", 32000.0, "vocab_size must be an integer"),
+    ("vocab_size", True, "vocab_size must be an integer"),
+    ("vocab_size", 1, "vocab_size must be > 1"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed must be non-negative"),
+]
+
+
+class TestWorkloadParams:
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        BAD_PARAMS,
+        ids=[f"{field}={value!r}" for field, value, _ in BAD_PARAMS],
+    )
+    def test_bad_values_fail_at_construction(self, field, value, message):
+        """A NaN or infinite time used to reach the kernel as NaN TTFTs."""
+        with pytest.raises(ValueError, match=message):
+            WorkloadParams(**{"n_sessions": 4, "seed": 1, field: value})
+
+    def test_numpy_integers_are_integers(self):
+        params = WorkloadParams(
+            n_sessions=np.int64(4), seed=np.uint32(1), vocab_size=np.int32(100)
+        )
+        assert (params.n_sessions, params.seed, params.vocab_size) == (4, 1, 100)
+        assert all(type(v) is int for v in (params.n_sessions, params.seed, params.vocab_size))
+        assert generate_trace("lmsys", params).content_fingerprint() == generate_trace(
+            "lmsys", n_sessions=4, seed=1, vocab_size=100
+        ).content_fingerprint()
 
 
 class TestTraceSchema:
@@ -252,7 +285,7 @@ class TestTraceSchema:
         # its rounds, buffer and resume anchors are its component's.
         trace = Trace(name="t", seed=0, sessions=[session])
         twins = (
-            mix_traces([trace, trace]).sessions
+            mix_streams([trace, trace]).materialize().sessions
             + mix_streams([TraceStream.from_trace(trace)]).materialize().sessions
         )
         assert sorted(t.session_id for t in twins) == [7, 7, 1_000_007]
@@ -334,8 +367,18 @@ class TestTraceSchema:
         with pytest.raises(ValueError):
             TraceRound(np.asarray([], dtype=np.int32), np.asarray([1], dtype=np.int32))
 
+    def test_equality_is_identity(self):
+        """Equal content in distinct arrays compares unequal instead of
+        raising on an ambiguous array truth value."""
+        a, b = (generate_trace("lmsys", WorkloadParams(n_sessions=2, seed=1)) for _ in "ab")
+        assert a != b and a == a
+        assert a.sessions[0] != b.sessions[0] and b.sessions[0] in b.sessions
+        assert a.sessions[0].rounds[0] != b.sessions[0].rounds[0]
+        assert b.sessions.index(b.sessions[1]) == 1
+        assert a.content_fingerprint() == b.content_fingerprint()
+
     def test_jsonl_roundtrip(self, tmp_path):
-        trace = generate_lmsys_trace(WorkloadParams(n_sessions=5, seed=3))
+        trace = generate_trace("lmsys", WorkloadParams(n_sessions=5, seed=3))
         path = tmp_path / "trace.jsonl"
         trace.to_jsonl(path)
         loaded = Trace.from_jsonl(path)
@@ -402,22 +445,22 @@ class TestTraceSchema:
         assert f"{path}{where}" in str(err.value)
 
     def test_nominal_request_order_sorted(self):
-        trace = generate_sharegpt_trace(WorkloadParams(n_sessions=8, seed=4))
+        trace = generate_trace("sharegpt", WorkloadParams(n_sessions=8, seed=4))
         times = [t for t, *_ in trace.iter_requests_nominal()]
         assert times == sorted(times)
 
 
 class TestGenerators:
     def test_deterministic_in_seed(self):
-        a = generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=9))
-        b = generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=9))
+        a = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=9))
+        b = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=9))
         assert a.n_requests == b.n_requests
         for sa, sb in zip(a.sessions, b.sessions):
             np.testing.assert_array_equal(sa.full_sequence(0), sb.full_sequence(0))
 
     def test_different_seeds_differ(self):
-        a = generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=1))
-        b = generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=2))
+        a = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=1))
+        b = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=2))
         assert not np.array_equal(a.sessions[0].full_sequence(0), b.sessions[0].full_sequence(0))
 
     def test_registry_names(self):
@@ -469,60 +512,60 @@ class TestGenerators:
 
     def test_content_fingerprint_tracks_content(self):
         params = WorkloadParams(n_sessions=6, seed=9)
-        a = generate_lmsys_trace(params)
-        assert a.content_fingerprint() == generate_lmsys_trace(params).content_fingerprint()
+        a = generate_trace("lmsys", params)
+        assert a.content_fingerprint() == generate_trace("lmsys", params).content_fingerprint()
         assert (
             a.content_fingerprint()
-            != generate_lmsys_trace(WorkloadParams(n_sessions=6, seed=10)).content_fingerprint()
+            != generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=10)).content_fingerprint()
         )
         assert (
             a.content_fingerprint()
-            != generate_lmsys_trace(
+            != generate_trace(
+                "lmsys",
                 WorkloadParams(n_sessions=6, seed=9, mean_think_s=1.0)
             ).content_fingerprint()
         )
 
     def test_selfconsistency_stream_is_the_trace(self):
-        from repro.workloads.selfconsistency import (
-            generate_selfconsistency_stream,
-            generate_selfconsistency_trace,
-        )
-
         params = WorkloadParams(n_sessions=6, seed=12)
-        trace = generate_selfconsistency_trace(params)
-        streamed = generate_selfconsistency_stream(params).materialize()
+        trace = generate_trace("selfconsistency", params)
+        streamed = generate_trace_stream("selfconsistency", params).materialize()
         assert streamed.content_fingerprint() == trace.content_fingerprint()
-        assert trace.metadata["n_samples"] == trace.n_sessions
+        assert streamed.metadata == trace.metadata
+        assert trace.metadata["n_queries"] == 6
         with pytest.raises(TypeError, match="not both"):
-            generate_selfconsistency_stream(params, seed=1)
-        with pytest.raises(KeyError):
-            generate_trace("nope")
+            generate_trace_stream("selfconsistency", params, seed=1)
+        for door in (generate_trace, generate_trace_stream):
+            with pytest.raises(KeyError, match="unknown workload 'nope'"):
+                door("nope")
 
     def test_params_and_kwargs_mutually_exclusive(self):
-        with pytest.raises(TypeError):
-            generate_lmsys_trace(WorkloadParams(), n_sessions=5)
+        for door in (generate_trace, generate_trace_stream):
+            for name in WORKLOAD_NAMES:
+                with pytest.raises(TypeError, match="not both"):
+                    door(name, WorkloadParams(), n_sessions=5)
 
     def test_fig6_shape_sharegpt_short(self):
         """ShareGPT: short sequences (mostly < ~6K inputs, short outputs)."""
-        trace = generate_sharegpt_trace(WorkloadParams(n_sessions=60, seed=5))
+        trace = generate_trace("sharegpt", WorkloadParams(n_sessions=60, seed=5))
         assert trace.input_lengths().max() <= 8000
         assert np.median(trace.output_lengths()) < 300
 
     def test_fig6_shape_swebench_wide_inputs_short_outputs(self):
-        trace = generate_swebench_trace(WorkloadParams(n_sessions=60, seed=5))
+        trace = generate_trace("swebench", WorkloadParams(n_sessions=60, seed=5))
         inputs = trace.input_lengths()
         assert inputs.max() > 20000  # reaches tens of thousands
         assert np.percentile(inputs, 5) < 5000  # but also has short requests
         assert np.median(trace.output_lengths()) < 400
 
     def test_fig6_shape_lmsys_long_outputs(self):
-        lmsys = generate_lmsys_trace(WorkloadParams(n_sessions=60, seed=5))
-        sharegpt = generate_sharegpt_trace(WorkloadParams(n_sessions=60, seed=5))
+        lmsys = generate_trace("lmsys", WorkloadParams(n_sessions=60, seed=5))
+        sharegpt = generate_trace("sharegpt", WorkloadParams(n_sessions=60, seed=5))
         assert np.median(lmsys.output_lengths()) > np.median(sharegpt.output_lengths())
 
     def test_swebench_shares_preamble_across_sessions(self):
         """Every trajectory opens with a pooled repo-context template."""
-        trace = generate_swebench_trace(WorkloadParams(n_sessions=20, seed=6))
+        trace = generate_trace("swebench", WorkloadParams(n_sessions=20, seed=6))
         firsts = [s.rounds[0].new_input_tokens for s in trace.sessions]
         shared_pairs = 0
         for i in range(len(firsts)):
@@ -533,13 +576,13 @@ class TestGenerators:
         assert shared_pairs > 0
 
     def test_context_cap_respected(self):
-        trace = generate_swebench_trace(WorkloadParams(n_sessions=40, seed=7))
+        trace = generate_trace("swebench", WorkloadParams(n_sessions=40, seed=7))
         for session in trace.sessions:
             assert session.input_lengths()[-1] <= 38000 + 10000  # cap + one round
 
     def test_session_arrival_rate_scales(self):
-        slow = generate_lmsys_trace(WorkloadParams(n_sessions=50, session_rate=0.5, seed=8))
-        fast = generate_lmsys_trace(WorkloadParams(n_sessions=50, session_rate=2.0, seed=8))
+        slow = generate_trace("lmsys", WorkloadParams(n_sessions=50, session_rate=0.5, seed=8))
+        fast = generate_trace("lmsys", WorkloadParams(n_sessions=50, session_rate=2.0, seed=8))
         assert slow.sessions[-1].arrival_time > fast.sessions[-1].arrival_time
 
 
