@@ -509,8 +509,10 @@ class MarconiCache(PrefixCache):
         is ``flops(seq_len)``: a 20K-token checkpoint outscores a 2K one by
         an order of magnitude (Fig. 10a).  The denominator is what eviction
         reclaims (``_freeable_bytes``); a node that frees nothing scores 0.
+        On a hybrid model a hit must end on a recurrent state, so a
+        stateless node saves no FLOPs and scores 0 as well.
         """
-        if freeable <= 0:
+        if freeable <= 0 or (self._recurrent_bytes and not node.has_ssm_state):
             return 0.0
         return self._flops_table[node.seq_len] / freeable
 

@@ -169,7 +169,7 @@ class TestRegistryAndCLI:
         out = capsys.readouterr().out
         row = [line for line in out.splitlines() if line.startswith("2.5 ")]
         cells = [cell.strip() for cell in row[0].split("|")]
-        assert cells == ["2.5", "0.267", "0.171", "0.267", "0", "0.452", "0%"]
+        assert cells == ["2.5", "0.267", "0.165", "0.273", "0.5", "0.452", "3%"]
 
     def test_cli_victim_profile_on_one_sharegpt_cell(self, capsys, monkeypatch):
         """ROADMAP item 1 step 1 at smoke scale: the clairvoyant victims of
@@ -185,7 +185,7 @@ class TestRegistryAndCLI:
             for line in out.splitlines()
             if line.startswith("2.5 ")
         ]
-        assert rows[0] == ["2.5", "502", "0.75", "0.62", "34%", "19%", "81%", "817 vs 634"]
+        assert rows[0] == ["2.5", "502", "0.75", "0.33", "34%", "19%", "84%", "817 vs 634"]
         assert [row[1] for row in rows[1:]] == [
             "recency_rank", "efficiency_rank", "depth", "session_round",
             "idle/think", "reuse_distance (n=332)",

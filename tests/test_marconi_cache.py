@@ -155,6 +155,64 @@ class TestCandidateEfficiency:
         assert deep >= 5 * shallow
 
 
+class TestStatelessNodesScoreZero:
+    """On a hybrid model a hit must end on a recurrent state, so a node
+    without one saves no FLOPs: its efficiency is 0, and the input-end node
+    a leaf eviction strands goes next instead of outliving every state."""
+
+    def _stranded(self, hybrid, tokens, alpha, n_fillers):
+        """A 4 000-token request, then ``n_fillers`` 200-token ones; its
+        output leaf is evicted, leaving its input node a stateless leaf."""
+        cache = MarconiCache(hybrid, int(1e12), alpha=alpha)
+        for i in range(1 + n_fillers):
+            seq = tokens(4_000 if i == 0 else 200, seed=50 + i)
+            cache.begin(seq, float(i)).commit(
+                np.concatenate([seq, tokens(20, seed=500 + i)]), i + 0.5
+            )
+        index = cache.eviction_index
+        (leaf,) = (c.node for c in index.candidates() if c.node.seq_len == 4_020)
+        parent = leaf.parent
+        assert not parent.has_ssm_state and index.get(parent.node_id) is None
+        cache._apply_eviction(index.get(leaf.node_id))
+        assert parent.is_leaf and index.get(parent.node_id) is not None
+        return cache, parent
+
+    @pytest.mark.parametrize("n_fillers", [2, 40])  # scored from scratch / from rank columns
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_stranded_parent_is_the_next_victim(self, hybrid, tokens, alpha, n_fillers):
+        cache, parent = self._stranded(hybrid, tokens, alpha, n_fillers)
+        assert cache.policy.select_from_index(cache.eviction_index).node is parent
+
+    def test_stateless_hybrid_node_scores_zero(self, hybrid, tokens):
+        cache, parent = self._stranded(hybrid, tokens, 1.0, 2)
+        freeable = cache._freeable_bytes(parent)
+        assert freeable == 4_000 * kv_bytes_per_token(hybrid)
+        assert cache._candidate_efficiency(parent, freeable) == 0.0
+        assert cache.eviction_index.get(parent.node_id).flop_efficiency == 0.0
+
+    def test_transformer_node_keeps_its_score(self, transformer, tokens):
+        """Pure-Transformer KVs are reusable at token granularity: a node
+        without a state still saves its prefix's FLOPs."""
+        cache = MarconiCache(transformer, int(1e12), alpha=1.0)
+        seq = tokens(2_000, seed=60)
+        cache.begin(seq, 0.0).commit(np.concatenate([seq, tokens(20, seed=61)]), 0.5)
+        (node,) = (n for n in cache.tree.iter_nodes() if n.is_leaf)
+        assert not node.has_ssm_state
+        freeable = cache._freeable_bytes(node)
+        expected = prefill_flops_table(transformer)[node.seq_len] / freeable
+        assert expected > 0
+        assert cache._candidate_efficiency(node, freeable) == expected
+        assert cache.eviction_index.get(node.node_id).flop_efficiency == expected
+
+    def test_a_checkpoint_rescores_through_the_index(self, hybrid, tokens):
+        cache, parent = self._stranded(hybrid, tokens, 1.0, 2)
+        cache.tree.set_checkpoint(parent, 10.0)
+        candidate = cache.eviction_index.get(parent.node_id)
+        freeable = 4_000 * kv_bytes_per_token(hybrid) + model_recurrent_bytes(hybrid)
+        assert candidate.freeable_bytes == freeable
+        assert candidate.flop_efficiency == prefill_flops_table(hybrid)[4_000] / freeable
+
+
 class TestStats:
     def test_token_hit_rate_accumulates(self, hybrid, tokens):
         cache = MarconiCache(hybrid, int(10e9), alpha=1.0)
