@@ -14,7 +14,10 @@ by ROADMAP's rule for perf items: a gain needs B ahead in at least nine tenths
 of the pairs *and* a median gap wider than A's own inter-quartile distance; a
 regression is a median worse than A's by more than the bound
 ``BENCHMARK.json`` fixes.  The three simulated metrics must
-be exactly equal pair by pair, and failed operations are summed per side.
+be exactly equal pair by pair (their rows give the verdict and the count of
+equal pairs), and failed operations are summed per side.  The exit status is
+1 on a regression or a failed operation, else 2 if a simulated metric moved
+(a decisions change reads its verdict there), else 0.
 """
 
 from __future__ import annotations
@@ -71,6 +74,15 @@ def judge(
     }
 
 
+def row_verdict(name: str, a: Sequence[float], b: Sequence[float], row: dict) -> str:
+    """What one metric's row prints: ``judge``'s verdict and, for a simulated
+    metric, in how many pairs the two sides were equal."""
+    if name not in SIMULATED:
+        return row["verdict"]
+    equal = sum(x == y for x, y in zip(a, b))
+    return f"{row['verdict']}, equal in {equal}/{len(a)} pairs"
+
+
 def checkout(revision: str, stack: ExitStack) -> Path:
     """``revision`` as a directory: itself if it is one, else an export of it."""
     if Path(revision).is_dir():
@@ -105,7 +117,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, help="default: each side's own")
     args = parser.parse_args(argv)
 
-    failed = False
+    failing = moved = False
     with ExitStack() as stack:
         sides = [checkout(args.rev_a, stack), checkout(args.rev_b, stack)]
         spec = json.loads((sides[0] / "BENCHMARK.json").read_text())
@@ -124,12 +136,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 name = metric["name"]
                 a, b = ([r["metrics"][name]["value"] for r in side] for side in runs)
                 row = judge(a, b, better=metric["better"], bound=metric["bound"])
-                verdict = row["verdict"]
-                if name in SIMULATED:
-                    equal = sum(x == y for x, y in zip(a, b))
-                    verdict = f"equal in {equal}/{len(a)} pairs"
-                    failed |= equal != len(a)
-                failed |= verdict == "regression"
+                verdict = row_verdict(name, a, b, row)
+                moved |= name in SIMULATED and a != b
+                failing |= row["verdict"] == "regression"
                 print(
                     f"  {name:<16} A {row['a'][1]:>10.6g} [{row['a'][0]:.6g}-{row['a'][2]:.6g}]"
                     f"  B {row['b'][1]:>10.6g} [{row['b'][0]:.6g}-{row['b'][2]:.6g}]"
@@ -142,9 +151,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             for label, side in zip("AB", runs):
                 bad = sum(r["failed"] for r in side)
                 print(f"  {label}: {bad} failed of {sum(r['attempted'] for r in side)} attempted")
-                failed |= bad > 0
+                failing |= bad > 0
             sys.stdout.flush()
-    return 1 if failed else 0
+    return 1 if failing else 2 if moved else 0
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from weakref import ref
 
 import numpy as np
 
+from repro.core import sink
 from repro.core.node import RadixNode
 from repro.core.radix_tree import TreeObserver, common_prefix_length
 from repro.core.tokens import anchor_key, resume_anchor, token_bytes
@@ -813,7 +814,10 @@ class PrefixDirectory(ReplicaFront):
 
     def lookup(self, tokens: Any, limit: Optional[int] = None) -> DirectoryLookup:
         self.stats.lookups += 1
-        return self.index.lookup(tokens, limit)
+        found = self.index.lookup(tokens, limit)
+        if sink.SINK is not None:
+            sink.SINK("lookup", self, found)
+        return found
 
     def invalidate(self, replica: int) -> None:
         self.index.clear_replica(replica)

@@ -26,6 +26,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.core import sink
 from repro.core.interfaces import as_token_array
 from repro.core.tokens import TokenSeq
 from repro.cluster.directory import DirectoryLookup, PrefixDirectory
@@ -112,7 +113,10 @@ class Router(abc.ABC):
         every load/locality router keeps its exact legacy behaviour.
         ``loads`` is read-only here as in :meth:`route`.
         """
-        return RouteDecision(self.route(tokens, session_id, caches, loads, now))
+        decision = RouteDecision(self.route(tokens, session_id, caches, loads, now))
+        if sink.SINK is not None:
+            sink.SINK("route", self, decision, session_id)
+        return decision
 
     def prepare(self, model: Any, caches: Sequence[Any], latency: Any) -> None:
         """Run-start hook: the kernel hands the router its world (model,
@@ -479,7 +483,10 @@ class DirectoryRouter(PrefixAffinityRouter):
         hits = self._hits(tokens, caches, lookup=lookup)
         replica = self._select(hits, loads)
         transfer = self._plan_transfer(tokens, caches, hits, lookup, replica)
-        return RouteDecision(replica, transfer)
+        decision = RouteDecision(replica, transfer)
+        if sink.SINK is not None:
+            sink.SINK("route", self, decision, session_id)
+        return decision
 
     def _plan_transfer(
         self,

@@ -61,6 +61,7 @@ from typing import Any, Optional
 import numpy as np
 from zlib import crc32
 
+from repro.core import sink
 from repro.core.tokens import TokenSeq, canonical_token_array
 from repro.cluster.directory import (
     _CKPT_CLEAR,
@@ -323,14 +324,18 @@ class ShardedPrefixDirectory(ReplicaFront):
             tokens = canonical_token_array(tokens)
         owner = self._ring.lookup(self._region_key(tokens))
         if owner is None:
-            return DirectoryLookup()
-        shard = self.shards[owner]
-        if not self._synchronous:
-            # Synchronous gossip applies inline, so every age would be 0.0.
-            age = self._now() - shard.pending[0][1] if shard.pending else 0.0
-            self._lookup_ages.append(max(0.0, age))
-        shard.lookups += 1
-        return shard.directory.lookup(tokens, limit)
+            found = DirectoryLookup()
+        else:
+            shard = self.shards[owner]
+            if not self._synchronous:
+                # Synchronous gossip applies inline, so every age would be 0.0.
+                age = self._now() - shard.pending[0][1] if shard.pending else 0.0
+                self._lookup_ages.append(max(0.0, age))
+            shard.lookups += 1
+            found = shard.directory.lookup(tokens, limit)
+        if sink.SINK is not None:
+            sink.SINK("lookup", self, found)
+        return found
 
     # ------------------------------------------------------------------
     # Ingest / gossip

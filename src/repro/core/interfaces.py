@@ -33,6 +33,7 @@ from typing import runtime_checkable
 
 import numpy as np
 
+from repro.core import sink
 from repro.core.stats import CacheStats
 from repro.core.tokens import canonical_token_array
 
@@ -247,6 +248,8 @@ class RequestSession:
         self._state = SessionState.COMMITTED
         self.admit_result = result
         cache._session_closed(self)
+        if sink.SINK is not None:
+            sink.SINK("commit", cache, self, full_tokens, now)
         return result
 
     def abort(self) -> None:
@@ -263,6 +266,8 @@ class RequestSession:
             cache._drain_deferred_aborts()
         self._state = SessionState.ABORTED
         cache._session_closed(self)
+        if sink.SINK is not None:
+            sink.SINK("abort", cache, self)
 
     def _detach(self) -> None:
         """Orphan the session (cache.reset() dropped its state wholesale)."""
@@ -398,6 +403,8 @@ class PrefixCache(abc.ABC):
             self._mutating = False
             self._drain_deferred_aborts()
         self._register_session(session)
+        if sink.SINK is not None:
+            sink.SINK("begin", self, session, tokens, now)
         return session
 
     def begin_many(

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
+from repro.core import sink
 from repro.core.interfaces import CacheProtocol, RequestSession
 from repro.engine.events import (
     ENTRY_KIND,
@@ -254,6 +255,8 @@ class SimulationKernel:
         :data:`_SESSION_SEQ_START` for the tie-break order).
         """
         self._begin_run(trace)
+        if sink.SINK is not None:
+            sink.SINK("run", self)
         # The hot path (3+ events per request): raw (time, kind, seq,
         # serial, payload) heap entries, so no per-event object is built.
         handlers = self._handlers
@@ -278,7 +281,7 @@ class SimulationKernel:
             if hasattr(cache, "stats"):
                 self.results[index].cache_stats = cache.stats.snapshot()
             self._sample(index, self.clock.now, force=True)
-        return KernelRun(
+        run = KernelRun(
             replica_results=self.results,
             routed_counts=self.routed_counts,
             busy_seconds=self.busy_seconds,
@@ -287,6 +290,9 @@ class SimulationKernel:
             end_time=self.clock.now,
             steering=self.steering,
         )
+        if sink.SINK is not None:
+            sink.SINK("drain", self, run)
+        return run
 
     def _begin_run(self, trace: Union[Trace, TraceStream]) -> None:
         """Rebuild every piece of per-run state and schedule the first events."""
@@ -611,6 +617,8 @@ class SimulationKernel:
         if self.router is not None:
             self.router.on_replica_joined(index, cache)
         self._sample(index, now)
+        if sink.SINK is not None:
+            sink.SINK("join", self, index, cache)
 
     # ------------------------------------------------------------------
     # Services for schedulers and routers

@@ -1,17 +1,18 @@
 """The decision digest: a seeded replay written down one decision per JSONL
 line, with the state it leaves hashed at intervals.
 
-Nothing under ``src/`` knows it is recorded.  A :class:`Recorder` puts a
-``TreeObserver`` on every replica cache (a mid-run joiner too, from the
-router's ``on_replica_joined``) and wraps ``router.decide`` (or, with one
-replica and no router, ``cache.begin``) on the instance.  Lines, where
-``crc, n`` are the crc32 and count of the tree events (adds, splits,
+A :class:`Recorder` is ``repro.core.sink``'s consumer while a scenario runs.
+It puts a ``TreeObserver`` on every watched cache (a mid-run joiner too) and
+writes what those caches and their router decide; every other source (a
+tuner's replay replicas, a cache the router never bound) is ignored.  Lines,
+where ``crc, n`` are the crc32 and count of the tree events (adds, splits,
 removals — the victims —, merges, truncations, checkpoints, touches,
 re-attaches) since the previous ``d`` / ``b`` / ``h`` line:
 
 * ``["d", session, replica, transfer, crc, n]``: a routing decision;
   ``transfer`` is 0 or ``[source, target, depth, split_depth, nbytes]``;
-* ``["b", input_len, hit_tokens, crc, n]``: a ``begin``;
+* ``["b", input_len, hit_tokens, crc, n]``: a ``begin`` of the one watched
+  cache, in a scenario with no router;
 * ``["h", trees, indexes, crc, n]``: every :data:`HASH_EVERY` decisions and
   when the run drains, a crc per replica tree (``check_integrity`` order:
   edge bytes, checkpoint, ``last_access``, hit count) and per directory or
@@ -40,7 +41,6 @@ from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
-from unittest import mock
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.cluster import PrefixAffinityRouter, PrefixDirectory, RoundRobinRoute
 from repro.cluster import ScenarioEvent, ShardedPrefixDirectory, simulate_cluster
 from repro.core.cache import MarconiCache
 from repro.core.interfaces import replay_log
+from repro.core import sink
 from repro.core.radix_tree import TreeObserver
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
 from repro.engine.latency import LatencyModel
@@ -174,8 +175,8 @@ def _directory_crcs(directory: Any) -> list[int]:
 
 
 class Recorder:
-    """One replay's lines, and per ``d`` / ``b`` / ``h`` line the slice of
-    ``events`` logged before it (what a failure prints)."""
+    """A sink consumer: one replay's lines, and per ``d`` / ``b`` / ``h``
+    line the slice of ``events`` logged before it (what a failure prints)."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -183,50 +184,38 @@ class Recorder:
         self.windows: dict[int, tuple[int, int]] = {}
         self.caches: list[Any] = []
         self.router: Any = None
+        self.lookups: Any = None  # the directory whose lookups are put
+        self.runs = False  # watch each kernel run's fleet, finish at its drain
         self._start = self._decisions = 0
 
-    def attach(self, caches: list, router: Any = None) -> None:
-        """Watch ``caches`` (and any replica ``router`` is told joined);
-        record ``router``'s decisions or, with none, the one cache's begins."""
+    def attach(self, caches: list, router: Any = None, lookups: bool = False) -> None:
+        """Watch ``caches`` and any replica that joins ``router``'s run;
+        ``lookups``: put every lookup the router's directory answers."""
         for cache in caches:
             self.watch(cache)
-        if router is None:
-            begin = caches[0].begin
-
-            def recorded_begin(tokens, now):
-                session = begin(tokens, now)
-                self.decision(["b", len(tokens), session.result.hit_tokens])
-                return session
-
-            caches[0].begin = recorded_begin
-            return
         self.router = router
-        decide, joined = router.decide, router.on_replica_joined
+        self.lookups = router.directory if lookups else None
 
-        def recorded_decide(tokens, session_id, caches, loads, now):
-            decision = decide(tokens, session_id, caches, loads, now)
+    def __call__(self, event: str, source: Any, *details: Any) -> None:
+        """The sink: each decision of what this replay watches is a line."""
+        if event == "begin" and self.router is None and source in self.caches[:1]:
+            session, tokens, _ = details
+            self.decision(["b", len(tokens), session.result.hit_tokens])
+        elif event == "route" and source is self.router:
+            decision, session_id = details
             t = decision.transfer
             split = getattr(t, "split_depth", None)
             transfer = 0 if t is None else [t.source, t.target, len(t.tokens), split, t.nbytes]
             self.decision(["d", session_id, decision.replica, transfer])
-            return decision
-
-        def recorded_join(index, cache):
-            self.watch(cache)
-            joined(index, cache)
-
-        router.decide, router.on_replica_joined = recorded_decide, recorded_join
-
-    def record_lookups(self, directory: Any) -> None:
-        """Put an ``l`` line for every lookup ``directory`` answers."""
-        lookup = directory.lookup
-
-        def recorded_lookup(tokens, limit=None):
-            found = lookup(tokens, limit)
+        elif event == "lookup" and source is self.lookups:
+            found = details[0]
             self.put(["l", list(found.kv_matched.items()), list(found.ckpt_depths.items())])
-            return found
-
-        directory.lookup = recorded_lookup
+        elif event == "join" and self.router is not None and source.router is self.router:
+            self.watch(details[1])
+        elif event == "run" and self.runs:
+            self.attach(source.caches, source.router)
+        elif event == "drain" and self.runs:
+            self.finish(details[0])
 
     def watch(self, cache: Any) -> None:
         self.caches.append(cache)
@@ -247,7 +236,7 @@ class Recorder:
         indexes = [] if directory is None else _directory_crcs(directory)
         self.decision(["h", [_tree_crc(cache) for cache in self.caches], indexes])
 
-    def finish(self, result: Any) -> Any:
+    def finish(self, result: Any) -> None:
         """The state hash as the run drains, every record, the summary."""
         self.state_hash()
         replicas = getattr(result, "replica_results", None) or [result]
@@ -267,7 +256,6 @@ class Recorder:
         if getattr(result, "steering", None) is not None:
             summary["steering"] = [result.steering.counters, result.steering.total_transfer_bytes]
         self.put(["s", summary])
-        return result
 
     def put(self, payload: list) -> None:
         self.lines.append(json.dumps(payload, separators=(",", ":"), default=repr))
@@ -343,8 +331,7 @@ def _mixed_fleet(rec: Recorder) -> None:
     ]
     caches += [VLLMPlusCache(MODEL, int(1e12), block_size=1), MarconiCache(TRANSFORMER, int(1e12))]
     router = DirectoryRouter(max_imbalance=1, transfer_min_tokens=4, directory=PrefixDirectory())
-    rec.record_lookups(router.directory)
-    rec.attach(caches, router)
+    rec.attach(caches, router, lookups=True)
     router.prepare(MODEL, caches, LOAD_BEATS_COMPUTE)
 
     def fresh(low: int, high: int) -> list[int]:
@@ -399,8 +386,7 @@ def _split_probe(rec: Recorder) -> None:
     caches = [TieredMarconiCache(MODEL, int(1e12), int(1e12)) for _ in range(2)]
     router = DirectoryRouter(transfer_min_tokens=16, directory=PrefixDirectory())
     rec.put(NUMPY)
-    rec.record_lookups(router.directory)
-    rec.attach(caches, router)
+    rec.attach(caches, router, lookups=True)
     drain = [ScenarioEvent(10.0, "drain", replica=0)]
     latency = LatencyModel(transfer_bandwidth_bytes_per_s=1e9)
     trace = split_probe_trace()
@@ -421,8 +407,7 @@ def _stale_shards(region_tokens: int) -> Callable:
         )
         router = DirectoryRouter(max_imbalance=1, directory=directory)
         rec.put(NUMPY)
-        rec.record_lookups(directory)
-        rec.attach(caches, router)
+        rec.attach(caches, router, lookups=True)
         trace = generate_trace("sharegpt", n_sessions=16, seed=SEED, session_rate=4.0)
         stranger = MarconiCache(MODEL, int(1e12))
         directory.attach(len(caches), stranger)
@@ -442,29 +427,20 @@ def _kernel_workload(
     """A ``bench_e2e`` kernel workload at ``scale`` and ``seed``, built and
     replayed by the benchmark's own code (its checks included); with
     ``modelled``, ``gateway_live``'s kernel model of its own sub-trace.
-    The run is recorded as the kernel drains, before the benchmark closes
-    the directory."""
+    The kernel run is watched from its start and recorded as it drains,
+    before the benchmark closes the directory."""
 
     def replay(rec: Recorder) -> None:
-        from bench_e2e import workloads
+        from bench_e2e.workloads import WORKLOADS
 
+        workload = WORKLOADS[name]
         rec.put(NUMPY)
-        original = workloads._replay_kernel
-
-        def recorded(system: Any, tracer: Any) -> Any:
-            rec.attach(system.caches, system.router)
-            run = system.kernel.run
-            system.kernel.run = lambda trace: rec.finish(run(trace))
-            rep = original(system, tracer)
-            assert not rep.verdict.failures, rep.verdict.failures
-            return rep
-
-        workload = workloads.WORKLOADS[name]
+        rec.runs = True
         if modelled:
-            with mock.patch.object(workloads, "_replay_kernel", recorded):
-                workload.modelled(seed, scale)
+            rep = workload.modelled(seed, scale)
         else:
-            recorded(workload.build(seed, scale), None)
+            rep = workload.replay(workload.build(seed, scale), None)
+        assert not rep.verdict.failures, rep.verdict.failures
 
     return replay
 
@@ -554,8 +530,11 @@ SCENARIOS["gateway_live-modelled"] = _kernel_workload("gateway_live", 0.25, mode
 # Comparing with the fixtures
 # ----------------------------------------------------------------------
 def record(name: str) -> Recorder:
-    rec = Recorder()
-    SCENARIOS[name](rec)
+    rec = sink.SINK = Recorder()
+    try:
+        SCENARIOS[name](rec)
+    finally:
+        sink.SINK = None
     return rec
 
 

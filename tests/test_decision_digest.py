@@ -11,7 +11,7 @@ regenerates the fixtures, and its PR says "decisions change" in its title::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_decision_digest.py
 
 Under each seeded mutation some scenario must diverge: three patched
-behaviours, and ten one-line edits of the source (:data:`EDITS`).
+behaviours, and eleven one-line edits of the source (:data:`EDITS`).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def test_an_edit_names_its_text_exactly_once(old, monkeypatch):
         edit_source(monkeypatch, router_module, "PrefixAffinityRouter._hits", old, "")
 
 
-#: The ten one-line edits: ``(module, qualname, old text, new text)``.
+#: The eleven one-line edits: ``(module, qualname, old text, new text)``.
 EDITS = {
     "M1-rotation": (steering_module, "pick_least_loaded",
                     "rotation % loads.count(floor)", "rotation % min(loads.count(floor), 2)"),
@@ -176,6 +176,8 @@ EDITS = {
     "M10-stateless-scored": (cache_module, "MarconiCache._candidate_efficiency",
                              "if freeable <= 0 or (self._recurrent_bytes and not node.has_ssm_state):",
                              "if freeable <= 0:"),
+    "M11-begin-unheard": (interfaces_module, "PrefixCache.begin",
+                          'sink.SINK("begin", self, session, tokens, now)', "pass"),
 }
 MUTATIONS = [second_best_victim, held_kept, ties_to_highest] + [
     pytest.param(lambda mp, edit=edit: edit_source(mp, *edit), id=name)

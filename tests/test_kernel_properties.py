@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.vanilla import VanillaCache
 from repro.cluster import RoundRobinRouter, simulate_cluster
+from repro.core import sink
 from repro.core.cache import MarconiCache
 from repro.engine.events import ENTRY_PAYLOAD, ENTRY_SEQ, EventKind, EventQueue
 from repro.engine.iteration import IterationConfig, simulate_trace_iteration
@@ -301,15 +302,17 @@ class TestKernelOnMatrixTraces:
         runs, admitted = [], []
         for listed in (shuffled, stable):
             cache, begun = evicting_marconi(), []
-            begin = cache.begin
 
-            def recorded(tokens, now, begin=begin, begun=begun):
-                begun.append(first_round.get(len(tokens)))
-                return begin(tokens, now)
+            def heard(event, source, *details, cache=cache, begun=begun):
+                if event == "begin" and source is cache:
+                    begun.append(first_round.get(len(details[1])))
 
-            cache.begin = recorded
             trace = Trace(name="tied", seed=0, sessions=listed)
-            runs.append(simulate_trace(MODEL, cache, trace, n_executors=n_executors))
+            sink.SINK = heard
+            try:
+                runs.append(simulate_trace(MODEL, cache, trace, n_executors=n_executors))
+            finally:
+                sink.SINK = None
             admitted.append([sid for sid in begun if sid is not None])
         assert admitted[0] == admitted[1] == [s.session_id for s in stable]
         assert runs[0].records == runs[1].records
