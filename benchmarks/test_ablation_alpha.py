@@ -28,8 +28,7 @@ def _run(scale_name):
         for alpha in ALPHAS
     }
     auto = run_policy_on_trace(model, trace, "marconi", capacity).token_hit_rate
-    log = list(trace.iter_requests_nominal())
-    oracle = tune_static_alpha(model, capacity, log, alpha_grid=ALPHAS)
+    oracle = tune_static_alpha(model, capacity, trace.nominal_log(), alpha_grid=ALPHAS)
     return fixed, auto, oracle
 
 

@@ -19,8 +19,8 @@ from repro.workloads import generate_trace
 CACHE_GB = 20
 
 
-def replay(cache, trace):
-    replay_log(cache, trace.iter_requests_nominal())
+def replay(cache, log):
+    replay_log(cache, log)
     return cache.stats.token_hit_rate
 
 
@@ -39,11 +39,12 @@ def main() -> None:
     print(f"reuse opportunity (any cache's ceiling): "
           f"{100 * report.reusable_token_share:.1f}%\n")
 
+    log = trace.nominal_log()
     rows = []
     for name in ("vllm+", "sglang+", "marconi"):
         cache = make_cache(name, model, capacity)
-        rows.append([name, f"{100 * replay(cache, trace):.1f}%"])
-    oracle = clairvoyant_replay(model, trace, capacity)
+        rows.append([name, f"{100 * replay(cache, log):.1f}%"])
+    oracle = clairvoyant_replay(model, log, capacity)
     rows.append(["clairvoyant (offline bound)", f"{100 * oracle.token_hit_rate:.1f}%"])
 
     print(ascii_table(["policy", "token hit rate"], rows))

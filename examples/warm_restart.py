@@ -11,6 +11,7 @@ Run:  python examples/warm_restart.py
 from _common import FAST
 from repro import MarconiCache, hybrid_7b
 from repro.analysis import windowed_hit_rate
+from repro.core import replay_log
 from repro.core.persistence import load_cache, save_cache
 from repro.engine.results import RequestRecord
 from repro.metrics import ascii_table
@@ -20,31 +21,32 @@ from repro.workloads import generate_trace
 SNAPSHOT = "/tmp/marconi_cache_snapshot.npz"
 
 
-def replay(cache, requests, records):
-    for now, sid, k, inp, full in requests:
-        with cache.begin(inp, now) as session:
-            records.append(
-                RequestRecord(
-                    session_id=sid, round_index=k, arrival_time=now, service_start=now,
-                    prefill_seconds=0.0, ttft=0.0, input_len=len(inp),
-                    hit_tokens=session.hit_tokens, output_len=len(full) - len(inp),
-                    reused_bytes=session.reused_bytes, flops_saved=0.0,
-                )
+def replay(cache, log, records):
+    """Serve a nominal ``log`` on ``cache``: a record per request, holding
+    the hit and input length the windows read."""
+    hits = replay_log(cache, log)
+    for (_, (sid, k), inp, now), (_, _, full, _), hit in zip(log[::2], log[1::2], hits):
+        records.append(
+            RequestRecord(
+                session_id=sid, round_index=k, arrival_time=now, service_start=now,
+                prefill_seconds=0.0, ttft=0.0, input_len=len(inp),
+                hit_tokens=hit, output_len=len(full) - len(inp),
+                reused_bytes=0, flops_saved=0.0,
             )
-            session.commit(full, now)
+        )
 
 
 def main() -> None:
     model = hybrid_7b()
     capacity = 40 * node_state_bytes(model, 3000, True)
     trace = generate_trace("lmsys", n_sessions=12 if FAST else 40, seed=13)
-    requests = list(trace.iter_requests_nominal())
-    half = len(requests) // 2
+    log = trace.nominal_log()
+    half = len(log) // 4  # requests; each is a begin and its commit
 
     # First shift, then snapshot.
     cache = MarconiCache(model, capacity, alpha=1.0)
     first_half: list[RequestRecord] = []
-    replay(cache, requests[:half], first_half)
+    replay(cache, log[: 2 * half], first_half)
     save_cache(cache, SNAPSHOT)
     print(
         f"snapshot after {half} requests: {cache.tree.n_nodes} nodes, "
@@ -59,7 +61,7 @@ def main() -> None:
     rows = []
     for name, restarted in variants.items():
         records: list[RequestRecord] = []
-        replay(restarted, requests[half:], records)
+        replay(restarted, log[2 * half :], records)
         windows = windowed_hit_rate(records, window=25)
         rows.append(
             [

@@ -23,6 +23,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from repro.core.interfaces import replay_log
 from repro.core.node import RadixNode
 from repro.core.stats import CacheStats
 from repro.models.config import ModelConfig
-from repro.workloads.trace import Trace
 
 _NEVER = float("inf")
 
@@ -75,20 +75,10 @@ class ClairvoyantEviction(EvictionPolicy):
         """
         return self.stats.lookups
 
-    def _next_use(self, path: np.ndarray) -> float:
-        """Index of the next scheduled request whose input extends ``path``.
-
-        A checkpoint at prefix length ``p`` serves request ``r`` only when
-        ``r``'s input strictly extends the prefix (at least the final input
-        token must be prefilled to produce first-step logits), mirroring
-        the cache's ``max_seq_len = len(tokens) - 1`` hit rule.
-        """
-        return self._first_at_cursor(self._uses_of(path))
-
     def _node_next_use(self, node: RadixNode) -> float:
-        """:meth:`_next_use` of ``node``'s path.  The schedule is scanned
-        once per node (and again after a truncation); a lookup is a dict get
-        and a bisect from the cursor."""
+        """Index of the next scheduled input extending ``node``'s path; the
+        schedule is scanned once per node (and again after a truncation), a
+        lookup is a dict get and a bisect from the cursor."""
         entry = self._uses.get(node)
         if entry is None or entry[0] != node.seq_len:
             entry = (node.seq_len, self._uses_of(node.path_tokens()))
@@ -97,7 +87,8 @@ class ClairvoyantEviction(EvictionPolicy):
 
     def _uses_of(self, path: np.ndarray) -> list[int]:
         """The sorted indices of every scheduled input that strictly extends
-        ``path``: one scan of the schedule."""
+        ``path`` (its last token must be prefilled for first-step logits: the
+        cache's ``max_seq_len = len(tokens) - 1`` hit rule), in one scan."""
         path = np.asarray(path, dtype=np.int32)
         n = len(path)
         schedule = self.schedule
@@ -140,25 +131,27 @@ class ClairvoyantResult:
     per_request_hits: list[int] = field(default_factory=list)
 
 
+def _begins(log: Sequence[tuple]) -> list[tuple]:
+    """The ``("begin", key, input, now)`` entries of a cache log, in order."""
+    return [entry for entry in log if entry[0] == "begin"]
+
+
 def clairvoyant_replay(
     model: ModelConfig,
-    trace: Trace,
+    log: Sequence[tuple],
     capacity_bytes: int,
 ) -> ClairvoyantResult:
-    """Replay ``trace`` through a Marconi cache evicting with future knowledge.
-
-    Requests are served in nominal order (zero service latency), matching
-    the engine-less replays used by the static-alpha oracle, so results are
-    directly comparable with :func:`repro.baselines.oracle.tune_static_alpha`.
+    """Replay the cache ``log`` through a Marconi cache that evicts knowing
+    the inputs of its begins.  On a trace's nominal log, results are directly
+    comparable with :func:`repro.baselines.oracle.tune_static_alpha`'s.
     """
-    requests = list(trace.iter_requests_nominal())
-    policy = ClairvoyantEviction([input_tokens for _, _, _, input_tokens, _ in requests])
+    policy = ClairvoyantEviction([tokens for _, _, tokens, _ in _begins(log)])
     cache = _clairvoyant_cache(model, capacity_bytes, policy)
-    per_request_hits = replay_log(cache, requests)
+    per_request_hits = replay_log(cache, log)
     stats = cache.stats
     return ClairvoyantResult(
         token_hit_rate=stats.token_hit_rate,
-        n_requests=len(requests),
+        n_requests=len(per_request_hits),
         evictions=stats.evictions,
         hit_tokens=stats.hit_tokens,
         input_tokens=stats.input_tokens,
@@ -171,7 +164,7 @@ def _clairvoyant_cache(
 ) -> MarconiCache:
     """A Marconi cache that evicts with ``policy``, whose cursor it moves."""
     if not policy.schedule:
-        raise ValueError("cannot replay an empty trace")
+        raise ValueError("cannot replay a log with no begin")
     cache = MarconiCache(model, capacity_bytes, eviction="lru")
     cache.policy = policy
     policy.bind_index(cache.eviction_index)  # and unbind the LRU heap's feed
@@ -213,13 +206,15 @@ class Victim:
 class _ProfiledClairvoyant(ClairvoyantEviction):
     """:class:`ClairvoyantEviction` that records each victim it picks."""
 
-    def __init__(self, requests: list, mean_think_s: float) -> None:
-        super().__init__([input_tokens for _, _, _, input_tokens, _ in requests])
-        self._times = [now for now, _, _, _, _ in requests]
+    def __init__(self, log: Sequence[tuple], mean_think_s: float) -> None:
+        begins = _begins(log)
+        super().__init__([tokens for _, _, tokens, _ in begins])
+        self._times = [now for _, _, _, now in begins]
         # A state's last_access is the nominal time of the request that
         # last used it; nominal times are ordered, so a later round sharing
-        # a time overwrites an earlier one.
-        self._round_at = {now: k for now, _, k, _, _ in requests}
+        # a time overwrites an earlier one.  The nominal log's keys are
+        # ``(session, round)``; a served log's serials name no round.
+        self._round_at = {now: key[1] for _, key, _, now in begins if isinstance(key, tuple)}
         self._mean_think_s = mean_think_s
         self.victims: list[Victim] = []
 
@@ -251,16 +246,15 @@ class _ProfiledClairvoyant(ClairvoyantEviction):
 
 def victim_profile(
     model: ModelConfig,
-    trace: Trace,
+    log: Sequence[tuple],
     capacity_bytes: int,
     mean_think_s: float,
 ) -> list[Victim]:
-    """Every victim of :func:`clairvoyant_replay` on ``trace``, in order.
+    """Every victim of :func:`clairvoyant_replay` on ``log``, in order.
 
     The replay's decisions are :func:`clairvoyant_replay`'s; recording them
     reads the candidate set and changes nothing.
     """
-    requests = list(trace.iter_requests_nominal())
-    policy = _ProfiledClairvoyant(requests, mean_think_s)
-    replay_log(_clairvoyant_cache(model, capacity_bytes, policy), requests)
+    policy = _ProfiledClairvoyant(log, mean_think_s)
+    replay_log(_clairvoyant_cache(model, capacity_bytes, policy), log)
     return policy.victims

@@ -30,7 +30,7 @@ def _replay_hit_rate(
     model: ModelConfig, trace: Trace, capacity_bytes: int, policy: str, **kwargs
 ) -> float:
     cache = make_cache(policy, model, capacity_bytes, **kwargs)
-    replay_log(cache, trace.iter_requests_nominal())
+    replay_log(cache, trace.nominal_log())
     return cache.stats.token_hit_rate
 
 

@@ -130,36 +130,36 @@ class TaxonomyReport:
 def classify_trace(trace: Trace) -> TaxonomyReport:
     """Classify every request's reuse opportunity under an unbounded cache.
 
-    Requests are processed in nominal order.  Two radix trees accumulate
-    history: one over *inputs only* (defines the purely-input span) and one
-    over *full sequences* (defines the total reusable span; whatever it
-    matches beyond the input-only span must traverse output tokens).  The
-    split count on the full tree is also reported — it is the frequency at
-    which Marconi's speculative insertion would fire for this trace.
+    The trace's nominal log is read in order.  Two radix trees accumulate
+    history: a begin's input goes into one over *inputs only* (defines the
+    purely-input span), a commit's full sequence into one over *full
+    sequences* (defines the total reusable span; whatever it matches beyond
+    the input-only span must traverse output tokens).  The split count on
+    the inputs tree is also reported — it is the frequency at which
+    Marconi's speculative insertion would fire for this trace.
     """
     inputs_tree = RadixTree()
     full_tree = RadixTree()
     report = TaxonomyReport(trace_name=trace.name)
 
-    for now, session_id, round_index, input_tokens, full_tokens in (
-        trace.iter_requests_nominal()
-    ):
+    for event, (session_id, round_index), tokens, now in trace.nominal_log():
+        if event == "commit":
+            full_tree.insert(tokens, now)
+            continue
         # A prefix hit must leave at least the final input token to prefill.
-        usable = len(input_tokens) - 1
-        purely = min(inputs_tree.match(input_tokens).matched_len, usable)
-        total = min(full_tree.match(input_tokens).matched_len, usable)
+        usable = len(tokens) - 1
+        purely = min(inputs_tree.match(tokens).matched_len, usable)
+        total = min(full_tree.match(tokens).matched_len, usable)
         report.requests.append(
             RequestReuse(
                 session_id=session_id,
                 round_index=round_index,
-                input_len=len(input_tokens),
+                input_len=len(tokens),
                 purely_input=purely,
                 input_output=max(0, total - purely),
             )
         )
-        outcome = inputs_tree.insert(input_tokens, now)
-        if outcome.created_intermediate_node:
+        if inputs_tree.insert(tokens, now).created_intermediate_node:
             report.branch_splits += 1
-        full_tree.insert(full_tokens, now)
 
     return report

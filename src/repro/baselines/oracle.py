@@ -34,18 +34,18 @@ class OracleResult:
 def tune_static_alpha(
     model: ModelConfig,
     capacity_bytes: int,
-    requests: Sequence[tuple],
+    log: Sequence[tuple],
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> OracleResult:
     """Sweep static alphas over the full log; return the hit-rate maximizer.
 
-    ``requests`` is a log :func:`~repro.core.interfaces.replay_log` serves,
-    e.g. ``list(trace.iter_requests_nominal())``.  Ties break toward the
+    ``log`` is a cache log :func:`~repro.core.interfaces.replay_log` serves,
+    e.g. ``trace.nominal_log()``.  Ties break toward the
     smaller alpha (the more recency-respecting configuration), matching the
     online tuner's convention.
     """
-    if not requests:
-        raise ValueError("cannot tune on an empty request log")
+    if not log:
+        raise ValueError("cannot tune on an empty log")
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
     hit_rates: dict[float, float] = {}
@@ -53,7 +53,7 @@ def tune_static_alpha(
         cache = MarconiCache(
             model, capacity_bytes, eviction="flop_aware", alpha=alpha
         )
-        replay_log(cache, requests)
+        replay_log(cache, log)
         hit_rates[alpha] = cache.stats.token_hit_rate
     best = max(hit_rates, key=lambda a: (hit_rates[a], -a))
     return OracleResult(best_alpha=best, hit_rates=hit_rates)

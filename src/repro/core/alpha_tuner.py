@@ -83,8 +83,8 @@ class AlphaTuner:
         self._warmup_requests = 0
         self._bootstrap_target = 0
         self._snapshot: Optional["RadixTree"] = None
-        #: The bootstrap window, as :func:`replay_log` serves it.
-        self._log: list[tuple[float, np.ndarray, np.ndarray]] = []
+        #: The bootstrap window, a log :func:`replay_log` serves, keyed by index.
+        self._log: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Hooks called by the cache
@@ -109,8 +109,10 @@ class AlphaTuner:
                 self._enter_bootstrap(cache)
             return
         # BOOTSTRAP: record this request, then tune once the window fills.
-        self._log.append((now, full_tokens[:input_len], full_tokens))
-        if len(self._log) >= self._bootstrap_target:
+        key = len(self._log) // 2
+        self._log.append(("begin", key, full_tokens[:input_len], now))
+        self._log.append(("commit", key, full_tokens, now))
+        if key + 1 >= self._bootstrap_target:
             self._tune(cache)
 
     # ------------------------------------------------------------------
@@ -169,4 +171,4 @@ class AlphaTuner:
         """(recorded, target) during bootstrap; (0, 0) otherwise."""
         if self.phase is not TunerPhase.BOOTSTRAP:
             return (0, 0)
-        return (len(self._log), self._bootstrap_target)
+        return (len(self._log) // 2, self._bootstrap_target)

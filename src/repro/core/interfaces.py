@@ -18,8 +18,8 @@ The cache surface is transactional: every request opens a
 Sessions are context managers: ``with cache.begin(tokens, now) as s: ...``
 aborts automatically unless the body committed.  ``begin`` and
 ``commit | abort`` are the cache's only doors: nothing is admitted
-outside a session.  :func:`replay_log` serves a whole request log through
-them, one session per request.
+outside a session.  :func:`replay_log` serves a whole cache log through
+them, one session per begin.
 """
 
 from __future__ import annotations
@@ -567,21 +567,31 @@ class CacheProtocol(Protocol):
     def used_bytes(self) -> int: ...
 
 
-def replay_log(cache: CacheProtocol, requests: Iterable[Sequence]) -> list[int]:
-    """Serve a request log in order, each request one session begun and
-    committed at its own time, and return each request's hit tokens.
+def replay_log(cache: CacheProtocol, log: Iterable[Sequence]) -> list[int]:
+    """Serve a cache log in order and return each begin's hit tokens.
 
-    A request is a tuple with its time first and its input and full
-    sequence last: ``(now, session, round, input, full)`` as
-    :meth:`~repro.workloads.trace.Trace.iter_requests_nominal` yields it
-    (zero service time: the *nominal* replay), or ``(now, input, full)`` as
-    the alpha tuner records its window.  Rates are the cache's ``stats``.
+    ``("begin", key, input, now)`` opens a session under ``key``;
+    ``("commit", key, full, now)`` and ``("abort", key)`` close it (its
+    writers: ``docs/architecture.md``, "Replaying a log").  A session the
+    log leaves open, or holds when the replay raises, is aborted.  Rates
+    are the cache's ``stats``.
     """
-    hits = []
-    for now, *_, tokens, full in requests:
-        with cache.begin(tokens, now) as session:
-            hits.append(session.hit_tokens)
-            session.commit(full, now)
+    sessions, hits = {}, []
+    try:
+        for event, key, *args in log:
+            if event == "begin":
+                sessions[key] = session = cache.begin(*args)
+                hits.append(session.hit_tokens)
+            elif event == "commit":
+                sessions[key].commit(*args)
+                del sessions[key]
+            elif event == "abort":
+                sessions.pop(key).abort()
+            else:
+                raise ValueError(f"unknown log event {event!r} under key {key!r}")
+    finally:
+        for session in sessions.values():
+            session.abort()
     return hits
 
 

@@ -52,12 +52,13 @@ def run_policy_zoo(scale: str | Scale = "bench") -> FigureResult:
     trace = get_trace("swebench", params)
     capacity = scale.cache_bytes(15.0)
 
+    log = trace.nominal_log()
     rates = {}
     for name in ZOO_POLICIES:
         cache = MarconiCache(model, capacity, eviction=name, alpha=1.0)
-        replay_log(cache, trace.iter_requests_nominal())
+        replay_log(cache, log)
         rates[name] = cache.stats.token_hit_rate
-    rates["clairvoyant"] = clairvoyant_replay(model, trace, capacity).token_hit_rate
+    rates["clairvoyant"] = clairvoyant_replay(model, log, capacity).token_hit_rate
     return FigureResult(
         figure_id="ext-zoo",
         title="Eviction policy zoo + clairvoyant bound (SWEBench-like, 15 GB)",
@@ -86,19 +87,18 @@ def run_headroom(dataset: str, scale: str | Scale = "bench") -> FigureResult:
     scale = get_scale(scale)
     model = default_model()
     config = DATASET_CONFIGS[dataset]
-    trace = get_trace(config.workload, config.workload_params(scale))
-    requests = list(trace.iter_requests_nominal())
+    log = get_trace(config.workload, config.workload_params(scale)).nominal_log()
     rows, cells = [], {}
     for cache_gb in config.cache_grid_gb:
         capacity = scale.cache_bytes(cache_gb)
         lru_cache = make_cache("sglang+", model, capacity)
         tuned_cache = make_cache("marconi", model, capacity)
-        replay_log(lru_cache, requests)
-        replay_log(tuned_cache, requests)
+        replay_log(lru_cache, log)
+        replay_log(tuned_cache, log)
         lru = lru_cache.stats.token_hit_rate
         tuned = tuned_cache.stats.token_hit_rate
-        oracle = tune_static_alpha(model, capacity, requests)
-        bound = clairvoyant_replay(model, trace, capacity).token_hit_rate
+        oracle = tune_static_alpha(model, capacity, log)
+        bound = clairvoyant_replay(model, log, capacity).token_hit_rate
         best = oracle.best_hit_rate
         captured = (best - lru) / (bound - lru) if bound > lru else 0.0
         cells[cache_gb] = {
@@ -154,11 +154,11 @@ def run_victim_profile(dataset: str, scale: str | Scale = "bench") -> list[Figur
     scale = get_scale(scale)
     model = default_model()
     config = DATASET_CONFIGS[dataset]
-    trace = get_trace(config.workload, config.workload_params(scale))
+    log = get_trace(config.workload, config.workload_params(scale)).nominal_log()
     summary, spread, cells = [], [], {}
     for cache_gb in config.cache_grid_gb:
         victims = victim_profile(
-            model, trace, scale.cache_bytes(cache_gb), config.mean_think_s
+            model, log, scale.cache_bytes(cache_gb), config.mean_think_s
         )
         cells[cache_gb] = victims
         if not victims:
@@ -308,9 +308,10 @@ def run_taxonomy_workloads(scale: str | Scale = "bench") -> FigureResult:
         )
         trace = get_trace(workload, params)
         row = {"ceiling": classify_trace(trace).reusable_token_share}
+        log = trace.nominal_log()
         for policy in ("vllm+", "sglang+", "marconi"):
             cache = make_cache(policy, model, scale.cache_bytes(cache_gb))
-            replay_log(cache, trace.iter_requests_nominal())
+            replay_log(cache, log)
             row[policy] = cache.stats.token_hit_rate
         out[workload] = row
     return FigureResult(

@@ -209,32 +209,24 @@ class Trace:
         """
         return iter(sorted(self.sessions, key=lambda s: s.arrival_time))
 
-    def iter_requests_nominal(
-        self,
-    ) -> Iterator[tuple[float, int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(nominal_time, session_id, round, input, full_sequence)``.
-
-        Nominal time assumes zero service latency (arrival plus accumulated
-        think times) and is used by engine-less replays (the oracle, quick
-        policy comparisons); the serving simulator computes the true
-        closed-loop timing instead.
-        """
-        entries = []
+    def nominal_log(self) -> list[tuple]:
+        """The cache log :func:`~repro.core.interfaces.replay_log` serves:
+        each request's ``("begin", key, input, t)``, then its ``("commit",
+        key, full_sequence, t)``, keyed ``(session_id, round)`` and ordered by
+        ``t``, session and round.  ``t`` is nominal: arrival plus think times,
+        zero service latency (the serving simulator times requests itself)."""
+        requests = []
         for session in self.sessions:
             t = session.arrival_time
             for k in range(session.n_rounds):
                 t += session.think_times[k]
-                entries.append(
-                    (
-                        t,
-                        session.session_id,
-                        k,
-                        session.full_input(k),
-                        session.full_sequence(k),
-                    )
-                )
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        yield from entries
+                requests.append((t, (session.session_id, k), session))
+        requests.sort(key=lambda r: r[:2])
+        log = []
+        for t, key, session in requests:
+            log.append(("begin", key, session.full_input(key[1]), t))
+            log.append(("commit", key, session.full_sequence(key[1]), t))
+        return log
 
     def content_fingerprint(self) -> int:
         """CRC32 over the trace's full content (ids, timing, tokens).

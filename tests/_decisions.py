@@ -454,20 +454,76 @@ def _nominal_replays(rec: Recorder) -> None:
     config, scale = DATASET_CONFIGS["lmsys"], get_scale("smoke")
     trace = generate_trace(config.workload, config.workload_params(scale))
     capacity = scale.cache_bytes(config.cache_grid_gb[0])
-    requests = list(trace.iter_requests_nominal())
+    log = trace.nominal_log()
     rec.put(NUMPY)
-    rec.put(["alpha", list(tune_static_alpha(MODEL, capacity, requests).hit_rates.items())])
-    bound = clairvoyant_replay(MODEL, trace, capacity)
+    rec.put(["alpha", list(tune_static_alpha(MODEL, capacity, log).hit_rates.items())])
+    bound = clairvoyant_replay(MODEL, log, capacity)
     rec.put(["clairvoyant", bound.per_request_hits, bound.evictions])
-    victims = victim_profile(MODEL, trace, capacity, config.mean_think_s)
+    victims = victim_profile(MODEL, log, capacity, config.mean_think_s)
     rec.put(["victims", [astuple(victim) for victim in victims]])
     grid = [scale.cache_bytes(gb) for gb in config.cache_grid_gb]
     rec.put(["capacity", [astuple(point) for point in capacity_curve(MODEL, trace, grid)]])
     cache = make_cache("marconi", MODEL, capacity)
     rec.attach([cache])
-    replay_log(cache, requests)
+    replay_log(cache, log)
     rec.state_hash()
     rec.put(["s", list(cache.tuner.search_results.items()), cache.alpha, cache.stats])
+
+
+class ServedLog:
+    """A sink consumer: ``cache``'s traffic as ``("begin", serial, tokens,
+    now)``, ``("commit", serial, full, now)`` and ``("abort", serial)``, the
+    log ``replay_log`` serves, a request keyed by the serial of its begin,
+    and each begin's served hit.  It holds no session: a held one would
+    never be collected, and the GC safety net would then abort something
+    else.  ``others`` counts the begins of every other cache (a tuner's
+    replay replicas)."""
+
+    def __init__(self, cache: Any) -> None:
+        self.cache, self.entries, self.hits, self.others = cache, [], [], 0
+        self._serials: dict[int, int] = {}  # id of an open session -> its serial
+
+    def __call__(self, event: str, source: Any, *details: Any) -> None:
+        if event not in ("begin", "commit", "abort"):
+            return
+        if source is not self.cache:
+            self.others += event == "begin"
+            return
+        session, *rest = details
+        if event == "begin":
+            serial = self._serials[id(session)] = len(self.hits)
+            self.hits.append(session.hit_tokens)
+        else:
+            serial = self._serials.pop(id(session))
+        self.entries.append((event, serial, *rest))
+
+
+def serve_logged(model: Any, make: Callable, trace: Trace, **serve: Any) -> tuple:
+    """A served run of ``trace`` on a fresh ``make()``: the cache, its
+    :class:`ServedLog` and the run.  The sink is put back as it was."""
+    cache, previous = make(), sink.SINK
+    log = sink.SINK = ServedLog(cache)
+    try:
+        run = simulate_trace(model, cache, trace, **serve)
+    finally:
+        sink.SINK = previous
+    return cache, log, run
+
+
+def _served_log(rec: Recorder) -> None:
+    """Served runs of sharegpt at smoke scale, 2.5 GB pre-scaling, under
+    LRU and the online tuner: each begin's served hit, then its hit when
+    ``replay_log`` serves the run's cache log on a fresh cache; the tuner's
+    grid search and adopted alpha."""
+    config, scale = DATASET_CONFIGS["sharegpt"], get_scale("smoke")
+    trace = generate_trace(config.workload, config.workload_params(scale))
+    rec.put(NUMPY)
+    for name in ("sglang+", "marconi"):
+        make = partial(make_cache, name, MODEL, scale.cache_bytes(2.5))
+        cache, log, _ = serve_logged(MODEL, make, trace, latency=LatencyModel())
+        rec.put([name, log.hits, replay_log(make(), log.entries)])
+        if cache.tuner is not None:
+            rec.put(["tuner", list(cache.tuner.search_results.items()), cache.alpha])
 
 
 def _live_gateway(rec: Recorder) -> None:
@@ -497,7 +553,8 @@ ROUTERS = {
     "prefix_affinity": PrefixAffinityRouter,
 }
 SCENARIOS: dict[str, Callable[[Recorder], None]] = {
-    "nominal-replays": _nominal_replays,  # first: the one that reaches `replay_log`
+    "nominal-replays": _nominal_replays,  # first two: the ones that reach `replay_log`
+    "served-log": _served_log,
     "directory-fewshot-restart": _directory_restart,  # next: the one with ties and a restart
     "hierarchical-racks": _racks,
     "directory-mixed-fleet": _mixed_fleet,

@@ -53,6 +53,17 @@ def _candidate(node_tokens, last_access=0.0, efficiency=1.0, freeable=100):
     )
 
 
+def _schedule(log):
+    """The inputs of ``log``'s begins, in order."""
+    return [tokens for event, _, tokens, _ in log if event == "begin"]
+
+
+def _next_use(policy, path):
+    """The index of the next scheduled input from the cursor that strictly
+    extends ``path``."""
+    return policy._first_at_cursor(policy._uses_of(np.asarray(path, dtype=np.int32)))
+
+
 class TestClairvoyantEviction:
     def test_next_use_finds_extending_request(self):
         schedule = [
@@ -61,16 +72,16 @@ class TestClairvoyantEviction:
             np.asarray([9, 9], dtype=np.int32),
         ]
         policy = ClairvoyantEviction(schedule)
-        assert policy._next_use(np.asarray([1, 2], dtype=np.int32)) == 0.0
+        assert _next_use(policy, [1, 2]) == 0.0
         policy.stats.lookups = 1
-        assert policy._next_use(np.asarray([1, 2], dtype=np.int32)) == 1.0
-        assert policy._next_use(np.asarray([7], dtype=np.int32)) == float("inf")
+        assert _next_use(policy, [1, 2]) == 1.0
+        assert _next_use(policy, [7]) == float("inf")
 
     def test_exact_length_match_does_not_count(self):
         # A request equal to the prefix leaves no final token to prefill.
         schedule = [np.asarray([1, 2], dtype=np.int32)]
         policy = ClairvoyantEviction(schedule)
-        assert policy._next_use(np.asarray([1, 2], dtype=np.int32)) == float("inf")
+        assert _next_use(policy, [1, 2]) == float("inf")
 
     def test_evicts_never_reused_first(self):
         schedule = [np.asarray([1, 2, 3, 4], dtype=np.int32)]
@@ -90,12 +101,11 @@ class TestClairvoyantEviction:
         assert policy.select_victim([soon, later]) is later
 
     def test_the_cursor_is_the_serving_cache_begin_count(self, hybrid):
-        trace = generate_trace("lmsys", n_sessions=3, seed=5)
-        requests = list(trace.iter_requests_nominal())
-        policy = ClairvoyantEviction([r[3] for r in requests])
+        log = generate_trace("lmsys", n_sessions=3, seed=5).nominal_log()
+        policy = ClairvoyantEviction(_schedule(log))
         assert policy.cursor == 0
         cache = _clairvoyant_cache(hybrid, int(1e13), policy)
-        replay_log(cache, requests[:4])
+        replay_log(cache, log[:8])
         assert policy.stats is cache.stats and policy.cursor == 4
 
     def test_empty_candidates_raise(self):
@@ -105,24 +115,20 @@ class TestClairvoyantEviction:
 
 class TestClairvoyantReplay:
     def test_unbounded_cache_matches_lru_replay(self, hybrid):
-        trace = generate_trace("lmsys", n_sessions=10, seed=7)
+        log = generate_trace("lmsys", n_sessions=10, seed=7).nominal_log()
         huge = int(1e13)
-        oracle = clairvoyant_replay(hybrid, trace, huge)
+        oracle = clairvoyant_replay(hybrid, log, huge)
         lru = MarconiCache(hybrid, huge, eviction="lru")
-        for now, _, _, inp, full in trace.iter_requests_nominal():
-            s = lru.begin(inp, now)
-            s.commit(full, now)
+        replay_log(lru, log)
         assert oracle.evictions == 0
         assert oracle.token_hit_rate == pytest.approx(lru.stats.token_hit_rate)
 
     def test_beats_lru_under_contention(self, hybrid):
-        trace = generate_trace("lmsys", n_sessions=24, seed=3)
+        log = generate_trace("lmsys", n_sessions=24, seed=3).nominal_log()
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
-        oracle = clairvoyant_replay(hybrid, trace, capacity)
+        oracle = clairvoyant_replay(hybrid, log, capacity)
         lru = MarconiCache(hybrid, capacity, eviction="lru")
-        for now, _, _, inp, full in trace.iter_requests_nominal():
-            s = lru.begin(inp, now)
-            s.commit(full, now)
+        replay_log(lru, log)
         assert oracle.evictions > 0
         assert oracle.token_hit_rate >= lru.stats.token_hit_rate
 
@@ -130,28 +136,27 @@ class TestClairvoyantReplay:
         """The clairvoyant policy replaces the cache's LRU heap as the
         index's reader, so no candidate change feeds the discarded heap;
         every victim and hit stays what the unbound replay made."""
-        trace = generate_trace("lmsys", n_sessions=24, seed=3)
+        log = generate_trace("lmsys", n_sessions=24, seed=3).nominal_log()
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
-        requests = list(trace.iter_requests_nominal())
-        policy = ClairvoyantEviction([r[3] for r in requests])
+        policy = ClairvoyantEviction(_schedule(log))
         cache = _clairvoyant_cache(hybrid, capacity, policy)
-        hits = replay_log(cache, requests)
+        hits = replay_log(cache, log)
         assert cache.policy is policy
         assert cache.eviction_index.on_candidate_changed is None
         assert cache.stats.evictions == 160
         assert (len(hits), sum(hits)) == (86, 116_857)
-        assert hits == clairvoyant_replay(hybrid, trace, capacity).per_request_hits
-        assert len(victim_profile(hybrid, trace, capacity, mean_think_s=5.0)) == 160
+        assert hits == clairvoyant_replay(hybrid, log, capacity).per_request_hits
+        assert len(victim_profile(hybrid, log, capacity, mean_think_s=5.0)) == 160
 
     def test_per_request_accounting(self, hybrid):
         trace = generate_trace("lmsys", n_sessions=5, seed=1)
-        result = clairvoyant_replay(hybrid, trace, int(1e13))
+        result = clairvoyant_replay(hybrid, trace.nominal_log(), int(1e13))
         assert len(result.per_request_hits) == result.n_requests == trace.n_requests
         assert sum(result.per_request_hits) == result.hit_tokens
         assert result.input_tokens == trace.total_input_tokens
 
     def test_empty_trace_raises(self, hybrid):
-        empty = Trace(name="empty", seed=0, sessions=[])
+        empty = Trace(name="empty", seed=0, sessions=[]).nominal_log()
         with pytest.raises(ValueError):
             clairvoyant_replay(hybrid, empty, int(1e9))
         with pytest.raises(ValueError):
@@ -198,8 +203,7 @@ class TestNextUseIndex:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_index_equals_a_rescan(self, seed):
-        trace = generate_trace("lmsys", n_sessions=12, seed=seed)
-        schedule = [inp for _, _, _, inp, _ in trace.iter_requests_nominal()]
+        schedule = _schedule(generate_trace("lmsys", n_sessions=12, seed=seed).nominal_log())
         rng = np.random.default_rng(seed)
         paths = [np.asarray([7, 7, 7], dtype=np.int32)]  # extended by nothing
         for inp in schedule:
@@ -213,7 +217,7 @@ class TestNextUseIndex:
             policy.stats.lookups = cursor
             for path, node in zip(paths, nodes):
                 expected = _rescan_next_use(schedule, cursor, path)
-                assert policy._next_use(path) == expected
+                assert _next_use(policy, path) == expected
                 assert policy._node_next_use(node) == expected
 
     def test_a_truncated_node_is_looked_up_again(self):
@@ -231,18 +235,15 @@ class TestNextUseIndex:
     def test_replay_equals_a_rescan_replay(self, hybrid):
         """Under contention, every victim and so every hit is the rescan's,
         whose cursor the loop moves: the cache's begin count is that cursor."""
-        trace = generate_trace("lmsys", n_sessions=24, seed=3)
+        log = generate_trace("lmsys", n_sessions=24, seed=3).nominal_log()
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
-        indexed = clairvoyant_replay(hybrid, trace, capacity)
-        requests = list(trace.iter_requests_nominal())
+        indexed = clairvoyant_replay(hybrid, log, capacity)
         cache = MarconiCache(hybrid, capacity, eviction="lru")
-        cache.policy = policy = RescanClairvoyant([r[3] for r in requests])
+        cache.policy = policy = RescanClairvoyant(_schedule(log))
         hits = []
-        for index, (now, _, _, inp, full) in enumerate(requests):
+        for index in range(len(log) // 2):  # a begin and its commit
             policy.cursor = index + 1
-            with cache.begin(inp, now) as session:
-                hits.append(session.hit_tokens)
-                session.commit(full, now)
+            hits += replay_log(cache, log[2 * index : 2 * index + 2])
         assert cache.stats.evictions > 0
         assert indexed.evictions == cache.stats.evictions
         assert indexed.per_request_hits == hits
@@ -254,12 +255,12 @@ class TestVictimProfile:
     for re-use."""
 
     def test_recounts_every_victim_on_a_seeded_trace(self, hybrid):
-        trace = generate_trace("lmsys", n_sessions=24, seed=3)
+        log = generate_trace("lmsys", n_sessions=24, seed=3).nominal_log()
         capacity = 6 * node_state_bytes(hybrid, 2000, True)
-        profile = victim_profile(hybrid, trace, capacity, mean_think_s=5.0)
-        assert len(profile) == clairvoyant_replay(hybrid, trace, capacity).evictions
+        profile = victim_profile(hybrid, log, capacity, mean_think_s=5.0)
+        assert len(profile) == clairvoyant_replay(hybrid, log, capacity).evictions
 
-        requests = list(trace.iter_requests_nominal())
+        begins = log[::2]  # ("begin", (session, round), input, now)
         expected = []
 
         def rank(values, value):
@@ -277,7 +278,7 @@ class TestVictimProfile:
                     ancestors.append(node)
                     node = node.parent
                 last_use = max(
-                    i for i in range(serving + 1) if requests[i][0] == victim.last_access
+                    i for i in range(serving + 1) if begins[i][3] == victim.last_access
                 )
                 expected.append(
                     Victim(
@@ -297,18 +298,17 @@ class TestVictimProfile:
                         lru_length=len(lru.node.path_tokens()),
                         depth=len(ancestors),
                         is_leaf=not victim.node.children,
-                        session_round=requests[last_use][2],
-                        idle_over_think=(requests[serving][0] - victim.last_access) / 5.0,
+                        session_round=begins[last_use][1][1],
+                        idle_over_think=(begins[serving][3] - victim.last_access) / 5.0,
                     )
                 )
                 return victim
 
         cache = MarconiCache(hybrid, capacity, eviction="lru")
-        cache.policy = policy = Recorder([r[3] for r in requests])
-        for index, (now, _, _, inp, full) in enumerate(requests):
+        cache.policy = policy = Recorder(_schedule(log))
+        for index in range(len(begins)):
             policy.cursor = index + 1
-            with cache.begin(inp, now) as session:
-                session.commit(full, now)
+            replay_log(cache, log[2 * index : 2 * index + 2])
         assert len(expected) > 100
         assert profile == expected
         # The trace has victims of every kind the profile tells apart.
@@ -382,9 +382,7 @@ class TestTaxonomy:
         trace = generate_trace("lmsys", n_sessions=10, seed=9)
         report = classify_trace(trace)
         cache = MarconiCache(hybrid, int(1e13), eviction="lru")
-        for now, _, _, inp, full in trace.iter_requests_nominal():
-            s = cache.begin(inp, now)
-            s.commit(full, now)
+        replay_log(cache, trace.nominal_log())
         assert cache.stats.token_hit_rate <= report.reusable_token_share + 1e-9
 
     def test_summary_table_renders(self):

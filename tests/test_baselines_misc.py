@@ -8,6 +8,7 @@ from repro.baselines.registry import POLICY_NAMES, make_cache
 from repro.baselines.sglang_plus import SGLangPlusCache
 from repro.baselines.vanilla import VanillaCache
 from repro.baselines.vllm_plus import VLLMPlusCache
+from repro.core.alpha_tuner import AlphaTuner, AlphaTunerConfig, TunerPhase
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
 from repro.core.interfaces import CacheProtocol, replay_log
@@ -58,23 +59,28 @@ class TestSGLangPlus:
 
 class TestOracle:
     def _requests(self, tokens, n=12):
-        requests = []
+        log = []
         for i in range(n):
             seq = tokens(150, seed=i % 4)  # heavy reuse across 4 sessions
             full = np.concatenate([seq, tokens(30, seed=100 + i)])
-            requests.append((float(i), seq, full))
-        return requests
+            log += [("begin", i, seq, float(i)), ("commit", i, full, float(i))]
+        return log
 
     def test_replay_log_returns_each_requests_hits(self, hybrid):
-        requests = list(generate_trace("lmsys", n_sessions=5, seed=1).iter_requests_nominal())
+        log = generate_trace("lmsys", n_sessions=5, seed=1).nominal_log()
         cache = MarconiCache(hybrid, int(10e9), alpha=0.0)
-        hits = replay_log(cache, requests)
-        assert len(hits) == cache.stats.lookups == len(requests)
+        hits = replay_log(cache, log)
+        assert len(hits) == cache.stats.lookups == len(log) // 2
         assert sum(hits) == cache.stats.hit_tokens > 0
-        # The same log as (now, input, full), the tuner's window shape.
-        short = MarconiCache(hybrid, int(10e9), alpha=0.0)
-        assert replay_log(short, [(t, i, f) for t, _, _, i, f in requests]) == hits
-        assert short.stats == cache.stats
+        # The same requests as the tuner writes its window: keyed by index.
+        tuner = AlphaTuner(AlphaTunerConfig())
+        tuner.phase, tuner._bootstrap_target = TunerPhase.BOOTSTRAP, len(log)
+        for (_, _, inp, now), (_, _, full, _) in zip(log[::2], log[1::2]):
+            tuner.after_request(None, now, len(inp), full)
+        assert tuner.bootstrap_progress == (len(hits), len(log))
+        window = MarconiCache(hybrid, int(10e9), alpha=0.0)
+        assert replay_log(window, tuner._log) == hits
+        assert window.stats == cache.stats
 
     def test_tune_finds_best_alpha(self, hybrid, tokens):
         result = tune_static_alpha(

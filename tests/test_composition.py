@@ -79,11 +79,12 @@ class TestMixtureComposition:
 class TestOracleHelpers:
     def test_the_nominal_log_is_ordered_and_extends(self, hybrid):
         trace = generate_trace("lmsys", n_sessions=5, seed=47)
-        log = list(trace.iter_requests_nominal())
-        assert len(log) == trace.n_requests
-        times = [now for now, *_ in log]
+        log = trace.nominal_log()
+        assert [entry[0] for entry in log] == ["begin", "commit"] * trace.n_requests
+        times = [entry[3] for entry in log]
         assert times == sorted(times)
-        for _, _, _, inp, full in log:
+        for (_, key, inp, now), (_, commit_key, full, then) in zip(log[::2], log[1::2]):
+            assert (commit_key, then) == (key, now)
             assert len(full) > len(inp)
             assert np.array_equal(full[: len(inp)], inp)
 
@@ -91,7 +92,7 @@ class TestOracleHelpers:
         trace = generate_trace("lmsys", n_sessions=8, seed=48)
         capacity = 4 * node_state_bytes(hybrid, 2000, True)
         result = tune_static_alpha(
-            hybrid, capacity, list(trace.iter_requests_nominal()), alpha_grid=(0.0, 1.0)
+            hybrid, capacity, trace.nominal_log(), alpha_grid=(0.0, 1.0)
         )
         assert set(result.hit_rates) == {0.0, 1.0}
         assert result.best_hit_rate == max(result.hit_rates.values())

@@ -11,7 +11,7 @@ regenerates the fixtures, and its PR says "decisions change" in its title::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_decision_digest.py
 
 Under each seeded mutation some scenario must diverge: three patched
-behaviours, and eleven one-line edits of the source (:data:`EDITS`).
+behaviours, and twelve one-line edits of the source (:data:`EDITS`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.cluster import directory as directory_module
 from repro.cluster import router as router_module
 from repro.cluster import sharded_directory as sharded_module
 from repro.cluster.directory import _ReplicaView
+from repro.core import alpha_tuner as tuner_module
 from repro.core import cache as cache_module
 from repro.core import interfaces as interfaces_module
 from repro.core.eviction import FlopAwareEviction
@@ -150,7 +151,7 @@ def test_an_edit_names_its_text_exactly_once(old, monkeypatch):
         edit_source(monkeypatch, router_module, "PrefixAffinityRouter._hits", old, "")
 
 
-#: The eleven one-line edits: ``(module, qualname, old text, new text)``.
+#: The twelve one-line edits: ``(module, qualname, old text, new text)``.
 EDITS = {
     "M1-rotation": (steering_module, "pick_least_loaded",
                     "rotation % loads.count(floor)", "rotation % min(loads.count(floor), 2)"),
@@ -171,13 +172,16 @@ EDITS = {
                              "depths.setdefault(r, []).insert(0, end)"),
     "M8-kv-leaf-first": (directory_module, "DirectoryLookup.kv_matched",
                          "for node in reversed(path):", "for node in path:"),
-    "M9-commit-late": (interfaces_module, "replay_log",
-                       "session.commit(full, now)", "session.commit(full, now + 1.0)"),
+    "M9-commit-late": (interfaces_module, "replay_log", "sessions[key].commit(*args)",
+                       "sessions[key].commit(args[0], args[1] + 1.0)"),
     "M10-stateless-scored": (cache_module, "MarconiCache._candidate_efficiency",
                              "if freeable <= 0 or (self._recurrent_bytes and not node.has_ssm_state):",
                              "if freeable <= 0:"),
     "M11-begin-unheard": (interfaces_module, "PrefixCache.begin",
                           'sink.SINK("begin", self, session, tokens, now)', "pass"),
+    "M12-window-begins-whole": (tuner_module, "AlphaTuner.after_request",
+                                '("begin", key, full_tokens[:input_len], now)',
+                                '("begin", key, full_tokens, now)'),
 }
 MUTATIONS = [second_best_victim, held_kept, ties_to_highest] + [
     pytest.param(lambda mp, edit=edit: edit_source(mp, *edit), id=name)

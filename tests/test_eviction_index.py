@@ -10,6 +10,7 @@ from repro.core import eviction
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction, _rank_normalize
 from repro.core.eviction_index import EvictionIndex, _RankColumns
+from repro.core.interfaces import replay_log
 from repro.core.persistence import load_cache, save_cache
 from repro.core.radix_tree import RadixTree, TreeObserver
 from repro.models.memory import node_state_bytes
@@ -642,12 +643,7 @@ class TestSleepingIndex:
         base = cache.tree.root.node_id
         if wake:
             len(cache.eviction_index)
-        for now, _, _, inp, full in generate_trace(
-            "lmsys",
-            n_sessions=120, seed=3
-        ).iter_requests_nominal():
-            with cache.begin(inp, now) as session:
-                session.commit(full, now)
+        replay_log(cache, generate_trace("lmsys", n_sessions=120, seed=3).nominal_log())
         return cache, victims, first_order
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import replay_log
 from repro.core.persistence import load_cache, load_tree, save_cache
 from repro.models.memory import node_state_bytes
 from repro.models.presets import transformer_7b
@@ -66,27 +67,21 @@ class TestRoundtrip:
     def test_warm_restart_preserves_trace_hit_rate(self, hybrid, tmp_path):
         """Splitting a trace across a save/load boundary loses nothing."""
         trace = generate_trace("lmsys", n_sessions=10, seed=61)
-        requests = list(trace.iter_requests_nominal())
-        half = len(requests) // 2
+        log = trace.nominal_log()
+        half = len(log) // 4 * 2  # a begin and its commit per request
         capacity = 50 * node_state_bytes(hybrid, 3000, True)
 
         unbroken = MarconiCache(hybrid, capacity, alpha=1.0)
-        for now, _, _, inp, full in requests:
-            s = unbroken.begin(inp, now)
-            s.commit(full, now)
+        replay_log(unbroken, log)
 
         first = MarconiCache(hybrid, capacity, alpha=1.0)
-        for now, _, _, inp, full in requests[:half]:
-            s = first.begin(inp, now)
-            s.commit(full, now)
+        replay_log(first, log[:half])
         path = tmp_path / "restart.npz"
         save_cache(first, path)
         second = load_cache(hybrid, capacity, path, alpha=1.0)
         hit_tokens = first.stats.hit_tokens
         input_tokens = first.stats.input_tokens
-        for now, _, _, inp, full in requests[half:]:
-            s = second.begin(inp, now)
-            s.commit(full, now)
+        replay_log(second, log[half:])
         combined = (hit_tokens + second.stats.hit_tokens) / (
             input_tokens + second.stats.input_tokens
         )

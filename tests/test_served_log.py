@@ -1,8 +1,8 @@
-"""A served run's cache traffic is a log (ROADMAP item 2 step 0): the
-``begin``, ``commit`` and ``abort`` events ``repro.core.sink`` reports for
-one cache, in order, with their tokens and times.  Replayed in that order on
-a fresh cache, each begin opening a session and each commit or abort closing
-its own, the log gives every request the hit it was served: under LRU, a
+"""A served run's cache traffic is a log: the ``begin``, ``commit`` and
+``abort`` events ``repro.core.sink`` reports for one cache, in order, with
+their tokens and times (``_decisions.ServedLog``).  ``replay_log`` serves it
+on a fresh cache, each begin opening a session and each commit or abort
+closing its own, and gives every request the hit it was served: under LRU, a
 fixed alpha and the online tuner, whose replay replicas stay out of the log.
 """
 
@@ -10,10 +10,12 @@ from functools import partial
 
 import pytest
 
-from _decisions import MODEL, SHAPES, matrix_trace
+from _decisions import MODEL, SHAPES, ServedLog, matrix_trace, serve_logged
+from repro.analysis import clairvoyant_replay
+from repro.analysis.belady import victim_profile
 from repro.baselines.registry import make_cache
 from repro.core import sink
-from repro.engine.server import simulate_trace
+from repro.core.interfaces import replay_log
 from repro.experiments.config import DATASET_CONFIGS, default_latency, default_model
 from repro.experiments.config import get_scale
 from repro.experiments.runner import get_trace
@@ -26,63 +28,12 @@ POLICIES = {
 }
 
 
-class ServedLog:
-    """A sink consumer: ``cache``'s traffic as ``("begin", serial, tokens,
-    now)``, ``("commit", serial, full, now)`` and ``("abort", serial)``, a
-    request keyed by the serial of its begin, and each begin's served hit.
-    It holds no session: a held one would never be collected, and the GC
-    safety net would then abort something else.  ``others`` counts the
-    begins of every other cache (a tuner's replay replicas)."""
-
-    def __init__(self, cache):
-        self.cache, self.entries, self.hits, self.others = cache, [], [], 0
-        self._serials = {}  # id of an open session -> its serial
-
-    def __call__(self, event, source, *details):
-        if event not in ("begin", "commit", "abort"):
-            return
-        if source is not self.cache:
-            self.others += event == "begin"
-            return
-        session, *rest = details
-        if event == "begin":
-            serial = self._serials[id(session)] = len(self.hits)
-            self.hits.append(session.hit_tokens)
-        else:
-            serial = self._serials.pop(id(session))
-        self.entries.append((event, serial, *rest))
-
-
-def replay_served(cache, entries):
-    """Each request's hit on ``cache`` when ``entries`` are replayed in order."""
-    sessions, hits = {}, []
-    for event, serial, *args in entries:
-        if event == "begin":
-            sessions[serial] = session = cache.begin(*args)
-            hits.append(session.hit_tokens)
-        elif event == "commit":
-            sessions.pop(serial).commit(*args)
-        else:
-            sessions.pop(serial).abort()
-    return hits
-
-
-def _served_log(model, make, trace, **serve):
-    cache = make()
-    log = sink.SINK = ServedLog(cache)
-    try:
-        run = simulate_trace(model, cache, trace, **serve)
-    finally:
-        sink.SINK = None
-    assert sorted(log.hits) == sorted(r.hit_tokens for r in run.records)
-    return cache, log
-
-
 def _check(model, make, trace, **serve):
-    cache, log = _served_log(model, make, trace, **serve)
+    cache, log, run = serve_logged(model, make, trace, **serve)
+    assert sorted(log.hits) == sorted(r.hit_tokens for r in run.records)
     begins = [entry[0] == "begin" for entry in log.entries]
     assert any(a and b for a, b in zip(begins, begins[1:])), "no begin follows a begin"
-    assert replay_served(make(), log.entries) == log.hits
+    assert replay_log(make(), log.entries) == log.hits
     return cache, log
 
 
@@ -110,7 +61,8 @@ def test_a_served_smoke_log_replays_its_hits(dataset, cache_gb, policy):
 
 def test_the_log_holds_no_session():
     """The log keeps no session alive: one the run drops is collected and
-    aborted at once, and the log closes it by its serial."""
+    aborted at once, and the log closes it by its serial, as its replay
+    does."""
     cache = make_cache("sglang+", MODEL, int(1e12))
     log = sink.SINK = ServedLog(cache)
     try:
@@ -123,3 +75,33 @@ def test_the_log_holds_no_session():
         ("begin", 0), ("abort", 0), ("begin", 1), ("commit", 1)
     ]
     assert cache.open_sessions == 0
+    assert replay_log(make_cache("sglang+", MODEL, int(1e12)), log.entries) == log.hits
+
+
+def test_the_clairvoyant_replay_reads_a_served_log():
+    """The schedule is the log's begins; a served log's serials name no
+    round."""
+    capacity = 6 * node_state_bytes(MODEL, 2000, True)
+    make = partial(make_cache, "sglang+", MODEL, capacity)
+    _, log = _check(MODEL, make, matrix_trace("lmsys"), n_executors=4)
+    bound = clairvoyant_replay(MODEL, log.entries, capacity)
+    assert bound.n_requests == len(log.hits) and bound.evictions > 0
+    victims = victim_profile(MODEL, log.entries, capacity, mean_think_s=1.0)
+    assert len(victims) == bound.evictions
+    assert {victim.session_round for victim in victims} == {-1}
+
+
+def test_an_unknown_event_is_named_and_leaves_nothing_open():
+    cache = make_cache("sglang+", MODEL, int(1e12))
+    log = [("begin", 0, [1, 2, 3], 0.0), ("evict", 0)]
+    with pytest.raises(ValueError, match="'evict' under key 0"):
+        replay_log(cache, log)
+    assert cache.stats.lookups == 1 and cache.open_sessions == 0
+
+
+def test_a_replay_that_raises_aborts_every_session_it_holds():
+    cache = make_cache("sglang+", MODEL, int(1e12))
+    log = [("begin", 0, [1, 2, 3], 0.0), ("begin", 1, [1, 2, 4], 0.5), ("commit", 2, [1], 1.0)]
+    with pytest.raises(KeyError):
+        replay_log(cache, log)
+    assert cache.stats.lookups == 2 and cache.open_sessions == 0

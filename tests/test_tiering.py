@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MarconiCache
+from repro.core.interfaces import replay_log
 from repro.core.tokens import TokenSeq
 from repro.engine.latency import LatencyModel
 from repro.engine.server import simulate_trace
@@ -182,11 +183,9 @@ class TestTieredCache:
         per_seq = node_state_bytes(hybrid, 2000, True)
         single = MarconiCache(hybrid, 5 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 5 * per_seq, 0, alpha=1.0)
-        for now, _, _, inp, full in trace.iter_requests_nominal():
-            rs = single.begin(inp, now)
-            rs.commit(full, now)
-            rt = tiered.begin(inp, now)
-            rt.commit(full, now)
+        log = trace.nominal_log()
+        replay_log(single, log)
+        replay_log(tiered, log)
         assert tiered.stats.token_hit_rate == pytest.approx(single.stats.token_hit_rate)
         assert tiered.secondary.n_entries == 0
 
@@ -195,11 +194,9 @@ class TestTieredCache:
         per_seq = node_state_bytes(hybrid, 2000, True)
         single = MarconiCache(hybrid, 4 * per_seq, alpha=1.0)
         tiered = TieredMarconiCache(hybrid, 4 * per_seq, int(200e9), alpha=1.0)
-        for now, _, _, inp, full in trace.iter_requests_nominal():
-            rs = single.begin(inp, now)
-            rs.commit(full, now)
-            rt = tiered.begin(inp, now)
-            rt.commit(full, now)
+        log = trace.nominal_log()
+        replay_log(single, log)
+        replay_log(tiered, log)
         assert tiered.stats.token_hit_rate >= single.stats.token_hit_rate
         assert tiered.stats.extra.get("secondary_hits", 0) > 0
 

@@ -446,7 +446,7 @@ class TestTraceSchema:
 
     def test_nominal_request_order_sorted(self):
         trace = generate_trace("sharegpt", WorkloadParams(n_sessions=8, seed=4))
-        times = [t for t, *_ in trace.iter_requests_nominal()]
+        times = [entry[3] for entry in trace.nominal_log()]
         assert times == sorted(times)
 
 
