@@ -15,6 +15,7 @@ import pytest
 from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
 from repro.core.eviction_index import EvictionIndex
+from repro.core.interfaces import replay_log
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
 from repro.models.config import LayerType
@@ -43,6 +44,14 @@ MATCH_GROWTH_BOUND = 2.0
 # beside a buffer built on first use read ~2x.
 ONE_COPY_SESSIONS = 600
 ONE_COPY_BOUND = 1.15
+
+# The lent-edge floor: replaying the nominal log of the one-copy floor's
+# trace through a cache that never evicts retains at most LEND_BOUND times
+# the trace's token bytes beyond the trace itself.  A new edge of a session
+# handle is a view of the session's buffer, and only a merge owns bytes:
+# ~0.35x, the tree's nodes and views.  A leaf copying its suffix out of the
+# buffer, with the log's rounds as arrays re-interned per request: ~1.0x.
+LEND_BOUND = 0.5
 
 # The victim-selection floor: FlopAwareEviction.select_from_index over an
 # index of SELECT_CANDIDATES candidates, each of whose two scored rows
@@ -223,6 +232,31 @@ def test_trace_holds_one_copy():
     )
     assert ratio <= ONE_COPY_BOUND, (
         f"the trace retains {ratio:.2f}x its token bytes (floor {ONE_COPY_BOUND}x)"
+    )
+
+
+def test_replay_lends_session_tokens():
+    """A replay of a trace's nominal log stores its edges as views of the
+    session buffers the trace already holds, not as second copies."""
+    trace = generate_trace("swebench", n_sessions=ONE_COPY_SESSIONS, seed=11)
+    log = trace.nominal_log()
+    token_bytes = 4 * sum(len(s.interned_round(s.n_rounds - 1)[1]) for s in trace.sessions)
+    tracemalloc.start()
+    try:
+        cache = MarconiCache(hybrid_7b(), int(1e15), alpha=1.0)
+        replay_log(cache, log)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    owned = sum(len(n.data) for n in cache.tree.iter_nodes() if isinstance(n.data, bytes))
+    assert cache.stats.evictions == 0
+    ratio = retained / token_bytes
+    print(
+        f"\nreplay: {len(log) // 2} requests over {token_bytes / 1e6:.1f} MB of tokens, "
+        f"{retained / 1e6:.1f} MB retained ({ratio:.2f}x), {owned / 1e6:.2f} MB of owned edges"
+    )
+    assert ratio <= LEND_BOUND, (
+        f"the replay retains {ratio:.2f}x the trace's token bytes (floor {LEND_BOUND}x)"
     )
 
 

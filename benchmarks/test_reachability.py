@@ -9,7 +9,7 @@ from reachability import ENTRY_POINTS, definitions, unreached
 
 # Unreached ``src/repro`` def lines of the full census at the last cut.  A change
 # that leaves more unreached either cuts them or shows why they stay and raises this.
-UNREACHED_LINES = 1307
+UNREACHED_LINES = 1287
 
 
 def test_list_enters_main_and_loads_no_trace():

@@ -41,10 +41,6 @@ class Block:
     kv_reused: bool = False
     ssm_reused: bool = False
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.n_children == 0
-
 
 @dataclass
 class BlockReuseStats:
@@ -79,6 +75,8 @@ class BlockStore:
         self._ids = itertools.count(1)
         self._heap: list[tuple[float, int, int]] = []  # (last_access, seq, id)
         self._heap_seq = itertools.count()
+        # Internal block id -> its earliest valid entry (``pop_lru_leaf``).
+        self._parked: dict[int, tuple[float, int, int]] = {}
         self.reuse_stats = BlockReuseStats()
 
     # ------------------------------------------------------------------
@@ -167,29 +165,25 @@ class BlockStore:
         """Remove and return the least-recently-used leaf block.
 
         Uses a lazy heap: stale entries (deleted blocks or superseded
-        timestamps) are dropped; entries for blocks that are currently
-        internal are set aside and re-pushed, since they become evictable
-        once their descendants are gone.
+        timestamps) are dropped; an internal block's earliest valid entry is
+        parked, not re-pushed per eviction, until its last child goes
+        (:meth:`_remove`), so equal timestamps keep their order.
         """
-        deferred: list[tuple[float, int, int]] = []
-        victim: Optional[Block] = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
+        heap, parked = self._heap, self._parked
+        while heap:
+            entry = heapq.heappop(heap)
             ts, _, block_id = entry
             block = self._by_id.get(block_id)
             if block is None or block.last_access != ts:
                 continue  # stale
-            if not block.is_leaf:
-                deferred.append(entry)
+            if block.n_children:
+                held = parked.get(block_id)
+                if held is None or held[0] != ts or entry < held:
+                    parked[block_id] = entry
                 continue
-            victim = block
-            break
-        for entry in deferred:
-            heapq.heappush(self._heap, entry)
-        if victim is None:
-            return None
-        self._remove(victim)
-        return victim
+            self._remove(block)
+            return block
+        return None
 
     def _remove(self, block: Block) -> None:
         if block.n_children:
@@ -199,6 +193,10 @@ class BlockStore:
         parent = self._by_id.get(block.parent_id)
         if parent is not None:
             parent.n_children -= 1
+            if not parent.n_children:
+                entry = self._parked.pop(parent.block_id, None)
+                if entry is not None and entry[0] == parent.last_access:
+                    heapq.heappush(self._heap, entry)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -53,7 +53,8 @@ class _DirNode:
     """One edge of the union index plus its per-replica annotations.
 
     The edge is stored once, as the raw int32 bytes ``data`` (what the
-    walks memcmp against, see :func:`_edge_shared`); ``edge`` is a
+    walks memcmp against, see :func:`_edge_shared`; a read-only view of a
+    session's lent buffer, see :meth:`PrefixIndex.resume`); ``edge`` is a
     zero-copy read-only array view of the same buffer.  ``cover[r]`` is
     how many leading tokens of ``edge`` replica ``r`` holds (present only
     when > 0; implies ``r`` fully covers the parent's edge).  ``ckpt`` is
@@ -370,17 +371,18 @@ class PrefixIndex:
         return None
 
     def resume(
-        self, kind: int, replica: int, held: _DirNode, depth: int, tail: bytes = b""
+        self, kind: int, replica: int, held: _DirNode, depth: int, tail: bytes | memoryview = b""
     ) -> _DirNode:
         """The path op ``apply`` would apply, started at ``held`` instead of
         the root and given no path: ``held`` is an attached node on the op's
         path holding its anchor depth (``held.parent.end < anchor <=
         held.end``: ``depth`` for a mark or a checkpoint op, the path's end
-        for a clear); ``tail`` is a mark's bytes past ``depth``.  The caller
-        guarantees ``replica`` covers the path through ``depth`` and this
-        index applied its every op inline, so the root walk's steps above
-        ``held`` would only re-assign stored cover values: the result is the
-        same node for node, dict order and counters included.  Returns the
+        for a clear); ``tail`` is a mark's bytes past ``depth`` (a lent edge
+        is walked in its buffer).  The caller guarantees ``replica`` covers
+        the path through ``depth`` and this index applied its every op
+        inline, so the root walk's steps above ``held`` would only re-assign
+        stored cover values: the result is the same node for node, dict
+        order and counters included.  Returns the
         node holding the op's end depth (a clear's: ``depth``)."""
         if kind == _CLEAR_BEYOND:
             return self._clear_up(replica, held, depth)
@@ -390,14 +392,16 @@ class PrefixIndex:
                 self._prune(held)
             return held
         # A mark: from ``held`` when its edge ends at ``depth``, else from its
-        # parent with the head of its edge (which ``replica`` covers).
-        if held.end == depth:
-            start, data = held, tail
+        # parent with the head of its edge; a lent tail is read in its buffer.
+        start = held if held.end == depth else held.parent
+        lent = isinstance(tail, memoryview)
+        if lent:
+            data, upto = tail.obj, depth + len(tail) // 4
         else:
-            start = held.parent
-            data = held.data[: 4 * (depth - start.end)] + tail
+            data = tail if start is held else b"".join((held.data[: 4 * (depth - start.end)], tail))
+            upto = len(data) // 4
         tokens = np.frombuffer(data, dtype=np.int32)
-        return self.mark(replica, tokens, data, len(tokens), kind == _CKPT_SET, start)
+        return self.mark(replica, tokens, data, upto, kind == _CKPT_SET, start, lent)
 
     def _split(self, child: _DirNode, at: int) -> _DirNode:
         """Split ``child``'s edge after ``at`` tokens, redistributing
@@ -460,20 +464,24 @@ class PrefixIndex:
         upto: int,
         ckpt: bool = False,
         start: Optional[_DirNode] = None,
+        lent: bool = False,
     ) -> _DirNode:
         """Record that ``replica`` holds KVs for ``tokens[:upto]`` and, with
         ``ckpt``, a recurrent checkpoint at exactly ``upto`` — one descent
         either way; the checkpoint forces a node boundary at its depth.
         Returns the node holding ``upto``.  ``start`` is a walk-resume point
         (``RadixTree.insert``'s idiom): a node ``replica`` covers to its end,
-        whose path ``tokens``, ``data`` and ``upto`` continue."""
+        whose path ``tokens``, ``data`` and ``upto`` continue, or, ``lent``,
+        in which that path lies from the root (a session's buffer, see
+        ``resume``): new edges are then read-only views of ``data``."""
         self.stats.marks += 1
         node = self.root if start is None else start
-        pos = 0
+        pos = node.end if lent else 0
+        edges = memoryview(data) if lent else data
         while pos < upto:
             child = node.children.get(int(tokens[pos]))
             if child is None:
-                node = self._hang(node, data[4 * pos : 4 * upto], replica)
+                node = self._hang(node, edges[4 * pos : 4 * upto], replica)
                 break
             shared = _edge_shared(child, tokens, data, pos, upto)
             pos += shared
@@ -484,7 +492,7 @@ class PrefixIndex:
                 # Divergence mid-edge: split, then hang the new tail.
                 node = self._split(child, shared)
                 node.cover[replica] = shared
-                node = self._hang(node, data[4 * pos : 4 * upto], replica)
+                node = self._hang(node, edges[4 * pos : 4 * upto], replica)
                 break
             elif ckpt:
                 # The checkpointed path ends mid-edge: split at its depth.

@@ -292,12 +292,6 @@ class RequestSession:
         except Exception:  # pragma: no cover - interpreter-teardown guard
             pass
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} {self._state.value} "
-            f"hit={self.result.hit_tokens if self.result else '?'}>"
-        )
-
 
 class PrefixCache(abc.ABC):
     """Abstract prefix cache driven by the serving engine.

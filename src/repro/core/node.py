@@ -5,11 +5,13 @@ the KVs of the tokens on its incoming edge (``edge_tokens``) and, when it is
 a checkpoint, one full-model recurrent (SSM + conv) state representing *all*
 tokens from the root through the end of its edge.
 
-A node owns its edge outright: ``data`` is the edge's immutable int32 bytes
-(what :meth:`RadixTree.match` / ``insert`` memcmp a query against, in place)
-and ``edge_tokens`` a read-only array view of the same buffer.  The pair is
-only ever replaced together (:meth:`RadixNode.replace_edge`), never mutated,
-and never aliases a request's or a session's buffer.
+A node's ``data`` is its edge's immutable int32 bytes (what
+:meth:`RadixTree.match` / ``insert`` memcmp a query against, in place):
+``bytes`` it owns, or a read-only ``memoryview`` of an adopted session buffer
+that lent them (``TokenSeq.lends``), never a view of a caller's array or a
+request's private copy.  ``edge_tokens`` is a read-only array view of the
+same buffer.  The pair is only ever replaced together
+(:meth:`RadixNode.replace_edge`), never mutated.
 """
 
 from __future__ import annotations
@@ -71,12 +73,12 @@ class RadixNode:
 
     def __init__(
         self,
-        data: bytes,
+        data: bytes | memoryview,
         parent: Optional["RadixNode"],
         now: float,
     ) -> None:
         self.node_id: int = next(_node_ids)
-        self.data: bytes = data
+        self.data: bytes | memoryview = data
         self.edge_tokens: np.ndarray = (
             np.frombuffer(data, dtype=np.int32) if data else _EMPTY_EDGE
         )
@@ -91,7 +93,7 @@ class RadixNode:
         self.pin_count: int = 0
         self.state_payload: Any = None
 
-    def replace_edge(self, data: bytes) -> None:
+    def replace_edge(self, data: bytes | memoryview) -> None:
         """Swap in new edge bytes and their view (split, merge, truncate)."""
         self.data = data
         self.edge_tokens = np.frombuffer(data, dtype=np.int32)
@@ -166,10 +168,3 @@ class RadixNode:
         """Refresh the recency timestamp after a hit."""
         self.last_access = now
         self.hit_count += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RadixNode(id={self.node_id}, seq_len={self.seq_len}, "
-            f"edge={len(self.edge_tokens)} tokens, ssm={self.has_ssm_state}, "
-            f"children={len(self.children)})"
-        )

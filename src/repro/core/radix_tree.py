@@ -19,7 +19,7 @@ from weakref import ref
 import numpy as np
 
 from repro.core.node import RadixNode
-from repro.core.tokens import anchor_key, resume_anchor, token_bytes
+from repro.core.tokens import TokenSeq, anchor_key, resume_anchor, token_bytes
 
 
 class TreeObserver:
@@ -41,8 +41,8 @@ class TreeObserver:
       ``child`` absorbed its edge tokens (``child.kv_tokens`` grew;
       ``child.seq_len`` is unchanged).
     * ``on_leaf_truncated(node, dropped)`` — a leaf's edge (and ``seq_len``)
-      shrank; ``dropped`` is the bytes of the tokens cut off its end, which
-      the tree no longer holds.
+      shrank; ``dropped`` is the bytes cut off its end (a view of a lent
+      edge's buffer), which the tree no longer holds.
     * ``on_checkpoint_changed(node)`` — ``has_ssm_state`` was toggled.
     * ``on_pin_changed(node)`` — ``pin_count`` changed (fired per node on
       every :meth:`RadixTree.pin_path` / :meth:`RadixTree.unpin_path` hop).
@@ -238,9 +238,11 @@ class RadixTree:
         descend to the same node, so the outcome is identical.  A handle's
         anchor is such a node too; the walk starts at the deeper of the two.
 
-        The tree owns its edges: a new leaf copies exactly its suffix out of
-        the query's bytes, so no edge ever aliases a caller's array, a
-        request's handle or a session's buffer, whatever ``tokens`` was.
+        A new leaf's edge is its suffix of the query's bytes: a read-only
+        ``memoryview`` of a buffer ``tokens`` lends (``TokenSeq.lends``), which
+        starts with the leaf's root path, else a copy, never a view of a
+        caller's array or a request's private handle.  Splits and truncations
+        slice a view; a merge joins its halves into owned bytes.
         """
         arr, data = token_bytes(tokens)
         n = len(arr)
@@ -267,6 +269,7 @@ class RadixTree:
             pos += shared
             break
         if pos < n:
+            data = memoryview(data) if isinstance(tokens, TokenSeq) and tokens.lends else data
             new_leaf = RadixNode(data[4 * pos : 4 * n], parent=node, now=now)
             node.children[new_leaf.first_token] = new_leaf
             new_edge_tokens = n - pos
@@ -344,7 +347,7 @@ class RadixTree:
         parent = node.parent
         assert parent is not None
         first = node.first_token
-        child.replace_edge(node.data + child.data)
+        child.replace_edge(b"".join((node.data, child.data)))
         child.parent = parent
         parent.children[first] = child
         node.parent = None
@@ -522,7 +525,11 @@ class RadixTree:
                 assert node.seq_len == node.parent.seq_len + len(node.edge_tokens)
                 assert node.parent.children.get(node.first_token) is node
             assert not node.edge_tokens.flags.writeable
-            assert node.edge_tokens.tobytes() == node.data, "edge view out of step"
+            assert node.edge_tokens.tobytes() == bytes(node.data), "edge view out of step"
+            cursor = node if isinstance(node.data, memoryview) else self.root
+            while cursor.parent is not None:  # a lent buffer holds the root path
+                assert node.data.obj.startswith(cursor.data, 4 * cursor.parent_seq_len)
+                cursor = cursor.parent
             first_tokens = [int(c.edge_tokens[0]) for c in node.children.values()]
             assert len(first_tokens) == len(set(first_tokens)), "duplicate child first-token"
             for key, child in node.children.items():

@@ -10,6 +10,10 @@ token exactly one home:
   The one copy taken at construction (or the ``bytes`` object
   :meth:`TokenSeq.adopt` was given, immutable already) is both the
   defensive snapshot and the serialization every byte-comparing walk reads;
+* ``lends`` — True for an adopted buffer (a trace session's history, held
+  by the session while its rounds replay) and its prefix handles: a tree
+  stores a new edge of one as a read-only ``memoryview`` of ``data``, and
+  copies any other handle's (one request's private buffer) again;
 * ``arr`` — the canonical 1-D ``int32`` array every consumer agrees on: a
   read-only ``np.frombuffer`` view of ``data``, never a second buffer;
 * :meth:`prefix` — a handle on the first ``n`` tokens that shares the same
@@ -115,23 +119,25 @@ class TokenSeq:
     module docstring) is shared by every prefix handle of the buffer.
     """
 
-    __slots__ = ("arr", "data", "anchors", "_len", "_bytes", "_hash")
+    __slots__ = ("arr", "data", "anchors", "lends", "_len", "_bytes", "_hash")
 
     def __init__(self, tokens: Any) -> None:
-        self._own(canonical_token_array(tokens).tobytes())
+        self._own(canonical_token_array(tokens).tobytes(), lends=False)
 
     @classmethod
     def adopt(cls, data: bytes) -> "TokenSeq":
         """Handle whose ``data`` is ``data`` itself (int32 tokens in native
-        order): ``bytes`` cannot change, so it needs no defensive copy."""
+        order): ``bytes`` cannot change, so it needs no defensive copy, and
+        the handle ``lends`` it to the trees it is inserted into."""
         if not isinstance(data, bytes):
             raise TypeError(f"adopt takes immutable bytes, got {type(data).__name__}")
         seq = cls.__new__(cls)
-        seq._own(data)
+        seq._own(data, lends=True)
         return seq
 
-    def _own(self, data: bytes) -> None:
+    def _own(self, data: bytes, lends: bool) -> None:
         self.data = data
+        self.lends = lends
         self.arr = np.frombuffer(data, dtype=np.int32)
         self.anchors: dict[int, ref] = {}
         self._len = len(self.arr)
@@ -159,6 +165,7 @@ class TokenSeq:
         view.data = self.data
         view.arr = self.arr[:length]
         view.anchors = self.anchors
+        view.lends = self.lends
         view._len = length
         view._bytes = None
         view._hash = None
@@ -184,9 +191,6 @@ class TokenSeq:
     def __reduce__(self) -> tuple:
         # Weak references do not pickle: a copy starts with no anchors.
         return TokenSeq, (self.arr,)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenSeq(len={len(self.arr)}, hash={hash(self):#x})"
 
     # ------------------------------------------------------------------
     # Cached serializations

@@ -147,10 +147,6 @@ class TraceSession:
         """Complete input of round ``round_index`` (accumulated context + new)."""
         return self.interned_round(round_index)[0].arr
 
-    def full_sequence(self, round_index: int) -> np.ndarray:
-        """Input of round ``round_index`` plus its output."""
-        return self.interned_round(round_index)[1].arr
-
     def input_lengths(self) -> list[int]:
         """Full-input token count of every round (the Fig. 6 input metric)."""
         lengths = []
@@ -214,7 +210,9 @@ class Trace:
         each request's ``("begin", key, input, t)``, then its ``("commit",
         key, full_sequence, t)``, keyed ``(session_id, round)`` and ordered by
         ``t``, session and round.  ``t`` is nominal: arrival plus think times,
-        zero service latency (the serving simulator times requests itself)."""
+        zero service latency (the serving simulator times requests itself).
+        The sequences are the sessions' interned handles: a replay interns
+        nothing, resumes at anchors and borrows the session buffers."""
         requests = []
         for session in self.sessions:
             t = session.arrival_time
@@ -224,8 +222,8 @@ class Trace:
         requests.sort(key=lambda r: r[:2])
         log = []
         for t, key, session in requests:
-            log.append(("begin", key, session.full_input(key[1]), t))
-            log.append(("commit", key, session.full_sequence(key[1]), t))
+            full_input, full = session.interned_round(key[1])
+            log += [("begin", key, full_input, t), ("commit", key, full, t)]
         return log
 
     def content_fingerprint(self) -> int:
@@ -420,10 +418,6 @@ class TraceStream:
         self._factory = factory
         self.n_sessions = n_sessions
         self.metadata = dict(metadata) if metadata else {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        size = "?" if self.n_sessions is None else str(self.n_sessions)
-        return f"TraceStream(name={self.name!r}, seed={self.seed}, n_sessions={size})"
 
     def cache_key(self) -> Optional[tuple]:
         """Hashable recipe identity, or ``None`` when the stream has none.

@@ -412,7 +412,7 @@ def _stale_shards(region_tokens: int) -> Callable:
         stranger = MarconiCache(MODEL, int(1e12))
         directory.attach(len(caches), stranger)
         for session in trace.sessions[::2]:
-            seq = session.full_sequence(min(1, session.n_rounds - 1))
+            seq = session.interned_round(min(1, session.n_rounds - 1))[1].arr
             stranger.begin(seq, 0.0).commit(seq, 0.0)
         fail = [ScenarioEvent(3.0, "fail", replica=1)]
         rec.finish(simulate_cluster(MODEL, caches, router, trace, scenario=fail))

@@ -1,5 +1,7 @@
 """Direct unit tests for the hash-chained BlockStore."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,93 @@ class TestLRULeafEviction:
             else:
                 store.pop_lru_leaf()
             store.check_integrity()
+
+
+class _DeferringStore(BlockStore):
+    """The eviction ``pop_lru_leaf`` replaced, kept as the reference: pop
+    every entry older than the LRU leaf, set internal blocks' aside and
+    re-push them all afterwards (O(internal blocks) per victim)."""
+
+    def pop_lru_leaf(self):
+        deferred = []
+        victim = None
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            ts, _, block_id = entry
+            block = self._by_id.get(block_id)
+            if block is None or block.last_access != ts:
+                continue
+            if block.n_children:
+                deferred.append(entry)
+                continue
+            victim = block
+            break
+        for entry in deferred:
+            heapq.heappush(self._heap, entry)
+        if victim is None:
+            return None
+        self._remove(victim)
+        return victim
+
+
+class TestParkedEntries:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_victims_match_the_deferral_loop(self, seed):
+        """Random inserts, touches and pops on few distinct timestamps (so
+        entries tie and blocks are re-touched at an equal time): the parked
+        heap evicts the very sequence the deferral loop did."""
+        rng = np.random.default_rng(seed)
+        stores = [BlockStore(block_size=2), _DeferringStore(block_size=2)]
+        victims = [[], []]
+        live: list[int] = []
+        for step in range(600):
+            now = float(step // 40)
+            op = rng.random()
+            if op < 0.5 or not live:
+                parent = _ROOT_ID if not live or rng.random() < 0.2 else int(rng.choice(live))
+                tokens = chunk(rng, 2)
+                if stores[0].get(parent, tokens) is None:
+                    made = [store.insert_block(parent, tokens, now) for store in stores]
+                    assert made[0].block_id == made[1].block_id
+                    live.append(made[0].block_id)
+            elif op < 0.75:
+                block_id = int(rng.choice(live))
+                for store in stores:
+                    store.touch(store._by_id[block_id], now)
+            else:
+                for store, out in zip(stores, victims):
+                    victim = store.pop_lru_leaf()
+                    out.append(None if victim is None else victim.block_id)
+                if victims[0][-1] is not None:
+                    live.remove(victims[0][-1])
+            assert victims[0] == victims[1]
+        while live:
+            for store, out in zip(stores, victims):
+                out.append(store.pop_lru_leaf().block_id)
+            live.remove(victims[0][-1])
+            assert victims[0] == victims[1]
+        for store in stores:
+            assert store.pop_lru_leaf() is None
+            store.check_integrity()
+        assert not stores[0]._parked
+        assert sum(v is not None for v in victims[0]) > 100
+
+    def test_an_eviction_pops_no_internal_entry_twice(self):
+        """A chain of internal blocks older than every leaf is parked once,
+        not re-popped by each eviction: the heap shrinks to the leaves."""
+        store = BlockStore(block_size=2)
+        parent = _ROOT_ID
+        for i in range(200):  # a 200-block chain, oldest first
+            parent = store.insert_block(parent, arr(i, i), now=float(i)).block_id
+        for i in range(50):  # 50 later leaves under its last block
+            store.insert_block(parent, arr(1000 + i, 0), now=1000.0 + i)
+        store.pop_lru_leaf()
+        assert len(store._parked) == 200
+        assert len(store._heap) == 49
+        for _ in range(49):
+            store.pop_lru_leaf()
+        # The last leaf's parent is a leaf now: its parked entry is back.
+        assert len(store._heap) == 1 and len(store._parked) == 199
 
 
 class TestReuseCounters:

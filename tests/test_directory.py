@@ -367,6 +367,85 @@ class TestByteEdges:
                 assert directory.lookup(spelling, limit=len(query) - 1) == want
 
 
+class TestLentTails:
+    """A replica edge lent by a session buffer (``TokenSeq.adopt``) reaches
+    the index as a view: a resumed mark walks that buffer where it lies,
+    compares edges in place and hangs views of it.  The index must be the
+    one private copies of the same requests build, node for node."""
+
+    ROUNDS = ((30, 40), (70, 80), (110, 120))
+
+    @staticmethod
+    def _buffers():
+        shared = toks(50, 60)
+        a = np.concatenate([shared, toks(70, 61)])
+        b = np.concatenate([shared, toks(70, 62)])  # diverges from a at 50
+        return a, b
+
+    def _run(self, model, lend, monkeypatch=None):
+        caches = [MarconiCache(model, int(1e12), alpha=0.0) for _ in range(2)]
+        directory = PrefixDirectory()
+        for i, cache in enumerate(caches):
+            directory.attach(i, cache)
+        spell = TokenSeq.adopt if lend else TokenSeq
+        a, b = self._buffers()
+        a, b = spell(a.tobytes() if lend else a), spell(b.tobytes() if lend else b)
+        now = 0.0
+        # Replica 1 follows replica 0 down a's rounds (its tails meet the
+        # children replica 0 hung), then b diverges mid-edge under both.
+        for replica, buffer in ((0, a), (1, a), (1, b), (0, b)):
+            for begin, end in self.ROUNDS:
+                with caches[replica].begin(buffer.prefix(begin), now) as session:
+                    session.commit(buffer.prefix(end), now + 0.5)
+                now += 1.0
+                directory.check_integrity()
+                for cache in caches:
+                    cache.check_integrity()
+        return directory, caches, (a, b)
+
+    @pytest.mark.parametrize("model", [HYBRID, TRANSFORMER], ids=["hybrid", "kv"])
+    def test_a_lent_tail_walks_the_index_as_a_copy_does(self, model, monkeypatch):
+        from repro.cluster.directory import PrefixIndex
+
+        resumed = []
+        real = PrefixIndex.resume
+
+        def recording(index, kind, replica, held, depth, tail=b""):
+            start = held if held.end == depth else held.parent
+            if isinstance(tail, memoryview):
+                first = int(np.frombuffer(tail[:4], dtype=np.int32)[0])
+                resumed.append(first in start.children)
+            return real(index, kind, replica, held, depth, tail)
+
+        monkeypatch.setattr(PrefixIndex, "resume", recording)
+        lent, caches, buffers = self._run(model, lend=True)
+        monkeypatch.setattr(PrefixIndex, "resume", real)
+        copied, _, _ = self._run(model, lend=False)
+        assert True in resumed and False in resumed, resumed
+
+        def shape(directory):
+            return [
+                (n.end, bytes(n.data), dict(n.cover), sorted(n.ckpt))
+                for n in directory.index.iter_nodes()
+            ]
+
+        assert shape(lent) == shape(copied)
+        views = [n for n in lent.index.iter_nodes() if isinstance(n.data, memoryview)]
+        assert views
+        for node in views:
+            assert node.data.readonly and not node.edge.flags.writeable
+            (owner,) = [b for b in buffers if node.data.obj is b.data]
+            assert np.shares_memory(node.edge, owner.arr)
+            assert bytes(node.data) == owner.data[4 * node.parent.end : 4 * node.end]
+        for node in copied.index.iter_nodes():
+            assert isinstance(node.data, bytes)
+        a, b = buffers
+        queries = [a.arr, b.arr, a.arr[:45], b.arr[:75], np.concatenate([a.arr[:90], toks(5, 63)])]
+        assert_parity(lent, caches, queries)
+        for query in queries:
+            assert lent.lookup(query, len(query) - 1) == copied.lookup(query, len(query) - 1)
+
+
 @st.composite
 def op_stream(draw):
     """A randomized multi-replica operation stream over a tiny vocab

@@ -382,7 +382,9 @@ def watching_resumable_ops():
         (PrefixIndex, "mark"): flag(
             (PrefixIndex, "mark"),
             "root walks",
-            lambda index, replica, tokens, data, upto, ckpt=False, start=None: start is None,
+            lambda index, replica, tokens, data, upto, ckpt=False, start=None, lent=False: (
+                start is None
+            ),
         ),
     }
     for (owner, name), fn in patched.items():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.radix_tree import RadixTree, common_prefix_length
+from repro.core.radix_tree import RadixTree, TreeObserver, common_prefix_length
 from repro.core.tokens import TokenSeq
 
 
@@ -435,3 +435,122 @@ def test_merge_and_truncate_replace_bytes_and_view_together():
     (mirrored,) = copy.iter_nodes()
     assert mirrored.data is child.data and mirrored is not child
     copy.check_integrity()
+
+
+# ----------------------------------------------------------------------
+# An adopted session buffer lends its bytes
+# ----------------------------------------------------------------------
+def _session(seed=0, n=120):
+    """A session's adopted buffer (what ``TraceSession`` builds) and round
+    ends cutting it into three prefix handles."""
+    tokens = np.random.default_rng(seed).integers(0, 50, n, dtype=np.int32)
+    return TokenSeq.adopt(tokens.tobytes()), (40, 80, n)
+
+
+def _shape(tree):
+    """Every node's depth, bytes and children's first tokens, pre-order."""
+    return [
+        (node.seq_len, bytes(node.data), sorted(node.children))
+        for node in tree.iter_nodes()
+    ]
+
+
+class TestLentEdges:
+    def test_only_an_adopted_buffer_and_its_prefixes_lend(self):
+        buffer, _ = _session()
+        assert buffer.lends and buffer.prefix(10).lends
+        private = TokenSeq(buffer.arr)
+        assert not private.lends and not private.prefix(10).lends
+        assert not TokenSeq.of(buffer.arr).lends and TokenSeq.of(buffer) is buffer
+
+    def test_edges_share_the_session_buffer_and_match_as_copies(self):
+        buffer, ends = _session()
+        other, _ = _session(seed=1)
+        lent, copied = RadixTree(), RadixTree()
+        for now, handle in enumerate(
+            [buffer.prefix(e) for e in ends] + [other.prefix(60), other]
+        ):
+            lent.insert(handle, float(now))
+            copied.insert(TokenSeq(handle.arr), float(now))
+            lent.check_integrity()
+        assert _shape(lent) == _shape(copied)
+        buffers = {id(buffer.data): buffer, id(other.data): other}
+        for node in lent.iter_nodes():
+            assert isinstance(node.data, memoryview) and node.data.readonly
+            owner = buffers[id(node.data.obj)]
+            assert np.shares_memory(node.edge_tokens, owner.arr)
+            with pytest.raises(ValueError):
+                node.edge_tokens[0] = 1
+            # The edge lies in its buffer at its own depth.
+            assert bytes(node.data) == owner.data[4 * node.parent_seq_len : 4 * node.seq_len]
+        for node in copied.iter_nodes():
+            assert isinstance(node.data, bytes)
+        rng = np.random.default_rng(7)
+        queries = [buffer.prefix(e) for e in (1, 39, 40, 41, 100)] + [
+            np.concatenate([buffer.arr[: int(c)], rng.integers(0, 50, 5, dtype=np.int32)])
+            for c in rng.integers(0, 120, 20)
+        ]
+        for query in queries:
+            for tree_query in (query, np.asarray(query)):
+                want = copied.match(tree_query)
+                got = lent.match(tree_query)
+                assert got.matched_len == want.matched_len
+                assert [n.seq_len for n in got.path] == [n.seq_len for n in want.path]
+
+    def test_splits_and_truncations_keep_views_a_merge_owns_its_bytes(self):
+        buffer, ends = _session()
+        tree = RadixTree()
+        leaf = tree.insert(buffer.prefix(ends[1]), 0.0).end_node
+        # A private request diverging at depth 30 splits the lent edge.
+        diverged = np.concatenate([buffer.arr[:30], [99, 98]]).astype(np.int32)
+        outcome = tree.insert(TokenSeq(diverged), 1.0)
+        middle = outcome.split_node
+        assert isinstance(middle.data, memoryview) and isinstance(leaf.data, memoryview)
+        assert middle.data.obj is leaf.data.obj is buffer.data
+        assert isinstance(outcome.new_leaf.data, bytes)
+        assert not np.shares_memory(outcome.new_leaf.edge_tokens, buffer.arr)
+        tree.check_integrity()
+
+        dropped = []
+
+        class Truncations(TreeObserver):
+            def on_leaf_truncated(self, node, cut):
+                dropped.append(cut)
+
+        tree.add_observer(Truncations())
+        tree.truncate_leaf(leaf, 20)
+        assert isinstance(leaf.data, memoryview) and leaf.data.obj is buffer.data
+        assert bytes(leaf.data) == buffer.data[4 * 30 : 4 * 50]
+        (cut,) = dropped
+        assert bytes(cut) == buffer.data[4 * 50 : 4 * 80]
+        tree.check_integrity()
+
+        tree.remove_leaf(outcome.new_leaf)
+        assert tree.merge_into_child(middle) is leaf
+        assert isinstance(leaf.data, bytes) and leaf.data == buffer.data[: 4 * 50]
+        assert not np.shares_memory(leaf.edge_tokens, buffer.arr)
+        assert tree.match(buffer).matched_len == 50
+        tree.check_integrity()
+
+    def test_a_clone_shares_the_views(self):
+        buffer, ends = _session()
+        tree = RadixTree()
+        for now, end in enumerate(ends):
+            tree.insert(buffer.prefix(end), float(now))
+        copy = tree.clone()
+        copy.check_integrity()
+        for original, mirrored in zip(tree.iter_nodes(), copy.iter_nodes()):
+            assert mirrored is not original and mirrored.data is original.data
+
+    def test_integrity_rejects_a_view_off_its_depth(self):
+        buffer, ends = _session()
+        tree = RadixTree()
+        tree.insert(buffer.prefix(ends[0]), 0.0)
+        leaf = tree.insert(buffer.prefix(ends[1]), 1.0).end_node
+        tree.check_integrity()
+        # The same tokens in a buffer that does not start with the leaf's path.
+        elsewhere = TokenSeq.adopt(b"\0" * 4 + buffer.data[4 * 40 : 4 * 80])
+        leaf.replace_edge(memoryview(elsewhere.data)[4:])
+        assert bytes(leaf.data) == buffer.data[4 * 40 : 4 * 80]
+        with pytest.raises(AssertionError):
+            tree.check_integrity()

@@ -210,11 +210,13 @@ class TestTraceSchema:
         session = self._session()
         np.testing.assert_array_equal(session.full_input(0), [1, 2, 3])
         np.testing.assert_array_equal(session.full_input(1), [1, 2, 3, 4, 5, 6])
-        np.testing.assert_array_equal(session.full_sequence(1), [1, 2, 3, 4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(
+            session.interned_round(1)[1].arr, [1, 2, 3, 4, 5, 6, 7, 8]
+        )
 
     def test_round_input_is_prefix_of_next(self):
         session = self._session()
-        prev = session.full_sequence(0)
+        prev = session.interned_round(0)[1].arr
         nxt = session.full_input(1)
         np.testing.assert_array_equal(nxt[: len(prev)], prev)
 
@@ -222,7 +224,7 @@ class TestTraceSchema:
         # Out of order too: round 1 first, without round 0 materialized.
         session = self._session()
         for k in (1, 0):
-            assert np.shares_memory(session.full_input(k), session.full_sequence(k))
+            assert np.shares_memory(session.full_input(k), session.interned_round(k)[1].arr)
         np.testing.assert_array_equal(session.full_input(1), [1, 2, 3, 4, 5, 6])
 
     def _long_rounds(self, n_rounds, seed=3, scale=1):
@@ -254,7 +256,7 @@ class TestTraceSchema:
             assert full_sequence == TokenSeq(want_full)
             assert full_input.tobytes() == want_input.tobytes()
             np.testing.assert_array_equal(session.full_input(k), want_input)
-            np.testing.assert_array_equal(session.full_sequence(k), want_full)
+            np.testing.assert_array_equal(session.interned_round(k)[1].arr, want_full)
             assert len(full_input) == session.input_lengths()[k]
 
     def test_every_round_of_a_session_shares_one_buffer(self):
@@ -456,12 +458,14 @@ class TestGenerators:
         b = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=9))
         assert a.n_requests == b.n_requests
         for sa, sb in zip(a.sessions, b.sessions):
-            np.testing.assert_array_equal(sa.full_sequence(0), sb.full_sequence(0))
+            np.testing.assert_array_equal(sa.interned_round(0)[1].arr, sb.interned_round(0)[1].arr)
 
     def test_different_seeds_differ(self):
         a = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=1))
         b = generate_trace("lmsys", WorkloadParams(n_sessions=6, seed=2))
-        assert not np.array_equal(a.sessions[0].full_sequence(0), b.sessions[0].full_sequence(0))
+        assert not np.array_equal(
+            a.sessions[0].interned_round(0)[1].arr, b.sessions[0].interned_round(0)[1].arr
+        )
 
     def test_registry_names(self):
         assert {"lmsys", "sharegpt", "swebench"} <= set(WORKLOAD_NAMES)
@@ -475,7 +479,7 @@ class TestGenerators:
         assert len(preamble) == DOCQA_SHAPE.global_preamble_tokens > 0
         trace = generate_trace("docqa", params)
         for session in trace.sessions:
-            head = session.full_sequence(0)[: len(preamble)]
+            head = session.interned_round(0)[1].arr[: len(preamble)]
             np.testing.assert_array_equal(head, preamble)
         # the same seed material: a second trace of the seed shares it
         np.testing.assert_array_equal(

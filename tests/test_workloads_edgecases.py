@@ -56,7 +56,7 @@ class TestThinkTimes:
         assert session.n_rounds == 1
         assert session.input_lengths() == [2]
         assert session.output_lengths() == [1]
-        assert (session.full_sequence(0) == np.array([1, 2, 3])).all()
+        assert (session.interned_round(0)[1].arr == np.array([1, 2, 3])).all()
 
 
 class TestArrivalProcesses:
