@@ -16,6 +16,7 @@ from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction
 from repro.core.eviction_index import EvictionIndex
 from repro.core.interfaces import replay_log
+from repro.core.node import is_lent
 from repro.core.radix_tree import RadixTree
 from repro.core.tokens import TokenSeq
 from repro.models.config import LayerType
@@ -248,7 +249,9 @@ def test_replay_lends_session_tokens():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    owned = sum(len(n.data) for n in cache.tree.iter_nodes() if isinstance(n.data, bytes))
+    owned = sum(
+        n.edge_tokens.nbytes for n in cache.tree.iter_nodes() if not is_lent(n.edge_tokens)
+    )
     assert cache.stats.evictions == 0
     ratio = retained / token_bytes
     print(

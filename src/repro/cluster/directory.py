@@ -44,7 +44,7 @@ from weakref import ref
 import numpy as np
 
 from repro.core import sink
-from repro.core.node import RadixNode
+from repro.core.node import EMPTY_EDGE, RadixNode, cut, is_lent
 from repro.core.radix_tree import TreeObserver, common_prefix_length
 from repro.core.tokens import anchor_key, resume_anchor, token_bytes
 
@@ -52,22 +52,21 @@ from repro.core.tokens import anchor_key, resume_anchor, token_bytes
 class _DirNode:
     """One edge of the union index plus its per-replica annotations.
 
-    The edge is stored once, as the raw int32 bytes ``data`` (what the
-    walks memcmp against, see :func:`_edge_shared`; a read-only view of a
-    session's lent buffer, see :meth:`PrefixIndex.resume`); ``edge`` is a
-    zero-copy read-only array view of the same buffer.  ``cover[r]`` is
-    how many leading tokens of ``edge`` replica ``r`` holds (present only
-    when > 0; implies ``r`` fully covers the parent's edge).  ``ckpt`` is
-    the set of replicas checkpointing exactly at this node's end depth —
-    checkpoint marks force an edge split, so a checkpoint depth always
-    lands on a node boundary.
+    The edge is one read-only int32 array, ``edge`` (what the walks memcmp
+    against, see :func:`_edge_shared`): lent by a session's buffer when a
+    resumed mark hangs it (:meth:`PrefixIndex.resume`), else owned; one
+    edge object per node (:mod:`repro.core.node`, ``tests/test_one_edge.py``).
+    ``cover[r]`` is how many leading tokens of ``edge`` replica ``r`` holds
+    (present only when > 0; implies ``r`` fully covers the parent's edge).
+    ``ckpt`` is the set of replicas checkpointing exactly at this node's
+    end depth — checkpoint marks force an edge split, so a checkpoint depth
+    always lands on a node boundary.
     """
 
-    __slots__ = ("data", "edge", "parent", "children", "end", "cover", "ckpt", "__weakref__")
+    __slots__ = ("edge", "parent", "children", "end", "cover", "ckpt", "__weakref__")
 
-    def __init__(self, data: bytes, parent: Optional["_DirNode"]) -> None:
-        self.data = data
-        self.edge = np.frombuffer(data, dtype=np.int32)
+    def __init__(self, edge: np.ndarray, parent: Optional["_DirNode"]) -> None:
+        self.edge = edge
         self.parent = parent
         self.children: dict[int, _DirNode] = {}
         self.end: int = (parent.end if parent is not None else 0) + len(self.edge)
@@ -227,9 +226,9 @@ def _edge_shared(
     """How many leading tokens of ``child``'s edge equal ``tokens[pos:upto]``
     (``pos`` is where ``tokens`` reach ``child``'s parent; ``data`` is
     ``tokens``' bytes).  Full coverage, by far the common step of a walk, is
-    one memcmp against the stored edge bytes; only the step that diverges or
+    one memcmp against the stored edge; only the step that diverges or
     ends mid-edge compares elementwise (``RadixTree.match``'s idiom)."""
-    if data.startswith(child.data, 4 * pos, 4 * upto):
+    if data.startswith(child.edge, 4 * pos, 4 * upto):
         return len(child.edge)
     return common_prefix_length(child.edge, tokens[pos:upto])
 
@@ -245,7 +244,7 @@ def _iter_tree_paths(tree: Any) -> Iterator[tuple[np.ndarray, bytes, bool]]:
         node, data = stack.pop()
         if node is not root:
             yield np.frombuffer(data, dtype=np.int32), data, bool(node.has_ssm_state)
-        stack.extend((child, data + child.data) for child in node.children.values())
+        stack.extend((c, b"".join((data, c.edge_tokens))) for c in node.children.values())
 
 
 class PrefixIndex:
@@ -253,7 +252,7 @@ class PrefixIndex:
 
     Its whole surface — what a directory, or a shard of one, may use:
 
-    * ``root`` / ``iter_nodes()`` — the nodes (``data``, ``edge``, ``end``,
+    * ``root`` / ``iter_nodes()`` — the nodes (``edge``, ``end``,
       ``cover``, ``ckpt``, ``children``; see :class:`_DirNode`), read-only;
     * ``stats`` — :class:`IndexStats`, structural counters only;
     * ``lookup(tokens, limit)`` — the per-request walk;
@@ -269,7 +268,7 @@ class PrefixIndex:
     """
 
     def __init__(self) -> None:
-        self.root = _DirNode(b"", parent=None)
+        self.root = _DirNode(EMPTY_EDGE, parent=None)
         self.stats = IndexStats()
         self._anchor_key = anchor_key()
 
@@ -293,8 +292,8 @@ class PrefixIndex:
         walk's, node for node.
         """
         anchors, node = resume_anchor(tokens, self._anchor_key)
-        # Canonicalize once: the walk memcmps the query's bytes against edge
-        # bytes, and an int64 array or a list compared raw would silently
+        # Canonicalize once: the walk memcmps the query's bytes against the
+        # edges, and an int64 array or a list compared raw would silently
         # miss.  A handle lends its backing bytes, which may run past ``n``.
         tokens, data = token_bytes(tokens)
         n = len(tokens)
@@ -310,7 +309,7 @@ class PrefixIndex:
                 break
             last = child
             # ``_edge_shared``, inlined: a whole edge is one memcmp.
-            if not data.startswith(child.data, 4 * pos, stop):
+            if not data.startswith(child.edge, 4 * pos, stop):
                 pos += common_prefix_length(child.edge, tokens[pos:n])
                 break
             pos = child.end
@@ -371,19 +370,21 @@ class PrefixIndex:
         return None
 
     def resume(
-        self, kind: int, replica: int, held: _DirNode, depth: int, tail: bytes | memoryview = b""
+        self, kind: int, replica: int, held: _DirNode, depth: int, tail: np.ndarray = EMPTY_EDGE
     ) -> _DirNode:
         """The path op ``apply`` would apply, started at ``held`` instead of
         the root and given no path: ``held`` is an attached node on the op's
         path holding its anchor depth (``held.parent.end < anchor <=
         held.end``: ``depth`` for a mark or a checkpoint op, the path's end
-        for a clear); ``tail`` is a mark's bytes past ``depth`` (a lent edge
-        is walked in its buffer).  The caller guarantees ``replica`` covers
-        the path through ``depth`` and this index applied its every op
-        inline, so the root walk's steps above ``held`` would only re-assign
-        stored cover values: the result is the same node for node, dict
-        order and counters included.  Returns the
-        node holding the op's end depth (a clear's: ``depth``)."""
+        for a clear); ``tail`` is a mark's tokens past ``depth``: the replica
+        node's new edge, one read-only array (``tests/test_one_edge.py``),
+        walked where it lies at ``depth`` in its session's token array when
+        it is lent.  The caller guarantees ``replica`` covers the path
+        through ``depth`` and this index applied its every op inline, so the
+        root walk's steps above ``held`` would only re-assign stored cover
+        values: the result is the same node for node, dict order and
+        counters included.  Returns the node holding the op's end depth (a
+        clear's: ``depth``)."""
         if kind == _CLEAR_BEYOND:
             return self._clear_up(replica, held, depth)
         if kind == _CKPT_CLEAR:
@@ -394,13 +395,14 @@ class PrefixIndex:
         # A mark: from ``held`` when its edge ends at ``depth``, else from its
         # parent with the head of its edge; a lent tail is read in its buffer.
         start = held if held.end == depth else held.parent
-        lent = isinstance(tail, memoryview)
-        if lent:
-            data, upto = tail.obj, depth + len(tail) // 4
-        else:
-            data = tail if start is held else b"".join((held.data[: 4 * (depth - start.end)], tail))
-            upto = len(data) // 4
-        tokens = np.frombuffer(data, dtype=np.int32)
+        lent = is_lent(tail)
+        if lent:  # its session's token array, over the lending handle's bytes
+            tokens = tail.base
+            data, upto = tokens.base, depth + len(tail)
+        else:  # an owned edge is all of its own bytes
+            data = tail.base if start is held else b"".join((held.edge[: depth - start.end], tail))
+            tokens = np.frombuffer(data, dtype=np.int32)
+            upto = len(tokens)
         return self.mark(replica, tokens, data, upto, kind == _CKPT_SET, start, lent)
 
     def _split(self, child: _DirNode, at: int) -> _DirNode:
@@ -409,10 +411,9 @@ class PrefixIndex:
         depth is unchanged)."""
         parent = child.parent
         assert parent is not None and 0 < at < len(child.edge)
-        middle = _DirNode(child.data[: 4 * at], parent)
+        middle = _DirNode(cut(child.edge, 0, at), parent)
         parent.children[int(middle.edge[0])] = middle
-        child.data = child.data[4 * at :]
-        child.edge = np.frombuffer(child.data, dtype=np.int32)
+        child.edge = cut(child.edge, at)
         child.parent = middle
         middle.children[int(child.edge[0])] = child
         new_cover: dict[int, int] = {}
@@ -447,10 +448,10 @@ class PrefixIndex:
             self.stats.n_nodes -= 1
             node = parent
 
-    def _hang(self, parent: _DirNode, data: bytes, replica: int) -> _DirNode:
-        """New leaf under ``parent`` with edge bytes ``data``, fully covered
-        by ``replica``."""
-        leaf = _DirNode(data, parent)
+    def _hang(self, parent: _DirNode, edge: np.ndarray, replica: int) -> _DirNode:
+        """New leaf under ``parent`` with ``edge``, fully covered by
+        ``replica``."""
+        leaf = _DirNode(edge, parent)
         parent.children[int(leaf.edge[0])] = leaf
         leaf.cover[replica] = len(leaf.edge)
         self.stats.n_nodes += 1
@@ -472,30 +473,26 @@ class PrefixIndex:
         Returns the node holding ``upto``.  ``start`` is a walk-resume point
         (``RadixTree.insert``'s idiom): a node ``replica`` covers to its end,
         whose path ``tokens``, ``data`` and ``upto`` continue, or, ``lent``,
-        in which that path lies from the root (a session's buffer, see
-        ``resume``): new edges are then read-only views of ``data``."""
+        in which that path lies from the root (a session's token array, see
+        ``resume``): a new edge is then a slice of ``tokens``, else a copy
+        of its bytes (a joined path is transient: no leaf pins it)."""
         self.stats.marks += 1
         node = self.root if start is None else start
         pos = node.end if lent else 0
-        edges = memoryview(data) if lent else data
         while pos < upto:
             child = node.children.get(int(tokens[pos]))
             if child is None:
-                node = self._hang(node, edges[4 * pos : 4 * upto], replica)
+                edge = tokens[pos:upto] if lent else np.frombuffer(data[4 * pos : 4 * upto], np.int32)
+                node = self._hang(node, edge, replica)
                 break
             shared = _edge_shared(child, tokens, data, pos, upto)
             pos += shared
             if shared == len(child.edge):
                 child.cover[replica] = shared
                 node = child
-            elif pos < upto:
-                # Divergence mid-edge: split, then hang the new tail.
-                node = self._split(child, shared)
-                node.cover[replica] = shared
-                node = self._hang(node, edges[4 * pos : 4 * upto], replica)
-                break
-            elif ckpt:
-                # The checkpointed path ends mid-edge: split at its depth.
+            elif pos < upto or ckpt:
+                # Divergence mid-edge (the next step hangs the new tail) or
+                # the checkpointed path ends mid-edge: split there.
                 node = self._split(child, shared)
                 node.cover[replica] = shared
             else:
@@ -604,7 +601,7 @@ class _ReplicaView(TreeObserver):
         self.held: dict[int, tuple[PrefixIndex, _DirNode]] = {}
 
     def _send(
-        self, kind: int, depth: int, anchor: int, source: RadixNode, tail: bytes, *path: Any
+        self, kind: int, depth: int, anchor: int, source: RadixNode, tail: np.ndarray, *path: Any
     ) -> None:
         """Hand one op on ``path[0]`` to the front: resumed at ``source``'s
         entry climbed to the node holding depth ``anchor``, if the front takes
@@ -625,9 +622,9 @@ class _ReplicaView(TreeObserver):
             self.held[path[0].node_id] = entry
 
     def _root_path(
-        self, node: RadixNode, parent: Optional[RadixNode] = None, tail: bytes = b""
+        self, node: RadixNode, parent: Optional[RadixNode] = None, tail: np.ndarray = EMPTY_EDGE
     ) -> tuple[np.ndarray, bytes]:
-        """``node``'s root path (plus ``tail``, the bytes a truncation just
+        """``node``'s root path (plus ``tail``, the tokens a truncation just
         cut off its end) as ``(int32 array, its bytes)``, serialized once
         per burst of events on it (a commit emits a mark and a checkpoint
         for the same leaf).  A node's path is fixed by its identity and
@@ -642,15 +639,15 @@ class _ReplicaView(TreeObserver):
         ~30 KB per replica — keyed by the process-unique ``node_id``, not
         the node, so an evicted node's buffers are not kept alive."""
         front = self.front
-        length = node.seq_len + len(tail) // 4
+        length = node.seq_len + len(tail)
         last = front._last_path
         if last is not None and last[0] == node.node_id and last[1] == length:
             return last[2], last[3]
-        # One copy: the parent chain's edge bytes, joined.
-        edges = [tail] if parent is None else [node.data]
+        # One copy: the parent chain's edges, joined.
+        edges = [tail] if parent is None else [node.edge_tokens]
         cursor = node if parent is None else parent
         while cursor.parent is not None:
-            edges.append(cursor.data)
+            edges.append(cursor.edge_tokens)
             cursor = cursor.parent
         data = b"".join(reversed(edges))
         tokens = np.frombuffer(data, dtype=np.int32)
@@ -659,26 +656,26 @@ class _ReplicaView(TreeObserver):
 
     # -- structure events ------------------------------------------------
     def on_node_added(self, node: RadixNode) -> None:
-        # Resumes at the parent's entry with the new edge's bytes.
+        # Resumes at the parent's entry with the new edge.
         depth = node.parent_seq_len
-        self._send(_MARK, depth, depth, node.parent, node.data, node)
+        self._send(_MARK, depth, depth, node.parent, node.edge_tokens, node)
 
     def on_leaf_removed(self, node: RadixNode, parent: RadixNode) -> None:
         # The detached node keeps its edge tokens, so the full removed
         # path is still reconstructible.
-        self._send(_CLEAR_BEYOND, parent.seq_len, node.seq_len, node, b"", node, parent)
+        self._send(_CLEAR_BEYOND, parent.seq_len, node.seq_len, node, EMPTY_EDGE, node, parent)
         self.held.pop(node.node_id, None)
 
-    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
+    def on_leaf_truncated(self, node: RadixNode, dropped: np.ndarray) -> None:
         # The index still holds the leaf's old path: clear along it, past
         # the leaf's new end.  A clear carrying its path leaves the entry
         # on the old path, where climbing still finds the new end.
-        old_end = node.seq_len + len(dropped) // 4
-        self._send(_CLEAR_BEYOND, node.seq_len, old_end, node, b"", node, None, dropped)
+        old_end = node.seq_len + len(dropped)
+        self._send(_CLEAR_BEYOND, node.seq_len, old_end, node, EMPTY_EDGE, node, None, dropped)
 
     def on_checkpoint_changed(self, node: RadixNode) -> None:
         kind = _CKPT_SET if node.has_ssm_state else _CKPT_CLEAR
-        self._send(kind, node.seq_len, node.seq_len, node, b"", node)
+        self._send(kind, node.seq_len, node.seq_len, node, EMPTY_EDGE, node)
 
     # Splits and merges redistribute tokens between replica-tree nodes
     # without changing the replica's cached token set or checkpoint depths
@@ -792,7 +789,7 @@ class ReplicaFront:
         raise NotImplementedError
 
     def _ingest_resumed(
-        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: np.ndarray
     ) -> Optional[_DirNode]:
         """The same event resumed at ``held`` of ``index`` (see
         :meth:`PrefixIndex.resume`) and counted as its path op would be,
@@ -846,7 +843,7 @@ class PrefixDirectory(ReplicaFront):
         return None if held is None else (self.index, held)
 
     def _ingest_resumed(
-        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: np.ndarray
     ) -> _DirNode:
         self.stats.events += 1  # one index holds every depth: always resumes
         return index.resume(kind, replica, held, depth, tail)

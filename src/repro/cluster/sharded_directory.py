@@ -62,6 +62,7 @@ import numpy as np
 from zlib import crc32
 
 from repro.core import sink
+from repro.core.node import EMPTY_EDGE
 from repro.core.tokens import TokenSeq, canonical_token_array
 from repro.cluster.directory import (
     _CKPT_CLEAR,
@@ -347,7 +348,7 @@ class ShardedPrefixDirectory(ReplicaFront):
         return self._ingest(DirectoryUpdate(kind, replica, tokens, data, depth, rkey))
 
     def _ingest_resumed(
-        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: bytes
+        self, kind: int, replica: int, index: PrefixIndex, held: _DirNode, depth: int, tail: np.ndarray
     ) -> Optional[_DirNode]:
         """A past-region op resumed on its ring owner's index (a view holds
         entries only while ingest is inline): the owner applies it, and
@@ -626,19 +627,19 @@ class ShardedPrefixDirectory(ReplicaFront):
         non-owner skip in :meth:`_apply` relies on: a shard stores nothing
         — cover or checkpoint — past ``region_tokens`` outside the regions
         the ring assigns to it."""
-        cut = 4 * self.region_tokens
+        region = self.region_tokens
         for shard in self.shards:
             if not shard.alive:
                 assert not shard.pending, "dead shard with queued gossip"
                 continue
             shard.directory.check_integrity()
             # Depth-first with the region-defining head of each path.
-            stack = [(node, b"") for node in shard.directory.root.children.values()]
+            stack = [(node, EMPTY_EDGE) for node in shard.directory.root.children.values()]
             while stack:
                 node, head = stack.pop()
-                if len(head) < cut:
-                    head += node.data[: cut - len(head)]
-                if node.end > self.region_tokens:
+                if len(head) < region:
+                    head = np.concatenate((head, node.edge[: region - len(head)]))
+                if node.end > region:
                     assert self._ring.lookup(crc32(head)) == shard.index, (
                         "deep entry stored on a non-owner shard"
                     )

@@ -358,7 +358,7 @@ class EvictionIndex(TreeObserver):
         self._dirty[node.node_id] = node
         self._dirty[child.node_id] = child
 
-    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None:
+    def on_leaf_truncated(self, node: RadixNode, dropped: np.ndarray) -> None:
         self._dirty[node.node_id] = node
 
     # The state-change callbacks below skip a node that is not a candidate

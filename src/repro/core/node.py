@@ -5,13 +5,13 @@ the KVs of the tokens on its incoming edge (``edge_tokens``) and, when it is
 a checkpoint, one full-model recurrent (SSM + conv) state representing *all*
 tokens from the root through the end of its edge.
 
-A node's ``data`` is its edge's immutable int32 bytes (what
-:meth:`RadixTree.match` / ``insert`` memcmp a query against, in place):
-``bytes`` it owns, or a read-only ``memoryview`` of an adopted session buffer
-that lent them (``TokenSeq.lends``), never a view of a caller's array or a
-request's private copy.  ``edge_tokens`` is a read-only array view of the
-same buffer.  The pair is only ever replaced together
-(:meth:`RadixNode.replace_edge`), never mutated.
+A node holds one edge object, ``edge_tokens``: a read-only int32 array that
+:meth:`RadixTree.match` / ``insert`` memcmp a query against where it lies
+(``bytes.startswith``, ``b"".join`` and ``crc32`` take it as it is).  It is
+*lent*, a slice of an adopted session buffer's ``TokenSeq.arr``
+(``TokenSeq.lends``), or *owned*, ``np.frombuffer`` of bytes of its own;
+never a view of a caller's array or a request's private copy, never
+mutated, only replaced.  ``tests/test_one_edge.py`` pins the rule.
 """
 
 from __future__ import annotations
@@ -23,8 +23,22 @@ import numpy as np
 
 _node_ids = itertools.count(1)
 
-#: The root's edge: every tree shares one empty view.
-_EMPTY_EDGE = np.frombuffer(b"", dtype=np.int32)
+#: The root's edge: every tree and directory index shares one empty owned edge.
+EMPTY_EDGE = np.frombuffer(b"", dtype=np.int32)
+
+
+def is_lent(edge: np.ndarray) -> bool:
+    """True for a lent edge: a slice of a session's ``TokenSeq.arr`` (its
+    base is that array); an owned edge's base is its own bytes."""
+    return isinstance(edge.base, np.ndarray)
+
+
+def cut(edge: np.ndarray, start: int, stop: Optional[int] = None) -> np.ndarray:
+    """``edge[start:stop]`` as an edge of the same kind: a lent edge's part
+    is a view of the same buffer, an owned edge's part is copied into bytes
+    of its own (so that no half pins the other)."""
+    part = edge[start:stop]
+    return part if is_lent(edge) else np.frombuffer(part.tobytes(), dtype=np.int32)
 
 
 class RadixNode:
@@ -32,9 +46,9 @@ class RadixNode:
 
     Attributes
     ----------
-    data, edge_tokens:
+    edge_tokens:
         Tokens on the edge from ``parent`` to this node (empty for the root),
-        as raw int32 bytes and as a read-only array view of them.
+        a read-only int32 array, lent or owned (see the module docstring).
         The node owns the KVs of exactly these tokens; absorption on eviction
         concatenates a removed parent's edge into its child's, so KV byte
         accounting follows ``len(edge_tokens)`` at all times.
@@ -57,7 +71,6 @@ class RadixNode:
 
     __slots__ = (
         "node_id",
-        "data",
         "edge_tokens",
         "parent",
         "children",
@@ -71,17 +84,9 @@ class RadixNode:
         "__weakref__",  # a session buffer's resume anchor (core/tokens.py)
     )
 
-    def __init__(
-        self,
-        data: bytes | memoryview,
-        parent: Optional["RadixNode"],
-        now: float,
-    ) -> None:
+    def __init__(self, edge_tokens: np.ndarray, parent: Optional["RadixNode"], now: float) -> None:
         self.node_id: int = next(_node_ids)
-        self.data: bytes | memoryview = data
-        self.edge_tokens: np.ndarray = (
-            np.frombuffer(data, dtype=np.int32) if data else _EMPTY_EDGE
-        )
+        self.edge_tokens: np.ndarray = edge_tokens
         self.parent: Optional[RadixNode] = parent
         self.children: dict[int, RadixNode] = {}
         parent_len = parent.seq_len if parent is not None else 0
@@ -92,11 +97,6 @@ class RadixNode:
         self.hit_count: int = 0
         self.pin_count: int = 0
         self.state_payload: Any = None
-
-    def replace_edge(self, data: bytes | memoryview) -> None:
-        """Swap in new edge bytes and their view (split, merge, truncate)."""
-        self.data = data
-        self.edge_tokens = np.frombuffer(data, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -142,7 +142,7 @@ class RadixNode:
         """Full root→node token sequence, rebuilt on every call in O(depth).
 
         Not on a per-event hot path: the cluster directories' observer
-        bridge joins the same parent chain straight into bytes, once per
+        bridge joins the same parent chain's edges into bytes, once per
         burst of events on a node (``_ReplicaView._root_path``), instead of
         calling this per tree event.  Callers are the tiered cache's
         demotions, the offline Belady analysis and tests.

@@ -52,7 +52,7 @@ def save_cache(cache: MarconiCache, path: str | Path) -> None:
     for position, node in enumerate(nodes):
         index_of[id(node)] = position
 
-    edge_tokens = np.frombuffer(b"".join(node.data for node in nodes), dtype=np.int32)
+    edge_tokens = np.frombuffer(b"".join(node.edge_tokens for node in nodes), dtype=np.int32)
     meta = {
         "format_version": _FORMAT_VERSION,
         "model_name": cache.model.name,
@@ -126,7 +126,7 @@ def load_tree(path: str | Path) -> tuple[RadixTree, dict]:
     meta, arrays = _read_snapshot(path)
     parent = arrays["parent"]
     edge_lengths = arrays["edge_lengths"]
-    edge_bytes = arrays["edge_tokens"].astype(np.int32, copy=False).tobytes()
+    edge_tokens = arrays["edge_tokens"].astype(np.int32, copy=False)
     has_ssm = arrays["has_ssm_state"]
     last_access = arrays["last_access"]
     created_at = arrays["created_at"]
@@ -134,12 +134,12 @@ def load_tree(path: str | Path) -> tuple[RadixTree, dict]:
 
     tree = RadixTree()
     nodes: list[RadixNode] = []
-    offsets = (4 * np.concatenate([[0], np.cumsum(edge_lengths)])).tolist()
+    offsets = np.concatenate([[0], np.cumsum(edge_lengths)]).tolist()
     for i in range(len(edge_lengths)):
         parent_index = int(parent[i])
         parent_node = tree.root if parent_index == -1 else nodes[parent_index]
         node = RadixNode(
-            edge_bytes[offsets[i] : offsets[i + 1]],
+            np.frombuffer(edge_tokens[offsets[i] : offsets[i + 1]].tobytes(), dtype=np.int32),
             parent=parent_node,
             now=float(created_at[i]),
         )

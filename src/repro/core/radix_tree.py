@@ -18,7 +18,7 @@ from weakref import ref
 
 import numpy as np
 
-from repro.core.node import RadixNode
+from repro.core.node import EMPTY_EDGE, RadixNode, cut, is_lent
 from repro.core.tokens import TokenSeq, anchor_key, resume_anchor, token_bytes
 
 
@@ -41,8 +41,8 @@ class TreeObserver:
       ``child`` absorbed its edge tokens (``child.kv_tokens`` grew;
       ``child.seq_len`` is unchanged).
     * ``on_leaf_truncated(node, dropped)`` — a leaf's edge (and ``seq_len``)
-      shrank; ``dropped`` is the bytes cut off its end (a view of a lent
-      edge's buffer), which the tree no longer holds.
+      shrank; ``dropped`` is the tokens cut off its end (a view of the old
+      edge), which the tree no longer holds.
     * ``on_checkpoint_changed(node)`` — ``has_ssm_state`` was toggled.
     * ``on_pin_changed(node)`` — ``pin_count`` changed (fired per node on
       every :meth:`RadixTree.pin_path` / :meth:`RadixTree.unpin_path` hop).
@@ -61,7 +61,7 @@ class TreeObserver:
 
     def on_merged(self, node: RadixNode, child: RadixNode) -> None: ...
 
-    def on_leaf_truncated(self, node: RadixNode, dropped: bytes) -> None: ...
+    def on_leaf_truncated(self, node: RadixNode, dropped: np.ndarray) -> None: ...
 
     def on_checkpoint_changed(self, node: RadixNode) -> None: ...
 
@@ -169,7 +169,7 @@ class RadixTree:
     """
 
     def __init__(self) -> None:
-        self.root = RadixNode(b"", parent=None, now=0.0)
+        self.root = RadixNode(EMPTY_EDGE, parent=None, now=0.0)
         self._observers: list[TreeObserver] = []
         self._anchor_key = anchor_key()
 
@@ -194,7 +194,7 @@ class RadixTree:
         """Walk ``tokens`` down the tree; never mutates.
 
         Full-edge coverage — by far the common case on a walk — is one
-        memcmp of the node's edge bytes against the query's bytes where
+        memcmp of the node's edge against the query's bytes where
         they lie (no slice); only the step that diverges (or ends the query
         mid-edge) compares elementwise with :func:`common_prefix_length`.
         A handle's walk starts at its anchor (see the class docstring).
@@ -210,7 +210,7 @@ class RadixTree:
             if child is None:
                 break
             end = child.seq_len
-            if end <= n and data.startswith(child.data, 4 * pos, 4 * end):
+            if end <= n and data.startswith(child.edge_tokens, 4 * pos, 4 * end):
                 pos = end
                 node = child
                 continue
@@ -238,11 +238,10 @@ class RadixTree:
         descend to the same node, so the outcome is identical.  A handle's
         anchor is such a node too; the walk starts at the deeper of the two.
 
-        A new leaf's edge is its suffix of the query's bytes: a read-only
-        ``memoryview`` of a buffer ``tokens`` lends (``TokenSeq.lends``), which
-        starts with the leaf's root path, else a copy, never a view of a
-        caller's array or a request's private handle.  Splits and truncations
-        slice a view; a merge joins its halves into owned bytes.
+        A new leaf's edge is its suffix of the query: lent, a slice of the
+        array of a buffer ``tokens`` lends (``TokenSeq.lends``), else owned,
+        a copy of those bytes.  Splits and truncations slice in tokens
+        (:func:`~repro.core.node.cut`); a merge joins into owned bytes.
         """
         arr, data = token_bytes(tokens)
         n = len(arr)
@@ -259,7 +258,7 @@ class RadixTree:
             if child is None:
                 break
             end = child.seq_len
-            if end <= n and data.startswith(child.data, 4 * pos, 4 * end):
+            if end <= n and data.startswith(child.edge_tokens, 4 * pos, 4 * end):
                 node = child
                 pos = end
                 continue
@@ -269,8 +268,9 @@ class RadixTree:
             pos += shared
             break
         if pos < n:
-            data = memoryview(data) if isinstance(tokens, TokenSeq) and tokens.lends else data
-            new_leaf = RadixNode(data[4 * pos : 4 * n], parent=node, now=now)
+            lent = isinstance(tokens, TokenSeq) and tokens.lends
+            edge = arr[pos:n] if lent else np.frombuffer(data[4 * pos : 4 * n], dtype=np.int32)
+            new_leaf = RadixNode(edge, parent=node, now=now)
             node.children[new_leaf.first_token] = new_leaf
             new_edge_tokens = n - pos
             node = new_leaf
@@ -299,13 +299,13 @@ class RadixTree:
             )
         parent = child.parent
         assert parent is not None, "cannot split the root's (empty) edge"
-        data = child.data
-        middle = RadixNode(data[: 4 * at], parent=parent, now=now)
+        edge = child.edge_tokens
+        middle = RadixNode(cut(edge, 0, at), parent=parent, now=now)
         # A pinned descendant pins every node on its path; the new middle
         # node sits on child's path so it inherits child's pin count.
         middle.pin_count = child.pin_count
         parent.children[middle.first_token] = middle
-        child.replace_edge(data[4 * at :])
+        child.edge_tokens = cut(edge, at)
         child.parent = middle
         middle.children[child.first_token] = child
         for obs in self._observers:
@@ -347,7 +347,7 @@ class RadixTree:
         parent = node.parent
         assert parent is not None
         first = node.first_token
-        child.replace_edge(b"".join((node.data, child.data)))
+        child.edge_tokens = np.frombuffer(b"".join((node.edge_tokens, child.edge_tokens)), np.int32)
         child.parent = parent
         parent.children[first] = child
         node.parent = None
@@ -373,10 +373,10 @@ class RadixTree:
             raise ValueError(
                 f"keep_tokens must be in (0, {len(node.edge_tokens)}), got {keep_tokens}"
             )
-        data = node.data
-        node.replace_edge(data[: 4 * keep_tokens])
+        edge = node.edge_tokens
+        node.edge_tokens = cut(edge, 0, keep_tokens)
         node.seq_len = node.parent_seq_len + keep_tokens
-        dropped = data[4 * keep_tokens :]
+        dropped = edge[keep_tokens:]
         for obs in self._observers:
             obs.on_leaf_truncated(node, dropped)
 
@@ -504,7 +504,7 @@ class RadixTree:
 
         def _copy_children(src: RadixNode, dst: RadixNode) -> None:
             for first, child in src.children.items():
-                mirrored = RadixNode(child.data, parent=dst, now=child.created_at)
+                mirrored = RadixNode(child.edge_tokens, parent=dst, now=child.created_at)
                 mirrored.has_ssm_state = child.has_ssm_state
                 mirrored.last_access = child.last_access
                 mirrored.hit_count = child.hit_count
@@ -524,12 +524,13 @@ class RadixTree:
                 assert node.parent is not None
                 assert node.seq_len == node.parent.seq_len + len(node.edge_tokens)
                 assert node.parent.children.get(node.first_token) is node
-            assert not node.edge_tokens.flags.writeable
-            assert node.edge_tokens.tobytes() == bytes(node.data), "edge view out of step"
-            cursor = node if isinstance(node.data, memoryview) else self.root
-            while cursor.parent is not None:  # a lent buffer holds the root path
-                assert node.data.obj.startswith(cursor.data, 4 * cursor.parent_seq_len)
-                cursor = cursor.parent
+            edge = node.edge_tokens
+            assert edge.dtype == np.int32 and not edge.flags.writeable
+            if is_lent(edge):  # lies at its depth in a buffer that begins with its root path
+                assert edge.base[node.parent_seq_len :].ctypes.data == edge.ctypes.data
+                assert np.array_equal(edge.base[: node.seq_len], node.path_tokens())
+            else:  # all of its own bytes
+                assert isinstance(edge.base, bytes) and len(edge.base) == edge.nbytes
             first_tokens = [int(c.edge_tokens[0]) for c in node.children.values()]
             assert len(first_tokens) == len(set(first_tokens)), "duplicate child first-token"
             for key, child in node.children.items():

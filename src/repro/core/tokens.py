@@ -11,9 +11,9 @@ token exactly one home:
   :meth:`TokenSeq.adopt` was given, immutable already) is both the
   defensive snapshot and the serialization every byte-comparing walk reads;
 * ``lends`` — True for an adopted buffer (a trace session's history, held
-  by the session while its rounds replay) and its prefix handles: a tree
-  stores a new edge of one as a read-only ``memoryview`` of ``data``, and
-  copies any other handle's (one request's private buffer) again;
+  by the session while its rounds replay) and its prefix handles: a tree's
+  new edge of one is a slice of ``arr``, of any other handle a copy (one
+  edge object per node, :mod:`repro.core.node`, ``tests/test_one_edge.py``);
 * ``arr`` — the canonical 1-D ``int32`` array every consumer agrees on: a
   read-only ``np.frombuffer`` view of ``data``, never a second buffer;
 * :meth:`prefix` — a handle on the first ``n`` tokens that shares the same

@@ -128,7 +128,7 @@ class _Tap(TreeObserver):
         self.log, self.r = log, replica
 
     def on_node_added(self, node):
-        self.log(f"r{self.r} add {node.seq_len} {node.kv_tokens} {zlib.crc32(node.data):08x}")
+        self.log(f"r{self.r} add {node.seq_len} {node.kv_tokens} {zlib.crc32(node.edge_tokens):08x}")
 
     def on_edge_split(self, middle, child):
         self.log(f"r{self.r} split {middle.seq_len} {child.seq_len}")
@@ -140,7 +140,7 @@ class _Tap(TreeObserver):
         self.log(f"r{self.r} merge {node.seq_len} {child.seq_len}")
 
     def on_leaf_truncated(self, node, dropped):
-        self.log(f"r{self.r} truncate {node.seq_len} {len(dropped) // 4}")
+        self.log(f"r{self.r} truncate {node.seq_len} {len(dropped)}")
 
     def on_checkpoint_changed(self, node):
         self.log(f"r{self.r} ckpt {node.seq_len} {node.has_ssm_state:d}")
@@ -157,7 +157,7 @@ def _tree_crc(cache: Any) -> int:
     tree = getattr(cache, "tree", None)
     for node in tree.iter_nodes(include_root=True) if tree is not None else ():
         state = f"{node.seq_len} {node.has_ssm_state:d} {node.last_access!r} {node.hit_count}"
-        crc = zlib.crc32(state.encode(), zlib.crc32(node.data, crc))
+        crc = zlib.crc32(state.encode(), zlib.crc32(node.edge_tokens, crc))
     return crc
 
 
@@ -168,7 +168,7 @@ def _directory_crcs(directory: Any) -> list[int]:
         crc = _crc(repr(index.stats))
         for node in index.iter_nodes():
             state = f"{node.end} {list(node.cover.items())} {list(node.ckpt)}"
-            crc = zlib.crc32(state.encode(), zlib.crc32(node.data, crc))
+            crc = zlib.crc32(state.encode(), zlib.crc32(node.edge, crc))
         crcs.append(crc)
     held = [len(view.held) for view in directory._views.values()]
     return crcs + [_crc(repr(directory.staleness()) + repr(held))]

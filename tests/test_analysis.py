@@ -16,7 +16,7 @@ from repro.analysis.belady import Victim, _clairvoyant_cache, victim_profile
 from repro.core.cache import MarconiCache
 from repro.core.eviction import EvictionCandidate
 from repro.core.interfaces import replay_log
-from repro.core.node import RadixNode
+from repro.core.node import EMPTY_EDGE, RadixNode
 from repro.models.memory import node_state_bytes
 from repro.workloads import generate_trace
 from repro.workloads.trace import Trace, TraceRound, TraceSession
@@ -41,8 +41,9 @@ def _session(session_id, arrival, rounds, think=1.0):
 
 
 def _candidate(node_tokens, last_access=0.0, efficiency=1.0, freeable=100):
-    root = RadixNode(b"", parent=None, now=0.0)
-    node = RadixNode(np.asarray(node_tokens, dtype=np.int32).tobytes(), parent=root, now=last_access)
+    root = RadixNode(EMPTY_EDGE, parent=None, now=0.0)
+    edge = np.frombuffer(np.asarray(node_tokens, dtype=np.int32).tobytes(), dtype=np.int32)
+    node = RadixNode(edge, parent=root, now=last_access)
     node.last_access = last_access
     return EvictionCandidate(
         node=node,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import PrefixAffinityRouter, PrefixDirectory, probe_hit_tokens
 from repro.core.cache import MarconiCache
+from repro.core.node import EMPTY_EDGE, is_lent
 from repro.core.tokens import TokenSeq
 from repro.models.memory import node_state_bytes
 from repro.models.presets import hybrid_7b, transformer_7b
@@ -259,8 +260,8 @@ class TestDirectoryMultiReplica:
 
 
 class TestByteEdges:
-    """Directory edges are stored as bytes and walked by memcmp: the
-    representation must own its buffers and survive every split."""
+    """Directory edges are read-only int32 arrays walked by memcmp: an edge
+    built from private requests must own its bytes and survive every split."""
 
     def _two_replica_split(self):
         """Replica 0 holds one 12-token leaf; replica 1's divergence at
@@ -279,19 +280,19 @@ class TestByteEdges:
         directory, _, base, diverged = self._two_replica_split()
         directory.check_integrity()
         (head,) = directory.index.root.children.values()
-        assert head.data == base[:8].tobytes()
-        tails = {child.data for child in head.children.values()}
+        assert head.edge.tobytes() == base[:8].tobytes()
+        tails = {child.edge.tobytes() for child in head.children.values()}
         assert tails == {base[8:].tobytes(), diverged[8:].tobytes()}
-        for tail in tails:
-            assert head.data + tail in (base.tobytes(), diverged.tobytes())
+        for child in head.children.values():
+            assert b"".join((head.edge, child.edge)) in (base.tobytes(), diverged.tobytes())
 
     def test_edge_views_read_the_stored_bytes_and_alias_no_caller_array(self):
         directory, caches, base, diverged = self._two_replica_split()
         replica_edges = [n.edge_tokens for c in caches for n in c.tree.iter_nodes()]
         for node in directory.index.iter_nodes():
-            assert isinstance(node.data, bytes)
+            # Owned: each edge is all of its own bytes (a split copies the halves).
+            assert not is_lent(node.edge) and len(node.edge.base) == node.edge.nbytes
             assert node.edge.dtype == np.int32 and not node.edge.flags.writeable
-            assert node.edge.tobytes() == node.data
             assert node.end == node.parent.end + len(node.edge)
             for outside in [base, diverged, *replica_edges]:
                 assert not np.shares_memory(node.edge, outside)
@@ -308,7 +309,8 @@ class TestByteEdges:
         """A tree fed int64 or strided arrays directly used to keep them as
         edges, and the bridge (and the resync walk) had to canonicalize per
         edge.  The tree now owns int32 bytes whatever it is fed, so both
-        join ``node.data`` as is: the directory must index exactly that."""
+        join ``node.edge_tokens`` as is: the directory must index exactly
+        that."""
         cache = MarconiCache(TRANSFORMER, int(1e12), alpha=0.0)
         directory = PrefixDirectory()
         if attach_first:
@@ -322,7 +324,7 @@ class TestByteEdges:
         for node in cache.tree.iter_nodes():
             assert node.edge_tokens.dtype == np.int32
             assert node.edge_tokens.flags.c_contiguous
-            assert node.edge_tokens.tobytes() == node.data
+            assert not is_lent(node.edge_tokens) and not node.edge_tokens.flags.writeable
             assert not np.shares_memory(node.edge_tokens, strided)
         cache.tree.check_integrity()
         if not attach_first:
@@ -332,8 +334,8 @@ class TestByteEdges:
             query = np.asarray(path, dtype=np.int32)
             assert directory.lookup(query).kv_matched == {0: len(query)}
         assert all(node.edge.dtype == np.int32 for node in directory.index.iter_nodes())
-        assert {n.data for n in directory.index.iter_nodes()} == {
-            n.data for n in cache.tree.iter_nodes()
+        assert {n.edge.tobytes() for n in directory.index.iter_nodes()} == {
+            n.edge_tokens.tobytes() for n in cache.tree.iter_nodes()
         }
 
     @pytest.mark.parametrize("model", [HYBRID, TRANSFORMER], ids=["hybrid", "kv"])
@@ -410,11 +412,10 @@ class TestLentTails:
         resumed = []
         real = PrefixIndex.resume
 
-        def recording(index, kind, replica, held, depth, tail=b""):
+        def recording(index, kind, replica, held, depth, tail=EMPTY_EDGE):
             start = held if held.end == depth else held.parent
-            if isinstance(tail, memoryview):
-                first = int(np.frombuffer(tail[:4], dtype=np.int32)[0])
-                resumed.append(first in start.children)
+            if is_lent(tail):
+                resumed.append(int(tail[0]) in start.children)
             return real(index, kind, replica, held, depth, tail)
 
         monkeypatch.setattr(PrefixIndex, "resume", recording)
@@ -425,20 +426,22 @@ class TestLentTails:
 
         def shape(directory):
             return [
-                (n.end, bytes(n.data), dict(n.cover), sorted(n.ckpt))
+                (n.end, n.edge.tobytes(), dict(n.cover), sorted(n.ckpt))
                 for n in directory.index.iter_nodes()
             ]
 
         assert shape(lent) == shape(copied)
-        views = [n for n in lent.index.iter_nodes() if isinstance(n.data, memoryview)]
+        views = [n for n in lent.index.iter_nodes() if is_lent(n.edge)]
         assert views
         for node in views:
-            assert node.data.readonly and not node.edge.flags.writeable
-            (owner,) = [b for b in buffers if node.data.obj is b.data]
+            assert not node.edge.flags.writeable
+            (owner,) = [b for b in buffers if node.edge.base is b.arr]
             assert np.shares_memory(node.edge, owner.arr)
-            assert bytes(node.data) == owner.data[4 * node.parent.end : 4 * node.end]
+            here = owner.arr[node.parent.end : node.end]
+            assert node.edge.ctypes.data == here.ctypes.data
+            assert node.edge.tobytes() == here.tobytes()
         for node in copied.index.iter_nodes():
-            assert isinstance(node.data, bytes)
+            assert not is_lent(node.edge) and isinstance(node.edge.base, bytes)
         a, b = buffers
         queries = [a.arr, b.arr, a.arr[:45], b.arr[:75], np.concatenate([a.arr[:90], toks(5, 63)])]
         assert_parity(lent, caches, queries)

@@ -103,10 +103,11 @@ def held_content(index):
     while stack:
         node, head = stack.pop()
         for replica, c in node.cover.items():
-            covered.setdefault(replica, set()).add(head + node.data[: 4 * c])
+            covered.setdefault(replica, set()).add(b"".join((head, node.edge[:c])))
+        path = b"".join((head, node.edge))
         for replica in node.ckpt:
-            ckpts.setdefault(replica, set()).add(head + node.data)
-        stack.extend((child, head + node.data) for child in node.children.values())
+            ckpts.setdefault(replica, set()).add(path)
+        stack.extend((child, path) for child in node.children.values())
     # Node boundaries differ between an index grown event by event and one
     # rebuilt from the trees: keep only the paths no other path extends.
     maximal = {
@@ -246,7 +247,7 @@ class TestTruncationIsAClear:
 
 def nodes(index):
     return sorted(
-        (node.end, node.data, sorted(node.cover.items()), sorted(node.ckpt))
+        (node.end, node.edge.tobytes(), sorted(node.cover.items()), sorted(node.ckpt))
         for node in index.iter_nodes()
     )
 
@@ -311,7 +312,7 @@ def in_dict_order(index):
     out, stack = [], [index.root]
     while stack:
         node = stack.pop()
-        out.append((node.end, node.data, list(node.cover.items()), list(node.ckpt)))
+        out.append((node.end, node.edge.tobytes(), list(node.cover.items()), list(node.ckpt)))
         stack.extend(node.children.values())
     return out
 

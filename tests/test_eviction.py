@@ -22,7 +22,8 @@ POLICY_NAMES = ("flop_aware", "gds", "gdsf", "lfu", "lru", "lru_k", "random")
 
 
 def candidate(node_id_time: float, efficiency: float, freeable: int = 100) -> EvictionCandidate:
-    node = RadixNode(np.asarray([1], dtype=np.int32).tobytes(), parent=None, now=node_id_time)
+    edge = np.frombuffer(np.asarray([1], dtype=np.int32).tobytes(), dtype=np.int32)
+    node = RadixNode(edge, parent=None, now=node_id_time)
     node.last_access = node_id_time
     return EvictionCandidate(
         node=node,

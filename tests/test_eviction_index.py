@@ -90,7 +90,9 @@ class TestTreeObserver:
             "removed",
         ]
         # The cut-off tail is handed over: the tree no longer holds it.
-        assert obs.events[4] == ("truncated", leaf.node_id, arr(4).tobytes())
+        kind, node_id, dropped = obs.events[4]
+        assert (kind, node_id) == ("truncated", leaf.node_id)
+        assert isinstance(dropped, np.ndarray) and dropped.tobytes() == arr(4).tobytes()
         assert interior.last_access == 4.0 and interior.hit_count == 1
 
     def test_pin_path_fires_per_node_and_remove_observer_silences(self):

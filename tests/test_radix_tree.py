@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.node import is_lent
 from repro.core.radix_tree import RadixTree, TreeObserver, common_prefix_length
 from repro.core.tokens import TokenSeq
 
@@ -111,11 +112,11 @@ class TestInsert:
         extended = session.prefix(5)
         outcome = tree.insert(extended, now=2.0, start=end)
         assert outcome.new_edge_tokens == 2
-        assert outcome.new_leaf.data == arr(4, 5).tobytes()  # the suffix only
+        assert outcome.new_leaf.edge_tokens.tobytes() == arr(4, 5).tobytes()  # the suffix only
         walked = session.prefix(6)
         outcome = tree.insert(walked, now=3.0)  # from the root: two edges to cross
         assert outcome.new_edge_tokens == 1 and outcome.split_node is None
-        assert outcome.new_leaf.data == arr(6).tobytes()
+        assert outcome.new_leaf.edge_tokens.tobytes() == arr(6).tobytes()
         # No handle was sliced to its own bytes, and no edge views the buffer.
         assert first._bytes is None and extended._bytes is None
         assert walked._bytes is None
@@ -339,14 +340,6 @@ class TestNodeStructure:
         assert leaf.kv_tokens == 2
         assert leaf.seq_len == leaf.parent_seq_len + leaf.kv_tokens == 4
 
-    def test_replace_edge_swaps_bytes_and_view_together(self):
-        node = RadixTree().insert(arr(4, 5, 6), now=0.0).end_node
-        node.replace_edge(arr(4, 5).tobytes())
-        assert node.data == arr(4, 5).tobytes()
-        assert node.edge_tokens.tolist() == [4, 5]
-        assert node.kv_tokens == 2
-        assert not node.edge_tokens.flags.writeable
-
 
 # ----------------------------------------------------------------------
 # The tree owns its edges
@@ -367,7 +360,7 @@ def _spellings():
 
 @pytest.mark.parametrize("spelling", sorted(_spellings()))
 def test_insert_never_aliases_the_callers_buffer(spelling):
-    """Whatever a caller inserts, the edge is the tree's own bytes: mutating
+    """Whatever a caller inserts, the edge owns its bytes: mutating
     the caller's array afterwards (a plain int32 array used to be donated as
     a view and then compared both stale and fresh) changes no answer."""
     tokens = _spellings()[spelling]
@@ -376,17 +369,18 @@ def test_insert_never_aliases_the_callers_buffer(spelling):
     tree.match(np.array([1, 2, 3, 4, 5], np.int32))  # old code cached bytes here
     if isinstance(tokens, TokenSeq):
         # A handle's bytes are immutable.  An edge that is the handle's whole
-        # buffer may be that very object (CPython answers ``b[0:len(b)]``
+        # buffer may view that very object (CPython answers ``b[0:len(b)]``
         # with ``b``); a longer buffer is never pinned by a view of it.
-        assert leaf.data is tokens.data or not np.shares_memory(
+        assert leaf.edge_tokens.base is tokens.data or not np.shares_memory(
             leaf.edge_tokens, tokens.arr
         )
-        assert len(leaf.data) == 4 * 5
+        assert len(leaf.edge_tokens.base) == 4 * 5
     else:
         if isinstance(tokens, np.ndarray):
             assert not np.shares_memory(leaf.edge_tokens, tokens)
         tokens[2] = 99
-    assert leaf.data == np.array([1, 2, 3, 4, 5], np.int32).tobytes()
+    assert not is_lent(leaf.edge_tokens) and isinstance(leaf.edge_tokens.base, bytes)
+    assert leaf.edge_tokens.tobytes() == np.array([1, 2, 3, 4, 5], np.int32).tobytes()
     assert leaf.edge_tokens.dtype == np.int32 and not leaf.edge_tokens.flags.writeable
     assert tree.match([1, 2, 3, 4, 5]).matched_len == 5
     assert tree.match([1, 2, 3, 4]).matched_len == 4
@@ -398,16 +392,19 @@ def test_split_halves_concatenate_to_the_original_edge():
     tree = RadixTree()
     base = np.arange(100, 112, dtype=np.int32)
     child = tree.insert(base, 0.0).end_node
-    original = child.data
+    original = child.edge_tokens
     diverged = np.concatenate([base[:8], [50, 51, 52]]).astype(np.int32)
     outcome = tree.insert(diverged, 1.0)
     middle = outcome.split_node
-    assert middle.data + child.data == original == base.tobytes()
-    assert middle.data == base[:8].tobytes() and child.data == base[8:].tobytes()
-    assert outcome.new_leaf.data == diverged[8:].tobytes()
+    assert b"".join((middle.edge_tokens, child.edge_tokens)) == original.tobytes() == base.tobytes()
+    assert middle.edge_tokens.tolist() == base[:8].tolist()
+    assert child.edge_tokens.tolist() == base[8:].tolist()
+    assert outcome.new_leaf.edge_tokens.tolist() == diverged[8:].tolist()
     for node in tree.iter_nodes():
-        assert isinstance(node.data, bytes)
-        assert node.edge_tokens.tobytes() == node.data
+        # Owned: each edge is all of its own bytes (a split copies the halves).
+        assert not is_lent(node.edge_tokens)
+        assert len(node.edge_tokens.base) == node.edge_tokens.nbytes
+        assert not np.shares_memory(node.edge_tokens, original)
         for outside in (base, diverged):
             assert not np.shares_memory(node.edge_tokens, outside)
     base[:] = 0
@@ -416,24 +413,27 @@ def test_split_halves_concatenate_to_the_original_edge():
     tree.check_integrity()
 
 
-def test_merge_and_truncate_replace_bytes_and_view_together():
+def test_merge_and_truncate_replace_the_edge():
     tree = RadixTree()
     base = np.arange(100, 112, dtype=np.int32)
     child = tree.insert(base, 0.0).end_node
     middle = tree.insert(base[:8], 1.0).end_node  # proper prefix: splits at its end
-    assert middle.data + child.data == base.tobytes()
+    assert b"".join((middle.edge_tokens, child.edge_tokens)) == base.tobytes()
     assert tree.merge_into_child(middle) is child
-    assert child.data == base.tobytes() and child.kv_tokens == 12
-    assert child.edge_tokens.tobytes() == child.data
+    assert child.edge_tokens.tobytes() == base.tobytes() and child.kv_tokens == 12
+    assert not is_lent(child.edge_tokens) and len(child.edge_tokens.base) == 4 * 12
+    merged = child.edge_tokens
     tree.truncate_leaf(child, 5)
-    assert child.data == base[:5].tobytes() and child.seq_len == 5
-    assert child.edge_tokens.tobytes() == child.data
+    assert child.edge_tokens.tobytes() == base[:5].tobytes() and child.seq_len == 5
+    # An owned edge's truncation owns its bytes: the dropped tail is freed.
+    assert not is_lent(child.edge_tokens) and len(child.edge_tokens.base) == 4 * 5
+    assert not np.shares_memory(child.edge_tokens, merged)
     assert tree.match(base).matched_len == 5
     tree.check_integrity()
-    # A clone shares the immutable bytes and nothing mutable.
+    # A clone shares the immutable edge and nothing mutable.
     copy = tree.clone()
     (mirrored,) = copy.iter_nodes()
-    assert mirrored.data is child.data and mirrored is not child
+    assert mirrored.edge_tokens is child.edge_tokens and mirrored is not child
     copy.check_integrity()
 
 
@@ -448,9 +448,9 @@ def _session(seed=0, n=120):
 
 
 def _shape(tree):
-    """Every node's depth, bytes and children's first tokens, pre-order."""
+    """Every node's depth, edge bytes and children's first tokens, pre-order."""
     return [
-        (node.seq_len, bytes(node.data), sorted(node.children))
+        (node.seq_len, node.edge_tokens.tobytes(), sorted(node.children))
         for node in tree.iter_nodes()
     ]
 
@@ -474,17 +474,19 @@ class TestLentEdges:
             copied.insert(TokenSeq(handle.arr), float(now))
             lent.check_integrity()
         assert _shape(lent) == _shape(copied)
-        buffers = {id(buffer.data): buffer, id(other.data): other}
+        buffers = {id(buffer.arr): buffer, id(other.arr): other}
         for node in lent.iter_nodes():
-            assert isinstance(node.data, memoryview) and node.data.readonly
-            owner = buffers[id(node.data.obj)]
+            assert is_lent(node.edge_tokens) and not node.edge_tokens.flags.writeable
+            owner = buffers[id(node.edge_tokens.base)]
             assert np.shares_memory(node.edge_tokens, owner.arr)
             with pytest.raises(ValueError):
                 node.edge_tokens[0] = 1
             # The edge lies in its buffer at its own depth.
-            assert bytes(node.data) == owner.data[4 * node.parent_seq_len : 4 * node.seq_len]
+            here = owner.arr[node.parent_seq_len : node.seq_len]
+            assert node.edge_tokens.ctypes.data == here.ctypes.data
+            assert node.edge_tokens.tobytes() == here.tobytes()
         for node in copied.iter_nodes():
-            assert isinstance(node.data, bytes)
+            assert not is_lent(node.edge_tokens) and isinstance(node.edge_tokens.base, bytes)
         rng = np.random.default_rng(7)
         queries = [buffer.prefix(e) for e in (1, 39, 40, 41, 100)] + [
             np.concatenate([buffer.arr[: int(c)], rng.integers(0, 50, 5, dtype=np.int32)])
@@ -505,9 +507,9 @@ class TestLentEdges:
         diverged = np.concatenate([buffer.arr[:30], [99, 98]]).astype(np.int32)
         outcome = tree.insert(TokenSeq(diverged), 1.0)
         middle = outcome.split_node
-        assert isinstance(middle.data, memoryview) and isinstance(leaf.data, memoryview)
-        assert middle.data.obj is leaf.data.obj is buffer.data
-        assert isinstance(outcome.new_leaf.data, bytes)
+        assert is_lent(middle.edge_tokens) and is_lent(leaf.edge_tokens)
+        assert middle.edge_tokens.base is leaf.edge_tokens.base is buffer.arr
+        assert not is_lent(outcome.new_leaf.edge_tokens)
         assert not np.shares_memory(outcome.new_leaf.edge_tokens, buffer.arr)
         tree.check_integrity()
 
@@ -519,15 +521,15 @@ class TestLentEdges:
 
         tree.add_observer(Truncations())
         tree.truncate_leaf(leaf, 20)
-        assert isinstance(leaf.data, memoryview) and leaf.data.obj is buffer.data
-        assert bytes(leaf.data) == buffer.data[4 * 30 : 4 * 50]
+        assert is_lent(leaf.edge_tokens) and leaf.edge_tokens.base is buffer.arr
+        assert leaf.edge_tokens.tolist() == buffer.arr[30:50].tolist()
         (cut,) = dropped
-        assert bytes(cut) == buffer.data[4 * 50 : 4 * 80]
+        assert isinstance(cut, np.ndarray) and cut.tolist() == buffer.arr[50:80].tolist()
         tree.check_integrity()
 
         tree.remove_leaf(outcome.new_leaf)
         assert tree.merge_into_child(middle) is leaf
-        assert isinstance(leaf.data, bytes) and leaf.data == buffer.data[: 4 * 50]
+        assert not is_lent(leaf.edge_tokens) and leaf.edge_tokens.tolist() == buffer.arr[:50].tolist()
         assert not np.shares_memory(leaf.edge_tokens, buffer.arr)
         assert tree.match(buffer).matched_len == 50
         tree.check_integrity()
@@ -540,7 +542,7 @@ class TestLentEdges:
         copy = tree.clone()
         copy.check_integrity()
         for original, mirrored in zip(tree.iter_nodes(), copy.iter_nodes()):
-            assert mirrored is not original and mirrored.data is original.data
+            assert mirrored is not original and mirrored.edge_tokens is original.edge_tokens
 
     def test_integrity_rejects_a_view_off_its_depth(self):
         buffer, ends = _session()
@@ -549,8 +551,16 @@ class TestLentEdges:
         leaf = tree.insert(buffer.prefix(ends[1]), 1.0).end_node
         tree.check_integrity()
         # The same tokens in a buffer that does not start with the leaf's path.
-        elsewhere = TokenSeq.adopt(b"\0" * 4 + buffer.data[4 * 40 : 4 * 80])
-        leaf.replace_edge(memoryview(elsewhere.data)[4:])
-        assert bytes(leaf.data) == buffer.data[4 * 40 : 4 * 80]
+        elsewhere = TokenSeq.adopt(b"\0" * 4 + buffer.arr[40:80].tobytes())
+        leaf.edge_tokens = elsewhere.arr[1:]
+        assert is_lent(leaf.edge_tokens)
+        assert leaf.edge_tokens.tolist() == buffer.arr[40:80].tolist()
         with pytest.raises(AssertionError):
             tree.check_integrity()
+        # At its depth, but in a buffer that does not begin with its path.
+        elsewhere = TokenSeq.adopt(bytes(4 * 40) + buffer.arr[40:80].tobytes())
+        leaf.edge_tokens = elsewhere.arr[40:]
+        with pytest.raises(AssertionError):
+            tree.check_integrity()
+        leaf.edge_tokens = buffer.arr[40:80]
+        tree.check_integrity()
